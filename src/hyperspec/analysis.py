@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import CapExceeded, DimMismatch, InputError
+from .errors import CapExceeded, DimMismatch, DivisionByZero, InputError
 from .hypergraph import (
     Hypergraph,
     adjacency_tensor,
@@ -34,7 +34,6 @@ from .hypergraph import (
     is_isomorphic,
     subset_order,
 )
-from .parallel import pmap
 from .polynomial import UniPoly
 from .spectra import char_poly, e_char_poly
 
@@ -136,10 +135,19 @@ class PolyCache:
 
     @classmethod
     def from_json(cls, data: dict) -> "PolyCache":
+        """Inverse of to_json; a malformed entry raises InputError."""
         cache = cls()
         for key, coeffs in data.items():
-            n, k, mask = (int(part) for part in key.split(","))
-            cache._polys[(n, k, mask)] = UniPoly.from_coeff_strings(coeffs)
+            try:
+                n, k, mask = (int(part) for part in key.split(","))
+            except ValueError:
+                raise InputError(f"malformed cache key {key!r}") from None
+            if not isinstance(coeffs, list) or not all(isinstance(c, str) for c in coeffs):
+                raise InputError(f"cache entry {key!r} is not a list of strings")
+            try:
+                cache._polys[(n, k, mask)] = UniPoly.from_coeff_strings(coeffs)
+            except DivisionByZero as exc:
+                raise InputError(f"cache entry {key!r}: {exc}") from None
         return cache
 
 
@@ -163,11 +171,19 @@ def save_checkpoint(path: str, n: int, k: int, cache: PolyCache, watermark: int)
 
 
 def load_checkpoint(path: str, n: int, k: int) -> tuple[PolyCache, int]:
-    """Read a checkpoint back; (empty cache, -1) when the file is absent."""
+    """Read a checkpoint back; (empty cache, -1) when the file is absent.
+
+    A file that is not a well-formed checkpoint raises InputError.
+    """
     if not os.path.exists(path):
         return PolyCache(), -1
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read checkpoint {path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise InputError(f"checkpoint {path} does not hold a JSON object")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise InputError(f"unsupported checkpoint version in {path}")
     if payload.get("n") != n or payload.get("k") != k:
@@ -175,7 +191,12 @@ def load_checkpoint(path: str, n: int, k: int) -> tuple[PolyCache, int]:
             f"checkpoint {path} is for (n={payload.get('n')}, k={payload.get('k')}), "
             f"not (n={n}, k={k})"
         )
-    return PolyCache.from_json(payload["polys"]), int(payload["watermark"])
+    polys, watermark = payload.get("polys"), payload.get("watermark")
+    if not isinstance(polys, dict) or not isinstance(watermark, int):
+        raise InputError(
+            f"checkpoint {path} needs a 'polys' object and an integer 'watermark'"
+        )
+    return PolyCache.from_json(polys), watermark
 
 
 @dataclass(frozen=True)
@@ -252,16 +273,11 @@ def cospectral_invariant_scan(
     else:
         cache, watermark = PolyCache(), -1
 
-    def fingerprint(mask: int) -> tuple[int, int, int]:
-        h = from_bitmask(n, k, mask)
-        return mask, h.edge_count, count_simplices(h)
-
-    prints = pmap(fingerprint, range(1 << slots), cfg.threads)
     rows: list[tuple[int, int, int, UniPoly]] = []
     persisted = cache.computed
-    for mask, edges, simplices in prints:
-        poly = cache.get_char(from_bitmask(n, k, mask), cfg)
-        rows.append((mask, edges, simplices, poly))
+    for mask in range(1 << slots):
+        h = from_bitmask(n, k, mask)
+        rows.append((mask, h.edge_count, count_simplices(h), cache.get_char(h, cfg)))
         watermark = max(watermark, mask)
         if checkpoint_path and cache.computed != persisted:
             persisted = cache.computed
@@ -337,14 +353,10 @@ def ds_verify(
     target_print = wanted(h)
     target_poly = cache.get_char(h, cfg)
 
-    def survives(mask: int) -> int | None:
-        g = from_bitmask(h.n, h.k, mask)
-        return mask if wanted(g) == target_print else None
-
     kept = [
         mask
-        for mask in pmap(survives, range(1 << slots), cfg.threads)
-        if mask is not None
+        for mask in range(1 << slots)
+        if wanted(from_bitmask(h.n, h.k, mask)) == target_print
     ]
     mates: list[Hypergraph] = []
     persisted = cache.computed

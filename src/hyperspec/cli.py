@@ -260,7 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact spectra of uniform hypergraph adjacency tensors.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=1, help="worker count")
+    common.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility and ignored; work runs in one thread",
+    )
     common.add_argument("--degree-cap", type=int, default=RunConfig.degree_cap)
     common.add_argument("--dim-cap", type=int, default=RunConfig.dim_cap)
     common.add_argument(
@@ -359,11 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    base = RunConfig(
-        threads=max(1, args.threads),
-        degree_cap=args.degree_cap,
-        dim_cap=args.dim_cap,
-    )
+    base = RunConfig(degree_cap=args.degree_cap, dim_cap=args.dim_cap)
     try:
         cfg = config_from_env(base)
         return args.func(args, cfg)
@@ -383,3 +384,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -4,7 +4,8 @@ Every cap exists to keep exact arithmetic from silently starting a
 multi-day computation; callers raise the caps deliberately.  The prime
 seed offsets the deterministic modulus list used by modular
 determinants; any seed yields the same final rational values, so it is
-a reproducibility control, not a correctness one.
+a reproducibility control, not a correctness one.  Every computation
+runs in the calling thread; there is no worker-count knob.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ PRIME_SEED_ENV = "HYPERSPEC_PRIME_SEED"
 
 @dataclass(frozen=True)
 class RunConfig:
-    threads: int = 1
     degree_cap: int = 128
     dim_cap: int = 1024
     canonical_cap: int = 10

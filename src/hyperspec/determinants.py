@@ -1,15 +1,15 @@
-"""Exact determinants of rational matrices.
+"""Exact determinants of integer matrices.
 
-Small matrices use fraction-free Bareiss elimination on a row-scaled
-integer copy.  Larger ones evaluate modulo enough word-size primes to
-cover the Hadamard bound and recombine by Chinese remaindering; the
-result is exact, not probabilistic, because the bound is rigorous.
+Small matrices use fraction-free Bareiss elimination.  Larger ones
+evaluate modulo enough word-size primes to cover the Hadamard bound and
+recombine by Chinese remaindering; the result is exact, not
+probabilistic, because the bound is rigorous.  Rational systems reach
+this module already scaled to integers (see macaulay).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 from typing import Sequence
 
 import numpy as np
@@ -64,20 +64,6 @@ def hadamard_bound(rows: Sequence[Sequence[int]]) -> int:
     return bound
 
 
-def _scaled_integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """Clear denominators row by row; returns (integer rows, product of scalings)."""
-    out = []
-    scale = 1
-    for row in rows:
-        lcm = 1
-        fracs = [Fraction(v) for v in row]
-        for v in fracs:
-            lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-        out.append([int(v * lcm) for v in fracs])
-        scale *= lcm
-    return out, scale
-
-
 def _det_int_modular(rows: list[list[int]], prime_seed: int) -> int:
     bound = hadamard_bound(rows)
     if bound == 0:
@@ -111,23 +97,3 @@ def det_exact_int(
     if n <= bareiss_max_dim:
         return bareiss_det(rows)
     return _det_int_modular([list(map(int, r)) for r in rows], prime_seed)
-
-
-def det_exact(
-    rows: Sequence[Sequence[Fraction | int]],
-    *,
-    prime_seed: int = 0,
-    bareiss_max_dim: int = BAREISS_MAX_DIM,
-) -> Fraction:
-    """Exact determinant of a square rational matrix; empty matrix gives 1."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise InputError("matrix must be square")
-    if n == 0:
-        return Fraction(1)
-    int_rows, scale = _scaled_integer_rows(rows)
-    if n <= bareiss_max_dim:
-        det = bareiss_det(int_rows)
-    else:
-        det = _det_int_modular(int_rows, prime_seed)
-    return Fraction(det, scale)

@@ -79,10 +79,6 @@ class NotSquareSystem(MathError):
     """Polynomial system whose polynomial and variable counts differ."""
 
 
-class DegenerateMinor(MathError):
-    """Vanishing divisor determinant at an evaluation point."""
-
-
 class TooManyDegeneratePoints(MathError):
     """Every retry coordinate system kept hitting degenerate minors."""
 

@@ -6,10 +6,16 @@ D = sum(d_i - 1) + 1: each monomial mu owns one row, filled with the
 coefficients of (mu / x_i**d_i) * f_i for the least variable index i
 with x_i**d_i dividing mu.  The resultant is det(M) / det(M') where M'
 restricts rows and columns to the monomials divisible by x_i**d_i for
-two or more distinct i.  det(M') can vanish identically for sparse
-systems; callers escape through simultaneous (polynomial, variable)
-permutations and determinant-one changes of variables, both of which
-leave the resultant value unchanged.
+two or more distinct i.
+
+Every resultant goes through one integer path.  A system whose
+coefficients are linear in a parameter lambda is tabulated once with
+its rows scaled to integers, and each integer lambda then costs two
+integer determinants; a numeric system is the lambda-free case,
+evaluated at lambda = 0.  det(M') can vanish identically for sparse
+systems; callers escape down one ladder of simultaneous (polynomial,
+variable) permutations and determinant-one changes of variables, both
+of which leave the resultant value unchanged.
 """
 
 from __future__ import annotations
@@ -19,17 +25,17 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from typing import Sequence
+from math import comb, lcm
+from typing import Iterator, Sequence
 
-from .determinants import det_exact
+from .determinants import det_exact_int
 from .errors import (
     CapExceeded,
-    DegenerateMinor,
     DimMismatch,
     InputError,
     NotHomogeneous,
     NotSquareSystem,
+    TooManyDegeneratePoints,
 )
 from .polynomial import MultiPoly
 
@@ -61,19 +67,6 @@ class PolySystem:
                     f"polynomial {i} is not homogeneous of degree {degree}"
                 )
 
-    def permute_pairs(self, order: Sequence[int]) -> "PolySystem":
-        """New slot j carries old (polynomial, variable) pair order[j]."""
-        polys = tuple(self.polys[order[j]].permute_vars(order) for j in range(self.nvars))
-        degrees = tuple(self.degrees[order[j]] for j in range(self.nvars))
-        return PolySystem(self.nvars, polys, degrees)
-
-    def substitute_linear(self, matrix: Sequence[Sequence[int]]) -> "PolySystem":
-        return PolySystem(
-            self.nvars,
-            tuple(p.substitute_linear(matrix) for p in self.polys),
-            self.degrees,
-        )
-
 
 def monomial_basis(nvars: int, total: int) -> tuple[tuple[int, ...], ...]:
     out = []
@@ -99,9 +92,6 @@ class MacaulayStructure:
     @property
     def size(self) -> int:
         return len(self.monomials)
-
-    def column(self, mono: tuple[int, ...]) -> int:
-        return _column_index(self.nvars, self.total_degree)[mono]
 
 
 @lru_cache(maxsize=None)
@@ -134,51 +124,10 @@ def macaulay_dim(nvars: int, degrees: Sequence[int]) -> int:
     return comb(total + nvars - 1, nvars - 1)
 
 
-@dataclass(frozen=True)
-class MacaulayPair:
-    structure: MacaulayStructure
-    matrix: tuple[tuple[Fraction, ...], ...]
-    minor: tuple[tuple[Fraction, ...], ...]
-
-
-def macaulay_pair(system: PolySystem, dim_cap: int | None = None) -> MacaulayPair:
-    if dim_cap is not None:
-        size = macaulay_dim(system.nvars, system.degrees)
-        if size > dim_cap:
-            raise CapExceeded(f"matrix dimension {size} exceeds cap {dim_cap}")
-    structure = macaulay_structure(system.nvars, system.degrees)
-    index = _column_index(system.nvars, structure.total_degree)
-    size = structure.size
-    rows = []
-    for r, mono in enumerate(structure.monomials):
-        i = structure.assignment[r]
-        shift = list(mono)
-        shift[i] -= system.degrees[i]
-        row = [Fraction(0)] * size
-        for exp, coeff in system.polys[i].terms.items():
-            col = index[tuple(s + e for s, e in zip(shift, exp))]
-            row[col] = coeff
-        rows.append(tuple(row))
-    minor = tuple(
-        tuple(rows[r][c] for c in structure.nonreduced) for r in structure.nonreduced
-    )
-    return MacaulayPair(structure, tuple(rows), minor)
-
-
-def resultant_value(
-    system: PolySystem, *, prime_seed: int = 0, dim_cap: int | None = None
-) -> Fraction:
-    """Exact resultant of one numeric system; raises DegenerateMinor if stuck."""
-    if any(p.is_zero() for p in system.polys):
-        return Fraction(0)
-    pair = macaulay_pair(system, dim_cap=dim_cap)
-    det_minor = det_exact(pair.minor, prime_seed=prime_seed)
-    if det_minor == 0:
-        raise DegenerateMinor(
-            "divisor determinant vanished; try a transformed system"
-        )
-    det_full = det_exact(pair.matrix, prime_seed=prime_seed)
-    return det_full / det_minor
+def check_dim_cap(nvars: int, degrees: Sequence[int], dim_cap: int) -> None:
+    size = macaulay_dim(nvars, degrees)
+    if size > dim_cap:
+        raise CapExceeded(f"matrix dimension {size} exceeds cap {dim_cap}")
 
 
 def rotation_order(nvars: int, shift: int) -> tuple[int, ...]:
@@ -202,15 +151,169 @@ def unimodular_matrix(nvars: int, attempt: int) -> list[list[int]]:
 MAX_SHEAR_ATTEMPTS = 6
 
 
-def system_variants(system: PolySystem):
-    """Deterministic ladder of resultant-preserving reformulations.
+@dataclass(frozen=True)
+class LambdaSystem:
+    """Square homogeneous system whose coefficients are linear in lambda."""
 
-    The plain system first, then the cyclic pair rotations, then shears
-    by determinant-one matrices.  Every variant has exactly the same
-    resultant, so callers may use whichever evaluates cleanly.
+    nvars: int
+    degrees: tuple[int, ...]
+    const: tuple[MultiPoly, ...]
+    linear: tuple[MultiPoly, ...]
+
+    @classmethod
+    def constant(cls, system: PolySystem) -> "LambdaSystem":
+        """The numeric system with a zero lambda part."""
+        zero = MultiPoly(system.nvars)
+        return cls(system.nvars, system.degrees, system.polys, (zero,) * system.nvars)
+
+    def at(self, lam: Fraction | int) -> PolySystem:
+        polys = tuple(
+            c + l.scale(lam) for c, l in zip(self.const, self.linear)
+        )
+        return PolySystem(self.nvars, polys, self.degrees)
+
+    def permute_pairs(self, order: Sequence[int]) -> "LambdaSystem":
+        """New slot j carries old (polynomial, variable) pair order[j]."""
+        return LambdaSystem(
+            self.nvars,
+            tuple(self.degrees[order[j]] for j in range(self.nvars)),
+            tuple(self.const[order[j]].permute_vars(order) for j in range(self.nvars)),
+            tuple(self.linear[order[j]].permute_vars(order) for j in range(self.nvars)),
+        )
+
+    def substitute_linear(self, matrix: Sequence[Sequence[int]]) -> "LambdaSystem":
+        return LambdaSystem(
+            self.nvars,
+            self.degrees,
+            tuple(p.substitute_linear(matrix) for p in self.const),
+            tuple(p.substitute_linear(matrix) for p in self.linear),
+        )
+
+    def variants(self) -> Iterator["LambdaSystem"]:
+        """Deterministic ladder of resultant-preserving reformulations.
+
+        The plain system first, then the cyclic pair rotations, then shears
+        by determinant-one matrices.  Every variant has exactly the same
+        resultant at every lambda, so callers may use whichever evaluates
+        cleanly.
+        """
+        yield self
+        for shift in range(1, min(self.nvars, 4)):
+            yield self.permute_pairs(rotation_order(self.nvars, shift))
+        for attempt in range(MAX_SHEAR_ATTEMPTS):
+            yield self.substitute_linear(unimodular_matrix(self.nvars, attempt))
+
+
+class _FillTable:
+    """Integer evaluation tables for one lambda-linear system variant.
+
+    Rows are scaled by the denominator lcm of their polynomial once, so
+    each sample point assembles two integer matrices directly; the two
+    accumulated scales divide back out of the determinant quotient.
     """
-    yield system
-    for shift in range(1, min(system.nvars, 4)):
-        yield system.permute_pairs(rotation_order(system.nvars, shift))
-    for attempt in range(MAX_SHEAR_ATTEMPTS):
-        yield system.substitute_linear(unimodular_matrix(system.nvars, attempt))
+
+    def __init__(self, lsys: LambdaSystem):
+        structure = macaulay_structure(lsys.nvars, lsys.degrees)
+        index = _column_index(lsys.nvars, structure.total_degree)
+        self.size = structure.size
+
+        poly_terms: list[list[tuple[tuple[int, ...], int, int]]] = []
+        poly_scale: list[int] = []
+        for c_poly, l_poly in zip(lsys.const, lsys.linear):
+            exps = set(c_poly.terms) | set(l_poly.terms)
+            scale = 1
+            pairs = []
+            for exp in exps:
+                c0 = c_poly.terms.get(exp, Fraction(0))
+                c1 = l_poly.terms.get(exp, Fraction(0))
+                pairs.append((exp, c0, c1))
+                scale = lcm(scale, c0.denominator, c1.denominator)
+            poly_terms.append(
+                [(exp, int(c0 * scale), int(c1 * scale)) for exp, c0, c1 in pairs]
+            )
+            poly_scale.append(scale)
+        self.poly_terms = poly_terms
+
+        self.rows: list[list[tuple[int, int, int]]] = []
+        scale_full = 1
+        for r, mono in enumerate(structure.monomials):
+            i = structure.assignment[r]
+            shift = list(mono)
+            shift[i] -= lsys.degrees[i]
+            row = [
+                (index[tuple(s + e for s, e in zip(shift, exp))], i0, i1)
+                for exp, i0, i1 in poly_terms[i]
+            ]
+            self.rows.append(row)
+            scale_full *= poly_scale[i]
+        self.scale_full = scale_full
+
+        minor_pos = {c: j for j, c in enumerate(structure.nonreduced)}
+        self.minor_rows = [
+            [(minor_pos[c], i0, i1) for c, i0, i1 in self.rows[r] if c in minor_pos]
+            for r in structure.nonreduced
+        ]
+        self.scale_minor = 1
+        for r in structure.nonreduced:
+            self.scale_minor *= poly_scale[structure.assignment[r]]
+
+        self.lambda_rows = sum(
+            1
+            for r in range(self.size)
+            if not lsys.linear[structure.assignment[r]].is_zero()
+        )
+
+    def vanishing_poly(self, lam: int) -> bool:
+        for terms in self.poly_terms:
+            if all(i0 + lam * i1 == 0 for _, i0, i1 in terms):
+                return True
+        return False
+
+    def fill(self, lam: int) -> tuple[list[list[int]], list[list[int]]]:
+        full = []
+        for row_terms in self.rows:
+            row = [0] * self.size
+            for col, i0, i1 in row_terms:
+                row[col] = i0 + lam * i1
+            full.append(row)
+        minor_size = len(self.minor_rows)
+        minor = []
+        for row_terms in self.minor_rows:
+            row = [0] * minor_size
+            for col, i0, i1 in row_terms:
+                row[col] = i0 + lam * i1
+            minor.append(row)
+        return full, minor
+
+
+def _eval_point(table: _FillTable, lam: int, prime_seed: int) -> Fraction | None:
+    """Resultant value at one integer lambda, or None on a degenerate minor."""
+    if table.vanishing_poly(lam):
+        return Fraction(0)
+    full, minor = table.fill(lam)
+    det_minor = det_exact_int(minor, prime_seed=prime_seed)
+    if det_minor == 0:
+        return None
+    det_full = det_exact_int(full, prime_seed=prime_seed)
+    return Fraction(det_full * table.scale_minor, det_minor * table.scale_full)
+
+
+def resultant_value(
+    system: PolySystem, *, prime_seed: int = 0, dim_cap: int | None = None
+) -> Fraction:
+    """Exact resultant of one numeric system.
+
+    Walks the reformulation ladder until a variant's divisor determinant
+    is nonzero; raises TooManyDegeneratePoints if none is.
+    """
+    if any(p.is_zero() for p in system.polys):
+        return Fraction(0)
+    if dim_cap is not None:
+        check_dim_cap(system.nvars, system.degrees, dim_cap)
+    for variant in LambdaSystem.constant(system).variants():
+        value = _eval_point(_FillTable(variant), 0, prime_seed)
+        if value is not None:
+            return value
+    raise TooManyDegeneratePoints(
+        "no reformulation of the system avoided a vanishing divisor"
+    )

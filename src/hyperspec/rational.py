@@ -25,20 +25,6 @@ def rat(value: int | str | Fraction) -> Fraction:
     raise InputError(f"cannot interpret {value!r} as a rational")
 
 
-def rat_arith(a: Fraction, op: str, b: Fraction) -> Fraction:
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0:
-            raise DivisionByZero("rational division by zero")
-        return a / b
-    raise InputError(f"unknown operator {op!r}")
-
-
 def format_rational(value: Fraction) -> str:
     value = Fraction(value)
     if value.denominator == 1:

@@ -9,45 +9,37 @@ auxiliary variable beta with the quadric x.x - beta**2 is appended.
 
 Both are computed by exact evaluation and interpolation: the system is
 linear in lambda, so each integer sample point costs two integer
-determinants.  Sample points whose divisor determinant vanishes are
-skipped; if a coordinate system keeps producing them, the evaluator
-moves down a deterministic ladder of resultant-preserving
-reformulations (pair rotations, then determinant-one shears).
+determinants (see macaulay).  Sample points are evaluated one at a time
+and those whose divisor determinant vanishes are skipped; if a
+coordinate system keeps producing them, the evaluator moves down the
+ladder of resultant-preserving reformulations (pair rotations, then
+determinant-one shears).  The tensor determinant is the resultant of
+the numeric system x -> A x itself, through the same ladder.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .determinants import det_exact_int
 from .errors import (
-    CapExceeded,
-    DegenerateMinor,
     DegreeCapExceeded,
     DimMismatch,
     MathError,
     TooManyDegeneratePoints,
 )
 from .macaulay import (
-    MAX_SHEAR_ATTEMPTS,
+    LambdaSystem,
     PolySystem,
-    macaulay_dim,
-    macaulay_structure,
+    _eval_point,
+    _FillTable,
+    check_dim_cap,
     resultant_value,
-    rotation_order,
-    system_variants,
-    unimodular_matrix,
-    _column_index,
 )
-from .parallel import pmap
 from .polynomial import MultiPoly, UniPoly, interpolate
 from .tensor import Tensor
 
-_CHUNK = 8  # fixed speculative batch; keeps decisions worker-count independent
 _BAIL_MIN_DEGENERATE = 5
 
 
@@ -63,45 +55,6 @@ def tensor_polynomial_map(a: Tensor) -> tuple[MultiPoly, ...]:
         bucket = acc[idx[0]]
         bucket[key] = bucket.get(key, Fraction(0)) + value
     return tuple(MultiPoly(n, bucket) for bucket in acc)
-
-
-@dataclass(frozen=True)
-class LambdaSystem:
-    """Square homogeneous system whose coefficients are linear in lambda."""
-
-    nvars: int
-    degrees: tuple[int, ...]
-    const: tuple[MultiPoly, ...]
-    linear: tuple[MultiPoly, ...]
-
-    def at(self, lam: Fraction | int) -> PolySystem:
-        polys = tuple(
-            c + l.scale(lam) for c, l in zip(self.const, self.linear)
-        )
-        return PolySystem(self.nvars, polys, self.degrees)
-
-    def permute_pairs(self, order: Sequence[int]) -> "LambdaSystem":
-        return LambdaSystem(
-            self.nvars,
-            tuple(self.degrees[order[j]] for j in range(self.nvars)),
-            tuple(self.const[order[j]].permute_vars(order) for j in range(self.nvars)),
-            tuple(self.linear[order[j]].permute_vars(order) for j in range(self.nvars)),
-        )
-
-    def substitute_linear(self, matrix: Sequence[Sequence[int]]) -> "LambdaSystem":
-        return LambdaSystem(
-            self.nvars,
-            self.degrees,
-            tuple(p.substitute_linear(matrix) for p in self.const),
-            tuple(p.substitute_linear(matrix) for p in self.linear),
-        )
-
-    def variants(self) -> Iterator["LambdaSystem"]:
-        yield self
-        for shift in range(1, min(self.nvars, 4)):
-            yield self.permute_pairs(rotation_order(self.nvars, shift))
-        for attempt in range(MAX_SHEAR_ATTEMPTS):
-            yield self.substitute_linear(unimodular_matrix(self.nvars, attempt))
 
 
 def char_poly_system(a: Tensor) -> LambdaSystem:
@@ -157,96 +110,6 @@ def e_char_poly_system(a: Tensor) -> LambdaSystem:
     return LambdaSystem(nv, (m - 1,) * n + (2,), tuple(const), tuple(linear))
 
 
-class _FillTable:
-    """Integer evaluation tables for one lambda-linear system variant.
-
-    Rows are scaled by the denominator lcm of their polynomial once, so
-    each sample point assembles two integer matrices directly; the two
-    accumulated scales divide back out of the determinant quotient.
-    """
-
-    def __init__(self, lsys: LambdaSystem):
-        structure = macaulay_structure(lsys.nvars, lsys.degrees)
-        index = _column_index(lsys.nvars, structure.total_degree)
-        self.size = structure.size
-        self.nonreduced = structure.nonreduced
-
-        poly_terms: list[list[tuple[tuple[int, ...], int, int]]] = []
-        poly_scale: list[int] = []
-        for c_poly, l_poly in zip(lsys.const, lsys.linear):
-            exps = set(c_poly.terms) | set(l_poly.terms)
-            scale = 1
-            pairs = []
-            for exp in exps:
-                c0 = c_poly.terms.get(exp, Fraction(0))
-                c1 = l_poly.terms.get(exp, Fraction(0))
-                pairs.append((exp, c0, c1))
-                for c in (c0, c1):
-                    scale = scale * c.denominator // _gcd(scale, c.denominator)
-            poly_terms.append(
-                [(exp, int(c0 * scale), int(c1 * scale)) for exp, c0, c1 in pairs]
-            )
-            poly_scale.append(scale)
-        self.poly_terms = poly_terms
-
-        self.rows: list[list[tuple[int, int, int]]] = []
-        scale_full = 1
-        for r, mono in enumerate(structure.monomials):
-            i = structure.assignment[r]
-            shift = list(mono)
-            shift[i] -= lsys.degrees[i]
-            row = [
-                (index[tuple(s + e for s, e in zip(shift, exp))], i0, i1)
-                for exp, i0, i1 in poly_terms[i]
-            ]
-            self.rows.append(row)
-            scale_full *= poly_scale[i]
-        self.scale_full = scale_full
-
-        minor_pos = {c: j for j, c in enumerate(structure.nonreduced)}
-        self.minor_rows = [
-            [(minor_pos[c], i0, i1) for c, i0, i1 in self.rows[r] if c in minor_pos]
-            for r in structure.nonreduced
-        ]
-        self.scale_minor = 1
-        for r in structure.nonreduced:
-            self.scale_minor *= poly_scale[structure.assignment[r]]
-
-        self.lambda_rows = sum(
-            1
-            for r in range(self.size)
-            if not lsys.linear[structure.assignment[r]].is_zero()
-        )
-
-    def vanishing_poly(self, lam: int) -> bool:
-        for terms in self.poly_terms:
-            if all(i0 + lam * i1 == 0 for _, i0, i1 in terms):
-                return True
-        return False
-
-    def fill(self, lam: int) -> tuple[list[list[int]], list[list[int]]]:
-        full = []
-        for row_terms in self.rows:
-            row = [0] * self.size
-            for col, i0, i1 in row_terms:
-                row[col] = i0 + lam * i1
-            full.append(row)
-        minor_size = len(self.minor_rows)
-        minor = []
-        for row_terms in self.minor_rows:
-            row = [0] * minor_size
-            for col, i0, i1 in row_terms:
-                row[col] = i0 + lam * i1
-            minor.append(row)
-        return full, minor
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _abscissae() -> Iterator[int]:
     yield 0
     k = 1
@@ -256,24 +119,10 @@ def _abscissae() -> Iterator[int]:
         k += 1
 
 
-def _eval_point(table: _FillTable, lam: int, prime_seed: int) -> Fraction | None:
-    """Resultant value at one integer lambda, or None on a degenerate minor."""
-    if table.vanishing_poly(lam):
-        return Fraction(0)
-    full, minor = table.fill(lam)
-    det_minor = det_exact_int(minor, prime_seed=prime_seed)
-    if det_minor == 0:
-        return None
-    det_full = det_exact_int(full, prime_seed=prime_seed)
-    return Fraction(det_full * table.scale_minor, det_minor * table.scale_full)
-
-
 def _interpolated_resultant(
     lsys: LambdaSystem, npoints: int | None, cfg: RunConfig
 ) -> UniPoly:
-    size = macaulay_dim(lsys.nvars, lsys.degrees)
-    if size > cfg.dim_cap:
-        raise CapExceeded(f"matrix dimension {size} exceeds cap {cfg.dim_cap}")
+    check_dim_cap(lsys.nvars, lsys.degrees, cfg.dim_cap)
     for variant in lsys.variants():
         table = _FillTable(variant)
         needed = npoints if npoints is not None else table.lambda_rows + 1
@@ -283,25 +132,16 @@ def _interpolated_resultant(
             )
         points: list[tuple[int, Fraction]] = []
         degenerate = 0
-        stream = _abscissae()
-        bail = False
-        while not bail and len(points) < needed:
-            chunk = list(itertools.islice(stream, _CHUNK))
-            values = pmap(
-                lambda lam: _eval_point(table, lam, cfg.prime_seed), chunk, cfg.threads
-            )
-            for lam, value in zip(chunk, values):
-                if value is None:
-                    degenerate += 1
-                    if degenerate >= _BAIL_MIN_DEGENERATE and degenerate > len(points):
-                        bail = True
-                        break
-                else:
-                    points.append((lam, value))
-                    if len(points) == needed:
-                        break
-        if len(points) == needed:
-            return interpolate(points)
+        for lam in _abscissae():
+            value = _eval_point(table, lam, cfg.prime_seed)
+            if value is not None:
+                points.append((lam, value))
+                if len(points) == needed:
+                    return interpolate(points)
+            else:
+                degenerate += 1
+                if degenerate >= _BAIL_MIN_DEGENERATE and degenerate > len(points):
+                    break
     raise TooManyDegeneratePoints(
         "no reformulation produced enough usable sample points"
     )
@@ -349,18 +189,5 @@ def det_tensor(a: Tensor, config: RunConfig | None = None) -> Fraction:
     cfg = config if config is not None else DEFAULT_CONFIG
     if a.order < 2:
         raise DimMismatch("tensor determinant needs order at least 2")
-    polys = tensor_polynomial_map(a)
-    if any(p.is_zero() for p in polys):
-        return Fraction(0)
-    system = PolySystem(a.dim, polys, (a.order - 1,) * a.dim)
-    size = macaulay_dim(system.nvars, system.degrees)
-    if size > cfg.dim_cap:
-        raise CapExceeded(f"matrix dimension {size} exceeds cap {cfg.dim_cap}")
-    for variant in system_variants(system):
-        try:
-            return resultant_value(variant, prime_seed=cfg.prime_seed)
-        except DegenerateMinor:
-            continue
-    raise TooManyDegeneratePoints(
-        "no reformulation of the system avoided a vanishing divisor"
-    )
+    system = PolySystem(a.dim, tensor_polynomial_map(a), (a.order - 1,) * a.dim)
+    return resultant_value(system, prime_seed=cfg.prime_seed, dim_cap=cfg.dim_cap)

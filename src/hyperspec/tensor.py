@@ -2,8 +2,7 @@
 
 A Tensor of order m and dimension n stores its n**m entries in a flat
 row-major tuple indexed by m-tuples of 0-based coordinates.  Matrices
-are simply order-2 tensors; RationalMatrix is an alias kept for
-readability of signatures.  JSON serialization lists nonzero entries
+are simply order-2 tensors.  JSON serialization lists nonzero entries
 with 1-based index tuples, matching the vertex numbering used by the
 hypergraph layer.
 """
@@ -59,9 +58,6 @@ class Tensor:
         for flat, value in enumerate(self.entries):
             if value != 0:
                 yield _unoffset(flat, self.order, self.dim), value
-
-
-RationalMatrix = Tensor
 
 
 def _offset(idx: Sequence[int], order: int, dim: int) -> int:

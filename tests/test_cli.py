@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hyperspec
 from hyperspec.cli import main
 from hyperspec.hypergraph import (
     Hypergraph,
@@ -222,6 +226,56 @@ def test_missing_file_exits_2(capsys):
     code, _, err = _run(capsys, ["charpoly", "/nonexistent/x.hg"])
     assert code == 2
     assert err != ""
+
+
+def test_module_entry_point_exits_2_on_missing_file(tmp_path):
+    src = str(Path(hyperspec.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyperspec.cli", "charpoly", str(tmp_path / "no.hg")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "InputError" in proc.stderr
+
+
+def _checkpoint(drop=(), **fields):
+    payload = {"version": 1, "n": 4, "k": 3, "polys": {}, "watermark": 3, **fields}
+    return json.dumps({key: v for key, v in payload.items() if key not in drop})
+
+
+MALFORMED_CHECKPOINTS = {
+    "truncated": _checkpoint()[:-12],
+    "not_an_object": "[1, 2, 3]",
+    "no_polys": _checkpoint(drop=("polys",)),
+    "no_watermark": _checkpoint(drop=("watermark",)),
+    "bad_watermark": _checkpoint(watermark="3"),
+    "bad_key": _checkpoint(polys={"4,3": ["1"]}),
+    "bad_coefficient": _checkpoint(polys={"4,3,1": ["x"]}),
+    "zero_denominator": _checkpoint(polys={"4,3,1": ["1/0"]}),
+    "coefficients_not_a_list": _checkpoint(polys={"4,3,1": "10"}),
+}
+
+
+@pytest.mark.parametrize("command", ["ds", "invariant-scan"])
+@pytest.mark.parametrize("kind", sorted(MALFORMED_CHECKPOINTS))
+def test_malformed_checkpoint_exits_2(tmp_path, capsys, command, kind):
+    state = tmp_path / "state.json"
+    state.write_text(MALFORMED_CHECKPOINTS[kind])
+    if command == "ds":
+        h = Hypergraph.from_edges(4, 3, [(1, 2, 3)])
+        argv = ["ds", "--checkpoint", str(state), _write_graph(tmp_path, "one.hg", h)]
+    else:
+        argv = ["invariant-scan", "--n", "4", "--k", "3", "--checkpoint", str(state)]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("InputError")
 
 
 def test_parse_error_reports_line(tmp_path, capsys):

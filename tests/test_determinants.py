@@ -8,11 +8,12 @@ from itertools import permutations
 
 from hyperspec.determinants import (
     bareiss_det,
-    det_exact,
     det_exact_int,
     hadamard_bound,
 )
 from hyperspec.errors import InputError
+from hyperspec.macaulay import PolySystem, resultant_value
+from hyperspec.polynomial import MultiPoly
 import pytest
 
 
@@ -26,34 +27,36 @@ def _sign(perm):
 
 
 def test_known_values():
-    assert det_exact([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]) == 1
-    assert det_exact([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]) == -2
-    assert det_exact([]) == 1  # empty matrix, by convention
+    assert det_exact_int([[1, 0], [0, 1]]) == 1
+    assert det_exact_int([[1, 2], [3, 4]]) == -2
+    assert det_exact_int([]) == 1  # empty matrix, by convention
 
 
 def test_identity_3x3():
-    rows = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
-    assert det_exact(rows) == 1
+    rows = [[int(i == j) for j in range(3)] for i in range(3)]
+    assert det_exact_int(rows) == 1
 
 
 def test_repeated_row_is_singular():
     rng = random.Random(0)
-    rows = [[Fraction(rng.randint(-9, 9)) for _ in range(8)] for _ in range(7)]
-    rows.append(list(rows[3]))
-    assert det_exact(rows) == 0
+    for n in (8, 16):  # both sides of the Bareiss/modular switch
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n - 1)]
+        rows.append(list(rows[3]))
+        assert det_exact_int(rows) == 0
 
 
 def test_rejects_ragged():
     with pytest.raises(InputError):
-        det_exact([[Fraction(1), Fraction(2)], [Fraction(3)]])
+        det_exact_int([[1, 2], [3]])
+    with pytest.raises(InputError):
+        det_exact_int([[1] * 14] * 13 + [[1] * 13])
 
 
 def test_permutation_sign():
     for perm in permutations(range(4)):
-        rows = [
-            [Fraction(int(perm[i] == j)) for j in range(4)] for i in range(4)
-        ]
-        assert det_exact(rows) == _sign(perm)
+        rows = [[int(perm[i] == j) for j in range(4)] for i in range(4)]
+        assert det_exact_int(rows) == _sign(perm)
+        assert det_exact_int(rows, bareiss_max_dim=0) == _sign(perm)
 
 
 def test_bareiss_known():
@@ -80,6 +83,15 @@ def test_modular_path_agrees_with_bareiss():
         assert det_exact_int(rows) == bareiss_det(rows)
 
 
+def _linear_det(rows):
+    # the resultant of n linear forms is the determinant of their
+    # coefficient rows; the Macaulay table clears each row's denominators
+    n = len(rows)
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    polys = tuple(MultiPoly(n, dict(zip(unit, row))) for row in rows)
+    return resultant_value(PolySystem(n, polys, (1,) * n))
+
+
 def test_rational_rows_any_dimension():
     rng = random.Random(17)
     for n in (2, 5, 13, 20):
@@ -88,13 +100,21 @@ def test_rational_rows_any_dimension():
             for _ in range(n)
         ]
         direct = _cofactor_det(rows) if n <= 5 else None
-        value = det_exact(rows)
+        value = _linear_det(rows)
         if direct is not None:
             assert value == direct
         # multiplying one row by 7 scales the determinant by 7
         scaled = [list(r) for r in rows]
         scaled[0] = [7 * v for v in scaled[0]]
-        assert det_exact(scaled) == 7 * value
+        assert _linear_det(scaled) == 7 * value
+
+
+def test_integer_rows_match_cofactor_oracle():
+    rng = random.Random(19)
+    for n in (2, 5):
+        rows = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n)]
+        assert det_exact_int(rows) == _cofactor_det(rows)
+        assert det_exact_int(rows, bareiss_max_dim=0) == _cofactor_det(rows)
 
 
 def test_prime_seed_does_not_change_values():

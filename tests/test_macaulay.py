@@ -7,22 +7,22 @@ from fractions import Fraction
 
 import pytest
 
-from hyperspec.determinants import det_exact
+from hyperspec.determinants import det_exact_int
 from hyperspec.errors import (
     CapExceeded,
-    DegenerateMinor,
     NotHomogeneous,
     NotSquareSystem,
 )
 from hyperspec.hypergraph import Hypergraph, adjacency_tensor
 from hyperspec.macaulay import (
     MAX_SHEAR_ATTEMPTS,
+    LambdaSystem,
     PolySystem,
+    _eval_point,
+    _FillTable,
     macaulay_dim,
-    macaulay_pair,
     monomial_basis,
     resultant_value,
-    system_variants,
     unimodular_matrix,
 )
 from hyperspec.polynomial import MultiPoly
@@ -63,9 +63,10 @@ def test_linear_system_reduces_to_determinant():
             _poly(2, {(1, 0): c, (0, 1): d}),
         ]
     )
-    pair = macaulay_pair(sys_)
-    assert pair.minor == ()  # nothing to divide out in degree one
-    assert det_exact(pair.matrix) == a * d - b * c
+    table = _FillTable(LambdaSystem.constant(sys_))
+    assert table.minor_rows == []  # nothing to divide out in degree one
+    full, _ = table.fill(0)
+    assert det_exact_int(full) == a * d - b * c
     assert resultant_value(sys_) == a * d - b * c
 
 
@@ -143,7 +144,7 @@ def test_unimodular_matrices_have_det_one():
     for nvars in (2, 3, 4):
         for attempt in range(MAX_SHEAR_ATTEMPTS):
             m = unimodular_matrix(nvars, attempt)
-            assert det_exact([[Fraction(v) for v in row] for row in m]) == 1
+            assert det_exact_int(m) == 1
 
 
 def test_variants_preserve_the_value():
@@ -157,14 +158,13 @@ def test_variants_preserve_the_value():
             continue
         sys_ = _system([p, q])
         values = []
-        for variant in system_variants(sys_):
-            try:
-                values.append(resultant_value(variant))
-            except DegenerateMinor:
-                continue
+        for variant in LambdaSystem.constant(sys_).variants():
+            value = _eval_point(_FillTable(variant), 0, 0)
+            if value is not None:
+                values.append(value)
         if not values:
             continue
-        assert len(set(values)) == 1
+        assert set(values) == {resultant_value(sys_)}
         found += 1
 
 
@@ -172,17 +172,17 @@ def test_degenerate_plain_system_is_rescued_by_a_variant():
     # the order-3 map of a single triple, shifted by one at the unit scale,
     # is singular in natural coordinates but fine after a change of basis
     h = Hypergraph.from_edges(3, 3, [(1, 2, 3)])
-    sys_ = e_char_poly_system(adjacency_tensor(h)).at(Fraction(1))
-    with pytest.raises(DegenerateMinor):
-        resultant_value(sys_)
-    rescued = None
-    for variant in system_variants(sys_):
-        try:
-            rescued = resultant_value(variant)
-            break
-        except DegenerateMinor:
-            continue
-    assert rescued == -16
+    lsys = e_char_poly_system(adjacency_tensor(h))
+    assert _eval_point(_FillTable(lsys), 1, 0) is None
+    plain = LambdaSystem.constant(lsys.at(Fraction(1)))
+    assert _eval_point(_FillTable(plain), 0, 0) is None
+    assert resultant_value(lsys.at(Fraction(1))) == -16
+    rescued = [
+        value
+        for value in (_eval_point(_FillTable(v), 1, 0) for v in lsys.variants())
+        if value is not None
+    ]
+    assert rescued and set(rescued) == {-16}
 
 
 def test_dim_cap_enforced():
@@ -195,5 +195,4 @@ def test_dim_cap_enforced():
     )
     with pytest.raises(CapExceeded):
         resultant_value(sys_, dim_cap=5)
-    with pytest.raises(CapExceeded):
-        macaulay_pair(sys_, dim_cap=5)
+    assert resultant_value(sys_, dim_cap=macaulay_dim(3, (2, 2, 2))) == 1

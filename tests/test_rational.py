@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hyperspec.errors import DivisionByZero, InputError
-from hyperspec.rational import format_rational, parse_rational, rat, rat_arith
+from hyperspec.rational import format_rational, parse_rational, rat
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=997
@@ -17,26 +17,15 @@ rationals = st.fractions(
 
 
 def test_basic_ops():
-    assert rat_arith(rat("1/2"), "*", rat("1/3")) == Fraction(1, 6)
-    assert rat_arith(rat("2/4"), "+", rat(0)) == Fraction(1, 2)
-    assert rat_arith(rat(7), "-", rat("1/2")) == Fraction(13, 2)
-    assert rat_arith(rat(3), "/", rat("3/5")) == 5
+    assert rat("1/2") * rat("1/3") == Fraction(1, 6)
+    assert rat("2/4") + rat(0) == Fraction(1, 2)
+    assert rat(7) - rat("1/2") == Fraction(13, 2)
+    assert rat(3) / rat("3/5") == 5
 
 
 def test_adjacency_weight():
     # order-3 tensors carry 1/(3-1)! = 1/2 on every edge arrangement
     assert rat(1) / rat(2) == Fraction(1, 2)
-    assert rat_arith(rat(1), "/", rat(2)) == Fraction(1, 2)
-
-
-def test_division_by_zero():
-    with pytest.raises(DivisionByZero):
-        rat_arith(rat(1), "/", rat(0))
-
-
-def test_unknown_operator():
-    with pytest.raises(InputError):
-        rat_arith(rat(1), "%", rat(2))
 
 
 def test_format_omits_unit_denominator():
@@ -69,23 +58,6 @@ def test_parse_rejects_zero_denominator():
 def test_reduction_invariant():
     v = parse_rational("6/4")
     assert v.numerator == 3 and v.denominator == 2
-
-
-@given(rationals, rationals, rationals)
-def test_field_axioms(a, b, c):
-    assert rat_arith(a, "+", b) == rat_arith(b, "+", a)
-    assert rat_arith(a, "*", b) == rat_arith(b, "*", a)
-    assert rat_arith(rat_arith(a, "+", b), "+", c) == rat_arith(
-        a, "+", rat_arith(b, "+", c)
-    )
-    assert rat_arith(a, "*", rat_arith(b, "+", c)) == rat_arith(
-        rat_arith(a, "*", b), "+", rat_arith(a, "*", c)
-    )
-
-
-@given(rationals, rationals)
-def test_subtraction_inverts_addition(a, b):
-    assert rat_arith(rat_arith(a, "+", b), "-", b) == a
 
 
 @given(rationals)

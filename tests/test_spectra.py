@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from hyperspec.config import DEFAULT_CONFIG
-from hyperspec.errors import CapExceeded, DegreeCapExceeded
-from hyperspec.hypergraph import Hypergraph, adjacency_tensor
+from hyperspec.analysis import PolyCache
+from hyperspec.errors import CapExceeded, DegreeCapExceeded, TooManyDegeneratePoints
+from hyperspec.hypergraph import Hypergraph, adjacency_tensor, from_bitmask
 from hyperspec.polynomial import UniPoly
 from hyperspec.spectra import char_poly, det_tensor, e_char_poly
 from hyperspec.tensor import (
@@ -164,13 +165,6 @@ def test_eigenvalue_is_a_root():
     assert char_poly(a).evaluate(Fraction(1)) == 0
 
 
-def test_thread_count_does_not_change_results():
-    a = _single_edge()
-    seq = char_poly(a, DEFAULT_CONFIG.with_(threads=1))
-    par = char_poly(a, DEFAULT_CONFIG.with_(threads=4))
-    assert seq == par
-
-
 def test_prime_seed_does_not_change_results():
     a = _single_edge()
     base = e_char_poly(a, DEFAULT_CONFIG.with_(prime_seed=0), normalize=False)
@@ -183,3 +177,40 @@ def test_det_tensor_values():
     assert det_tensor(Tensor.zero(3, 2)) == 0
     m = from_rows([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]])
     assert det_tensor(m) == 5
+
+
+# det_tensor of every 3-graph on 4 vertices, by edge mask, and of seeded
+# integer order-3 tensors in dimension 4; None marks a refusal.  Values
+# were recorded from the earlier Fraction-based determinant path.
+_DET_BY_MASK = {
+    0: 0, 1: 0, 2: 0, 3: None, 4: 0, 5: None, 6: None, 7: None,
+    8: 0, 9: None, 10: None, 11: None, 12: None, 13: None, 14: None, 15: 0,
+}
+_DET_BY_SEED = {
+    0: 3085346265797345373,
+    1: 22030134699969,
+    2: -17698498017440676,
+}
+
+
+def _seeded_tensor(seed):
+    rng = random.Random(seed)
+    return Tensor(3, 4, tuple(Fraction(rng.randint(-2, 2)) for _ in range(4**3)))
+
+
+def test_det_tensor_pinned_on_order_three():
+    cache = PolyCache()
+    for mask, expected in _DET_BY_MASK.items():
+        h = from_bitmask(4, 3, mask)
+        if expected is None:
+            with pytest.raises(TooManyDegeneratePoints):
+                det_tensor(adjacency_tensor(h))
+            continue
+        assert det_tensor(adjacency_tensor(h)) == expected
+        phi = cache.get_char(h)
+        assert phi.coefficient(0) == (-1) ** phi.degree * expected
+    for seed, expected in _DET_BY_SEED.items():
+        a = _seeded_tensor(seed)
+        assert det_tensor(a) == expected
+        phi = char_poly(a)
+        assert phi.coefficient(0) == (-1) ** phi.degree * expected
