@@ -1,12 +1,12 @@
-"""Modular determinants and Chinese-remainder reconstruction.
+"""Modular determinants, characteristic polynomials and CRT reconstruction.
 
 Moduli come from a fixed, deterministic list of primes counting down
 from 2**31 - 1.  Keeping every modulus below 2**31 lets Gaussian
-elimination run vectorized in int64: products of two reduced values
-stay under 2**62, safely inside the int64 range.  A seed offset picks a
-different window of the same list; the reconstructed rational is the
-same for every seed, which makes cross-seed agreement a cheap
-consistency check.
+elimination and Hessenberg reduction run vectorized in int64: products
+of two reduced values stay under 2**62, safely inside the int64 range.
+A seed offset picks a different window of the same list; the
+reconstructed rational is the same for every seed, which makes
+cross-seed agreement a cheap consistency check.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadPrime, InputError, InsufficientModuli
+from .errors import BadPrime, InputError, InsufficientModuli, MathError
 
 PRIME_LIMIT = 2**31
 
@@ -106,6 +106,59 @@ def _det_mod_i64(a: np.ndarray, p: int) -> int:
     return det
 
 
+def _matvec_mod(a: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
+    """a @ v mod p for int64 operands in [0, p) with fewer than 2**16 terms.
+
+    v is split into 16-bit halves so no int64 partial sum can overflow.
+    """
+    lo = v & 0xFFFF
+    hi = v >> 16
+    return ((a @ hi % p << 16) + a @ lo % p) % p
+
+
+def _hessenberg_mod_i64(a: np.ndarray, p: int) -> np.ndarray:
+    """Upper Hessenberg matrix similar to a mod p (Cohen, Alg. 2.2.9)."""
+    h = a.copy()
+    n = h.shape[0]
+    for c in range(n - 2):
+        nz = np.nonzero(h[c + 1 :, c])[0]
+        if nz.size == 0:
+            continue
+        pivot_row = c + 1 + int(nz[0])
+        if pivot_row != c + 1:
+            h[[c + 1, pivot_row]] = h[[pivot_row, c + 1]]
+            h[:, [c + 1, pivot_row]] = h[:, [pivot_row, c + 1]]
+        below = c + 2 + np.nonzero(h[c + 2 :, c])[0]
+        if below.size == 0:
+            continue
+        # row_i -= u_i * row_{c+1}, then column_{c+1} += sum_i u_i * column_i
+        u = h[below, c] * pow(int(h[c + 1, c]), -1, p) % p
+        h[below, c:] = (h[below, c:] - u[:, None] * h[c + 1, c:]) % p
+        h[:, c + 1] = (h[:, c + 1] + _matvec_mod(h[:, below], u, p)) % p
+    return h
+
+
+def poly_divexact_mod(num: Sequence[int], den: Sequence[int], p: int) -> list[int]:
+    """Quotient num / den mod p of ascending coefficient lists, den monic.
+
+    Raises MathError if the division leaves a remainder.
+    """
+    if len(den) == 0 or int(den[-1]) % p != 1:
+        raise InputError("divisor must be monic")
+    rem = np.array([int(c) % p for c in num], dtype=np.int64)
+    div = np.array([int(c) % p for c in den], dtype=np.int64)
+    width = len(div)
+    quot = [0] * max(len(rem) - width + 1, 0)
+    for s in range(len(quot) - 1, -1, -1):
+        c = int(rem[s + width - 1])
+        quot[s] = c
+        if c:
+            rem[s : s + width] = (rem[s : s + width] - c * div) % p
+    if rem.any():
+        raise MathError(f"division by a monic polynomial left a remainder mod {p}")
+    return quot
+
+
 def _check_prime(p: int) -> None:
     if p < 3 or p >= PRIME_LIMIT or not is_prime(p):
         raise BadPrime(f"modulus must be an odd prime below 2**31, got {p}")
@@ -121,6 +174,45 @@ def det_mod(rows: Sequence[Sequence[int]], p: int) -> int:
         return 1 % p
     a = np.array([[int(v) % p for v in row] for row in rows], dtype=np.int64)
     return _det_mod_i64(a, p)
+
+
+def charpoly_mod(rows: Sequence[Sequence[int]], p: int) -> list[int]:
+    """Ascending coefficients of det(x*I - A) for an integer matrix, mod p.
+
+    Reduces A to Hessenberg form, then runs the recurrence on its leading
+    principal blocks: p_k = (x - h_kk) p_{k-1}
+    - sum_{i<k} h_ik * h_{i+1,i} ... h_{k,k-1} * p_{i-1}.
+    """
+    _check_prime(p)
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise InputError("matrix must be square")
+    if n >= 1 << 16:
+        raise InputError(f"matrix dimension {n} is beyond the int64 kernel")
+    a = np.array([[int(v) % p for v in row] for row in rows], dtype=np.int64)
+    h = _hessenberg_mod_i64(a.reshape(n, n), p).tolist()
+    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
+    polys[0, 0] = 1
+    for k in range(1, n + 1):
+        prev = polys[k - 1, :k]
+        row = polys[k]
+        row[1 : k + 1] = prev
+        row[:k] = (row[:k] - h[k - 1][k - 1] * prev) % p
+        earlier: list[int] = []
+        weights: list[int] = []
+        run = 1
+        for i in range(k - 1, 0, -1):
+            run = run * h[i][i - 1] % p
+            if run == 0:  # a zero subdiagonal entry splits off the block above
+                break
+            w = h[i - 1][k - 1] * run % p
+            if w:
+                earlier.append(i - 1)
+                weights.append(w)
+        if earlier:
+            weight = np.array(weights, dtype=np.int64)
+            row[:k] = (row[:k] - _matvec_mod(polys[earlier, :k].T, weight, p)) % p
+    return [int(c) for c in polys[n]]
 
 
 def mat_mod(rows: Sequence[Sequence[Fraction]], p: int) -> list[list[int]]:

@@ -7,19 +7,30 @@ from A x = lambda x on the unit sphere: for even order the sphere
 constraint folds into the system as a power of x.x; for odd order an
 auxiliary variable beta with the quadric x.x - beta**2 is appended.
 
-Both are computed by exact evaluation and interpolation: the system is
-linear in lambda, so each integer sample point costs two integer
-determinants (see macaulay).  Sample points are evaluated one at a time
-and those whose divisor determinant vanishes are skipped; if a
-coordinate system keeps producing them, the evaluator moves down the
-ladder of resultant-preserving reformulations (pair rotations, then
-determinant-one shears).  The tensor determinant is the resultant of
-the numeric system x -> A x itself, through the same ladder.
+The two take different paths.  In the characteristic system the lambda
+part of the Macaulay matrix is exactly the identity, so the resultant is
+charpoly(B) / charpoly(B'), where B is the integer Macaulay matrix of
+x -> L A x (L clears the denominators) and B' its principal submatrix on
+the non-reduced monomials.  Both charpolys come from Hessenberg
+reduction modulo word-size primes (see modular), divided exactly mod
+each prime and recombined by Chinese remaindering under a Gershgorin
+bound on the coefficients.
+
+The E-characteristic polynomial is computed by exact evaluation and
+interpolation: the system is linear in lambda, so each integer sample
+point costs two integer determinants (see macaulay).  Sample points are
+evaluated one at a time and those whose divisor determinant vanishes
+are skipped; if a coordinate system keeps producing them, the evaluator
+moves down the ladder of resultant-preserving reformulations (pair
+rotations, then determinant-one shears).  The tensor determinant is the
+resultant of the numeric system x -> A x itself, through the same
+ladder, which keeps phi(0) = (-1)**d * det an independent check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, lcm
 from typing import Iterator
 
 from .config import DEFAULT_CONFIG, RunConfig
@@ -36,6 +47,13 @@ from .macaulay import (
     _FillTable,
     check_dim_cap,
     resultant_value,
+)
+from .modular import (
+    charpoly_mod,
+    crt_combine,
+    poly_divexact_mod,
+    primes_for_bound,
+    symmetric_residue,
 )
 from .polynomial import MultiPoly, UniPoly, interpolate
 from .tensor import Tensor
@@ -55,17 +73,6 @@ def tensor_polynomial_map(a: Tensor) -> tuple[MultiPoly, ...]:
         bucket = acc[idx[0]]
         bucket[key] = bucket.get(key, Fraction(0)) + value
     return tuple(MultiPoly(n, bucket) for bucket in acc)
-
-
-def char_poly_system(a: Tensor) -> LambdaSystem:
-    n, m = a.dim, a.order
-    component = tensor_polynomial_map(a)
-    const = tuple(p.scale(-1) for p in component)
-    linear = tuple(
-        MultiPoly(n, {tuple((m - 1) if j == i else 0 for j in range(n)): Fraction(1)})
-        for i in range(n)
-    )
-    return LambdaSystem(n, (m - 1,) * n, const, linear)
 
 
 def _sphere_power(nvars: int, power: int) -> MultiPoly:
@@ -119,13 +126,11 @@ def _abscissae() -> Iterator[int]:
         k += 1
 
 
-def _interpolated_resultant(
-    lsys: LambdaSystem, npoints: int | None, cfg: RunConfig
-) -> UniPoly:
+def _interpolated_resultant(lsys: LambdaSystem, cfg: RunConfig) -> UniPoly:
     check_dim_cap(lsys.nvars, lsys.degrees, cfg.dim_cap)
     for variant in lsys.variants():
         table = _FillTable(variant)
-        needed = npoints if npoints is not None else table.lambda_rows + 1
+        needed = table.lambda_rows + 1
         if needed - 1 > cfg.degree_cap:
             raise DegreeCapExceeded(
                 f"interpolation degree {needed - 1} exceeds cap {cfg.degree_cap}"
@@ -147,6 +152,29 @@ def _interpolated_resultant(
     )
 
 
+def _charpoly_quotient(
+    full: list[list[int]], minor: list[list[int]], prime_seed: int
+) -> list[int]:
+    """Ascending integer coefficients of charpoly(full) / charpoly(minor).
+
+    Every root of the quotient is an eigenvalue of full, so by Gershgorin
+    its absolute value is at most R, the largest absolute row sum, and
+    the coefficient of x**j is at most C(d, j) * R**(d - j); the primes
+    cover twice that bound.
+    """
+    d = len(full) - len(minor)
+    radius = max((sum(abs(v) for v in row) for row in full), default=0)
+    bound = max(comb(d, j) * radius ** (d - j) for j in range(d + 1))
+    primes = primes_for_bound(2 * bound, seed=prime_seed)
+    residues = [
+        poly_divexact_mod(charpoly_mod(full, p), charpoly_mod(minor, p), p)
+        for p in primes
+    ]
+    return [
+        symmetric_residue(*crt_combine(column, primes)) for column in zip(*residues)
+    ]
+
+
 def char_poly(a: Tensor, config: RunConfig | None = None) -> UniPoly:
     """Monic characteristic polynomial of degree dim * (order-1)**(dim-1)."""
     cfg = config if config is not None else DEFAULT_CONFIG
@@ -157,7 +185,15 @@ def char_poly(a: Tensor, config: RunConfig | None = None) -> UniPoly:
         raise DegreeCapExceeded(
             f"characteristic degree {expected} exceeds cap {cfg.degree_cap}"
         )
-    poly = _interpolated_resultant(char_poly_system(a), expected + 1, cfg)
+    n, m = a.dim, a.order
+    check_dim_cap(n, (m - 1,) * n, cfg.dim_cap)
+    component = tensor_polynomial_map(a)
+    scale = lcm(*(c.denominator for p in component for c in p.terms.values()))
+    system = PolySystem(n, tuple(p.scale(scale) for p in component), (m - 1,) * n)
+    full, minor = _FillTable(LambdaSystem.constant(system)).fill(0)
+    coeffs = _charpoly_quotient(full, minor, cfg.prime_seed)
+    d = len(coeffs) - 1
+    poly = UniPoly(tuple(Fraction(c, scale ** (d - j)) for j, c in enumerate(coeffs)))
     if poly.degree != expected or not poly.is_monic():
         raise MathError(
             f"characteristic polynomial came out degree {poly.degree}, "
@@ -180,7 +216,7 @@ def e_char_poly(
         # sphere quadric whenever dim >= 2, so the resultant vanishes at
         # every lambda and no reformulation can produce usable minors
         return UniPoly.zero()
-    poly = _interpolated_resultant(e_char_poly_system(a), None, cfg)
+    poly = _interpolated_resultant(e_char_poly_system(a), cfg)
     return poly.normalized() if normalize else poly
 
 

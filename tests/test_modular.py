@@ -1,4 +1,4 @@
-"""Modular determinants, CRT, and rational reconstruction."""
+"""Modular determinants, characteristic polynomials, CRT, and rational reconstruction."""
 
 from __future__ import annotations
 
@@ -6,19 +6,30 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import classical_char_poly
 
 from hyperspec.errors import BadPrime, InputError, InsufficientModuli, MathError
 from hyperspec.modular import (
     PRIME_LIMIT,
+    charpoly_mod,
     crt_combine,
     crt_reconstruct,
     det_mod,
     is_prime,
     mat_mod,
     nth_prime,
+    poly_divexact_mod,
     primes_for_bound,
     symmetric_residue,
 )
+from hyperspec.polynomial import UniPoly
+
+_CHARPOLY_PRIMES = (nth_prime(0), 1_000_003)
+
+
+def _oracle_charpoly_mod(rows, p):
+    ref = classical_char_poly([[Fraction(v) for v in row] for row in rows])
+    return [int(ref.coefficient(j)) % p for j in range(len(rows) + 1)]
 
 
 def test_is_prime_small():
@@ -126,3 +137,71 @@ def test_crt_reconstruct_insufficient():
     # 1/99991 cannot be told apart from integers with a single tiny prime
     with pytest.raises((InsufficientModuli, MathError)):
         crt_reconstruct([pow(99991, -1, 5)], [5], num_bound=10**6, den_bound=10**6)
+
+
+def test_charpoly_mod_matches_cofactor_oracle():
+    rng = random.Random(2024)
+    for _ in range(40):
+        n = rng.randrange(1, 7)
+        density = rng.choice((0.3, 1.0))
+        rows = [
+            [rng.randint(-40, 40) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(n)
+        ]
+        for p in _CHARPOLY_PRIMES:
+            assert charpoly_mod(rows, p) == _oracle_charpoly_mod(rows, p)
+
+
+def test_charpoly_mod_pivot_swap():
+    # a zero subdiagonal entry with a nonzero entry further down the column
+    # forces a row and column swap during the Hessenberg reduction
+    cases = [
+        [[1, 2, 3], [0, 4, 5], [6, 7, 8]],
+        [[2, 1, 0, 3], [0, 1, 1, 0], [0, 5, 2, 1], [4, 0, 1, 1]],
+        [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
+        [[5, 1, 2, 0, 1], [0, 0, 0, 3, 0], [0, 2, 1, 0, 0], [7, 0, 0, 1, 2], [0, 1, 0, 0, 3]],
+    ]
+    for rows in cases:
+        for p in _CHARPOLY_PRIMES:
+            assert charpoly_mod(rows, p) == _oracle_charpoly_mod(rows, p)
+
+
+def test_charpoly_mod_nilpotent():
+    # strictly upper triangular, then conjugated by a unimodular matrix
+    upper = [[0, 3, -1, 2], [0, 0, 5, 1], [0, 0, 0, 4], [0, 0, 0, 0]]
+    shear = [[1, 0, 0, 0], [2, 1, 0, 0], [-1, 3, 1, 0], [1, 0, 2, 1]]
+    inverse = [[1, 0, 0, 0], [-2, 1, 0, 0], [7, -3, 1, 0], [-15, 6, -2, 1]]
+
+    def mul(x, y):
+        return [[sum(a * b for a, b in zip(r, c)) for c in zip(*y)] for r in x]
+
+    assert mul(shear, inverse) == [[int(i == j) for j in range(4)] for i in range(4)]
+    for rows in (upper, mul(mul(shear, upper), inverse)):
+        for p in _CHARPOLY_PRIMES:
+            assert charpoly_mod(rows, p) == [0, 0, 0, 0, 1]
+
+
+def test_charpoly_mod_tiny():
+    for p in _CHARPOLY_PRIMES:
+        assert charpoly_mod([], p) == [1]
+        assert charpoly_mod([[7]], p) == [-7 % p, 1]
+        assert charpoly_mod([[-3]], p) == [3, 1]
+    with pytest.raises(InputError):
+        charpoly_mod([[1, 2]], 7)
+    with pytest.raises(BadPrime):
+        charpoly_mod([[1]], 9)
+
+
+def test_poly_divexact_mod_recovers_factor():
+    f = UniPoly.from_coeff_strings(["3", "-1", "0", "2", "1"])
+    g = UniPoly.from_coeff_strings(["-5", "4", "1"])
+    product = [int(c) for c in (f * g).coeffs]
+    for p in _CHARPOLY_PRIMES:
+        expected = [int(c) % p for c in f.coeffs]
+        assert poly_divexact_mod(product, [int(c) for c in g.coeffs], p) == expected
+        assert poly_divexact_mod(product, [1], p) == [c % p for c in product]
+        with pytest.raises(MathError):
+            poly_divexact_mod([c + (i == 0) for i, c in enumerate(product)],
+                              [int(c) for c in g.coeffs], p)
+    with pytest.raises(InputError):
+        poly_divexact_mod(product, [1, 2], 7)

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperspec.config import DEFAULT_CONFIG
 from hyperspec.analysis import PolyCache
@@ -170,6 +173,75 @@ def test_prime_seed_does_not_change_results():
     base = e_char_poly(a, DEFAULT_CONFIG.with_(prime_seed=0), normalize=False)
     moved = e_char_poly(a, DEFAULT_CONFIG.with_(prime_seed=3), normalize=False)
     assert base == moved
+    rational = _rational_order_three()
+    base = char_poly(rational, DEFAULT_CONFIG.with_(prime_seed=0))
+    moved = char_poly(rational, DEFAULT_CONFIG.with_(prime_seed=3))
+    assert base == moved == _RATIONAL_ORDER_THREE_CHAR
+
+
+# char_poly of two rational tensors, recorded from the interpolation path
+# that computed every characteristic polynomial before the Hessenberg one
+_RATIONAL_MATRIX_CHAR = UniPoly.from_coeff_strings(["53/36", "-143/72", "-7/4", "1"])
+_RATIONAL_ORDER_THREE_CHAR = UniPoly.from_coeff_strings([
+    "3698458397/156894824016", "-7543176096763/12708480745296",
+    "52822914614023/16944640993728", "-99297682829291/12708480745296",
+    "241763929/21781872", "-993075703/152473104", "-28199275/4667544",
+    "1031257/86436", "-4937/5488", "-11539/882", "193/14", "-6", "1",
+])
+
+
+def _rational_order_three():
+    return symmetric_from_upper(3, 3, {
+        (0, 0, 0): Fraction(1, 2), (0, 1, 2): Fraction(1, 3),
+        (1, 1, 2): Fraction(-2, 7), (2, 2, 2): 1,
+        (0, 0, 1): Fraction(1, 7), (1, 2, 2): Fraction(-1, 2),
+    })
+
+
+def test_char_pinned_on_rational_tensors():
+    matrix = from_rows([
+        [Fraction(1, 2), Fraction(1, 3), 0],
+        [Fraction(1, 3), Fraction(-3, 4), 1],
+        [0, 1, 2],
+    ])
+    assert char_poly(matrix) == _RATIONAL_MATRIX_CHAR
+    assert char_poly(_rational_order_three()) == _RATIONAL_ORDER_THREE_CHAR
+
+
+@st.composite
+def _three_graphs(draw):
+    n = draw(st.integers(min_value=3, max_value=5))
+    triples = list(itertools.combinations(range(1, n + 1), 3))
+    edges = draw(st.lists(st.sampled_from(triples), unique=True))
+    return Hypergraph.from_edges(n, 3, edges)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(_three_graphs())
+def test_char_coefficient_identities_on_three_graphs(h):
+    # Cooper & Dutle, "Spectra of uniform hypergraphs", LAA 436 (2012): the
+    # coefficients of L^(d-1) .. L^(d-k+1) vanish and that of L^(d-k) is
+    # -k^(k-2) (k-1)^(n-k) |E|, here -3 * 2^(n-3) |E|
+    n = h.n
+    d = n * 2 ** (n - 1)
+    phi = char_poly(adjacency_tensor(h))
+    assert phi.degree == d and phi.is_monic()
+    assert phi.coefficient(d - 1) == 0
+    assert phi.coefficient(d - 2) == 0
+    assert phi.coefficient(d - 3) == -3 * 2 ** (n - 3) * len(h.edges)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(st.integers(min_value=2, max_value=4), st.integers(min_value=0, max_value=10**6))
+def test_char_constant_term_is_signed_det(dim, seed):
+    rng = random.Random(seed)
+    a = Tensor(3, dim, tuple(Fraction(rng.randint(-3, 3)) for _ in range(dim**3)))
+    phi = char_poly(a)
+    try:
+        det = det_tensor(a)
+    except TooManyDegeneratePoints:
+        return
+    assert phi.coefficient(0) == (-1) ** phi.degree * det
 
 
 def test_det_tensor_values():
