@@ -79,10 +79,6 @@ class NotSquareSystem(MathError):
     """Polynomial system whose polynomial and variable counts differ."""
 
 
-class TooManyDegeneratePoints(MathError):
-    """Every retry coordinate system kept hitting degenerate minors."""
-
-
 class ZeroVector(MathError):
     """Zero vector where an eigenvector candidate is required."""
 

@@ -12,21 +12,21 @@ Every resultant goes through one integer path.  A system whose
 coefficients are linear in a parameter lambda is tabulated once with
 its rows scaled to integers, and each integer lambda then costs two
 integer determinants; a numeric system is the lambda-free case,
-evaluated at lambda = 0.  det(M') can vanish identically for sparse
-systems; callers escape down one ladder of simultaneous (polynomial,
-variable) permutations and determinant-one changes of variables, both
-of which leave the resultant value unchanged.
+evaluated at lambda = 0.  det(M') vanishes for many sparse systems;
+there the value comes from Canny's generalized characteristic
+polynomial (J. Symbolic Comput. 9, 1990) instead: the quotient
+charpoly(M) / charpoly(M') has a monic divisor, and its constant term
+is the resultant up to sign.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .determinants import det_exact_int
 from .errors import (
@@ -35,7 +35,13 @@ from .errors import (
     InputError,
     NotHomogeneous,
     NotSquareSystem,
-    TooManyDegeneratePoints,
+)
+from .modular import (
+    charpoly_mod,
+    crt_combine,
+    poly_divexact_mod,
+    primes_for_bound,
+    symmetric_residue,
 )
 from .polynomial import MultiPoly
 
@@ -130,27 +136,6 @@ def check_dim_cap(nvars: int, degrees: Sequence[int], dim_cap: int) -> None:
         raise CapExceeded(f"matrix dimension {size} exceeds cap {dim_cap}")
 
 
-def rotation_order(nvars: int, shift: int) -> tuple[int, ...]:
-    return tuple((j + shift) % nvars for j in range(nvars))
-
-
-def unimodular_matrix(nvars: int, attempt: int) -> list[list[int]]:
-    """Deterministic determinant-one integer matrix; denser with each attempt."""
-    matrix = [[1 if i == j else 0 for j in range(nvars)] for i in range(nvars)]
-    if nvars < 2:
-        return matrix
-    rng = random.Random(9176 + 1009 * attempt + nvars)
-    for _ in range(2 * nvars + attempt):
-        i, j = rng.sample(range(nvars), 2)
-        c = rng.choice((1, -1, 2))
-        for col in range(nvars):
-            matrix[i][col] += c * matrix[j][col]
-    return matrix
-
-
-MAX_SHEAR_ATTEMPTS = 6
-
-
 @dataclass(frozen=True)
 class LambdaSystem:
     """Square homogeneous system whose coefficients are linear in lambda."""
@@ -172,40 +157,9 @@ class LambdaSystem:
         )
         return PolySystem(self.nvars, polys, self.degrees)
 
-    def permute_pairs(self, order: Sequence[int]) -> "LambdaSystem":
-        """New slot j carries old (polynomial, variable) pair order[j]."""
-        return LambdaSystem(
-            self.nvars,
-            tuple(self.degrees[order[j]] for j in range(self.nvars)),
-            tuple(self.const[order[j]].permute_vars(order) for j in range(self.nvars)),
-            tuple(self.linear[order[j]].permute_vars(order) for j in range(self.nvars)),
-        )
-
-    def substitute_linear(self, matrix: Sequence[Sequence[int]]) -> "LambdaSystem":
-        return LambdaSystem(
-            self.nvars,
-            self.degrees,
-            tuple(p.substitute_linear(matrix) for p in self.const),
-            tuple(p.substitute_linear(matrix) for p in self.linear),
-        )
-
-    def variants(self) -> Iterator["LambdaSystem"]:
-        """Deterministic ladder of resultant-preserving reformulations.
-
-        The plain system first, then the cyclic pair rotations, then shears
-        by determinant-one matrices.  Every variant has exactly the same
-        resultant at every lambda, so callers may use whichever evaluates
-        cleanly.
-        """
-        yield self
-        for shift in range(1, min(self.nvars, 4)):
-            yield self.permute_pairs(rotation_order(self.nvars, shift))
-        for attempt in range(MAX_SHEAR_ATTEMPTS):
-            yield self.substitute_linear(unimodular_matrix(self.nvars, attempt))
-
 
 class _FillTable:
-    """Integer evaluation tables for one lambda-linear system variant.
+    """Integer evaluation tables for one lambda-linear system.
 
     Rows are scaled by the denominator lcm of their polynomial once, so
     each sample point assembles two integer matrices directly; the two
@@ -286,34 +240,54 @@ class _FillTable:
         return full, minor
 
 
-def _eval_point(table: _FillTable, lam: int, prime_seed: int) -> Fraction | None:
-    """Resultant value at one integer lambda, or None on a degenerate minor."""
+def _charpoly_quotient(
+    full: list[list[int]], minor: list[list[int]], prime_seed: int
+) -> list[int]:
+    """Ascending integer coefficients of charpoly(full) / charpoly(minor).
+
+    Every root of the quotient is an eigenvalue of full, so by Gershgorin
+    its absolute value is at most R, the largest absolute row sum, and
+    the coefficient of x**j is at most C(d, j) * R**(d - j); the primes
+    cover twice that bound.
+    """
+    d = len(full) - len(minor)
+    radius = max((sum(abs(v) for v in row) for row in full), default=0)
+    bound = max(comb(d, j) * radius ** (d - j) for j in range(d + 1))
+    primes = primes_for_bound(2 * bound, seed=prime_seed)
+    residues = [
+        poly_divexact_mod(charpoly_mod(full, p), charpoly_mod(minor, p), p)
+        for p in primes
+    ]
+    return [
+        symmetric_residue(*crt_combine(column, primes)) for column in zip(*residues)
+    ]
+
+
+def _eval_point(table: _FillTable, lam: int, prime_seed: int) -> Fraction:
+    """Exact resultant value at one integer lambda.
+
+    When det(M') vanishes, the value is the generalized characteristic
+    polynomial's constant term: perturbing each scaled polynomial by
+    -s * x_i**d_i subtracts s from the diagonal of M and M', so
+    Res(F - s x^d) = (-1)**(N - N') * charpoly(M) / charpoly(M'), whose
+    monic divisor never vanishes, and Res(F) is that quotient at s = 0.
+    """
     if table.vanishing_poly(lam):
         return Fraction(0)
     full, minor = table.fill(lam)
     det_minor = det_exact_int(minor, prime_seed=prime_seed)
-    if det_minor == 0:
-        return None
-    det_full = det_exact_int(full, prime_seed=prime_seed)
-    return Fraction(det_full * table.scale_minor, det_minor * table.scale_full)
+    if det_minor != 0:
+        det_full = det_exact_int(full, prime_seed=prime_seed)
+        return Fraction(det_full * table.scale_minor, det_minor * table.scale_full)
+    constant = _charpoly_quotient(full, minor, prime_seed)[0]
+    sign = (-1) ** (len(full) - len(minor))
+    return Fraction(sign * constant * table.scale_minor, table.scale_full)
 
 
 def resultant_value(
     system: PolySystem, *, prime_seed: int = 0, dim_cap: int | None = None
 ) -> Fraction:
-    """Exact resultant of one numeric system.
-
-    Walks the reformulation ladder until a variant's divisor determinant
-    is nonzero; raises TooManyDegeneratePoints if none is.
-    """
-    if any(p.is_zero() for p in system.polys):
-        return Fraction(0)
+    """Exact resultant of one numeric system."""
     if dim_cap is not None:
         check_dim_cap(system.nvars, system.degrees, dim_cap)
-    for variant in LambdaSystem.constant(system).variants():
-        value = _eval_point(_FillTable(variant), 0, prime_seed)
-        if value is not None:
-            return value
-    raise TooManyDegeneratePoints(
-        "no reformulation of the system avoided a vanishing divisor"
-    )
+    return _eval_point(_FillTable(LambdaSystem.constant(system)), 0, prime_seed)

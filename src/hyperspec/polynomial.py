@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DimMismatch, DuplicateAbscissa, InputError
+from .errors import DimMismatch, DuplicateAbscissa, MathError
 from .rational import format_rational, parse_rational
 
 
@@ -171,7 +171,7 @@ def interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) -> UniP
 
     for x, y in zip(xs, ys):
         if poly.evaluate(x) != y:
-            raise DuplicateAbscissa("interpolation failed to reproduce its nodes")
+            raise MathError("interpolation failed to reproduce its nodes")
     return poly
 
 
@@ -238,39 +238,3 @@ class MultiPoly:
     def scale(self, factor: Fraction | int) -> "MultiPoly":
         f = Fraction(factor)
         return MultiPoly(self.nvars, {e: c * f for e, c in self.terms.items()})
-
-    def permute_vars(self, order: Sequence[int]) -> "MultiPoly":
-        """Rename variables so new slot j carries old variable order[j]."""
-        if sorted(order) != list(range(self.nvars)):
-            raise InputError(f"{order} is not a permutation of the variables")
-        return MultiPoly(
-            self.nvars,
-            {
-                tuple(exp[order[j]] for j in range(self.nvars)): c
-                for exp, c in self.terms.items()
-            },
-        )
-
-    def substitute_linear(self, matrix: Sequence[Sequence[int]]) -> "MultiPoly":
-        """Substitute x_i -> sum_j matrix[i][j] * x_j."""
-        if len(matrix) != self.nvars or any(len(r) != self.nvars for r in matrix):
-            raise DimMismatch("substitution matrix must be square of the arity")
-        out: dict[tuple[int, ...], Fraction] = {}
-        zero_exp = tuple([0] * self.nvars)
-        for exp, coeff in self.terms.items():
-            partial: dict[tuple[int, ...], Fraction] = {zero_exp: coeff}
-            for i, e in enumerate(exp):
-                for _ in range(e):
-                    nxt: dict[tuple[int, ...], Fraction] = {}
-                    for mono, c in partial.items():
-                        for j, t in enumerate(matrix[i]):
-                            if t == 0:
-                                continue
-                            bumped = list(mono)
-                            bumped[j] += 1
-                            key = tuple(bumped)
-                            nxt[key] = nxt.get(key, Fraction(0)) + c * t
-                    partial = nxt
-            for mono, c in partial.items():
-                out[mono] = out.get(mono, Fraction(0)) + c
-        return MultiPoly(self.nvars, out)

@@ -18,47 +18,33 @@ bound on the coefficients.
 
 The E-characteristic polynomial is computed by exact evaluation and
 interpolation: the system is linear in lambda, so each integer sample
-point costs two integer determinants (see macaulay).  Sample points are
-evaluated one at a time and those whose divisor determinant vanishes
-are skipped; if a coordinate system keeps producing them, the evaluator
-moves down the ladder of resultant-preserving reformulations (pair
-rotations, then determinant-one shears).  The tensor determinant is the
-resultant of the numeric system x -> A x itself, through the same
-ladder, which keeps phi(0) = (-1)**d * det an independent check.
+point costs two integer determinants, or a charpoly quotient where the
+divisor determinant vanishes (see macaulay).  The tensor determinant is
+the resultant of the numeric system x -> A x itself, evaluated the same
+way; wherever its divisor determinant is nonzero, this keeps
+phi(0) = (-1)**d * det an independent check.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 from typing import Iterator
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import (
-    DegreeCapExceeded,
-    DimMismatch,
-    MathError,
-    TooManyDegeneratePoints,
-)
+from .errors import DegreeCapExceeded, DimMismatch, MathError
 from .macaulay import (
     LambdaSystem,
     PolySystem,
+    _charpoly_quotient,
     _eval_point,
     _FillTable,
     check_dim_cap,
     resultant_value,
 )
-from .modular import (
-    charpoly_mod,
-    crt_combine,
-    poly_divexact_mod,
-    primes_for_bound,
-    symmetric_residue,
-)
 from .polynomial import MultiPoly, UniPoly, interpolate
 from .tensor import Tensor
-
-_BAIL_MIN_DEGENERATE = 5
 
 
 def tensor_polynomial_map(a: Tensor) -> tuple[MultiPoly, ...]:
@@ -128,51 +114,15 @@ def _abscissae() -> Iterator[int]:
 
 def _interpolated_resultant(lsys: LambdaSystem, cfg: RunConfig) -> UniPoly:
     check_dim_cap(lsys.nvars, lsys.degrees, cfg.dim_cap)
-    for variant in lsys.variants():
-        table = _FillTable(variant)
-        needed = table.lambda_rows + 1
-        if needed - 1 > cfg.degree_cap:
-            raise DegreeCapExceeded(
-                f"interpolation degree {needed - 1} exceeds cap {cfg.degree_cap}"
-            )
-        points: list[tuple[int, Fraction]] = []
-        degenerate = 0
-        for lam in _abscissae():
-            value = _eval_point(table, lam, cfg.prime_seed)
-            if value is not None:
-                points.append((lam, value))
-                if len(points) == needed:
-                    return interpolate(points)
-            else:
-                degenerate += 1
-                if degenerate >= _BAIL_MIN_DEGENERATE and degenerate > len(points):
-                    break
-    raise TooManyDegeneratePoints(
-        "no reformulation produced enough usable sample points"
+    table = _FillTable(lsys)
+    if table.lambda_rows > cfg.degree_cap:
+        raise DegreeCapExceeded(
+            f"interpolation degree {table.lambda_rows} exceeds cap {cfg.degree_cap}"
+        )
+    nodes = itertools.islice(_abscissae(), table.lambda_rows + 1)
+    return interpolate(
+        [(lam, _eval_point(table, lam, cfg.prime_seed)) for lam in nodes]
     )
-
-
-def _charpoly_quotient(
-    full: list[list[int]], minor: list[list[int]], prime_seed: int
-) -> list[int]:
-    """Ascending integer coefficients of charpoly(full) / charpoly(minor).
-
-    Every root of the quotient is an eigenvalue of full, so by Gershgorin
-    its absolute value is at most R, the largest absolute row sum, and
-    the coefficient of x**j is at most C(d, j) * R**(d - j); the primes
-    cover twice that bound.
-    """
-    d = len(full) - len(minor)
-    radius = max((sum(abs(v) for v in row) for row in full), default=0)
-    bound = max(comb(d, j) * radius ** (d - j) for j in range(d + 1))
-    primes = primes_for_bound(2 * bound, seed=prime_seed)
-    residues = [
-        poly_divexact_mod(charpoly_mod(full, p), charpoly_mod(minor, p), p)
-        for p in primes
-    ]
-    return [
-        symmetric_residue(*crt_combine(column, primes)) for column in zip(*residues)
-    ]
 
 
 def char_poly(a: Tensor, config: RunConfig | None = None) -> UniPoly:
@@ -211,10 +161,11 @@ def e_char_poly(
     if a.order < 2:
         raise DimMismatch("E-characteristic polynomial needs order at least 2")
     if a.order >= 3 and a.dim >= 2 and all(v == 0 for v in a.entries):
-        # the component polynomials all carry the factor beta**(m-2) (odd
-        # order) or (x.x)**((m-2)/2) (even order), whose zero set meets the
-        # sphere quadric whenever dim >= 2, so the resultant vanishes at
-        # every lambda and no reformulation can produce usable minors
+        # shortcut: the component polynomials all carry the factor
+        # beta**(m-2) (odd order) or (x.x)**((m-2)/2) (even order), whose
+        # zero set meets the sphere quadric whenever dim >= 2, so the
+        # resultant vanishes at every lambda and the general path returns
+        # this same zero polynomial after evaluating every sample point
         return UniPoly.zero()
     poly = _interpolated_resultant(e_char_poly_system(a), cfg)
     return poly.normalized() if normalize else poly

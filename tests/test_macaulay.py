@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,6 @@ from hyperspec.errors import (
 )
 from hyperspec.hypergraph import Hypergraph, adjacency_tensor
 from hyperspec.macaulay import (
-    MAX_SHEAR_ATTEMPTS,
     LambdaSystem,
     PolySystem,
     _eval_point,
@@ -23,10 +24,11 @@ from hyperspec.macaulay import (
     macaulay_dim,
     monomial_basis,
     resultant_value,
-    unimodular_matrix,
 )
-from hyperspec.polynomial import MultiPoly
+from hyperspec.polynomial import MultiPoly, UniPoly
 from hyperspec.spectra import e_char_poly_system
+
+DATA = Path(__file__).parent / "data"
 
 
 def _poly(nvars, terms):
@@ -140,49 +142,78 @@ def _make_not_square():
     return PolySystem(3, (_poly(3, {(1, 0, 0): 1}),), (1,))
 
 
-def test_unimodular_matrices_have_det_one():
-    for nvars in (2, 3, 4):
-        for attempt in range(MAX_SHEAR_ATTEMPTS):
-            m = unimodular_matrix(nvars, attempt)
-            assert det_exact_int(m) == 1
-
-
-def test_variants_preserve_the_value():
-    rng = random.Random(72)
-    found = 0
-    while found < 5:
-        a, b, c, d, e, f = (Fraction(rng.randint(-4, 4)) for _ in range(6))
-        p = _binary_quadratic(a, b, c)
-        q = _binary_quadratic(d, e, f)
-        if p.is_zero() or q.is_zero():
-            continue
-        sys_ = _system([p, q])
-        values = []
-        for variant in LambdaSystem.constant(sys_).variants():
-            value = _eval_point(_FillTable(variant), 0, 0)
-            if value is not None:
-                values.append(value)
-        if not values:
-            continue
-        assert set(values) == {resultant_value(sys_)}
-        found += 1
-
-
 def test_degenerate_plain_system_is_rescued_by_a_variant():
     # the order-3 map of a single triple, shifted by one at the unit scale,
-    # is singular in natural coordinates but fine after a change of basis
+    # has a vanishing divisor in natural coordinates; the value comes from
+    # the generalized characteristic polynomial instead
     h = Hypergraph.from_edges(3, 3, [(1, 2, 3)])
     lsys = e_char_poly_system(adjacency_tensor(h))
-    assert _eval_point(_FillTable(lsys), 1, 0) is None
-    plain = LambdaSystem.constant(lsys.at(Fraction(1)))
-    assert _eval_point(_FillTable(plain), 0, 0) is None
+    table = _FillTable(lsys)
+    assert det_exact_int(table.fill(1)[1]) == 0
+    assert _eval_point(table, 1, 0) == -16
+    plain = _FillTable(LambdaSystem.constant(lsys.at(Fraction(1))))
+    assert det_exact_int(plain.fill(0)[1]) == 0
+    assert _eval_point(plain, 0, 0) == -16
     assert resultant_value(lsys.at(Fraction(1))) == -16
-    rescued = [
-        value
-        for value in (_eval_point(_FillTable(v), 1, 0) for v in lsys.variants())
-        if value is not None
-    ]
-    assert rescued and set(rescued) == {-16}
+
+
+def test_degenerate_points_match_the_golden_e_char():
+    # every sample point of the single edge has a vanishing divisor, so each
+    # value below comes from the generalized characteristic polynomial
+    blob = json.loads((DATA / "single_edge_n3_echar.json").read_text())
+    raw = UniPoly.from_coeff_strings(blob["e_char_poly_raw"]["coefficients"])
+    h = Hypergraph.from_edges(3, 3, [(1, 2, 3)])
+    table = _FillTable(e_char_poly_system(adjacency_tensor(h)))
+    for lam in range(-24, 25):
+        assert det_exact_int(table.fill(lam)[1]) == 0
+        assert _eval_point(table, lam, 0) == raw.evaluate(lam)
+
+
+def test_permuted_pure_powers_give_one():
+    # f_1 = y^2 owns the rows of x^2-divisible monomials, so det(M') = 0
+    sys_ = _system(
+        [
+            _poly(3, {(0, 2, 0): 1}),
+            _poly(3, {(0, 0, 2): 1}),
+            _poly(3, {(2, 0, 0): 1}),
+        ]
+    )
+    table = _FillTable(LambdaSystem.constant(sys_))
+    assert det_exact_int(table.fill(0)[1]) == 0
+    assert resultant_value(sys_) == 1
+
+
+def _random_form(rng, nvars, degree, denominator):
+    terms = {
+        exp: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), denominator)
+        for exp in monomial_basis(nvars, degree)
+        if rng.random() < 0.5
+    }
+    if not terms:
+        terms[monomial_basis(nvars, degree)[0]] = Fraction(1, denominator)
+    return MultiPoly(nvars, terms)
+
+
+def test_resultant_is_multiplicative():
+    # Res(g h, f2, f3) = Res(g, f2, f3) * Res(h, f2, f3) on sparse ternary
+    # systems of degrees 1 and 2 with a denominator per polynomial; many
+    # plain divisors vanish, with N - N' of either parity
+    rng = random.Random(7301)
+    degenerate = {0: 0, 1: 0}
+    for _ in range(60):
+        g, h, f2, f3 = (
+            _random_form(rng, 3, rng.choice((1, 2)), rng.randint(1, 4))
+            for _ in range(4)
+        )
+        product = _system([g * h, f2, f3])
+        expected = resultant_value(_system([g, f2, f3])) * resultant_value(
+            _system([h, f2, f3])
+        )
+        assert resultant_value(product) == expected
+        full, minor = _FillTable(LambdaSystem.constant(product)).fill(0)
+        if expected != 0 and det_exact_int(minor) == 0:
+            degenerate[(len(full) - len(minor)) % 2] += 1
+    assert min(degenerate.values()) >= 5
 
 
 def test_dim_cap_enforced():

@@ -14,12 +14,19 @@ from hypothesis import strategies as st
 
 from hyperspec.config import DEFAULT_CONFIG
 from hyperspec.analysis import PolyCache
-from hyperspec.errors import CapExceeded, DegreeCapExceeded, TooManyDegeneratePoints
+from hyperspec.errors import CapExceeded, DegreeCapExceeded
 from hyperspec.hypergraph import Hypergraph, adjacency_tensor, from_bitmask
 from hyperspec.polynomial import UniPoly
-from hyperspec.spectra import char_poly, det_tensor, e_char_poly
+from hyperspec.spectra import (
+    _interpolated_resultant,
+    char_poly,
+    det_tensor,
+    e_char_poly,
+    e_char_poly_system,
+)
 from hyperspec.tensor import (
     Tensor,
+    apply,
     eigen_check,
     from_rows,
     mat_sim,
@@ -138,6 +145,12 @@ def test_zero_map_e_char_vanishes_identically():
         assert e_char_poly(Tensor.zero(order, dim)).is_zero()
 
 
+def test_zero_map_shortcut_matches_the_general_path():
+    for order, dim in ((3, 2), (3, 3), (4, 2), (5, 2)):
+        lsys = e_char_poly_system(Tensor.zero(order, dim))
+        assert _interpolated_resultant(lsys, DEFAULT_CONFIG).is_zero()
+
+
 def test_caps_are_enforced():
     with pytest.raises(DegreeCapExceeded):
         char_poly(_single_edge(), DEFAULT_CONFIG.with_(degree_cap=10))
@@ -237,11 +250,7 @@ def test_char_constant_term_is_signed_det(dim, seed):
     rng = random.Random(seed)
     a = Tensor(3, dim, tuple(Fraction(rng.randint(-3, 3)) for _ in range(dim**3)))
     phi = char_poly(a)
-    try:
-        det = det_tensor(a)
-    except TooManyDegeneratePoints:
-        return
-    assert phi.coefficient(0) == (-1) ** phi.degree * det
+    assert phi.coefficient(0) == (-1) ** phi.degree * det_tensor(a)
 
 
 def test_det_tensor_values():
@@ -252,12 +261,10 @@ def test_det_tensor_values():
 
 
 # det_tensor of every 3-graph on 4 vertices, by edge mask, and of seeded
-# integer order-3 tensors in dimension 4; None marks a refusal.  Values
-# were recorded from the earlier Fraction-based determinant path.
-_DET_BY_MASK = {
-    0: 0, 1: 0, 2: 0, 3: None, 4: 0, 5: None, 6: None, 7: None,
-    8: 0, 9: None, 10: None, 11: None, 12: None, 13: None, 14: None, 15: 0,
-}
+# integer order-3 tensors in dimension 4.  The tensor values were recorded
+# from the earlier Fraction-based determinant path; every 3-graph on 4
+# vertices has determinant zero, certified below by a nontrivial root.
+_DET_BY_MASK = {mask: 0 for mask in range(16)}
 _DET_BY_SEED = {
     0: 3085346265797345373,
     1: 22030134699969,
@@ -274,11 +281,12 @@ def test_det_tensor_pinned_on_order_three():
     cache = PolyCache()
     for mask, expected in _DET_BY_MASK.items():
         h = from_bitmask(4, 3, mask)
-        if expected is None:
-            with pytest.raises(TooManyDegeneratePoints):
-                det_tensor(adjacency_tensor(h))
-            continue
-        assert det_tensor(adjacency_tensor(h)) == expected
+        a = adjacency_tensor(h)
+        assert any(
+            any(x) and not any(apply(a, x))
+            for x in itertools.product((-1, 0, 1), repeat=4)
+        )
+        assert det_tensor(a) == expected
         phi = cache.get_char(h)
         assert phi.coefficient(0) == (-1) ** phi.degree * expected
     for seed, expected in _DET_BY_SEED.items():
