@@ -211,12 +211,6 @@ class _FillTable:
         for r in structure.nonreduced:
             self.scale_minor *= poly_scale[structure.assignment[r]]
 
-        self.lambda_rows = sum(
-            1
-            for r in range(self.size)
-            if not lsys.linear[structure.assignment[r]].is_zero()
-        )
-
     def vanishing_poly(self, lam: int) -> bool:
         for terms in self.poly_terms:
             if all(i0 + lam * i1 == 0 for _, i0, i1 in terms):

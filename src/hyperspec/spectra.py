@@ -19,17 +19,23 @@ bound on the coefficients.
 The E-characteristic polynomial is computed by exact evaluation and
 interpolation: the system is linear in lambda, so each integer sample
 point costs two integer determinants, or a charpoly quotient where the
-divisor determinant vanishes (see macaulay).  The tensor determinant is
-the resultant of the numeric system x -> A x itself, evaluated the same
-way; wherever its divisor determinant is nonzero, this keeps
-phi(0) = (-1)**d * det an independent check.
+divisor determinant vanishes (see macaulay).  The resultant is
+homogeneous of degree prod_{j != i} d_j in the coefficients of f_i
+(Macaulay 1902; Cox, Little & O'Shea, Using Algebraic Geometry, Ch. 3
+Thm 3.1), so its lambda-degree is at most D, the sum of those products
+over the f_i with a lambda part: 2 n (m-1)**(n-1) for odd order and
+n (m-1)**(n-1) for even order.  Exactly D + 1 points are sampled.
+
+The tensor determinant is the resultant of the numeric system x -> A x
+itself, evaluated the same way; wherever its divisor determinant is
+nonzero, this keeps phi(0) = (-1)**d * det an independent check.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterator
 
 from .config import DEFAULT_CONFIG, RunConfig
@@ -113,13 +119,27 @@ def _abscissae() -> Iterator[int]:
 
 
 def _interpolated_resultant(lsys: LambdaSystem, cfg: RunConfig) -> UniPoly:
+    """The resultant of lsys as a polynomial in lambda, by interpolation.
+
+    The resultant is homogeneous of degree prod_{j != i} d_j in the
+    coefficients of f_i (Macaulay 1902; Cox, Little & O'Shea, Using
+    Algebraic Geometry, Ch. 3 Thm 3.1), and each of those coefficients
+    is affine in lambda, so its lambda-degree is at most
+    D = sum over the i with a nonzero lambda part of prod_{j != i} d_j.
+    D + 1 exact values therefore determine it.
+    """
     check_dim_cap(lsys.nvars, lsys.degrees, cfg.dim_cap)
-    table = _FillTable(lsys)
-    if table.lambda_rows > cfg.degree_cap:
+    bound = sum(
+        prod(lsys.degrees[:i] + lsys.degrees[i + 1 :])
+        for i, part in enumerate(lsys.linear)
+        if not part.is_zero()
+    )
+    if bound > cfg.degree_cap:
         raise DegreeCapExceeded(
-            f"interpolation degree {table.lambda_rows} exceeds cap {cfg.degree_cap}"
+            f"resultant degree bound {bound} exceeds cap {cfg.degree_cap}"
         )
-    nodes = itertools.islice(_abscissae(), table.lambda_rows + 1)
+    table = _FillTable(lsys)
+    nodes = itertools.islice(_abscissae(), bound + 1)
     return interpolate(
         [(lam, _eval_point(table, lam, cfg.prime_seed)) for lam in nodes]
     )

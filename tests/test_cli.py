@@ -294,6 +294,15 @@ def test_degree_cap_exits_3(tmp_path, capsys):
     assert "cap" in err.lower() or "degree" in err.lower()
 
 
+def test_e_char_degree_cap_exits_3(tmp_path, capsys):
+    path = _single_edge_file(tmp_path)
+    code, out, err = _run(capsys, ["echarpoly", "--degree-cap", "23", path])
+    assert code == 3 and out == ""
+    assert "resultant degree bound 24" in err
+    code, _, _ = _run(capsys, ["echarpoly", "--degree-cap", "24", path])
+    assert code == 0
+
+
 def test_math_error_exits_4(tmp_path, capsys):
     # odd first cell is a structural failure inside the switching rules
     path = _write_graph(

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 from hyperspec.config import DEFAULT_CONFIG
 from hyperspec.analysis import PolyCache
 from hyperspec.errors import CapExceeded, DegreeCapExceeded
+from hyperspec import spectra
 from hyperspec.hypergraph import Hypergraph, adjacency_tensor, from_bitmask
+from hyperspec.macaulay import _FillTable
 from hyperspec.polynomial import UniPoly
 from hyperspec.spectra import (
     _interpolated_resultant,
@@ -95,6 +97,73 @@ def test_e_char_matches_frozen_single_edge():
     assert raw.evaluate(Fraction(1)) == -16
     assert norm == raw.normalized()
     assert norm.degree == 14
+
+
+def test_e_char_degree_cap_measures_the_resultant_bound():
+    # the single edge's system has degrees (2, 2, 2, 2) with a lambda part
+    # in the first three polynomials, so D = 3 * 2**3 = 24
+    with pytest.raises(DegreeCapExceeded, match="resultant degree bound 24"):
+        e_char_poly(_single_edge(), DEFAULT_CONFIG.with_(degree_cap=23))
+    at_bound = DEFAULT_CONFIG.with_(degree_cap=24)
+    raw = e_char_poly(_single_edge(), at_bound, normalize=False)
+    assert raw == _load_poly(DATA / "single_edge_n3_echar.json", "e_char_poly_raw")
+
+
+def _resultant_degree_bound(order, dim):
+    # n * (m-1)**(n-1) for even order; the odd-order quadric doubles it
+    bound = dim * (order - 1) ** (dim - 1)
+    return bound if order % 2 == 0 else 2 * bound
+
+
+def _random_rational_tensor(rng, order, dim):
+    return Tensor(order, dim, tuple(
+        Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+        for _ in range(dim**order)
+    ))
+
+
+def test_e_char_degree_bound_holds_off_the_nodes():
+    # if D undercounted the lambda-degree, the interpolant through D + 1
+    # nodes would miss the resultant at points outside the node set
+    rng = random.Random(419)
+    shapes = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)]
+    for order, dim in shapes * 2:
+        a = _random_rational_tensor(rng, order, dim)
+        bound = _resultant_degree_bound(order, dim)
+        raw = e_char_poly(a, normalize=False)
+        assert raw.degree <= bound
+        table = _FillTable(e_char_poly_system(a))
+        for lam in (bound // 2 + 2, -(bound // 2 + 2), 3 * bound):
+            assert raw.evaluate(Fraction(lam)) == spectra._eval_point(table, lam, 0)
+
+
+def _count_points(monkeypatch):
+    calls = []
+    inner = spectra._eval_point
+
+    def counting(table, lam, prime_seed):
+        calls.append(lam)
+        return inner(table, lam, prime_seed)
+
+    monkeypatch.setattr(spectra, "_eval_point", counting)
+    return calls
+
+
+def test_e_char_samples_the_degree_bound_plus_one(monkeypatch):
+    order_three = symmetric_from_upper(3, 3, {
+        (0, 0, 0): 1, (0, 1, 2): -1, (1, 1, 2): 2, (2, 2, 2): -1,
+    })
+    cases = [
+        (_single_edge(), 25),
+        (order_three, 25),
+        (_random_rational_tensor(random.Random(421), 3, 3), 25),
+        (_order_four_integer(), 28),
+    ]
+    for a, points in cases:
+        calls = _count_points(monkeypatch)
+        e_char_poly(a, normalize=False)
+        assert calls == list(itertools.islice(spectra._abscissae(), points))
+        monkeypatch.undo()
 
 
 def test_zero_tensor_char_is_pure_power():
@@ -219,6 +288,52 @@ def test_char_pinned_on_rational_tensors():
     ])
     assert char_poly(matrix) == _RATIONAL_MATRIX_CHAR
     assert char_poly(_rational_order_three()) == _RATIONAL_ORDER_THREE_CHAR
+
+
+# raw E-chars recorded from the interpolation through lambda_rows + 1
+# points that preceded the resultant degree bound
+_ORDER_FOUR_E_CHAR = UniPoly.from_coeff_strings([
+    "-254804818964992650", "-32480789104097685", "904087677469316004",
+    "296656507718563392", "-1127172134919038121", "-680567665083504201",
+    "540821637417384873", "615574011836936214", "-24817314831896763",
+    "-223227745835348348", "-41846932420436208", "25031112226539169",
+    "3911033589160701", "-1164579098586377",
+])
+_NONSYMMETRIC_E_CHAR = UniPoly.from_coeff_strings([
+    "601952382219945409/562500000000000000", "0",
+    "150702261739054204367/2531250000000000000", "0",
+    "28766591524143802754443/60750000000000000000", "0",
+    "-2561771850076006667892857/205031250000000000000", "0",
+    "82180130294633730501131/2733750000000000000", "0",
+    "-24843339598303709140489/656100000000000000", "0",
+    "14520258091450566037/546750000000000", "0", "-2092865062853971/455625000000",
+])
+_ORDER_FIVE_E_CHAR = UniPoly.from_coeff_strings([
+    "672483642601/2176782336", "0", "-4970808670475/1088391168", "0",
+    "4157446848233/241864704", "0", "54834200399/20155392", "0",
+    "-4454328029/1679616", "0", "-58863869/46656",
+])
+
+
+def _order_four_integer():
+    return symmetric_from_upper(4, 3, {
+        (0, 0, 0, 0): 1, (0, 0, 1, 2): 2, (0, 1, 1, 1): -1,
+        (1, 1, 2, 2): 1, (2, 2, 2, 2): -2, (0, 0, 2, 2): 1,
+    })
+
+
+def test_e_char_pinned_beyond_the_goldens():
+    rng = random.Random(2024)
+    nonsymmetric = Tensor(3, 3, tuple(
+        Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 5))) for _ in range(27)
+    ))
+    rng = random.Random(505)
+    order_five = Tensor(5, 2, tuple(
+        Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3))) for _ in range(32)
+    ))
+    assert e_char_poly(_order_four_integer(), normalize=False) == _ORDER_FOUR_E_CHAR
+    assert e_char_poly(nonsymmetric, normalize=False) == _NONSYMMETRIC_E_CHAR
+    assert e_char_poly(order_five, normalize=False) == _ORDER_FIVE_E_CHAR
 
 
 @st.composite
