@@ -1,10 +1,11 @@
 """Cospectrality decisions over enumerated hypergraph families.
 
 The expensive object in every question here is the characteristic
-polynomial, so this module is organized around a thread-safe cache
-keyed by canonical form: isomorphic hypergraphs share one computation.
-Scans that enumerate a whole (n, k) universe can persist the cache to a
-JSON checkpoint and resume after interruption.
+polynomial, so this module is organized around a cache keyed by
+canonical form: isomorphic hypergraphs share one computation.  Both
+universe questions run one loop over the edge bitmasks of every labeled
+hypergraph on n vertices, in increasing order; it can persist the cache
+to a JSON checkpoint and resume after interruption.
 
 Two routes to the same facts are deliberately kept apart.  The
 invariant scan computes every polynomial and then checks that equal
@@ -12,6 +13,9 @@ polynomials force equal edge and simplex counts; the determined-by-
 spectrum search takes that implication as a pruning rule and computes
 polynomials only for candidates matching the target's cheap counts.
 The scan therefore validates the assumption the search relies on.
+Both read the counts straight off a bitmask, as its popcount and
+through the hypergraph module's simplex table, and build a Hypergraph
+only for a mask whose polynomial is needed.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ import json
 import os
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from math import comb
+from typing import Callable, Iterable, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import CapExceeded, DimMismatch, DivisionByZero, InputError
@@ -32,12 +37,12 @@ from .hypergraph import (
     edge_bitmask,
     from_bitmask,
     is_isomorphic,
+    mask_simplex_count,
+    simplex_masks,
     subset_order,
 )
 from .polynomial import UniPoly
 from .spectra import char_poly, e_char_poly
-
-from math import comb
 
 
 @dataclass(frozen=True)
@@ -101,9 +106,10 @@ def are_e_cospectral(
 class PolyCache:
     """Characteristic polynomials keyed by canonical form.
 
-    Reads are lock-free on the GIL's dict guarantees; computation holds
-    the lock only around insertion, so concurrent lookups of distinct
-    keys may duplicate work but never disagree.
+    Each isomorphism class is computed once; `computed` counts the
+    classes this cache computed, not those loaded from a checkpoint.
+    Insertion holds a lock, so a cache shared between threads never
+    stores two polynomials under one key.
     """
 
     def __init__(self) -> None:
@@ -116,7 +122,7 @@ class PolyCache:
 
     def get_char(self, h: Hypergraph, config: RunConfig | None = None) -> UniPoly:
         cfg = config if config is not None else DEFAULT_CONFIG
-        key = (h.n, h.k, canonical_form(h, cfg.canonical_cap))
+        key = (h.n, h.k, canonical_form(h))
         hit = self._polys.get(key)
         if hit is not None:
             return hit
@@ -199,6 +205,58 @@ def load_checkpoint(path: str, n: int, k: int) -> tuple[PolyCache, int]:
     return PolyCache.from_json(polys), watermark
 
 
+# the cheap counts of an (n, k) hypergraph, read off its edge bitmask
+_COUNTS: dict[str, Callable[[int, int, int], int]] = {
+    "edges": lambda n, k, mask: mask.bit_count(),
+    "simplices": mask_simplex_count,
+}
+
+
+def _universe_polys(
+    n: int,
+    k: int,
+    cfg: RunConfig,
+    *,
+    cache: PolyCache | None = None,
+    checkpoint_path: str | None = None,
+    fields: Sequence[str] = (),
+    target: int = 0,
+) -> tuple[PolyCache, list[tuple[int, UniPoly]]]:
+    """(cache, [(mask, char poly)]) over the labeled (n, k) universe.
+
+    Keeps, in mask order, every mask whose counts named in fields equal
+    those of the mask target; with no fields, every mask.  A checkpoint
+    seeds the cache (a given cache takes precedence) and the watermark,
+    and is rewritten whenever the cache grows and once at the end.
+    """
+    slots = comb(n, k)
+    if slots > cfg.enumerate_cap:
+        raise CapExceeded(f"{slots} candidate edges exceed the enumeration cap")
+    watermark = -1
+    if checkpoint_path:
+        loaded, watermark = load_checkpoint(checkpoint_path, n, k)
+        cache = loaded if cache is None else cache
+    if cache is None:
+        cache = PolyCache()
+    masks: Iterable[int] = range(1 << slots)
+    for name, count in _COUNTS.items():
+        if name in fields:
+            value = count(n, k, target)
+            masks = [mask for mask in masks if count(n, k, mask) == value]
+
+    rows: list[tuple[int, UniPoly]] = []
+    persisted = cache.computed
+    for mask in masks:
+        rows.append((mask, cache.get_char(from_bitmask(n, k, mask), cfg)))
+        watermark = max(watermark, mask)
+        if checkpoint_path and cache.computed != persisted:
+            persisted = cache.computed
+            save_checkpoint(checkpoint_path, n, k, cache, watermark)
+    if checkpoint_path:
+        save_checkpoint(checkpoint_path, n, k, cache, max(watermark, (1 << slots) - 1))
+    return cache, rows
+
+
 @dataclass(frozen=True)
 class Violation:
     """Two cospectral hypergraphs whose cheap counts disagree."""
@@ -265,25 +323,11 @@ def cospectral_invariant_scan(
     checkpoint, when given, makes the run resumable.
     """
     cfg = config if config is not None else DEFAULT_CONFIG
-    slots = comb(n, k)
-    if slots > cfg.enumerate_cap:
-        raise CapExceeded(f"{slots} candidate edges exceed the enumeration cap")
-    if checkpoint_path:
-        cache, watermark = load_checkpoint(checkpoint_path, n, k)
-    else:
-        cache, watermark = PolyCache(), -1
-
-    rows: list[tuple[int, int, int, UniPoly]] = []
-    persisted = cache.computed
-    for mask in range(1 << slots):
-        h = from_bitmask(n, k, mask)
-        rows.append((mask, h.edge_count, count_simplices(h), cache.get_char(h, cfg)))
-        watermark = max(watermark, mask)
-        if checkpoint_path and cache.computed != persisted:
-            persisted = cache.computed
-            save_checkpoint(checkpoint_path, n, k, cache, watermark)
-    if checkpoint_path:
-        save_checkpoint(checkpoint_path, n, k, cache, watermark)
+    cache, polys = _universe_polys(n, k, cfg, checkpoint_path=checkpoint_path)
+    rows = [
+        (mask, mask.bit_count(), mask_simplex_count(n, k, mask), poly)
+        for mask, poly in polys
+    ]
 
     groups: dict[tuple, list[int]] = {}
     for mask, _, _, poly in rows:
@@ -329,55 +373,32 @@ def ds_verify(
     filter catches what a weaker fingerprint lets through.
     """
     cfg = config if config is not None else DEFAULT_CONFIG
-    allowed = {"edges", "simplices"}
-    if not set(fingerprint_fields) <= allowed:
-        raise InputError(f"unknown fingerprint fields {sorted(set(fingerprint_fields) - allowed)}")
-    slots = comb(h.n, h.k)
-    if slots > cfg.enumerate_cap:
-        raise CapExceeded(f"{slots} candidate edges exceed the enumeration cap")
-    if checkpoint_path:
-        loaded, _ = load_checkpoint(checkpoint_path, h.n, h.k)
-        cache = loaded if cache is None else cache
-    if cache is None:
-        cache = PolyCache()
-
-    def wanted(g: Hypergraph) -> tuple[int, ...]:
-        parts = []
-        if "edges" in fingerprint_fields:
-            parts.append(g.edge_count)
-        if "simplices" in fingerprint_fields:
-            parts.append(count_simplices(g))
-        return tuple(parts)
-
+    unknown = set(fingerprint_fields) - _COUNTS.keys()
+    if unknown:
+        raise InputError(f"unknown fingerprint fields {sorted(unknown)}")
     target_mask = edge_bitmask(h)
-    target_print = wanted(h)
+    cache, kept = _universe_polys(
+        h.n,
+        h.k,
+        cfg,
+        cache=cache,
+        checkpoint_path=checkpoint_path,
+        fields=fingerprint_fields,
+        target=target_mask,
+    )
     target_poly = cache.get_char(h, cfg)
-
-    kept = [
-        mask
-        for mask in range(1 << slots)
-        if wanted(from_bitmask(h.n, h.k, mask)) == target_print
-    ]
-    mates: list[Hypergraph] = []
-    persisted = cache.computed
-    for mask in kept:
-        if mask == target_mask:
-            continue
-        g = from_bitmask(h.n, h.k, mask)
-        if cache.get_char(g, cfg) == target_poly:
-            mates.append(g)
-        if checkpoint_path and cache.computed != persisted:
-            persisted = cache.computed
-            save_checkpoint(checkpoint_path, h.n, h.k, cache, mask)
-    if checkpoint_path:
-        save_checkpoint(checkpoint_path, h.n, h.k, cache, (1 << slots) - 1)
-    verdict = all(is_isomorphic(g, h) is not None for g in mates)
+    mates = tuple(
+        from_bitmask(h.n, h.k, mask)
+        for mask, poly in kept
+        if mask != target_mask and poly == target_poly
+    )
+    candidates = 1 << comb(h.n, h.k)
     return DsVerdict(
         target=h,
-        cospectral_mates=tuple(mates),
-        all_isomorphic=verdict,
-        candidates=1 << slots,
-        pruned=(1 << slots) - len(kept),
+        cospectral_mates=mates,
+        all_isomorphic=all(is_isomorphic(g, h) is not None for g in mates),
+        candidates=candidates,
+        pruned=candidates - len(kept),
         polynomials_computed=cache.computed,
     )
 
@@ -433,15 +454,8 @@ def simplex_destruction_min(
     if work > cfg.brute_force_cap:
         raise CapExceeded(f"estimated work {work} exceeds cap {cfg.brute_force_cap}")
     order = subset_order(n, k)
-    index = {s: i for i, s in enumerate(order)}
-    simplex_masks = []
-    for group in combinations(range(1, n + 1), k + 1):
-        mask = 0
-        for sub in combinations(group, k):
-            mask |= 1 << index[sub]
-        simplex_masks.append(mask)
-
-    best = len(simplex_masks) + 1
+    faces = [f for _, f in simplex_masks(n, k)]
+    best = len(faces) + 1
     achievers: list[tuple[int, ...]] = []
     checked = 0
     for chosen in combinations(range(slots), r):
@@ -449,7 +463,7 @@ def simplex_destruction_min(
         removed = 0
         for i in chosen:
             removed |= 1 << i
-        destroyed = sum(1 for mask in simplex_masks if mask & removed)
+        destroyed = sum(1 for f in faces if f & removed)
         if destroyed < best:
             best = destroyed
             achievers = [chosen]

@@ -22,7 +22,6 @@ PRIME_SEED_ENV = "HYPERSPEC_PRIME_SEED"
 class RunConfig:
     degree_cap: int = 128
     dim_cap: int = 1024
-    canonical_cap: int = 10
     enumerate_cap: int = 63
     brute_force_cap: int = 2_000_000
     prime_seed: int = 0

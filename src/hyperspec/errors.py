@@ -67,10 +67,6 @@ class BadPrime(MathError):
     """Modulus unusable: composite, out of range, or divides a denominator."""
 
 
-class InsufficientModuli(MathError):
-    """Combined modulus too small to reconstruct the rational value."""
-
-
 class NotHomogeneous(MathError):
     """Polynomial system whose parts are not homogeneous of the declared degrees."""
 

@@ -4,8 +4,8 @@ A k-uniform hypergraph on vertices 1..n stores its edges as sorted
 k-tuples.  The adjacency tensor has order k and entry 1/(k-1)! at every
 arrangement of each edge, so that the tensor's polynomial map sends x to
 the edge-neighborhood sums.  Edge sets also travel as bitmasks over the
-lexicographic list of all k-subsets, which is what the enumeration and
-canonicalization code operates on.
+lexicographic list of all k-subsets, which is what the enumeration,
+simplex counting and canonicalization code operates on.
 
 The text format is line-based: optional '#' comments, one "n k" header
 line, then one edge per line as k ascending vertex ids.  Formatting a
@@ -27,6 +27,8 @@ from .tensor import Tensor
 VertexSet = tuple[int, ...]
 
 _PERM_TABLE_MAX_N = 7  # cached permutation remaps; beyond this, recompute lazily
+# canonical forms try all n! relabelings: 8! takes seconds, 9! does not
+CANONICAL_MAX_N = 8
 
 
 @dataclass(frozen=True)
@@ -100,14 +102,13 @@ def complement(h: Hypergraph) -> Hypergraph:
 
 def count_simplices(h: Hypergraph) -> int:
     """Vertex sets of size k+1 all of whose k-subsets are edges."""
-    return sum(1 for _ in simplices(h))
+    return mask_simplex_count(h.n, h.k, edge_bitmask(h))
 
 
 def simplices(h: Hypergraph) -> Iterator[tuple[int, ...]]:
-    if h.k + 1 > h.n:
-        return
-    for group in itertools.combinations(range(1, h.n + 1), h.k + 1):
-        if all(sub in h.edges for sub in itertools.combinations(group, h.k)):
+    mask = edge_bitmask(h)
+    for group, faces in simplex_masks(h.n, h.k):
+        if mask & faces == faces:
             yield group
 
 
@@ -143,6 +144,22 @@ def _subset_index(n: int, k: int) -> dict[tuple[int, ...], int]:
     return {s: i for i, s in enumerate(subset_order(n, k))}
 
 
+@lru_cache(maxsize=None)
+def simplex_masks(n: int, k: int) -> tuple[tuple[VertexSet, int], ...]:
+    """Each (k+1)-set of 1..n, in lexicographic order, with the bitmask of
+    its k-subsets: an edge set holds that simplex when it covers the mask."""
+    index = _subset_index(n, k)
+    return tuple(
+        (group, sum(1 << index[sub] for sub in itertools.combinations(group, k)))
+        for group in itertools.combinations(range(1, n + 1), k + 1)
+    )
+
+
+def mask_simplex_count(n: int, k: int, mask: int) -> int:
+    """count_simplices of the (n, k) hypergraph with this edge bitmask."""
+    return sum(mask & faces == faces for _, faces in simplex_masks(n, k))
+
+
 def edge_bitmask(h: Hypergraph) -> int:
     index = _subset_index(h.n, h.k)
     mask = 0
@@ -172,10 +189,12 @@ def _perm_remaps(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(remaps)
 
 
-def canonical_form(h: Hypergraph, cap: int = 10) -> int:
+def canonical_form(h: Hypergraph) -> int:
     """Least edge bitmask over all vertex relabelings; a hashable class key."""
-    if h.n > cap:
-        raise CapExceeded(f"canonical form capped at {cap} vertices, got {h.n}")
+    if h.n > CANONICAL_MAX_N:
+        raise CapExceeded(
+            f"canonical form capped at {CANONICAL_MAX_N} vertices, got {h.n}"
+        )
     mask = edge_bitmask(h)
     best = mask
     if h.n <= _PERM_TABLE_MAX_N:

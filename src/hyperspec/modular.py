@@ -1,23 +1,22 @@
-"""Modular determinants, characteristic polynomials and CRT reconstruction.
+"""Modular determinants, characteristic polynomials and Chinese remaindering.
 
 Moduli come from a fixed, deterministic list of primes counting down
 from 2**31 - 1.  Keeping every modulus below 2**31 lets Gaussian
 elimination and Hessenberg reduction run vectorized in int64: products
 of two reduced values stay under 2**62, safely inside the int64 range.
 A seed offset picks a different window of the same list; the
-reconstructed rational is the same for every seed, which makes
+recombined value is the same for every seed, which makes
 cross-seed agreement a cheap consistency check.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BadPrime, InputError, InsufficientModuli, MathError
+from .errors import BadPrime, InputError, MathError
 
 PRIME_LIMIT = 2**31
 
@@ -215,21 +214,6 @@ def charpoly_mod(rows: Sequence[Sequence[int]], p: int) -> list[int]:
     return [int(c) for c in polys[n]]
 
 
-def mat_mod(rows: Sequence[Sequence[Fraction]], p: int) -> list[list[int]]:
-    """Entrywise reduction of a rational matrix modulo p."""
-    _check_prime(p)
-    out = []
-    for row in rows:
-        r = []
-        for value in row:
-            v = Fraction(value)
-            if v.denominator % p == 0:
-                raise BadPrime(f"denominator of {v} vanishes mod {p}")
-            r.append(v.numerator * pow(v.denominator, -1, p) % p)
-        out.append(r)
-    return out
-
-
 def crt_combine(residues: Sequence[int], moduli: Sequence[int]) -> tuple[int, int]:
     """Combined residue and modulus; moduli must be pairwise coprime."""
     if len(residues) != len(moduli) or not moduli:
@@ -251,45 +235,3 @@ def symmetric_residue(r: int, m: int) -> int:
     """Representative of r mod m in (-m/2, m/2]."""
     r %= m
     return r - m if r > m // 2 else r
-
-
-def crt_reconstruct(
-    residues: Sequence[int],
-    moduli: Sequence[int],
-    num_bound: int | None = None,
-    den_bound: int | None = None,
-) -> Fraction:
-    """Rational p/q with q > 0 congruent to the residues, |p|, q in bounds.
-
-    With no explicit bounds both default to isqrt((M - 1) / 2), the largest
-    balanced choice satisfying 2 * N * D < M, which makes the answer unique.
-    Raises InsufficientModuli when no admissible rational exists.
-    """
-    r, m = crt_combine(residues, moduli)
-    if num_bound is None and den_bound is None:
-        num_bound = den_bound = isqrt((m - 1) // 2)
-    elif num_bound is None or den_bound is None:
-        raise InputError("give both bounds or neither")
-    if num_bound < 0 or den_bound < 1:
-        raise InputError("bounds must allow at least the integers 0..N")
-    if 2 * num_bound * den_bound >= m:
-        raise InsufficientModuli(
-            f"modulus {m} too small for bounds ({num_bound}, {den_bound})"
-        )
-
-    v0, v1 = m, r
-    t0, t1 = 0, 1
-    while v1 > num_bound:
-        q = v0 // v1
-        v0, v1 = v1, v0 - q * v1
-        t0, t1 = t1, t0 - q * t1
-    num, den = v1, t1
-    if den < 0:
-        num, den = -num, -den
-    if den == 0 or den > den_bound or gcd(abs(num), den) != 1:
-        raise InsufficientModuli(
-            f"no rational within bounds ({num_bound}, {den_bound}) mod {m}"
-        )
-    if (num - den * r) % m != 0:
-        raise InsufficientModuli("reconstruction check failed")
-    return Fraction(num, den)

@@ -2,9 +2,7 @@
 
 A Tensor of order m and dimension n stores its n**m entries in a flat
 row-major tuple indexed by m-tuples of 0-based coordinates.  Matrices
-are simply order-2 tensors.  JSON serialization lists nonzero entries
-with 1-based index tuples, matching the vertex numbering used by the
-hypergraph layer.
+are simply order-2 tensors.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimMismatch, InputError, ZeroVector
-from .rational import format_rational, rat
 
 
 @dataclass(frozen=True)
@@ -247,26 +244,3 @@ def symmetric_from_upper(
         for perm in set(itertools.permutations(idx)):
             full[perm] = Fraction(value)
     return Tensor.from_map(order, dim, full)
-
-
-def tensor_to_json(a: Tensor) -> dict:
-    items = sorted(a.nonzero_items())
-    return {
-        "order": a.order,
-        "dim": a.dim,
-        "entries": [
-            [[i + 1 for i in idx], format_rational(value)] for idx, value in items
-        ],
-    }
-
-
-def tensor_from_json(data: Mapping) -> Tensor:
-    try:
-        order, dim = int(data["order"]), int(data["dim"])
-        values = {
-            tuple(int(i) - 1 for i in idx): rat(value)
-            for idx, value in data["entries"]
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed tensor object: {exc}") from exc
-    return Tensor.from_map(order, dim, values)

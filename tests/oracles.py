@@ -2,11 +2,14 @@
 
 Everything here avoids the library's resultant machinery on purpose:
 cofactor expansion over the polynomial ring is slow but unarguable.
+Likewise the simplex listing walks vertex sets instead of the library's
+bitmask table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from hyperspec.polynomial import UniPoly
 
@@ -54,3 +57,15 @@ def int_det(rows: list[list[int]]) -> int:
         term = rows[0][j] * int_det(minor)
         total += term if j % 2 == 0 else -term
     return total
+
+
+def simplices(h) -> list[tuple[int, ...]]:
+    """(k+1)-sets of vertices all of whose k-subsets are edges, found by
+    walking vertex combinations rather than edge bitmasks."""
+    if h.k + 1 > h.n:
+        return []
+    return [
+        group
+        for group in combinations(range(1, h.n + 1), h.k + 1)
+        if all(sub in h.edges for sub in combinations(group, h.k))
+    ]

@@ -245,3 +245,17 @@ def test_disjoint_union_with_isolated_vertex():
     verdict = disjoint_union_ds_check(3, isolated=1)
     assert verdict.target.n == 5
     assert verdict.all_isomorphic
+
+
+@pytest.mark.slow
+def test_disjoint_union_with_two_isolated_vertices():
+    # A pin of what the search computes, not a theorem: it prunes by simplex
+    # count, which the invariant scan validates only up to n = 5.
+    cfg = DEFAULT_CONFIG.with_(degree_cap=200)
+    verdict = disjoint_union_ds_check(3, isolated=2, config=cfg)
+    assert verdict.target.n == 6
+    assert verdict.all_isomorphic
+    assert len(verdict.cospectral_mates) == 14
+    assert verdict.candidates == 1 << 20
+    assert verdict.pruned == 1_048_561
+    assert verdict.polynomials_computed == 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from hyperspec.cli import main
 from hyperspec.hypergraph import (
     Hypergraph,
     format_hypergraph,
+    from_bitmask,
     parse_hypergraph,
 )
 
@@ -210,6 +212,65 @@ def test_invariant_scan(tmp_path, capsys):
     assert payload["total"] == 16
     assert payload["classes"] == 5
     assert payload["violations"] == []
+
+
+def _sha256(data) -> str:
+    return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+
+# Byte pins recorded before ds and the scan moved to edge-bitmask
+# fingerprints: sha256 of the ds stdout and of its final checkpoint for
+# three 6-vertex graphs, given by their edge bitmasks; 106 has cospectral
+# mates that are not isomorphic to it.
+_DS_PINS = {
+    106: (
+        "eb29fdadcfad0a974126e927cdca74bc06a5ec572fcca53bf62ee23ff60519e8",
+        "2e36e6a9829945d46fbac3156fdd1542495474c745533fe5d6e745f1149c88d5",
+        (False, 419, 31643, 7),
+    ),
+    1919: (
+        "89954fe9b60fe65ced4e1dd28f14346e26519f18c8513365f16e437dfa2bc5f1",
+        "3a6a9111ee8881b0f98506aaa2a796cbbb1507191a878b54fc3c18f0ecba1699",
+        (True, 359, 31868, 4),
+    ),
+    759: (
+        "84ee920aa9952ef269ec049fcb102ad587546f68907d10ce96d032b699550ed4",
+        "166f392142f4195827cc0d708391c7581f20bc73fd487639d2f4327dab59d524",
+        (True, 179, 32318, 4),
+    ),
+}
+
+
+@pytest.mark.parametrize("mask", sorted(_DS_PINS))
+def test_ds_output_pinned(tmp_path, capsys, mask):
+    out_digest, checkpoint_digest, summary = _DS_PINS[mask]
+    path = _write_graph(tmp_path, "g.hg", from_bitmask(6, 2, mask))
+    state = tmp_path / "state.json"
+    code, out, err = _run(capsys, ["ds", path, "--checkpoint", str(state)])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert (
+        payload["all_isomorphic"],
+        len(payload["mates"]),
+        payload["pruned"],
+        payload["polynomials_computed"],
+    ) == summary
+    assert _sha256(out) == out_digest
+    assert _sha256(state.read_bytes()) == checkpoint_digest
+
+
+def test_invariant_scan_output_pinned(tmp_path, capsys):
+    state = tmp_path / "scan.json"
+    argv = ["invariant-scan", "--n", "5", "--k", "2", "--checkpoint", str(state)]
+    checkpoint_digest = "9fe1f8a0e0be12a0b87664cfd2408374b032894daf4c7faecb5a1dcb8239ca5e"
+    for out_digest in (
+        "ac24d87e9a9d563a93bfa3542960afa72118265d9a667ab7481e0047ca190842",  # cold
+        "6a93a5fc9a629920769711530c457c128010d5f5d1f21104fda5558bc3b22a3d",  # resumed
+    ):
+        code, out, err = _run(capsys, argv)
+        assert code == 0 and err == ""
+        assert _sha256(out) == out_digest
+        assert _sha256(state.read_bytes()) == checkpoint_digest
 
 
 def test_simplex_bound(capsys):

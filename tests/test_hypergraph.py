@@ -8,6 +8,7 @@ from itertools import combinations
 from math import comb, factorial
 
 import pytest
+from oracles import simplices as oracle_simplices
 
 from hyperspec.errors import (
     BadEdge,
@@ -29,6 +30,7 @@ from hyperspec.hypergraph import (
     is_isomorphic,
     neighbors_in,
     parse_hypergraph,
+    simplex_masks,
     simplices,
     subset_order,
 )
@@ -122,6 +124,37 @@ def test_simplices_listing():
     assert found == [(1, 2, 3, 4)]
 
 
+def test_simplex_masks_table():
+    table = simplex_masks(5, 3)
+    assert len(table) == comb(5, 4)
+    group, faces = table[0]
+    assert group == (1, 2, 3, 4)
+    order = subset_order(5, 3)
+    assert {order[i] for i in range(len(order)) if faces >> i & 1} == set(
+        combinations(group, 3)
+    )
+    assert simplex_masks(3, 3) == ()  # no 4-sets among 3 vertices
+
+
+def _assert_simplices_match_oracle(h):
+    expected = oracle_simplices(h)
+    assert list(simplices(h)) == expected
+    assert count_simplices(h) == len(expected)
+
+
+def test_simplices_match_oracle_on_small_universes():
+    for n, k in ((5, 3), (5, 2)):
+        for mask in range(1 << comb(n, k)):
+            _assert_simplices_match_oracle(from_bitmask(n, k, mask))
+    rng = random.Random(64)
+    for _ in range(50):
+        _assert_simplices_match_oracle(from_bitmask(6, 4, rng.getrandbits(comb(6, 4))))
+    # fewer than k + 1 vertices: no simplex at all
+    for h in (Hypergraph.complete(3, 3), Hypergraph.complete(4, 4)):
+        assert oracle_simplices(h) == []
+        _assert_simplices_match_oracle(h)
+
+
 def test_neighbors_in():
     edges = [(1, 2, 4), (1, 2, 5), (2, 3, 4), (2, 3, 6), (1, 3, 5), (1, 3, 6)]
     h = Hypergraph.from_edges(6, 3, edges)
@@ -163,7 +196,14 @@ def test_canonical_form_is_label_invariant():
 
 def test_canonical_form_cap():
     with pytest.raises(CapExceeded):
-        canonical_form(Hypergraph.empty(12, 3), cap=10)
+        canonical_form(Hypergraph.empty(12, 3))
+
+
+def test_canonical_form_refuses_nine_vertices():
+    # 9! relabelings per call do not finish in seconds; 8! do
+    assert canonical_form(Hypergraph.empty(8, 2)) == 0
+    with pytest.raises(CapExceeded):
+        canonical_form(Hypergraph.empty(9, 2))
 
 
 def test_is_isomorphic_finds_mappings():

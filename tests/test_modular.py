@@ -1,4 +1,4 @@
-"""Modular determinants, characteristic polynomials, CRT, and rational reconstruction."""
+"""Modular determinants, characteristic polynomials and Chinese remaindering."""
 
 from __future__ import annotations
 
@@ -8,15 +8,13 @@ from fractions import Fraction
 import pytest
 from oracles import classical_char_poly
 
-from hyperspec.errors import BadPrime, InputError, InsufficientModuli, MathError
+from hyperspec.errors import BadPrime, InputError, MathError
 from hyperspec.modular import (
     PRIME_LIMIT,
     charpoly_mod,
     crt_combine,
-    crt_reconstruct,
     det_mod,
     is_prime,
-    mat_mod,
     nth_prime,
     poly_divexact_mod,
     primes_for_bound,
@@ -85,12 +83,6 @@ def test_det_mod_matches_bareiss_random():
         assert det_mod(rows, p) == d % p
 
 
-def test_mat_mod_denominator_clash():
-    with pytest.raises(BadPrime):
-        mat_mod([[Fraction(1, 7)]], 7)
-    assert mat_mod([[Fraction(1, 2)]], 7) == [[4]]  # inverse of 2 mod 7
-
-
 def test_crt_combine_pair():
     value, modulus = crt_combine([4, 6], [7, 11])
     assert modulus == 77 and value == 39  # 39 = 1/2 mod 77
@@ -107,36 +99,6 @@ def test_symmetric_residue():
     assert symmetric_residue(39, 77) == -38  # past the halfway point
     assert symmetric_residue(76, 77) == -1
     assert symmetric_residue(0, 77) == 0
-
-
-def test_crt_reconstruct_half():
-    # residues of 1/2: 2*4 = 8 = 1 mod 7, 2*6 = 12 = 1 mod 11
-    assert crt_reconstruct([4, 6], [7, 11]) == Fraction(1, 2)
-
-
-def test_crt_reconstruct_negative_integer():
-    assert crt_reconstruct([3, 5], [5, 7]) == Fraction(-2)
-
-
-def test_crt_reconstruct_zero():
-    assert crt_reconstruct([0, 0], [5, 7]) == 0
-
-
-def test_crt_reconstruct_random_round_trip():
-    rng = random.Random(7)
-    primes = [nth_prime(i) for i in range(4)]
-    for _ in range(200):
-        value = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
-        residues = [
-            value.numerator * pow(value.denominator, -1, p) % p for p in primes
-        ]
-        assert crt_reconstruct(residues, primes) == value
-
-
-def test_crt_reconstruct_insufficient():
-    # 1/99991 cannot be told apart from integers with a single tiny prime
-    with pytest.raises((InsufficientModuli, MathError)):
-        crt_reconstruct([pow(99991, -1, 5)], [5], num_bound=10**6, den_bound=10**6)
 
 
 def test_charpoly_mod_matches_cofactor_oracle():

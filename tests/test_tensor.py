@@ -1,4 +1,4 @@
-"""Dense symmetric tensors: products, similarity, eigenpair checks, JSON."""
+"""Dense symmetric tensors: products, similarity, eigenpair checks."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyperspec.errors import DimMismatch, InputError, ZeroVector
+from hyperspec.errors import DimMismatch, ZeroVector
 from hyperspec.tensor import (
     Tensor,
     apply,
@@ -21,8 +21,6 @@ from hyperspec.tensor import (
     permutation_matrix,
     shao_product,
     symmetric_from_upper,
-    tensor_from_json,
-    tensor_to_json,
     to_rows,
     transpose,
     unit_tensor,
@@ -192,14 +190,3 @@ def test_symmetric_from_upper_spreads_entries():
     # key order is normalized, so a descending key lands in the same orbit
     t2 = symmetric_from_upper(3, 3, {(2, 1, 0): Fraction(5)})
     assert t2.entries == t.entries
-
-
-def test_json_round_trip():
-    rng = random.Random(108)
-    a = _random_symmetric(rng, 3, 3)
-    blob = tensor_to_json(a)
-    back = tensor_from_json(blob)
-    assert back.order == a.order and back.dim == a.dim
-    assert back.entries == a.entries
-    with pytest.raises(InputError):
-        tensor_from_json('{"order": 2}')
