@@ -4,8 +4,8 @@ Usage, from the root of a checkout:
 
     python3 scripts/bench.py --label base --workloads charpoly,echar,search --seeds 1,2,3,4,5
 
-Each (seed, workload) pair runs ``perfbench/run.py --trace 0`` once, in a
-fresh process, on the source tree of this checkout; the workloads of one
+Each (seed, workload) pair runs ``perfbench/run.py --seconds 20 --trace 0``
+once, in a fresh process, on the source tree of this checkout; the workloads of one
 seed run back to back before the next seed starts.  This script adds no
 workloads and no metrics of its own: it only collects the end-to-end
 metrics that run.py prints on its last line and takes their medians.
@@ -28,12 +28,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RUNNER = ROOT / "perfbench" / "run.py"
 WORKLOADS = ("charpoly", "echar", "search")
+# run.py turns this into a fixed number of rounds per workload; one value
+# for every BENCH file keeps them comparable
+SECONDS = 20.0
 
 
-def run_once(workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def run_once(workload: str, seed: int) -> tuple[dict, dict]:
     """(environment, result) of one perfbench run."""
     argv = [sys.executable, str(RUNNER), "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"bench: {workload} seed {seed} exited {proc.returncode}:\n"
@@ -56,20 +59,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workloads", default=",".join(WORKLOADS),
                         help="comma list of perfbench workloads")
     parser.add_argument("--seeds", default="1,2,3,4,5", help="comma list of integer seeds")
-    parser.add_argument("--seconds", type=float, default=20.0,
-                        help="perfbench --seconds; fixes the number of rounds per run")
     args = parser.parse_args(argv)
     workloads = [w for w in args.workloads.split(",") if w]
     unknown = sorted(set(workloads) - set(WORKLOADS))
     if unknown:
         parser.error(f"unknown workloads {unknown}")
     seeds = [int(s) for s in args.seeds.split(",") if s]
+    if not workloads or not seeds:
+        parser.error("--workloads and --seeds each need at least one entry")
 
     runs: dict[str, list[dict]] = {w: [] for w in workloads}
     env: dict = {}
     for seed in seeds:
         for workload in workloads:
-            env, result = run_once(workload, seed, args.seconds)
+            env, result = run_once(workload, seed)
             runs[workload].append({
                 "seed": seed,
                 "correct": result["correct"],
@@ -87,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
         "python": env.get("python"),
         "numpy": env.get("numpy"),
         "nproc": env.get("nproc"),
-        "seconds": args.seconds,
+        "seconds": SECONDS,
         "workloads": {
             w: {
                 "runs": entries,

@@ -205,13 +205,6 @@ def load_checkpoint(path: str, n: int, k: int) -> tuple[PolyCache, int]:
     return PolyCache.from_json(polys), watermark
 
 
-# the cheap counts of an (n, k) hypergraph, read off its edge bitmask
-_COUNTS: dict[str, Callable[[int, int, int], int]] = {
-    "edges": lambda n, k, mask: mask.bit_count(),
-    "simplices": mask_simplex_count,
-}
-
-
 def _universe_polys(
     n: int,
     k: int,
@@ -219,15 +212,14 @@ def _universe_polys(
     *,
     cache: PolyCache | None = None,
     checkpoint_path: str | None = None,
-    fields: Sequence[str] = (),
-    target: int = 0,
+    keep: Callable[[int], bool] | None = None,
 ) -> tuple[PolyCache, list[tuple[int, UniPoly]]]:
     """(cache, [(mask, char poly)]) over the labeled (n, k) universe.
 
-    Keeps, in mask order, every mask whose counts named in fields equal
-    those of the mask target; with no fields, every mask.  A checkpoint
-    seeds the cache (a given cache takes precedence) and the watermark,
-    and is rewritten whenever the cache grows and once at the end.
+    Covers, in mask order, every mask that keep accepts; with no keep,
+    every mask.  A checkpoint seeds the cache (a given cache takes
+    precedence) and the watermark, and is rewritten whenever the cache
+    grows and once at the end.
     """
     slots = comb(n, k)
     if slots > cfg.enumerate_cap:
@@ -239,11 +231,8 @@ def _universe_polys(
     if cache is None:
         cache = PolyCache()
     masks: Iterable[int] = range(1 << slots)
-    for name, count in _COUNTS.items():
-        if name in fields:
-            value = count(n, k, target)
-            masks = [mask for mask in masks if count(n, k, mask) == value]
-
+    if keep is not None:
+        masks = filter(keep, masks)
     rows: list[tuple[int, UniPoly]] = []
     persisted = cache.computed
     for mask in masks:
@@ -253,7 +242,7 @@ def _universe_polys(
             persisted = cache.computed
             save_checkpoint(checkpoint_path, n, k, cache, watermark)
     if checkpoint_path:
-        save_checkpoint(checkpoint_path, n, k, cache, max(watermark, (1 << slots) - 1))
+        save_checkpoint(checkpoint_path, n, k, cache, (1 << slots) - 1)
     return cache, rows
 
 
@@ -373,18 +362,25 @@ def ds_verify(
     filter catches what a weaker fingerprint lets through.
     """
     cfg = config if config is not None else DEFAULT_CONFIG
-    unknown = set(fingerprint_fields) - _COUNTS.keys()
+    unknown = set(fingerprint_fields) - {"edges", "simplices"}
     if unknown:
         raise InputError(f"unknown fingerprint fields {sorted(unknown)}")
-    target_mask = edge_bitmask(h)
+    n, k, target_mask = h.n, h.k, edge_bitmask(h)
+    edges = target_mask.bit_count() if "edges" in fingerprint_fields else None
+    simplices = (
+        mask_simplex_count(n, k, target_mask)
+        if "simplices" in fingerprint_fields
+        else None
+    )
+
+    def keep(mask: int) -> bool:
+        # the popcount first: it is far cheaper than the simplex count
+        return (edges is None or mask.bit_count() == edges) and (
+            simplices is None or mask_simplex_count(n, k, mask) == simplices
+        )
+
     cache, kept = _universe_polys(
-        h.n,
-        h.k,
-        cfg,
-        cache=cache,
-        checkpoint_path=checkpoint_path,
-        fields=fingerprint_fields,
-        target=target_mask,
+        n, k, cfg, cache=cache, checkpoint_path=checkpoint_path, keep=keep
     )
     target_poly = cache.get_char(h, cfg)
     mates = tuple(

@@ -27,7 +27,6 @@ from .errors import CapExceeded, HyperspecError, InputError, MathError
 from .hypergraph import (
     Hypergraph,
     adjacency_tensor,
-    count_simplices,
     format_hypergraph,
     parse_hypergraph,
     simplices,
