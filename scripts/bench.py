@@ -64,7 +64,10 @@ def main(argv: list[str] | None = None) -> int:
     unknown = sorted(set(workloads) - set(WORKLOADS))
     if unknown:
         parser.error(f"unknown workloads {unknown}")
-    seeds = [int(s) for s in args.seeds.split(",") if s]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s]
+    except ValueError:
+        parser.error(f"--seeds must be a comma list of integers, got {args.seeds!r}")
     if not workloads or not seeds:
         parser.error("--workloads and --seeds each need at least one entry")
 

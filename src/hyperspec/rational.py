@@ -11,19 +11,6 @@ from fractions import Fraction
 
 from .errors import DivisionByZero, InputError
 
-Rational = Fraction
-
-
-def rat(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to a Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value)
-    raise InputError(f"cannot interpret {value!r} as a rational")
-
 
 def format_rational(value: Fraction) -> str:
     value = Fraction(value)

@@ -24,7 +24,13 @@ homogeneous of degree prod_{j != i} d_j in the coefficients of f_i
 (Macaulay 1902; Cox, Little & O'Shea, Using Algebraic Geometry, Ch. 3
 Thm 3.1), so its lambda-degree is at most D, the sum of those products
 over the f_i with a lambda part: 2 n (m-1)**(n-1) for odd order and
-n (m-1)**(n-1) for even order.  Exactly D + 1 points are sampled.
+n (m-1)**(n-1) for even order.  Even order samples D + 1 points.  For
+odd order, beta -> -beta turns the system at lambda into the system at
+-lambda, and a linear change of variables multiplies the resultant by
+its determinant to the power prod d_i (Jouanolou, Adv. Math. 90, 1991),
+here (-1)**(2 (m-1)**n) = 1.  So the resultant is even in lambda, and
+D/2 + 1 points (13 for order 3, dimension 3) determine it as a
+polynomial in lambda**2.
 
 The tensor determinant is the resultant of the numeric system x -> A x
 itself, evaluated the same way; wherever its divisor determinant is
@@ -118,7 +124,9 @@ def _abscissae() -> Iterator[int]:
         k += 1
 
 
-def _interpolated_resultant(lsys: LambdaSystem, cfg: RunConfig) -> UniPoly:
+def _interpolated_resultant(
+    lsys: LambdaSystem, cfg: RunConfig, *, even_in_lambda: bool = False
+) -> UniPoly:
     """The resultant of lsys as a polynomial in lambda, by interpolation.
 
     The resultant is homogeneous of degree prod_{j != i} d_j in the
@@ -127,6 +135,10 @@ def _interpolated_resultant(lsys: LambdaSystem, cfg: RunConfig) -> UniPoly:
     is affine in lambda, so its lambda-degree is at most
     D = sum over the i with a nonzero lambda part of prod_{j != i} d_j.
     D + 1 exact values therefore determine it.
+
+    If even_in_lambda, the resultant is known to be even in lambda; it is a
+    polynomial of degree at most D/2 in mu = lambda**2, interpolated
+    through the D/2 + 1 values at lambda = 0, 1, ..., D/2.
     """
     check_dim_cap(lsys.nvars, lsys.degrees, cfg.dim_cap)
     bound = sum(
@@ -139,6 +151,12 @@ def _interpolated_resultant(lsys: LambdaSystem, cfg: RunConfig) -> UniPoly:
             f"resultant degree bound {bound} exceeds cap {cfg.degree_cap}"
         )
     table = _FillTable(lsys)
+    if even_in_lambda:
+        half = interpolate([
+            (lam * lam, _eval_point(table, lam, cfg.prime_seed))
+            for lam in range(bound // 2 + 1)
+        ])
+        return UniPoly(tuple(c for h in half.coeffs for c in (h, 0)))
     nodes = itertools.islice(_abscissae(), bound + 1)
     return interpolate(
         [(lam, _eval_point(table, lam, cfg.prime_seed)) for lam in nodes]
@@ -187,7 +205,10 @@ def e_char_poly(
         # resultant vanishes at every lambda and the general path returns
         # this same zero polynomial after evaluating every sample point
         return UniPoly.zero()
-    poly = _interpolated_resultant(e_char_poly_system(a), cfg)
+    # odd order: beta -> -beta maps the system at lambda to that at -lambda
+    poly = _interpolated_resultant(
+        e_char_poly_system(a), cfg, even_in_lambda=a.order % 2 == 1
+    )
     return poly.normalized() if normalize else poly
 
 

@@ -150,20 +150,40 @@ def _count_points(monkeypatch):
 
 
 def test_e_char_samples_the_degree_bound_plus_one(monkeypatch):
+    # even order samples D + 1 nodes 0, 1, -1, ...; odd order is even in
+    # lambda and samples only lambda = 0..D/2 (D = 24 for order 3,
+    # dimension 3 and D = 16 for order 5, dimension 2)
     order_three = symmetric_from_upper(3, 3, {
         (0, 0, 0): 1, (0, 1, 2): -1, (1, 1, 2): 2, (2, 2, 2): -1,
     })
     cases = [
-        (_single_edge(), 25),
-        (order_three, 25),
-        (_random_rational_tensor(random.Random(421), 3, 3), 25),
-        (_order_four_integer(), 28),
+        (_single_edge(), list(range(13))),
+        (order_three, list(range(13))),
+        (_random_rational_tensor(random.Random(421), 3, 3), list(range(13))),
+        (_order_four_integer(), list(itertools.islice(spectra._abscissae(), 28))),
+        (_random_rational_tensor(random.Random(423), 5, 2), list(range(9))),
     ]
-    for a, points in cases:
+    for a, nodes in cases:
         calls = _count_points(monkeypatch)
         e_char_poly(a, normalize=False)
-        assert calls == list(itertools.islice(spectra._abscissae(), points))
+        assert calls == nodes
         monkeypatch.undo()
+
+
+def test_odd_order_resultant_is_even_in_lambda():
+    # beta -> -beta maps the odd-order system at lambda to the system at
+    # -lambda; checked point by point, without interpolating
+    rng = random.Random(431)
+    for order, dim in ((3, 2), (3, 3), (5, 2)):
+        a = _random_rational_tensor(rng, order, dim)
+        table = _FillTable(e_char_poly_system(a))
+        for lam in range(1, _resultant_degree_bound(order, dim) + 1):
+            assert spectra._eval_point(table, -lam, 0) == spectra._eval_point(
+                table, lam, 0
+            )
+    # even order has no such symmetry, so it keeps the full node set
+    raw = e_char_poly(_order_four_integer(), normalize=False)
+    assert any(raw.coefficient(p) != 0 for p in range(1, raw.degree + 1, 2))
 
 
 def test_zero_tensor_char_is_pure_power():
