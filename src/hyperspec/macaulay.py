@@ -10,13 +10,14 @@ two or more distinct i.
 
 Every resultant goes through one integer path.  A system whose
 coefficients are linear in a parameter lambda is tabulated once with
-its rows scaled to integers, and each integer lambda then costs two
-integer determinants; a numeric system is the lambda-free case,
-evaluated at lambda = 0.  det(M') vanishes for many sparse systems;
-there the value comes from Canny's generalized characteristic
-polynomial (J. Symbolic Comput. 9, 1990) instead: the quotient
-charpoly(M) / charpoly(M') has a monic divisor, and its constant term
-is the resultant up to sign.
+its rows scaled to integers.  Its values at many integer lambdas come
+from one pencil reduction per prime (_pencil_values); one integer
+lambda costs two integer determinants (_eval_point).  A numeric system
+is the lambda-free case, evaluated at lambda = 0.  det(M') vanishes for
+many sparse systems; there the value comes from Canny's generalized
+characteristic polynomial (J. Symbolic Comput. 9, 1990) instead: the
+quotient charpoly(M) / charpoly(M') has a monic divisor, and its
+constant term is the resultant up to sign.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .determinants import det_exact_int
 from .errors import (
@@ -37,8 +40,10 @@ from .errors import (
     NotSquareSystem,
 )
 from .modular import (
+    _solve_mod_i64,
     charpoly_mod,
     crt_combine,
+    nth_prime,
     poly_divexact_mod,
     primes_for_bound,
     symmetric_residue,
@@ -276,6 +281,123 @@ def _eval_point(table: _FillTable, lam: int, prime_seed: int) -> Fraction:
     constant = _charpoly_quotient(full, minor, prime_seed)[0]
     sign = (-1) ** (len(full) - len(minor))
     return Fraction(sign * constant * table.scale_minor, table.scale_full)
+
+
+# base points c tried, in order, for the pencil reduction modulo one prime
+_SHIFTS = (0, 1, -1, 2, -2)
+
+
+def _pencil_mod(
+    rows: list[list[tuple[int, int, int]]], size: int
+) -> Callable[[int], tuple[np.ndarray, np.ndarray]]:
+    """p -> (F0 mod p, F1 mod p) for sparse rows of (column, i0, i1) terms."""
+    r = np.array([i for i, terms in enumerate(rows) for _ in terms], dtype=np.intp)
+    c = np.array([col for terms in rows for col, _, _ in terms], dtype=np.intp)
+    i0 = [t[1] for terms in rows for t in terms]
+    i1 = [t[2] for terms in rows for t in terms]
+    dtype = object if any(abs(v) >= 1 << 62 for v in i0 + i1) else np.int64
+    i0a, i1a = np.array(i0, dtype=dtype), np.array(i1, dtype=dtype)
+
+    def at(p: int) -> tuple[np.ndarray, np.ndarray]:
+        f0 = np.zeros((size, size), dtype=np.int64)
+        f1 = np.zeros((size, size), dtype=np.int64)
+        f0[r, c] = i0a % p
+        f1[r, c] = i1a % p
+        return f0, f1
+
+    return at
+
+
+def _pencil_values(
+    table: _FillTable, nodes: Sequence[int], prime_seed: int
+) -> list[Fraction] | None:
+    """Exact resultant values at integer nodes, one pencil reduction per prime.
+
+    The Macaulay matrix is a pencil M(lambda) = F0 + lambda F1, and so is
+    its divisor M'.  At a shift c where A = M(c) and A' = M'(c) are
+    invertible mod p, M(lambda) = A (I + t N) with t = lambda - c and
+    N = A**-1 F1, so det M(lambda) = det A * t**n * charpoly(-N)(1/t), and
+    likewise for M'.  Macaulay's identity det M = Res * det M' holds as
+    polynomials in lambda, so with q = charpoly(-N) / charpoly(-N'),
+    monic of degree d = n - n',
+    Res(lambda) = det A / det A' * sum_j q_j t**(d - j) mod p.
+
+    Each node's residues are recombined under its own bound 2 * R**d,
+    R the largest absolute row sum of M at the node: by Canny the value
+    is the constant term of charpoly(M) / charpoly(M') up to sign, and
+    every root of that quotient is an eigenvalue of M (Gershgorin; see
+    _charpoly_quotient).  A later prime at which no shift works is
+    skipped.  Returns None when no shift works modulo the first prime,
+    as for hypergraph adjacency tensors, whose divisor vanishes
+    identically in lambda; the caller then evaluates each node with
+    _eval_point.
+    """
+    d = table.size - len(table.minor_rows)
+    full_at = _pencil_mod(table.rows, table.size)
+    minor_at = _pencil_mod(table.minor_rows, len(table.minor_rows))
+
+    def residues_mod(p: int) -> list[int] | None:
+        m0, m1 = minor_at(p)
+        full = None
+        for c in _SHIFTS:
+            # the divisor is smaller and is the one that fails, so try it first
+            det_minor, n_minor = _solve_mod_i64((m0 + c % p * m1) % p, m1, p)
+            if det_minor == 0:
+                continue
+            if full is None:
+                full = full_at(p)
+            f0, f1 = full
+            det_full, n_full = _solve_mod_i64((f0 + c % p * f1) % p, f1, p)
+            if det_full == 0:
+                continue
+            q = poly_divexact_mod(
+                charpoly_mod((-n_full % p).tolist(), p),
+                charpoly_mod((-n_minor % p).tolist(), p),
+                p,
+            )
+            scale = det_full * pow(det_minor, -1, p) % p
+            out = []
+            for lam in nodes:
+                t, acc = (lam - c) % p, 0
+                for coeff in q:  # q_0 multiplies t**d
+                    acc = (acc * t + coeff) % p
+                out.append(scale * acc % p)
+            return out
+        return None
+
+    index = prime_seed
+    first = residues_mod(nth_prime(index))
+    if first is None:
+        return None
+    bounds = [
+        2 * max((sum(abs(i0 + lam * i1) for _, i0, i1 in row) for row in table.rows),
+                default=0) ** d
+        for lam in nodes
+    ]
+    primes, residues = [nth_prime(index)], [first]
+    product = primes[0]
+    while product <= max(bounds):
+        # det M(c) and det M'(c) at the first prime's shift c are nonzero
+        # integers, so only the finitely many primes dividing them can fail
+        # every shift
+        index += 1
+        p = nth_prime(index)
+        res = residues_mod(p)
+        if res is not None:
+            primes.append(p)
+            residues.append(res)
+            product *= p
+    values = []
+    for j, bound in enumerate(bounds):
+        k, modulus = 1, primes[0]
+        while modulus <= bound:
+            modulus *= primes[k]
+            k += 1
+        value = symmetric_residue(
+            *crt_combine([res[j] for res in residues[:k]], primes[:k])
+        )
+        values.append(Fraction(value * table.scale_minor, table.scale_full))
+    return values
 
 
 def resultant_value(

@@ -105,6 +105,36 @@ def _det_mod_i64(a: np.ndarray, p: int) -> int:
     return det
 
 
+def _solve_mod_i64(
+    a: np.ndarray, b: np.ndarray, p: int
+) -> tuple[int, np.ndarray | None]:
+    """(det a, a**-1 @ b) mod p by Gauss-Jordan elimination on [a | b].
+
+    Operands are int64 arrays with entries already in [0, p); a singular
+    a gives (0, None).
+    """
+    n = a.shape[0]
+    aug = np.concatenate([a, b], axis=1)
+    det = 1
+    for col in range(n):
+        nz = np.nonzero(aug[col:, col])[0]
+        if nz.size == 0:
+            return 0, None
+        pivot_row = col + int(nz[0])
+        if pivot_row != col:
+            aug[[col, pivot_row]] = aug[[pivot_row, col]]
+            det = p - det
+        pivot = int(aug[col, col])
+        det = det * pivot % p
+        aug[col, col:] = aug[col, col:] * pow(pivot, -1, p) % p
+        rows = np.nonzero(aug[:, col])[0]
+        rows = rows[rows != col]
+        if rows.size:
+            factors = aug[rows, col]
+            aug[rows, col:] = (aug[rows, col:] - factors[:, None] * aug[col, col:]) % p
+    return det, aug[:, n:]
+
+
 def _matvec_mod(a: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
     """a @ v mod p for int64 operands in [0, p) with fewer than 2**16 terms.
 

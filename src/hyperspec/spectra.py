@@ -17,9 +17,18 @@ each prime and recombined by Chinese remaindering under a Gershgorin
 bound on the coefficients.
 
 The E-characteristic polynomial is computed by exact evaluation and
-interpolation: the system is linear in lambda, so each integer sample
-point costs two integer determinants, or a charpoly quotient where the
-divisor determinant vanishes (see macaulay).  The resultant is
+interpolation.  The system is linear in lambda, so its Macaulay matrix
+and the divisor are pencils M(lambda) = F0 + lambda F1 and M'(lambda).
+Modulo each prime, one shift c with A = M(c) and A' = M'(c) invertible
+gives every node at once: with t = lambda - c and N = A**-1 F1,
+Res(lambda) = det A / det A' * sum_j q_j t**(d - j), where
+q = charpoly(-N) / charpoly(-N') and d = n - n' (see macaulay).  Each
+node's value is recombined under its own Gershgorin bound 2 R**d, R the
+largest absolute row sum of M at the node.  Where no shift works modulo
+the first prime (the divisor of every hypergraph adjacency tensor tried
+vanishes identically in lambda), each node is evaluated on its own: two
+integer determinants, or a charpoly quotient where the divisor
+determinant vanishes.  The resultant is
 homogeneous of degree prod_{j != i} d_j in the coefficients of f_i
 (Macaulay 1902; Cox, Little & O'Shea, Using Algebraic Geometry, Ch. 3
 Thm 3.1), so its lambda-degree is at most D, the sum of those products
@@ -52,6 +61,7 @@ from .macaulay import (
     _charpoly_quotient,
     _eval_point,
     _FillTable,
+    _pencil_values,
     check_dim_cap,
     resultant_value,
 )
@@ -139,6 +149,15 @@ def _interpolated_resultant(
     If even_in_lambda, the resultant is known to be even in lambda; it is a
     polynomial of degree at most D/2 in mu = lambda**2, interpolated
     through the D/2 + 1 values at lambda = 0, 1, ..., D/2.
+
+    The node values come from one pencil reduction per prime: det M and
+    det M' of the pencils M(lambda) = F0 + lambda F1 and M'(lambda) are
+    reversed charpolys of A**-1 F1 and A'**-1 F1' around a shift c, and
+    Macaulay's identity det M = Res * det M' holds as polynomials in
+    lambda.  Each node is recombined under its own bound 2 R**d, R the
+    largest absolute row sum of M at the node, d = n - n'.  When no shift
+    makes both matrices invertible modulo the first prime, every node is
+    evaluated on its own by _eval_point instead.
     """
     check_dim_cap(lsys.nvars, lsys.degrees, cfg.dim_cap)
     bound = sum(
@@ -152,15 +171,16 @@ def _interpolated_resultant(
         )
     table = _FillTable(lsys)
     if even_in_lambda:
-        half = interpolate([
-            (lam * lam, _eval_point(table, lam, cfg.prime_seed))
-            for lam in range(bound // 2 + 1)
-        ])
+        nodes = list(range(bound // 2 + 1))
+    else:
+        nodes = list(itertools.islice(_abscissae(), bound + 1))
+    values = _pencil_values(table, nodes, cfg.prime_seed)
+    if values is None:
+        values = [_eval_point(table, lam, cfg.prime_seed) for lam in nodes]
+    if even_in_lambda:
+        half = interpolate([(lam * lam, v) for lam, v in zip(nodes, values)])
         return UniPoly(tuple(c for h in half.coeffs for c in (h, 0)))
-    nodes = itertools.islice(_abscissae(), bound + 1)
-    return interpolate(
-        [(lam, _eval_point(table, lam, cfg.prime_seed)) for lam in nodes]
-    )
+    return interpolate(list(zip(nodes, values)))
 
 
 def char_poly(a: Tensor, config: RunConfig | None = None) -> UniPoly:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -16,17 +17,20 @@ from hyperspec.errors import (
     NotSquareSystem,
 )
 from hyperspec.hypergraph import Hypergraph, adjacency_tensor
+from hyperspec import macaulay
 from hyperspec.macaulay import (
     LambdaSystem,
     PolySystem,
     _eval_point,
     _FillTable,
+    _pencil_values,
     macaulay_dim,
     monomial_basis,
     resultant_value,
 )
 from hyperspec.polynomial import MultiPoly, UniPoly
-from hyperspec.spectra import e_char_poly_system
+from hyperspec.spectra import _abscissae, e_char_poly_system
+from hyperspec.tensor import Tensor, symmetric_from_upper
 
 DATA = Path(__file__).parent / "data"
 
@@ -227,3 +231,95 @@ def test_dim_cap_enforced():
     with pytest.raises(CapExceeded):
         resultant_value(sys_, dim_cap=5)
     assert resultant_value(sys_, dim_cap=macaulay_dim(3, (2, 2, 2))) == 1
+
+
+def _e_char_nodes(order, dim):
+    # the nodes e_char_poly interpolates through: lambda = 0..D/2 for odd
+    # order, the first D + 1 of 0, 1, -1, ... for even order
+    bound = dim * (order - 1) ** (dim - 1)
+    if order % 2:
+        return list(range(bound + 1))
+    return list(itertools.islice(_abscissae(), bound + 1))
+
+
+def _seeded_tensor(rng, order, dim, *, rational, sparse):
+    # a dense tensor has no zero entry: a single zero, say the diagonal
+    # entry of an odd-order tensor, can make the divisor vanish identically
+    entries = []
+    for _ in range(dim**order):
+        if sparse and rng.random() < 0.6:
+            entries.append(Fraction(0))
+        else:
+            den = rng.choice((1, 2, 3)) if rational else 1
+            entries.append(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), den))
+    return Tensor(order, dim, tuple(entries))
+
+
+def test_pencil_matches_the_per_node_path():
+    # _eval_point evaluates each node with its own determinants, an
+    # independent path; order 3 in dimension 4 (Macaulay size 210) is
+    # checked at its largest node only, to keep the per-node side short
+    rng = random.Random(8117)
+    shapes = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)]
+    took_pencil = 0
+    for order, dim in shapes:
+        for rational, sparse in itertools.product((False, True), repeat=2):
+            a = _seeded_tensor(rng, order, dim, rational=rational, sparse=sparse)
+            table = _FillTable(e_char_poly_system(a))
+            nodes = _e_char_nodes(order, dim)
+            got = _pencil_values(table, nodes, 0)
+            if got is None:
+                # the fallback is reported only when no shift works
+                assert all(
+                    0 in map(det_exact_int, table.fill(c)) for c in macaulay._SHIFTS
+                ), (order, dim)
+                continue
+            took_pencil += 1
+            assert got == [_eval_point(table, lam, 0) for lam in nodes], (order, dim)
+    assert took_pencil >= 24
+    a = _seeded_tensor(rng, 3, 4, rational=True, sparse=False)
+    table = _FillTable(e_char_poly_system(a))
+    got = _pencil_values(table, _e_char_nodes(3, 4), 0)
+    assert got[16] == _eval_point(table, 16, 0)
+
+
+def test_pencil_where_the_divisor_vanishes_at_some_nodes():
+    # this order-4 tensor's divisor det M' vanishes at lambda = 0, 1 and 3
+    # but not identically, so shifts 0 and 1 fail, and the per-node path
+    # needs the generalized charpoly at those nodes
+    a = symmetric_from_upper(4, 3, {
+        (0, 0, 0, 0): 1, (0, 0, 1, 2): 2, (0, 1, 1, 1): -1,
+        (1, 1, 2, 2): 1, (2, 2, 2, 2): -2, (0, 0, 2, 2): 1,
+    })
+    table = _FillTable(e_char_poly_system(a))
+    nodes = _e_char_nodes(4, 3)
+    vanishing = [lam for lam in nodes if det_exact_int(table.fill(lam)[1]) == 0]
+    assert {0, 1, 3} <= set(vanishing) and len(vanishing) < len(nodes)
+    assert _pencil_values(table, nodes, 0) == [
+        _eval_point(table, lam, 0) for lam in nodes
+    ]
+
+
+def test_pencil_shift_on_and_off_the_nodes(monkeypatch):
+    # t = lambda - c is zero at a node equal to the shift; the values must
+    # not depend on which shift the reduction used, nor on the primes
+    rng = random.Random(8123)
+    a = _seeded_tensor(rng, 3, 3, rational=True, sparse=False)
+    table = _FillTable(e_char_poly_system(a))
+    nodes = _e_char_nodes(3, 3)
+    expected = [_eval_point(table, lam, 0) for lam in nodes]
+    for shifts in ((5,), (-7,), (12,), (40, 5)):
+        monkeypatch.setattr(macaulay, "_SHIFTS", shifts)
+        for seed in (0, 3):
+            assert _pencil_values(table, nodes, seed) == expected, shifts
+
+
+def test_pencil_reports_the_fallback_for_hypergraphs():
+    # adjacency tensors of the single edge and of K4^(3): the divisor
+    # vanishes identically in lambda, so no shift works
+    k4 = list(itertools.combinations(range(1, 5), 3))
+    for n, edges in ((3, [(1, 2, 3)]), (4, k4)):
+        lsys = e_char_poly_system(adjacency_tensor(Hypergraph.from_edges(n, 3, edges)))
+        table = _FillTable(lsys)
+        assert _pencil_values(table, _e_char_nodes(3, n), 0) is None
+        assert all(det_exact_int(table.fill(lam)[1]) == 0 for lam in range(-3, 4))

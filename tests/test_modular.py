@@ -5,12 +5,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from oracles import classical_char_poly
 
 from hyperspec.errors import BadPrime, InputError, MathError
 from hyperspec.modular import (
     PRIME_LIMIT,
+    _solve_mod_i64,
     charpoly_mod,
     crt_combine,
     det_mod,
@@ -81,6 +83,33 @@ def test_det_mod_matches_bareiss_random():
         d = bareiss_det(rows)
         p = nth_prime(trial % 4)
         assert det_mod(rows, p) == d % p
+
+
+def test_solve_mod_matches_det_and_inverts():
+    # (det a, a**-1 b) mod p: det against Bareiss, the solution by a @ x == b
+    from hyperspec.determinants import bareiss_det
+
+    rng = random.Random(101)
+    singular = 0
+    for trial in range(40):
+        n, k = rng.randrange(1, 8), rng.randrange(1, 8)
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if trial % 5 == 0:
+            rows[-1] = [2 * v for v in rows[0]]  # forced singular
+        p = nth_prime(trial % 3)
+        a = np.array(rows, dtype=np.int64) % p
+        b = np.array([[rng.randrange(p) for _ in range(k)] for _ in range(n)],
+                     dtype=np.int64)
+        det, x = _solve_mod_i64(a, b, p)
+        assert det == bareiss_det(rows) % p
+        if det == 0:
+            singular += 1
+            assert x is None
+            continue
+        product = [[sum(int(a[i, m]) * int(x[m, j]) for m in range(n)) % p
+                    for j in range(k)] for i in range(n)]
+        assert product == b.tolist()
+    assert singular >= 8
 
 
 def test_crt_combine_pair():

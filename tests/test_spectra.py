@@ -137,36 +137,45 @@ def test_e_char_degree_bound_holds_off_the_nodes():
             assert raw.evaluate(Fraction(lam)) == spectra._eval_point(table, lam, 0)
 
 
-def _count_points(monkeypatch):
+def _record(monkeypatch, name, extract):
     calls = []
-    inner = spectra._eval_point
+    inner = getattr(spectra, name)
 
-    def counting(table, lam, prime_seed):
-        calls.append(lam)
-        return inner(table, lam, prime_seed)
+    def recording(*args):
+        calls.append(extract(args))
+        return inner(*args)
 
-    monkeypatch.setattr(spectra, "_eval_point", counting)
+    monkeypatch.setattr(spectra, name, recording)
     return calls
 
 
 def test_e_char_samples_the_degree_bound_plus_one(monkeypatch):
-    # even order samples D + 1 nodes 0, 1, -1, ...; odd order is even in
-    # lambda and samples only lambda = 0..D/2 (D = 24 for order 3,
-    # dimension 3 and D = 16 for order 5, dimension 2)
+    # even order interpolates through D + 1 nodes 0, 1, -1, ...; odd order
+    # is even in lambda and interpolates in lambda**2 through lambda =
+    # 0..D/2 (D = 24 for order 3, dimension 3 and D = 16 for order 5,
+    # dimension 2).  The other tensors get every node value from the pencil;
+    # the divisors of the single edge and of the sparse order-3 tensor
+    # vanish identically, so those evaluate each node on its own
     order_three = symmetric_from_upper(3, 3, {
         (0, 0, 0): 1, (0, 1, 2): -1, (1, 1, 2): 2, (2, 2, 2): -1,
     })
+    squares = [lam * lam for lam in range(13)]
     cases = [
-        (_single_edge(), list(range(13))),
-        (order_three, list(range(13))),
-        (_random_rational_tensor(random.Random(421), 3, 3), list(range(13))),
-        (_order_four_integer(), list(itertools.islice(spectra._abscissae(), 28))),
-        (_random_rational_tensor(random.Random(423), 5, 2), list(range(9))),
+        (_single_edge(), squares, list(range(13))),
+        (order_three, squares, list(range(13))),
+        (_random_rational_tensor(random.Random(421), 3, 3), squares, []),
+        (_order_four_integer(),
+         list(itertools.islice(spectra._abscissae(), 28)), []),
+        (_random_rational_tensor(random.Random(423), 5, 2),
+         [lam * lam for lam in range(9)], []),
     ]
-    for a, nodes in cases:
-        calls = _count_points(monkeypatch)
+    for a, abscissae, per_node in cases:
+        handed = _record(monkeypatch, "interpolate",
+                         lambda args: [x for x, _ in args[0]])
+        evaluated = _record(monkeypatch, "_eval_point", lambda args: args[1])
         e_char_poly(a, normalize=False)
-        assert calls == nodes
+        assert handed == [abscissae]
+        assert evaluated == per_node
         monkeypatch.undo()
 
 
