@@ -28,7 +28,7 @@ from math import comb
 from typing import Callable, Iterable, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import CapExceeded, DimMismatch, DivisionByZero, InputError
+from .errors import BadSize, CapExceeded, DimMismatch, DivisionByZero, InputError
 from .hypergraph import (
     Hypergraph,
     adjacency_tensor,
@@ -221,6 +221,8 @@ def _universe_polys(
     precedence) and the watermark, and is rewritten whenever the cache
     grows and once at the end.
     """
+    if k < 1 or n < k:
+        raise BadSize(f"need 1 <= k <= n, got n={n} k={k}")
     slots = comb(n, k)
     if slots > cfg.enumerate_cap:
         raise CapExceeded(f"{slots} candidate edges exceed the enumeration cap")
@@ -445,7 +447,11 @@ def simplex_destruction_min(
     cfg = config if config is not None else DEFAULT_CONFIG
     from itertools import combinations
 
+    if k < 1 or n < k:
+        raise BadSize(f"need 1 <= k <= n, got n={n} k={k}")
     slots = comb(n, k)
+    if r < 1 or slots < r:
+        raise BadSize(f"need 1 <= r <= C(n, k) = {slots}, got r={r}")
     work = comb(slots, r) * comb(n, k + 1)
     if work > cfg.brute_force_cap:
         raise CapExceeded(f"estimated work {work} exceeds cap {cfg.brute_force_cap}")

@@ -2,9 +2,10 @@
 
 Every cap exists to keep exact arithmetic from silently starting a
 multi-day computation; callers raise the caps deliberately.  The prime
-seed offsets the deterministic modulus list used by modular
-determinants; any seed yields the same final rational values, so it is
-a reproducibility control, not a correctness one.  Every computation
+seed offsets the deterministic modulus list from which every exact value
+is recombined (modular.crt_values); any seed yields the same final
+rational values, so it is a reproducibility control, not a correctness
+one.  Every computation
 runs in the calling thread; there is no worker-count knob.
 """
 

@@ -12,12 +12,14 @@ Every resultant goes through one integer path.  A system whose
 coefficients are linear in a parameter lambda is tabulated once with
 its rows scaled to integers.  Its values at many integer lambdas come
 from one pencil reduction per prime (_pencil_values); one integer
-lambda costs two integer determinants (_eval_point).  A numeric system
-is the lambda-free case, evaluated at lambda = 0.  det(M') vanishes for
-many sparse systems; there the value comes from Canny's generalized
-characteristic polynomial (J. Symbolic Comput. 9, 1990) instead: the
-quotient charpoly(M) / charpoly(M') has a monic divisor, and its
-constant term is the resultant up to sign.
+lambda costs det(M) / det(M') modulo each prime (_eval_point).  A
+numeric system is the lambda-free case, evaluated at lambda = 0.
+det(M') vanishes for many sparse systems; there the value comes from
+Canny's generalized characteristic polynomial (J. Symbolic Comput. 9,
+1990) instead: the quotient charpoly(M) / charpoly(M') has a monic
+divisor, and its constant term is the resultant up to sign.  Every
+exact value is recombined by modular.crt_values under a Gershgorin
+bound: each root of that quotient is an eigenvalue of M.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .determinants import det_exact_int
 from .errors import (
     CapExceeded,
     DimMismatch,
@@ -40,13 +41,11 @@ from .errors import (
     NotSquareSystem,
 )
 from .modular import (
+    _det_mod_i64,
     _solve_mod_i64,
     charpoly_mod,
-    crt_combine,
-    nth_prime,
+    crt_values,
     poly_divexact_mod,
-    primes_for_bound,
-    symmetric_residue,
 )
 from .polynomial import MultiPoly
 
@@ -163,6 +162,27 @@ class LambdaSystem:
         return PolySystem(self.nvars, polys, self.degrees)
 
 
+def _pencil_mod(
+    rows: list[list[tuple[int, int, int]]], size: int
+) -> Callable[[int], tuple[np.ndarray, np.ndarray]]:
+    """p -> (F0 mod p, F1 mod p) for sparse rows of (column, i0, i1) terms."""
+    r = np.array([i for i, terms in enumerate(rows) for _ in terms], dtype=np.intp)
+    c = np.array([col for terms in rows for col, _, _ in terms], dtype=np.intp)
+    i0 = [t[1] for terms in rows for t in terms]
+    i1 = [t[2] for terms in rows for t in terms]
+    dtype = object if any(abs(v) >= 1 << 62 for v in i0 + i1) else np.int64
+    i0a, i1a = np.array(i0, dtype=dtype), np.array(i1, dtype=dtype)
+
+    def at(p: int) -> tuple[np.ndarray, np.ndarray]:
+        f0 = np.zeros((size, size), dtype=np.int64)
+        f1 = np.zeros((size, size), dtype=np.int64)
+        f0[r, c] = i0a % p
+        f1[r, c] = i1a % p
+        return f0, f1
+
+    return at
+
+
 class _FillTable:
     """Integer evaluation tables for one lambda-linear system.
 
@@ -215,6 +235,15 @@ class _FillTable:
         self.scale_minor = 1
         for r in structure.nonreduced:
             self.scale_minor *= poly_scale[structure.assignment[r]]
+        self.full_at = _pencil_mod(self.rows, self.size)
+        self.minor_at = _pencil_mod(self.minor_rows, len(self.minor_rows))
+
+    def radius(self, lam: int) -> int:
+        """Largest absolute row sum of M(lam), a bound on its eigenvalues."""
+        return max(
+            (sum(abs(i0 + lam * i1) for _, i0, i1 in row) for row in self.rows),
+            default=0,
+        )
 
     def vanishing_poly(self, lam: int) -> bool:
         for terms in self.poly_terms:
@@ -246,66 +275,52 @@ def _charpoly_quotient(
 
     Every root of the quotient is an eigenvalue of full, so by Gershgorin
     its absolute value is at most R, the largest absolute row sum, and
-    the coefficient of x**j is at most C(d, j) * R**(d - j); the primes
-    cover twice that bound.
+    the coefficient of x**j is at most C(d, j) * R**(d - j).
     """
     d = len(full) - len(minor)
     radius = max((sum(abs(v) for v in row) for row in full), default=0)
-    bound = max(comb(d, j) * radius ** (d - j) for j in range(d + 1))
-    primes = primes_for_bound(2 * bound, seed=prime_seed)
-    residues = [
-        poly_divexact_mod(charpoly_mod(full, p), charpoly_mod(minor, p), p)
-        for p in primes
-    ]
-    return [
-        symmetric_residue(*crt_combine(column, primes)) for column in zip(*residues)
-    ]
+    return crt_values(
+        lambda p: poly_divexact_mod(charpoly_mod(full, p), charpoly_mod(minor, p), p),
+        [comb(d, j) * radius ** (d - j) for j in range(d + 1)],
+        prime_seed,
+    )
 
 
 def _eval_point(table: _FillTable, lam: int, prime_seed: int) -> Fraction:
     """Exact resultant value at one integer lambda.
 
-    When det(M') vanishes, the value is the generalized characteristic
-    polynomial's constant term: perturbing each scaled polynomial by
-    -s * x_i**d_i subtracts s from the diagonal of M and M', so
-    Res(F - s x^d) = (-1)**(N - N') * charpoly(M) / charpoly(M'), whose
-    monic divisor never vanishes, and Res(F) is that quotient at s = 0.
+    Where det(M') is nonzero, the value is det(M) / det(M'), computed
+    modulo each prime; a prime dividing det(M') is skipped.  It is
+    bounded by R**d, R the largest absolute row sum of M and d = N - N',
+    because it is, up to sign, the constant term of the quotient below.
+    When det(M') vanishes modulo the first prime, the value is the
+    generalized characteristic polynomial's constant term: perturbing
+    each scaled polynomial by -s * x_i**d_i subtracts s from the diagonal
+    of M and M', so Res(F - s x^d) = (-1)**(N - N') * charpoly(M) /
+    charpoly(M'), whose monic divisor never vanishes, and Res(F) is that
+    quotient at s = 0.
     """
     if table.vanishing_poly(lam):
         return Fraction(0)
-    full, minor = table.fill(lam)
-    det_minor = det_exact_int(minor, prime_seed=prime_seed)
-    if det_minor != 0:
-        det_full = det_exact_int(full, prime_seed=prime_seed)
-        return Fraction(det_full * table.scale_minor, det_minor * table.scale_full)
-    constant = _charpoly_quotient(full, minor, prime_seed)[0]
-    sign = (-1) ** (len(full) - len(minor))
-    return Fraction(sign * constant * table.scale_minor, table.scale_full)
+
+    def quotient_mod(p: int) -> list[int] | None:
+        m0, m1 = table.minor_at(p)
+        det_minor = _det_mod_i64((m0 + lam % p * m1) % p, p)
+        if det_minor == 0:
+            return None
+        f0, f1 = table.full_at(p)
+        return [_det_mod_i64((f0 + lam % p * f1) % p, p) * pow(det_minor, -1, p) % p]
+
+    d = table.size - len(table.minor_rows)
+    value = crt_values(quotient_mod, [table.radius(lam) ** d], prime_seed)
+    if value is None:
+        full, minor = table.fill(lam)
+        value = [(-1) ** d * _charpoly_quotient(full, minor, prime_seed)[0]]
+    return Fraction(value[0] * table.scale_minor, table.scale_full)
 
 
 # base points c tried, in order, for the pencil reduction modulo one prime
 _SHIFTS = (0, 1, -1, 2, -2)
-
-
-def _pencil_mod(
-    rows: list[list[tuple[int, int, int]]], size: int
-) -> Callable[[int], tuple[np.ndarray, np.ndarray]]:
-    """p -> (F0 mod p, F1 mod p) for sparse rows of (column, i0, i1) terms."""
-    r = np.array([i for i, terms in enumerate(rows) for _ in terms], dtype=np.intp)
-    c = np.array([col for terms in rows for col, _, _ in terms], dtype=np.intp)
-    i0 = [t[1] for terms in rows for t in terms]
-    i1 = [t[2] for terms in rows for t in terms]
-    dtype = object if any(abs(v) >= 1 << 62 for v in i0 + i1) else np.int64
-    i0a, i1a = np.array(i0, dtype=dtype), np.array(i1, dtype=dtype)
-
-    def at(p: int) -> tuple[np.ndarray, np.ndarray]:
-        f0 = np.zeros((size, size), dtype=np.int64)
-        f1 = np.zeros((size, size), dtype=np.int64)
-        f0[r, c] = i0a % p
-        f1[r, c] = i1a % p
-        return f0, f1
-
-    return at
 
 
 def _pencil_values(
@@ -322,22 +337,19 @@ def _pencil_values(
     monic of degree d = n - n',
     Res(lambda) = det A / det A' * sum_j q_j t**(d - j) mod p.
 
-    Each node's residues are recombined under its own bound 2 * R**d,
-    R the largest absolute row sum of M at the node: by Canny the value
-    is the constant term of charpoly(M) / charpoly(M') up to sign, and
-    every root of that quotient is an eigenvalue of M (Gershgorin; see
-    _charpoly_quotient).  A later prime at which no shift works is
-    skipped.  Returns None when no shift works modulo the first prime,
-    as for hypergraph adjacency tensors, whose divisor vanishes
-    identically in lambda; the caller then evaluates each node with
-    _eval_point.
+    Each node's residues are recombined under its own bound R**d, R the
+    largest absolute row sum of M at the node (see _eval_point).  A later
+    prime at which no shift works is skipped: det M(c) and det M'(c) at
+    the first prime's shift c are nonzero integers, so only the finitely
+    many primes dividing them can fail every shift.  Returns None when no
+    shift works modulo the first prime, as for hypergraph adjacency
+    tensors, whose divisor vanishes identically in lambda; the caller
+    then evaluates each node with _eval_point.
     """
     d = table.size - len(table.minor_rows)
-    full_at = _pencil_mod(table.rows, table.size)
-    minor_at = _pencil_mod(table.minor_rows, len(table.minor_rows))
 
     def residues_mod(p: int) -> list[int] | None:
-        m0, m1 = minor_at(p)
+        m0, m1 = table.minor_at(p)
         full = None
         for c in _SHIFTS:
             # the divisor is smaller and is the one that fails, so try it first
@@ -345,7 +357,7 @@ def _pencil_values(
             if det_minor == 0:
                 continue
             if full is None:
-                full = full_at(p)
+                full = table.full_at(p)
             f0, f1 = full
             det_full, n_full = _solve_mod_i64((f0 + c % p * f1) % p, f1, p)
             if det_full == 0:
@@ -365,39 +377,10 @@ def _pencil_values(
             return out
         return None
 
-    index = prime_seed
-    first = residues_mod(nth_prime(index))
-    if first is None:
+    values = crt_values(residues_mod, [table.radius(lam) ** d for lam in nodes], prime_seed)
+    if values is None:
         return None
-    bounds = [
-        2 * max((sum(abs(i0 + lam * i1) for _, i0, i1 in row) for row in table.rows),
-                default=0) ** d
-        for lam in nodes
-    ]
-    primes, residues = [nth_prime(index)], [first]
-    product = primes[0]
-    while product <= max(bounds):
-        # det M(c) and det M'(c) at the first prime's shift c are nonzero
-        # integers, so only the finitely many primes dividing them can fail
-        # every shift
-        index += 1
-        p = nth_prime(index)
-        res = residues_mod(p)
-        if res is not None:
-            primes.append(p)
-            residues.append(res)
-            product *= p
-    values = []
-    for j, bound in enumerate(bounds):
-        k, modulus = 1, primes[0]
-        while modulus <= bound:
-            modulus *= primes[k]
-            k += 1
-        value = symmetric_residue(
-            *crt_combine([res[j] for res in residues[:k]], primes[:k])
-        )
-        values.append(Fraction(value * table.scale_minor, table.scale_full))
-    return values
+    return [Fraction(v * table.scale_minor, table.scale_full) for v in values]
 
 
 def resultant_value(

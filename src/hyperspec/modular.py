@@ -6,13 +6,15 @@ elimination and Hessenberg reduction run vectorized in int64: products
 of two reduced values stay under 2**62, safely inside the int64 range.
 A seed offset picks a different window of the same list; the
 recombined value is the same for every seed, which makes
-cross-seed agreement a cheap consistency check.
+cross-seed agreement a cheap consistency check.  Every exact value goes
+through one prime loop, crt_values: the caller supplies the residues
+modulo one prime and a rigorous bound on each value's absolute size.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -64,21 +66,6 @@ def nth_prime(index: int) -> int:
     if index >= len(_PRIMES):
         _extend_primes(index + 1)
     return _PRIMES[index]
-
-
-def primes_for_bound(bound: int, seed: int = 0) -> list[int]:
-    """Moduli starting at offset ``seed`` whose product exceeds ``bound``."""
-    if bound < 1:
-        bound = 1
-    out: list[int] = []
-    product = 1
-    index = seed
-    while product <= bound:
-        p = nth_prime(index)
-        out.append(p)
-        product *= p
-        index += 1
-    return out
 
 
 def _det_mod_i64(a: np.ndarray, p: int) -> int:
@@ -193,18 +180,6 @@ def _check_prime(p: int) -> None:
         raise BadPrime(f"modulus must be an odd prime below 2**31, got {p}")
 
 
-def det_mod(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Determinant of an integer matrix modulo an odd prime below 2**31."""
-    _check_prime(p)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise InputError("matrix must be square")
-    if n == 0:
-        return 1 % p
-    a = np.array([[int(v) % p for v in row] for row in rows], dtype=np.int64)
-    return _det_mod_i64(a, p)
-
-
 def charpoly_mod(rows: Sequence[Sequence[int]], p: int) -> list[int]:
     """Ascending coefficients of det(x*I - A) for an integer matrix, mod p.
 
@@ -265,3 +240,43 @@ def symmetric_residue(r: int, m: int) -> int:
     """Representative of r mod m in (-m/2, m/2]."""
     r %= m
     return r - m if r > m // 2 else r
+
+
+def crt_values(
+    residues_mod: Callable[[int], Sequence[int] | None],
+    bounds: Sequence[int],
+    seed: int = 0,
+) -> list[int] | None:
+    """Integers v_j with |v_j| <= bounds[j], from their residues mod primes.
+
+    residues_mod(p) gives every v_j mod p, or None to skip p.  Primes are
+    taken from the fixed list from offset seed on until the product of
+    those not skipped exceeds twice the largest bound; each v_j is
+    recombined from the shortest prefix whose product exceeds twice its
+    own bound.  Returns None when the first prime is skipped, so that the
+    caller can take another route; the caller must skip only finitely
+    many later primes.
+    """
+    primes: list[int] = []
+    residues: list[Sequence[int]] = []
+    index, product, target = seed, 1, 2 * max(bounds)
+    while not primes or product <= target:
+        p = nth_prime(index)
+        index += 1
+        res = residues_mod(p)
+        if res is None:
+            if not primes:
+                return None
+            continue
+        primes.append(p)
+        residues.append(res)
+        product *= p
+    values = []
+    for j, bound in enumerate(bounds):
+        k, modulus = 1, primes[0]
+        while modulus <= 2 * bound:
+            modulus *= primes[k]
+            k += 1
+        combined = crt_combine([res[j] for res in residues[:k]], primes[:k])
+        values.append(symmetric_residue(*combined))
+    return values

@@ -26,9 +26,9 @@ q = charpoly(-N) / charpoly(-N') and d = n - n' (see macaulay).  Each
 node's value is recombined under its own Gershgorin bound 2 R**d, R the
 largest absolute row sum of M at the node.  Where no shift works modulo
 the first prime (the divisor of every hypergraph adjacency tensor tried
-vanishes identically in lambda), each node is evaluated on its own: two
-integer determinants, or a charpoly quotient where the divisor
-determinant vanishes.  The resultant is
+vanishes identically in lambda), each node is evaluated on its own:
+det M / det M' modulo each prime, or a charpoly quotient where the
+divisor determinant vanishes modulo the first prime.  The resultant is
 homogeneous of degree prod_{j != i} d_j in the coefficients of f_i
 (Macaulay 1902; Cox, Little & O'Shea, Using Algebraic Geometry, Ch. 3
 Thm 3.1), so its lambda-degree is at most D, the sum of those products

@@ -283,6 +283,27 @@ def test_simplex_bound(capsys):
     assert payload["matches_expected"] is True
 
 
+@pytest.mark.parametrize(
+    "n, k, r",
+    [(6, 3, 0), (0, 0, 0), (6, 3, -1), (4, 2, 10), (2, 3, 1)],
+)
+def test_simplex_bound_rejects_impossible_sizes(capsys, n, k, r):
+    # r must count edges of the complete hypergraph: 1 <= k <= n and
+    # 1 <= r <= C(n, k)
+    code, out, err = _run(
+        capsys, ["simplex-bound", "--n", str(n), "--k", str(k), "--r", str(r)]
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("BadSize")
+
+
+@pytest.mark.parametrize("n, k", [(-1, 2), (4, -1)])
+def test_invariant_scan_rejects_impossible_sizes(capsys, n, k):
+    code, out, err = _run(capsys, ["invariant-scan", "--n", str(n), "--k", str(k)])
+    assert (code, out) == (2, "")
+    assert err.startswith("BadSize")
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = _run(capsys, ["charpoly", "/nonexistent/x.hg"])
     assert code == 2

@@ -9,8 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 
-from hyperspec.determinants import det_exact_int
 from hyperspec.errors import (
     CapExceeded,
     NotHomogeneous,
@@ -18,6 +18,7 @@ from hyperspec.errors import (
 )
 from hyperspec.hypergraph import Hypergraph, adjacency_tensor
 from hyperspec import macaulay
+from hyperspec.modular import nth_prime
 from hyperspec.macaulay import (
     LambdaSystem,
     PolySystem,
@@ -42,6 +43,11 @@ def _poly(nvars, terms):
 def _system(polys):
     nvars = polys[0].nvars
     return PolySystem(nvars, tuple(polys), tuple(p.total_degree() for p in polys))
+
+
+def _exact_det(rows):
+    # sympy's fraction-free elimination, independent of the modular kernels
+    return sympy.Matrix(rows).det(method="bareiss")
 
 
 def _binary_quadratic(a, b, c):
@@ -72,7 +78,7 @@ def test_linear_system_reduces_to_determinant():
     table = _FillTable(LambdaSystem.constant(sys_))
     assert table.minor_rows == []  # nothing to divide out in degree one
     full, _ = table.fill(0)
-    assert det_exact_int(full) == a * d - b * c
+    assert _exact_det(full) == a * d - b * c
     assert resultant_value(sys_) == a * d - b * c
 
 
@@ -153,10 +159,10 @@ def test_degenerate_plain_system_is_rescued_by_a_variant():
     h = Hypergraph.from_edges(3, 3, [(1, 2, 3)])
     lsys = e_char_poly_system(adjacency_tensor(h))
     table = _FillTable(lsys)
-    assert det_exact_int(table.fill(1)[1]) == 0
+    assert _exact_det(table.fill(1)[1]) == 0
     assert _eval_point(table, 1, 0) == -16
     plain = _FillTable(LambdaSystem.constant(lsys.at(Fraction(1))))
-    assert det_exact_int(plain.fill(0)[1]) == 0
+    assert _exact_det(plain.fill(0)[1]) == 0
     assert _eval_point(plain, 0, 0) == -16
     assert resultant_value(lsys.at(Fraction(1))) == -16
 
@@ -169,7 +175,7 @@ def test_degenerate_points_match_the_golden_e_char():
     h = Hypergraph.from_edges(3, 3, [(1, 2, 3)])
     table = _FillTable(e_char_poly_system(adjacency_tensor(h)))
     for lam in range(-24, 25):
-        assert det_exact_int(table.fill(lam)[1]) == 0
+        assert _exact_det(table.fill(lam)[1]) == 0
         assert _eval_point(table, lam, 0) == raw.evaluate(lam)
 
 
@@ -183,7 +189,7 @@ def test_permuted_pure_powers_give_one():
         ]
     )
     table = _FillTable(LambdaSystem.constant(sys_))
-    assert det_exact_int(table.fill(0)[1]) == 0
+    assert _exact_det(table.fill(0)[1]) == 0
     assert resultant_value(sys_) == 1
 
 
@@ -215,7 +221,7 @@ def test_resultant_is_multiplicative():
         )
         assert resultant_value(product) == expected
         full, minor = _FillTable(LambdaSystem.constant(product)).fill(0)
-        if expected != 0 and det_exact_int(minor) == 0:
+        if expected != 0 and _exact_det(minor) == 0:
             degenerate[(len(full) - len(minor)) % 2] += 1
     assert min(degenerate.values()) >= 5
 
@@ -256,12 +262,13 @@ def _seeded_tensor(rng, order, dim, *, rational, sparse):
 
 
 def test_pencil_matches_the_per_node_path():
-    # _eval_point evaluates each node with its own determinants, an
-    # independent path; order 3 in dimension 4 (Macaulay size 210) is
-    # checked at its largest node only, to keep the per-node side short
+    # _eval_point evaluates each node with its own determinants, a path
+    # that shares only crt_values with the pencil; order 3 in dimension 4
+    # (Macaulay size 210) is checked at its largest node only, to keep the
+    # per-node side short
     rng = random.Random(8117)
     shapes = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)]
-    took_pencil = 0
+    took_pencil = exact = 0
     for order, dim in shapes:
         for rational, sparse in itertools.product((False, True), repeat=2):
             a = _seeded_tensor(rng, order, dim, rational=rational, sparse=sparse)
@@ -271,16 +278,47 @@ def test_pencil_matches_the_per_node_path():
             if got is None:
                 # the fallback is reported only when no shift works
                 assert all(
-                    0 in map(det_exact_int, table.fill(c)) for c in macaulay._SHIFTS
+                    0 in map(_exact_det, table.fill(c)[::-1]) for c in macaulay._SHIFTS
                 ), (order, dim)
                 continue
             took_pencil += 1
             assert got == [_eval_point(table, lam, 0) for lam in nodes], (order, dim)
-    assert took_pencil >= 24
+            if (order, dim) in ((3, 2), (4, 3)) and not sparse:
+                # sympy's exact det M / det M' is an oracle outside
+                # crt_values
+                for lam in (nodes[1], nodes[-1]):
+                    full, minor = table.fill(lam)
+                    quotient = Fraction(int(_exact_det(full)), int(_exact_det(minor)))
+                    scale = Fraction(table.scale_minor, table.scale_full)
+                    assert got[nodes.index(lam)] == quotient * scale, (order, dim, lam)
+                    exact += 1
+    assert took_pencil >= 24 and exact == 8
     a = _seeded_tensor(rng, 3, 4, rational=True, sparse=False)
     table = _FillTable(e_char_poly_system(a))
     got = _pencil_values(table, _e_char_nodes(3, 4), 0)
     assert got[16] == _eval_point(table, 16, 0)
+
+
+def test_divisor_that_vanishes_modulo_one_prime():
+    # the divisor rows are z^2 f2, z^2 f1 and y^2 f1 on the columns y^2 z^2,
+    # x^2 z^2, x^2 y^2, so det M' = a (a g - b e) with a, b the x^2, y^2
+    # coefficients of f1 and e, g the x^2, y^2 coefficients of f2.  With
+    # a = 1, b = 0 and g prime, det M' = g is nonzero but vanishes modulo
+    # g: where g is the first prime the point takes the generalized
+    # charpoly branch, and where g comes later that prime is skipped
+    for index in (0, 1):
+        g = nth_prime(index)
+        system = _system([
+            _poly(3, {(2, 0, 0): 1, (1, 1, 0): 2, (0, 0, 2): 3, (0, 1, 1): -1}),
+            _poly(3, {(0, 2, 0): g, (2, 0, 0): 5, (1, 0, 1): 1}),
+            _poly(3, {(0, 0, 2): 1, (1, 1, 0): 1, (0, 2, 0): -2}),
+        ])
+        full, minor = _FillTable(LambdaSystem.constant(system)).fill(0)
+        assert _exact_det(minor) == g
+        expected = Fraction(int(_exact_det(full)), g)
+        assert expected != 0
+        for seed in range(index + 2):
+            assert resultant_value(system, prime_seed=seed) == expected, (g, seed)
 
 
 def test_pencil_where_the_divisor_vanishes_at_some_nodes():
@@ -293,7 +331,7 @@ def test_pencil_where_the_divisor_vanishes_at_some_nodes():
     })
     table = _FillTable(e_char_poly_system(a))
     nodes = _e_char_nodes(4, 3)
-    vanishing = [lam for lam in nodes if det_exact_int(table.fill(lam)[1]) == 0]
+    vanishing = [lam for lam in nodes if _exact_det(table.fill(lam)[1]) == 0]
     assert {0, 1, 3} <= set(vanishing) and len(vanishing) < len(nodes)
     assert _pencil_values(table, nodes, 0) == [
         _eval_point(table, lam, 0) for lam in nodes
@@ -322,4 +360,4 @@ def test_pencil_reports_the_fallback_for_hypergraphs():
         lsys = e_char_poly_system(adjacency_tensor(Hypergraph.from_edges(n, 3, edges)))
         table = _FillTable(lsys)
         assert _pencil_values(table, _e_char_nodes(3, n), 0) is None
-        assert all(det_exact_int(table.fill(lam)[1]) == 0 for lam in range(-3, 4))
+        assert all(_exact_det(table.fill(lam)[1]) == 0 for lam in range(-3, 4))

@@ -7,19 +7,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import classical_char_poly
+from oracles import classical_char_poly, int_det
 
 from hyperspec.errors import BadPrime, InputError, MathError
 from hyperspec.modular import (
     PRIME_LIMIT,
+    _det_mod_i64,
     _solve_mod_i64,
     charpoly_mod,
     crt_combine,
-    det_mod,
+    crt_values,
     is_prime,
     nth_prime,
     poly_divexact_mod,
-    primes_for_bound,
     symmetric_residue,
 )
 from hyperspec.polynomial import UniPoly
@@ -45,50 +45,69 @@ def test_prime_list_descends_below_limit():
     assert all(is_prime(nth_prime(i)) for i in range(5))
 
 
-def test_primes_for_bound_product_exceeds():
-    bound = 10**40
-    chosen = primes_for_bound(bound)
+def _det_mod(rows, p):
+    return _det_mod_i64(np.array(rows, dtype=np.int64).reshape(len(rows), -1) % p, p)
+
+
+def test_crt_values_covers_each_bound_with_the_shortest_prefix():
+    values = [10**40, -(10**40), 7, 0]
+    seen = []
+
+    def residues_mod(p):
+        seen.append(p)
+        return [v % p for v in values]
+
+    assert crt_values(residues_mod, [abs(v) for v in values]) == values
     product = 1
-    for p in chosen:
+    for p in seen:
         product *= p
-    assert product > bound
-    # dropping the last prime must fall below the bound: no padding
-    shrunk = product // chosen[-1]
-    assert shrunk <= bound
+    # the primes cover twice the largest bound, and one prime fewer would not
+    assert product > 2 * 10**40 >= product // seen[-1]
+    assert seen == [nth_prime(i) for i in range(len(seen))]
+    # a value at its bound is recovered with its sign
+    assert crt_values(lambda p: [-nth_prime(0) % p], [nth_prime(0)]) == [-nth_prime(0)]
 
 
-def test_primes_for_bound_seed_offsets_window():
-    assert primes_for_bound(10**9, seed=0) != primes_for_bound(10**9, seed=3)
-    assert primes_for_bound(10**9, seed=3) == primes_for_bound(10**9, seed=3)
+def test_crt_values_skips_primes_and_offsets_by_seed():
+    value = 3 * 10**40 + 1  # five primes from either seed
+    divisor = nth_prime(4)  # the residue callback refuses this prime
+
+    def residues_mod(p):
+        return None if p == divisor else [value % p]
+
+    for seed in (0, 3):
+        seen = []
+
+        def logged(p):
+            seen.append(p)
+            return residues_mod(p)
+
+        assert crt_values(logged, [value], seed) == [value]
+        assert seen[0] == nth_prime(seed) and divisor in seen
+    # a refused first prime is reported, not skipped
+    assert crt_values(residues_mod, [value], 4) is None
 
 
 def test_det_mod_known():
-    assert det_mod([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 7) == 1
-    assert det_mod([[1, 2], [3, 4]], 5) == 3  # -2 mod 5
-    assert det_mod([[1, 2], [2, 4]], 11) == 0
+    assert _det_mod([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 7) == 1
+    assert _det_mod([[1, 2], [3, 4]], 5) == 3  # -2 mod 5
+    assert _det_mod([[1, 2], [2, 4]], 11) == 0
+    assert _det_mod_i64(np.zeros((0, 0), dtype=np.int64), 7) == 1
 
 
-def test_det_mod_rejects_composite():
-    with pytest.raises(BadPrime):
-        det_mod([[1]], 10)
-
-
-def test_det_mod_matches_bareiss_random():
-    from hyperspec.determinants import bareiss_det
-
+def test_det_mod_matches_cofactor_oracle():
     rng = random.Random(99)
     for trial in range(30):
         n = rng.randrange(1, 7)
         rows = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
-        d = bareiss_det(rows)
+        d = int_det(rows)
         p = nth_prime(trial % 4)
-        assert det_mod(rows, p) == d % p
+        assert _det_mod(rows, p) == d % p
 
 
 def test_solve_mod_matches_det_and_inverts():
-    # (det a, a**-1 b) mod p: det against Bareiss, the solution by a @ x == b
-    from hyperspec.determinants import bareiss_det
-
+    # (det a, a**-1 b) mod p: det against the cofactor oracle, the
+    # solution by a @ x == b
     rng = random.Random(101)
     singular = 0
     for trial in range(40):
@@ -101,7 +120,7 @@ def test_solve_mod_matches_det_and_inverts():
         b = np.array([[rng.randrange(p) for _ in range(k)] for _ in range(n)],
                      dtype=np.int64)
         det, x = _solve_mod_i64(a, b, p)
-        assert det == bareiss_det(rows) % p
+        assert det == int_det(rows) % p
         if det == 0:
             singular += 1
             assert x is None
