@@ -40,13 +40,17 @@ def _linear_det(rows, prime_seed=0):
 
 
 def test_known_values():
-    cases = (
-        [[1, 0], [0, 1]], [[1, 2], [3, 4]], [[2, 0], [0, 3]], [[0, 1], [1, 0]],
-        [[1]], [[-7]],
-    )
-    for rows in cases:
+    for rows in ([[1, 0], [0, 1]], [[1, 2], [3, 4]], [[-7]]):
         assert _linear_det(rows) == int_det(rows)
     assert _linear_det([[1, 2], [3, 4]]) == -2
+
+
+def test_bareiss_known():
+    # the small cases the fraction-free elimination was checked on, now
+    # through the modular determinant quotient of the Macaulay table
+    assert _linear_det([[2, 0], [0, 3]]) == 6
+    assert _linear_det([[0, 1], [1, 0]]) == -1
+    assert _linear_det([[1]]) == 1
 
 
 def test_identity_3x3():
