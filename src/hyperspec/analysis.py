@@ -15,7 +15,7 @@ polynomials only for candidates matching the target's cheap counts.
 The scan therefore validates the assumption the search relies on.
 Both read the counts straight off a bitmask, as its popcount and
 through the hypergraph module's simplex table, and build a Hypergraph
-only for a mask whose polynomial is needed.
+only for a class whose polynomial is computed and for a reported mate.
 """
 
 from __future__ import annotations
@@ -32,11 +32,10 @@ from .errors import BadSize, CapExceeded, DimMismatch, DivisionByZero, InputErro
 from .hypergraph import (
     Hypergraph,
     adjacency_tensor,
-    canonical_form,
     count_simplices,
     edge_bitmask,
     from_bitmask,
-    is_isomorphic,
+    mask_orbit,
     mask_simplex_count,
     simplex_masks,
     subset_order,
@@ -104,34 +103,53 @@ def are_e_cospectral(
 
 
 class PolyCache:
-    """Characteristic polynomials keyed by canonical form.
+    """Characteristic polynomials keyed by isomorphism class.
 
-    Each isomorphism class is computed once; `computed` counts the
-    classes this cache computed, not those loaded from a checkpoint.
-    Insertion holds a lock, so a cache shared between threads never
-    stores two polynomials under one key.
+    The key of a class is (n, k, least edge bitmask over all vertex
+    relabelings).  The first lookup of any member maps the class's
+    whole orbit to that key, so every later member costs one dict
+    lookup, and the polynomial is computed once, on the least mask.
+    `computed` counts the classes this cache computed, not those loaded
+    from a checkpoint.  Insertion holds a lock, so a cache shared
+    between threads never stores two polynomials under one key.
     """
 
     def __init__(self) -> None:
         self._polys: dict[tuple[int, int, int], UniPoly] = {}
+        self._class_keys: dict[tuple[int, int, int], tuple[int, int, int]] = {}
         self._lock = threading.Lock()
         self.computed = 0
 
     def __len__(self) -> int:
         return len(self._polys)
 
-    def get_char(self, h: Hypergraph, config: RunConfig | None = None) -> UniPoly:
-        cfg = config if config is not None else DEFAULT_CONFIG
-        key = (h.n, h.k, canonical_form(h))
+    def class_key(self, n: int, k: int, mask: int) -> tuple[int, int, int]:
+        """(n, k, least mask of the orbit) of this labeled edge bitmask."""
+        key = self._class_keys.get((n, k, mask))
+        if key is None:
+            orbit = mask_orbit(n, k, mask)
+            key = (n, k, min(orbit))
+            self._class_keys.update(((n, k, m), key) for m in orbit)
+        return key
+
+    def get_char_mask(
+        self, n: int, k: int, mask: int, config: RunConfig | None = None
+    ) -> UniPoly:
+        """The characteristic polynomial of the (n, k) edge bitmask."""
+        key = self.class_key(n, k, mask)
         hit = self._polys.get(key)
         if hit is not None:
             return hit
-        poly = char_poly(adjacency_tensor(h), cfg)
+        cfg = config if config is not None else DEFAULT_CONFIG
+        poly = char_poly(adjacency_tensor(from_bitmask(*key)), cfg)
         with self._lock:
             if key not in self._polys:
                 self._polys[key] = poly
                 self.computed += 1
         return self._polys[key]
+
+    def get_char(self, h: Hypergraph, config: RunConfig | None = None) -> UniPoly:
+        return self.get_char_mask(h.n, h.k, edge_bitmask(h), config)
 
     def to_json(self) -> dict:
         return {
@@ -140,20 +158,37 @@ class PolyCache:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "PolyCache":
-        """Inverse of to_json; a malformed entry raises InputError."""
+    def from_json(cls, data: dict, n: int, k: int) -> "PolyCache":
+        """Inverse of to_json for an (n, k) checkpoint.
+
+        A malformed entry raises InputError: a key that does not parse
+        or is for another (n, k), a mask out of range or not the least
+        of its orbit, or coefficients that are not rational strings.
+        """
         cache = cls()
+        slots = comb(n, k)
         for key, coeffs in data.items():
             try:
-                n, k, mask = (int(part) for part in key.split(","))
+                key_n, key_k, mask = (int(part) for part in key.split(","))
             except ValueError:
                 raise InputError(f"malformed cache key {key!r}") from None
+            if (key_n, key_k) != (n, k):
+                raise InputError(f"cache key {key!r} is not for (n={n}, k={k})")
+            if mask < 0 or mask >> slots:
+                raise InputError(
+                    f"cache key {key!r}: mask out of range for {slots} edge slots"
+                )
             if not isinstance(coeffs, list) or not all(isinstance(c, str) for c in coeffs):
                 raise InputError(f"cache entry {key!r} is not a list of strings")
             try:
-                cache._polys[(n, k, mask)] = UniPoly.from_coeff_strings(coeffs)
+                poly = UniPoly.from_coeff_strings(coeffs)
             except DivisionByZero as exc:
                 raise InputError(f"cache entry {key!r}: {exc}") from None
+            if cache.class_key(n, k, mask) != (n, k, mask):
+                raise InputError(
+                    f"cache key {key!r}: mask is not the least of its isomorphism class"
+                )
+            cache._polys[(n, k, mask)] = poly
         return cache
 
 
@@ -202,7 +237,7 @@ def load_checkpoint(path: str, n: int, k: int) -> tuple[PolyCache, int]:
         raise InputError(
             f"checkpoint {path} needs a 'polys' object and an integer 'watermark'"
         )
-    return PolyCache.from_json(polys), watermark
+    return PolyCache.from_json(polys, n, k), watermark
 
 
 def _universe_polys(
@@ -238,7 +273,7 @@ def _universe_polys(
     rows: list[tuple[int, UniPoly]] = []
     persisted = cache.computed
     for mask in masks:
-        rows.append((mask, cache.get_char(from_bitmask(n, k, mask), cfg)))
+        rows.append((mask, cache.get_char_mask(n, k, mask, cfg)))
         watermark = max(watermark, mask)
         if checkpoint_path and cache.computed != persisted:
             persisted = cache.computed
@@ -384,17 +419,18 @@ def ds_verify(
     cache, kept = _universe_polys(
         n, k, cfg, cache=cache, checkpoint_path=checkpoint_path, keep=keep
     )
-    target_poly = cache.get_char(h, cfg)
-    mates = tuple(
-        from_bitmask(h.n, h.k, mask)
-        for mask, poly in kept
-        if mask != target_mask and poly == target_poly
-    )
-    candidates = 1 << comb(h.n, h.k)
+    target_poly = cache.get_char_mask(n, k, target_mask, cfg)
+    mate_masks = [
+        mask for mask, poly in kept if mask != target_mask and poly == target_poly
+    ]
+    target_key = cache.class_key(n, k, target_mask)
+    candidates = 1 << comb(n, k)
     return DsVerdict(
         target=h,
-        cospectral_mates=mates,
-        all_isomorphic=all(is_isomorphic(g, h) is not None for g in mates),
+        cospectral_mates=tuple(from_bitmask(n, k, mask) for mask in mate_masks),
+        all_isomorphic=all(
+            cache.class_key(n, k, mask) == target_key for mask in mate_masks
+        ),
         candidates=candidates,
         pruned=candidates - len(kept),
         polynomials_computed=cache.computed,

@@ -189,33 +189,36 @@ def _perm_remaps(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(remaps)
 
 
-def canonical_form(h: Hypergraph) -> int:
-    """Least edge bitmask over all vertex relabelings; a hashable class key."""
-    if h.n > CANONICAL_MAX_N:
+def mask_orbit(n: int, k: int, mask: int) -> set[int]:
+    """The edge bitmasks of every vertex relabeling of this (n, k) mask."""
+    if n > CANONICAL_MAX_N:
         raise CapExceeded(
-            f"canonical form capped at {CANONICAL_MAX_N} vertices, got {h.n}"
+            f"canonical form capped at {CANONICAL_MAX_N} vertices, got {n}"
         )
-    mask = edge_bitmask(h)
-    best = mask
-    if h.n <= _PERM_TABLE_MAX_N:
-        for remap in _perm_remaps(h.n, h.k):
+    orbit = set()
+    if n <= _PERM_TABLE_MAX_N:
+        for remap in _perm_remaps(n, k):
             image = 0
             rest = mask
             while rest:
                 low = rest & -rest
                 image |= 1 << remap[low.bit_length() - 1]
                 rest ^= low
-            if image < best:
-                best = image
+            orbit.add(image)
     else:
-        index = _subset_index(h.n, h.k)
-        for perm in itertools.permutations(range(1, h.n + 1)):
+        index = _subset_index(n, k)
+        edges = [e for i, e in enumerate(subset_order(n, k)) if mask >> i & 1]
+        for perm in itertools.permutations(range(1, n + 1)):
             image = 0
-            for edge in h.edges:
+            for edge in edges:
                 image |= 1 << index[tuple(sorted(perm[v - 1] for v in edge))]
-            if image < best:
-                best = image
-    return best
+            orbit.add(image)
+    return orbit
+
+
+def canonical_form(h: Hypergraph) -> int:
+    """Least edge bitmask over all vertex relabelings; a hashable class key."""
+    return min(mask_orbit(h.n, h.k, edge_bitmask(h)))
 
 
 def is_isomorphic(g: Hypergraph, h: Hypergraph) -> tuple[int, ...] | None:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -23,7 +25,13 @@ from hyperspec.analysis import (
 )
 from hyperspec.config import DEFAULT_CONFIG
 from hyperspec.errors import CapExceeded, DimMismatch, InputError
-from hyperspec.hypergraph import Hypergraph, complement, edge_bitmask
+from hyperspec.hypergraph import (
+    Hypergraph,
+    complement,
+    edge_bitmask,
+    from_bitmask,
+    mask_orbit,
+)
 from hyperspec.polynomial import UniPoly
 from hyperspec.spectra import char_poly
 from hyperspec.hypergraph import adjacency_tensor
@@ -111,6 +119,50 @@ def test_checkpoint_round_trip(tmp_path):
     missing, watermark = load_checkpoint(str(tmp_path / "absent.json"), 4, 3)
     assert watermark == -1
     assert missing.computed == 0
+
+
+def _least_image(n, k, mask):
+    order = list(itertools.combinations(range(1, n + 1), k))
+    edges = [e for i, e in enumerate(order) if mask >> i & 1]
+    return min(
+        sum(1 << order.index(tuple(sorted(perm[v - 1] for v in e))) for e in edges)
+        for perm in itertools.permutations(range(1, n + 1))
+    )
+
+
+def _automorphism_count(n, k, mask):
+    order = list(itertools.combinations(range(1, n + 1), k))
+    edges = {e for i, e in enumerate(order) if mask >> i & 1}
+    return sum(
+        {tuple(sorted(perm[v - 1] for v in e)) for e in edges} == edges
+        for perm in itertools.permutations(range(1, n + 1))
+    )
+
+
+@pytest.mark.parametrize("n, k, classes", [(4, 3, 5), (5, 2, 34), (5, 3, 34)])
+def test_class_keys_match_brute_force(n, k, classes):
+    cache = PolyCache()
+    universe = range(1 << comb(n, k))
+    for mask in universe:
+        assert cache.class_key(n, k, mask) == (n, k, _least_image(n, k, mask))
+    orbits = {frozenset(mask_orbit(n, k, mask)) for mask in universe}
+    assert len(orbits) == classes
+    assert sorted(m for orbit in orbits for m in orbit) == list(universe)
+    for orbit in orbits:
+        rep = min(orbit)
+        assert len(orbit) == factorial(n) // _automorphism_count(n, k, rep)
+
+
+def test_resumed_cache_serves_a_whole_orbit(tmp_path):
+    path = str(tmp_path / "scan.json")
+    cospectral_invariant_scan(5, 2, checkpoint_path=path)
+    path_mask = 0b1000000011  # edges 12, 13, 45: a path plus a disjoint edge
+    loaded, _ = load_checkpoint(path, 5, 2)
+    orbit = mask_orbit(5, 2, path_mask)
+    assert len(orbit) > 1
+    polys = {loaded.get_char(from_bitmask(5, 2, mask)) for mask in orbit}
+    assert len(polys) == 1
+    assert loaded.computed == 0
 
 
 def test_checkpoint_rejects_foreign_version(tmp_path):

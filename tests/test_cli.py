@@ -15,6 +15,7 @@ import hyperspec
 from hyperspec.cli import main
 from hyperspec.hypergraph import (
     Hypergraph,
+    edge_bitmask,
     format_hypergraph,
     from_bitmask,
     parse_hypergraph,
@@ -259,6 +260,26 @@ def test_ds_output_pinned(tmp_path, capsys, mask):
     assert _sha256(state.read_bytes()) == checkpoint_digest
 
 
+@pytest.mark.parametrize("mask", sorted(_DS_PINS))
+def test_ds_relabeled_target_keeps_summary(tmp_path, capsys, mask):
+    h = from_bitmask(6, 2, mask)
+    images = (4, 6, 1, 5, 2, 3)
+    moved = Hypergraph.from_edges(
+        6, 2, [tuple(images[v - 1] for v in edge) for edge in h.edges]
+    )
+    assert edge_bitmask(moved) != mask
+    path = _write_graph(tmp_path, "moved.hg", moved)
+    code, out, err = _run(capsys, ["ds", path])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert (
+        payload["all_isomorphic"],
+        len(payload["mates"]),
+        payload["pruned"],
+        payload["polynomials_computed"],
+    ) == _DS_PINS[mask][2]
+
+
 def test_invariant_scan_output_pinned(tmp_path, capsys):
     state = tmp_path / "scan.json"
     argv = ["invariant-scan", "--n", "5", "--k", "2", "--checkpoint", str(state)]
@@ -341,6 +362,9 @@ MALFORMED_CHECKPOINTS = {
     "bad_coefficient": _checkpoint(polys={"4,3,1": ["x"]}),
     "zero_denominator": _checkpoint(polys={"4,3,1": ["1/0"]}),
     "coefficients_not_a_list": _checkpoint(polys={"4,3,1": "10"}),
+    "key_for_other_size": _checkpoint(polys={"5,2,3": ["1"]}),
+    "mask_out_of_range": _checkpoint(polys={"4,3,99999": ["1"]}),
+    "mask_not_least_in_orbit": _checkpoint(polys={"4,3,8": ["1"]}),
 }
 
 
