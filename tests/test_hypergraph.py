@@ -28,6 +28,7 @@ from hyperspec.hypergraph import (
     format_hypergraph,
     from_bitmask,
     is_isomorphic,
+    mask_orbit,
     neighbors_in,
     parse_hypergraph,
     simplex_masks,
@@ -197,6 +198,15 @@ def test_canonical_form_is_label_invariant():
 def test_canonical_form_cap():
     with pytest.raises(CapExceeded):
         canonical_form(Hypergraph.empty(12, 3))
+
+
+def test_mask_orbit_on_eight_vertices():
+    # beyond the cached remap tables: a 2-edge path has 8 * C(7, 2) placements
+    path = Hypergraph.from_edges(8, 2, [(5, 7), (7, 8)])
+    orbit = mask_orbit(8, 2, edge_bitmask(path))
+    assert len(orbit) == 168
+    assert all(m.bit_count() == 2 for m in orbit)
+    assert canonical_form(path) == min(orbit) == 0b11  # edges 12 and 13
 
 
 def test_canonical_form_refuses_nine_vertices():
