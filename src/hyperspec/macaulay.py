@@ -41,11 +41,7 @@ from .errors import (
     NotSquareSystem,
 )
 from .modular import (
-    _det_mod_i64,
-    _solve_mod_i64,
-    charpoly_mod,
-    crt_values,
-    poly_divexact_mod,
+    _det_mod, _inverses, _solve_mod, charpoly_mod, crt_values, poly_divexact_mod,
 )
 from .polynomial import MultiPoly
 
@@ -164,8 +160,9 @@ class LambdaSystem:
 
 def _pencil_mod(
     rows: list[list[tuple[int, int, int]]], size: int
-) -> Callable[[int], tuple[np.ndarray, np.ndarray]]:
-    """p -> (F0 mod p, F1 mod p) for sparse rows of (column, i0, i1) terms."""
+) -> Callable[[np.ndarray], np.ndarray]:
+    """primes -> the (2, P, size, size) stacks F0, F1 modulo each prime,
+    for sparse rows of (column, i0, i1) terms."""
     r = np.array([i for i, terms in enumerate(rows) for _ in terms], dtype=np.intp)
     c = np.array([col for terms in rows for col, _, _ in terms], dtype=np.intp)
     i0 = [t[1] for terms in rows for t in terms]
@@ -173,14 +170,19 @@ def _pencil_mod(
     dtype = object if any(abs(v) >= 1 << 62 for v in i0 + i1) else np.int64
     i0a, i1a = np.array(i0, dtype=dtype), np.array(i1, dtype=dtype)
 
-    def at(p: int) -> tuple[np.ndarray, np.ndarray]:
-        f0 = np.zeros((size, size), dtype=np.int64)
-        f1 = np.zeros((size, size), dtype=np.int64)
-        f0[r, c] = i0a % p
-        f1[r, c] = i1a % p
-        return f0, f1
+    def at(primes: np.ndarray) -> np.ndarray:
+        f = np.zeros((2, len(primes), size, size), dtype=np.int64)
+        f[0][:, r, c] = i0a % primes[:, None]
+        f[1][:, r, c] = i1a % primes[:, None]
+        return f
 
     return at
+
+
+def _at(pencil: np.ndarray, lam: int, primes: np.ndarray) -> np.ndarray:
+    """F0 + lam F1 modulo each prime, from the stacks of _pencil_mod."""
+    moduli = primes[:, None, None]
+    return (pencil[0] + lam % moduli * pencil[1]) % moduli
 
 
 class _FillTable:
@@ -251,39 +253,32 @@ class _FillTable:
                 return True
         return False
 
-    def fill(self, lam: int) -> tuple[list[list[int]], list[list[int]]]:
-        full = []
-        for row_terms in self.rows:
-            row = [0] * self.size
-            for col, i0, i1 in row_terms:
-                row[col] = i0 + lam * i1
-            full.append(row)
-        minor_size = len(self.minor_rows)
-        minor = []
-        for row_terms in self.minor_rows:
-            row = [0] * minor_size
-            for col, i0, i1 in row_terms:
-                row[col] = i0 + lam * i1
-            minor.append(row)
-        return full, minor
+
+def _quotient_mod(full: np.ndarray, minor: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """charpoly(full) / charpoly(minor) of each layer modulo its prime."""
+    return poly_divexact_mod(charpoly_mod(full, primes), charpoly_mod(minor, primes), primes)
 
 
 def _charpoly_quotient(
-    full: list[list[int]], minor: list[list[int]], prime_seed: int
+    table: _FillTable, lam: int, prime_seed: int, terms: int | None = None
 ) -> list[int]:
-    """Ascending integer coefficients of charpoly(full) / charpoly(minor).
+    """The lowest terms (default all) ascending integer coefficients of
+    charpoly(M) / charpoly(M') at lam.
 
-    Every root of the quotient is an eigenvalue of full, so by Gershgorin
-    its absolute value is at most R, the largest absolute row sum, and
-    the coefficient of x**j is at most C(d, j) * R**(d - j).
+    Every root of the quotient is an eigenvalue of M, so by Gershgorin
+    its absolute value is at most R = table.radius(lam), and the
+    coefficient of x**j is at most C(d, j) * R**(d - j), d = N - N'.
     """
-    d = len(full) - len(minor)
-    radius = max((sum(abs(v) for v in row) for row in full), default=0)
-    return crt_values(
-        lambda p: poly_divexact_mod(charpoly_mod(full, p), charpoly_mod(minor, p), p),
-        [comb(d, j) * radius ** (d - j) for j in range(d + 1)],
-        prime_seed,
-    )
+    d = table.size - len(table.minor_rows)
+    radius = table.radius(lam)
+
+    def residues_mod(primes: list[int]) -> np.ndarray:
+        pv = np.array(primes, dtype=np.int64)
+        full, minor = _at(table.full_at(pv), lam, pv), _at(table.minor_at(pv), lam, pv)
+        return _quotient_mod(full, minor, pv)[:, :terms]
+
+    bounds = [comb(d, j) * radius ** (d - j) for j in range(d + 1)][:terms]
+    return crt_values(residues_mod, bounds, prime_seed, (table.size + 1) ** 2)
 
 
 def _eval_point(table: _FillTable, lam: int, prime_seed: int) -> Fraction:
@@ -298,24 +293,23 @@ def _eval_point(table: _FillTable, lam: int, prime_seed: int) -> Fraction:
     each scaled polynomial by -s * x_i**d_i subtracts s from the diagonal
     of M and M', so Res(F - s x^d) = (-1)**(N - N') * charpoly(M) /
     charpoly(M'), whose monic divisor never vanishes, and Res(F) is that
-    quotient at s = 0.
+    quotient at s = 0, recombined under the same bound R**d.
     """
     if table.vanishing_poly(lam):
         return Fraction(0)
 
-    def quotient_mod(p: int) -> list[int] | None:
-        m0, m1 = table.minor_at(p)
-        det_minor = _det_mod_i64((m0 + lam % p * m1) % p, p)
-        if det_minor == 0:
-            return None
-        f0, f1 = table.full_at(p)
-        return [_det_mod_i64((f0 + lam % p * f1) % p, p) * pow(det_minor, -1, p) % p]
+    def quotient_mod(primes: list[int]) -> list[list[int] | None]:
+        pv = np.array(primes, dtype=np.int64)
+        det_minor = _det_mod(_at(table.minor_at(pv), lam, pv), pv)
+        if det_minor[0] == 0:  # the whole stack is refused before M is built
+            return [None] * len(primes)
+        ratio = _det_mod(_at(table.full_at(pv), lam, pv), pv) * _inverses(det_minor, pv) % pv
+        return [[v] if m else None for v, m in zip(ratio.tolist(), det_minor.tolist())]
 
     d = table.size - len(table.minor_rows)
-    value = crt_values(quotient_mod, [table.radius(lam) ** d], prime_seed)
+    value = crt_values(quotient_mod, [table.radius(lam) ** d], prime_seed, table.size**2)
     if value is None:
-        full, minor = table.fill(lam)
-        value = [(-1) ** d * _charpoly_quotient(full, minor, prime_seed)[0]]
+        value = [(-1) ** d * _charpoly_quotient(table, lam, prime_seed, 1)[0]]
     return Fraction(value[0] * table.scale_minor, table.scale_full)
 
 
@@ -336,6 +330,8 @@ def _pencil_values(
     polynomials in lambda, so with q = charpoly(-N) / charpoly(-N'),
     monic of degree d = n - n',
     Res(lambda) = det A / det A' * sum_j q_j t**(d - j) mod p.
+    The primes of one crt_values call are reduced as one stack: each
+    shift is tried on the layers no earlier shift resolved.
 
     Each node's residues are recombined under its own bound R**d, R the
     largest absolute row sum of M at the node (see _eval_point).  A later
@@ -347,37 +343,42 @@ def _pencil_values(
     then evaluates each node with _eval_point.
     """
     d = table.size - len(table.minor_rows)
+    lams = np.array(nodes, dtype=np.int64)
 
-    def residues_mod(p: int) -> list[int] | None:
-        m0, m1 = table.minor_at(p)
-        full = None
+    def residues_mod(primes: list[int]) -> list[np.ndarray | None]:
+        out: list[np.ndarray | None] = [None] * len(primes)
+        stack = np.array(primes, dtype=np.int64)
+        minor, full = table.minor_at(stack), None
+        todo = np.arange(len(primes))  # the layers no shift has resolved
         for c in _SHIFTS:
             # the divisor is smaller and is the one that fails, so try it first
-            det_minor, n_minor = _solve_mod_i64((m0 + c % p * m1) % p, m1, p)
-            if det_minor == 0:
+            pv = stack[todo]
+            det_minor, n_minor = _solve_mod(_at(minor[:, todo], c, pv), minor[1, todo], pv)
+            ok = np.flatnonzero(det_minor)
+            if ok.size:
+                full = table.full_at(stack) if full is None else full
+                part = full[:, todo[ok]]
+                det_full, n_full = _solve_mod(_at(part, c, pv[ok]), part[1], pv[ok])
+                good = np.flatnonzero(det_full)
+                ok = ok[good]
+            if ok.size == 0:
                 continue
-            if full is None:
-                full = table.full_at(p)
-            f0, f1 = full
-            det_full, n_full = _solve_mod_i64((f0 + c % p * f1) % p, f1, p)
-            if det_full == 0:
-                continue
-            q = poly_divexact_mod(
-                charpoly_mod((-n_full % p).tolist(), p),
-                charpoly_mod((-n_minor % p).tolist(), p),
-                p,
-            )
-            scale = det_full * pow(det_minor, -1, p) % p
-            out = []
-            for lam in nodes:
-                t, acc = (lam - c) % p, 0
-                for coeff in q:  # q_0 multiplies t**d
-                    acc = (acc * t + coeff) % p
-                out.append(scale * acc % p)
-            return out
-        return None
+            pv, moduli = pv[ok], pv[ok, None]
+            cube = moduli[:, :, None]
+            q = _quotient_mod(-n_full[good] % cube, -n_minor[ok] % cube, pv)
+            t, acc = (lams - c) % moduli, np.zeros((len(pv), len(lams)), dtype=np.int64)
+            for j in range(q.shape[1]):  # q_0 multiplies t**d
+                acc = (acc * t + q[:, j, None]) % moduli
+            scale = det_full[good] * _inverses(det_minor[ok], pv) % pv
+            for i, values in zip(todo[ok].tolist(), scale[:, None] * acc % moduli):
+                out[i] = values
+            todo = np.delete(todo, ok)
+            if todo.size == 0:
+                break
+        return out
 
-    values = crt_values(residues_mod, [table.radius(lam) ** d for lam in nodes], prime_seed)
+    bounds = [table.radius(lam) ** d for lam in nodes]
+    values = crt_values(residues_mod, bounds, prime_seed, 2 * table.size**2)
     if values is None:
         return None
     return [Fraction(v * table.scale_minor, table.scale_full) for v in values]

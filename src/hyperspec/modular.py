@@ -22,6 +22,11 @@ from .errors import BadPrime, InputError, MathError
 
 PRIME_LIMIT = 2**31
 
+# The most int64 entries a kernel's stack holds, 1 MB: crt_values hands
+# a callback fewer primes at once for larger matrices, down to one.  A
+# stack that outgrows the cache runs no faster per prime than one layer.
+STACK_CAP = 1 << 17
+
 _MR_BASES = (2, 3, 5, 7)  # deterministic below 3,215,031,751
 
 
@@ -68,155 +73,191 @@ def nth_prime(index: int) -> int:
     return _PRIMES[index]
 
 
-def _det_mod_i64(a: np.ndarray, p: int) -> int:
-    """Determinant mod p of an int64 array with entries already in [0, p)."""
-    a = a.copy()
-    n = a.shape[0]
-    det = 1
-    for col in range(n):
-        nz = np.nonzero(a[col:, col])[0]
-        if nz.size == 0:
-            return 0
-        pivot_row = col + int(nz[0])
-        if pivot_row != col:
-            a[[col, pivot_row]] = a[[pivot_row, col]]
-            det = p - det
-        pivot = int(a[col, col])
-        det = det * pivot % p
-        if col + 1 < n:
-            inv = pow(pivot, -1, p)
-            factors = a[col + 1 :, col] * inv % p
-            a[col + 1 :, col + 1 :] = (
-                a[col + 1 :, col + 1 :] - factors[:, None] * a[col, col + 1 :]
-            ) % p
-    return det
+def _inverses(values: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """Each layer's value inverted modulo its prime; 0 stays 0."""
+    return np.array(
+        [pow(v, -1, p) if v else 0 for v, p in zip(values.tolist(), primes.tolist())],
+        dtype=np.int64,
+    )
 
 
-def _solve_mod_i64(
-    a: np.ndarray, b: np.ndarray, p: int
-) -> tuple[int, np.ndarray | None]:
-    """(det a, a**-1 @ b) mod p by Gauss-Jordan elimination on [a | b].
+def _pivot_up(a: np.ndarray, top: int, col: int) -> tuple[np.ndarray, np.ndarray]:
+    """In each layer, swap the first row at or below top that is nonzero in
+    column col up to row top; returns the layers swapped and their rows."""
+    off = (a[:, top:, col] != 0).argmax(axis=1)
+    moved = off.nonzero()[0]
+    rows = top + off[moved]
+    if moved.size:
+        a[moved, top], a[moved, rows] = a[moved, rows], a[moved, top]
+    return moved, rows
 
-    Operands are int64 arrays with entries already in [0, p); a singular
-    a gives (0, None).
+
+# Every update below adds p - x where it would subtract x: numpy's integer
+# remainder is several times slower on operands of mixed sign.
+
+
+def _det_mod(a: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """Determinant of each layer of a (P, n, n) stack modulo its prime.
+
+    Entries are int64 in [0, p).  Each layer pivots on the first nonzero
+    entry of its column.  Step c scales rows c + 1 onward by the pivot
+    instead of dividing by it, so the determinant is the product of the
+    pivots d_c over prod_c d_c**(n - 1 - c), one inversion per layer.
     """
-    n = a.shape[0]
-    aug = np.concatenate([a, b], axis=1)
-    det = 1
-    for col in range(n):
-        nz = np.nonzero(aug[col:, col])[0]
-        if nz.size == 0:
-            return 0, None
-        pivot_row = col + int(nz[0])
-        if pivot_row != col:
-            aug[[col, pivot_row]] = aug[[pivot_row, col]]
-            det = p - det
-        pivot = int(aug[col, col])
-        det = det * pivot % p
-        aug[col, col:] = aug[col, col:] * pow(pivot, -1, p) % p
-        rows = np.nonzero(aug[:, col])[0]
-        rows = rows[rows != col]
+    a = a.copy()
+    moduli = primes[:, None, None]
+    flips = np.zeros(len(primes), dtype=bool)
+    for c in range(a.shape[1]):
+        if not all(a[:, c, c].tolist()):
+            moved, _ = _pivot_up(a, c, c)
+            if not any(a[:, c, c].tolist()):
+                return np.zeros(len(primes), dtype=np.int64)
+            flips[moved] ^= True
+        rest = a[:, c + 1 :, c + 1 :]
+        acc = rest * a[:, c, c, None, None]
+        acc += (moduli[:, 0] - a[:, c + 1 :, c])[:, :, None] * a[:, c, None, c + 1 :]
+        np.remainder(acc, moduli, out=rest)
+    dets = []
+    for pivots, p, flip in zip(np.diagonal(a, 0, 1, 2).tolist(), primes.tolist(), flips):
+        prefix, scale = 1, 1
+        for d in pivots[:-1]:
+            prefix = prefix * d % p
+            scale = scale * prefix % p
+        det = prefix * (pivots[-1] if pivots else 1) * pow(scale, -1, p) % p if scale else 0
+        dets.append(-det % p if flip else det)
+    return np.array(dets, dtype=np.int64)
+
+
+def _solve_mod(
+    a: np.ndarray, b: np.ndarray, primes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(det a, a**-1 @ b) of each layer modulo its prime, by Gauss-Jordan
+    elimination on [a | b].
+
+    Operands are int64 stacks with entries in [0, p).  A layer whose a
+    is singular gets det 0 and an unspecified solution.
+    """
+    n = a.shape[1]
+    aug = np.concatenate([a, b], axis=2)
+    moduli = primes[:, None, None]
+    dets = [1] * len(primes)
+    for c in range(n):
+        if not all(aug[:, c, c].tolist()):
+            for i in _pivot_up(aug, c, c)[0].tolist():
+                dets[i] = -dets[i]
+        pivots = aug[:, c, c]
+        dets = [d * v % p for d, v, p in zip(dets, pivots.tolist(), primes.tolist())]
+        if not any(dets):
+            break
+        top = aug[:, c, c:]
+        np.remainder(top * _inverses(pivots, primes)[:, None], moduli[:, 0], out=top)
+        rows = aug[:, :, c].any(axis=0).nonzero()[0]
+        rows = rows[rows != c]
         if rows.size:
-            factors = aug[rows, col]
-            aug[rows, col:] = (aug[rows, col:] - factors[:, None] * aug[col, col:]) % p
-    return det, aug[:, n:]
+            acc = (moduli - aug[:, rows, c, None]) * aug[:, c, None, c:]
+            acc += aug[:, rows, c:]
+            aug[:, rows, c:] = acc % moduli
+    return np.array(dets, dtype=np.int64), aug[:, :, n:]
 
 
-def _matvec_mod(a: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
-    """a @ v mod p for int64 operands in [0, p) with fewer than 2**16 terms.
+_HALVES = np.array([16, 0], dtype=np.int64)
+
+
+def _matvec_mod(a: np.ndarray, v: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """a @ v per layer, modulo (P, 1) moduli, for int64 operands in [0, p)
+    with fewer than 2**16 terms.
 
     v is split into 16-bit halves so no int64 partial sum can overflow.
     """
-    lo = v & 0xFFFF
-    hi = v >> 16
-    return ((a @ hi % p << 16) + a @ lo % p) % p
+    halves = a @ (v[:, :, None] >> _HALVES & 0xFFFF) % moduli[:, :, None]
+    return ((halves[:, :, 0] << 16) + halves[:, :, 1]) % moduli
 
 
-def _hessenberg_mod_i64(a: np.ndarray, p: int) -> np.ndarray:
-    """Upper Hessenberg matrix similar to a mod p (Cohen, Alg. 2.2.9)."""
-    h = a.copy()
-    n = h.shape[0]
-    for c in range(n - 2):
-        nz = np.nonzero(h[c + 1 :, c])[0]
-        if nz.size == 0:
-            continue
-        pivot_row = c + 1 + int(nz[0])
-        if pivot_row != c + 1:
-            h[[c + 1, pivot_row]] = h[[pivot_row, c + 1]]
-            h[:, [c + 1, pivot_row]] = h[:, [pivot_row, c + 1]]
-        below = c + 2 + np.nonzero(h[c + 2 :, c])[0]
+def _hessenberg_mod(h: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """Upper Hessenberg matrices similar to each layer mod its prime
+    (Cohen, Alg. 2.2.9); a layer with no pivot in a column is left alone."""
+    h = h.copy()
+    moduli = primes[:, None]
+    for c in range(h.shape[1] - 2):
+        if not all(h[:, c + 1, c].tolist()):
+            moved, rows = _pivot_up(h, c + 1, c)
+            if moved.size:
+                h[moved, :, c + 1], h[moved, :, rows] = h[moved, :, rows], h[moved, :, c + 1]
+        below = c + 2 + h[:, c + 2 :, c].any(axis=0).nonzero()[0]
         if below.size == 0:
             continue
         # row_i -= u_i * row_{c+1}, then column_{c+1} += sum_i u_i * column_i
-        u = h[below, c] * pow(int(h[c + 1, c]), -1, p) % p
-        h[below, c:] = (h[below, c:] - u[:, None] * h[c + 1, c:]) % p
-        h[:, c + 1] = (h[:, c + 1] + _matvec_mod(h[:, below], u, p)) % p
+        u = h[:, below, c] * _inverses(h[:, c + 1, c], primes)[:, None] % moduli
+        acc = (moduli - u)[:, :, None] * h[:, c + 1, None, c:]
+        acc += h[:, below, c:]
+        h[:, below, c:] = acc % moduli[:, :, None]
+        h[:, :, c + 1] = (h[:, :, c + 1] + _matvec_mod(h[:, :, below], u, moduli)) % moduli
     return h
 
 
-def poly_divexact_mod(num: Sequence[int], den: Sequence[int], p: int) -> list[int]:
-    """Quotient num / den mod p of ascending coefficient lists, den monic.
+def poly_divexact_mod(num: np.ndarray, den: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """Quotients num / den modulo each layer's prime, den monic.
 
-    Raises MathError if the division leaves a remainder.
+    Rows are ascending coefficients, int64 in [0, p).  Raises MathError
+    if a division leaves a remainder.
     """
-    if len(den) == 0 or int(den[-1]) % p != 1:
+    width = den.shape[1]
+    if width == 0 or (den[:, -1] != 1).any():
         raise InputError("divisor must be monic")
-    rem = np.array([int(c) % p for c in num], dtype=np.int64)
-    div = np.array([int(c) % p for c in den], dtype=np.int64)
-    width = len(div)
-    quot = [0] * max(len(rem) - width + 1, 0)
-    for s in range(len(quot) - 1, -1, -1):
-        c = int(rem[s + width - 1])
-        quot[s] = c
-        if c:
-            rem[s : s + width] = (rem[s : s + width] - c * div) % p
+    moduli = primes[:, None]
+    rem = num.copy()
+    quot = np.zeros((len(primes), max(num.shape[1] - width + 1, 0)), dtype=np.int64)
+    for s in range(quot.shape[1] - 1, -1, -1):
+        quot[:, s] = rem[:, s + width - 1]
+        window = rem[:, s : s + width]
+        np.remainder(window + (moduli - quot[:, s, None]) * den, moduli, out=window)
     if rem.any():
-        raise MathError(f"division by a monic polynomial left a remainder mod {p}")
+        raise MathError(f"division left a remainder mod {primes[rem.any(axis=1)][0]}")
     return quot
 
 
-def _check_prime(p: int) -> None:
-    if p < 3 or p >= PRIME_LIMIT or not is_prime(p):
-        raise BadPrime(f"modulus must be an odd prime below 2**31, got {p}")
+def charpoly_mod(a: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of det(x*I - A) of each layer mod its prime.
 
-
-def charpoly_mod(rows: Sequence[Sequence[int]], p: int) -> list[int]:
-    """Ascending coefficients of det(x*I - A) for an integer matrix, mod p.
-
-    Reduces A to Hessenberg form, then runs the recurrence on its leading
-    principal blocks: p_k = (x - h_kk) p_{k-1}
-    - sum_{i<k} h_ik * h_{i+1,i} ... h_{k,k-1} * p_{i-1}.
+    a is a (P, n, n) int64 stack with entries in [0, p), primes a (P,)
+    int64 array.  Reduces each layer to Hessenberg form, then runs the
+    recurrence on its leading principal blocks: p_k = (x - h_kk) p_{k-1}
+    - sum_{i<k} h_ik * h_{i+1,i} ... h_{k,k-1} * p_{i-1}, all i at once.
     """
-    _check_prime(p)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    for p in primes.tolist():
+        if p < 3 or p >= PRIME_LIMIT or not is_prime(p):
+            raise BadPrime(f"modulus must be an odd prime below 2**31, got {p}")
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[0] != len(primes):
         raise InputError("matrix must be square")
+    n = a.shape[1]
     if n >= 1 << 16:
         raise InputError(f"matrix dimension {n} is beyond the int64 kernel")
-    a = np.array([[int(v) % p for v in row] for row in rows], dtype=np.int64)
-    h = _hessenberg_mod_i64(a.reshape(n, n), p).tolist()
-    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
-    polys[0, 0] = 1
+    h = _hessenberg_mod(a, primes)
+    moduli = primes[:, None]
+    negated = moduli - np.diagonal(h, 0, 1, 2)
+    subdiagonal = np.diagonal(h, -1, 1, 2)
+    polys = np.zeros((len(primes), n + 1, n + 1), dtype=np.int64)
+    polys[:, 0, 0] = 1
+    # run[:, i] = h[i, i-1] * ... * h[k-1, k-2]: a zero subdiagonal entry
+    # zeroes every product through it, which splits off the block above,
+    # and a zero in every layer moves the first term, lo, past it
+    run = np.zeros((len(primes), n), dtype=np.int64)
+    lo, splits = 1, (~subdiagonal.any(axis=0)).tolist()
     for k in range(1, n + 1):
-        prev = polys[k - 1, :k]
-        row = polys[k]
-        row[1 : k + 1] = prev
-        row[:k] = (row[:k] - h[k - 1][k - 1] * prev) % p
-        earlier: list[int] = []
-        weights: list[int] = []
-        run = 1
-        for i in range(k - 1, 0, -1):
-            run = run * h[i][i - 1] % p
-            if run == 0:  # a zero subdiagonal entry splits off the block above
-                break
-            w = h[i - 1][k - 1] * run % p
-            if w:
-                earlier.append(i - 1)
-                weights.append(w)
-        if earlier:
-            weight = np.array(weights, dtype=np.int64)
-            row[:k] = (row[:k] - _matvec_mod(polys[earlier, :k].T, weight, p)) % p
-    return [int(c) for c in polys[n]]
+        prev = polys[:, k - 1, :k]
+        row = polys[:, k]
+        row[:, 1 : k + 1] = prev
+        update = row[:, :k] + negated[:, k - 1, None] * prev
+        if k > 1 and splits[k - 2]:
+            lo = k
+        if lo < k:
+            run[:, k - 1] = 1
+            run[:, lo:k] = run[:, lo:k] * subdiagonal[:, k - 2, None] % moduli
+            weights = h[:, lo - 1 : k - 1, k - 1] * run[:, lo:k] % moduli
+            earlier = polys[:, lo - 1 : k - 1, :k].transpose(0, 2, 1)
+            update += moduli - _matvec_mod(earlier, weights, moduli)
+        row[:, :k] = update % moduli
+    return polys[:, n]
 
 
 def crt_combine(residues: Sequence[int], moduli: Sequence[int]) -> tuple[int, int]:
@@ -243,34 +284,44 @@ def symmetric_residue(r: int, m: int) -> int:
 
 
 def crt_values(
-    residues_mod: Callable[[int], Sequence[int] | None],
+    residues_mod: Callable[[list[int]], Sequence[Sequence[int] | None]],
     bounds: Sequence[int],
     seed: int = 0,
+    layer_size: int = 1,
 ) -> list[int] | None:
     """Integers v_j with |v_j| <= bounds[j], from their residues mod primes.
 
-    residues_mod(p) gives every v_j mod p, or None to skip p.  Primes are
-    taken from the fixed list from offset seed on until the product of
-    those not skipped exceeds twice the largest bound; each v_j is
-    recombined from the shortest prefix whose product exceeds twice its
-    own bound.  Returns None when the first prime is skipped, so that the
-    caller can take another route; the caller must skip only finitely
-    many later primes.
+    residues_mod(primes) gives, for each prime of the list, every v_j
+    modulo it, or None to skip that prime.  Primes are taken from the
+    fixed list from offset seed on until the product of those not skipped
+    exceeds twice the largest bound; each v_j is recombined from the
+    shortest prefix whose product exceeds twice its own bound.  Each call
+    asks for just enough further primes to get there if none is skipped,
+    and for at most STACK_CAP // layer_size of them (at least one):
+    layer_size is the number of int64 entries one prime's layer of the
+    caller's largest stack holds.  So a skipped prime costs one more call,
+    and the primes used do not depend on the batches.  Returns None when
+    the first prime is skipped, so that the caller can take another
+    route; the caller must skip only finitely many later primes.
     """
+    batch = max(1, STACK_CAP // layer_size)
     primes: list[int] = []
-    residues: list[Sequence[int]] = []
+    residues: list[list[int]] = []
     index, product, target = seed, 1, 2 * max(bounds)
     while not primes or product <= target:
-        p = nth_prime(index)
-        index += 1
-        res = residues_mod(p)
-        if res is None:
-            if not primes:
-                return None
-            continue
-        primes.append(p)
-        residues.append(res)
-        product *= p
+        asked, reach = [], product
+        while len(asked) < batch and (not asked or reach <= target):
+            asked.append(nth_prime(index))
+            index += 1
+            reach *= asked[-1]
+        for p, res in zip(asked, residues_mod(asked)):
+            if res is None:
+                if not primes:
+                    return None
+                continue
+            primes.append(p)
+            residues.append([int(v) for v in res])
+            product *= p
     values = []
     for j, bound in enumerate(bounds):
         k, modulus = 1, primes[0]

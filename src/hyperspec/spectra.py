@@ -198,8 +198,7 @@ def char_poly(a: Tensor, config: RunConfig | None = None) -> UniPoly:
     component = tensor_polynomial_map(a)
     scale = lcm(*(c.denominator for p in component for c in p.terms.values()))
     system = PolySystem(n, tuple(p.scale(scale) for p in component), (m - 1,) * n)
-    full, minor = _FillTable(LambdaSystem.constant(system)).fill(0)
-    coeffs = _charpoly_quotient(full, minor, cfg.prime_seed)
+    coeffs = _charpoly_quotient(_FillTable(LambdaSystem.constant(system)), 0, cfg.prime_seed)
     d = len(coeffs) - 1
     poly = UniPoly(tuple(Fraction(c, scale ** (d - j)) for j, c in enumerate(coeffs)))
     if poly.degree != expected or not poly.is_monic():

@@ -221,10 +221,15 @@ def test_scan_n4_finds_no_violations(tmp_path):
 def test_scan_groups_align_with_isomorphism_on_n4():
     from hyperspec.hypergraph import canonical_form, from_bitmask
 
+    # each spectral group is a union of whole isomorphism classes: every
+    # mask whose canonical form some member shares is in the group, and the
+    # groups cover all 16 masks
     report = cospectral_invariant_scan(4, 3)
+    canonical = {m: canonical_form(from_bitmask(4, 3, m)) for m in range(16)}
+    assert sorted(m for grp in report.groups for m in grp) == list(range(16))
     for grp in report.groups:
-        canon = {canonical_form(from_bitmask(4, 3, m)) for m in grp}
-        assert len(canon) == len(grp) or len(canon) < len(grp)
+        forms = {canonical[m] for m in grp}
+        assert {m for m in range(16) if canonical[m] in forms} == set(grp)
         # within a spectral class, every member has the same char poly
         polys = {char_poly(adjacency_tensor(from_bitmask(4, 3, m))) for m in grp}
         assert len(polys) == 1

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 import sympy
+from sympy.polys.multivariate_resultants import MacaulayResultant
 
 from hyperspec.errors import (
     CapExceeded,
@@ -50,6 +52,18 @@ def _exact_det(rows):
     return sympy.Matrix(rows).det(method="bareiss")
 
 
+def _fill(table, lam):
+    # the dense integer matrices M(lam) and M'(lam) of the table's rows
+    def dense(rows):
+        out = [[0] * len(rows) for _ in rows]
+        for r, terms in enumerate(rows):
+            for col, i0, i1 in terms:
+                out[r][col] = i0 + lam * i1
+        return out
+
+    return dense(table.rows), dense(table.minor_rows)
+
+
 def _binary_quadratic(a, b, c):
     return _poly(2, {(2, 0): a, (1, 1): b, (0, 2): c})
 
@@ -77,7 +91,7 @@ def test_linear_system_reduces_to_determinant():
     )
     table = _FillTable(LambdaSystem.constant(sys_))
     assert table.minor_rows == []  # nothing to divide out in degree one
-    full, _ = table.fill(0)
+    full, _ = _fill(table, 0)
     assert _exact_det(full) == a * d - b * c
     assert resultant_value(sys_) == a * d - b * c
 
@@ -159,10 +173,10 @@ def test_degenerate_plain_system_is_rescued_by_a_variant():
     h = Hypergraph.from_edges(3, 3, [(1, 2, 3)])
     lsys = e_char_poly_system(adjacency_tensor(h))
     table = _FillTable(lsys)
-    assert _exact_det(table.fill(1)[1]) == 0
+    assert _exact_det(_fill(table, 1)[1]) == 0
     assert _eval_point(table, 1, 0) == -16
     plain = _FillTable(LambdaSystem.constant(lsys.at(Fraction(1))))
-    assert _exact_det(plain.fill(0)[1]) == 0
+    assert _exact_det(_fill(plain, 0)[1]) == 0
     assert _eval_point(plain, 0, 0) == -16
     assert resultant_value(lsys.at(Fraction(1))) == -16
 
@@ -175,7 +189,7 @@ def test_degenerate_points_match_the_golden_e_char():
     h = Hypergraph.from_edges(3, 3, [(1, 2, 3)])
     table = _FillTable(e_char_poly_system(adjacency_tensor(h)))
     for lam in range(-24, 25):
-        assert _exact_det(table.fill(lam)[1]) == 0
+        assert _exact_det(_fill(table, lam)[1]) == 0
         assert _eval_point(table, lam, 0) == raw.evaluate(lam)
 
 
@@ -189,7 +203,7 @@ def test_permuted_pure_powers_give_one():
         ]
     )
     table = _FillTable(LambdaSystem.constant(sys_))
-    assert _exact_det(table.fill(0)[1]) == 0
+    assert _exact_det(_fill(table, 0)[1]) == 0
     assert resultant_value(sys_) == 1
 
 
@@ -220,10 +234,70 @@ def test_resultant_is_multiplicative():
             _system([h, f2, f3])
         )
         assert resultant_value(product) == expected
-        full, minor = _FillTable(LambdaSystem.constant(product)).fill(0)
+        full, minor = _fill(_FillTable(LambdaSystem.constant(product)), 0)
         if expected != 0 and _exact_det(minor) == 0:
             degenerate[(len(full) - len(minor)) % 2] += 1
     assert min(degenerate.values()) >= 5
+
+
+def _sympy_resultant(system):
+    # sympy's MacaulayResultant picks its divisor rows by looking for the
+    # coefficient a_i of x_i**d_i, so each a_i enters as a symbol and is
+    # substituted afterwards.  Where sympy's divisor vanishes, the value is
+    # Res(F - s x**d) at s = 0, interpolated from det M / det M' at D + 1
+    # integers s with a nonzero divisor: Res(F - s x**d) has degree at most
+    # D = sum_i prod_{j != i} d_j in s
+    n = system.nvars
+    xs, a = sympy.symbols(f"x0:{n}"), sympy.symbols(f"a0:{n}")
+    polys, pure = [], []
+    for i, (poly, d) in enumerate(zip(system.polys, system.degrees)):
+        power = tuple(d if j == i else 0 for j in range(n))
+        polys.append(a[i] * xs[i] ** d + sum(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.prod(x**e for x, e in zip(xs, exp))
+            for exp, c in poly.terms.items() if exp != power
+        ))
+        c = poly.terms.get(power, Fraction(0))
+        pure.append(sympy.Rational(c.numerator, c.denominator))
+    resultant = MacaulayResultant(polys, list(xs))
+    full = resultant.get_matrix()
+    minor = resultant.get_submatrix(full)
+    degree = sum(math.prod(system.degrees[:i] + system.degrees[i + 1 :]) for i in range(n))
+    points = []
+    for s in itertools.count(0):
+        at = {ai: v - s for ai, v in zip(a, pure)}
+        den = minor.subs(at).det()
+        if den != 0:
+            points.append((s, full.subs(at).det() / den))
+        if points and points[0][0] == 0 or len(points) == degree + 1:
+            break
+    value = points[0][1] if points[0][0] == 0 else sympy.interpolate(points, 0)
+    return Fraction(int(value.p), int(value.q))
+
+
+def test_resultant_matches_sympy_macaulay_resultant():
+    # seeded sparse systems in 2 and 3 variables of degrees up to 2, some
+    # without an x_i**d_i term, so that det M' vanishes and the value
+    # comes from the generalized charpoly branch
+    rng = random.Random(9011)
+    shapes = [(1, 2), (2, 1), (2, 2), (1, 1, 2), (1, 2, 2), (2, 2, 1), (2, 2, 2)]
+    degenerate = 0
+    for degrees in shapes * 2:
+        n = len(degrees)
+        polys = []
+        for i, d in enumerate(degrees):
+            drop = tuple(d if j == i else 0 for j in range(n)) if rng.random() < 0.3 else None
+            terms = {
+                exp: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2)))
+                for exp in monomial_basis(n, d) if exp != drop and rng.random() < 0.6
+            }
+            polys.append(MultiPoly(n, terms or {monomial_basis(n, d)[-1]: Fraction(1)}))
+        system = PolySystem(n, tuple(polys), degrees)
+        expected = _sympy_resultant(system)
+        assert resultant_value(system) == expected, degrees
+        minor = _fill(_FillTable(LambdaSystem.constant(system)), 0)[1]
+        degenerate += expected != 0 and _exact_det(minor) == 0
+    assert degenerate >= 1
 
 
 def test_dim_cap_enforced():
@@ -278,7 +352,7 @@ def test_pencil_matches_the_per_node_path():
             if got is None:
                 # the fallback is reported only when no shift works
                 assert all(
-                    0 in map(_exact_det, table.fill(c)[::-1]) for c in macaulay._SHIFTS
+                    0 in map(_exact_det, _fill(table, c)[::-1]) for c in macaulay._SHIFTS
                 ), (order, dim)
                 continue
             took_pencil += 1
@@ -287,7 +361,7 @@ def test_pencil_matches_the_per_node_path():
                 # sympy's exact det M / det M' is an oracle outside
                 # crt_values
                 for lam in (nodes[1], nodes[-1]):
-                    full, minor = table.fill(lam)
+                    full, minor = _fill(table, lam)
                     quotient = Fraction(int(_exact_det(full)), int(_exact_det(minor)))
                     scale = Fraction(table.scale_minor, table.scale_full)
                     assert got[nodes.index(lam)] == quotient * scale, (order, dim, lam)
@@ -313,7 +387,7 @@ def test_divisor_that_vanishes_modulo_one_prime():
             _poly(3, {(0, 2, 0): g, (2, 0, 0): 5, (1, 0, 1): 1}),
             _poly(3, {(0, 0, 2): 1, (1, 1, 0): 1, (0, 2, 0): -2}),
         ])
-        full, minor = _FillTable(LambdaSystem.constant(system)).fill(0)
+        full, minor = _fill(_FillTable(LambdaSystem.constant(system)), 0)
         assert _exact_det(minor) == g
         expected = Fraction(int(_exact_det(full)), g)
         assert expected != 0
@@ -331,7 +405,7 @@ def test_pencil_where_the_divisor_vanishes_at_some_nodes():
     })
     table = _FillTable(e_char_poly_system(a))
     nodes = _e_char_nodes(4, 3)
-    vanishing = [lam for lam in nodes if _exact_det(table.fill(lam)[1]) == 0]
+    vanishing = [lam for lam in nodes if _exact_det(_fill(table, lam)[1]) == 0]
     assert {0, 1, 3} <= set(vanishing) and len(vanishing) < len(nodes)
     assert _pencil_values(table, nodes, 0) == [
         _eval_point(table, lam, 0) for lam in nodes
@@ -360,4 +434,40 @@ def test_pencil_reports_the_fallback_for_hypergraphs():
         lsys = e_char_poly_system(adjacency_tensor(Hypergraph.from_edges(n, 3, edges)))
         table = _FillTable(lsys)
         assert _pencil_values(table, _e_char_nodes(3, n), 0) is None
-        assert all(_exact_det(table.fill(lam)[1]) == 0 for lam in range(-3, 4))
+        assert all(_exact_det(_fill(table, lam)[1]) == 0 for lam in range(-3, 4))
+
+
+def test_stack_cap_runs_one_prime_per_call(monkeypatch):
+    # every kernel call gets a stack of primes no larger than the cap; with
+    # the cap below two layers of a Macaulay matrix of size 56, each call
+    # gets one prime, and no value changes.  The charpoly quotient, the
+    # determinant ratio and the pencil (E-char of order 3, dimension 3)
+    # all work on size 56 here
+    from hyperspec import modular
+    from hyperspec.spectra import char_poly, det_tensor, e_char_poly
+
+    rng = random.Random(8161)
+    cube = _seeded_tensor(rng, 3, 4, rational=False, sparse=False)
+    square = _seeded_tensor(rng, 3, 3, rational=True, sparse=False)
+    assert macaulay_dim(4, (2, 2, 2, 2)) == 56
+    stacks = []  # (kernel, layers, int64 entries handed in)
+    for name in ("_det_mod", "_solve_mod", "charpoly_mod"):
+        inner = getattr(macaulay, name)
+
+        def recording(*args, name=name, inner=inner):
+            stacks.append((name, len(args[-1]), sum(a.size for a in args[:-1])))
+            return inner(*args)
+
+        monkeypatch.setattr(macaulay, name, recording)
+
+    def run():
+        stacks.clear()
+        return char_poly(cube), det_tensor(cube), e_char_poly(square, normalize=False)
+
+    values = run()
+    assert {name for name, _, _ in stacks} == {"_det_mod", "_solve_mod", "charpoly_mod"}
+    assert max(layers for _, layers, _ in stacks) > 1
+    assert max(entries for _, _, entries in stacks) <= modular.STACK_CAP
+    monkeypatch.setattr(modular, "STACK_CAP", 2 * 56 * 56 - 1)
+    assert run() == values
+    assert {layers for _, layers, _ in stacks} == {1}

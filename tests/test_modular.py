@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 from oracles import classical_char_poly, int_det
 
+from hyperspec import modular
 from hyperspec.errors import BadPrime, InputError, MathError
 from hyperspec.modular import (
     PRIME_LIMIT,
-    _det_mod_i64,
-    _solve_mod_i64,
+    STACK_CAP,
+    _det_mod,
+    _solve_mod,
     charpoly_mod,
     crt_combine,
     crt_values,
@@ -32,6 +34,16 @@ def _oracle_charpoly_mod(rows, p):
     return [int(ref.coefficient(j)) % p for j in range(len(rows) + 1)]
 
 
+def _stack(rows, primes):
+    """An integer matrix reduced modulo each prime, one layer per prime."""
+    a = np.array(rows, dtype=np.int64).reshape(len(rows), len(rows))
+    return np.stack([a % p for p in primes]), np.array(primes, dtype=np.int64)
+
+
+def _charpoly(rows, primes):
+    return charpoly_mod(*_stack(rows, primes)).tolist()
+
+
 def test_is_prime_small():
     primes = [n for n in range(2, 60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
@@ -45,54 +57,101 @@ def test_prime_list_descends_below_limit():
     assert all(is_prime(nth_prime(i)) for i in range(5))
 
 
-def _det_mod(rows, p):
-    return _det_mod_i64(np.array(rows, dtype=np.int64).reshape(len(rows), -1) % p, p)
+def _det(rows, primes):
+    return _det_mod(*_stack(rows, primes)).tolist()
 
 
 def test_crt_values_covers_each_bound_with_the_shortest_prefix():
     values = [10**40, -(10**40), 7, 0]
-    seen = []
+    calls = []
 
-    def residues_mod(p):
-        seen.append(p)
-        return [v % p for v in values]
+    def residues_mod(primes):
+        calls.append(primes)
+        return [[v % p for v in values] for p in primes]
 
     assert crt_values(residues_mod, [abs(v) for v in values]) == values
+    # one call asks for every prime: they cover twice the largest bound,
+    # and one prime fewer would not
+    [seen] = calls
     product = 1
     for p in seen:
         product *= p
-    # the primes cover twice the largest bound, and one prime fewer would not
     assert product > 2 * 10**40 >= product // seen[-1]
     assert seen == [nth_prime(i) for i in range(len(seen))]
     # a value at its bound is recovered with its sign
-    assert crt_values(lambda p: [-nth_prime(0) % p], [nth_prime(0)]) == [-nth_prime(0)]
+    assert crt_values(
+        lambda primes: [[-nth_prime(0) % p] for p in primes], [nth_prime(0)]
+    ) == [-nth_prime(0)]
 
 
 def test_crt_values_skips_primes_and_offsets_by_seed():
     value = 3 * 10**40 + 1  # five primes from either seed
     divisor = nth_prime(4)  # the residue callback refuses this prime
 
-    def residues_mod(p):
-        return None if p == divisor else [value % p]
+    def residues_mod(primes):
+        return [None if p == divisor else [value % p] for p in primes]
 
     for seed in (0, 3):
-        seen = []
+        calls = []
 
-        def logged(p):
-            seen.append(p)
-            return residues_mod(p)
+        def logged(primes):
+            calls.append(primes)
+            return residues_mod(primes)
 
         assert crt_values(logged, [value], seed) == [value]
-        assert seen[0] == nth_prime(seed) and divisor in seen
+        assert calls[0][0] == nth_prime(seed) and divisor in calls[0]
+        # the skipped prime costs exactly one more call, for one more prime
+        assert [len(c) for c in calls] == [5, 1]
     # a refused first prime is reported, not skipped
     assert crt_values(residues_mod, [value], 4) is None
 
 
+def test_crt_values_batches_do_not_change_the_primes():
+    # full batches and batches capped at one prime draw the same primes in
+    # the same order and recombine the same values, skips included
+    values = [5 * 10**50 - 3, -(10**20), 1]
+    refused = {nth_prime(1), nth_prime(6)}
+    for seed in (0, 2):
+        drawn = {}
+        for layer_size in (1, STACK_CAP):
+            calls = []
+
+            def residues_mod(primes):
+                calls.append(primes)
+                return [None if p in refused else [v % p for v in values] for p in primes]
+
+            got = crt_values(residues_mod, [abs(v) for v in values], seed, layer_size)
+            assert got == values
+            drawn[layer_size] = (calls, [p for c in calls for p in c])
+        full, capped = drawn[1], drawn[STACK_CAP]
+        assert full[1] == capped[1]
+        assert all(len(c) == 1 for c in capped[0]) and len(full[0]) < len(capped[0])
+
+
+def test_crt_values_skips_the_one_prime_where_a_matrix_is_singular():
+    # det = nth_prime(2): singular modulo exactly that layer of the stack,
+    # whose prime crt_values draws third and then skips
+    g = nth_prime(2)
+    rows = [[1, 2, 0], [3, 6 + g, 1], [0, 0, 1]]
+    assert int_det(rows) == g
+    stack_primes = [nth_prime(i) for i in range(4)]
+    assert [d == 0 for d in _det(rows, stack_primes)] == [False, False, True, False]
+    calls = []
+
+    def residues_mod(primes):
+        calls.append(primes)
+        return [[d] if d else None for d in _det(rows, primes)]
+
+    assert crt_values(residues_mod, [2**70]) == [g]
+    assert calls == [stack_primes[:3], stack_primes[3:]]
+
+
 def test_det_mod_known():
-    assert _det_mod([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 7) == 1
-    assert _det_mod([[1, 2], [3, 4]], 5) == 3  # -2 mod 5
-    assert _det_mod([[1, 2], [2, 4]], 11) == 0
-    assert _det_mod_i64(np.zeros((0, 0), dtype=np.int64), 7) == 1
+    assert _det([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [7]) == [1]
+    assert _det([[1, 2], [3, 4]], [5, 7]) == [3, 5]  # -2 mod 5 and 7
+    assert _det([[1, 2], [2, 4]], [11]) == [0]
+    empty = np.zeros((2, 0, 0), dtype=np.int64)
+    assert _det_mod(empty, np.array([7, 11])).tolist() == [1, 1]
 
 
 def test_det_mod_matches_cofactor_oracle():
@@ -101,8 +160,8 @@ def test_det_mod_matches_cofactor_oracle():
         n = rng.randrange(1, 7)
         rows = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
         d = int_det(rows)
-        p = nth_prime(trial % 4)
-        assert _det_mod(rows, p) == d % p
+        primes = [nth_prime(trial % 4), 7, 11]
+        assert _det(rows, primes) == [d % p for p in primes]
 
 
 def test_solve_mod_matches_det_and_inverts():
@@ -115,19 +174,19 @@ def test_solve_mod_matches_det_and_inverts():
         rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
         if trial % 5 == 0:
             rows[-1] = [2 * v for v in rows[0]]  # forced singular
-        p = nth_prime(trial % 3)
-        a = np.array(rows, dtype=np.int64) % p
-        b = np.array([[rng.randrange(p) for _ in range(k)] for _ in range(n)],
-                     dtype=np.int64)
-        det, x = _solve_mod_i64(a, b, p)
-        assert det == int_det(rows) % p
-        if det == 0:
-            singular += 1
-            assert x is None
-            continue
-        product = [[sum(int(a[i, m]) * int(x[m, j]) for m in range(n)) % p
-                    for j in range(k)] for i in range(n)]
-        assert product == b.tolist()
+        primes = [nth_prime(trial % 3), 13]
+        a, pv = _stack(rows, primes)
+        b = np.array([[[rng.randrange(p) for _ in range(k)] for _ in range(n)]
+                      for p in primes], dtype=np.int64)
+        dets, x = _solve_mod(a, b, pv)
+        for layer, p in enumerate(primes):
+            assert dets[layer] == int_det(rows) % p
+            if dets[layer] == 0:
+                singular += 1
+                continue
+            product = [[sum(int(a[layer, i, m]) * int(x[layer, m, j]) for m in range(n)) % p
+                        for j in range(k)] for i in range(n)]
+            assert product == b[layer].tolist()
     assert singular >= 8
 
 
@@ -158,8 +217,9 @@ def test_charpoly_mod_matches_cofactor_oracle():
             [rng.randint(-40, 40) if rng.random() < density else 0 for _ in range(n)]
             for _ in range(n)
         ]
-        for p in _CHARPOLY_PRIMES:
-            assert charpoly_mod(rows, p) == _oracle_charpoly_mod(rows, p)
+        assert _charpoly(rows, _CHARPOLY_PRIMES) == [
+            _oracle_charpoly_mod(rows, p) for p in _CHARPOLY_PRIMES
+        ]
 
 
 def test_charpoly_mod_pivot_swap():
@@ -172,8 +232,9 @@ def test_charpoly_mod_pivot_swap():
         [[5, 1, 2, 0, 1], [0, 0, 0, 3, 0], [0, 2, 1, 0, 0], [7, 0, 0, 1, 2], [0, 1, 0, 0, 3]],
     ]
     for rows in cases:
-        for p in _CHARPOLY_PRIMES:
-            assert charpoly_mod(rows, p) == _oracle_charpoly_mod(rows, p)
+        assert _charpoly(rows, _CHARPOLY_PRIMES) == [
+            _oracle_charpoly_mod(rows, p) for p in _CHARPOLY_PRIMES
+        ]
 
 
 def test_charpoly_mod_nilpotent():
@@ -187,31 +248,87 @@ def test_charpoly_mod_nilpotent():
 
     assert mul(shear, inverse) == [[int(i == j) for j in range(4)] for i in range(4)]
     for rows in (upper, mul(mul(shear, upper), inverse)):
-        for p in _CHARPOLY_PRIMES:
-            assert charpoly_mod(rows, p) == [0, 0, 0, 0, 1]
+        assert _charpoly(rows, _CHARPOLY_PRIMES) == [[0, 0, 0, 0, 1]] * 2
 
 
 def test_charpoly_mod_tiny():
-    for p in _CHARPOLY_PRIMES:
-        assert charpoly_mod([], p) == [1]
-        assert charpoly_mod([[7]], p) == [-7 % p, 1]
-        assert charpoly_mod([[-3]], p) == [3, 1]
+    primes = np.array(_CHARPOLY_PRIMES, dtype=np.int64)
+    assert charpoly_mod(np.zeros((2, 0, 0), dtype=np.int64), primes).tolist() == [[1]] * 2
+    assert _charpoly([[7]], _CHARPOLY_PRIMES) == [[-7 % p, 1] for p in _CHARPOLY_PRIMES]
+    assert _charpoly([[-3]], _CHARPOLY_PRIMES) == [[3, 1]] * 2
     with pytest.raises(InputError):
-        charpoly_mod([[1, 2]], 7)
+        charpoly_mod(np.ones((1, 1, 2), dtype=np.int64), np.array([7]))
+    with pytest.raises(InputError):
+        charpoly_mod(np.ones((2, 1, 1), dtype=np.int64), np.array([7]))
     with pytest.raises(BadPrime):
-        charpoly_mod([[1]], 9)
+        charpoly_mod(np.ones((2, 1, 1), dtype=np.int64), np.array([7, 9]))
 
 
 def test_poly_divexact_mod_recovers_factor():
     f = UniPoly.from_coeff_strings(["3", "-1", "0", "2", "1"])
     g = UniPoly.from_coeff_strings(["-5", "4", "1"])
     product = [int(c) for c in (f * g).coeffs]
-    for p in _CHARPOLY_PRIMES:
-        expected = [int(c) % p for c in f.coeffs]
-        assert poly_divexact_mod(product, [int(c) for c in g.coeffs], p) == expected
-        assert poly_divexact_mod(product, [1], p) == [c % p for c in product]
-        with pytest.raises(MathError):
-            poly_divexact_mod([c + (i == 0) for i, c in enumerate(product)],
-                              [int(c) for c in g.coeffs], p)
+    primes = np.array(_CHARPOLY_PRIMES, dtype=np.int64)
+
+    def rows(coeffs):
+        coeffs = list(coeffs)
+        return np.array([[c % p for c in coeffs] for p in _CHARPOLY_PRIMES], dtype=np.int64)
+
+    divisor = rows(int(c) for c in g.coeffs)
+    expected = [[int(c) % p for c in f.coeffs] for p in _CHARPOLY_PRIMES]
+    assert poly_divexact_mod(rows(product), divisor, primes).tolist() == expected
+    assert poly_divexact_mod(rows(product), rows([1]), primes).tolist() == rows(product).tolist()
+    with pytest.raises(MathError):
+        poly_divexact_mod(rows(c + (i == 0) for i, c in enumerate(product)), divisor, primes)
     with pytest.raises(InputError):
-        poly_divexact_mod(product, [1, 2], 7)
+        poly_divexact_mod(rows(product), rows([1, 2]), primes)
+
+
+def test_pivot_rows_differ_between_layers():
+    # an entry equal to nth_prime(1) vanishes in that layer only, so the
+    # pivot search takes a different row there than in the other layers:
+    # column 0 for the determinant and solve, the subdiagonal for Hessenberg
+    q = nth_prime(1)
+    primes = [nth_prime(0), q, nth_prime(2)]
+    cases = [  # (matrix, first row searched in column 0)
+        ([[q, 2, 1], [3, 1, 4], [1, 5, 9]], 0),
+        ([[2, 1, 0, 3], [q, 1, 1, 0], [5, 0, 2, 1], [4, 0, 1, 1]], 1),
+    ]
+    for rows, top in cases:
+        a, pv = _stack(rows, primes)
+        assert len({int(np.flatnonzero(layer[top:, 0])[0]) for layer in a}) == 2
+        det = int_det(rows)
+        assert _det(rows, primes) == [det % p for p in primes]
+        dets, _ = _solve_mod(a, a, pv)
+        assert dets.tolist() == [det % p for p in primes]
+        assert _charpoly(rows, primes) == [_oracle_charpoly_mod(rows, p) for p in primes]
+
+
+def test_stacked_layers_match_stacks_of_one():
+    # the same matrix modulo six primes, two of them small enough that many
+    # entries, pivots and subdiagonal products vanish in some layers only
+    rng = random.Random(4242)
+    primes = [nth_prime(i) for i in range(4)] + [7, 11]
+    pv = np.array(primes, dtype=np.int64)
+    for _ in range(30):
+        n = rng.randrange(1, 10)
+        density = rng.choice((0.3, 0.7, 1.0))
+        rows = [[rng.randint(-30, 30) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(n)]
+        a, _ = _stack(rows, primes)
+        b = np.stack([np.array(rows, dtype=np.int64).T % p for p in primes])
+        dets, solved = _solve_mod(a, b, pv)
+        polys = charpoly_mod(a, pv)
+        quot = poly_divexact_mod(polys, polys[:, n:], pv)
+        assert _det_mod(a, pv).tolist() == dets.tolist()
+        for layer in range(len(primes)):
+            one = slice(layer, layer + 1)
+            assert _det_mod(a[one], pv[one]).tolist() == [dets[layer]]
+            det_one, solved_one = _solve_mod(a[one], b[one], pv[one])
+            assert det_one.tolist() == [dets[layer]]
+            if dets[layer]:
+                assert solved_one.tolist() == solved[one].tolist()
+            assert charpoly_mod(a[one], pv[one]).tolist() == polys[one].tolist()
+            assert poly_divexact_mod(polys[one], polys[one, n:], pv[one]).tolist() == (
+                quot[one].tolist()
+            )
