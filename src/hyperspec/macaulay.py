@@ -12,8 +12,9 @@ Every resultant goes through one integer path.  A system whose
 coefficients are linear in a parameter lambda is tabulated once with
 its rows scaled to integers.  Its values at many integer lambdas come
 from one pencil reduction per prime (_pencil_values); one integer
-lambda costs det(M) / det(M') modulo each prime (_eval_point).  A
-numeric system is the lambda-free case, evaluated at lambda = 0.
+lambda costs det(M) / det(M') modulo each prime (_eval_point).  All
+the primes of one crt_values call share one stacked pass (see modular).
+A numeric system is the lambda-free case, evaluated at lambda = 0.
 det(M') vanishes for many sparse systems; there the value comes from
 Canny's generalized characteristic polynomial (J. Symbolic Comput. 9,
 1990) instead: the quotient charpoly(M) / charpoly(M') has a monic
@@ -329,9 +330,8 @@ def _pencil_values(
     likewise for M'.  Macaulay's identity det M = Res * det M' holds as
     polynomials in lambda, so with q = charpoly(-N) / charpoly(-N'),
     monic of degree d = n - n',
-    Res(lambda) = det A / det A' * sum_j q_j t**(d - j) mod p.
-    The primes of one crt_values call are reduced as one stack: each
-    shift is tried on the layers no earlier shift resolved.
+    Res(lambda) = det A / det A' * sum_j q_j t**(d - j) mod p.  Each
+    shift is tried on the layers of the stack no earlier shift resolved.
 
     Each node's residues are recombined under its own bound R**d, R the
     largest absolute row sum of M at the node (see _eval_point).  A later

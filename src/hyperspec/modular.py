@@ -4,11 +4,16 @@ Moduli come from a fixed, deterministic list of primes counting down
 from 2**31 - 1.  Keeping every modulus below 2**31 lets Gaussian
 elimination and Hessenberg reduction run vectorized in int64: products
 of two reduced values stay under 2**62, safely inside the int64 range.
-A seed offset picks a different window of the same list; the
-recombined value is the same for every seed, which makes
+Every kernel works on a stack, a (P, n, n) int64 array whose layer i is
+reduced modulo primes[i], so one pass of Python-level steps serves all P
+primes; a single prime is a stack of one.  Updates add p - x where they
+would subtract x: numpy's integer remainder is several times slower on
+operands of mixed sign.  A seed offset picks a different window of the
+same list; the recombined value is the same for every seed, which makes
 cross-seed agreement a cheap consistency check.  Every exact value goes
 through one prime loop, crt_values: the caller supplies the residues
-modulo one prime and a rigorous bound on each value's absolute size.
+modulo a list of primes, computed as one stack of at most STACK_CAP
+entries, and a rigorous bound on each value's absolute size.
 """
 
 from __future__ import annotations
@@ -75,10 +80,8 @@ def nth_prime(index: int) -> int:
 
 def _inverses(values: np.ndarray, primes: np.ndarray) -> np.ndarray:
     """Each layer's value inverted modulo its prime; 0 stays 0."""
-    return np.array(
-        [pow(v, -1, p) if v else 0 for v, p in zip(values.tolist(), primes.tolist())],
-        dtype=np.int64,
-    )
+    pairs = zip(values.tolist(), primes.tolist())
+    return np.array([pow(v, -1, p) if v else 0 for v, p in pairs], dtype=np.int64)
 
 
 def _pivot_up(a: np.ndarray, top: int, col: int) -> tuple[np.ndarray, np.ndarray]:
@@ -92,17 +95,12 @@ def _pivot_up(a: np.ndarray, top: int, col: int) -> tuple[np.ndarray, np.ndarray
     return moved, rows
 
 
-# Every update below adds p - x where it would subtract x: numpy's integer
-# remainder is several times slower on operands of mixed sign.
-
-
 def _det_mod(a: np.ndarray, primes: np.ndarray) -> np.ndarray:
     """Determinant of each layer of a (P, n, n) stack modulo its prime.
 
-    Entries are int64 in [0, p).  Each layer pivots on the first nonzero
-    entry of its column.  Step c scales rows c + 1 onward by the pivot
-    instead of dividing by it, so the determinant is the product of the
-    pivots d_c over prod_c d_c**(n - 1 - c), one inversion per layer.
+    Each layer pivots on the first nonzero entry of its column.  Step c
+    scales rows c + 1 onward by the pivot d_c instead of dividing by it,
+    so det = prod_c d_c / prod_c d_c**(n - 1 - c): one inversion a layer.
     """
     a = a.copy()
     moduli = primes[:, None, None]
@@ -132,11 +130,7 @@ def _solve_mod(
     a: np.ndarray, b: np.ndarray, primes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(det a, a**-1 @ b) of each layer modulo its prime, by Gauss-Jordan
-    elimination on [a | b].
-
-    Operands are int64 stacks with entries in [0, p).  A layer whose a
-    is singular gets det 0 and an unspecified solution.
-    """
+    elimination on [a | b]; a singular layer gets det 0 and any solution."""
     n = a.shape[1]
     aug = np.concatenate([a, b], axis=2)
     moduli = primes[:, None, None]
@@ -164,11 +158,9 @@ _HALVES = np.array([16, 0], dtype=np.int64)
 
 
 def _matvec_mod(a: np.ndarray, v: np.ndarray, moduli: np.ndarray) -> np.ndarray:
-    """a @ v per layer, modulo (P, 1) moduli, for int64 operands in [0, p)
-    with fewer than 2**16 terms.
-
-    v is split into 16-bit halves so no int64 partial sum can overflow.
-    """
+    """a @ v per layer modulo (P, 1) moduli, for operands in [0, p) and
+    fewer than 2**16 terms: v is split into 16-bit halves so no int64
+    partial sum can overflow."""
     halves = a @ (v[:, :, None] >> _HALVES & 0xFFFF) % moduli[:, :, None]
     return ((halves[:, :, 0] << 16) + halves[:, :, 1]) % moduli
 
@@ -196,11 +188,8 @@ def _hessenberg_mod(h: np.ndarray, primes: np.ndarray) -> np.ndarray:
 
 
 def poly_divexact_mod(num: np.ndarray, den: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """Quotients num / den modulo each layer's prime, den monic.
-
-    Rows are ascending coefficients, int64 in [0, p).  Raises MathError
-    if a division leaves a remainder.
-    """
+    """Quotients num / den of ascending coefficient rows modulo each
+    layer's prime, den monic; raises MathError if one leaves a remainder."""
     width = den.shape[1]
     if width == 0 or (den[:, -1] != 1).any():
         raise InputError("divisor must be monic")
@@ -228,7 +217,7 @@ def charpoly_mod(a: np.ndarray, primes: np.ndarray) -> np.ndarray:
         if p < 3 or p >= PRIME_LIMIT or not is_prime(p):
             raise BadPrime(f"modulus must be an odd prime below 2**31, got {p}")
     if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[0] != len(primes):
-        raise InputError("matrix must be square")
+        raise InputError("matrix must be square, one layer per prime")
     n = a.shape[1]
     if n >= 1 << 16:
         raise InputError(f"matrix dimension {n} is beyond the int64 kernel")
@@ -238,18 +227,16 @@ def charpoly_mod(a: np.ndarray, primes: np.ndarray) -> np.ndarray:
     subdiagonal = np.diagonal(h, -1, 1, 2)
     polys = np.zeros((len(primes), n + 1, n + 1), dtype=np.int64)
     polys[:, 0, 0] = 1
-    # run[:, i] = h[i, i-1] * ... * h[k-1, k-2]: a zero subdiagonal entry
-    # zeroes every product through it, which splits off the block above,
-    # and a zero in every layer moves the first term, lo, past it
+    # run[:, i] = h[i, i-1] * ... * h[k-1, k-2] is 0 past a zero subdiagonal
+    # entry, and a zero in every layer moves the first term, lo, past it
     run = np.zeros((len(primes), n), dtype=np.int64)
-    lo, splits = 1, (~subdiagonal.any(axis=0)).tolist()
+    splits = [True] + (~subdiagonal.any(axis=0)).tolist()
     for k in range(1, n + 1):
         prev = polys[:, k - 1, :k]
         row = polys[:, k]
         row[:, 1 : k + 1] = prev
         update = row[:, :k] + negated[:, k - 1, None] * prev
-        if k > 1 and splits[k - 2]:
-            lo = k
+        lo = k if splits[k - 1] else lo
         if lo < k:
             run[:, k - 1] = 1
             run[:, lo:k] = run[:, lo:k] * subdiagonal[:, k - 2, None] % moduli
@@ -296,13 +283,12 @@ def crt_values(
     fixed list from offset seed on until the product of those not skipped
     exceeds twice the largest bound; each v_j is recombined from the
     shortest prefix whose product exceeds twice its own bound.  Each call
-    asks for just enough further primes to get there if none is skipped,
-    and for at most STACK_CAP // layer_size of them (at least one):
-    layer_size is the number of int64 entries one prime's layer of the
-    caller's largest stack holds.  So a skipped prime costs one more call,
-    and the primes used do not depend on the batches.  Returns None when
-    the first prime is skipped, so that the caller can take another
-    route; the caller must skip only finitely many later primes.
+    asks for just enough further primes if none is skipped, and for at
+    most STACK_CAP // layer_size (at least one), layer_size being the
+    int64 entries one prime takes in the caller's largest stack; so the
+    primes used do not depend on the batches.  Returns None when the
+    first prime is skipped, so that the caller can take another route;
+    the caller must skip only finitely many later primes.
     """
     batch = max(1, STACK_CAP // layer_size)
     primes: list[int] = []

@@ -12,9 +12,9 @@ part of the Macaulay matrix is exactly the identity, so the resultant is
 charpoly(B) / charpoly(B'), where B is the integer Macaulay matrix of
 x -> L A x (L clears the denominators) and B' its principal submatrix on
 the non-reduced monomials.  Both charpolys come from Hessenberg
-reduction modulo word-size primes (see modular), divided exactly mod
-each prime and recombined by Chinese remaindering under a Gershgorin
-bound on the coefficients.
+reduction modulo word-size primes, every prime needed in one stacked
+pass (see modular), divided exactly mod each prime and recombined by
+Chinese remaindering under a Gershgorin bound on the coefficients.
 
 The E-characteristic polynomial is computed by exact evaluation and
 interpolation.  The system is linear in lambda, so its Macaulay matrix
