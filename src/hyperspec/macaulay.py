@@ -238,6 +238,9 @@ class _FillTable:
         self.scale_minor = 1
         for r in structure.nonreduced:
             self.scale_minor *= poly_scale[structure.assignment[r]]
+        # int64 entries one prime takes in the largest stack built from the
+        # table: F0 with F1, [A | F1], or a charpoly's table of polynomials
+        self.layer_size = 2 * (self.size + 1) ** 2
         self.full_at = _pencil_mod(self.rows, self.size)
         self.minor_at = _pencil_mod(self.minor_rows, len(self.minor_rows))
 
@@ -279,7 +282,7 @@ def _charpoly_quotient(
         return _quotient_mod(full, minor, pv)[:, :terms]
 
     bounds = [comb(d, j) * radius ** (d - j) for j in range(d + 1)][:terms]
-    return crt_values(residues_mod, bounds, prime_seed, (table.size + 1) ** 2)
+    return crt_values(residues_mod, bounds, prime_seed, table.layer_size)
 
 
 def _eval_point(table: _FillTable, lam: int, prime_seed: int) -> Fraction:
@@ -308,7 +311,7 @@ def _eval_point(table: _FillTable, lam: int, prime_seed: int) -> Fraction:
         return [[v] if m else None for v, m in zip(ratio.tolist(), det_minor.tolist())]
 
     d = table.size - len(table.minor_rows)
-    value = crt_values(quotient_mod, [table.radius(lam) ** d], prime_seed, table.size**2)
+    value = crt_values(quotient_mod, [table.radius(lam) ** d], prime_seed, table.layer_size)
     if value is None:
         value = [(-1) ** d * _charpoly_quotient(table, lam, prime_seed, 1)[0]]
     return Fraction(value[0] * table.scale_minor, table.scale_full)
@@ -378,7 +381,7 @@ def _pencil_values(
         return out
 
     bounds = [table.radius(lam) ** d for lam in nodes]
-    values = crt_values(residues_mod, bounds, prime_seed, 2 * table.size**2)
+    values = crt_values(residues_mod, bounds, prime_seed, table.layer_size)
     if values is None:
         return None
     return [Fraction(v * table.scale_minor, table.scale_full) for v in values]

@@ -31,6 +31,7 @@ PRIME_LIMIT = 2**31
 # a callback fewer primes at once for larger matrices, down to one.  A
 # stack that outgrows the cache runs no faster per prime than one layer.
 STACK_CAP = 1 << 17
+_HALVES = np.array([16, 0], dtype=np.int64)  # shifts that split int64 values in two
 
 _MR_BASES = (2, 3, 5, 7)  # deterministic below 3,215,031,751
 
@@ -154,9 +155,6 @@ def _solve_mod(
     return np.array(dets, dtype=np.int64), aug[:, :, n:]
 
 
-_HALVES = np.array([16, 0], dtype=np.int64)
-
-
 def _matvec_mod(a: np.ndarray, v: np.ndarray, moduli: np.ndarray) -> np.ndarray:
     """a @ v per layer modulo (P, 1) moduli, for operands in [0, p) and
     fewer than 2**16 terms: v is split into 16-bit halves so no int64
@@ -201,7 +199,8 @@ def poly_divexact_mod(num: np.ndarray, den: np.ndarray, primes: np.ndarray) -> n
         window = rem[:, s : s + width]
         np.remainder(window + (moduli - quot[:, s, None]) * den, moduli, out=window)
     if rem.any():
-        raise MathError(f"division left a remainder mod {primes[rem.any(axis=1)][0]}")
+        p = primes[rem.any(axis=1)][0]
+        raise MathError(f"division by a monic polynomial left a remainder mod {p}")
     return quot
 
 
