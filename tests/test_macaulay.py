@@ -278,7 +278,15 @@ def _sympy_resultant(system):
 def test_resultant_matches_sympy_macaulay_resultant():
     # seeded sparse systems in 2 and 3 variables of degrees up to 2, some
     # without an x_i**d_i term, so that det M' vanishes and the value
-    # comes from the generalized charpoly branch
+    # comes from the generalized charpoly branch; and one system with
+    # entries of 2**62 and more, which the tables reduce as Python ints
+    big = 2**70 + 3
+    huge = _system([
+        _poly(3, {(2, 0, 0): big, (0, 1, 1): 5, (1, 0, 1): -7}),
+        _poly(3, {(0, 2, 0): 3, (1, 1, 0): big - 11}),
+        _poly(3, {(0, 0, 2): -2, (1, 0, 1): 9, (0, 2, 0): 1}),
+    ])
+    assert resultant_value(huge) == _sympy_resultant(huge) != 0
     rng = random.Random(9011)
     shapes = [(1, 2), (2, 1), (2, 2), (1, 1, 2), (1, 2, 2), (2, 2, 1), (2, 2, 2)]
     degenerate = 0
