@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable, Sequence
@@ -110,14 +109,12 @@ class PolyCache:
     whole orbit to that key, so every later member costs one dict
     lookup, and the polynomial is computed once, on the least mask.
     `computed` counts the classes this cache computed, not those loaded
-    from a checkpoint.  Insertion holds a lock, so a cache shared
-    between threads never stores two polynomials under one key.
+    from a checkpoint.
     """
 
     def __init__(self) -> None:
         self._polys: dict[tuple[int, int, int], UniPoly] = {}
         self._class_keys: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-        self._lock = threading.Lock()
         self.computed = 0
 
     def __len__(self) -> int:
@@ -142,11 +139,9 @@ class PolyCache:
             return hit
         cfg = config if config is not None else DEFAULT_CONFIG
         poly = char_poly(adjacency_tensor(from_bitmask(*key)), cfg)
-        with self._lock:
-            if key not in self._polys:
-                self._polys[key] = poly
-                self.computed += 1
-        return self._polys[key]
+        self._polys[key] = poly
+        self.computed += 1
+        return poly
 
     def get_char(self, h: Hypergraph, config: RunConfig | None = None) -> UniPoly:
         return self.get_char_mask(h.n, h.k, edge_bitmask(h), config)

@@ -8,6 +8,10 @@ neighborhood by the complement within V1.  The operation is an
 involution and is realized by conjugating the adjacency tensor with an
 explicit orthogonal, symmetric matrix, which is what makes switched
 pairs share their spectra.
+
+`verify_similarity` certifies a switched pair in integers.  Q has
+entries in (1/n1)Z, so it checks that n1*Q, applied along each of the k
+modes of (k-1)! A_H, gives n1^k (k-1)! A_G entry by entry.
 """
 
 from __future__ import annotations
@@ -15,18 +19,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import (
     BadPartition,
     BadSize,
     ConditionAViolated,
     ConditionBViolated,
+    DimMismatch,
     InputError,
     OddV1,
 )
-from .hypergraph import Hypergraph, adjacency_tensor, neighbors_in
-from .tensor import Tensor, mat_sim
+from .hypergraph import Hypergraph, neighbors_in
+from .tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -172,22 +180,55 @@ class SimilarityReport:
 def verify_similarity(
     h: Hypergraph, g: Hypergraph, p: SwitchingPartition
 ) -> SimilarityReport:
-    """Entrywise check that conjugation carries one adjacency tensor to the other."""
+    """Entrywise check that conjugation carries one adjacency tensor to the other.
+
+    Both sides are scaled to integers: n1*Q is an integer matrix, and
+    (k-1)! times an adjacency tensor is 1 at every arrangement of every
+    edge.  The map is similar when n1*Q applied along every mode of
+    (k-1)!*A_H equals n1^k * (k-1)! * A_G entrywise.  A mismatch reports
+    the first differing 1-based index in row-major order, with both
+    entries divided back to the Fractions of Q A_H Q and A_G.
+    """
+    n1 = len(p.v1)
     q = aligned_switching_matrix(p)
-    image = mat_sim(q, adjacency_tensor(h))
-    target = adjacency_tensor(g)
-    if image.entries == target.entries:
+    if (g.n, g.k) != (h.n, h.k) or p.n != h.n:
+        raise DimMismatch(
+            f"similarity needs one size; got H with n={h.n} k={h.k}, "
+            f"G with n={g.n} k={g.k} and a partition of {p.n} vertices"
+        )
+    nq = np.array([int(v * n1) for v in q.entries], dtype=np.int64).reshape(h.n, h.n)
+    # every partial product, and the target, is bounded in absolute value by
+    # (max absolute row sum of n1*Q)^k <= (3*n1)^k; int64 holds it below 2^62
+    bound = int(np.abs(nq).sum(axis=1).max()) ** h.k
+    dtype = object if bound >= 1 << 62 else np.int64
+    nq = nq.astype(dtype)
+    image = _scaled_adjacency(h, dtype)
+    for mode in range(h.k):
+        image = np.moveaxis(np.tensordot(nq, image, axes=(1, mode)), 0, mode)
+    scale = n1**h.k
+    target = _scaled_adjacency(g, dtype) * scale
+    differ = np.flatnonzero(image != target)
+    if not differ.size:
         return SimilarityReport(True)
-    for flat, (got, want) in enumerate(zip(image.entries, target.entries)):
-        if got != want:
-            idx = []
-            rest = flat
-            for _ in range(image.order):
-                rest, r = divmod(rest, image.dim)
-                idx.append(r + 1)
-            idx.reverse()
-            return SimilarityReport(False, tuple(idx), want, got)
-    return SimilarityReport(True)
+    flat = int(differ[0])
+    idx = tuple(int(i) + 1 for i in np.unravel_index(flat, image.shape))
+    denominator = scale * factorial(h.k - 1)
+    return SimilarityReport(
+        False,
+        idx,
+        Fraction(int(target.flat[flat]), denominator),
+        Fraction(int(image.flat[flat]), denominator),
+    )
+
+
+def _scaled_adjacency(h: Hypergraph, dtype) -> np.ndarray:
+    """(k-1)! times the adjacency tensor of h: 1 at every arrangement of every edge."""
+    a = np.zeros((h.n,) * h.k, dtype=dtype)
+    if h.edges:
+        edges = np.array(sorted(h.edges), dtype=np.intp) - 1
+        perms = np.array(list(itertools.permutations(range(h.k))), dtype=np.intp)
+        a[tuple(edges[:, perms].reshape(-1, h.k).T)] = 1
+    return a
 
 
 def find_partitions(

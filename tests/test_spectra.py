@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +17,7 @@ from hyperspec.config import DEFAULT_CONFIG
 from hyperspec.analysis import PolyCache
 from hyperspec.errors import CapExceeded, DegreeCapExceeded
 from hyperspec import spectra
-from hyperspec.hypergraph import Hypergraph, adjacency_tensor, from_bitmask
+from hyperspec.hypergraph import Hypergraph, adjacency_tensor, count_simplices, from_bitmask
 from hyperspec.macaulay import _FillTable
 from hyperspec.polynomial import UniPoly
 from hyperspec.spectra import (
@@ -373,19 +374,41 @@ def _three_graphs(draw):
     return Hypergraph.from_edges(n, 3, edges)
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
-@given(_three_graphs())
-def test_char_coefficient_identities_on_three_graphs(h):
+def _check_three_graph_coefficients(h, phi):
     # Cooper & Dutle, "Spectra of uniform hypergraphs", LAA 436 (2012): the
     # coefficients of L^(d-1) .. L^(d-k+1) vanish and that of L^(d-k) is
-    # -k^(k-2) (k-1)^(n-k) |E|, here -3 * 2^(n-3) |E|
+    # -k^(k-2) (k-1)^(n-k) |E|, here -3 * 2^(n-3) |E|.
+    # The coefficient of L^(d-k-1) counts simplices.  Clark & Cooper, "A
+    # Harary-Sachs theorem for hypergraphs", JCTB 149 (2021), write the
+    # codegree-j coefficient as a sum over Veblen multi-hypergraphs with j
+    # edges, and with k + 1 edges the only one is the simplex.  The constant
+    # -21 * 2^(n-3) is the one measured on every class below; this test
+    # pins it and does not check that derivation.
     n = h.n
     d = n * 2 ** (n - 1)
-    phi = char_poly(adjacency_tensor(h))
     assert phi.degree == d and phi.is_monic()
     assert phi.coefficient(d - 1) == 0
     assert phi.coefficient(d - 2) == 0
     assert phi.coefficient(d - 3) == -3 * 2 ** (n - 3) * len(h.edges)
+    assert phi.coefficient(d - 4) == -21 * 2 ** (n - 3) * count_simplices(h)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(_three_graphs())
+def test_char_coefficient_identities_on_three_graphs(h):
+    _check_three_graph_coefficients(h, char_poly(adjacency_tensor(h)))
+
+
+def test_char_coefficient_identities_on_every_small_three_graph_class():
+    cache = PolyCache()
+    classes = {
+        cache.class_key(n, 3, mask)
+        for n in (3, 4, 5)
+        for mask in range(2 ** math.comb(n, 3))
+    }
+    assert len(classes) == 2 + 5 + 34
+    for key in sorted(classes):
+        _check_three_graph_coefficients(from_bitmask(*key), cache.get_char_mask(*key))
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)

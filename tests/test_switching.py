@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -12,16 +12,20 @@ from hyperspec.errors import (
     BadPartition,
     ConditionAViolated,
     ConditionBViolated,
+    DimMismatch,
     InputError,
     OddV1,
 )
 from hyperspec.hypergraph import (
     Hypergraph,
+    adjacency_tensor,
     count_simplices,
     is_isomorphic,
     neighbors_in,
 )
+from hyperspec.spectra import char_poly
 from hyperspec.switching import (
+    SimilarityReport,
     SwitchingPartition,
     aligned_switching_matrix,
     example_pair,
@@ -31,7 +35,22 @@ from hyperspec.switching import (
     validate,
     verify_similarity,
 )
-from hyperspec.tensor import identity, is_orthogonal, matmul, transpose
+from hyperspec.tensor import identity, is_orthogonal, mat_sim, matmul, transpose
+
+
+def _fraction_oracle(h, g, p):
+    """verify_similarity in Fractions: Q A_H Q against A_G, densely, row-major."""
+    image = mat_sim(aligned_switching_matrix(p), adjacency_tensor(h))
+    target = adjacency_tensor(g)
+    cells = product(range(1, h.n + 1), repeat=h.k)
+    for idx, got, want in zip(cells, image.entries, target.entries):
+        if got != want:
+            return SimilarityReport(False, idx, want, got)
+    return SimilarityReport(True)
+
+
+def _flip(g, edge):
+    return Hypergraph.from_edges(g.n, g.k, set(g.edges) ^ {edge})
 
 
 def test_example_pair_structure():
@@ -77,9 +96,59 @@ def test_similarity_catches_corruption():
         flipped.add(probe)
     bad = Hypergraph.from_edges(g.n, g.k, flipped)
     report = verify_similarity(h, bad, p)
-    assert not report.ok
-    assert report.first_mismatch is not None
-    assert report.expected != report.actual
+    assert report == SimilarityReport(False, (5, 6, 7), Fraction(0), Fraction(1, 2))
+    assert report == _fraction_oracle(h, bad, p)
+
+
+def test_similarity_rejects_mismatched_sizes():
+    # both tensors are all zero, so a check that pairs entries up blindly
+    # would certify these
+    h = Hypergraph.empty(4, 3)
+    p = SwitchingPartition.from_v1(4, (1, 2))
+    for g in (Hypergraph.empty(5, 3), Hypergraph.empty(4, 2)):
+        with pytest.raises(DimMismatch):
+            verify_similarity(h, g, p)
+    with pytest.raises(DimMismatch):
+        verify_similarity(h, h, SwitchingPartition.from_v1(5, (1, 2)))
+
+
+def _oracle_instances():
+    """example_pair(3..8), then every partition find_partitions yields on
+    seeded random 3-graphs with at most 7 vertices."""
+    for n in range(3, 9):
+        h, _, p = example_pair(n)
+        yield h, p
+    rng = random.Random(12)
+    for _ in range(24):
+        n = rng.randint(4, 7)
+        edges = [e for e in combinations(range(1, n + 1), 3) if rng.random() < 0.25]
+        h = Hypergraph.from_edges(n, 3, edges)
+        for p in find_partitions(h):
+            yield h, p
+
+
+def test_similarity_matches_the_fraction_oracle():
+    rng = random.Random(13)
+    polys = {}
+
+    def phi(h):
+        if h not in polys:
+            polys[h] = char_poly(adjacency_tensor(h))
+        return polys[h]
+
+    checked = 0
+    for h, p in _oracle_instances():
+        g = switch(h, p)
+        assert verify_similarity(h, g, p) == SimilarityReport(True)
+        assert _fraction_oracle(h, g, p) == SimilarityReport(True)
+        if h.n <= 5:
+            assert phi(h) == phi(g)
+        bad = _flip(g, tuple(sorted(rng.sample(range(1, h.n + 1), 3))))
+        report = verify_similarity(h, bad, p)
+        assert not report.ok
+        assert report == _fraction_oracle(h, bad, p)
+        checked += 1
+    assert checked >= 100
 
 
 def test_switch_without_half_counts_is_identity():
