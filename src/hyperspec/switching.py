@@ -196,7 +196,10 @@ def verify_similarity(
             f"similarity needs one size; got H with n={h.n} k={h.k}, "
             f"G with n={g.n} k={g.k} and a partition of {p.n} vertices"
         )
-    nq = np.array([int(v * n1) for v in q.entries], dtype=np.int64).reshape(h.n, h.n)
+    # exact: every denominator of Q divides n1
+    nq = np.array(
+        [v.numerator * (n1 // v.denominator) for v in q.entries], dtype=np.int64
+    ).reshape(h.n, h.n)
     # every partial product, and the target, is bounded in absolute value by
     # (max absolute row sum of n1*Q)^k <= (3*n1)^k; int64 holds it below 2^62
     bound = int(np.abs(nq).sum(axis=1).max()) ** h.k

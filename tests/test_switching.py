@@ -88,13 +88,7 @@ def test_similarity_certificate():
 
 def test_similarity_catches_corruption():
     h, g, p = example_pair(3)
-    flipped = set(g.edges)
-    probe = (5, 6, 7)
-    if probe in flipped:
-        flipped.remove(probe)
-    else:
-        flipped.add(probe)
-    bad = Hypergraph.from_edges(g.n, g.k, flipped)
+    bad = _flip(g, (5, 6, 7))
     report = verify_similarity(h, bad, p)
     assert report == SimilarityReport(False, (5, 6, 7), Fraction(0), Fraction(1, 2))
     assert report == _fraction_oracle(h, bad, p)
