@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from typing import Any
 
 from .analysis import (
@@ -360,9 +361,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main call rather than at import;
+    parse_args leaves it unchanged, so later calls reuse it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     base = RunConfig(degree_cap=args.degree_cap, dim_cap=args.dim_cap)
     try:
         cfg = config_from_env(base)

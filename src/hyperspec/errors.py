@@ -59,10 +59,6 @@ class DimMismatch(MathError):
     """Operands with incompatible dimensions or orders."""
 
 
-class DuplicateAbscissa(MathError):
-    """Interpolation nodes with a repeated abscissa."""
-
-
 class BadPrime(MathError):
     """Modulus unusable: composite, out of range, or divides a denominator."""
 

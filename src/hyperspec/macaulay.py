@@ -10,8 +10,11 @@ two or more distinct i.
 
 Every resultant goes through one integer path.  A system whose
 coefficients are linear in a parameter lambda is tabulated once with
-its rows scaled to integers.  Its values at many integer lambdas come
-from one pencil reduction per prime (_pencil_values); one integer
+its rows scaled to integers.  Modulo each prime, its residues at many
+integer lambdas come from one pencil reduction (_pencil_values), or
+from the generalized charpoly below at every node, all (prime, node)
+layers in shared stacks (_gcp_values); the caller interpolates them
+mod p and recombines the coefficients (see spectra).  One integer
 lambda costs det(M) / det(M') modulo each prime (_eval_point).  All
 the primes of one crt_values call share one stacked pass (see modular).
 A numeric system is the lambda-free case, evaluated at lambda = 0.
@@ -43,6 +46,7 @@ from .errors import (
 )
 from .modular import (
     _det_mod, _inverses, _solve_mod, charpoly_mod, crt_values, poly_divexact_mod,
+    stack_layers,
 )
 from .polynomial import MultiPoly
 
@@ -180,10 +184,11 @@ def _pencil_mod(
     return at
 
 
-def _at(pencil: np.ndarray, lam: int, primes: np.ndarray) -> np.ndarray:
-    """F0 + lam F1 modulo each prime, from the stacks of _pencil_mod."""
+def _at(pencil: np.ndarray, lam: int | np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """F0 + lam F1 modulo each prime, from the stacks of _pencil_mod; lam
+    is one integer or one per layer."""
     moduli = primes[:, None, None]
-    return (pencil[0] + lam % moduli * pencil[1]) % moduli
+    return (pencil[0] + np.asarray(lam)[..., None, None] % moduli * pencil[1]) % moduli
 
 
 class _FillTable:
@@ -263,11 +268,8 @@ def _quotient_mod(full: np.ndarray, minor: np.ndarray, primes: np.ndarray) -> np
     return poly_divexact_mod(charpoly_mod(full, primes), charpoly_mod(minor, primes), primes)
 
 
-def _charpoly_quotient(
-    table: _FillTable, lam: int, prime_seed: int, terms: int | None = None
-) -> list[int]:
-    """The lowest terms (default all) ascending integer coefficients of
-    charpoly(M) / charpoly(M') at lam.
+def _charpoly_quotient(table: _FillTable, lam: int, prime_seed: int) -> list[int]:
+    """The ascending integer coefficients of charpoly(M) / charpoly(M') at lam.
 
     Every root of the quotient is an eigenvalue of M, so by Gershgorin
     its absolute value is at most R = table.radius(lam), and the
@@ -279,10 +281,56 @@ def _charpoly_quotient(
     def residues_mod(primes: list[int]) -> np.ndarray:
         pv = np.array(primes, dtype=np.int64)
         full, minor = _at(table.full_at(pv), lam, pv), _at(table.minor_at(pv), lam, pv)
-        return _quotient_mod(full, minor, pv)[:, :terms]
+        return _quotient_mod(full, minor, pv)
 
-    bounds = [comb(d, j) * radius ** (d - j) for j in range(d + 1)][:terms]
+    bounds = [comb(d, j) * radius ** (d - j) for j in range(d + 1)]
     return crt_values(residues_mod, bounds, prime_seed, table.layer_size)
+
+
+def _value_bound(table: _FillTable, lam: int) -> int:
+    """A bound on the absolute resultant value at an integer lambda: R**d,
+    R the largest absolute row sum of M there and d = N - N' (see
+    _eval_point), or 0 where a polynomial vanishes identically, since the
+    resultant is 0 there."""
+    if table.vanishing_poly(lam):
+        return 0
+    return table.radius(lam) ** (table.size - len(table.minor_rows))
+
+
+# rho = 2**e, e in this range, for the Cauchy estimates of _coefficient_bounds
+_RHO_EXPONENTS = range(-16, 33)
+
+
+def _coefficient_bounds(table: _FillTable, powers: Sequence[int]) -> list[int]:
+    """Bounds on the absolute coefficients of lambda**j, j in powers, of
+    the resultant as a polynomial in lambda.
+
+    At a complex lambda every root of the quotient charpoly(M) /
+    charpoly(M') is still an eigenvalue of M(lambda) (see _eval_point), so
+    on the circle |lambda| = rho the resultant is at most R(rho)**d, with
+    R(rho) the largest row sum of |F0| + rho |F1| (Gershgorin).  Cauchy's
+    estimate bounds the coefficient of lambda**j by R(rho)**d / rho**j for
+    every rho > 0; the least over rho = 2**e, e in _RHO_EXPONENTS, is
+    taken.  The constant coefficient is the value at lambda = 0, bounded
+    by _value_bound as the limit rho -> 0.
+    """
+    d = table.size - len(table.minor_rows)
+    # the rows of one polynomial share their absolute sums
+    sums = {
+        (sum(abs(i0) for _, i0, _ in terms), sum(abs(i1) for _, _, i1 in terms))
+        for terms in table.poly_terms
+    }
+    best: list[int | None] = [None] * len(powers)
+    for e in _RHO_EXPONENTS:
+        # R(2**e) = top / 2**s with integers, and R**d / rho**j = top**d / 2**shift
+        s = max(-e, 0)
+        top = max(((a << s) + (b << (e + s)) for a, b in sums), default=0) ** d
+        for k, j in enumerate(powers):
+            shift = s * d + e * j
+            bound = -(-top >> shift) if shift >= 0 else top << -shift
+            if best[k] is None or bound < best[k]:
+                best[k] = bound
+    return [_value_bound(table, 0) if j == 0 else b for j, b in zip(powers, best)]
 
 
 def _eval_point(table: _FillTable, lam: int, prime_seed: int) -> Fraction:
@@ -297,7 +345,7 @@ def _eval_point(table: _FillTable, lam: int, prime_seed: int) -> Fraction:
     each scaled polynomial by -s * x_i**d_i subtracts s from the diagonal
     of M and M', so Res(F - s x^d) = (-1)**(N - N') * charpoly(M) /
     charpoly(M'), whose monic divisor never vanishes, and Res(F) is that
-    quotient at s = 0, recombined under the same bound R**d.
+    quotient at s = 0 (_gcp_values), recombined under the same bound R**d.
     """
     if table.vanishing_poly(lam):
         return Fraction(0)
@@ -310,11 +358,43 @@ def _eval_point(table: _FillTable, lam: int, prime_seed: int) -> Fraction:
         ratio = _det_mod(_at(table.full_at(pv), lam, pv), pv) * _inverses(det_minor, pv) % pv
         return [[v] if m else None for v, m in zip(ratio.tolist(), det_minor.tolist())]
 
-    d = table.size - len(table.minor_rows)
-    value = crt_values(quotient_mod, [table.radius(lam) ** d], prime_seed, table.layer_size)
+    def gcp_mod(primes: list[int]) -> np.ndarray:
+        return _gcp_values(table, [lam], np.array(primes, dtype=np.int64))[0]
+
+    bounds = [_value_bound(table, lam)]
+    value = crt_values(quotient_mod, bounds, prime_seed, table.layer_size)
     if value is None:
-        value = [(-1) ** d * _charpoly_quotient(table, lam, prime_seed, 1)[0]]
+        value = crt_values(gcp_mod, bounds, prime_seed, table.layer_size)
     return Fraction(value[0] * table.scale_minor, table.scale_full)
+
+
+def _gcp_values(
+    table: _FillTable, nodes: Sequence[int], primes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Resultant residues at integer nodes from the generalized
+    characteristic polynomial (see _eval_point).
+
+    Every (prime, node) layer is one charpoly quotient, and the layers of
+    all nodes share stacks of at most STACK_CAP int64 entries.  Returns
+    the (P, nodes) residues, 0 where a polynomial vanishes identically,
+    and the (P,) mask of primes not skipped, as _pencil_values does; the
+    monic divisor never vanishes, so no prime is skipped.
+    """
+    d = table.size - len(table.minor_rows)
+    live = [i for i, lam in enumerate(nodes) if not table.vanishing_poly(lam)]
+    rows = np.repeat(np.arange(len(primes)), len(live))
+    cols = np.tile(np.array(live, dtype=np.intp), len(primes))
+    lams = np.array(nodes, dtype=np.int64)[cols]
+    out = np.zeros((len(primes), len(nodes)), dtype=np.int64)
+    step = stack_layers(table.layer_size)
+    for start in range(0, len(rows), step):
+        part = slice(start, start + step)
+        pv = primes[rows[part]]
+        full = _at(table.full_at(pv), lams[part], pv)
+        minor = _at(table.minor_at(pv), lams[part], pv)
+        constant = _quotient_mod(full, minor, pv)[:, 0]
+        out[rows[part], cols[part]] = (-constant if d % 2 else constant) % pv
+    return out, np.ones(len(primes), dtype=bool)
 
 
 # base points c tried, in order, for the pencil reduction modulo one prime
@@ -322,9 +402,9 @@ _SHIFTS = (0, 1, -1, 2, -2)
 
 
 def _pencil_values(
-    table: _FillTable, nodes: Sequence[int], prime_seed: int
-) -> list[Fraction] | None:
-    """Exact resultant values at integer nodes, one pencil reduction per prime.
+    table: _FillTable, nodes: Sequence[int], primes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Resultant residues at integer nodes, one pencil reduction per prime.
 
     The Macaulay matrix is a pencil M(lambda) = F0 + lambda F1, and so is
     its divisor M'.  At a shift c where A = M(c) and A' = M'(c) are
@@ -336,55 +416,45 @@ def _pencil_values(
     Res(lambda) = det A / det A' * sum_j q_j t**(d - j) mod p.  Each
     shift is tried on the layers of the stack no earlier shift resolved.
 
-    Each node's residues are recombined under its own bound R**d, R the
-    largest absolute row sum of M at the node (see _eval_point).  A later
-    prime at which no shift works is skipped: det M(c) and det M'(c) at
-    the first prime's shift c are nonzero integers, so only the finitely
-    many primes dividing them can fail every shift.  Returns None when no
+    Returns the (P, nodes) residues and the (P,) mask of the primes where
+    some shift worked; the others must be skipped.  det M(c) and det M'(c)
+    at the first prime's shift c are nonzero integers, so only the
+    finitely many primes dividing them can fail every shift.  When no
     shift works modulo the first prime, as for hypergraph adjacency
-    tensors, whose divisor vanishes identically in lambda; the caller
-    then evaluates each node with _eval_point.
+    tensors, whose divisor vanishes identically in lambda, the caller
+    takes _gcp_values instead.
     """
-    d = table.size - len(table.minor_rows)
     lams = np.array(nodes, dtype=np.int64)
-
-    def residues_mod(primes: list[int]) -> list[np.ndarray | None]:
-        out: list[np.ndarray | None] = [None] * len(primes)
-        stack = np.array(primes, dtype=np.int64)
-        minor, full = table.minor_at(stack), None
-        todo = np.arange(len(primes))  # the layers no shift has resolved
-        for c in _SHIFTS:
-            # the divisor is smaller and is the one that fails, so try it first
-            pv = stack[todo]
-            det_minor, n_minor = _solve_mod(_at(minor[:, todo], c, pv), minor[1, todo], pv)
-            ok = np.flatnonzero(det_minor)
-            if ok.size:
-                full = table.full_at(stack) if full is None else full
-                part = full[:, todo[ok]]
-                det_full, n_full = _solve_mod(_at(part, c, pv[ok]), part[1], pv[ok])
-                good = np.flatnonzero(det_full)
-                ok = ok[good]
-            if ok.size == 0:
-                continue
-            pv, moduli = pv[ok], pv[ok, None]
-            cube = moduli[:, :, None]
-            q = _quotient_mod(-n_full[good] % cube, -n_minor[ok] % cube, pv)
-            t, acc = (lams - c) % moduli, np.zeros((len(pv), len(lams)), dtype=np.int64)
-            for j in range(q.shape[1]):  # q_0 multiplies t**d
-                acc = (acc * t + q[:, j, None]) % moduli
-            scale = det_full[good] * _inverses(det_minor[ok], pv) % pv
-            for i, values in zip(todo[ok].tolist(), scale[:, None] * acc % moduli):
-                out[i] = values
-            todo = np.delete(todo, ok)
-            if todo.size == 0:
-                break
-        return out
-
-    bounds = [table.radius(lam) ** d for lam in nodes]
-    values = crt_values(residues_mod, bounds, prime_seed, table.layer_size)
-    if values is None:
-        return None
-    return [Fraction(v * table.scale_minor, table.scale_full) for v in values]
+    values = np.zeros((len(primes), len(nodes)), dtype=np.int64)
+    solved = np.zeros(len(primes), dtype=bool)
+    minor, full = table.minor_at(primes), None
+    todo = np.arange(len(primes))  # the layers no shift has resolved
+    for c in _SHIFTS:
+        # the divisor is smaller and is the one that fails, so try it first
+        pv = primes[todo]
+        det_minor, n_minor = _solve_mod(_at(minor[:, todo], c, pv), minor[1, todo], pv)
+        ok = np.flatnonzero(det_minor)
+        if ok.size:
+            full = table.full_at(primes) if full is None else full
+            part = full[:, todo[ok]]
+            det_full, n_full = _solve_mod(_at(part, c, pv[ok]), part[1], pv[ok])
+            good = np.flatnonzero(det_full)
+            ok = ok[good]
+        if ok.size == 0:
+            continue
+        pv, moduli = pv[ok], pv[ok, None]
+        cube = moduli[:, :, None]
+        q = _quotient_mod(-n_full[good] % cube, -n_minor[ok] % cube, pv)
+        t, acc = (lams - c) % moduli, np.zeros((len(pv), len(lams)), dtype=np.int64)
+        for j in range(q.shape[1]):  # q_0 multiplies t**d
+            acc = (acc * t + q[:, j, None]) % moduli
+        scale = det_full[good] * _inverses(det_minor[ok], pv) % pv
+        values[todo[ok]] = scale[:, None] * acc % moduli
+        solved[todo[ok]] = True
+        todo = np.delete(todo, ok)
+        if todo.size == 0:
+            break
+    return values, solved
 
 
 def resultant_value(

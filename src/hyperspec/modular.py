@@ -79,6 +79,12 @@ def nth_prime(index: int) -> int:
     return _PRIMES[index]
 
 
+def stack_layers(layer_size: int) -> int:
+    """Layers of layer_size int64 entries one stack may hold: as many as
+    fit in STACK_CAP entries, and at least one."""
+    return max(1, STACK_CAP // layer_size)
+
+
 def _inverses(values: np.ndarray, primes: np.ndarray) -> np.ndarray:
     """Each layer's value inverted modulo its prime; 0 stays 0."""
     pairs = zip(values.tolist(), primes.tolist())
@@ -212,7 +218,7 @@ def charpoly_mod(a: np.ndarray, primes: np.ndarray) -> np.ndarray:
     recurrence on its leading principal blocks: p_k = (x - h_kk) p_{k-1}
     - sum_{i<k} h_ik * h_{i+1,i} ... h_{k,k-1} * p_{i-1}, all i at once.
     """
-    for p in primes.tolist():
+    for p in set(primes.tolist()):
         if p < 3 or p >= PRIME_LIMIT or not is_prime(p):
             raise BadPrime(f"modulus must be an odd prime below 2**31, got {p}")
     if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[0] != len(primes):
@@ -289,7 +295,7 @@ def crt_values(
     first prime is skipped, so that the caller can take another route;
     the caller must skip only finitely many later primes.
     """
-    batch = max(1, STACK_CAP // layer_size)
+    batch = stack_layers(layer_size)
     primes: list[int] = []
     residues: list[list[int]] = []
     index, product, target = seed, 1, 2 * max(bounds)

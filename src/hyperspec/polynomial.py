@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DimMismatch, DuplicateAbscissa, MathError
+from .errors import DimMismatch
 from .rational import format_rational, parse_rational
 
 
@@ -140,39 +140,6 @@ class UniPoly:
         for sign, body in parts[1:]:
             text += f" {sign} {body}"
         return text
-
-
-def interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) -> UniPoly:
-    """Unique polynomial of degree < len(points) through the points.
-
-    Newton's divided differences; the result is re-evaluated at every
-    node as a self-check, so a bad node list cannot slip through.
-    """
-    xs = [Fraction(x) for x, _ in points]
-    ys = [Fraction(y) for _, y in points]
-    if len(set(xs)) != len(xs):
-        raise DuplicateAbscissa("interpolation nodes must have distinct abscissae")
-    if not points:
-        return UniPoly.zero()
-
-    diffs = list(ys)
-    coeffs = [diffs[0]]
-    for level in range(1, len(xs)):
-        for i in range(len(xs) - level):
-            diffs[i] = (diffs[i + 1] - diffs[i]) / (xs[i + level] - xs[i])
-        diffs.pop()
-        coeffs.append(diffs[0])
-
-    poly = UniPoly.zero()
-    basis = UniPoly.constant(1)
-    for i, c in enumerate(coeffs):
-        poly = poly + basis.scale(c)
-        basis = basis * UniPoly((-xs[i], Fraction(1)))
-
-    for x, y in zip(xs, ys):
-        if poly.evaluate(x) != y:
-            raise MathError("interpolation failed to reproduce its nodes")
-    return poly
 
 
 @dataclass(frozen=True)

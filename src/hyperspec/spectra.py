@@ -16,19 +16,21 @@ reduction modulo word-size primes, every prime needed in one stacked
 pass (see modular), divided exactly mod each prime and recombined by
 Chinese remaindering under a Gershgorin bound on the coefficients.
 
-The E-characteristic polynomial is computed by exact evaluation and
-interpolation.  The system is linear in lambda, so its Macaulay matrix
-and the divisor are pencils M(lambda) = F0 + lambda F1 and M'(lambda).
-Modulo each prime, one shift c with A = M(c) and A' = M'(c) invertible
-gives every node at once: with t = lambda - c and N = A**-1 F1,
+The E-characteristic polynomial is interpolated modulo each prime.  The
+system is linear in lambda, so its Macaulay matrix and the divisor are
+pencils M(lambda) = F0 + lambda F1 and M'(lambda).  Modulo each prime,
+one shift c with A = M(c) and A' = M'(c) invertible gives the residue at
+every node: with t = lambda - c and N = A**-1 F1,
 Res(lambda) = det A / det A' * sum_j q_j t**(d - j), where
-q = charpoly(-N) / charpoly(-N') and d = n - n' (see macaulay).  Each
-node's value is recombined under its own Gershgorin bound 2 R**d, R the
-largest absolute row sum of M at the node.  Where no shift works modulo
-the first prime (the divisor of every hypergraph adjacency tensor tried
-vanishes identically in lambda), each node is evaluated on its own:
-det M / det M' modulo each prime, or a charpoly quotient where the
-divisor determinant vanishes modulo the first prime.  The resultant is
+q = charpoly(-N) / charpoly(-N') and d = n - n' (see macaulay).  Where
+no shift works modulo the first prime (the divisor of every hypergraph
+adjacency tensor tried vanishes identically in lambda), every node takes
+the generalized charpoly's constant term instead, all (prime, node)
+layers in shared stacks.  The exact Lagrange basis of the nodes, reduced
+mod p, turns the node residues into coefficient residues, and one
+Chinese remaindering recombines every coefficient, each under Cauchy's
+estimate R(rho)**d / rho**j on a circle |lambda| = rho, R(rho) a
+Gershgorin bound on the eigenvalues of M there.  The resultant is
 homogeneous of degree prod_{j != i} d_j in the coefficients of f_i
 (Macaulay 1902; Cox, Little & O'Shea, Using Algebraic Geometry, Ch. 3
 Thm 3.1), so its lambda-degree is at most D, the sum of those products
@@ -42,16 +44,20 @@ D/2 + 1 points (13 for order 3, dimension 3) determine it as a
 polynomial in lambda**2.
 
 The tensor determinant is the resultant of the numeric system x -> A x
-itself, evaluated the same way; wherever its divisor determinant is
-nonzero, this keeps phi(0) = (-1)**d * det an independent check.
+itself, det M / det M' at a single point (see macaulay); wherever its
+divisor determinant is nonzero, this keeps phi(0) = (-1)**d * det an
+independent check.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm, prod
 from typing import Iterator
+
+import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DegreeCapExceeded, DimMismatch, MathError
@@ -59,13 +65,15 @@ from .macaulay import (
     LambdaSystem,
     PolySystem,
     _charpoly_quotient,
-    _eval_point,
+    _coefficient_bounds,
     _FillTable,
+    _gcp_values,
     _pencil_values,
     check_dim_cap,
     resultant_value,
 )
-from .polynomial import MultiPoly, UniPoly, interpolate
+from .modular import _matvec_mod, crt_values
+from .polynomial import MultiPoly, UniPoly
 from .tensor import Tensor
 
 
@@ -134,6 +142,53 @@ def _abscissae() -> Iterator[int]:
         k += 1
 
 
+class _Lagrange:
+    """The exact Lagrange basis of fixed integer abscissae x_0..x_{N-1}.
+
+    L_i(x) = sum_j num[i][j] x**j / den[i], with num[i] the coefficients
+    of prod_{k != i} (x - x_k) and den[i] = prod_{k != i} (x_i - x_k), so
+    the polynomial of degree below N through the values y_i has
+    coefficients c_j = sum_i y_i num[i][j] / den[i].  Its reductions
+    modulo each prime are kept.
+    """
+
+    def __init__(self, abscissae: tuple[int, ...]):
+        self.num: list[list[int]] = []
+        self.den: list[int] = []
+        for i, xi in enumerate(abscissae):
+            num, den = [1], 1
+            for k, xk in enumerate(abscissae):
+                if k != i:
+                    num = [a - xk * b for a, b in zip([0] + num, num + [0])]
+                    den *= xi - xk
+            self.num.append(num)
+            self.den.append(den)
+        self._mod: dict[int, np.ndarray] = {}
+
+    def _weights(self, p: int) -> np.ndarray:
+        """(N, N) matrix of num[i][j] / den[i] modulo p, indexed [j, i]."""
+        if p not in self._mod:
+            columns = []
+            for num, den in zip(self.num, self.den):
+                # den's prime factors are at most the spread of the
+                # abscissae, far below every modulus
+                assert den % p, f"Lagrange denominator {den} vanishes modulo {p}"
+                inverse = pow(den, -1, p)
+                columns.append([c * inverse % p for c in num])
+            self._mod[p] = np.array(columns, dtype=np.int64).T
+        return self._mod[p]
+
+    def coefficients_mod(self, values: np.ndarray, primes: np.ndarray) -> np.ndarray:
+        """(P, N) interpolant coefficients from (P, N) values modulo each prime."""
+        weights = np.stack([self._weights(p) for p in primes.tolist()])
+        return _matvec_mod(weights, values, primes[:, None])
+
+
+@lru_cache(maxsize=None)
+def _lagrange(abscissae: tuple[int, ...]) -> _Lagrange:
+    return _Lagrange(abscissae)
+
+
 def _interpolated_resultant(
     lsys: LambdaSystem, cfg: RunConfig, *, even_in_lambda: bool = False
 ) -> UniPoly:
@@ -150,14 +205,14 @@ def _interpolated_resultant(
     polynomial of degree at most D/2 in mu = lambda**2, interpolated
     through the D/2 + 1 values at lambda = 0, 1, ..., D/2.
 
-    The node values come from one pencil reduction per prime: det M and
-    det M' of the pencils M(lambda) = F0 + lambda F1 and M'(lambda) are
-    reversed charpolys of A**-1 F1 and A'**-1 F1' around a shift c, and
-    Macaulay's identity det M = Res * det M' holds as polynomials in
-    lambda.  Each node is recombined under its own bound 2 R**d, R the
-    largest absolute row sum of M at the node, d = n - n'.  When no shift
-    makes both matrices invertible modulo the first prime, every node is
-    evaluated on its own by _eval_point instead.
+    Modulo each prime, the node residues come from one pencil reduction
+    (_pencil_values) or, when no shift works modulo the first prime, from
+    the generalized charpoly at every node (_gcp_values).  The exact
+    Lagrange basis of the abscissae, reduced mod p, turns them into the
+    coefficients mod p.  The resultant of the row-scaled integer system
+    has integer coefficients, and one crt_values call recombines them,
+    each under its Cauchy estimate (_coefficient_bounds).  The row scales
+    divide out once at the end.
     """
     check_dim_cap(lsys.nvars, lsys.degrees, cfg.dim_cap)
     bound = sum(
@@ -172,15 +227,30 @@ def _interpolated_resultant(
     table = _FillTable(lsys)
     if even_in_lambda:
         nodes = list(range(bound // 2 + 1))
+        basis = _lagrange(tuple(lam * lam for lam in nodes))
+        powers = [2 * j for j in range(len(nodes))]
     else:
         nodes = list(itertools.islice(_abscissae(), bound + 1))
-    values = _pencil_values(table, nodes, cfg.prime_seed)
-    if values is None:
-        values = [_eval_point(table, lam, cfg.prime_seed) for lam in nodes]
+        basis = _lagrange(tuple(nodes))
+        powers = list(range(len(nodes)))
+    bounds = _coefficient_bounds(table, powers)
+
+    def recombine(node_values) -> list[int] | None:
+        def coefficients_mod(primes: list[int]) -> list[np.ndarray | None]:
+            pv = np.array(primes, dtype=np.int64)
+            values, solved = node_values(table, nodes, pv)
+            coeffs = basis.coefficients_mod(values, pv)
+            return [c if ok else None for c, ok in zip(coeffs, solved.tolist())]
+
+        return crt_values(coefficients_mod, bounds, cfg.prime_seed, table.layer_size)
+
+    coeffs = recombine(_pencil_values)
+    if coeffs is None:
+        coeffs = recombine(_gcp_values)
     if even_in_lambda:
-        half = interpolate([(lam * lam, v) for lam, v in zip(nodes, values)])
-        return UniPoly(tuple(c for h in half.coeffs for c in (h, 0)))
-    return interpolate(list(zip(nodes, values)))
+        coeffs = [c for h in coeffs for c in (h, 0)]
+    scale = Fraction(table.scale_minor, table.scale_full)
+    return UniPoly(tuple(c * scale for c in coeffs))
 
 
 def char_poly(a: Tensor, config: RunConfig | None = None) -> UniPoly:

@@ -3,15 +3,22 @@
 Everything here avoids the library's resultant machinery on purpose:
 cofactor expansion over the polynomial ring is slow but unarguable.
 Likewise the simplex listing walks vertex sets instead of the library's
-bitmask table.
+bitmask table, and interpolation runs Newton's divided differences in
+Fractions instead of the library's Lagrange basis modulo primes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
+from hyperspec.errors import MathError
 from hyperspec.polynomial import UniPoly
+
+
+class DuplicateAbscissa(MathError):
+    """Interpolation nodes with a repeated abscissa."""
 
 
 def poly_det(entries: list[list[UniPoly]]) -> UniPoly:
@@ -69,3 +76,36 @@ def simplices(h) -> list[tuple[int, ...]]:
         for group in combinations(range(1, h.n + 1), h.k + 1)
         if all(sub in h.edges for sub in combinations(group, h.k))
     ]
+
+
+def interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) -> UniPoly:
+    """Unique polynomial of degree < len(points) through the points.
+
+    Newton's divided differences; the result is re-evaluated at every
+    node as a self-check, so a bad node list cannot slip through.
+    """
+    xs = [Fraction(x) for x, _ in points]
+    ys = [Fraction(y) for _, y in points]
+    if len(set(xs)) != len(xs):
+        raise DuplicateAbscissa("interpolation nodes must have distinct abscissae")
+    if not points:
+        return UniPoly.zero()
+
+    diffs = list(ys)
+    coeffs = [diffs[0]]
+    for level in range(1, len(xs)):
+        for i in range(len(xs) - level):
+            diffs[i] = (diffs[i + 1] - diffs[i]) / (xs[i + level] - xs[i])
+        diffs.pop()
+        coeffs.append(diffs[0])
+
+    poly = UniPoly.zero()
+    basis = UniPoly.constant(1)
+    for i, c in enumerate(coeffs):
+        poly = poly + basis.scale(c)
+        basis = basis * UniPoly((-xs[i], Fraction(1)))
+
+    for x, y in zip(xs, ys):
+        if poly.evaluate(x) != y:
+            raise MathError("interpolation failed to reproduce its nodes")
+    return poly

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import hyperspec
+from hyperspec import cli
 from hyperspec.cli import main
 from hyperspec.hypergraph import (
     Hypergraph,
@@ -329,6 +330,42 @@ def test_missing_file_exits_2(capsys):
     code, _, err = _run(capsys, ["charpoly", "/nonexistent/x.hg"])
     assert code == 2
     assert err != ""
+
+
+def test_repeated_main_calls_match_fresh_parsers(tmp_path, capsys):
+    # main builds its parser once per process; reusing it must give the
+    # bytes and exit codes of a parser built for each call, also after an
+    # argparse error (exit 2 by SystemExit) and an input error (exit 2)
+    path = _single_edge_file(tmp_path)
+    calls = [
+        ["charpoly", path],
+        ["echarpoly", "--raw", path],
+        ["charpoly", "--no-such-flag", path],
+        ["simplices", "--format", "table", path],
+        ["charpoly", str(tmp_path / "missing.hg")],
+        ["charpoly", path],
+    ]
+
+    def outcomes(fresh):
+        got = []
+        for argv in calls:
+            if fresh:
+                cli._parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err))
+        return got
+
+    fresh = outcomes(fresh=True)
+    cli._parser.cache_clear()
+    reused = outcomes(fresh=False)
+    assert cli._parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 2, 0]
+    assert fresh[0] == fresh[-1]
 
 
 def test_module_entry_point_exits_2_on_missing_file(tmp_path):

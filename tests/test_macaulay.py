@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 import sympy
 from sympy.polys.multivariate_resultants import MacaulayResultant
@@ -20,12 +21,14 @@ from hyperspec.errors import (
 )
 from hyperspec.hypergraph import Hypergraph, adjacency_tensor
 from hyperspec import macaulay
-from hyperspec.modular import nth_prime
+from hyperspec.modular import crt_values, nth_prime
 from hyperspec.macaulay import (
     LambdaSystem,
     PolySystem,
     _eval_point,
     _FillTable,
+    _gcp_values,
+    _value_bound,
     _pencil_values,
     macaulay_dim,
     monomial_basis,
@@ -188,9 +191,15 @@ def test_degenerate_points_match_the_golden_e_char():
     raw = UniPoly.from_coeff_strings(blob["e_char_poly_raw"]["coefficients"])
     h = Hypergraph.from_edges(3, 3, [(1, 2, 3)])
     table = _FillTable(e_char_poly_system(adjacency_tensor(h)))
-    for lam in range(-24, 25):
+    nodes = list(range(-24, 25))
+    for lam in nodes:
         assert _exact_det(_fill(table, lam)[1]) == 0
         assert _eval_point(table, lam, 0) == raw.evaluate(lam)
+    # the same values with every node in one batch of stacks
+    for seed in (0, 3):
+        assert _recombined(_gcp_values, table, nodes, seed) == [
+            raw.evaluate(lam) for lam in nodes
+        ]
 
 
 def test_permuted_pure_powers_give_one():
@@ -330,6 +339,20 @@ def _e_char_nodes(order, dim):
     return list(itertools.islice(_abscissae(), bound + 1))
 
 
+def _recombined(route, table, nodes, seed):
+    # the exact values at the nodes, each recombined on its own from a
+    # route's residues, or None when the route refuses the first prime
+    def residues_mod(primes):
+        values, solved = route(table, nodes, np.array(primes, dtype=np.int64))
+        return [v if ok else None for v, ok in zip(values, solved.tolist())]
+
+    bounds = [_value_bound(table, lam) for lam in nodes]
+    got = crt_values(residues_mod, bounds, seed, table.layer_size)
+    if got is None:
+        return None
+    return [Fraction(v * table.scale_minor, table.scale_full) for v in got]
+
+
 def _seeded_tensor(rng, order, dim, *, rational, sparse):
     # a dense tensor has no zero entry: a single zero, say the diagonal
     # entry of an odd-order tensor, can make the divisor vanish identically
@@ -356,7 +379,7 @@ def test_pencil_matches_the_per_node_path():
             a = _seeded_tensor(rng, order, dim, rational=rational, sparse=sparse)
             table = _FillTable(e_char_poly_system(a))
             nodes = _e_char_nodes(order, dim)
-            got = _pencil_values(table, nodes, 0)
+            got = _recombined(_pencil_values, table, nodes, 0)
             if got is None:
                 # the fallback is reported only when no shift works
                 assert all(
@@ -377,7 +400,7 @@ def test_pencil_matches_the_per_node_path():
     assert took_pencil >= 24 and exact == 8
     a = _seeded_tensor(rng, 3, 4, rational=True, sparse=False)
     table = _FillTable(e_char_poly_system(a))
-    got = _pencil_values(table, _e_char_nodes(3, 4), 0)
+    got = _recombined(_pencil_values, table, _e_char_nodes(3, 4), 0)
     assert got[16] == _eval_point(table, 16, 0)
 
 
@@ -415,9 +438,9 @@ def test_pencil_where_the_divisor_vanishes_at_some_nodes():
     nodes = _e_char_nodes(4, 3)
     vanishing = [lam for lam in nodes if _exact_det(_fill(table, lam)[1]) == 0]
     assert {0, 1, 3} <= set(vanishing) and len(vanishing) < len(nodes)
-    assert _pencil_values(table, nodes, 0) == [
-        _eval_point(table, lam, 0) for lam in nodes
-    ]
+    expected = [_eval_point(table, lam, 0) for lam in nodes]
+    assert _recombined(_pencil_values, table, nodes, 0) == expected
+    assert _recombined(_gcp_values, table, nodes, 0) == expected
 
 
 def test_pencil_shift_on_and_off_the_nodes(monkeypatch):
@@ -431,7 +454,7 @@ def test_pencil_shift_on_and_off_the_nodes(monkeypatch):
     for shifts in ((5,), (-7,), (12,), (40, 5)):
         monkeypatch.setattr(macaulay, "_SHIFTS", shifts)
         for seed in (0, 3):
-            assert _pencil_values(table, nodes, seed) == expected, shifts
+            assert _recombined(_pencil_values, table, nodes, seed) == expected, shifts
 
 
 def test_pencil_reports_the_fallback_for_hypergraphs():
@@ -441,16 +464,17 @@ def test_pencil_reports_the_fallback_for_hypergraphs():
     for n, edges in ((3, [(1, 2, 3)]), (4, k4)):
         lsys = e_char_poly_system(adjacency_tensor(Hypergraph.from_edges(n, 3, edges)))
         table = _FillTable(lsys)
-        assert _pencil_values(table, _e_char_nodes(3, n), 0) is None
+        assert _recombined(_pencil_values, table, _e_char_nodes(3, n), 0) is None
         assert all(_exact_det(_fill(table, lam)[1]) == 0 for lam in range(-3, 4))
 
 
 def test_stack_cap_runs_one_prime_per_call(monkeypatch):
-    # every kernel call gets a stack of primes no larger than the cap; with
+    # every kernel call gets a stack of layers no larger than the cap; with
     # the cap below two layers of a Macaulay matrix of size 56, each call
-    # gets one prime, and no value changes.  The charpoly quotient, the
-    # determinant ratio and the pencil (E-char of order 3, dimension 3)
-    # all work on size 56 here
+    # gets one layer, and no value changes.  The charpoly quotient, the
+    # determinant ratio, the pencil (E-char of order 3, dimension 3) and
+    # the batched generalized charpoly (E-char of the single edge, whose
+    # layers are pairs of a prime and a node) all work on size 56 here
     from hyperspec import modular
     from hyperspec.spectra import char_poly, det_tensor, e_char_poly
 
@@ -468,13 +492,17 @@ def test_stack_cap_runs_one_prime_per_call(monkeypatch):
 
         monkeypatch.setattr(macaulay, name, recording)
 
+    edge = adjacency_tensor(Hypergraph.from_edges(3, 3, [(1, 2, 3)]))
+
     def run():
         stacks.clear()
-        return char_poly(cube), det_tensor(cube), e_char_poly(square, normalize=False)
+        return (char_poly(cube), det_tensor(cube), e_char_poly(square, normalize=False),
+                e_char_poly(edge, normalize=False))
 
     values = run()
     assert {name for name, _, _ in stacks} == {"_det_mod", "_solve_mod", "charpoly_mod"}
-    assert max(layers for _, layers, _ in stacks) > 1
+    # the single edge's batch: 13 nodes at each of several primes
+    assert max(layers for _, layers, _ in stacks) > 13
     assert max(entries for _, _, entries in stacks) <= modular.STACK_CAP
     monkeypatch.setattr(modular, "STACK_CAP", 2 * 56 * 56 - 1)
     assert run() == values

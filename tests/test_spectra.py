@@ -18,7 +18,8 @@ from hyperspec.analysis import PolyCache
 from hyperspec.errors import CapExceeded, DegreeCapExceeded
 from hyperspec import spectra
 from hyperspec.hypergraph import Hypergraph, adjacency_tensor, count_simplices, from_bitmask
-from hyperspec.macaulay import _FillTable
+from hyperspec import macaulay
+from hyperspec.macaulay import _eval_point, _FillTable
 from hyperspec.polynomial import UniPoly
 from hyperspec.spectra import (
     _interpolated_resultant,
@@ -27,6 +28,7 @@ from hyperspec.spectra import (
     e_char_poly,
     e_char_poly_system,
 )
+from oracles import interpolate
 from hyperspec.tensor import (
     Tensor,
     apply,
@@ -135,7 +137,7 @@ def test_e_char_degree_bound_holds_off_the_nodes():
         assert raw.degree <= bound
         table = _FillTable(e_char_poly_system(a))
         for lam in (bound // 2 + 2, -(bound // 2 + 2), 3 * bound):
-            assert raw.evaluate(Fraction(lam)) == spectra._eval_point(table, lam, 0)
+            assert raw.evaluate(Fraction(lam)) == _eval_point(table, lam, 0)
 
 
 def _record(monkeypatch, name, extract):
@@ -154,16 +156,17 @@ def test_e_char_samples_the_degree_bound_plus_one(monkeypatch):
     # even order interpolates through D + 1 nodes 0, 1, -1, ...; odd order
     # is even in lambda and interpolates in lambda**2 through lambda =
     # 0..D/2 (D = 24 for order 3, dimension 3 and D = 16 for order 5,
-    # dimension 2).  The other tensors get every node value from the pencil;
-    # the divisors of the single edge and of the sparse order-3 tensor
-    # vanish identically, so those evaluate each node on its own
+    # dimension 2).  The other tensors get every node residue from the
+    # pencil; the divisors of the single edge and of the sparse order-3
+    # tensor vanish identically, so those take the generalized charpoly at
+    # every node, all nodes in one batch
     order_three = symmetric_from_upper(3, 3, {
         (0, 0, 0): 1, (0, 1, 2): -1, (1, 1, 2): 2, (2, 2, 2): -1,
     })
     squares = [lam * lam for lam in range(13)]
     cases = [
-        (_single_edge(), squares, list(range(13))),
-        (order_three, squares, list(range(13))),
+        (_single_edge(), squares, [list(range(13))]),
+        (order_three, squares, [list(range(13))]),
         (_random_rational_tensor(random.Random(421), 3, 3), squares, []),
         (_order_four_integer(),
          list(itertools.islice(spectra._abscissae(), 28)), []),
@@ -171,13 +174,71 @@ def test_e_char_samples_the_degree_bound_plus_one(monkeypatch):
          [lam * lam for lam in range(9)], []),
     ]
     for a, abscissae, per_node in cases:
-        handed = _record(monkeypatch, "interpolate",
-                         lambda args: [x for x, _ in args[0]])
-        evaluated = _record(monkeypatch, "_eval_point", lambda args: args[1])
+        handed = _record(monkeypatch, "_lagrange", lambda args: list(args[0]))
+        evaluated = _record(monkeypatch, "_gcp_values", lambda args: list(args[1]))
         e_char_poly(a, normalize=False)
         assert handed == [abscissae]
         assert evaluated == per_node
         monkeypatch.undo()
+
+
+def test_single_edge_e_char_takes_two_prime_loops(monkeypatch):
+    # the pencil is refused at the first prime, then one loop recombines
+    # the coefficients from every node's generalized charpoly; no node
+    # runs a determinant ratio or a prime loop of its own
+    loops = []
+    for module in (spectra, macaulay):
+        def counting(*args, inner=module.crt_values):
+            loops.append(inner(*args))
+            return loops[-1]
+
+        monkeypatch.setattr(module, "crt_values", counting)
+    raw = e_char_poly(_single_edge(), normalize=False)
+    assert raw == _load_poly(DATA / "single_edge_n3_echar.json", "e_char_poly_raw")
+    assert [values is None for values in loops] == [True, False]
+    assert len(loops[1]) == 13
+
+
+def _assert_within_coefficient_bounds(a, raw):
+    # every coefficient of the row-scaled resultant is an integer within
+    # the bound it is recombined under
+    table = _FillTable(e_char_poly_system(a))
+    bound = _resultant_degree_bound(a.order, a.dim)
+    powers = range(0, bound + 1, 2) if a.order % 2 else range(bound + 1)
+    limits = macaulay._coefficient_bounds(table, list(powers))
+    unscale = Fraction(table.scale_full, table.scale_minor)
+    for j, limit in zip(powers, limits):
+        c = raw.coefficient(j) * unscale
+        assert c.denominator == 1 and abs(c) <= limit, (a.order, a.dim, j)
+
+
+def test_e_char_matches_the_fraction_interpolation_oracle():
+    # the raw E-char against Newton interpolation in Fractions through the
+    # _eval_point values at the same nodes, a path that shares neither the
+    # batched node residues, nor the Lagrange basis modulo primes, nor the
+    # coefficient bounds.  Order 5 in dimension 3 (Macaulay size 364, 49
+    # nodes) is left out: each node takes seconds there
+    rng = random.Random(4337)
+    shapes = [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2)]
+    tensors = [_random_rational_tensor(rng, order, dim) for order, dim in shapes]
+    for a in tensors + [_single_edge()]:
+        table = _FillTable(e_char_poly_system(a))
+        bound = _resultant_degree_bound(a.order, a.dim)
+        odd = a.order % 2 == 1
+        if odd:
+            nodes = list(range(bound // 2 + 1))
+            abscissae = [lam * lam for lam in nodes]
+        else:
+            nodes = list(itertools.islice(spectra._abscissae(), bound + 1))
+            abscissae = nodes
+        oracle = interpolate([(x, _eval_point(table, lam, 0))
+                              for x, lam in zip(abscissae, nodes)])
+        if odd:
+            oracle = UniPoly(tuple(c for h in oracle.coeffs for c in (h, 0)))
+        for seed in (0, 3):
+            raw = e_char_poly(a, DEFAULT_CONFIG.with_(prime_seed=seed), normalize=False)
+            assert raw == oracle, (a.order, a.dim, seed)
+        _assert_within_coefficient_bounds(a, oracle)
 
 
 def test_odd_order_resultant_is_even_in_lambda():
@@ -188,7 +249,7 @@ def test_odd_order_resultant_is_even_in_lambda():
         a = _random_rational_tensor(rng, order, dim)
         table = _FillTable(e_char_poly_system(a))
         for lam in range(1, _resultant_degree_bound(order, dim) + 1):
-            assert spectra._eval_point(table, -lam, 0) == spectra._eval_point(
+            assert _eval_point(table, -lam, 0) == _eval_point(
                 table, lam, 0
             )
     # even order has no such symmetry, so it keeps the full node set
@@ -361,9 +422,11 @@ def test_e_char_pinned_beyond_the_goldens():
     order_five = Tensor(5, 2, tuple(
         Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3))) for _ in range(32)
     ))
-    assert e_char_poly(_order_four_integer(), normalize=False) == _ORDER_FOUR_E_CHAR
-    assert e_char_poly(nonsymmetric, normalize=False) == _NONSYMMETRIC_E_CHAR
-    assert e_char_poly(order_five, normalize=False) == _ORDER_FIVE_E_CHAR
+    pinned = [(_order_four_integer(), _ORDER_FOUR_E_CHAR),
+              (nonsymmetric, _NONSYMMETRIC_E_CHAR), (order_five, _ORDER_FIVE_E_CHAR)]
+    for a, expected in pinned:
+        assert e_char_poly(a, normalize=False) == expected
+        _assert_within_coefficient_bounds(a, expected)
 
 
 @st.composite
