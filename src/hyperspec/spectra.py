@@ -142,51 +142,34 @@ def _abscissae() -> Iterator[int]:
         k += 1
 
 
-class _Lagrange:
-    """The exact Lagrange basis of fixed integer abscissae x_0..x_{N-1}.
-
-    L_i(x) = sum_j num[i][j] x**j / den[i], with num[i] the coefficients
-    of prod_{k != i} (x - x_k) and den[i] = prod_{k != i} (x_i - x_k), so
-    the polynomial of degree below N through the values y_i has
-    coefficients c_j = sum_i y_i num[i][j] / den[i].  Its reductions
-    modulo each prime are kept.
-    """
-
-    def __init__(self, abscissae: tuple[int, ...]):
-        self.num: list[list[int]] = []
-        self.den: list[int] = []
-        for i, xi in enumerate(abscissae):
-            num, den = [1], 1
-            for k, xk in enumerate(abscissae):
-                if k != i:
-                    num = [a - xk * b for a, b in zip([0] + num, num + [0])]
-                    den *= xi - xk
-            self.num.append(num)
-            self.den.append(den)
-        self._mod: dict[int, np.ndarray] = {}
-
-    def _weights(self, p: int) -> np.ndarray:
-        """(N, N) matrix of num[i][j] / den[i] modulo p, indexed [j, i]."""
-        if p not in self._mod:
-            columns = []
-            for num, den in zip(self.num, self.den):
-                # den's prime factors are at most the spread of the
-                # abscissae, far below every modulus
-                assert den % p, f"Lagrange denominator {den} vanishes modulo {p}"
-                inverse = pow(den, -1, p)
-                columns.append([c * inverse % p for c in num])
-            self._mod[p] = np.array(columns, dtype=np.int64).T
-        return self._mod[p]
-
-    def coefficients_mod(self, values: np.ndarray, primes: np.ndarray) -> np.ndarray:
-        """(P, N) interpolant coefficients from (P, N) values modulo each prime."""
-        weights = np.stack([self._weights(p) for p in primes.tolist()])
-        return _matvec_mod(weights, values, primes[:, None])
+@lru_cache(maxsize=None)
+def _lagrange(abscissae: tuple[int, ...]) -> list[tuple[list[int], int]]:
+    """(num_i, den_i) for the exact Lagrange basis of integer abscissae:
+    L_i(x) = sum_j num_i[j] x**j / den_i, with num_i the coefficients of
+    prod_{k != i} (x - x_k) and den_i = prod_{k != i} (x_i - x_k)."""
+    basis = []
+    for i, xi in enumerate(abscissae):
+        num, den = [1], 1
+        for k, xk in enumerate(abscissae):
+            if k != i:
+                num = [a - xk * b for a, b in zip([0] + num, num + [0])]
+                den *= xi - xk
+        basis.append((num, den))
+    return basis
 
 
 @lru_cache(maxsize=None)
-def _lagrange(abscissae: tuple[int, ...]) -> _Lagrange:
-    return _Lagrange(abscissae)
+def _lagrange_mod(abscissae: tuple[int, ...], p: int) -> np.ndarray:
+    """The (N, N) matrix of num_i[j] / den_i modulo p, indexed [j, i]: it
+    maps the values at the abscissae to the interpolant's coefficients."""
+    columns = []
+    for num, den in _lagrange(abscissae):
+        # den's prime factors are at most the spread of the abscissae, far
+        # below every modulus
+        assert den % p, f"Lagrange denominator {den} vanishes modulo {p}"
+        inverse = pow(den, -1, p)
+        columns.append([c * inverse % p for c in num])
+    return np.array(columns, dtype=np.int64).T
 
 
 def _interpolated_resultant(
@@ -227,11 +210,11 @@ def _interpolated_resultant(
     table = _FillTable(lsys)
     if even_in_lambda:
         nodes = list(range(bound // 2 + 1))
-        basis = _lagrange(tuple(lam * lam for lam in nodes))
+        abscissae = tuple(lam * lam for lam in nodes)
         powers = [2 * j for j in range(len(nodes))]
     else:
         nodes = list(itertools.islice(_abscissae(), bound + 1))
-        basis = _lagrange(tuple(nodes))
+        abscissae = tuple(nodes)
         powers = list(range(len(nodes)))
     bounds = _coefficient_bounds(table, powers)
 
@@ -239,7 +222,8 @@ def _interpolated_resultant(
         def coefficients_mod(primes: list[int]) -> list[np.ndarray | None]:
             pv = np.array(primes, dtype=np.int64)
             values, solved = node_values(table, nodes, pv)
-            coeffs = basis.coefficients_mod(values, pv)
+            weights = np.stack([_lagrange_mod(abscissae, p) for p in primes])
+            coeffs = _matvec_mod(weights, values, pv[:, None])
             return [c if ok else None for c, ok in zip(coeffs, solved.tolist())]
 
         return crt_values(coefficients_mod, bounds, cfg.prime_seed, table.layer_size)

@@ -174,10 +174,10 @@ def test_e_char_samples_the_degree_bound_plus_one(monkeypatch):
          [lam * lam for lam in range(9)], []),
     ]
     for a, abscissae, per_node in cases:
-        handed = _record(monkeypatch, "_lagrange", lambda args: list(args[0]))
+        handed = _record(monkeypatch, "_lagrange_mod", lambda args: list(args[0]))
         evaluated = _record(monkeypatch, "_gcp_values", lambda args: list(args[1]))
         e_char_poly(a, normalize=False)
-        assert handed == [abscissae]
+        assert handed and all(x == abscissae for x in handed)
         assert evaluated == per_node
         monkeypatch.undo()
 
