@@ -3,9 +3,12 @@
 The expensive object in every question here is the characteristic
 polynomial, so this module is organized around a cache keyed by
 canonical form: isomorphic hypergraphs share one computation.  Both
-universe questions run one loop over the edge bitmasks of every labeled
-hypergraph on n vertices, in increasing order; it can persist the cache
-to a JSON checkpoint and resume after interruption.
+universe questions run one loop over edge bitmasks of labeled
+hypergraphs on n vertices, in increasing order; it can persist the cache
+to a JSON checkpoint and resume after interruption.  The scan walks
+every mask.  The search walks only the masks with the target's edge
+count, as a popcount walk, and filters them by simplex count in numpy
+chunks.
 
 Two routes to the same facts are deliberately kept apart.  The
 invariant scan computes every polynomial and then checks that equal
@@ -24,7 +27,7 @@ import json
 import os
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import BadSize, CapExceeded, DimMismatch, DivisionByZero, InputError
@@ -36,8 +39,10 @@ from .hypergraph import (
     from_bitmask,
     mask_orbit,
     mask_simplex_count,
+    popcount_masks,
     simplex_masks,
     subset_order,
+    with_simplex_count,
 )
 from .polynomial import UniPoly
 from .spectra import char_poly, e_char_poly
@@ -242,12 +247,12 @@ def _universe_polys(
     *,
     cache: PolyCache | None = None,
     checkpoint_path: str | None = None,
-    keep: Callable[[int], bool] | None = None,
+    masks: Iterable[int] | None = None,
 ) -> tuple[PolyCache, list[tuple[int, UniPoly]]]:
     """(cache, [(mask, char poly)]) over the labeled (n, k) universe.
 
-    Covers, in mask order, every mask that keep accepts; with no keep,
-    every mask.  A checkpoint seeds the cache (a given cache takes
+    Covers the given masks, which must come in increasing order; with
+    none, every mask.  A checkpoint seeds the cache (a given cache takes
     precedence) and the watermark, and is rewritten whenever the cache
     grows and once at the end.
     """
@@ -262,9 +267,8 @@ def _universe_polys(
         cache = loaded if cache is None else cache
     if cache is None:
         cache = PolyCache()
-    masks: Iterable[int] = range(1 << slots)
-    if keep is not None:
-        masks = filter(keep, masks)
+    if masks is None:
+        masks = range(1 << slots)
     rows: list[tuple[int, UniPoly]] = []
     persisted = cache.computed
     for mask in masks:
@@ -367,6 +371,22 @@ def cospectral_invariant_scan(
     )
 
 
+def _candidate_masks(
+    n: int, k: int, target_mask: int, fingerprint_fields: Sequence[str]
+) -> Iterable[int]:
+    """The (n, k) masks, increasing, whose fingerprint fields match the target's."""
+    slots = comb(n, k)
+    if "edges" in fingerprint_fields:
+        masks: Iterable[int] = popcount_masks(slots, target_mask.bit_count())
+    else:
+        masks = range(1 << slots)
+    if "simplices" in fingerprint_fields:
+        masks = with_simplex_count(
+            n, k, masks, mask_simplex_count(n, k, target_mask)
+        )
+    return masks
+
+
 @dataclass(frozen=True)
 class DsVerdict:
     target: Hypergraph
@@ -391,28 +411,21 @@ def ds_verify(
     before any polynomial work; equal counts for cospectral mates is
     exactly what the invariant scan validates.  fingerprint_fields may
     be narrowed to "edges" alone to demonstrate that the isomorphism
-    filter catches what a weaker fingerprint lets through.
+    filter catches what a weaker fingerprint lets through.  With
+    "edges", only the masks of the target's popcount are walked.
     """
     cfg = config if config is not None else DEFAULT_CONFIG
     unknown = set(fingerprint_fields) - {"edges", "simplices"}
     if unknown:
         raise InputError(f"unknown fingerprint fields {sorted(unknown)}")
     n, k, target_mask = h.n, h.k, edge_bitmask(h)
-    edges = target_mask.bit_count() if "edges" in fingerprint_fields else None
-    simplices = (
-        mask_simplex_count(n, k, target_mask)
-        if "simplices" in fingerprint_fields
-        else None
-    )
-
-    def keep(mask: int) -> bool:
-        # the popcount first: it is far cheaper than the simplex count
-        return (edges is None or mask.bit_count() == edges) and (
-            simplices is None or mask_simplex_count(n, k, mask) == simplices
-        )
-
     cache, kept = _universe_polys(
-        n, k, cfg, cache=cache, checkpoint_path=checkpoint_path, keep=keep
+        n,
+        k,
+        cfg,
+        cache=cache,
+        checkpoint_path=checkpoint_path,
+        masks=_candidate_masks(n, k, target_mask, fingerprint_fields),
     )
     target_poly = cache.get_char_mask(n, k, target_mask, cfg)
     mate_masks = [

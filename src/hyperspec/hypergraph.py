@@ -21,12 +21,14 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import BadEdge, BadSetSize, BadSize, CapExceeded, ParseError
 from .tensor import Tensor
 
 VertexSet = tuple[int, ...]
 
-_PERM_TABLE_MAX_N = 7  # cached permutation remaps; beyond this, recompute lazily
+_PERM_TABLE_MAX_N = 7  # cached remap tables; beyond this, one relabeling at a time
 # canonical forms try all n! relabelings: 8! takes seconds, 9! does not
 CANONICAL_MAX_N = 8
 
@@ -160,6 +162,48 @@ def mask_simplex_count(n: int, k: int, mask: int) -> int:
     return sum(mask & faces == faces for _, faces in simplex_masks(n, k))
 
 
+_FILTER_CHUNK = 4096  # masks counted per numpy pass
+
+
+def with_simplex_count(
+    n: int, k: int, masks: Iterable[int], count: int
+) -> Iterator[int]:
+    """The masks, in their order, whose mask_simplex_count is count.
+
+    Lazy: each chunk of masks is counted in one numpy pass against the
+    simplex_masks table, so a walk over 2^C(n, k) masks never builds an
+    array of them.
+    """
+    dtype = np.int64 if comb(n, k) < 64 else object
+    faces = np.array([f for _, f in simplex_masks(n, k)], dtype=dtype)
+    walk = iter(masks)
+    while True:
+        chunk = np.fromiter(itertools.islice(walk, _FILTER_CHUNK), dtype=dtype)
+        if not chunk.size:
+            return
+        counts = (chunk[:, None] & faces == faces).sum(axis=1)
+        yield from chunk[counts == count].tolist()
+
+
+def popcount_masks(slots: int, count: int) -> Iterator[int]:
+    """Every mask of count bits below 1 << slots, in increasing order.
+
+    Gosper's next-bit-permutation (HAKMEM item 175) steps from each mask
+    to the next, so only the C(slots, count) masks are visited.
+    """
+    if not 0 <= count <= slots:
+        return
+    if count == 0:
+        yield 0
+        return
+    mask, limit = (1 << count) - 1, 1 << slots
+    while mask < limit:
+        yield mask
+        low = mask & -mask
+        ripple = mask + low
+        mask = ripple | ((mask ^ ripple) >> 2) // low
+
+
 def edge_bitmask(h: Hypergraph) -> int:
     index = _subset_index(h.n, h.k)
     mask = 0
@@ -177,16 +221,21 @@ def from_bitmask(n: int, k: int, mask: int) -> Hypergraph:
 
 
 @lru_cache(maxsize=None)
-def _perm_remaps(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """For each vertex permutation, old subset index -> new subset index."""
-    index = _subset_index(n, k)
+def _perm_remaps(n: int, k: int) -> np.ndarray:
+    """(n!, C(n, k)) int64 table: row p, column i is 1 << the index of
+    k-subset i under vertex permutation p.
+
+    Distinct subsets have distinct images, so the row sum over the set
+    bits of a mask is the mask relabeled by p.
+    """
     order = subset_order(n, k)
-    remaps = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        remaps.append(
-            tuple(index[tuple(sorted(perm[v - 1] for v in s))] for s in order)
-        )
-    return tuple(remaps)
+    vertex_sets = np.zeros(1 << n, dtype=np.int64)  # image vertex set -> bit
+    incidence = np.zeros((n, len(order)), dtype=np.int64)
+    for i, s in enumerate(order):
+        vertex_sets[sum(1 << (v - 1) for v in s)] = 1 << i
+        incidence[[v - 1 for v in s], i] = 1
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    return vertex_sets[(1 << perms) @ incidence]
 
 
 def mask_orbit(n: int, k: int, mask: int) -> set[int]:
@@ -195,24 +244,17 @@ def mask_orbit(n: int, k: int, mask: int) -> set[int]:
         raise CapExceeded(
             f"canonical form capped at {CANONICAL_MAX_N} vertices, got {n}"
         )
-    orbit = set()
     if n <= _PERM_TABLE_MAX_N:
-        for remap in _perm_remaps(n, k):
-            image = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                image |= 1 << remap[low.bit_length() - 1]
-                rest ^= low
-            orbit.add(image)
-    else:
-        index = _subset_index(n, k)
-        edges = [e for i, e in enumerate(subset_order(n, k)) if mask >> i & 1]
-        for perm in itertools.permutations(range(1, n + 1)):
-            image = 0
-            for edge in edges:
-                image |= 1 << index[tuple(sorted(perm[v - 1] for v in edge))]
-            orbit.add(image)
+        bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        return set(_perm_remaps(n, k)[:, bits].sum(axis=1).tolist())
+    orbit = set()
+    index = _subset_index(n, k)
+    edges = [e for i, e in enumerate(subset_order(n, k)) if mask >> i & 1]
+    for perm in itertools.permutations(range(1, n + 1)):
+        image = 0
+        for edge in edges:
+            image |= 1 << index[tuple(sorted(perm[v - 1] for v in edge))]
+        orbit.add(image)
     return orbit
 
 
@@ -271,17 +313,27 @@ def enumerate_all(
     up_to_iso: bool = False,
     cap: int = 63,
 ) -> Iterator[Hypergraph]:
-    """All hypergraphs on labeled vertices, streamed in bitmask order."""
+    """All hypergraphs on labeled vertices, streamed in bitmask order.
+
+    With up_to_iso, only the least mask of each isomorphism class: in
+    increasing order that is the first of its orbit to be reached.
+    """
     slots = comb(n, k)
     if slots > cap:
         raise CapExceeded(f"{slots} candidate edges exceed the enumeration cap {cap}")
-    for mask in range(1 << slots):
-        if edge_count is not None and mask.bit_count() != edge_count:
-            continue
-        h = from_bitmask(n, k, mask)
-        if up_to_iso and canonical_form(h) != mask:
-            continue
-        yield h
+    if edge_count is None:
+        masks: Iterable[int] = range(1 << slots)
+    else:
+        masks = popcount_masks(slots, edge_count)
+    ahead: set[int] = set()  # orbit members not yet reached
+    for mask in masks:
+        if up_to_iso:
+            if mask in ahead:
+                ahead.remove(mask)
+                continue
+            ahead |= mask_orbit(n, k, mask)
+            ahead.remove(mask)
+        yield from_bitmask(n, k, mask)
 
 
 # --- text format --------------------------------------------------------------

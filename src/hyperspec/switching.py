@@ -153,20 +153,21 @@ def aligned_switching_matrix(p: SwitchingPartition) -> Tensor:
     This is the form that conjugates adjacency tensors directly, even
     when the two parts interleave.
     """
+    nq = _scaled_switching_matrix(p)
+    return Tensor(2, p.n, tuple(Fraction(int(v), len(p.v1)) for v in nq.flat))
+
+
+def _scaled_switching_matrix(p: SwitchingPartition) -> np.ndarray:
+    """n1 times aligned_switching_matrix(p), as an int64 array.
+
+    Within the first part the entries are 2 - n1 on the diagonal and 2
+    off it; the second part's diagonal is n1; every other entry is 0.
+    """
     _check_partition(p, p.n)
     n1 = len(p.v1)
-    values: dict[tuple[int, ...], Fraction] = {}
-    for u in range(1, p.n + 1):
-        for v in range(1, p.n + 1):
-            if u in p.v1 and v in p.v1:
-                entry = Fraction(2, n1) - (1 if u == v else 0)
-            elif u in p.v2 and v in p.v2:
-                entry = Fraction(1 if u == v else 0)
-            else:
-                continue
-            if entry:
-                values[(u - 1, v - 1)] = entry
-    return Tensor.from_map(2, p.n, values)
+    first = np.isin(np.arange(1, p.n + 1), sorted(p.v1))
+    inside = np.outer(first, first).astype(np.int64)
+    return 2 * inside + np.diag(np.where(first, -n1, n1))
 
 
 @dataclass(frozen=True)
@@ -190,16 +191,12 @@ def verify_similarity(
     entries divided back to the Fractions of Q A_H Q and A_G.
     """
     n1 = len(p.v1)
-    q = aligned_switching_matrix(p)
+    nq = _scaled_switching_matrix(p)
     if (g.n, g.k) != (h.n, h.k) or p.n != h.n:
         raise DimMismatch(
             f"similarity needs one size; got H with n={h.n} k={h.k}, "
             f"G with n={g.n} k={g.k} and a partition of {p.n} vertices"
         )
-    # exact: every denominator of Q divides n1
-    nq = np.array(
-        [v.numerator * (n1 // v.denominator) for v in q.entries], dtype=np.int64
-    ).reshape(h.n, h.n)
     # every partial product, and the target, is bounded in absolute value by
     # (max absolute row sum of n1*Q)^k <= (3*n1)^k; int64 holds it below 2^62
     bound = int(np.abs(nq).sum(axis=1).max()) ** h.k

@@ -12,6 +12,7 @@ import pytest
 
 from hyperspec.analysis import (
     PolyCache,
+    _candidate_masks,
     cospectral_invariant_scan,
     are_cospectral,
     are_e_cospectral,
@@ -31,6 +32,9 @@ from hyperspec.hypergraph import (
     edge_bitmask,
     from_bitmask,
     mask_orbit,
+    mask_simplex_count,
+    popcount_masks,
+    simplex_masks,
 )
 from hyperspec.polynomial import UniPoly
 from hyperspec.spectra import char_poly
@@ -233,6 +237,54 @@ def test_scan_groups_align_with_isomorphism_on_n4():
         # within a spectral class, every member has the same char poly
         polys = {char_poly(adjacency_tensor(from_bitmask(4, 3, m))) for m in grp}
         assert len(polys) == 1
+
+
+_FINGERPRINT_SPECS = (("edges", "simplices"), ("edges",), ("simplices",), ())
+
+
+@pytest.mark.parametrize("n, k", [(4, 3), (5, 2), (5, 3), (6, 2)])
+def test_candidate_walk_matches_the_keep_filter(n, k):
+    # the old definition: every mask, kept when each fingerprint field
+    # equals the target's
+    slots = comb(n, k)
+    counts = [(m.bit_count(), mask_simplex_count(n, k, m)) for m in range(1 << slots)]
+    rng = random.Random(slots)
+    for edges in range(slots + 1):
+        target = sum(1 << i for i in rng.sample(range(slots), edges))
+        want_edges, want_simplices = counts[target]
+        for spec in _FINGERPRINT_SPECS:
+            expected = [
+                m
+                for m, (e, s) in enumerate(counts)
+                if ("edges" not in spec or e == want_edges)
+                and ("simplices" not in spec or s == want_simplices)
+            ]
+            assert list(_candidate_masks(n, k, target, spec)) == expected
+
+
+def test_candidate_walk_finds_the_simplices_on_seven_vertices():
+    # K4^(3) on 7 vertices: 4 edges and 1 simplex match exactly the 35
+    # placements of K4^(3), among the C(35, 4) four-edge masks walked
+    faces = sorted(f for _, f in simplex_masks(7, 3))
+    assert len(faces) == 35
+    assert sum(1 for _ in popcount_masks(35, 4)) == comb(35, 4) == 52_360
+    found = list(_candidate_masks(7, 3, faces[0], ("edges", "simplices")))
+    assert found == faces
+
+
+def test_simplex_filter_beyond_int64_masks():
+    # 66 edge slots: masks above 2^63 are counted as Python integers
+    from hyperspec.hypergraph import with_simplex_count
+
+    masks = list(itertools.islice(popcount_masks(66, 3), 3000)) + [
+        (1 << 66) - 1,
+        (1 << 65) | (1 << 64) | (1 << 63),
+    ]
+    counts = [mask_simplex_count(12, 2, m) for m in masks]
+    for count in (0, 1, 220):
+        assert list(with_simplex_count(12, 2, masks, count)) == [
+            m for m, c in zip(masks, counts) if c == count
+        ]
 
 
 def test_ds_verify_single_edge_n4():

@@ -261,6 +261,62 @@ def test_ds_output_pinned(tmp_path, capsys, mask):
     assert _sha256(state.read_bytes()) == checkpoint_digest
 
 
+# The same three graphs under the narrower fingerprints, which walk the
+# popcount masks alone, the full range filtered by simplex count, and the
+# full range: sha256 of the stdout and of the final checkpoint, recorded
+# before ds walked only the target's popcount.
+_DS_FINGERPRINT_PINS = {
+    (106, "edges"): (
+        "4e1183c78305a8e0232b44a5b91cf99f6e476c6c6e3b67d2bb850f58a2a3f50d",
+        "0b0ad3fa871fa73e09ece3d947dc14b24111e4dd2e12a6894ca2de86fc9c42f9",
+    ),
+    (106, "simplices"): (
+        "8977ee97c63c6fb44954d2145364ec707217f8e69c44a7c4c705715347b0ac7e",
+        "500ea8a29787ea5553cf4f0fad23db4dc313cc044c31476c9d7f1e95ffce9b6b",
+    ),
+    (106, ""): (
+        "741bd84dbdc3d9c41483bb000e8f5abd11f85888d70660586c9181b5208adfa6",
+        "24b8a6902fe33c62ec9918dfa004549d1680306845c4eb23bb60346f7ca87df4",
+    ),
+    (1919, "edges"): (
+        "346103ed50e34adf127cf8e80cde6cc11b4a5055b19b4b4c931ae3aed078a03d",
+        "991982ac892aee0f33bae1fe486d1c161ab26ded667fb5b8e62a3ae996513b58",
+    ),
+    (1919, "simplices"): (
+        "c034337ac401ac0d5e3f6fd8f88a6b95019de9b41348a176aedd0bebd551656b",
+        "c5146237f914947af44711e9d8f0fec08de739d386fbec5e29c6410b58ff59c0",
+    ),
+    (1919, ""): (
+        "c361b47078af4c6576f97cadef5c74cb0810fa41befdca9021d135b26fefa3a8",
+        "24b8a6902fe33c62ec9918dfa004549d1680306845c4eb23bb60346f7ca87df4",
+    ),
+    (759, "edges"): (
+        "bb59650fa7da66f9d0659e1e8ae9e20b54ac8d74ba70d563712135cb428d9d3d",
+        "748f10b1d954eddcfd06088d042181ebbfe7c07e3b6e3a20926d08c08265c7a2",
+    ),
+    (759, "simplices"): (
+        "9065d250fd7db236c40c986187df73bb931159bf533f6028870e5727cde1bf1f",
+        "93a34bf38db442ebeba1d610859df62a089fdd302dd3e5221f62de884b4f6418",
+    ),
+    (759, ""): (
+        "4a18d7f8e9e64e2f516d77b7d147ca81ab2faa88fd0b80f948acb2af86cae380",
+        "24b8a6902fe33c62ec9918dfa004549d1680306845c4eb23bb60346f7ca87df4",
+    ),
+}
+
+
+@pytest.mark.parametrize("mask, spec", sorted(_DS_FINGERPRINT_PINS))
+def test_ds_fingerprint_output_pinned(tmp_path, capsys, mask, spec):
+    out_digest, checkpoint_digest = _DS_FINGERPRINT_PINS[mask, spec]
+    path = _write_graph(tmp_path, "g.hg", from_bitmask(6, 2, mask))
+    state = tmp_path / "state.json"
+    argv = ["ds", path, "--checkpoint", str(state), "--fingerprint", spec]
+    code, out, err = _run(capsys, argv)
+    assert code == 0 and err == ""
+    assert _sha256(out) == out_digest
+    assert _sha256(state.read_bytes()) == checkpoint_digest
+
+
 @pytest.mark.parametrize("mask", sorted(_DS_PINS))
 def test_ds_relabeled_target_keeps_summary(tmp_path, capsys, mask):
     h = from_bitmask(6, 2, mask)

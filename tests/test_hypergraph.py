@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
@@ -31,6 +31,7 @@ from hyperspec.hypergraph import (
     mask_orbit,
     neighbors_in,
     parse_hypergraph,
+    popcount_masks,
     simplex_masks,
     simplices,
     subset_order,
@@ -254,6 +255,48 @@ def test_enumerate_all():
     assert all(g.edge_count == 2 for g in two_edges)
     with pytest.raises(CapExceeded):
         list(enumerate_all(12, 3))  # 220 subsets exceeds the default cap
+
+
+def _old_enumerate_all(n, k, edge_count=None, up_to_iso=False):
+    """enumerate_all as first written: every mask, one canonical form each."""
+    for mask in range(1 << comb(n, k)):
+        if edge_count is not None and mask.bit_count() != edge_count:
+            continue
+        h = from_bitmask(n, k, mask)
+        if up_to_iso and canonical_form(h) != mask:
+            continue
+        yield h
+
+
+@pytest.mark.parametrize("n, k", [(4, 3), (5, 2), (5, 3)])
+def test_enumerate_all_matches_the_old_definition(n, k):
+    for edge_count in [None] + list(range(comb(n, k) + 1)):
+        for up_to_iso in (False, True):
+            got = list(enumerate_all(n, k, edge_count=edge_count, up_to_iso=up_to_iso))
+            assert got == list(_old_enumerate_all(n, k, edge_count, up_to_iso))
+
+
+def test_popcount_masks_walk_in_increasing_order():
+    for slots in range(9):
+        for count in range(-1, slots + 2):
+            assert list(popcount_masks(slots, count)) == [
+                m for m in range(1 << slots) if m.bit_count() == count
+            ]
+
+
+@pytest.mark.parametrize("n, k", [(6, 2), (6, 3), (7, 2), (7, 3)])
+def test_mask_orbit_matches_brute_force(n, k):
+    order = subset_order(n, k)
+    index = {s: i for i, s in enumerate(order)}
+    rng = random.Random(100 * n + k)
+    full = (1 << len(order)) - 1
+    for mask in [0, full] + [rng.getrandbits(len(order)) for _ in range(3)]:
+        edges = [e for i, e in enumerate(order) if mask >> i & 1]
+        expected = {
+            sum(1 << index[tuple(sorted(perm[v - 1] for v in e))] for e in edges)
+            for perm in permutations(range(1, n + 1))
+        }
+        assert mask_orbit(n, k, mask) == expected
 
 
 def test_format_round_trip():

@@ -270,6 +270,28 @@ def test_aligned_matrix_handles_scattered_cells():
     assert aligned_switching_matrix(q).entries == switching_matrix(q).entries
 
 
+def test_aligned_matrix_is_the_block_form_relabeled():
+    # every partition with an even first part on up to 7 vertices, against
+    # switching_matrix with its rows and columns put back in label order
+    for n in range(2, 8):
+        for size in range(2, n + 1, 2):
+            for v1 in combinations(range(1, n + 1), size):
+                p = SwitchingPartition.from_v1(n, v1)
+                block = switching_matrix(p)
+                position = {v: i for i, v in enumerate(p.ordered())}
+                expected = [
+                    block.get((position[u], position[v]))
+                    for u in range(1, n + 1)
+                    for v in range(1, n + 1)
+                ]
+                assert list(aligned_switching_matrix(p).entries) == expected
+    bad = SwitchingPartition(frozenset({1, 2}), frozenset({2, 3}))
+    with pytest.raises(BadPartition):
+        aligned_switching_matrix(bad)
+    with pytest.raises(BadPartition):
+        verify_similarity(Hypergraph.empty(3, 2), Hypergraph.empty(3, 2), bad)
+
+
 def test_find_partitions_recovers_the_example():
     h, _, p = example_pair(3)
     found = {tuple(sorted(q.v1)) for q in find_partitions(h, max_v1=4)}
