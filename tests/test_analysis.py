@@ -35,6 +35,7 @@ from hyperspec.hypergraph import (
     mask_simplex_count,
     popcount_masks,
     simplex_masks,
+    with_simplex_count,
 )
 from hyperspec.polynomial import UniPoly
 from hyperspec.spectra import char_poly
@@ -274,8 +275,6 @@ def test_candidate_walk_finds_the_simplices_on_seven_vertices():
 
 def test_simplex_filter_beyond_int64_masks():
     # 66 edge slots: masks above 2^63 are counted as Python integers
-    from hyperspec.hypergraph import with_simplex_count
-
     masks = list(itertools.islice(popcount_masks(66, 3), 3000)) + [
         (1 << 66) - 1,
         (1 << 65) | (1 << 64) | (1 << 63),
