@@ -12,14 +12,12 @@ from .analysis import (
     DsVerdict,
     PolyCache,
     ScanReport,
-    SpectralReport,
     are_cospectral,
     are_e_cospectral,
     cospectral_invariant_scan,
     disjoint_union_ds_check,
     ds_verify,
     simplex_destruction_min,
-    spectral_report,
 )
 from .config import DEFAULT_CONFIG, RunConfig, config_from_env
 from .errors import (
@@ -67,7 +65,6 @@ __all__ = [
     "PolyCache",
     "RunConfig",
     "ScanReport",
-    "SpectralReport",
     "SwitchingPartition",
     "Tensor",
     "UniPoly",
@@ -96,7 +93,6 @@ __all__ = [
     "shao_product",
     "simplex_destruction_min",
     "simplices",
-    "spectral_report",
     "switch",
     "switching_matrix",
     "validate",

@@ -34,7 +34,6 @@ from .errors import BadSize, CapExceeded, DimMismatch, DivisionByZero, InputErro
 from .hypergraph import (
     Hypergraph,
     adjacency_tensor,
-    count_simplices,
     edge_bitmask,
     from_bitmask,
     mask_orbit,
@@ -46,38 +45,6 @@ from .hypergraph import (
 )
 from .polynomial import UniPoly
 from .spectra import char_poly, e_char_poly
-
-
-@dataclass(frozen=True)
-class SpectralReport:
-    """Per-hypergraph summary: identity, cheap counts, polynomials."""
-
-    mask: int
-    n: int
-    k: int
-    edge_count: int
-    simplex_count: int
-    char: UniPoly | None = None
-    e_char: UniPoly | None = None
-
-
-def spectral_report(
-    h: Hypergraph,
-    config: RunConfig | None = None,
-    *,
-    with_char: bool = True,
-    with_e_char: bool = False,
-) -> SpectralReport:
-    cfg = config if config is not None else DEFAULT_CONFIG
-    return SpectralReport(
-        mask=edge_bitmask(h),
-        n=h.n,
-        k=h.k,
-        edge_count=h.edge_count,
-        simplex_count=count_simplices(h),
-        char=char_poly(adjacency_tensor(h), cfg) if with_char else None,
-        e_char=e_char_poly(adjacency_tensor(h), cfg) if with_e_char else None,
-    )
 
 
 def are_cospectral(

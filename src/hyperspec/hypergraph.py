@@ -5,7 +5,9 @@ k-tuples.  The adjacency tensor has order k and entry 1/(k-1)! at every
 arrangement of each edge, so that the tensor's polynomial map sends x to
 the edge-neighborhood sums.  Edge sets also travel as bitmasks over the
 lexicographic list of all k-subsets, which is what the enumeration,
-simplex counting and canonicalization code operates on.
+simplex counting and canonicalization code operates on.  Every vertex
+relabeling of a mask is read off one cached numpy table per (n, k), for
+up to CANONICAL_MAX_N vertices.
 
 The text format is line-based: optional '#' comments, one "n k" header
 line, then one edge per line as k ascending vertex ids.  Formatting a
@@ -28,8 +30,8 @@ from .tensor import Tensor
 
 VertexSet = tuple[int, ...]
 
-_PERM_TABLE_MAX_N = 7  # cached remap tables; beyond this, one relabeling at a time
-# canonical forms try all n! relabelings: 8! takes seconds, 9! does not
+# canonical forms read all n! relabelings off one cached remap table: at
+# n = 8 it takes 9-23 MB, and a table of 9! rows would be ten times that
 CANONICAL_MAX_N = 8
 
 
@@ -65,9 +67,6 @@ class Hypergraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def has_edge(self, vertices: Sequence[int]) -> bool:
-        return tuple(sorted(vertices)) in self.edges
 
     def degree(self, vertex: int) -> int:
         return sum(1 for e in self.edges if vertex in e)
@@ -222,14 +221,16 @@ def from_bitmask(n: int, k: int, mask: int) -> Hypergraph:
 
 @lru_cache(maxsize=None)
 def _perm_remaps(n: int, k: int) -> np.ndarray:
-    """(n!, C(n, k)) int64 table: row p, column i is 1 << the index of
-    k-subset i under vertex permutation p.
+    """(n!, C(n, k)) table: row p, column i is 1 << the index of k-subset i
+    under vertex permutation p.  It is int64 while those bits fit, and
+    Python ints beyond (only (8, 4), with 70 subsets, among n <= 8).
 
     Distinct subsets have distinct images, so the row sum over the set
     bits of a mask is the mask relabeled by p.
     """
     order = subset_order(n, k)
-    vertex_sets = np.zeros(1 << n, dtype=np.int64)  # image vertex set -> bit
+    dtype = np.int64 if len(order) < 64 else object
+    vertex_sets = np.zeros(1 << n, dtype=dtype)  # image vertex set -> bit
     incidence = np.zeros((n, len(order)), dtype=np.int64)
     for i, s in enumerate(order):
         vertex_sets[sum(1 << (v - 1) for v in s)] = 1 << i
@@ -244,18 +245,8 @@ def mask_orbit(n: int, k: int, mask: int) -> set[int]:
         raise CapExceeded(
             f"canonical form capped at {CANONICAL_MAX_N} vertices, got {n}"
         )
-    if n <= _PERM_TABLE_MAX_N:
-        bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
-        return set(_perm_remaps(n, k)[:, bits].sum(axis=1).tolist())
-    orbit = set()
-    index = _subset_index(n, k)
-    edges = [e for i, e in enumerate(subset_order(n, k)) if mask >> i & 1]
-    for perm in itertools.permutations(range(1, n + 1)):
-        image = 0
-        for edge in edges:
-            image |= 1 << index[tuple(sorted(perm[v - 1] for v in edge))]
-        orbit.add(image)
-    return orbit
+    bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    return set(_perm_remaps(n, k)[:, bits].sum(axis=1).tolist())
 
 
 def canonical_form(h: Hypergraph) -> int:

@@ -11,7 +11,10 @@ pairs share their spectra.
 
 `verify_similarity` certifies a switched pair in integers.  Q has
 entries in (1/n1)Z, so it checks that n1*Q, applied along each of the k
-modes of (k-1)! A_H, gives n1^k (k-1)! A_G entry by entry.
+modes of (k-1)! A_H, gives n1^k (k-1)! A_G entry by entry.  The mode
+products run in the tensor module's integer kernel, the one mat_sim
+uses.  Q is built once, as n1*Q in _scaled_switching_matrix; both
+Fraction forms divide it back by n1.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .errors import (
     OddV1,
 )
 from .hypergraph import Hypergraph, neighbors_in
-from .tensor import Tensor
+from .tensor import Tensor, _mode_products
 
 
 @dataclass(frozen=True)
@@ -131,20 +134,12 @@ def switching_matrix(p: SwitchingPartition) -> Tensor:
 
     The leading |V1| x |V1| block is (2/n1)J - I, the trailing block is
     the identity; the matrix is symmetric, orthogonal and its own
-    inverse.  Rows follow p.ordered(), not the raw vertex labels.
+    inverse.  Rows follow p.ordered(), not the raw vertex labels: it is
+    aligned_switching_matrix of the partition with V1 = {1..n1}.
     """
     _check_partition(p, p.n)
-    n1 = len(p.v1)
-    n = p.n
-    values: dict[tuple[int, ...], Fraction] = {}
-    for i in range(n1):
-        for j in range(n1):
-            entry = Fraction(2, n1) - (1 if i == j else 0)
-            if entry:
-                values[(i, j)] = entry
-    for i in range(n1, n):
-        values[(i, i)] = Fraction(1)
-    return Tensor.from_map(2, n, values)
+    prefix = SwitchingPartition.from_v1(p.n, range(1, len(p.v1) + 1))
+    return aligned_switching_matrix(prefix)
 
 
 def aligned_switching_matrix(p: SwitchingPartition) -> Tensor:
@@ -197,16 +192,11 @@ def verify_similarity(
             f"similarity needs one size; got H with n={h.n} k={h.k}, "
             f"G with n={g.n} k={g.k} and a partition of {p.n} vertices"
         )
-    # every partial product, and the target, is bounded in absolute value by
-    # (max absolute row sum of n1*Q)^k <= (3*n1)^k; int64 holds it below 2^62
-    bound = int(np.abs(nq).sum(axis=1).max()) ** h.k
-    dtype = object if bound >= 1 << 62 else np.int64
-    nq = nq.astype(dtype)
-    image = _scaled_adjacency(h, dtype)
-    for mode in range(h.k):
-        image = np.moveaxis(np.tensordot(nq, image, axes=(1, mode)), 0, mode)
+    image = _mode_products(nq, _scaled_adjacency(h))
     scale = n1**h.k
-    target = _scaled_adjacency(g, dtype) * scale
+    # n1 is at most the largest absolute row sum of n1*Q, so the target fits
+    # in whichever dtype the kernel chose
+    target = _scaled_adjacency(g).astype(image.dtype) * scale
     differ = np.flatnonzero(image != target)
     if not differ.size:
         return SimilarityReport(True)
@@ -221,9 +211,9 @@ def verify_similarity(
     )
 
 
-def _scaled_adjacency(h: Hypergraph, dtype) -> np.ndarray:
+def _scaled_adjacency(h: Hypergraph) -> np.ndarray:
     """(k-1)! times the adjacency tensor of h: 1 at every arrangement of every edge."""
-    a = np.zeros((h.n,) * h.k, dtype=dtype)
+    a = np.zeros((h.n,) * h.k, dtype=np.int64)
     if h.edges:
         edges = np.array(sorted(h.edges), dtype=np.intp) - 1
         perms = np.array(list(itertools.permutations(range(h.k))), dtype=np.intp)

@@ -3,6 +3,11 @@
 A Tensor of order m and dimension n stores its n**m entries in a flat
 row-major tuple indexed by m-tuples of 0-based coordinates.  Matrices
 are simply order-2 tensors.
+
+The similarity action of a matrix, along every mode of a tensor, has one
+integer kernel, _mode_products.  mat_sim scales its Fraction operands to
+integers for it, and switching.verify_similarity calls it on the scaled
+switching matrix and adjacency tensor.
 """
 
 from __future__ import annotations
@@ -10,7 +15,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import DimMismatch, InputError, ZeroVector
 
@@ -186,34 +194,41 @@ def apply(a: Tensor, x: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
 def mat_sim(p: Tensor, a: Tensor) -> Tensor:
     """Similarity action of a matrix: p applied along every mode of a.
 
-    Equals shao_product(shao_product(p, a), transpose-of-p reshaped), but
-    computed as successive single-mode products, which keeps the cost at
-    order * dim**(order+1) multiplications.
+    Equals shao_product(shao_product(p, a), transpose(p)).  Both operands
+    are scaled to integers by the lcm of their denominators, the integer
+    kernel _mode_products applies p along each mode, and the scales are
+    divided back out.
     """
     _require_matrix(p)
     if p.dim != a.dim:
         raise DimMismatch("similarity operands must share the dimension")
-    n = a.dim
-    rows = to_rows(p)
-    entries = list(a.entries)
-    for mode in range(a.order):
-        stride = n ** (a.order - 1 - mode)
-        outer = n**mode
-        new = [Fraction(0)] * len(entries)
-        for b in range(outer):
-            head = b * n * stride
-            for o in range(stride):
-                base = head + o
-                column = [entries[base + t * stride] for t in range(n)]
-                for i in range(n):
-                    acc = Fraction(0)
-                    row = rows[i]
-                    for t, c in enumerate(column):
-                        if c:
-                            acc += row[t] * c
-                    new[base + i * stride] = acc
-        entries = new
-    return Tensor(a.order, a.dim, tuple(entries))
+    p_scale = lcm(*(v.denominator for v in p.entries))
+    a_scale = lcm(*(v.denominator for v in a.entries))
+    q = [v.numerator * (p_scale // v.denominator) for v in p.entries]
+    x = [v.numerator * (a_scale // v.denominator) for v in a.entries]
+    image = _mode_products(
+        np.array(q, dtype=object).reshape(p.dim, p.dim),
+        np.array(x, dtype=object).reshape((a.dim,) * a.order),
+    )
+    scale = p_scale**a.order * a_scale
+    return Tensor(a.order, a.dim, tuple(Fraction(int(v), scale) for v in image.flat))
+
+
+def _mode_products(q: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The integer matrix q applied along every mode of the integer array a.
+
+    With R the largest absolute row sum of q, every entry of q and a and
+    every partial product is bounded in absolute value by
+    max(R, 1)**order * max(max|a|, 1).  The product runs in int64 while
+    that stays below 2**62 and in Python ints beyond; exact either way.
+    """
+    rows = max(sum(abs(int(v)) for v in row) for row in q)
+    top = max(abs(int(a.max())), abs(int(a.min())), 1)
+    dtype = np.int64 if max(rows, 1) ** a.ndim * top < 1 << 62 else object
+    q, image = q.astype(dtype), a.astype(dtype)
+    for mode in range(a.ndim):
+        image = np.moveaxis(np.tensordot(q, image, axes=(1, mode)), 0, mode)
+    return image
 
 
 def eigen_check(a: Tensor, value: Fraction | int, vector: Sequence[Fraction | int]) -> bool:

@@ -22,14 +22,12 @@ from hyperspec.analysis import (
     load_checkpoint,
     save_checkpoint,
     simplex_destruction_min,
-    spectral_report,
 )
 from hyperspec.config import DEFAULT_CONFIG
 from hyperspec.errors import CapExceeded, DimMismatch, InputError
 from hyperspec.hypergraph import (
     Hypergraph,
     complement,
-    edge_bitmask,
     from_bitmask,
     mask_orbit,
     mask_simplex_count,
@@ -84,17 +82,6 @@ def test_dimension_mismatch_rejected():
     c = Hypergraph.empty(4, 4)
     with pytest.raises(DimMismatch):
         are_cospectral(b, c)
-
-
-def test_spectral_report_fields():
-    h = Hypergraph.complete(4, 3)
-    report = spectral_report(h)
-    assert report.n == 4 and report.k == 3
-    assert report.edge_count == 4
-    assert report.simplex_count == 1
-    assert report.mask == edge_bitmask(h)
-    assert report.char is not None and report.char.is_monic()
-    assert report.e_char is None  # not requested
 
 
 def test_poly_cache_deduplicates_by_shape():

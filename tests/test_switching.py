@@ -35,12 +35,17 @@ from hyperspec.switching import (
     validate,
     verify_similarity,
 )
-from hyperspec.tensor import identity, is_orthogonal, mat_sim, matmul, transpose
+from hyperspec.tensor import identity, is_orthogonal, matmul, shao_product, transpose
 
 
 def _fraction_oracle(h, g, p):
-    """verify_similarity in Fractions: Q A_H Q against A_G, densely, row-major."""
-    image = mat_sim(aligned_switching_matrix(p), adjacency_tensor(h))
+    """verify_similarity in Fractions: Q A_H Q against A_G, densely, row-major.
+
+    The image is the two-sided Shao product, not mat_sim, which shares
+    verify_similarity's integer kernel.
+    """
+    q = aligned_switching_matrix(p)
+    image = shao_product(shao_product(q, adjacency_tensor(h)), transpose(q))
     target = adjacency_tensor(g)
     cells = product(range(1, h.n + 1), repeat=h.k)
     for idx, got, want in zip(cells, image.entries, target.entries):
@@ -265,26 +270,27 @@ def test_aligned_matrix_handles_scattered_cells():
     assert m.get((0, 0)) == 1 and m.get((0, 1)) == 0
     # vertices 2 and 4 (rows 1 and 3) swap
     assert m.get((1, 3)) == 1 and m.get((1, 1)) == 0
-    # prefix cells agree with the block form
-    q = SwitchingPartition.from_v1(7, (1, 2, 3, 4))
-    assert aligned_switching_matrix(q).entries == switching_matrix(q).entries
 
 
 def test_aligned_matrix_is_the_block_form_relabeled():
     # every partition with an even first part on up to 7 vertices, against
-    # switching_matrix with its rows and columns put back in label order
+    # (2/n1)J - I on the first part and the identity on the second, in
+    # block order for switching_matrix and in label order for the aligned form
+    def block(first, i, j):
+        if i in first and j in first:
+            return Fraction(2, len(first)) - (i == j)
+        return Fraction(int(i == j))
+
     for n in range(2, 8):
+        cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
         for size in range(2, n + 1, 2):
+            prefix = range(1, size + 1)
+            in_block_order = [block(prefix, i, j) for i, j in cells]
             for v1 in combinations(range(1, n + 1), size):
                 p = SwitchingPartition.from_v1(n, v1)
-                block = switching_matrix(p)
-                position = {v: i for i, v in enumerate(p.ordered())}
-                expected = [
-                    block.get((position[u], position[v]))
-                    for u in range(1, n + 1)
-                    for v in range(1, n + 1)
-                ]
-                assert list(aligned_switching_matrix(p).entries) == expected
+                assert list(switching_matrix(p).entries) == in_block_order
+                in_label_order = [block(v1, i, j) for i, j in cells]
+                assert list(aligned_switching_matrix(p).entries) == in_label_order
     bad = SwitchingPartition(frozenset({1, 2}), frozenset({2, 3}))
     with pytest.raises(BadPartition):
         aligned_switching_matrix(bad)

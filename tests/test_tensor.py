@@ -144,10 +144,15 @@ def test_mat_sim_composes():
 
 def test_mat_sim_matches_two_sided_shao():
     rng = random.Random(105)
-    for order, dim in ((3, 2), (3, 3), (4, 2)):
+    # the last case has matrix entries near 2**40 on an order-3 tensor: its
+    # scaled products pass 2**62, so the kernel runs in Python ints
+    for order, dim, size, denominator in (
+        (3, 2, 3, 1), (3, 3, 3, 1), (4, 2, 3, 1), (3, 3, 1 << 40, 3)
+    ):
         a = _random_symmetric(rng, order, dim)
         rows = [
-            [Fraction(rng.randint(-3, 3)) for _ in range(dim)] for _ in range(dim)
+            [Fraction(rng.randint(-size, size), denominator) for _ in range(dim)]
+            for _ in range(dim)
         ]
         p = from_rows(rows)
         expected = shao_product(shao_product(p, a), transpose(p))
