@@ -5,10 +5,12 @@ polynomial, so this module is organized around a cache keyed by
 canonical form: isomorphic hypergraphs share one computation.  Both
 universe questions run one loop over edge bitmasks of labeled
 hypergraphs on n vertices, in increasing order; it can persist the cache
-to a JSON checkpoint and resume after interruption.  The scan walks
-every mask.  The search walks only the masks with the target's edge
-count, as a popcount walk, and filters them by simplex count in numpy
-chunks.
+to a JSON checkpoint and resume after interruption.  The checkpoint is
+rewritten when the cache has grown, at most once per ten durations of
+the last write, and once more at the end or when an exception stops the
+loop.  The scan walks every mask.  The search walks only the masks with
+the target's edge count, as a popcount walk, and filters them by simplex
+count in numpy chunks.
 
 Two routes to the same facts are deliberately kept apart.  The
 invariant scan computes every polynomial and then checks that equal
@@ -25,13 +27,15 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf
 from typing import Iterable, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import BadSize, CapExceeded, DimMismatch, DivisionByZero, InputError
 from .hypergraph import (
+    MAX_EDGE_SLOTS,
     Hypergraph,
     adjacency_tensor,
     edge_bitmask,
@@ -47,29 +51,31 @@ from .polynomial import UniPoly
 from .spectra import char_poly, e_char_poly
 
 
+# estimated subset-times-simplex steps simplex_destruction_min will take
+BRUTE_FORCE_CAP = 2_000_000
+
+
 def are_cospectral(
-    g: Hypergraph, h: Hypergraph, config: RunConfig | None = None
+    g: Hypergraph, h: Hypergraph, config: RunConfig = DEFAULT_CONFIG
 ) -> bool:
     """Exact equality of the characteristic polynomials; same (n, k) only."""
-    cfg = config if config is not None else DEFAULT_CONFIG
     if g.n != h.n or g.k != h.k:
         raise DimMismatch(
             f"cospectrality needs matching (n, k); got ({g.n},{g.k}) vs ({h.n},{h.k})"
         )
-    return char_poly(adjacency_tensor(g), cfg) == char_poly(adjacency_tensor(h), cfg)
+    return char_poly(adjacency_tensor(g), config) == char_poly(adjacency_tensor(h), config)
 
 
 def are_e_cospectral(
-    g: Hypergraph, h: Hypergraph, config: RunConfig | None = None
+    g: Hypergraph, h: Hypergraph, config: RunConfig = DEFAULT_CONFIG
 ) -> bool:
     """Equality of the normalized E-characteristic polynomials."""
-    cfg = config if config is not None else DEFAULT_CONFIG
     if g.n != h.n or g.k != h.k:
         raise DimMismatch(
             f"cospectrality needs matching (n, k); got ({g.n},{g.k}) vs ({h.n},{h.k})"
         )
-    return e_char_poly(adjacency_tensor(g), cfg) == e_char_poly(
-        adjacency_tensor(h), cfg
+    return e_char_poly(adjacency_tensor(g), config) == e_char_poly(
+        adjacency_tensor(h), config
     )
 
 
@@ -102,20 +108,19 @@ class PolyCache:
         return key
 
     def get_char_mask(
-        self, n: int, k: int, mask: int, config: RunConfig | None = None
+        self, n: int, k: int, mask: int, config: RunConfig = DEFAULT_CONFIG
     ) -> UniPoly:
         """The characteristic polynomial of the (n, k) edge bitmask."""
         key = self.class_key(n, k, mask)
         hit = self._polys.get(key)
         if hit is not None:
             return hit
-        cfg = config if config is not None else DEFAULT_CONFIG
-        poly = char_poly(adjacency_tensor(from_bitmask(*key)), cfg)
+        poly = char_poly(adjacency_tensor(from_bitmask(*key)), config)
         self._polys[key] = poly
         self.computed += 1
         return poly
 
-    def get_char(self, h: Hypergraph, config: RunConfig | None = None) -> UniPoly:
+    def get_char(self, h: Hypergraph, config: RunConfig = DEFAULT_CONFIG) -> UniPoly:
         return self.get_char_mask(h.n, h.k, edge_bitmask(h), config)
 
     def to_json(self) -> dict:
@@ -220,13 +225,17 @@ def _universe_polys(
 
     Covers the given masks, which must come in increasing order; with
     none, every mask.  A checkpoint seeds the cache (a given cache takes
-    precedence) and the watermark, and is rewritten whenever the cache
-    grows and once at the end.
+    precedence) and the watermark.  It is rewritten when the cache has
+    grown and ten times the last write's duration has passed since that
+    write began (the first growth writes at once), and once at the end
+    with the full watermark.  An exception in the loop writes once more,
+    with the last mask reached, if classes were computed since the last
+    write.
     """
     if k < 1 or n < k:
         raise BadSize(f"need 1 <= k <= n, got n={n} k={k}")
     slots = comb(n, k)
-    if slots > cfg.enumerate_cap:
+    if slots > MAX_EDGE_SLOTS:
         raise CapExceeded(f"{slots} candidate edges exceed the enumeration cap")
     watermark = -1
     if checkpoint_path:
@@ -237,15 +246,20 @@ def _universe_polys(
     if masks is None:
         masks = range(1 << slots)
     rows: list[tuple[int, UniPoly]] = []
-    persisted = cache.computed
-    for mask in masks:
-        rows.append((mask, cache.get_char_mask(n, k, mask, cfg)))
-        watermark = max(watermark, mask)
-        if checkpoint_path and cache.computed != persisted:
-            persisted = cache.computed
+    persisted, due, finished = cache.computed, -inf, False
+    try:
+        for mask in masks:
+            rows.append((mask, cache.get_char_mask(n, k, mask, cfg)))
+            watermark = max(watermark, mask)
+            if checkpoint_path and cache.computed != persisted and time.monotonic() >= due:
+                began = time.monotonic()
+                save_checkpoint(checkpoint_path, n, k, cache, watermark)
+                persisted = cache.computed
+                due = began + 10 * (time.monotonic() - began)
+        finished, watermark = True, (1 << slots) - 1
+    finally:
+        if checkpoint_path and (finished or cache.computed != persisted):
             save_checkpoint(checkpoint_path, n, k, cache, watermark)
-    if checkpoint_path:
-        save_checkpoint(checkpoint_path, n, k, cache, (1 << slots) - 1)
     return cache, rows
 
 
@@ -303,7 +317,7 @@ class ScanReport:
 def cospectral_invariant_scan(
     n: int,
     k: int,
-    config: RunConfig | None = None,
+    config: RunConfig = DEFAULT_CONFIG,
     *,
     checkpoint_path: str | None = None,
 ) -> ScanReport:
@@ -314,8 +328,7 @@ def cospectral_invariant_scan(
     shortcuts), groups by polynomial, and reports violations.  A
     checkpoint, when given, makes the run resumable.
     """
-    cfg = config if config is not None else DEFAULT_CONFIG
-    cache, polys = _universe_polys(n, k, cfg, checkpoint_path=checkpoint_path)
+    cache, polys = _universe_polys(n, k, config, checkpoint_path=checkpoint_path)
     rows = [
         (mask, mask.bit_count(), mask_simplex_count(n, k, mask), poly)
         for mask, poly in polys
@@ -366,7 +379,7 @@ class DsVerdict:
 
 def ds_verify(
     h: Hypergraph,
-    config: RunConfig | None = None,
+    config: RunConfig = DEFAULT_CONFIG,
     *,
     cache: PolyCache | None = None,
     fingerprint_fields: Sequence[str] = ("edges", "simplices"),
@@ -381,7 +394,6 @@ def ds_verify(
     filter catches what a weaker fingerprint lets through.  With
     "edges", only the masks of the target's popcount are walked.
     """
-    cfg = config if config is not None else DEFAULT_CONFIG
     unknown = set(fingerprint_fields) - {"edges", "simplices"}
     if unknown:
         raise InputError(f"unknown fingerprint fields {sorted(unknown)}")
@@ -389,12 +401,12 @@ def ds_verify(
     cache, kept = _universe_polys(
         n,
         k,
-        cfg,
+        config,
         cache=cache,
         checkpoint_path=checkpoint_path,
         masks=_candidate_masks(n, k, target_mask, fingerprint_fields),
     )
-    target_poly = cache.get_char_mask(n, k, target_mask, cfg)
+    target_poly = cache.get_char_mask(n, k, target_mask, config)
     mate_masks = [
         mask for mask, poly in kept if mask != target_mask and poly == target_poly
     ]
@@ -415,7 +427,7 @@ def ds_verify(
 def disjoint_union_ds_check(
     k: int,
     isolated: int = 1,
-    config: RunConfig | None = None,
+    config: RunConfig = DEFAULT_CONFIG,
     **kwargs,
 ) -> DsVerdict:
     """Is the one-simplex hypergraph plus isolated vertices determined?
@@ -445,17 +457,15 @@ class DestructionReport:
     subsets_checked: int
 
 
-def simplex_destruction_min(
-    n: int, k: int, r: int, config: RunConfig | None = None
-) -> DestructionReport:
+def simplex_destruction_min(n: int, k: int, r: int) -> DestructionReport:
     """Fewest simplices lost when r edges leave the complete hypergraph.
 
     Brute-forces every r-subset of edges, counts the simplices that
     contain at least one removed edge, and checks two facts: the
     minimum equals sum(n-k-i for i in range(r)), and the minimizers are
-    exactly the r-subsets whose edges share k-1 common vertices.
+    exactly the r-subsets whose edges share k-1 common vertices.  Work
+    estimated above BRUTE_FORCE_CAP is refused before it starts.
     """
-    cfg = config if config is not None else DEFAULT_CONFIG
     from itertools import combinations
 
     if k < 1 or n < k:
@@ -464,8 +474,8 @@ def simplex_destruction_min(
     if r < 1 or slots < r:
         raise BadSize(f"need 1 <= r <= C(n, k) = {slots}, got r={r}")
     work = comb(slots, r) * comb(n, k + 1)
-    if work > cfg.brute_force_cap:
-        raise CapExceeded(f"estimated work {work} exceeds cap {cfg.brute_force_cap}")
+    if work > BRUTE_FORCE_CAP:
+        raise CapExceeded(f"estimated work {work} exceeds cap {BRUTE_FORCE_CAP}")
     order = subset_order(n, k)
     faces = [f for _, f in simplex_masks(n, k)]
     best = len(faces) + 1

@@ -236,7 +236,7 @@ def _cmd_invariant_scan(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_simplex_bound(args: argparse.Namespace, cfg: RunConfig) -> int:
-    report = simplex_destruction_min(args.n, args.k, args.r, cfg)
+    report = simplex_destruction_min(args.n, args.k, args.r)
     _emit(
         {
             "minimum": report.minimum,

@@ -3,7 +3,8 @@
 A k-uniform hypergraph on vertices 1..n stores its edges as sorted
 k-tuples.  The adjacency tensor has order k and entry 1/(k-1)! at every
 arrangement of each edge, so that the tensor's polynomial map sends x to
-the edge-neighborhood sums.  Edge sets also travel as bitmasks over the
+the edge-neighborhood sums; its one builder, scaled_adjacency, gives
+(k-1)! times it in int64.  Edge sets also travel as bitmasks over the
 lexicographic list of all k-subsets, which is what the enumeration,
 simplex counting and canonicalization code operates on.  Every vertex
 relabeling of a mask is read off one cached numpy table per (n, k), for
@@ -33,6 +34,10 @@ VertexSet = tuple[int, ...]
 # canonical forms read all n! relabelings off one cached remap table: at
 # n = 8 it takes 9-23 MB, and a table of 9! rows would be ten times that
 CANONICAL_MAX_N = 8
+
+# edge slots C(n, k) of a universe walked mask by mask; below 64, every
+# mask fits in an int64
+MAX_EDGE_SLOTS = 63
 
 
 @dataclass(frozen=True)
@@ -86,14 +91,21 @@ def _check_edge(edge: tuple[int, ...], n: int, k: int) -> None:
         raise BadEdge(f"edge {edge} out of range 1..{n}")
 
 
+def scaled_adjacency(h: Hypergraph) -> np.ndarray:
+    """(k-1)! times the adjacency tensor of h, as an int64 array: 1 at
+    every arrangement of every edge."""
+    a = np.zeros((h.n,) * h.k, dtype=np.int64)
+    if h.edges:
+        edges = np.array(sorted(h.edges), dtype=np.intp) - 1
+        perms = np.array(list(itertools.permutations(range(h.k))), dtype=np.intp)
+        a[tuple(edges[:, perms].reshape(-1, h.k).T)] = 1
+    return a
+
+
 def adjacency_tensor(h: Hypergraph) -> Tensor:
-    weight = Fraction(1, factorial(h.k - 1))
-    values: dict[tuple[int, ...], Fraction] = {}
-    for edge in h.edges:
-        zero_based = tuple(v - 1 for v in edge)
-        for perm in itertools.permutations(zero_based):
-            values[perm] = weight
-    return Tensor.from_map(h.k, h.n, values)
+    weight, zero = Fraction(1, factorial(h.k - 1)), Fraction(0)
+    entries = tuple(weight if v else zero for v in scaled_adjacency(h).ravel().tolist())
+    return Tensor(h.k, h.n, entries)
 
 
 def complement(h: Hypergraph) -> Hypergraph:
@@ -302,7 +314,6 @@ def enumerate_all(
     *,
     edge_count: int | None = None,
     up_to_iso: bool = False,
-    cap: int = 63,
 ) -> Iterator[Hypergraph]:
     """All hypergraphs on labeled vertices, streamed in bitmask order.
 
@@ -310,8 +321,10 @@ def enumerate_all(
     increasing order that is the first of its orbit to be reached.
     """
     slots = comb(n, k)
-    if slots > cap:
-        raise CapExceeded(f"{slots} candidate edges exceed the enumeration cap {cap}")
+    if slots > MAX_EDGE_SLOTS:
+        raise CapExceeded(
+            f"{slots} candidate edges exceed the enumeration cap {MAX_EDGE_SLOTS}"
+        )
     if edge_count is None:
         masks: Iterable[int] = range(1 << slots)
     else:

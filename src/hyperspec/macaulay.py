@@ -8,13 +8,13 @@ with x_i**d_i dividing mu.  The resultant is det(M) / det(M') where M'
 restricts rows and columns to the monomials divisible by x_i**d_i for
 two or more distinct i.
 
-Every resultant goes through one integer path.  A system whose
-coefficients are linear in a parameter lambda is tabulated once with
-its rows scaled to integers.  Modulo each prime, its residues at many
-integer lambdas come from one pencil reduction (_pencil_values), or
-from the generalized charpoly below at every node, all (prime, node)
-layers in shared stacks (_gcp_values); the caller interpolates them
-mod p and recombines the coefficients (see spectra).  One integer
+Every resultant goes through one integer path and one system type,
+PolySystem, whose coefficients are linear in a parameter lambda.  It is
+tabulated once with its rows scaled to integers.  Modulo each prime,
+its residues at many integer lambdas come from one pencil reduction
+(_pencil_values), or from the generalized charpoly below at every node,
+all (prime, node) layers in shared stacks (_gcp_values); the caller
+interpolates them mod p and recombines the coefficients (see spectra).  One integer
 lambda costs det(M) / det(M') modulo each prime (_eval_point).  All
 the primes of one crt_values call share one stacked pass (see modular).
 A numeric system is the lambda-free case, evaluated at lambda = 0.
@@ -53,30 +53,38 @@ from .polynomial import MultiPoly
 
 @dataclass(frozen=True)
 class PolySystem:
-    """Square homogeneous system: polys[i] is homogeneous of degrees[i]."""
+    """Square homogeneous system polys[i] + lambda * linear[i], each part
+    homogeneous of degrees[i].  A numeric system is the lambda-free case,
+    linear = ()."""
 
     nvars: int
     polys: tuple[MultiPoly, ...]
     degrees: tuple[int, ...]
+    linear: tuple[MultiPoly, ...] = ()
 
     def __post_init__(self):
-        if len(self.polys) != self.nvars or len(self.degrees) != self.nvars:
+        sizes = {len(self.polys), len(self.degrees), len(self.linear) or self.nvars}
+        if sizes != {self.nvars}:
             raise NotSquareSystem(
                 f"{len(self.polys)} polynomials, {len(self.degrees)} degrees, "
-                f"{self.nvars} variables"
+                f"{len(self.linear)} lambda parts, {self.nvars} variables"
             )
-        for i, (poly, degree) in enumerate(zip(self.polys, self.degrees)):
-            if degree < 1:
-                raise InputError(f"degree of polynomial {i} must be positive")
-            if poly.nvars != self.nvars:
-                raise DimMismatch(
-                    f"polynomial {i} lives in {poly.nvars} variables, "
-                    f"system has {self.nvars}"
-                )
-            if not poly.is_homogeneous(degree):
-                raise NotHomogeneous(
-                    f"polynomial {i} is not homogeneous of degree {degree}"
-                )
+        for what, part in (("polynomial", self.polys), ("lambda part", self.linear)):
+            for i, (poly, degree) in enumerate(zip(part, self.degrees)):
+                if degree < 1:
+                    raise InputError(f"degree of polynomial {i} must be positive")
+                if poly.nvars != self.nvars:
+                    raise DimMismatch(
+                        f"{what} {i} lives in {poly.nvars} variables, "
+                        f"system has {self.nvars}"
+                    )
+                if not poly.is_homogeneous(degree):
+                    raise NotHomogeneous(f"{what} {i} is not homogeneous of degree {degree}")
+
+    def at(self, lam: Fraction | int) -> "PolySystem":
+        """The numeric system at one value of lambda."""
+        polys = tuple(c + l.scale(lam) for c, l in zip(self.polys, self.linear))
+        return PolySystem(self.nvars, polys, self.degrees)
 
 
 def monomial_basis(nvars: int, total: int) -> tuple[tuple[int, ...], ...]:
@@ -141,28 +149,6 @@ def check_dim_cap(nvars: int, degrees: Sequence[int], dim_cap: int) -> None:
         raise CapExceeded(f"matrix dimension {size} exceeds cap {dim_cap}")
 
 
-@dataclass(frozen=True)
-class LambdaSystem:
-    """Square homogeneous system whose coefficients are linear in lambda."""
-
-    nvars: int
-    degrees: tuple[int, ...]
-    const: tuple[MultiPoly, ...]
-    linear: tuple[MultiPoly, ...]
-
-    @classmethod
-    def constant(cls, system: PolySystem) -> "LambdaSystem":
-        """The numeric system with a zero lambda part."""
-        zero = MultiPoly(system.nvars)
-        return cls(system.nvars, system.degrees, system.polys, (zero,) * system.nvars)
-
-    def at(self, lam: Fraction | int) -> PolySystem:
-        polys = tuple(
-            c + l.scale(lam) for c, l in zip(self.const, self.linear)
-        )
-        return PolySystem(self.nvars, polys, self.degrees)
-
-
 def _pencil_mod(
     rows: list[list[tuple[int, int, int]]], size: int
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -192,21 +178,22 @@ def _at(pencil: np.ndarray, lam: int | np.ndarray, primes: np.ndarray) -> np.nda
 
 
 class _FillTable:
-    """Integer evaluation tables for one lambda-linear system.
+    """Integer evaluation tables for one system, linear in lambda.
 
     Rows are scaled by the denominator lcm of their polynomial once, so
     each sample point assembles two integer matrices directly; the two
     accumulated scales divide back out of the determinant quotient.
     """
 
-    def __init__(self, lsys: LambdaSystem):
-        structure = macaulay_structure(lsys.nvars, lsys.degrees)
-        index = _column_index(lsys.nvars, structure.total_degree)
+    def __init__(self, system: PolySystem):
+        structure = macaulay_structure(system.nvars, system.degrees)
+        index = _column_index(system.nvars, structure.total_degree)
         self.size = structure.size
 
         poly_terms: list[list[tuple[tuple[int, ...], int, int]]] = []
         poly_scale: list[int] = []
-        for c_poly, l_poly in zip(lsys.const, lsys.linear):
+        linear = system.linear or (MultiPoly(system.nvars),) * system.nvars
+        for c_poly, l_poly in zip(system.polys, linear):
             exps = set(c_poly.terms) | set(l_poly.terms)
             scale = 1
             pairs = []
@@ -226,7 +213,7 @@ class _FillTable:
         for r, mono in enumerate(structure.monomials):
             i = structure.assignment[r]
             shift = list(mono)
-            shift[i] -= lsys.degrees[i]
+            shift[i] -= system.degrees[i]
             row = [
                 (index[tuple(s + e for s, e in zip(shift, exp))], i0, i1)
                 for exp, i0, i1 in poly_terms[i]
@@ -250,9 +237,10 @@ class _FillTable:
         self.minor_at = _pencil_mod(self.minor_rows, len(self.minor_rows))
 
     def radius(self, lam: int) -> int:
-        """Largest absolute row sum of M(lam), a bound on its eigenvalues."""
+        """Largest absolute row sum of M(lam), a bound on its eigenvalues;
+        the rows of one polynomial share their absolute sums."""
         return max(
-            (sum(abs(i0 + lam * i1) for _, i0, i1 in row) for row in self.rows),
+            (sum(abs(i0 + lam * i1) for _, i0, i1 in terms) for terms in self.poly_terms),
             default=0,
         )
 
@@ -268,20 +256,20 @@ def _quotient_mod(full: np.ndarray, minor: np.ndarray, primes: np.ndarray) -> np
     return poly_divexact_mod(charpoly_mod(full, primes), charpoly_mod(minor, primes), primes)
 
 
-def _charpoly_quotient(table: _FillTable, lam: int, prime_seed: int) -> list[int]:
-    """The ascending integer coefficients of charpoly(M) / charpoly(M') at lam.
+def _charpoly_quotient(table: _FillTable, prime_seed: int) -> list[int]:
+    """The ascending integer coefficients of charpoly(M) / charpoly(M') at
+    lambda = 0.
 
     Every root of the quotient is an eigenvalue of M, so by Gershgorin
-    its absolute value is at most R = table.radius(lam), and the
+    its absolute value is at most R = table.radius(0), and the
     coefficient of x**j is at most C(d, j) * R**(d - j), d = N - N'.
     """
     d = table.size - len(table.minor_rows)
-    radius = table.radius(lam)
+    radius = table.radius(0)
 
     def residues_mod(primes: list[int]) -> np.ndarray:
         pv = np.array(primes, dtype=np.int64)
-        full, minor = _at(table.full_at(pv), lam, pv), _at(table.minor_at(pv), lam, pv)
-        return _quotient_mod(full, minor, pv)
+        return _quotient_mod(table.full_at(pv)[0], table.minor_at(pv)[0], pv)
 
     bounds = [comb(d, j) * radius ** (d - j) for j in range(d + 1)]
     return crt_values(residues_mod, bounds, prime_seed, table.layer_size)
@@ -460,7 +448,8 @@ def _pencil_values(
 def resultant_value(
     system: PolySystem, *, prime_seed: int = 0, dim_cap: int | None = None
 ) -> Fraction:
-    """Exact resultant of one numeric system."""
+    """Exact resultant of one numeric system, or of a system's lambda-free
+    part."""
     if dim_cap is not None:
         check_dim_cap(system.nvars, system.degrees, dim_cap)
-    return _eval_point(_FillTable(LambdaSystem.constant(system)), 0, prime_seed)
+    return _eval_point(_FillTable(system), 0, prime_seed)

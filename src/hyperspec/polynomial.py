@@ -19,7 +19,7 @@ from .rational import format_rational, parse_rational
 
 
 def _strip(coeffs: Iterable[Fraction]) -> tuple[Fraction, ...]:
-    out = [Fraction(c) for c in coeffs]
+    out = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -156,7 +156,7 @@ class MultiPoly:
                 raise DimMismatch(
                     f"exponent {exp} has {len(exp)} entries, expected {self.nvars}"
                 )
-            c = Fraction(coeff)
+            c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
             if c != 0:
                 clean[tuple(int(e) for e in exp)] = c
         object.__setattr__(self, "terms", clean)

@@ -62,7 +62,6 @@ import numpy as np
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DegreeCapExceeded, DimMismatch, MathError
 from .macaulay import (
-    LambdaSystem,
     PolySystem,
     _charpoly_quotient,
     _coefficient_bounds,
@@ -103,7 +102,7 @@ def _sphere_power(nvars: int, power: int) -> MultiPoly:
     return out
 
 
-def e_char_poly_system(a: Tensor) -> LambdaSystem:
+def e_char_poly_system(a: Tensor) -> PolySystem:
     n, m = a.dim, a.order
     component = tensor_polynomial_map(a)
     if m % 2 == 0:
@@ -112,7 +111,7 @@ def e_char_poly_system(a: Tensor) -> LambdaSystem:
         for i in range(n):
             x_i = MultiPoly(n, {tuple(1 if j == i else 0 for j in range(n)): Fraction(-1)})
             linear.append(sphere * x_i)
-        return LambdaSystem(n, (m - 1,) * n, component, tuple(linear))
+        return PolySystem(n, component, (m - 1,) * n, tuple(linear))
     # odd order: variables (x_1..x_n, beta) with the quadric x.x - beta**2
     nv = n + 1
     const = [
@@ -130,7 +129,7 @@ def e_char_poly_system(a: Tensor) -> LambdaSystem:
     quadric[tuple([0] * n) + (2,)] = Fraction(-1)
     const.append(MultiPoly(nv, quadric))
     linear.append(MultiPoly(nv, {}))
-    return LambdaSystem(nv, (m - 1,) * n + (2,), tuple(const), tuple(linear))
+    return PolySystem(nv, tuple(const), (m - 1,) * n + (2,), tuple(linear))
 
 
 def _abscissae() -> Iterator[int]:
@@ -173,9 +172,9 @@ def _lagrange_mod(abscissae: tuple[int, ...], p: int) -> np.ndarray:
 
 
 def _interpolated_resultant(
-    lsys: LambdaSystem, cfg: RunConfig, *, even_in_lambda: bool = False
+    system: PolySystem, cfg: RunConfig, *, even_in_lambda: bool = False
 ) -> UniPoly:
-    """The resultant of lsys as a polynomial in lambda, by interpolation.
+    """The resultant of the system as a polynomial in lambda, by interpolation.
 
     The resultant is homogeneous of degree prod_{j != i} d_j in the
     coefficients of f_i (Macaulay 1902; Cox, Little & O'Shea, Using
@@ -197,17 +196,17 @@ def _interpolated_resultant(
     each under its Cauchy estimate (_coefficient_bounds).  The row scales
     divide out once at the end.
     """
-    check_dim_cap(lsys.nvars, lsys.degrees, cfg.dim_cap)
+    check_dim_cap(system.nvars, system.degrees, cfg.dim_cap)
     bound = sum(
-        prod(lsys.degrees[:i] + lsys.degrees[i + 1 :])
-        for i, part in enumerate(lsys.linear)
+        prod(system.degrees[:i] + system.degrees[i + 1 :])
+        for i, part in enumerate(system.linear)
         if not part.is_zero()
     )
     if bound > cfg.degree_cap:
         raise DegreeCapExceeded(
             f"resultant degree bound {bound} exceeds cap {cfg.degree_cap}"
         )
-    table = _FillTable(lsys)
+    table = _FillTable(system)
     if even_in_lambda:
         nodes = list(range(bound // 2 + 1))
         abscissae = tuple(lam * lam for lam in nodes)
@@ -237,22 +236,21 @@ def _interpolated_resultant(
     return UniPoly(tuple(c * scale for c in coeffs))
 
 
-def char_poly(a: Tensor, config: RunConfig | None = None) -> UniPoly:
+def char_poly(a: Tensor, config: RunConfig = DEFAULT_CONFIG) -> UniPoly:
     """Monic characteristic polynomial of degree dim * (order-1)**(dim-1)."""
-    cfg = config if config is not None else DEFAULT_CONFIG
     if a.order < 2:
         raise DimMismatch("characteristic polynomial needs order at least 2")
     expected = a.dim * (a.order - 1) ** (a.dim - 1)
-    if expected > cfg.degree_cap:
+    if expected > config.degree_cap:
         raise DegreeCapExceeded(
-            f"characteristic degree {expected} exceeds cap {cfg.degree_cap}"
+            f"characteristic degree {expected} exceeds cap {config.degree_cap}"
         )
     n, m = a.dim, a.order
-    check_dim_cap(n, (m - 1,) * n, cfg.dim_cap)
+    check_dim_cap(n, (m - 1,) * n, config.dim_cap)
     component = tensor_polynomial_map(a)
     scale = lcm(*(c.denominator for p in component for c in p.terms.values()))
     system = PolySystem(n, tuple(p.scale(scale) for p in component), (m - 1,) * n)
-    coeffs = _charpoly_quotient(_FillTable(LambdaSystem.constant(system)), 0, cfg.prime_seed)
+    coeffs = _charpoly_quotient(_FillTable(system), config.prime_seed)
     d = len(coeffs) - 1
     poly = UniPoly(tuple(Fraction(c, scale ** (d - j)) for j, c in enumerate(coeffs)))
     if poly.degree != expected or not poly.is_monic():
@@ -265,10 +263,9 @@ def char_poly(a: Tensor, config: RunConfig | None = None) -> UniPoly:
 
 
 def e_char_poly(
-    a: Tensor, config: RunConfig | None = None, *, normalize: bool = True
+    a: Tensor, config: RunConfig = DEFAULT_CONFIG, *, normalize: bool = True
 ) -> UniPoly:
     """E-characteristic polynomial; normalized content-free by default."""
-    cfg = config if config is not None else DEFAULT_CONFIG
     if a.order < 2:
         raise DimMismatch("E-characteristic polynomial needs order at least 2")
     if a.order >= 3 and a.dim >= 2 and all(v == 0 for v in a.entries):
@@ -280,15 +277,14 @@ def e_char_poly(
         return UniPoly.zero()
     # odd order: beta -> -beta maps the system at lambda to that at -lambda
     poly = _interpolated_resultant(
-        e_char_poly_system(a), cfg, even_in_lambda=a.order % 2 == 1
+        e_char_poly_system(a), config, even_in_lambda=a.order % 2 == 1
     )
     return poly.normalized() if normalize else poly
 
 
-def det_tensor(a: Tensor, config: RunConfig | None = None) -> Fraction:
+def det_tensor(a: Tensor, config: RunConfig = DEFAULT_CONFIG) -> Fraction:
     """Resultant of the map x -> A x; zero exactly when it has a nontrivial root."""
-    cfg = config if config is not None else DEFAULT_CONFIG
     if a.order < 2:
         raise DimMismatch("tensor determinant needs order at least 2")
     system = PolySystem(a.dim, tensor_polynomial_map(a), (a.order - 1,) * a.dim)
-    return resultant_value(system, prime_seed=cfg.prime_seed, dim_cap=cfg.dim_cap)
+    return resultant_value(system, prime_seed=config.prime_seed, dim_cap=config.dim_cap)

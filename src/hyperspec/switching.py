@@ -13,8 +13,9 @@ pairs share their spectra.
 entries in (1/n1)Z, so it checks that n1*Q, applied along each of the k
 modes of (k-1)! A_H, gives n1^k (k-1)! A_G entry by entry.  The mode
 products run in the tensor module's integer kernel, the one mat_sim
-uses.  Q is built once, as n1*Q in _scaled_switching_matrix; both
-Fraction forms divide it back by n1.
+uses, and (k-1)! A comes from hypergraph.scaled_adjacency, the builder
+adjacency_tensor divides back.  Q is built once, as n1*Q in
+_scaled_switching_matrix; both Fraction forms divide it back by n1.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import (
     InputError,
     OddV1,
 )
-from .hypergraph import Hypergraph, neighbors_in
+from .hypergraph import Hypergraph, neighbors_in, scaled_adjacency
 from .tensor import Tensor, _mode_products
 
 
@@ -192,11 +193,11 @@ def verify_similarity(
             f"similarity needs one size; got H with n={h.n} k={h.k}, "
             f"G with n={g.n} k={g.k} and a partition of {p.n} vertices"
         )
-    image = _mode_products(nq, _scaled_adjacency(h))
+    image = _mode_products(nq, scaled_adjacency(h))
     scale = n1**h.k
     # n1 is at most the largest absolute row sum of n1*Q, so the target fits
     # in whichever dtype the kernel chose
-    target = _scaled_adjacency(g).astype(image.dtype) * scale
+    target = scaled_adjacency(g).astype(image.dtype) * scale
     differ = np.flatnonzero(image != target)
     if not differ.size:
         return SimilarityReport(True)
@@ -209,16 +210,6 @@ def verify_similarity(
         Fraction(int(target.flat[flat]), denominator),
         Fraction(int(image.flat[flat]), denominator),
     )
-
-
-def _scaled_adjacency(h: Hypergraph) -> np.ndarray:
-    """(k-1)! times the adjacency tensor of h: 1 at every arrangement of every edge."""
-    a = np.zeros((h.n,) * h.k, dtype=np.int64)
-    if h.edges:
-        edges = np.array(sorted(h.edges), dtype=np.intp) - 1
-        perms = np.array(list(itertools.permutations(range(h.k))), dtype=np.intp)
-        a[tuple(edges[:, perms].reshape(-1, h.k).T)] = 1
-    return a
 
 
 def find_partitions(

@@ -35,7 +35,7 @@ class Tensor:
         if self.dim < 1:
             raise DimMismatch(f"dimension must be at least 1, got {self.dim}")
         expected = self.dim**self.order
-        cleaned = tuple(Fraction(v) for v in self.entries)
+        cleaned = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.entries)
         if len(cleaned) != expected:
             raise DimMismatch(
                 f"expected {expected} entries for order {self.order} dim {self.dim}, "

@@ -5,11 +5,13 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from dataclasses import replace
 from math import comb, factorial
-from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from hyperspec import analysis
 from hyperspec.analysis import (
     PolyCache,
     _candidate_masks,
@@ -27,7 +29,7 @@ from hyperspec.config import DEFAULT_CONFIG
 from hyperspec.errors import CapExceeded, DimMismatch, InputError
 from hyperspec.hypergraph import (
     Hypergraph,
-    complement,
+    adjacency_tensor,
     from_bitmask,
     mask_orbit,
     mask_simplex_count,
@@ -37,7 +39,6 @@ from hyperspec.hypergraph import (
 )
 from hyperspec.polynomial import UniPoly
 from hyperspec.spectra import char_poly
-from hyperspec.hypergraph import adjacency_tensor
 
 
 def _relabeled(h, images):
@@ -111,6 +112,69 @@ def test_checkpoint_round_trip(tmp_path):
     missing, watermark = load_checkpoint(str(tmp_path / "absent.json"), 4, 3)
     assert watermark == -1
     assert missing.computed == 0
+
+
+def _counted_writes(monkeypatch):
+    # the watermark of every checkpoint write, in order
+    writes = []
+    save = analysis.save_checkpoint
+
+    def counted(path, n, k, cache, watermark):
+        writes.append(watermark)
+        save(path, n, k, cache, watermark)
+
+    monkeypatch.setattr(analysis, "save_checkpoint", counted)
+    return writes
+
+
+def test_checkpoint_writes_are_bounded_by_their_duration(tmp_path, monkeypatch):
+    cold = tmp_path / "cold.json"
+    report = cospectral_invariant_scan(5, 2, checkpoint_path=str(cold))
+    assert report.polynomials_computed == 34
+    writes = _counted_writes(monkeypatch)
+    # a clock that stands still: every write takes no time, so every growth
+    # of the cache writes, and the end writes once more
+    monkeypatch.setattr(analysis, "time", SimpleNamespace(monotonic=lambda: 0.0))
+    frozen = tmp_path / "frozen.json"
+    cospectral_invariant_scan(5, 2, checkpoint_path=str(frozen))
+    assert len(writes) == 34 + 1
+    assert frozen.read_bytes() == cold.read_bytes()
+    # a clock that ticks once a reading: every write takes one tick, so the
+    # next one waits until ten ticks after it began
+    del writes[:]
+    ticks = itertools.count()
+    clock = SimpleNamespace(monotonic=lambda: float(next(ticks)))
+    monkeypatch.setattr(analysis, "time", clock)
+    ticking = tmp_path / "ticking.json"
+    cospectral_invariant_scan(5, 2, checkpoint_path=str(ticking))
+    assert 2 <= len(writes) <= 1 + next(ticks) // 10
+    assert writes == sorted(writes) and writes[-1] == (1 << 10) - 1
+    assert ticking.read_bytes() == cold.read_bytes()
+
+
+@pytest.mark.parametrize("stop", [KeyboardInterrupt, CapExceeded])
+def test_interrupted_search_writes_what_it_computed(tmp_path, monkeypatch, stop):
+    char_poly_, calls = analysis.char_poly, []
+
+    def failing(a, config):
+        if len(calls) == 2:
+            raise stop("stopped")
+        calls.append(a)
+        return char_poly_(a, config)
+
+    monkeypatch.setattr(analysis, "char_poly", failing)
+    # the first write takes one unit of a fake clock that then stands
+    # still, so the loop writes no more and the exception writes the
+    # second class
+    clock = itertools.chain([0.0, 0.0, 1.0], itertools.repeat(1.0))
+    monkeypatch.setattr(analysis, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+    writes = _counted_writes(monkeypatch)
+    path = tmp_path / "state.json"
+    h = Hypergraph.from_edges(5, 2, [(1, 2), (2, 3), (3, 4)])
+    with pytest.raises(stop):
+        ds_verify(h, checkpoint_path=str(path))
+    assert len(writes) == 2
+    assert len(json.loads(path.read_text())["polys"]) == 2
 
 
 def _least_image(n, k, mask):
@@ -329,10 +393,16 @@ def test_destruction_minimum_two_edges():
         assert len(set(a) & set(b)) == 2  # the pair shares k-1 vertices
 
 
-def test_destruction_respects_brute_force_cap():
-    tiny = DEFAULT_CONFIG.with_(brute_force_cap=10)
-    with pytest.raises(CapExceeded):
-        simplex_destruction_min(6, 3, 2, tiny)
+def test_destruction_respects_brute_force_cap(monkeypatch):
+    # C(120, 3) * C(10, 4), about 5.9e7 steps, is refused before any work
+    def no_work(*args):
+        raise AssertionError("the refused search started")
+
+    monkeypatch.setattr(analysis, "subset_order", no_work)
+    monkeypatch.setattr(analysis, "simplex_masks", no_work)
+    assert comb(comb(10, 3), 3) * comb(10, 4) > analysis.BRUTE_FORCE_CAP
+    with pytest.raises(CapExceeded, match="exceeds cap 2000000"):
+        simplex_destruction_min(10, 3, 3)
 
 
 @pytest.mark.slow
@@ -346,7 +416,7 @@ def test_disjoint_union_with_isolated_vertex():
 def test_disjoint_union_with_two_isolated_vertices():
     # A pin of what the search computes, not a theorem: it prunes by simplex
     # count, which the invariant scan validates only up to n = 5.
-    cfg = DEFAULT_CONFIG.with_(degree_cap=200)
+    cfg = replace(DEFAULT_CONFIG, degree_cap=200)
     verdict = disjoint_union_ds_check(3, isolated=2, config=cfg)
     assert verdict.target.n == 6
     assert verdict.all_isomorphic

@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import hyperspec
-from hyperspec import cli
+from hyperspec import analysis, cli
 from hyperspec.cli import main
+from hyperspec.errors import MathError
 from hyperspec.hypergraph import (
     Hypergraph,
     edge_bitmask,
@@ -351,6 +352,37 @@ def test_invariant_scan_output_pinned(tmp_path, capsys):
         assert _sha256(state.read_bytes()) == checkpoint_digest
 
 
+@pytest.mark.parametrize("computed", [0, 2, 4])
+def test_interrupted_scan_keeps_its_classes(tmp_path, capsys, monkeypatch, computed):
+    # char_poly fails after `computed` classes; the checkpoint must hold
+    # exactly those, and the resumed run computes the rest and ends with
+    # the bytes of a run that was never interrupted
+    cold, state = tmp_path / "cold.json", tmp_path / "state.json"
+    scan = ["invariant-scan", "--n", "4", "--k", "3", "--checkpoint"]
+    code, cold_out, _ = _run(capsys, scan + [str(cold)])
+    assert code == 0 and json.loads(cold_out)["polynomials_computed"] == 5
+    char_poly, calls = analysis.char_poly, []
+
+    def failing(a, config):
+        if len(calls) == computed:
+            raise MathError("interrupted")
+        calls.append(a)
+        return char_poly(a, config)
+
+    monkeypatch.setattr(analysis, "char_poly", failing)
+    code, out, err = _run(capsys, scan + [str(state)])
+    assert (code, out, err) == (4, "", "MathError: interrupted\n")
+    if computed:
+        assert len(json.loads(state.read_text())["polys"]) == computed
+    else:
+        assert not state.exists()
+    monkeypatch.setattr(analysis, "char_poly", char_poly)
+    code, out, err = _run(capsys, scan + [str(state)])
+    assert code == 0 and err == ""
+    assert json.loads(out)["polynomials_computed"] == 5 - computed
+    assert state.read_bytes() == cold.read_bytes()
+
+
 def test_simplex_bound(capsys):
     code, out, _ = _run(
         capsys, ["simplex-bound", "--n", "6", "--k", "3", "--r", "2"]
@@ -475,6 +507,7 @@ def test_malformed_checkpoint_exits_2(tmp_path, capsys, command, kind):
     assert code == 2
     assert out == ""
     assert err.startswith("InputError")
+    assert state.read_text() == MALFORMED_CHECKPOINTS[kind]  # left as it was
 
 
 def test_parse_error_reports_line(tmp_path, capsys):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb, factorial
 
 import pytest
@@ -70,23 +70,48 @@ def test_complete_counts():
     assert Hypergraph.complete(4, 4).edge_count == 1
 
 
+def _adjacency_oracle(h):
+    # every index tuple of the tensor, in row-major order: 1/(k-1)! where
+    # its vertices are an edge, zero elsewhere
+    weight = Fraction(1, factorial(h.k - 1))
+    return tuple(
+        weight if tuple(sorted(i + 1 for i in idx)) in h.edges else Fraction(0)
+        for idx in product(range(h.n), repeat=h.k)
+    )
+
+
 def test_adjacency_tensor_single_edge():
-    h = Hypergraph.from_edges(3, 3, [(1, 2, 3)])
-    a = adjacency_tensor(h)
-    assert a.order == 3 and a.dim == 3
-    nz = dict(a.nonzero_items())
-    assert len(nz) == 6  # all orderings of the one edge
-    assert all(v == Fraction(1, 2) for v in nz.values())
-    assert is_symmetric(a)
+    for k in (2, 3, 4):
+        h = Hypergraph.from_edges(k, k, [range(1, k + 1)])
+        a = adjacency_tensor(h)
+        assert a.order == k and a.dim == k
+        nz = dict(a.nonzero_items())
+        assert len(nz) == factorial(k)  # all orderings of the one edge
+        assert all(v == Fraction(1, factorial(k - 1)) for v in nz.values())
+        assert is_symmetric(a)
+        assert a.entries == _adjacency_oracle(h)
 
 
 def test_adjacency_tensor_complete():
-    a = adjacency_tensor(Hypergraph.complete(4, 3))
-    nz = dict(a.nonzero_items())
-    assert len(nz) == comb(4, 3) * factorial(3)
-    assert all(v == Fraction(1, 2) for v in nz.values())
-    # weight is 1/(k-1)! so that row sums count incident edges
-    assert sum(nz.values()) == comb(4, 3) * 3
+    for n, k in ((4, 2), (4, 3), (5, 4)):
+        a = adjacency_tensor(Hypergraph.complete(n, k))
+        nz = dict(a.nonzero_items())
+        assert len(nz) == comb(n, k) * factorial(k)
+        assert all(v == Fraction(1, factorial(k - 1)) for v in nz.values())
+        # weight is 1/(k-1)! so that row sums count incident edges
+        assert sum(nz.values()) == comb(n, k) * k
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (4, 2), (5, 2), (4, 3), (5, 3), (4, 4), (5, 4)])
+def test_adjacency_tensor_matches_the_brute_force_oracle(n, k):
+    rng = random.Random(10 * n + k)
+    graphs = [Hypergraph.empty(n, k), Hypergraph.complete(n, k)]
+    graphs += [from_bitmask(n, k, rng.getrandbits(comb(n, k))) for _ in range(8)]
+    for h in graphs:
+        a = adjacency_tensor(h)
+        assert (a.order, a.dim) == (k, n)
+        assert a.entries == _adjacency_oracle(h)
+        assert all(type(v) is Fraction for v in a.entries)
 
 
 def test_complement():

@@ -16,6 +16,7 @@ from sympy.polys.multivariate_resultants import MacaulayResultant
 
 from hyperspec.errors import (
     CapExceeded,
+    DimMismatch,
     NotHomogeneous,
     NotSquareSystem,
 )
@@ -23,7 +24,6 @@ from hyperspec.hypergraph import Hypergraph, adjacency_tensor
 from hyperspec import macaulay
 from hyperspec.modular import crt_values, nth_prime
 from hyperspec.macaulay import (
-    LambdaSystem,
     PolySystem,
     _eval_point,
     _FillTable,
@@ -92,7 +92,7 @@ def test_linear_system_reduces_to_determinant():
             _poly(2, {(1, 0): c, (0, 1): d}),
         ]
     )
-    table = _FillTable(LambdaSystem.constant(sys_))
+    table = _FillTable(sys_)
     assert table.minor_rows == []  # nothing to divide out in degree one
     full, _ = _fill(table, 0)
     assert _exact_det(full) == a * d - b * c
@@ -169,6 +169,21 @@ def _make_not_square():
     return PolySystem(3, (_poly(3, {(1, 0, 0): 1}),), (1,))
 
 
+def test_lambda_part_is_checked_like_the_constant_part():
+    x, y = _poly(2, {(1, 0): 1}), _poly(2, {(0, 1): 1})
+    polys, degrees = (x, y), (1, 1)
+    system = PolySystem(2, polys, degrees, (y, MultiPoly(2)))
+    assert system.at(2) == PolySystem(2, (x + y.scale(2), y), degrees)
+    with pytest.raises(NotSquareSystem):  # one lambda part for two polynomials
+        PolySystem(2, polys, degrees, (y,))
+    with pytest.raises(DimMismatch):  # a lambda part in other variables
+        PolySystem(2, polys, degrees, (y, _poly(3, {(0, 0, 1): 1})))
+    with pytest.raises(NotHomogeneous):  # a lambda part of another degree
+        PolySystem(2, polys, degrees, (y, _poly(2, {(0, 2): 1})))
+    with pytest.raises(NotHomogeneous):  # a lambda part mixing degrees
+        PolySystem(2, polys, degrees, (_poly(2, {(1, 0): 1, (0, 2): 1}), y))
+
+
 def test_degenerate_plain_system_is_rescued_by_a_variant():
     # the order-3 map of a single triple, shifted by one at the unit scale,
     # has a vanishing divisor in natural coordinates; the value comes from
@@ -178,7 +193,7 @@ def test_degenerate_plain_system_is_rescued_by_a_variant():
     table = _FillTable(lsys)
     assert _exact_det(_fill(table, 1)[1]) == 0
     assert _eval_point(table, 1, 0) == -16
-    plain = _FillTable(LambdaSystem.constant(lsys.at(Fraction(1))))
+    plain = _FillTable(lsys.at(Fraction(1)))
     assert _exact_det(_fill(plain, 0)[1]) == 0
     assert _eval_point(plain, 0, 0) == -16
     assert resultant_value(lsys.at(Fraction(1))) == -16
@@ -211,9 +226,22 @@ def test_permuted_pure_powers_give_one():
             _poly(3, {(2, 0, 0): 1}),
         ]
     )
-    table = _FillTable(LambdaSystem.constant(sys_))
+    table = _FillTable(sys_)
     assert _exact_det(_fill(table, 0)[1]) == 0
     assert resultant_value(sys_) == 1
+
+
+def test_radius_is_the_largest_row_sum():
+    # the table reads the row sums per polynomial; every row of the dense
+    # matrix M(lam) must agree
+    rng = random.Random(2207)
+    for order, dim in ((3, 2), (3, 3), (4, 2), (5, 2)):
+        for sparse in (False, True):
+            a = _seeded_tensor(rng, order, dim, rational=True, sparse=sparse)
+            table = _FillTable(e_char_poly_system(a))
+            for lam in (0, 1, -2, 7):
+                full = _fill(table, lam)[0]
+                assert table.radius(lam) == max(sum(map(abs, row)) for row in full)
 
 
 def _random_form(rng, nvars, degree, denominator):
@@ -243,7 +271,7 @@ def test_resultant_is_multiplicative():
             _system([h, f2, f3])
         )
         assert resultant_value(product) == expected
-        full, minor = _fill(_FillTable(LambdaSystem.constant(product)), 0)
+        full, minor = _fill(_FillTable(product), 0)
         if expected != 0 and _exact_det(minor) == 0:
             degenerate[(len(full) - len(minor)) % 2] += 1
     assert min(degenerate.values()) >= 5
@@ -312,7 +340,7 @@ def test_resultant_matches_sympy_macaulay_resultant():
         system = PolySystem(n, tuple(polys), degrees)
         expected = _sympy_resultant(system)
         assert resultant_value(system) == expected, degrees
-        minor = _fill(_FillTable(LambdaSystem.constant(system)), 0)[1]
+        minor = _fill(_FillTable(system), 0)[1]
         degenerate += expected != 0 and _exact_det(minor) == 0
     assert degenerate >= 1
 
@@ -418,7 +446,7 @@ def test_divisor_that_vanishes_modulo_one_prime():
             _poly(3, {(0, 2, 0): g, (2, 0, 0): 5, (1, 0, 1): 1}),
             _poly(3, {(0, 0, 2): 1, (1, 1, 0): 1, (0, 2, 0): -2}),
         ])
-        full, minor = _fill(_FillTable(LambdaSystem.constant(system)), 0)
+        full, minor = _fill(_FillTable(system), 0)
         assert _exact_det(minor) == g
         expected = Fraction(int(_exact_det(full)), g)
         assert expected != 0

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from oracles import classical_char_poly, int_det
 
-from hyperspec import modular
 from hyperspec.errors import BadPrime, InputError, MathError
 from hyperspec.modular import (
     PRIME_LIMIT,

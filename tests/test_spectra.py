@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -106,8 +107,8 @@ def test_e_char_degree_cap_measures_the_resultant_bound():
     # the single edge's system has degrees (2, 2, 2, 2) with a lambda part
     # in the first three polynomials, so D = 3 * 2**3 = 24
     with pytest.raises(DegreeCapExceeded, match="resultant degree bound 24"):
-        e_char_poly(_single_edge(), DEFAULT_CONFIG.with_(degree_cap=23))
-    at_bound = DEFAULT_CONFIG.with_(degree_cap=24)
+        e_char_poly(_single_edge(), replace(DEFAULT_CONFIG, degree_cap=23))
+    at_bound = replace(DEFAULT_CONFIG, degree_cap=24)
     raw = e_char_poly(_single_edge(), at_bound, normalize=False)
     assert raw == _load_poly(DATA / "single_edge_n3_echar.json", "e_char_poly_raw")
 
@@ -236,7 +237,7 @@ def test_e_char_matches_the_fraction_interpolation_oracle():
         if odd:
             oracle = UniPoly(tuple(c for h in oracle.coeffs for c in (h, 0)))
         for seed in (0, 3):
-            raw = e_char_poly(a, DEFAULT_CONFIG.with_(prime_seed=seed), normalize=False)
+            raw = e_char_poly(a, replace(DEFAULT_CONFIG, prime_seed=seed), normalize=False)
             assert raw == oracle, (a.order, a.dim, seed)
         _assert_within_coefficient_bounds(a, oracle)
 
@@ -313,11 +314,11 @@ def test_zero_map_shortcut_matches_the_general_path():
 
 def test_caps_are_enforced():
     with pytest.raises(DegreeCapExceeded):
-        char_poly(_single_edge(), DEFAULT_CONFIG.with_(degree_cap=10))
+        char_poly(_single_edge(), replace(DEFAULT_CONFIG, degree_cap=10))
     with pytest.raises(CapExceeded):
-        e_char_poly(_single_edge(), DEFAULT_CONFIG.with_(dim_cap=10))
+        e_char_poly(_single_edge(), replace(DEFAULT_CONFIG, dim_cap=10))
     with pytest.raises(CapExceeded):
-        char_poly(_single_edge(), DEFAULT_CONFIG.with_(dim_cap=10))
+        char_poly(_single_edge(), replace(DEFAULT_CONFIG, dim_cap=10))
 
 
 def test_char_invariant_under_relabeling():
@@ -343,12 +344,12 @@ def test_eigenvalue_is_a_root():
 
 def test_prime_seed_does_not_change_results():
     a = _single_edge()
-    base = e_char_poly(a, DEFAULT_CONFIG.with_(prime_seed=0), normalize=False)
-    moved = e_char_poly(a, DEFAULT_CONFIG.with_(prime_seed=3), normalize=False)
+    base = e_char_poly(a, replace(DEFAULT_CONFIG, prime_seed=0), normalize=False)
+    moved = e_char_poly(a, replace(DEFAULT_CONFIG, prime_seed=3), normalize=False)
     assert base == moved
     rational = _rational_order_three()
-    base = char_poly(rational, DEFAULT_CONFIG.with_(prime_seed=0))
-    moved = char_poly(rational, DEFAULT_CONFIG.with_(prime_seed=3))
+    base = char_poly(rational, replace(DEFAULT_CONFIG, prime_seed=0))
+    moved = char_poly(rational, replace(DEFAULT_CONFIG, prime_seed=3))
     assert base == moved == _RATIONAL_ORDER_THREE_CHAR
 
 
