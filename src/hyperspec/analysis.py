@@ -95,9 +95,6 @@ class PolyCache:
         self._class_keys: dict[tuple[int, int, int], tuple[int, int, int]] = {}
         self.computed = 0
 
-    def __len__(self) -> int:
-        return len(self._polys)
-
     def class_key(self, n: int, k: int, mask: int) -> tuple[int, int, int]:
         """(n, k, least mask of the orbit) of this labeled edge bitmask."""
         key = self._class_keys.get((n, k, mask))

@@ -94,7 +94,10 @@ def _check_edge(edge: tuple[int, ...], n: int, k: int) -> None:
 def scaled_adjacency(h: Hypergraph) -> np.ndarray:
     """(k-1)! times the adjacency tensor of h, as an int64 array: 1 at
     every arrangement of every edge."""
-    a = np.zeros((h.n,) * h.k, dtype=np.int64)
+    try:
+        a = np.zeros((h.n,) * h.k, dtype=np.int64)
+    except (ValueError, MemoryError):  # numpy refuses the shape or the memory
+        raise CapExceeded(f"adjacency tensor of {h.n}**{h.k} entries does not fit") from None
     if h.edges:
         edges = np.array(sorted(h.edges), dtype=np.intp) - 1
         perms = np.array(list(itertools.permutations(range(h.k))), dtype=np.intp)

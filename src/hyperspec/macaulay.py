@@ -1,16 +1,17 @@
 """Dense resultants of square homogeneous polynomial systems.
 
 For n homogeneous polynomials in n variables of degrees d_1..d_n, build
-the classical pair of matrices on the monomials of total degree
+Macaulay's matrix M on the monomials of total degree
 D = sum(d_i - 1) + 1: each monomial mu owns one row, filled with the
 coefficients of (mu / x_i**d_i) * f_i for the least variable index i
 with x_i**d_i dividing mu.  The resultant is det(M) / det(M') where M'
-restricts rows and columns to the monomials divisible by x_i**d_i for
-two or more distinct i.
+is the principal submatrix of M on the monomials divisible by
+x_i**d_i for two or more distinct i.
 
 Every resultant goes through one integer path and one system type,
-PolySystem, whose coefficients are linear in a parameter lambda.  It is
-tabulated once with its rows scaled to integers.  Modulo each prime,
+PolySystem, whose coefficients are linear in a parameter lambda.  Its
+M is tabulated once, as one sparse pencil with rows scaled to integers,
+and every route reads M' off a stack of M (_FillTable).  Modulo each prime,
 its residues at many integer lambdas come from one pencil reduction
 (_pencil_values), or from the generalized charpoly below at every node,
 all (prime, node) layers in shared stacks (_gcp_values); the caller
@@ -32,8 +33,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
-from typing import Callable, Sequence
+from math import comb, lcm, prod
+from typing import Sequence
 
 import numpy as np
 
@@ -113,9 +114,17 @@ class MacaulayStructure:
         return len(self.monomials)
 
 
+def _code(mono: tuple[int, ...], radix: int) -> int:
+    """sum_j mono[j] * radix**j: codes add as monomials multiply."""
+    return sum(e * radix**j for j, e in enumerate(mono))
+
+
 @lru_cache(maxsize=None)
-def _column_index(nvars: int, total: int) -> dict[tuple[int, ...], int]:
-    return {m: j for j, m in enumerate(monomial_basis(nvars, total))}
+def _column_codes(nvars: int, total: int) -> tuple[tuple[int, ...], dict[int, int]]:
+    """The code (radix total + 1) of each degree-total monomial in basis
+    order, and the column of each code."""
+    codes = tuple(_code(m, total + 1) for m in monomial_basis(nvars, total))
+    return codes, {c: j for j, c in enumerate(codes)}
 
 
 def _assign(mono: tuple[int, ...], degrees: tuple[int, ...]) -> int:
@@ -149,104 +158,92 @@ def check_dim_cap(nvars: int, degrees: Sequence[int], dim_cap: int) -> None:
         raise CapExceeded(f"matrix dimension {size} exceeds cap {dim_cap}")
 
 
-def _pencil_mod(
-    rows: list[list[tuple[int, int, int]]], size: int
-) -> Callable[[np.ndarray], np.ndarray]:
-    """primes -> the (2, P, size, size) stacks F0, F1 modulo each prime,
-    for sparse rows of (column, i0, i1) terms."""
-    r = np.array([i for i, terms in enumerate(rows) for _ in terms], dtype=np.intp)
-    c = np.array([col for terms in rows for col, _, _ in terms], dtype=np.intp)
-    i0 = [t[1] for terms in rows for t in terms]
-    i1 = [t[2] for terms in rows for t in terms]
-    dtype = object if any(abs(v) >= 1 << 62 for v in i0 + i1) else np.int64
-    i0a, i1a = np.array(i0, dtype=dtype), np.array(i1, dtype=dtype)
-
-    def at(primes: np.ndarray) -> np.ndarray:
-        f = np.zeros((2, len(primes), size, size), dtype=np.int64)
-        f[0][:, r, c] = i0a % primes[:, None]
-        f[1][:, r, c] = i1a % primes[:, None]
-        return f
-
-    return at
-
-
 def _at(pencil: np.ndarray, lam: int | np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """F0 + lam F1 modulo each prime, from the stacks of _pencil_mod; lam
-    is one integer or one per layer."""
+    """F0 + lam F1 modulo each prime, from the stacks of full_at; lam is
+    one integer or one per layer."""
     moduli = primes[:, None, None]
     return (pencil[0] + np.asarray(lam)[..., None, None] % moduli * pencil[1]) % moduli
 
 
 class _FillTable:
-    """Integer evaluation tables for one system, linear in lambda.
+    """The Macaulay matrix of one system as one sparse integer pencil.
 
     Rows are scaled by the denominator lcm of their polynomial once, so
-    each sample point assembles two integer matrices directly; the two
+    M(lambda) = F0 + lambda F1 has integer entries, each nonzero one held
+    once in the arrays row, col, i0 and i1.  The divisor M' is the
+    principal submatrix on the non-reduced monomials (minor); the
     accumulated scales divide back out of the determinant quotient.
     """
 
     def __init__(self, system: PolySystem):
         structure = macaulay_structure(system.nvars, system.degrees)
-        index = _column_index(system.nvars, structure.total_degree)
         self.size = structure.size
+        self.nonreduced = np.array(structure.nonreduced, dtype=np.intp)
+        self.d = self.size - len(structure.nonreduced)  # N - N', the quotient's degree
 
-        poly_terms: list[list[tuple[tuple[int, ...], int, int]]] = []
+        # each polynomial's (i0, i1) terms, scaled to integers, and the
+        # code shift of each: the row of mu holds (mu / x_i**d_i) * f_i, so
+        # a term's column is that of code(mu) plus its shift
+        radix = structure.total_degree + 1
+        poly_terms: list[list[tuple[int, int]]] = []
+        shifts: list[list[int]] = []
         poly_scale: list[int] = []
         linear = system.linear or (MultiPoly(system.nvars),) * system.nvars
-        for c_poly, l_poly in zip(system.polys, linear):
+        for i, (c_poly, l_poly) in enumerate(zip(system.polys, linear)):
             exps = set(c_poly.terms) | set(l_poly.terms)
-            scale = 1
-            pairs = []
-            for exp in exps:
-                c0 = c_poly.terms.get(exp, Fraction(0))
-                c1 = l_poly.terms.get(exp, Fraction(0))
-                pairs.append((exp, c0, c1))
-                scale = lcm(scale, c0.denominator, c1.denominator)
-            poly_terms.append(
-                [(exp, int(c0 * scale), int(c1 * scale)) for exp, c0, c1 in pairs]
-            )
+            scale = lcm(*(c.denominator for p in (c_poly, l_poly) for c in p.terms.values()))
+            poly_terms.append([
+                (int(c_poly.terms.get(e, 0) * scale), int(l_poly.terms.get(e, 0) * scale))
+                for e in exps
+            ])
+            shifts.append([_code(e, radix) - system.degrees[i] * radix**i for e in exps])
             poly_scale.append(scale)
         self.poly_terms = poly_terms
 
-        self.rows: list[list[tuple[int, int, int]]] = []
-        scale_full = 1
-        for r, mono in enumerate(structure.monomials):
-            i = structure.assignment[r]
-            shift = list(mono)
-            shift[i] -= system.degrees[i]
-            row = [
-                (index[tuple(s + e for s, e in zip(shift, exp))], i0, i1)
-                for exp, i0, i1 in poly_terms[i]
-            ]
-            self.rows.append(row)
-            scale_full *= poly_scale[i]
-        self.scale_full = scale_full
-
-        minor_pos = {c: j for j, c in enumerate(structure.nonreduced)}
-        self.minor_rows = [
-            [(minor_pos[c], i0, i1) for c, i0, i1 in self.rows[r] if c in minor_pos]
-            for r in structure.nonreduced
-        ]
-        self.scale_minor = 1
-        for r in structure.nonreduced:
-            self.scale_minor *= poly_scale[structure.assignment[r]]
+        codes, column = _column_codes(system.nvars, structure.total_degree)
+        cols: list[int] = []
+        entries: list[tuple[int, int]] = []
+        for code, i in zip(codes, structure.assignment):
+            cols += [column[code + shift] for shift in shifts[i]]
+            entries += poly_terms[i]
+        counts = [len(poly_terms[i]) for i in structure.assignment]
+        self.row = np.repeat(np.arange(self.size, dtype=np.intp), counts)
+        self.col = np.array(cols, dtype=np.intp)
+        big = any(abs(v) >= 1 << 62 for terms in poly_terms for pair in terms for v in pair)
+        dtype = object if big else np.int64
+        i0, i1 = zip(*entries) if entries else ((), ())
+        self.i0, self.i1 = np.array(i0, dtype=dtype), np.array(i1, dtype=dtype)
+        self.scale_full = prod(poly_scale[i] for i in structure.assignment)
+        self.scale_minor = prod(
+            poly_scale[structure.assignment[r]] for r in structure.nonreduced
+        )
         # int64 entries one prime takes in the largest stack built from the
         # table: F0 with F1, [A | F1], or a charpoly's table of polynomials
         self.layer_size = 2 * (self.size + 1) ** 2
-        self.full_at = _pencil_mod(self.rows, self.size)
-        self.minor_at = _pencil_mod(self.minor_rows, len(self.minor_rows))
+
+    def full_at(self, primes: np.ndarray) -> np.ndarray:
+        """The (2, P, size, size) stacks F0, F1 modulo each prime."""
+        f = np.zeros((2, len(primes), self.size, self.size), dtype=np.int64)
+        f[0][:, self.row, self.col] = self.i0 % primes[:, None]
+        f[1][:, self.row, self.col] = self.i1 % primes[:, None]
+        return f
+
+    def minor(self, stack: np.ndarray) -> np.ndarray:
+        """The divisor M' of each matrix in a stack of M: its principal
+        submatrix on the non-reduced monomials."""
+        return stack[..., self.nonreduced[:, None], self.nonreduced]
 
     def radius(self, lam: int) -> int:
         """Largest absolute row sum of M(lam), a bound on its eigenvalues;
         the rows of one polynomial share their absolute sums."""
         return max(
-            (sum(abs(i0 + lam * i1) for _, i0, i1 in terms) for terms in self.poly_terms),
+            (sum(abs(i0 + lam * i1) for i0, i1 in terms) for terms in self.poly_terms),
             default=0,
         )
 
     def vanishing_poly(self, lam: int) -> bool:
         for terms in self.poly_terms:
-            if all(i0 + lam * i1 == 0 for _, i0, i1 in terms):
+            if all(i0 + lam * i1 == 0 for i0, i1 in terms):
                 return True
         return False
 
@@ -264,12 +261,12 @@ def _charpoly_quotient(table: _FillTable, prime_seed: int) -> list[int]:
     its absolute value is at most R = table.radius(0), and the
     coefficient of x**j is at most C(d, j) * R**(d - j), d = N - N'.
     """
-    d = table.size - len(table.minor_rows)
-    radius = table.radius(0)
+    d, radius = table.d, table.radius(0)
 
     def residues_mod(primes: list[int]) -> np.ndarray:
         pv = np.array(primes, dtype=np.int64)
-        return _quotient_mod(table.full_at(pv)[0], table.minor_at(pv)[0], pv)
+        full = table.full_at(pv)[0]
+        return _quotient_mod(full, table.minor(full), pv)
 
     bounds = [comb(d, j) * radius ** (d - j) for j in range(d + 1)]
     return crt_values(residues_mod, bounds, prime_seed, table.layer_size)
@@ -282,7 +279,7 @@ def _value_bound(table: _FillTable, lam: int) -> int:
     resultant is 0 there."""
     if table.vanishing_poly(lam):
         return 0
-    return table.radius(lam) ** (table.size - len(table.minor_rows))
+    return table.radius(lam) ** table.d
 
 
 # rho = 2**e, e in this range, for the Cauchy estimates of _coefficient_bounds
@@ -302,10 +299,10 @@ def _coefficient_bounds(table: _FillTable, powers: Sequence[int]) -> list[int]:
     taken.  The constant coefficient is the value at lambda = 0, bounded
     by _value_bound as the limit rho -> 0.
     """
-    d = table.size - len(table.minor_rows)
+    d = table.d
     # the rows of one polynomial share their absolute sums
     sums = {
-        (sum(abs(i0) for _, i0, _ in terms), sum(abs(i1) for _, _, i1 in terms))
+        (sum(abs(i0) for i0, _ in terms), sum(abs(i1) for _, i1 in terms))
         for terms in table.poly_terms
     }
     best: list[int | None] = [None] * len(powers)
@@ -340,10 +337,11 @@ def _eval_point(table: _FillTable, lam: int, prime_seed: int) -> Fraction:
 
     def quotient_mod(primes: list[int]) -> list[list[int] | None]:
         pv = np.array(primes, dtype=np.int64)
-        det_minor = _det_mod(_at(table.minor_at(pv), lam, pv), pv)
-        if det_minor[0] == 0:  # the whole stack is refused before M is built
+        full = _at(table.full_at(pv), lam, pv)
+        det_minor = _det_mod(table.minor(full), pv)
+        if det_minor[0] == 0:  # the whole stack is refused before det M is taken
             return [None] * len(primes)
-        ratio = _det_mod(_at(table.full_at(pv), lam, pv), pv) * _inverses(det_minor, pv) % pv
+        ratio = _det_mod(full, pv) * _inverses(det_minor, pv) % pv
         return [[v] if m else None for v, m in zip(ratio.tolist(), det_minor.tolist())]
 
     def gcp_mod(primes: list[int]) -> np.ndarray:
@@ -368,7 +366,6 @@ def _gcp_values(
     and the (P,) mask of primes not skipped, as _pencil_values does; the
     monic divisor never vanishes, so no prime is skipped.
     """
-    d = table.size - len(table.minor_rows)
     live = [i for i, lam in enumerate(nodes) if not table.vanishing_poly(lam)]
     rows = np.repeat(np.arange(len(primes)), len(live))
     cols = np.tile(np.array(live, dtype=np.intp), len(primes))
@@ -379,9 +376,8 @@ def _gcp_values(
         part = slice(start, start + step)
         pv = primes[rows[part]]
         full = _at(table.full_at(pv), lams[part], pv)
-        minor = _at(table.minor_at(pv), lams[part], pv)
-        constant = _quotient_mod(full, minor, pv)[:, 0]
-        out[rows[part], cols[part]] = (-constant if d % 2 else constant) % pv
+        constant = _quotient_mod(full, table.minor(full), pv)[:, 0]
+        out[rows[part], cols[part]] = (-constant if table.d % 2 else constant) % pv
     return out, np.ones(len(primes), dtype=bool)
 
 
@@ -415,7 +411,8 @@ def _pencil_values(
     lams = np.array(nodes, dtype=np.int64)
     values = np.zeros((len(primes), len(nodes)), dtype=np.int64)
     solved = np.zeros(len(primes), dtype=bool)
-    minor, full = table.minor_at(primes), None
+    full = table.full_at(primes)
+    minor = table.minor(full)
     todo = np.arange(len(primes))  # the layers no shift has resolved
     for c in _SHIFTS:
         # the divisor is smaller and is the one that fails, so try it first
@@ -423,7 +420,6 @@ def _pencil_values(
         det_minor, n_minor = _solve_mod(_at(minor[:, todo], c, pv), minor[1, todo], pv)
         ok = np.flatnonzero(det_minor)
         if ok.size:
-            full = table.full_at(primes) if full is None else full
             part = full[:, todo[ok]]
             det_full, n_full = _solve_mod(_at(part, c, pv[ok]), part[1], pv[ok])
             good = np.flatnonzero(det_full)

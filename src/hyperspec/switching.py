@@ -56,10 +56,6 @@ class SwitchingPartition:
     def n(self) -> int:
         return len(self.v1) + len(self.v2)
 
-    def ordered(self) -> tuple[int, ...]:
-        """All vertices, the first part in front; the matrix row order."""
-        return tuple(sorted(self.v1)) + tuple(sorted(self.v2))
-
 
 @dataclass(frozen=True)
 class SwitchReport:
@@ -118,16 +114,9 @@ def validate(h: Hypergraph, p: SwitchingPartition) -> SwitchReport:
 def switch(h: Hypergraph, p: SwitchingPartition) -> Hypergraph:
     """Apply the switching move; validates first, and is an involution."""
     report = validate(h, p)
-    edges = set(h.edges)
-    for core in report.switched_sets:
-        flipped = neighbors_in(h, core, p.v1)
-        for v in p.v1:
-            edge = tuple(sorted(core + (v,)))
-            if v in flipped:
-                edges.discard(edge)
-            else:
-                edges.add(edge)
-    return Hypergraph(h.n, h.k, frozenset(edges))
+    # distinct (core, v) pairs give distinct edges, so none toggles twice
+    toggled = {tuple(sorted(core + (v,))) for core in report.switched_sets for v in p.v1}
+    return Hypergraph(h.n, h.k, h.edges ^ toggled)
 
 
 def switching_matrix(p: SwitchingPartition) -> Tensor:
@@ -135,7 +124,8 @@ def switching_matrix(p: SwitchingPartition) -> Tensor:
 
     The leading |V1| x |V1| block is (2/n1)J - I, the trailing block is
     the identity; the matrix is symmetric, orthogonal and its own
-    inverse.  Rows follow p.ordered(), not the raw vertex labels: it is
+    inverse.  Rows list the first part, then the second, each in
+    ascending order, not the raw vertex labels: it is
     aligned_switching_matrix of the partition with V1 = {1..n1}.
     """
     _check_partition(p, p.n)

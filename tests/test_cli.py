@@ -535,6 +535,18 @@ def test_e_char_degree_cap_exits_3(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", ["charpoly", "echarpoly", "cospectral"])
+def test_adjacency_too_large_for_numpy_exits_3(tmp_path, capsys, command):
+    # a well-formed file whose 10**24-entry adjacency tensor numpy refuses
+    # to allocate, before any degree or dimension cap is checked
+    path = tmp_path / "huge.hg"
+    path.write_text("100000000 3\n1 2 3\n")
+    argv = [command, str(path)] + ([str(path)] if command == "cospectral" else [])
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("CapExceeded") and "Traceback" not in err
+
+
 def test_math_error_exits_4(tmp_path, capsys):
     # odd first cell is a structural failure inside the switching rules
     path = _write_graph(

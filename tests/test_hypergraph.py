@@ -92,6 +92,12 @@ def test_adjacency_tensor_single_edge():
         assert a.entries == _adjacency_oracle(h)
 
 
+def test_adjacency_tensor_too_large_for_numpy_is_a_cap():
+    # numpy refuses the 10**24-entry shape before it allocates anything
+    with pytest.raises(CapExceeded):
+        adjacency_tensor(Hypergraph.from_edges(10**8, 3, [(1, 2, 3)]))
+
+
 def test_adjacency_tensor_complete():
     for n, k in ((4, 2), (4, 3), (5, 4)):
         a = adjacency_tensor(Hypergraph.complete(n, k))

@@ -56,15 +56,14 @@ def _exact_det(rows):
 
 
 def _fill(table, lam):
-    # the dense integer matrices M(lam) and M'(lam) of the table's rows
-    def dense(rows):
-        out = [[0] * len(rows) for _ in rows]
-        for r, terms in enumerate(rows):
-            for col, i0, i1 in terms:
-                out[r][col] = i0 + lam * i1
-        return out
-
-    return dense(table.rows), dense(table.minor_rows)
+    # the dense integer matrices M(lam), from the table's entry arrays, and
+    # its principal submatrix M'(lam) on the table's divisor index
+    full = [[0] * table.size for _ in range(table.size)]
+    entries = (table.row, table.col, table.i0, table.i1)
+    for r, col, i0, i1 in zip(*(a.tolist() for a in entries)):
+        full[r][col] = i0 + lam * i1
+    divisor = table.nonreduced.tolist()
+    return full, [[full[r][c] for c in divisor] for r in divisor]
 
 
 def _binary_quadratic(a, b, c):
@@ -93,7 +92,7 @@ def test_linear_system_reduces_to_determinant():
         ]
     )
     table = _FillTable(sys_)
-    assert table.minor_rows == []  # nothing to divide out in degree one
+    assert table.nonreduced.size == 0 and table.d == 2  # nothing to divide out in degree one
     full, _ = _fill(table, 0)
     assert _exact_det(full) == a * d - b * c
     assert resultant_value(sys_) == a * d - b * c
@@ -275,6 +274,49 @@ def test_resultant_is_multiplicative():
         if expected != 0 and _exact_det(minor) == 0:
             degenerate[(len(full) - len(minor)) % 2] += 1
     assert min(degenerate.values()) >= 5
+
+
+def test_divisor_is_the_principal_submatrix_on_the_nonreduced_monomials():
+    # M and M' from their definitions, without macaulay_structure: the row
+    # of a degree-D monomial mu holds (mu / x_i**d_i) * f_i, i the least
+    # index with x_i**d_i dividing mu, scaled by the lcm of f_i's
+    # denominators; M' keeps the rows and columns of the monomials divisible
+    # by x_i**d_i for at least two i.  The table's stacks must match both,
+    # in F0 and in F1, modulo each prime
+    rng = random.Random(4421)
+    primes = np.array([nth_prime(i) for i in range(3)], dtype=np.int64)
+    shapes = [(1, 1), (2, 2, 2), (2, 2, 2, 2), (2, 2, 2, 2, 2), (3, 3, 3), (1, 2, 3)]
+    for degrees in shapes:
+        n = len(degrees)
+        parts = [
+            tuple(_random_form(rng, n, d, rng.randint(1, 3)) for d in degrees)
+            for _ in range(2)
+        ]
+        table = _FillTable(PolySystem(n, parts[0], degrees, parts[1]))
+        monos = monomial_basis(n, sum(degrees) - n + 1)
+        column = {m: j for j, m in enumerate(monos)}
+        expected = np.zeros((2, len(monos), len(monos)), dtype=object)
+        for r, mono in enumerate(monos):
+            i = next(i for i, d in enumerate(degrees) if mono[i] >= d)
+            terms = [part[i].terms for part in parts]
+            scale = math.lcm(*(c.denominator for t in terms for c in t.values()))
+            for k, t in enumerate(terms):
+                for exp, c in t.items():
+                    shifted = [m + e for m, e in zip(mono, exp)]
+                    shifted[i] -= degrees[i]
+                    expected[k, r, column[tuple(shifted)]] = int(c * scale)
+        divisor = [
+            j for j, m in enumerate(monos)
+            if sum(m[i] >= d for i, d in enumerate(degrees)) >= 2
+        ]
+        assert table.d == len(monos) - len(divisor), degrees
+        full = table.full_at(primes)
+        minor = table.minor(full)
+        assert minor.shape == (2, len(primes), len(divisor), len(divisor)), degrees
+        for layer, p in enumerate(primes.tolist()):
+            want = expected % p
+            assert (full[:, layer] == want).all(), (degrees, p)
+            assert (minor[:, layer] == want[:, divisor][:, :, divisor]).all(), (degrees, p)
 
 
 def _sympy_resultant(system):
