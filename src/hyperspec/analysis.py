@@ -30,7 +30,7 @@ import os
 import time
 from dataclasses import dataclass
 from math import comb, inf
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import BadSize, CapExceeded, DimMismatch, DivisionByZero, InputError
@@ -48,7 +48,7 @@ from .hypergraph import (
     with_simplex_count,
 )
 from .polynomial import UniPoly
-from .spectra import char_poly, e_char_poly
+from .spectra import char_poly, check_degree_cap, e_char_poly
 
 
 # estimated subset-times-simplex steps simplex_destruction_min will take
@@ -59,24 +59,30 @@ def are_cospectral(
     g: Hypergraph, h: Hypergraph, config: RunConfig = DEFAULT_CONFIG
 ) -> bool:
     """Exact equality of the characteristic polynomials; same (n, k) only."""
-    if g.n != h.n or g.k != h.k:
-        raise DimMismatch(
-            f"cospectrality needs matching (n, k); got ({g.n},{g.k}) vs ({h.n},{h.k})"
-        )
-    return char_poly(adjacency_tensor(g), config) == char_poly(adjacency_tensor(h), config)
+    return _same_poly(char_poly, g, h, config)
 
 
 def are_e_cospectral(
     g: Hypergraph, h: Hypergraph, config: RunConfig = DEFAULT_CONFIG
 ) -> bool:
     """Equality of the normalized E-characteristic polynomials."""
+    return _same_poly(e_char_poly, g, h, config)
+
+
+def check_degree(poly: Callable, config: RunConfig, *graphs: Hypergraph) -> None:
+    """Refuse poly of hypergraphs sharing (n, k) from (n, k) alone, before
+    any n**k tensor is built; e_char_poly answers 0 for edgeless ones."""
+    if poly is char_poly or any(g.edges for g in graphs):
+        check_degree_cap(graphs[0].n, graphs[0].k, config.degree_cap)
+
+
+def _same_poly(poly: Callable, g: Hypergraph, h: Hypergraph, config: RunConfig) -> bool:
     if g.n != h.n or g.k != h.k:
         raise DimMismatch(
             f"cospectrality needs matching (n, k); got ({g.n},{g.k}) vs ({h.n},{h.k})"
         )
-    return e_char_poly(adjacency_tensor(g), config) == e_char_poly(
-        adjacency_tensor(h), config
-    )
+    check_degree(poly, config, g, h)
+    return poly(adjacency_tensor(g), config) == poly(adjacency_tensor(h), config)
 
 
 class PolyCache:
@@ -477,9 +483,8 @@ def simplex_destruction_min(n: int, k: int, r: int) -> DestructionReport:
     faces = [f for _, f in simplex_masks(n, k)]
     best = len(faces) + 1
     achievers: list[tuple[int, ...]] = []
-    checked = 0
+    core_sets: set[tuple[int, ...]] = set()
     for chosen in combinations(range(slots), r):
-        checked += 1
         removed = 0
         for i in chosen:
             removed |= 1 << i
@@ -489,16 +494,10 @@ def simplex_destruction_min(n: int, k: int, r: int) -> DestructionReport:
             achievers = [chosen]
         elif destroyed == best:
             achievers.append(chosen)
+        if len(set.intersection(*(set(order[i]) for i in chosen))) >= k - 1:
+            core_sets.add(chosen)
 
     expected = sum(n - k - i for i in range(r))
-
-    def shares_core(chosen: tuple[int, ...]) -> bool:
-        common = set(order[chosen[0]])
-        for i in chosen[1:]:
-            common &= set(order[i])
-        return len(common) >= k - 1
-
-    core_sets = {c for c in combinations(range(slots), r) if shares_core(c)}
     achiever_edge_sets = tuple(
         tuple(order[i] for i in chosen) for chosen in achievers
     )
@@ -511,5 +510,5 @@ def simplex_destruction_min(n: int, k: int, r: int) -> DestructionReport:
         matches_expected=best == expected,
         achievers=achiever_edge_sets,
         achievers_are_exactly_common_core=set(achievers) == core_sets,
-        subsets_checked=checked,
+        subsets_checked=comb(slots, r),
     )

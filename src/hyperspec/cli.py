@@ -19,6 +19,7 @@ from typing import Any
 from .analysis import (
     are_cospectral,
     are_e_cospectral,
+    check_degree,
     cospectral_invariant_scan,
     ds_verify,
     simplex_destruction_min,
@@ -99,6 +100,7 @@ def _parse_vertex_list(raw: str) -> tuple[int, ...]:
 
 def _cmd_charpoly(args: argparse.Namespace, cfg: RunConfig) -> int:
     h = _read_hypergraph(args.file)
+    check_degree(char_poly, cfg, h)
     poly = char_poly(adjacency_tensor(h), cfg)
     _emit(_poly_payload(poly), args)
     return 0
@@ -106,6 +108,7 @@ def _cmd_charpoly(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def _cmd_echarpoly(args: argparse.Namespace, cfg: RunConfig) -> int:
     h = _read_hypergraph(args.file)
+    check_degree(e_char_poly, cfg, h)
     poly = e_char_poly(adjacency_tensor(h), cfg, normalize=not args.raw)
     _emit(_poly_payload(poly), args)
     return 0

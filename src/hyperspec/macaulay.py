@@ -10,14 +10,15 @@ x_i**d_i for two or more distinct i.
 
 Every resultant goes through one integer path and one system type,
 PolySystem, whose coefficients are linear in a parameter lambda.  Its
-M is tabulated once, as one sparse pencil with rows scaled to integers,
-and every route reads M' off a stack of M (_FillTable).  Modulo each prime,
-its residues at many integer lambdas come from one pencil reduction
-(_pencil_values), or from the generalized charpoly below at every node,
-all (prime, node) layers in shared stacks (_gcp_values); the caller
-interpolates them mod p and recombines the coefficients (see spectra).  One integer
-lambda costs det(M) / det(M') modulo each prime (_eval_point).  All
-the primes of one crt_values call share one stacked pass (see modular).
+M is tabulated once as a sparse pencil (_FillTable); every route asks it
+for one dense stack of M(lambda) modulo its primes and reads M' off it.
+Modulo each prime, the residues at many integer lambdas come from one
+pencil reduction at one shift per stack (_pencil_values), or from the
+generalized charpoly below at every node, all (prime, node) layers in
+shared stacks (_gcp_values); the caller interpolates them mod p and
+recombines the coefficients (see spectra).  One integer lambda costs
+det(M) / det(M') modulo each prime (_eval_point).  All the primes of one
+crt_values call share one stacked pass (see modular).
 A numeric system is the lambda-free case, evaluated at lambda = 0.
 det(M') vanishes for many sparse systems; there the value comes from
 Canny's generalized characteristic polynomial (J. Symbolic Comput. 9,
@@ -108,6 +109,7 @@ class MacaulayStructure:
     monomials: tuple[tuple[int, ...], ...]
     assignment: tuple[int, ...]
     nonreduced: tuple[int, ...]
+    columns: dict[int, int]  # column of each monomial's code, in basis order
 
     @property
     def size(self) -> int:
@@ -117,14 +119,6 @@ class MacaulayStructure:
 def _code(mono: tuple[int, ...], radix: int) -> int:
     """sum_j mono[j] * radix**j: codes add as monomials multiply."""
     return sum(e * radix**j for j, e in enumerate(mono))
-
-
-@lru_cache(maxsize=None)
-def _column_codes(nvars: int, total: int) -> tuple[tuple[int, ...], dict[int, int]]:
-    """The code (radix total + 1) of each degree-total monomial in basis
-    order, and the column of each code."""
-    codes = tuple(_code(m, total + 1) for m in monomial_basis(nvars, total))
-    return codes, {c: j for j, c in enumerate(codes)}
 
 
 def _assign(mono: tuple[int, ...], degrees: tuple[int, ...]) -> int:
@@ -144,7 +138,8 @@ def macaulay_structure(nvars: int, degrees: tuple[int, ...]) -> MacaulayStructur
         for j, m in enumerate(monos)
         if sum(1 for i, d in enumerate(degrees) if m[i] >= d) >= 2
     )
-    return MacaulayStructure(nvars, degrees, total, monos, assignment, nonreduced)
+    columns = {_code(m, total + 1): j for j, m in enumerate(monos)}
+    return MacaulayStructure(nvars, degrees, total, monos, assignment, nonreduced, columns)
 
 
 def macaulay_dim(nvars: int, degrees: Sequence[int]) -> int:
@@ -158,19 +153,13 @@ def check_dim_cap(nvars: int, degrees: Sequence[int], dim_cap: int) -> None:
         raise CapExceeded(f"matrix dimension {size} exceeds cap {dim_cap}")
 
 
-def _at(pencil: np.ndarray, lam: int | np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """F0 + lam F1 modulo each prime, from the stacks of full_at; lam is
-    one integer or one per layer."""
-    moduli = primes[:, None, None]
-    return (pencil[0] + np.asarray(lam)[..., None, None] % moduli * pencil[1]) % moduli
-
-
 class _FillTable:
     """The Macaulay matrix of one system as one sparse integer pencil.
 
     Rows are scaled by the denominator lcm of their polynomial once, so
     M(lambda) = F0 + lambda F1 has integer entries, each nonzero one held
-    once in the arrays row, col, i0 and i1.  The divisor M' is the
+    once in the arrays row, col, i0 and i1; at scatters M(lambda) modulo
+    each prime straight from them, and slope F1.  The divisor M' is the
     principal submatrix on the non-reduced monomials (minor); the
     accumulated scales divide back out of the determinant quotient.
     """
@@ -200,10 +189,10 @@ class _FillTable:
             poly_scale.append(scale)
         self.poly_terms = poly_terms
 
-        codes, column = _column_codes(system.nvars, structure.total_degree)
+        column = structure.columns
         cols: list[int] = []
         entries: list[tuple[int, int]] = []
-        for code, i in zip(codes, structure.assignment):
+        for code, i in zip(column, structure.assignment):
             cols += [column[code + shift] for shift in shifts[i]]
             entries += poly_terms[i]
         counts = [len(poly_terms[i]) for i in structure.assignment]
@@ -217,16 +206,25 @@ class _FillTable:
         self.scale_minor = prod(
             poly_scale[structure.assignment[r]] for r in structure.nonreduced
         )
-        # int64 entries one prime takes in the largest stack built from the
-        # table: F0 with F1, [A | F1], or a charpoly's table of polynomials
+        # int64 entries one prime takes in the largest stacks built at once:
+        # M(c) with F1, [A | F1], or a charpoly's table of polynomials
         self.layer_size = 2 * (self.size + 1) ** 2
 
-    def full_at(self, primes: np.ndarray) -> np.ndarray:
-        """The (2, P, size, size) stacks F0, F1 modulo each prime."""
-        f = np.zeros((2, len(primes), self.size, self.size), dtype=np.int64)
-        f[0][:, self.row, self.col] = self.i0 % primes[:, None]
-        f[1][:, self.row, self.col] = self.i1 % primes[:, None]
-        return f
+    def _dense(self, entries: np.ndarray) -> np.ndarray:
+        stack = np.zeros((len(entries), self.size, self.size), dtype=np.int64)
+        stack[:, self.row, self.col] = entries
+        return stack
+
+    def at(self, primes: np.ndarray, lam: int | np.ndarray) -> np.ndarray:
+        """The (P, size, size) stack M(lam) modulo each prime; lam is one
+        integer or one per layer."""
+        moduli = primes[:, None]
+        slope = np.asarray(lam)[..., None] % moduli * (self.i1 % moduli)
+        return self._dense((self.i0 % moduli + slope) % moduli)
+
+    def slope(self, primes: np.ndarray) -> np.ndarray:
+        """The (P, size, size) stack F1 modulo each prime."""
+        return self._dense(self.i1 % primes[:, None])
 
     def minor(self, stack: np.ndarray) -> np.ndarray:
         """The divisor M' of each matrix in a stack of M: its principal
@@ -242,10 +240,7 @@ class _FillTable:
         )
 
     def vanishing_poly(self, lam: int) -> bool:
-        for terms in self.poly_terms:
-            if all(i0 + lam * i1 == 0 for i0, i1 in terms):
-                return True
-        return False
+        return any(all(i0 + lam * i1 == 0 for i0, i1 in t) for t in self.poly_terms)
 
 
 def _quotient_mod(full: np.ndarray, minor: np.ndarray, primes: np.ndarray) -> np.ndarray:
@@ -265,7 +260,7 @@ def _charpoly_quotient(table: _FillTable, prime_seed: int) -> list[int]:
 
     def residues_mod(primes: list[int]) -> np.ndarray:
         pv = np.array(primes, dtype=np.int64)
-        full = table.full_at(pv)[0]
+        full = table.at(pv, 0)
         return _quotient_mod(full, table.minor(full), pv)
 
     bounds = [comb(d, j) * radius ** (d - j) for j in range(d + 1)]
@@ -337,7 +332,7 @@ def _eval_point(table: _FillTable, lam: int, prime_seed: int) -> Fraction:
 
     def quotient_mod(primes: list[int]) -> list[list[int] | None]:
         pv = np.array(primes, dtype=np.int64)
-        full = _at(table.full_at(pv), lam, pv)
+        full = table.at(pv, lam)
         det_minor = _det_mod(table.minor(full), pv)
         if det_minor[0] == 0:  # the whole stack is refused before det M is taken
             return [None] * len(primes)
@@ -375,7 +370,7 @@ def _gcp_values(
     for start in range(0, len(rows), step):
         part = slice(start, start + step)
         pv = primes[rows[part]]
-        full = _at(table.full_at(pv), lams[part], pv)
+        full = table.at(pv, lams[part])
         constant = _quotient_mod(full, table.minor(full), pv)[:, 0]
         out[rows[part], cols[part]] = (-constant if table.d % 2 else constant) % pv
     return out, np.ones(len(primes), dtype=bool)
@@ -397,48 +392,39 @@ def _pencil_values(
     likewise for M'.  Macaulay's identity det M = Res * det M' holds as
     polynomials in lambda, so with q = charpoly(-N) / charpoly(-N'),
     monic of degree d = n - n',
-    Res(lambda) = det A / det A' * sum_j q_j t**(d - j) mod p.  Each
-    shift is tried on the layers of the stack no earlier shift resolved.
+    Res(lambda) = det A / det A' * sum_j q_j t**(d - j) mod p.  The whole
+    stack takes the first shift that works modulo its first prime.
 
     Returns the (P, nodes) residues and the (P,) mask of the primes where
-    some shift worked; the others must be skipped.  det M(c) and det M'(c)
-    at the first prime's shift c are nonzero integers, so only the
-    finitely many primes dividing them can fail every shift.  When no
-    shift works modulo the first prime, as for hypergraph adjacency
-    tensors, whose divisor vanishes identically in lambda, the caller
-    takes _gcp_values instead.
+    that shift works; the others must be skipped.  det M(c) and det M'(c)
+    are then nonzero integers, so only the primes dividing them are, and a
+    later stack fails every shift only if its first prime divides them at
+    the first stack's shift.  When no shift works modulo the first prime,
+    as for hypergraph adjacency tensors, whose divisor vanishes
+    identically in lambda, the caller takes _gcp_values instead.
     """
-    lams = np.array(nodes, dtype=np.int64)
-    values = np.zeros((len(primes), len(nodes)), dtype=np.int64)
     solved = np.zeros(len(primes), dtype=bool)
-    full = table.full_at(primes)
-    minor = table.minor(full)
-    todo = np.arange(len(primes))  # the layers no shift has resolved
+    slope = table.slope(primes)
     for c in _SHIFTS:
         # the divisor is smaller and is the one that fails, so try it first
-        pv = primes[todo]
-        det_minor, n_minor = _solve_mod(_at(minor[:, todo], c, pv), minor[1, todo], pv)
-        ok = np.flatnonzero(det_minor)
-        if ok.size:
-            part = full[:, todo[ok]]
-            det_full, n_full = _solve_mod(_at(part, c, pv[ok]), part[1], pv[ok])
-            good = np.flatnonzero(det_full)
-            ok = ok[good]
-        if ok.size == 0:
-            continue
-        pv, moduli = pv[ok], pv[ok, None]
-        cube = moduli[:, :, None]
-        q = _quotient_mod(-n_full[good] % cube, -n_minor[ok] % cube, pv)
-        t, acc = (lams - c) % moduli, np.zeros((len(pv), len(lams)), dtype=np.int64)
-        for j in range(q.shape[1]):  # q_0 multiplies t**d
-            acc = (acc * t + q[:, j, None]) % moduli
-        scale = det_full[good] * _inverses(det_minor[ok], pv) % pv
-        values[todo[ok]] = scale[:, None] * acc % moduli
-        solved[todo[ok]] = True
-        todo = np.delete(todo, ok)
-        if todo.size == 0:
-            break
-    return values, solved
+        full = table.at(primes, c)
+        det_minor, n_minor = _solve_mod(table.minor(full), table.minor(slope), primes)
+        if det_minor[0]:
+            det_full, n_full = _solve_mod(full, slope, primes)
+            if det_full[0]:
+                solved = (det_minor != 0) & (det_full != 0)
+                break
+    if not solved[0]:
+        return np.zeros((len(primes), len(nodes)), dtype=np.int64), solved
+    # a skipped layer's quotient is x**n / x**n', so the division is exact
+    n_full[~solved] = n_minor[~solved] = 0
+    moduli, cube = primes[:, None], primes[:, None, None]
+    q = _quotient_mod(-n_full % cube, -n_minor % cube, primes)
+    t, acc = (np.array(nodes, dtype=np.int64) - c) % moduli, 0
+    for j in range(q.shape[1]):  # q_0 multiplies t**d
+        acc = (acc * t + q[:, j, None]) % moduli
+    scale = det_full * _inverses(det_minor, primes) % primes
+    return scale[:, None] * acc % moduli, solved
 
 
 def resultant_value(

@@ -236,15 +236,25 @@ def _interpolated_resultant(
     return UniPoly(tuple(c * scale for c in coeffs))
 
 
+def check_degree_cap(dim: int, order: int, cap: int) -> int:
+    """The characteristic degree dim * (order-1)**(dim-1), refused above
+    cap before any tensor is built; both E-characteristic degree bounds
+    are at least as large.  Past cap's bit length, the power is not
+    formed: for order >= 3 it alone exceeds cap."""
+    if order >= 3 and dim - 1 > cap.bit_length():
+        degree: int | str = f"{dim}*{order - 1}**{dim - 1}"
+    else:
+        degree = dim * (order - 1) ** (dim - 1)
+        if degree <= cap:
+            return degree
+    raise DegreeCapExceeded(f"characteristic degree {degree} exceeds cap {cap}")
+
+
 def char_poly(a: Tensor, config: RunConfig = DEFAULT_CONFIG) -> UniPoly:
     """Monic characteristic polynomial of degree dim * (order-1)**(dim-1)."""
     if a.order < 2:
         raise DimMismatch("characteristic polynomial needs order at least 2")
-    expected = a.dim * (a.order - 1) ** (a.dim - 1)
-    if expected > config.degree_cap:
-        raise DegreeCapExceeded(
-            f"characteristic degree {expected} exceeds cap {config.degree_cap}"
-        )
+    expected = check_degree_cap(a.dim, a.order, config.degree_cap)
     n, m = a.dim, a.order
     check_dim_cap(n, (m - 1,) * n, config.dim_cap)
     component = tensor_polynomial_map(a)

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from hyperspec import analysis
+from hyperspec import analysis, hypergraph
 from hyperspec.analysis import (
     PolyCache,
     _candidate_masks,
@@ -26,7 +26,7 @@ from hyperspec.analysis import (
     simplex_destruction_min,
 )
 from hyperspec.config import DEFAULT_CONFIG
-from hyperspec.errors import CapExceeded, DimMismatch, InputError
+from hyperspec.errors import CapExceeded, DegreeCapExceeded, DimMismatch, InputError
 from hyperspec.hypergraph import (
     Hypergraph,
     adjacency_tensor,
@@ -73,6 +73,24 @@ def test_empty_vs_single_edge():
     single = Hypergraph.from_edges(3, 3, [(1, 2, 3)])
     assert not are_cospectral(empty, single)
     assert not are_e_cospectral(empty, single)
+
+
+def test_cospectrality_refused_from_n_and_k(monkeypatch):
+    # the degree cap refuses before any n**k tensor is built; an edgeless
+    # hypergraph's E-char is 0 at any size, so it is still answered
+    def refuse(h):
+        raise AssertionError("adjacency tensor built")
+
+    big = Hypergraph.from_edges(1000, 3, [(1, 2, 3)])
+    with monkeypatch.context() as patch:
+        patch.setattr(hypergraph, "scaled_adjacency", refuse)
+        for compare in (are_cospectral, are_e_cospectral):
+            with pytest.raises(DegreeCapExceeded, match=r"1000\*2\*\*999 exceeds cap 128"):
+                compare(big, big)
+    empty = Hypergraph.empty(6, 3)  # characteristic degree 192
+    assert are_e_cospectral(empty, empty)
+    with pytest.raises(DegreeCapExceeded, match="characteristic degree 192 exceeds cap 128"):
+        are_cospectral(empty, empty)
 
 
 def test_dimension_mismatch_rejected():

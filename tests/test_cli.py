@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import hyperspec
-from hyperspec import analysis, cli
+from hyperspec import analysis, cli, hypergraph
 from hyperspec.cli import main
 from hyperspec.errors import MathError
 from hyperspec.hypergraph import (
@@ -537,14 +537,32 @@ def test_e_char_degree_cap_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["charpoly", "echarpoly", "cospectral"])
 def test_adjacency_too_large_for_numpy_exits_3(tmp_path, capsys, command):
-    # a well-formed file whose 10**24-entry adjacency tensor numpy refuses
-    # to allocate, before any degree or dimension cap is checked
+    # a well-formed file whose 10**24-entry adjacency tensor numpy would
+    # refuse to allocate; its degree 10**8 * 2**(10**8 - 1) is refused
+    # first, from (n, k), without forming the power
     path = tmp_path / "huge.hg"
     path.write_text("100000000 3\n1 2 3\n")
     argv = [command, str(path)] + ([str(path)] if command == "cospectral" else [])
     code, out, err = _run(capsys, argv)
     assert (code, out) == (3, "")
-    assert err.startswith("CapExceeded") and "Traceback" not in err
+    assert err.startswith("DegreeCapExceeded") and "Traceback" not in err
+    assert "characteristic degree 100000000*2**99999999 exceeds cap 128" in err
+
+
+def test_spectra_refused_from_n_and_k_before_the_tensor(tmp_path, capsys, monkeypatch):
+    # the 10**9-entry adjacency tensor of 1000 vertices is never built
+    def refuse(h):
+        raise AssertionError("adjacency tensor built")
+
+    monkeypatch.setattr(hypergraph, "scaled_adjacency", refuse)
+    path = tmp_path / "big.hg"
+    path.write_text("1000 3\n1 2 3\n")
+    p = str(path)
+    for argv in (["charpoly", p], ["echarpoly", p], ["cospectral", p, p],
+                 ["cospectral", "--e-char", p, p]):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("DegreeCapExceeded") and "Traceback" not in err, argv
 
 
 def test_math_error_exits_4(tmp_path, capsys):

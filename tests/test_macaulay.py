@@ -282,7 +282,7 @@ def test_divisor_is_the_principal_submatrix_on_the_nonreduced_monomials():
     # index with x_i**d_i dividing mu, scaled by the lcm of f_i's
     # denominators; M' keeps the rows and columns of the monomials divisible
     # by x_i**d_i for at least two i.  The table's stacks must match both,
-    # in F0 and in F1, modulo each prime
+    # in F0, in F1 and in F0 + lambda F1, modulo each prime
     rng = random.Random(4421)
     primes = np.array([nth_prime(i) for i in range(3)], dtype=np.int64)
     shapes = [(1, 1), (2, 2, 2), (2, 2, 2, 2), (2, 2, 2, 2, 2), (3, 3, 3), (1, 2, 3)]
@@ -310,13 +310,16 @@ def test_divisor_is_the_principal_submatrix_on_the_nonreduced_monomials():
             if sum(m[i] >= d for i, d in enumerate(degrees)) >= 2
         ]
         assert table.d == len(monos) - len(divisor), degrees
-        full = table.full_at(primes)
+        full = np.stack([table.at(primes, 0), table.slope(primes)])
         minor = table.minor(full)
         assert minor.shape == (2, len(primes), len(divisor), len(divisor)), degrees
-        for layer, p in enumerate(primes.tolist()):
+        lams = [-3, 5, 2**40]  # one lambda per layer
+        pencil = table.at(primes, np.array(lams, dtype=np.int64))
+        for layer, (p, lam) in enumerate(zip(primes.tolist(), lams)):
             want = expected % p
             assert (full[:, layer] == want).all(), (degrees, p)
             assert (minor[:, layer] == want[:, divisor][:, :, divisor]).all(), (degrees, p)
+            assert (pencil[layer] == (expected[0] + lam * expected[1]) % p).all(), (degrees, p)
 
 
 def _sympy_resultant(system):
@@ -511,6 +514,31 @@ def test_pencil_where_the_divisor_vanishes_at_some_nodes():
     expected = [_eval_point(table, lam, 0) for lam in nodes]
     assert _recombined(_pencil_values, table, nodes, 0) == expected
     assert _recombined(_gcp_values, table, nodes, 0) == expected
+
+
+def test_pencil_skips_a_prime_that_fails_the_stack_shift():
+    # shift 0 works modulo the first prime, so the whole stack takes it;
+    # a later prime dividing the nonzero integer det M(0) is skipped, even
+    # though another shift would serve it.  The odd primes dividing det
+    # M'(0) here divide det M'(c) at every shift; the one that divides only
+    # det M(0) is 39313
+    a = symmetric_from_upper(3, 3, {
+        (0, 0, 0): 1, (0, 1, 2): 2, (1, 1, 1): 1, (1, 2, 2): -2, (2, 2, 2): 2,
+    })
+    table = _FillTable(e_char_poly_system(a))
+    full, minor = map(_exact_det, _fill(table, 0))
+    p = next(q for q in sympy.primefactors(full) if q > 2 and minor % q)
+    assert any(
+        all(_exact_det(m) % p for m in _fill(table, c)) for c in macaulay._SHIFTS[1:]
+    )
+    primes = [nth_prime(0), p, nth_prime(1)]
+    nodes = _e_char_nodes(3, 3)
+    values, solved = _pencil_values(table, nodes, np.array(primes, dtype=np.int64))
+    assert solved.tolist() == [True, False, True]
+    scale = Fraction(table.scale_full, table.scale_minor)
+    exact = [_eval_point(table, lam, 0) * scale for lam in nodes]
+    for layer in (0, 2):
+        assert values[layer].tolist() == [v % primes[layer] for v in exact], layer
 
 
 def test_pencil_shift_on_and_off_the_nodes(monkeypatch):
