@@ -20,7 +20,7 @@ polynomials only for candidates matching the target's cheap counts.
 The scan therefore validates the assumption the search relies on.
 Both read the counts straight off a bitmask, as its popcount and
 through the hypergraph module's simplex table, and build a Hypergraph
-only for a class whose polynomial is computed and for a reported mate.
+only for a class whose polynomial is computed; mates stay bitmasks.
 """
 
 from __future__ import annotations
@@ -71,8 +71,9 @@ def are_e_cospectral(
 
 def check_degree(poly: Callable, config: RunConfig, *graphs: Hypergraph) -> None:
     """Refuse poly of hypergraphs sharing (n, k) from (n, k) alone, before
-    any n**k tensor is built; e_char_poly answers 0 for edgeless ones."""
-    if poly is char_poly or any(g.edges for g in graphs):
+    any n**k tensor is built.  The E-char of an edgeless hypergraph is 0
+    for k >= 3 (not for k = 2: that of "3 2" is lambda**3), so it is exempt."""
+    if poly is char_poly or graphs[0].k < 3 or any(g.edges for g in graphs):
         check_degree_cap(graphs[0].n, graphs[0].k, config.degree_cap)
 
 
@@ -82,7 +83,7 @@ def _same_poly(poly: Callable, g: Hypergraph, h: Hypergraph, config: RunConfig) 
             f"cospectrality needs matching (n, k); got ({g.n},{g.k}) vs ({h.n},{h.k})"
         )
     check_degree(poly, config, g, h)
-    return poly(adjacency_tensor(g), config) == poly(adjacency_tensor(h), config)
+    return g == h or poly(adjacency_tensor(g), config) == poly(adjacency_tensor(h), config)
 
 
 class PolyCache:
@@ -373,11 +374,16 @@ def _candidate_masks(
 @dataclass(frozen=True)
 class DsVerdict:
     target: Hypergraph
-    cospectral_mates: tuple[Hypergraph, ...]
+    mate_masks: tuple[int, ...]
     all_isomorphic: bool
     candidates: int
     pruned: int
     polynomials_computed: int
+
+    @property
+    def cospectral_mates(self) -> tuple[Hypergraph, ...]:
+        """The mates as hypergraphs, built from mate_masks on each access."""
+        return tuple(from_bitmask(self.target.n, self.target.k, m) for m in self.mate_masks)
 
 
 def ds_verify(
@@ -410,14 +416,14 @@ def ds_verify(
         masks=_candidate_masks(n, k, target_mask, fingerprint_fields),
     )
     target_poly = cache.get_char_mask(n, k, target_mask, config)
-    mate_masks = [
+    mate_masks = tuple(
         mask for mask, poly in kept if mask != target_mask and poly == target_poly
-    ]
+    )
     target_key = cache.class_key(n, k, target_mask)
     candidates = 1 << comb(n, k)
     return DsVerdict(
         target=h,
-        cospectral_mates=tuple(from_bitmask(n, k, mask) for mask in mate_masks),
+        mate_masks=mate_masks,
         all_isomorphic=all(
             cache.class_key(n, k, mask) == target_key for mask in mate_masks
         ),

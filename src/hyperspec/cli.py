@@ -30,6 +30,7 @@ from .hypergraph import (
     Hypergraph,
     adjacency_tensor,
     format_hypergraph,
+    mask_edges,
     parse_hypergraph,
     simplices,
 )
@@ -79,9 +80,38 @@ def _as_table(payload: dict[str, Any], indent: int = 0) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json(value: Any, pad: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) byte for byte, for
+    str-keyed dicts, lists, tuples and scalars; pad is "\n" and the indent
+    of value's closing line.
+    With an indent the stdlib encoder runs in pure Python, which took most
+    of a warm ds call.  Here ints go through int.__repr__, keys and other
+    scalars through json.dumps on its C path, and an all-int tuple (an
+    edge) is rendered once per pad; testing type(v) is int keeps unhashable
+    tuples out of that memo and (True, 2) apart from (1, 2)."""
+    if type(value) is int:
+        return int.__repr__(value)
+    if type(value) is tuple and all(type(v) is int for v in value):
+        return _int_tuple(value, pad)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [json.dumps(k) + ": " + _json(v, inner) for k, v in sorted(value.items())]
+    elif isinstance(value, (list, tuple)):
+        items = [_json(v, inner) for v in value]
+    else:
+        return json.dumps(value)
+    left, right = "{}" if isinstance(value, dict) else "[]"
+    return left + inner + ("," + inner).join(items) + pad + right if items else left + right
+
+
+@lru_cache(maxsize=4096)
+def _int_tuple(value: tuple[int, ...], pad: str) -> str:
+    return _json(list(value), pad)
+
+
 def _emit(payload: dict[str, Any], args: argparse.Namespace) -> None:
     if args.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json(payload) + "\n"
     else:
         text = _as_table(payload)
     if args.out:
@@ -109,7 +139,10 @@ def _cmd_charpoly(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _cmd_echarpoly(args: argparse.Namespace, cfg: RunConfig) -> int:
     h = _read_hypergraph(args.file)
     check_degree(e_char_poly, cfg, h)
-    poly = e_char_poly(adjacency_tensor(h), cfg, normalize=not args.raw)
+    poly = (  # an edgeless k >= 3 E-char is zero, as check_degree assumes
+        e_char_poly(adjacency_tensor(h), cfg, normalize=not args.raw)
+        if h.edges or h.k < 3 else UniPoly.zero()
+    )
     _emit(_poly_payload(poly), args)
     return 0
 
@@ -169,13 +202,7 @@ def _cmd_example_pair(args: argparse.Namespace, cfg: RunConfig) -> int:
     with open(g_path, "w", encoding="utf-8") as fh:
         fh.write(format_hypergraph(g))
     with open(p_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {"v1": sorted(p.v1), "v2": sorted(p.v2)},
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+        fh.write(_json({"v1": sorted(p.v1), "v2": sorted(p.v2)}) + "\n")
     _emit(
         {
             "h_file": h_path,
@@ -202,7 +229,7 @@ def _cmd_ds(args: argparse.Namespace, cfg: RunConfig) -> int:
     _emit(
         {
             "all_isomorphic": verdict.all_isomorphic,
-            "mates": [sorted(map(list, g.edges)) for g in verdict.cospectral_mates],
+            "mates": [mask_edges(h.n, h.k, mask) for mask in verdict.mate_masks],
             "candidates": verdict.candidates,
             "pruned": verdict.pruned,
             "polynomials_computed": verdict.polynomials_computed,
@@ -377,18 +404,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = config_from_env(base)
         return args.func(args, cfg)
-    except InputError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except CapExceeded as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except MathError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
     except HyperspecError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, CapExceeded) else 4 if isinstance(exc, MathError) else 2
 
 
 def entry() -> None:

@@ -226,12 +226,17 @@ def edge_bitmask(h: Hypergraph) -> int:
     return mask
 
 
-def from_bitmask(n: int, k: int, mask: int) -> Hypergraph:
+def mask_edges(n: int, k: int, mask: int) -> list[tuple[int, ...]]:
+    """The edges of this (n, k) bitmask, in lexicographic order."""
     order = subset_order(n, k)
-    if mask < 0 or mask >> len(order):
-        raise BadEdge(f"bitmask {mask} out of range for {len(order)} subsets")
-    edges = [order[i] for i in range(len(order)) if mask >> i & 1]
-    return Hypergraph(n, k, frozenset(edges))
+    return [order[i] for i in range(len(order)) if mask >> i & 1]
+
+
+def from_bitmask(n: int, k: int, mask: int) -> Hypergraph:
+    slots = comb(n, k)
+    if mask < 0 or mask >> slots:
+        raise BadEdge(f"bitmask {mask} out of range for {slots} subsets")
+    return Hypergraph(n, k, frozenset(mask_edges(n, k, mask)))
 
 
 @lru_cache(maxsize=None)

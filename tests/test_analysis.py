@@ -93,6 +93,21 @@ def test_cospectrality_refused_from_n_and_k(monkeypatch):
         are_cospectral(empty, empty)
 
 
+def test_edgeless_e_cospectrality_answered_from_n_and_k(monkeypatch):
+    # an edgeless E-char is 0 only for k >= 3: "3 2" has lambda**3, so an
+    # edgeless 2-graph is capped by its degree; identical hypergraphs are
+    # cospectral without a polynomial, once the cap has passed
+    def refuse(h):
+        raise AssertionError("adjacency tensor built")
+
+    monkeypatch.setattr(hypergraph, "scaled_adjacency", refuse)
+    assert are_e_cospectral(Hypergraph.empty(200, 3), Hypergraph.empty(200, 3))
+    with pytest.raises(DegreeCapExceeded, match="characteristic degree 200 exceeds cap 128"):
+        are_e_cospectral(Hypergraph.empty(200, 2), Hypergraph.empty(200, 2))
+    single = Hypergraph.from_edges(4, 3, [(1, 2, 3)])
+    assert are_cospectral(single, single) and are_e_cospectral(single, single)
+
+
 def test_dimension_mismatch_rejected():
     a = Hypergraph.empty(3, 3)
     b = Hypergraph.empty(4, 3)
@@ -360,6 +375,9 @@ def test_ds_verify_single_edge_n4():
     verdict = ds_verify(h)
     assert verdict.all_isomorphic
     assert all(g.edge_count == h.edge_count for g in verdict.cospectral_mates)
+    assert verdict.cospectral_mates == tuple(
+        from_bitmask(4, 3, mask) for mask in verdict.mate_masks
+    )
     assert verdict.candidates == 16
     assert verdict.pruned > 0
 

@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyperspec
 from hyperspec import analysis, cli, hypergraph
@@ -318,6 +320,19 @@ def test_ds_fingerprint_output_pinned(tmp_path, capsys, mask, spec):
     assert _sha256(state.read_bytes()) == checkpoint_digest
 
 
+def test_ds_table_and_out_file_pinned(tmp_path, capsys):
+    # class 106, with its 419 mates: sha256 of the table stdout and of
+    # the --out file, recorded while the payload went through json.dumps
+    path = _write_graph(tmp_path, "g.hg", from_bitmask(6, 2, 106))
+    code, out, err = _run(capsys, ["ds", path, "--format", "table"])
+    assert code == 0 and err == ""
+    assert _sha256(out) == "29021b86e98e53a77142007a33b21a8e662ae7b1af724318064fc85916521729"
+    target = tmp_path / "ds.json"
+    code, out, err = _run(capsys, ["ds", path, "--out", str(target)])
+    assert (code, out, err) == (0, "", "")
+    assert _sha256(target.read_bytes()) == _DS_PINS[106][0]
+
+
 @pytest.mark.parametrize("mask", sorted(_DS_PINS))
 def test_ds_relabeled_target_keeps_summary(tmp_path, capsys, mask):
     h = from_bitmask(6, 2, mask)
@@ -563,6 +578,52 @@ def test_spectra_refused_from_n_and_k_before_the_tensor(tmp_path, capsys, monkey
         code, out, err = _run(capsys, argv)
         assert (code, out) == (3, ""), argv
         assert err.startswith("DegreeCapExceeded") and "Traceback" not in err, argv
+
+
+def test_edgeless_echarpoly_answered_from_n_and_k(tmp_path, capsys, monkeypatch):
+    # 200 vertices, no edges: the E-char is 0 for k = 3 and the degree cap
+    # refuses k = 2, both without the 200**k adjacency tensor
+    def refuse(h):
+        raise AssertionError("adjacency tensor built")
+
+    monkeypatch.setattr(hypergraph, "scaled_adjacency", refuse)
+    three, two = tmp_path / "three.hg", tmp_path / "two.hg"
+    three.write_text("200 3\n")
+    two.write_text("200 2\n")
+    for argv in (["echarpoly", str(three)], ["echarpoly", "--raw", str(three)]):
+        assert _run(capsys, argv) == (0, '{\n  "coefficients": [],\n  "degree": -1\n}\n', "")
+    code, out, err = _run(capsys, ["echarpoly", str(two)])
+    assert (code, out) == (3, "")
+    assert err == "DegreeCapExceeded: characteristic degree 200 exceeds cap 128\n"
+
+
+_SCALARS = (
+    st.none() | st.booleans() | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats() | st.text()
+)
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_PAYLOADS)
+def test_json_matches_stdlib_indent(value):
+    assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    [(True, 2), (1, 2), (1, True), [1, 2], (1, 2)],
+    {"a": ({"b": [1, (2, 3)]}, [(4,)]), "\u00e9\n\"": (2**63, -(2**64), float("inf"))},
+    ((), [], {}, (1.0, 1), ("x", 1), (None, 0)),
+])
+def test_json_matches_stdlib_on_mixed_tuples(value):
+    for _ in range(2):  # the second pass reads memoised tuples
+        assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 def test_math_error_exits_4(tmp_path, capsys):

@@ -27,6 +27,7 @@ from hyperspec.hypergraph import (
     enumerate_all,
     format_hypergraph,
     from_bitmask,
+    mask_edges,
     is_isomorphic,
     mask_orbit,
     neighbors_in,
@@ -210,6 +211,7 @@ def test_bitmask_round_trip():
         back = from_bitmask(5, 3, mask)
         assert back.edges == h.edges
         assert edge_bitmask(back) == mask
+        assert mask_edges(5, 3, mask) == sorted(h.edges)
 
 
 def test_canonical_form_is_label_invariant():
