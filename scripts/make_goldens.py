@@ -25,7 +25,7 @@ import os
 import random
 
 import sympy
-from sympy import Poly, Rational, symbols
+from sympy import Poly, symbols
 from sympy.polys.matrices import DomainMatrix
 from sympy import ZZ
 

@@ -12,6 +12,9 @@ loop.  The scan walks every mask.  The search walks only the masks with
 the target's edge count, as a popcount walk, and filters them by simplex
 count in numpy chunks.
 
+The loop hands back the walked masks grouped by isomorphism class, so
+each question looks up and compares one polynomial per class.
+
 Two routes to the same facts are deliberately kept apart.  The
 invariant scan computes every polynomial and then checks that equal
 polynomials force equal edge and simplex counts; the determined-by-
@@ -224,8 +227,9 @@ def _universe_polys(
     cache: PolyCache | None = None,
     checkpoint_path: str | None = None,
     masks: Iterable[int] | None = None,
-) -> tuple[PolyCache, list[tuple[int, UniPoly]]]:
-    """(cache, [(mask, char poly)]) over the labeled (n, k) universe.
+) -> tuple[PolyCache, dict[tuple[int, int, int], list[int]]]:
+    """(cache, {class key: masks walked in that class}) over the labeled
+    (n, k) universe; every class's polynomial is in the cache.
 
     Covers the given masks, which must come in increasing order; with
     none, every mask.  A checkpoint seeds the cache (a given cache takes
@@ -249,11 +253,12 @@ def _universe_polys(
         cache = PolyCache()
     if masks is None:
         masks = range(1 << slots)
-    rows: list[tuple[int, UniPoly]] = []
+    classes: dict[tuple[int, int, int], list[int]] = {}
     persisted, due, finished = cache.computed, -inf, False
     try:
         for mask in masks:
-            rows.append((mask, cache.get_char_mask(n, k, mask, cfg)))
+            cache.get_char_mask(n, k, mask, cfg)
+            classes.setdefault(cache.class_key(n, k, mask), []).append(mask)
             watermark = max(watermark, mask)
             if checkpoint_path and cache.computed != persisted and time.monotonic() >= due:
                 began = time.monotonic()
@@ -264,7 +269,7 @@ def _universe_polys(
     finally:
         if checkpoint_path and (finished or cache.computed != persisted):
             save_checkpoint(checkpoint_path, n, k, cache, watermark)
-    return cache, rows
+    return cache, classes
 
 
 @dataclass(frozen=True)
@@ -279,21 +284,18 @@ class Violation:
 
 
 def find_fingerprint_violations(
-    rows: Iterable[tuple[int, int, int, UniPoly]],
+    groups: Iterable[Sequence[tuple[int, int, int]]],
 ) -> tuple[Violation, ...]:
-    """Rows are (mask, edge_count, simplex_count, char poly).
+    """Each group holds the (mask, edge_count, simplex_count) rows of
+    cospectral hypergraphs.
 
-    Groups rows by polynomial and reports every pair inside a group
-    whose edge or simplex counts differ.  Pure so that synthetic rows
+    Reports, group by group, every row whose edge or simplex count
+    differs from the group's first row.  Pure so that synthetic groups
     can exercise the reporting path.
     """
-    groups: dict[tuple, list[tuple[int, int, int]]] = {}
-    for mask, edges, simplices, poly in rows:
-        groups.setdefault(poly.coeffs, []).append((mask, edges, simplices))
     violations: list[Violation] = []
-    for members in groups.values():
-        first_mask, first_edges, first_simplices = members[0]
-        for mask, edges, simplices in members[1:]:
+    for (first_mask, first_edges, first_simplices), *rest in groups:
+        for mask, edges, simplices in rest:
             if edges != first_edges:
                 violations.append(
                     Violation(first_mask, mask, "edge_count", first_edges, edges)
@@ -332,25 +334,21 @@ def cospectral_invariant_scan(
     shortcuts), groups by polynomial, and reports violations.  A
     checkpoint, when given, makes the run resumable.
     """
-    cache, polys = _universe_polys(n, k, config, checkpoint_path=checkpoint_path)
-    rows = [
-        (mask, mask.bit_count(), mask_simplex_count(n, k, mask), poly)
-        for mask, poly in polys
-    ]
-
-    groups: dict[tuple, list[int]] = {}
-    for mask, _, _, poly in rows:
-        groups.setdefault(poly.coeffs, []).append(mask)
-    ordered = tuple(
-        tuple(sorted(members)) for _, members in sorted(groups.items())
-    )
+    cache, classes = _universe_polys(n, k, config, checkpoint_path=checkpoint_path)
+    by_poly: dict[tuple, list[int]] = {}
+    for key, masks in classes.items():
+        by_poly.setdefault(cache.get_char_mask(*key, config).coeffs, []).extend(masks)
+    groups = tuple(tuple(sorted(masks)) for _, masks in sorted(by_poly.items()))
     return ScanReport(
         n=n,
         k=k,
-        total=len(rows),
+        total=sum(map(len, classes.values())),
         class_count=len(groups),
-        groups=ordered,
-        violations=find_fingerprint_violations(rows),
+        groups=groups,
+        violations=find_fingerprint_violations(  # groups by least mask, as walked
+            [(m, m.bit_count(), mask_simplex_count(n, k, m)) for m in group]
+            for group in sorted(groups)
+        ),
         polynomials_computed=cache.computed,
     )
 
@@ -407,7 +405,7 @@ def ds_verify(
     if unknown:
         raise InputError(f"unknown fingerprint fields {sorted(unknown)}")
     n, k, target_mask = h.n, h.k, edge_bitmask(h)
-    cache, kept = _universe_polys(
+    cache, classes = _universe_polys(
         n,
         k,
         config,
@@ -416,19 +414,16 @@ def ds_verify(
         masks=_candidate_masks(n, k, target_mask, fingerprint_fields),
     )
     target_poly = cache.get_char_mask(n, k, target_mask, config)
-    mate_masks = tuple(
-        mask for mask, poly in kept if mask != target_mask and poly == target_poly
-    )
-    target_key = cache.class_key(n, k, target_mask)
+    matches = {key for key in classes if cache.get_char_mask(*key, config) == target_poly}
     candidates = 1 << comb(n, k)
     return DsVerdict(
         target=h,
-        mate_masks=mate_masks,
-        all_isomorphic=all(
-            cache.class_key(n, k, mask) == target_key for mask in mate_masks
+        mate_masks=tuple(
+            sorted(m for key in matches for m in classes[key] if m != target_mask)
         ),
+        all_isomorphic=matches <= {cache.class_key(n, k, target_mask)},
         candidates=candidates,
-        pruned=candidates - len(kept),
+        pruned=candidates - sum(map(len, classes.values())),
         polynomials_computed=cache.computed,
     )
 

@@ -3,8 +3,9 @@
 Every subcommand reads hypergraphs in the line-based text format,
 computes exactly, and emits JSON (machine format, byte-deterministic)
 or a flat table (human convenience).  Exit codes: 0 success, 2 bad
-input, 3 a configured cap refused the work, 4 a mathematical
-precondition failed; the failing condition and witness go to stderr.
+input or an output path that cannot be written, 3 a configured cap
+refused the work, 4 a mathematical precondition failed; the failing
+condition and witness go to stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from functools import lru_cache
 from typing import Any
 
@@ -51,6 +53,8 @@ def _read_hypergraph(path: str) -> Hypergraph:
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
     return parse_hypergraph(text)
 
 
@@ -248,16 +252,7 @@ def _cmd_invariant_scan(args: argparse.Namespace, cfg: RunConfig) -> int:
             "total": report.total,
             "classes": report.class_count,
             "groups": [list(group) for group in report.groups],
-            "violations": [
-                {
-                    "field": v.field,
-                    "mask_a": v.mask_a,
-                    "mask_b": v.mask_b,
-                    "value_a": v.value_a,
-                    "value_b": v.value_b,
-                }
-                for v in report.violations
-            ],
+            "violations": [asdict(v) for v in report.violations],
             "polynomials_computed": report.polynomials_computed,
         },
         args,
@@ -404,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = config_from_env(base)
         return args.func(args, cfg)
-    except HyperspecError as exc:
+    except (HyperspecError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, CapExceeded) else 4 if isinstance(exc, MathError) else 2
 

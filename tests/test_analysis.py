@@ -24,6 +24,7 @@ from hyperspec.analysis import (
     load_checkpoint,
     save_checkpoint,
     simplex_destruction_min,
+    Violation,
 )
 from hyperspec.config import DEFAULT_CONFIG
 from hyperspec.errors import CapExceeded, DegreeCapExceeded, DimMismatch, InputError
@@ -263,26 +264,35 @@ def test_checkpoint_rejects_foreign_version(tmp_path):
 
 
 def test_fingerprint_violation_detection():
-    p = UniPoly.from_coeff_strings(["1", "2", "1"])
-    q = UniPoly.from_coeff_strings(["3", "0", "1"])
-    rows = [
-        (0b01, 3, 0, p),
-        (0b10, 3, 0, p),   # same poly, same fingerprint: fine
-        (0b11, 4, 0, p),   # same poly, different edge count: violation
-        (0b100, 3, 1, q),  # different poly: ignored
+    groups = [
+        [
+            (0b01, 3, 0),
+            (0b10, 3, 0),   # same group, same fingerprint: fine
+            (0b11, 4, 0),   # same group, different edge count: violation
+        ],
+        [(0b100, 3, 1)],    # another group: compared with nothing
     ]
-    violations = find_fingerprint_violations(rows)
-    assert len(violations) == 1
-    v = violations[0]
-    assert v.field == "edge_count"
-    assert {v.mask_a, v.mask_b} <= {0b01, 0b10, 0b11}
-    assert {v.value_a, v.value_b} == {3, 4}
+    assert find_fingerprint_violations(groups) == (
+        Violation(0b01, 0b11, "edge_count", 3, 4),
+    )
 
 
 def test_fingerprint_clean_rows():
-    p = UniPoly.from_coeff_strings(["1", "2", "1"])
-    rows = [(1, 3, 0, p), (2, 3, 0, p)]
-    assert find_fingerprint_violations(rows) == ()
+    assert find_fingerprint_violations([[(1, 3, 0), (2, 3, 0)]]) == ()
+
+
+def test_fingerprint_violations_follow_group_order():
+    # groups are reported in the order given, each row against its
+    # group's first, edge count before simplex count
+    groups = [
+        [(5, 2, 0), (9, 2, 1)],
+        [(2, 1, 0), (6, 2, 1), (10, 1, 0)],
+    ]
+    assert find_fingerprint_violations(groups) == (
+        Violation(5, 9, "simplex_count", 0, 1),
+        Violation(2, 6, "edge_count", 1, 2),
+        Violation(2, 6, "simplex_count", 0, 1),
+    )
 
 
 def test_scan_trivial_universe():
@@ -400,6 +410,98 @@ def test_ds_verify_weak_fingerprint_still_correct():
     assert verdict.all_isomorphic
     strict = ds_verify(h)
     assert strict.pruned >= verdict.pruned or strict.pruned == verdict.pruned
+
+
+@pytest.fixture(scope="module", params=[(5, 2), (5, 3)], ids=["n5k2", "n5k3"])
+def scanned_universe(request, tmp_path_factory):
+    """(n, k, scan report, a cache holding every class's polynomial) for
+    a 34-class universe; the cache is the scan's checkpoint read back."""
+    n, k = request.param
+    path = str(tmp_path_factory.mktemp("universe") / "scan.json")
+    report = cospectral_invariant_scan(n, k, checkpoint_path=path)
+    cache, _ = load_checkpoint(path, n, k)
+    return n, k, report, cache
+
+
+def _groups_per_mask(n, k, cache, masks):
+    """The masks grouped by polynomial, one lookup and one hash per mask,
+    each group increasing and the groups in order of first appearance."""
+    groups: dict[tuple, list[int]] = {}
+    for mask in masks:
+        groups.setdefault(cache.get_char_mask(n, k, mask).coeffs, []).append(mask)
+    return groups
+
+
+def test_scan_groups_match_a_per_mask_grouping(scanned_universe):
+    n, k, report, cache = scanned_universe
+    universe = range(1 << comb(n, k))
+    groups = _groups_per_mask(n, k, cache, universe)
+    assert report.groups == tuple(tuple(groups[coeffs]) for coeffs in sorted(groups))
+    assert (report.total, report.class_count) == (len(universe), len(groups))
+    assert report.polynomials_computed == 34
+    assert report.violations == ()
+
+
+def test_ds_verdicts_match_a_per_mask_comparison(scanned_universe):
+    n, k, _, cache = scanned_universe
+    universe = range(1 << comb(n, k))
+    counts = {m: (m.bit_count(), mask_simplex_count(n, k, m)) for m in universe}
+    targets = sorted({cache.class_key(n, k, m)[2] for m in universe})
+    assert len(targets) == 34
+    for target in targets:
+        target_poly = cache.get_char_mask(n, k, target)
+        target_key = cache.class_key(n, k, target)
+        for spec in (("edges", "simplices"), ("edges",), ()):
+            kept = [
+                m
+                for m in universe
+                if ("edges" not in spec or counts[m][0] == counts[target][0])
+                and ("simplices" not in spec or counts[m][1] == counts[target][1])
+            ]
+            mates = tuple(
+                m
+                for m in kept
+                if m != target and cache.get_char_mask(n, k, m) == target_poly
+            )
+            verdict = ds_verify(
+                from_bitmask(n, k, target), cache=cache, fingerprint_fields=spec
+            )
+            assert verdict.mate_masks == mates
+            assert verdict.all_isomorphic == all(
+                cache.class_key(n, k, m) == target_key for m in mates
+            )
+            assert verdict.pruned == len(universe) - len(kept)
+            assert verdict.polynomials_computed == 0
+
+
+def test_scan_reports_violations_by_least_mask(monkeypatch):
+    # no real count disagrees, so a fake simplex count makes some; the
+    # violations must come in the order of a per-mask grouping, each group
+    # at its least mask and each row against that mask
+    monkeypatch.setattr(analysis, "mask_simplex_count", lambda n, k, mask: mask % 3)
+    report = cospectral_invariant_scan(5, 2)
+    groups = _groups_per_mask(5, 2, PolyCache(), range(1 << 10))
+    expected = find_fingerprint_violations(
+        [(m, m.bit_count(), m % 3) for m in group] for group in groups.values()
+    )
+    assert len(expected) > 2
+    assert report.violations == expected
+
+
+def test_ds_compares_one_polynomial_per_class(monkeypatch):
+    # the 6-vertex 2-graph 106 keeps 1,125 masks in 7 classes
+    calls = []
+    eq = UniPoly.__eq__
+
+    def counting(self, other):
+        calls.append(self)
+        return eq(self, other)
+
+    monkeypatch.setattr(UniPoly, "__eq__", counting)
+    verdict = ds_verify(from_bitmask(6, 2, 106))
+    assert verdict.candidates - verdict.pruned == 1_125
+    assert verdict.polynomials_computed == 7
+    assert len(calls) <= 7
 
 
 def test_disjoint_union_check_trivial_padding():

@@ -367,6 +367,49 @@ def test_invariant_scan_output_pinned(tmp_path, capsys):
         assert _sha256(state.read_bytes()) == checkpoint_digest
 
 
+def test_invariant_scan_violation_payload(capsys, monkeypatch):
+    # no real scan up to n = 5 reports a violation, so a synthetic report
+    # pins how one is written, in JSON and as a table
+    report = analysis.ScanReport(
+        n=4,
+        k=3,
+        total=16,
+        class_count=2,
+        groups=((0, 1), (3, 7)),
+        violations=(
+            analysis.Violation(0, 1, "edge_count", 0, 1),
+            analysis.Violation(3, 7, "simplex_count", 0, 1),
+        ),
+        polynomials_computed=2,
+    )
+    monkeypatch.setattr(cli, "cospectral_invariant_scan", lambda *a, **kw: report)
+    argv = ["invariant-scan", "--n", "4", "--k", "3"]
+    payload = {
+        "classes": 2,
+        "groups": [[0, 1], [3, 7]],
+        "polynomials_computed": 2,
+        "total": 16,
+        "violations": [
+            {"field": "edge_count", "mask_a": 0, "mask_b": 1, "value_a": 0, "value_b": 1},
+            {"field": "simplex_count", "mask_a": 3, "mask_b": 7, "value_a": 0, "value_b": 1},
+        ],
+    }
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    code, out, err = _run(capsys, argv + ["--format", "table"])
+    assert (code, err) == (0, "")
+    assert out == (
+        "classes: 2\n"
+        "groups: [[0, 1] [3, 7]]\n"
+        "polynomials_computed: 2\n"
+        "total: 16\n"
+        'violations: [{"field": "edge_count", "mask_a": 0, "mask_b": 1, "value_a": 0,'
+        ' "value_b": 1} {"field": "simplex_count", "mask_a": 3, "mask_b": 7,'
+        ' "value_a": 0, "value_b": 1}]\n'
+    )
+
+
 @pytest.mark.parametrize("computed", [0, 2, 4])
 def test_interrupted_scan_keeps_its_classes(tmp_path, capsys, monkeypatch, computed):
     # char_poly fails after `computed` classes; the checkpoint must hold
@@ -433,6 +476,42 @@ def test_missing_file_exits_2(capsys):
     code, _, err = _run(capsys, ["charpoly", "/nonexistent/x.hg"])
     assert code == 2
     assert err != ""
+
+
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.hg"
+    path.write_bytes(b"\xff\xfe3 3\n")
+    code, out, err = _run(capsys, ["charpoly", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("InputError") and str(path) in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["charpoly", "{graph}", "--out", "{tmp}"],
+        ["charpoly", "{graph}", "--out", "{tmp}/missing/out.json"],
+        ["ds", "{graph}", "--checkpoint", "{tmp}/missing/state.json"],
+        ["invariant-scan", "--n", "4", "--k", "3", "--checkpoint", "{tmp}/missing/s.json"],
+        ["example-pair", "--n", "4", "--dir", "{graph}"],
+    ],
+    ids=[
+        "out_is_a_directory",
+        "out_in_missing_directory",
+        "ds_checkpoint_in_missing_directory",
+        "scan_checkpoint_in_missing_directory",
+        "example_pair_dir_is_a_file",
+    ],
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    # the last argument names the path that cannot be written; the error
+    # names it on one stderr line, and nothing reaches stdout
+    graph = _write_graph(tmp_path, "one.hg", Hypergraph.from_edges(4, 3, [(1, 2, 3)]))
+    argv = [arg.format(graph=graph, tmp=tmp_path) for arg in argv]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert argv[-1] in err and err.count("\n") == 1
 
 
 def test_repeated_main_calls_match_fresh_parsers(tmp_path, capsys):
