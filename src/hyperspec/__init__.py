@@ -3,7 +3,7 @@
 The package computes characteristic and E-characteristic polynomials of
 adjacency tensors through Macaulay resultants, exactly, in integer and
 modular arithmetic, and uses them to study which hypergraphs are
-determined by their spectra: edge switching that preserves spectra,
+determined by their spectra: edge switching that preserves E-spectra,
 exhaustive determined-by-spectrum searches on small vertex counts, and
 the brute-force bound on how many simplices an edge deletion can spare.
 """

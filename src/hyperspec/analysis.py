@@ -219,6 +219,17 @@ def load_checkpoint(path: str, n: int, k: int) -> tuple[PolyCache, int]:
     return PolyCache.from_json(polys, n, k), watermark
 
 
+def _universe_slots(n: int, k: int) -> int:
+    """The C(n, k) edge slots of the (n, k) universe, refused above
+    MAX_EDGE_SLOTS before any mask or table is built."""
+    if k < 1 or n < k:
+        raise BadSize(f"need 1 <= k <= n, got n={n} k={k}")
+    slots = comb(n, k)
+    if slots > MAX_EDGE_SLOTS:
+        raise CapExceeded(f"{slots} candidate edges exceed the enumeration cap")
+    return slots
+
+
 def _universe_polys(
     n: int,
     k: int,
@@ -238,13 +249,9 @@ def _universe_polys(
     write began (the first growth writes at once), and once at the end
     with the full watermark.  An exception in the loop writes once more,
     with the last mask reached, if classes were computed since the last
-    write.
+    write was attempted; so a write that fails is not attempted again.
     """
-    if k < 1 or n < k:
-        raise BadSize(f"need 1 <= k <= n, got n={n} k={k}")
-    slots = comb(n, k)
-    if slots > MAX_EDGE_SLOTS:
-        raise CapExceeded(f"{slots} candidate edges exceed the enumeration cap")
+    slots = _universe_slots(n, k)
     watermark = -1
     if checkpoint_path:
         loaded, watermark = load_checkpoint(checkpoint_path, n, k)
@@ -261,9 +268,9 @@ def _universe_polys(
             classes.setdefault(cache.class_key(n, k, mask), []).append(mask)
             watermark = max(watermark, mask)
             if checkpoint_path and cache.computed != persisted and time.monotonic() >= due:
-                began = time.monotonic()
+                # persisted before the write, so a write that fails is not retried
+                began, persisted = time.monotonic(), cache.computed
                 save_checkpoint(checkpoint_path, n, k, cache, watermark)
-                persisted = cache.computed
                 due = began + 10 * (time.monotonic() - began)
         finished, watermark = True, (1 << slots) - 1
     finally:
@@ -404,6 +411,7 @@ def ds_verify(
     unknown = set(fingerprint_fields) - {"edges", "simplices"}
     if unknown:
         raise InputError(f"unknown fingerprint fields {sorted(unknown)}")
+    _universe_slots(h.n, h.k)
     n, k, target_mask = h.n, h.k, edge_bitmask(h)
     cache, classes = _universe_polys(
         n,

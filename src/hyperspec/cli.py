@@ -132,43 +132,39 @@ def _parse_vertex_list(raw: str) -> tuple[int, ...]:
         raise InputError(f"expected comma-separated integers, got {raw!r}") from None
 
 
-def _cmd_charpoly(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_charpoly(args: argparse.Namespace, cfg: RunConfig) -> dict[str, Any]:
     h = _read_hypergraph(args.file)
     check_degree(char_poly, cfg, h)
     poly = char_poly(adjacency_tensor(h), cfg)
-    _emit(_poly_payload(poly), args)
-    return 0
+    return _poly_payload(poly)
 
 
-def _cmd_echarpoly(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_echarpoly(args: argparse.Namespace, cfg: RunConfig) -> dict[str, Any]:
     h = _read_hypergraph(args.file)
     check_degree(e_char_poly, cfg, h)
     poly = (  # an edgeless k >= 3 E-char is zero, as check_degree assumes
         e_char_poly(adjacency_tensor(h), cfg, normalize=not args.raw)
         if h.edges or h.k < 3 else UniPoly.zero()
     )
-    _emit(_poly_payload(poly), args)
-    return 0
+    return _poly_payload(poly)
 
 
-def _cmd_cospectral(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_cospectral(args: argparse.Namespace, cfg: RunConfig) -> dict[str, Any]:
     g = _read_hypergraph(args.first)
     h = _read_hypergraph(args.second)
     payload: dict[str, Any] = {"cospectral": are_cospectral(g, h, cfg)}
     if args.e_char:
         payload["e_cospectral"] = are_e_cospectral(g, h, cfg)
-    _emit(payload, args)
-    return 0
+    return payload
 
 
-def _cmd_simplices(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_simplices(args: argparse.Namespace, cfg: RunConfig) -> dict[str, Any]:
     h = _read_hypergraph(args.file)
     found = list(simplices(h))
-    _emit({"count": len(found), "simplices": [list(s) for s in found]}, args)
-    return 0
+    return {"count": len(found), "simplices": [list(s) for s in found]}
 
 
-def _cmd_verify_switch(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_verify_switch(args: argparse.Namespace, cfg: RunConfig) -> dict[str, Any]:
     h = _read_hypergraph(args.file)
     p = SwitchingPartition.from_v1(h.n, _parse_vertex_list(args.v1))
     report = validate(h, p)
@@ -185,11 +181,10 @@ def _cmd_verify_switch(args: argparse.Namespace, cfg: RunConfig) -> int:
         payload["matches_expected"] = g == expected
     if not similarity.ok:
         payload["mismatch_index"] = list(similarity.first_mismatch or ())
-    _emit(payload, args)
-    return 0
+    return payload
 
 
-def _cmd_example_pair(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_example_pair(args: argparse.Namespace, cfg: RunConfig) -> dict[str, Any]:
     family = (
         [_parse_vertex_list(raw) for raw in args.family_edge]
         if args.family_edge
@@ -207,21 +202,17 @@ def _cmd_example_pair(args: argparse.Namespace, cfg: RunConfig) -> int:
         fh.write(format_hypergraph(g))
     with open(p_path, "w", encoding="utf-8") as fh:
         fh.write(_json({"v1": sorted(p.v1), "v2": sorted(p.v2)}) + "\n")
-    _emit(
-        {
-            "h_file": h_path,
-            "g_file": g_path,
-            "partition_file": p_path,
-            "vertices": h.n,
-            "h_edges": h.edge_count,
-            "g_edges": g.edge_count,
-        },
-        args,
-    )
-    return 0
+    return {
+        "h_file": h_path,
+        "g_file": g_path,
+        "partition_file": p_path,
+        "vertices": h.n,
+        "h_edges": h.edge_count,
+        "g_edges": g.edge_count,
+    }
 
 
-def _cmd_ds(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_ds(args: argparse.Namespace, cfg: RunConfig) -> dict[str, Any]:
     h = _read_hypergraph(args.file)
     fields = tuple(part for part in args.fingerprint.split(",") if part)
     verdict = ds_verify(
@@ -230,53 +221,41 @@ def _cmd_ds(args: argparse.Namespace, cfg: RunConfig) -> int:
         fingerprint_fields=fields,
         checkpoint_path=args.checkpoint,
     )
-    _emit(
-        {
-            "all_isomorphic": verdict.all_isomorphic,
-            "mates": [mask_edges(h.n, h.k, mask) for mask in verdict.mate_masks],
-            "candidates": verdict.candidates,
-            "pruned": verdict.pruned,
-            "polynomials_computed": verdict.polynomials_computed,
-        },
-        args,
-    )
-    return 0
+    return {
+        "all_isomorphic": verdict.all_isomorphic,
+        "mates": [mask_edges(h.n, h.k, mask) for mask in verdict.mate_masks],
+        "candidates": verdict.candidates,
+        "pruned": verdict.pruned,
+        "polynomials_computed": verdict.polynomials_computed,
+    }
 
 
-def _cmd_invariant_scan(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_invariant_scan(args: argparse.Namespace, cfg: RunConfig) -> dict[str, Any]:
     report = cospectral_invariant_scan(
         args.n, args.k, cfg, checkpoint_path=args.checkpoint
     )
-    _emit(
-        {
-            "total": report.total,
-            "classes": report.class_count,
-            "groups": [list(group) for group in report.groups],
-            "violations": [asdict(v) for v in report.violations],
-            "polynomials_computed": report.polynomials_computed,
-        },
-        args,
-    )
-    return 0
+    return {
+        "total": report.total,
+        "classes": report.class_count,
+        "groups": [list(group) for group in report.groups],
+        "violations": [asdict(v) for v in report.violations],
+        "polynomials_computed": report.polynomials_computed,
+    }
 
 
-def _cmd_simplex_bound(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_simplex_bound(args: argparse.Namespace, cfg: RunConfig) -> dict[str, Any]:
     report = simplex_destruction_min(args.n, args.k, args.r)
-    _emit(
-        {
-            "minimum": report.minimum,
-            "expected_minimum": report.expected_minimum,
-            "matches_expected": report.matches_expected,
-            "achiever_count": len(report.achievers),
-            "achievers_are_exactly_common_core": report.achievers_are_exactly_common_core,
-            "achievers": [
-                [list(edge) for edge in chosen] for chosen in report.achievers
-            ],
-            "subsets_checked": report.subsets_checked,
-        },
-        args,
-    )
-    return 0
+    return {
+        "minimum": report.minimum,
+        "expected_minimum": report.expected_minimum,
+        "matches_expected": report.matches_expected,
+        "achiever_count": len(report.achievers),
+        "achievers_are_exactly_common_core": report.achievers_are_exactly_common_core,
+        "achievers": [
+            [list(edge) for edge in chosen] for chosen in report.achievers
+        ],
+        "subsets_checked": report.subsets_checked,
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,7 +377,8 @@ def main(argv: list[str] | None = None) -> int:
     base = RunConfig(degree_cap=args.degree_cap, dim_cap=args.dim_cap)
     try:
         cfg = config_from_env(base)
-        return args.func(args, cfg)
+        _emit(args.func(args, cfg), args)
+        return 0
     except (HyperspecError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, CapExceeded) else 4 if isinstance(exc, MathError) else 2

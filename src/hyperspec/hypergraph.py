@@ -5,10 +5,10 @@ k-tuples.  The adjacency tensor has order k and entry 1/(k-1)! at every
 arrangement of each edge, so that the tensor's polynomial map sends x to
 the edge-neighborhood sums; its one builder, scaled_adjacency, gives
 (k-1)! times it in int64.  Edge sets also travel as bitmasks over the
-lexicographic list of all k-subsets, which is what the enumeration,
-simplex counting and canonicalization code operates on.  Every vertex
-relabeling of a mask is read off one cached numpy table per (n, k), for
-up to CANONICAL_MAX_N vertices.
+lexicographic list of all k-subsets, which is what the enumeration, the
+universe walks' simplex counts and canonicalization operate on.  Every
+vertex relabeling of a mask is read off one cached numpy table per
+(n, k), for up to CANONICAL_MAX_N vertices.
 
 The text format is line-based: optional '#' comments, one "n k" header
 line, then one edge per line as k ascending vertex ids.  Formatting a
@@ -118,14 +118,18 @@ def complement(h: Hypergraph) -> Hypergraph:
 
 def count_simplices(h: Hypergraph) -> int:
     """Vertex sets of size k+1 all of whose k-subsets are edges."""
-    return mask_simplex_count(h.n, h.k, edge_bitmask(h))
+    return sum(1 for _ in simplices(h))
 
 
 def simplices(h: Hypergraph) -> Iterator[tuple[int, ...]]:
-    mask = edge_bitmask(h)
-    for group, faces in simplex_masks(h.n, h.k):
-        if mask & faces == faces:
-            yield group
+    """The simplices of h in lexicographic order.  Each is the edge on its
+    k least vertices plus one larger vertex, so the work is O(|E| n k)
+    set lookups, not one per (k+1)-set of 1..n."""
+    for edge in sorted(h.edges):
+        for w in range(edge[-1] + 1, h.n + 1):
+            group = edge + (w,)
+            if all(group[:i] + group[i + 1 :] in h.edges for i in range(h.k)):
+                yield group
 
 
 def neighbors_in(

@@ -12,14 +12,18 @@ Every resultant goes through one integer path and one system type,
 PolySystem, whose coefficients are linear in a parameter lambda.  Its
 M is tabulated once as a sparse pencil (_FillTable); every route asks it
 for one dense stack of M(lambda) modulo its primes and reads M' off it.
-Modulo each prime, the residues at many integer lambdas come from one
-pencil reduction at one shift per stack (_pencil_values), or from the
-generalized charpoly below at every node, all (prime, node) layers in
-shared stacks (_gcp_values); the caller interpolates them mod p and
-recombines the coefficients (see spectra).  One integer lambda costs
-det(M) / det(M') modulo each prime (_eval_point).  All the primes of one
-crt_values call share one stacked pass (see modular).
-A numeric system is the lambda-free case, evaluated at lambda = 0.
+A route gives the residues of the resultant at integer nodes modulo a
+stack of primes: from one pencil reduction at one shift per stack
+(_pencil_values), from det(M) / det(M') at one node (_det_values), or
+from the generalized charpoly below at every node, all (prime, node)
+layers in shared stacks (_gcp_values).  One loop, _recombine, tries a
+list of routes in order: it interpolates a route's node residues mod p
+and recombines the coefficients in one crt_values call, all of whose
+primes share one stacked pass (see modular).  A polynomial in lambda
+takes the pencil, else the generalized charpoly
+(_interpolated_resultant); one value takes the determinant ratio, else
+the generalized charpoly (_eval_point).  A numeric system is the
+lambda-free case, evaluated at lambda = 0.
 det(M') vanishes for many sparse systems; there the value comes from
 Canny's generalized characteristic polynomial (J. Symbolic Comput. 9,
 1990) instead: the quotient charpoly(M) / charpoly(M') has a monic
@@ -35,22 +39,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm, prod
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import (
     CapExceeded,
+    DegreeCapExceeded,
     DimMismatch,
     InputError,
     NotHomogeneous,
     NotSquareSystem,
 )
 from .modular import (
-    _det_mod, _inverses, _solve_mod, charpoly_mod, crt_values, poly_divexact_mod,
-    stack_layers,
+    _det_mod, _inverses, _matvec_mod, _solve_mod, charpoly_mod, crt_values,
+    poly_divexact_mod, stack_layers,
 )
-from .polynomial import MultiPoly
+from .polynomial import MultiPoly, UniPoly
 
 
 @dataclass(frozen=True)
@@ -317,7 +323,7 @@ def _eval_point(table: _FillTable, lam: int, prime_seed: int) -> Fraction:
     """Exact resultant value at one integer lambda.
 
     Where det(M') is nonzero, the value is det(M) / det(M'), computed
-    modulo each prime; a prime dividing det(M') is skipped.  It is
+    modulo each prime (_det_values); a prime dividing det(M') is skipped.  It is
     bounded by R**d, R the largest absolute row sum of M and d = N - N',
     because it is, up to sign, the constant term of the quotient below.
     When det(M') vanishes modulo the first prime, the value is the
@@ -329,24 +335,89 @@ def _eval_point(table: _FillTable, lam: int, prime_seed: int) -> Fraction:
     """
     if table.vanishing_poly(lam):
         return Fraction(0)
+    (value,) = _recombine(
+        table, (_det_values, _gcp_values), [lam], (lam,), [_value_bound(table, lam)],
+        prime_seed,
+    )
+    return Fraction(value * table.scale_minor, table.scale_full)
 
-    def quotient_mod(primes: list[int]) -> list[list[int] | None]:
-        pv = np.array(primes, dtype=np.int64)
-        full = table.at(pv, lam)
-        det_minor = _det_mod(table.minor(full), pv)
-        if det_minor[0] == 0:  # the whole stack is refused before det M is taken
-            return [None] * len(primes)
-        ratio = _det_mod(full, pv) * _inverses(det_minor, pv) % pv
-        return [[v] if m else None for v, m in zip(ratio.tolist(), det_minor.tolist())]
 
-    def gcp_mod(primes: list[int]) -> np.ndarray:
-        return _gcp_values(table, [lam], np.array(primes, dtype=np.int64))[0]
+def _det_values(
+    table: _FillTable, nodes: Sequence[int], primes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """det(M) / det(M') residues at one integer node, and the (P,) mask of
+    the primes not dividing det(M'), the others to be skipped.  When the
+    first prime divides it, the whole stack is refused before det(M) is
+    taken."""
+    (lam,) = nodes
+    full = table.at(primes, lam)
+    det_minor = _det_mod(table.minor(full), primes)
+    if det_minor[0] == 0:
+        return np.zeros((len(primes), 1), dtype=np.int64), det_minor != 0
+    ratio = _det_mod(full, primes) * _inverses(det_minor, primes) % primes
+    return ratio[:, None], det_minor != 0
 
-    bounds = [_value_bound(table, lam)]
-    value = crt_values(quotient_mod, bounds, prime_seed, table.layer_size)
-    if value is None:
-        value = crt_values(gcp_mod, bounds, prime_seed, table.layer_size)
-    return Fraction(value[0] * table.scale_minor, table.scale_full)
+
+@lru_cache(maxsize=None)
+def _lagrange(abscissae: tuple[int, ...]) -> list[tuple[list[int], int]]:
+    """(num_i, den_i) for the exact Lagrange basis of integer abscissae:
+    L_i(x) = sum_j num_i[j] x**j / den_i, with num_i the coefficients of
+    prod_{k != i} (x - x_k) and den_i = prod_{k != i} (x_i - x_k)."""
+    basis = []
+    for i, xi in enumerate(abscissae):
+        num, den = [1], 1
+        for k, xk in enumerate(abscissae):
+            if k != i:
+                num = [a - xk * b for a, b in zip([0] + num, num + [0])]
+                den *= xi - xk
+        basis.append((num, den))
+    return basis
+
+
+@lru_cache(maxsize=None)
+def _lagrange_mod(abscissae: tuple[int, ...], p: int) -> np.ndarray:
+    """The (N, N) matrix of num_i[j] / den_i modulo p, indexed [j, i]: it
+    maps the values at the abscissae to the interpolant's coefficients."""
+    columns = []
+    for num, den in _lagrange(abscissae):
+        # den's prime factors are at most the spread of the nodes, far
+        # below every modulus
+        assert den % p, f"Lagrange denominator {den} vanishes modulo {p}"
+        inverse = pow(den, -1, p)
+        columns.append([c * inverse % p for c in num])
+    return np.array(columns, dtype=np.int64).T
+
+
+def _recombine(
+    table: _FillTable,
+    routes: Sequence[Callable],
+    nodes: Sequence[int],
+    abscissae: tuple[int, ...],
+    bounds: Sequence[int],
+    prime_seed: int,
+) -> list[int]:
+    """The integer coefficients, each within its bound, of the polynomial
+    whose value at each abscissa is the resultant at its node.
+
+    A route maps (table, nodes, primes) to the (P, nodes) residues and
+    the (P,) mask of the primes it does not skip.  Modulo each prime,
+    the exact Lagrange basis of the abscissae turns the node residues
+    into coefficient residues, and one crt_values call recombines them.
+    The first route whose first prime is not skipped gives the result;
+    the last, _gcp_values, skips no prime.
+    """
+    for route in routes:
+        def coefficients_mod(primes: list[int], route=route) -> list[np.ndarray | None]:
+            pv = np.array(primes, dtype=np.int64)
+            values, solved = route(table, nodes, pv)
+            weights = np.stack([_lagrange_mod(abscissae, p) for p in primes])
+            coeffs = _matvec_mod(weights, values, pv[:, None])
+            return [c if ok else None for c, ok in zip(coeffs, solved.tolist())]
+
+        coeffs = crt_values(coefficients_mod, bounds, prime_seed, table.layer_size)
+        if coeffs is not None:
+            return coeffs
+    raise AssertionError("every route list ends with _gcp_values, which skips no prime")
 
 
 def _gcp_values(
@@ -401,7 +472,7 @@ def _pencil_values(
     later stack fails every shift only if its first prime divides them at
     the first stack's shift.  When no shift works modulo the first prime,
     as for hypergraph adjacency tensors, whose divisor vanishes
-    identically in lambda, the caller takes _gcp_values instead.
+    identically in lambda, _recombine takes _gcp_values instead.
     """
     solved = np.zeros(len(primes), dtype=bool)
     slope = table.slope(primes)
@@ -425,6 +496,51 @@ def _pencil_values(
         acc = (acc * t + q[:, j, None]) % moduli
     scale = det_full * _inverses(det_minor, primes) % primes
     return scale[:, None] * acc % moduli, solved
+
+
+def _interpolated_resultant(
+    system: PolySystem, cfg: RunConfig, *, even_in_lambda: bool = False
+) -> UniPoly:
+    """The resultant of the system as a polynomial in lambda, by interpolation.
+
+    The resultant is homogeneous of degree prod_{j != i} d_j in the
+    coefficients of f_i (Macaulay 1902; Cox, Little & O'Shea, Using
+    Algebraic Geometry, Ch. 3 Thm 3.1), and each of those coefficients
+    is affine in lambda, so its lambda-degree is at most
+    D = sum over the i with a nonzero lambda part of prod_{j != i} d_j.
+    The D + 1 nodes lambda = 0..D therefore determine it.  If
+    even_in_lambda, the resultant is known to be even in lambda: a
+    polynomial of degree at most D/2 in lambda**2, which the nodes
+    lambda = 0..D/2 determine.
+
+    The node residues come from the pencil, else from the generalized
+    charpoly at every node (_recombine).  The resultant of the row-scaled
+    integer system has integer coefficients, each recombined under its
+    Cauchy estimate (_coefficient_bounds); the row scales divide out
+    once at the end.
+    """
+    check_dim_cap(system.nvars, system.degrees, cfg.dim_cap)
+    bound = sum(
+        prod(system.degrees[:i] + system.degrees[i + 1 :])
+        for i, part in enumerate(system.linear)
+        if not part.is_zero()
+    )
+    if bound > cfg.degree_cap:
+        raise DegreeCapExceeded(
+            f"resultant degree bound {bound} exceeds cap {cfg.degree_cap}"
+        )
+    table = _FillTable(system)
+    step = 2 if even_in_lambda else 1
+    nodes = list(range(bound // step + 1))
+    powers = [step * lam for lam in nodes]
+    coeffs = _recombine(
+        table, (_pencil_values, _gcp_values), nodes, tuple(lam**step for lam in nodes),
+        _coefficient_bounds(table, powers), cfg.prime_seed,
+    )
+    if even_in_lambda:
+        coeffs = [c for h in coeffs for c in (h, 0)]
+    scale = Fraction(table.scale_minor, table.scale_full)
+    return UniPoly(tuple(c * scale for c in coeffs))
 
 
 def resultant_value(

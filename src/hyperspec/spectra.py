@@ -7,71 +7,45 @@ from A x = lambda x on the unit sphere: for even order the sphere
 constraint folds into the system as a power of x.x; for odd order an
 auxiliary variable beta with the quadric x.x - beta**2 is appended.
 
-The two take different paths.  In the characteristic system the lambda
-part of the Macaulay matrix is exactly the identity, so the resultant is
+This module builds those systems, refuses them by cap, and checks or
+normalizes the polynomials that come back; macaulay turns every system
+into its exact value.  In the characteristic system the lambda part of
+the Macaulay matrix is exactly the identity, so the resultant is
 charpoly(B) / charpoly(B'), where B is the integer Macaulay matrix of
 x -> L A x (L clears the denominators) and B' its principal submatrix on
-the non-reduced monomials.  Both charpolys come from Hessenberg
-reduction modulo word-size primes, every prime needed in one stacked
-pass (see modular), divided exactly mod each prime and recombined by
-Chinese remaindering under a Gershgorin bound on the coefficients.
+the non-reduced monomials (macaulay._charpoly_quotient).
 
-The E-characteristic polynomial is interpolated modulo each prime.  The
-system is linear in lambda, so its Macaulay matrix and the divisor are
-pencils M(lambda) = F0 + lambda F1 and M'(lambda).  Modulo each prime,
-one shift c with A = M(c) and A' = M'(c) invertible gives the residue at
-every node: with t = lambda - c and N = A**-1 F1,
-Res(lambda) = det A / det A' * sum_j q_j t**(d - j), where
-q = charpoly(-N) / charpoly(-N') and d = n - n' (see macaulay).  Where
-no shift works modulo the first prime (the divisor of every hypergraph
-adjacency tensor tried vanishes identically in lambda), every node takes
-the generalized charpoly's constant term instead, all (prime, node)
-layers in shared stacks.  The exact Lagrange basis of the nodes, reduced
-mod p, turns the node residues into coefficient residues, and one
-Chinese remaindering recombines every coefficient, each under Cauchy's
-estimate R(rho)**d / rho**j on a circle |lambda| = rho, R(rho) a
-Gershgorin bound on the eigenvalues of M there.  The resultant is
-homogeneous of degree prod_{j != i} d_j in the coefficients of f_i
-(Macaulay 1902; Cox, Little & O'Shea, Using Algebraic Geometry, Ch. 3
-Thm 3.1), so its lambda-degree is at most D, the sum of those products
-over the f_i with a lambda part: 2 n (m-1)**(n-1) for odd order and
-n (m-1)**(n-1) for even order.  Even order samples D + 1 points.  For
-odd order, beta -> -beta turns the system at lambda into the system at
+The E-characteristic polynomial has lambda-degree at most D,
+2 n (m-1)**(n-1) for odd order and n (m-1)**(n-1) for even order; even
+order interpolates it through the nodes lambda = 0..D
+(macaulay._interpolated_resultant).  For odd order, beta -> -beta turns the system at lambda into the system at
 -lambda, and a linear change of variables multiplies the resultant by
 its determinant to the power prod d_i (Jouanolou, Adv. Math. 90, 1991),
 here (-1)**(2 (m-1)**n) = 1.  So the resultant is even in lambda, and
-D/2 + 1 points (13 for order 3, dimension 3) determine it as a
-polynomial in lambda**2.
+the D/2 + 1 nodes lambda = 0..D/2 (13 for order 3, dimension 3)
+determine it as a polynomial in lambda**2.
 
 The tensor determinant is the resultant of the numeric system x -> A x
-itself, det M / det M' at a single point (see macaulay); wherever its
+itself, one value at lambda = 0 (macaulay._eval_point); wherever its
 divisor determinant is nonzero, this keeps phi(0) = (-1)**d * det an
 independent check.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm, prod
-from typing import Iterator
-
-import numpy as np
+from math import lcm
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DegreeCapExceeded, DimMismatch, MathError
 from .macaulay import (
     PolySystem,
     _charpoly_quotient,
-    _coefficient_bounds,
     _FillTable,
-    _gcp_values,
-    _pencil_values,
+    _interpolated_resultant,
     check_dim_cap,
     resultant_value,
 )
-from .modular import _matvec_mod, crt_values
 from .polynomial import MultiPoly, UniPoly
 from .tensor import Tensor
 
@@ -130,110 +104,6 @@ def e_char_poly_system(a: Tensor) -> PolySystem:
     const.append(MultiPoly(nv, quadric))
     linear.append(MultiPoly(nv, {}))
     return PolySystem(nv, tuple(const), (m - 1,) * n + (2,), tuple(linear))
-
-
-def _abscissae() -> Iterator[int]:
-    yield 0
-    k = 1
-    while True:
-        yield k
-        yield -k
-        k += 1
-
-
-@lru_cache(maxsize=None)
-def _lagrange(abscissae: tuple[int, ...]) -> list[tuple[list[int], int]]:
-    """(num_i, den_i) for the exact Lagrange basis of integer abscissae:
-    L_i(x) = sum_j num_i[j] x**j / den_i, with num_i the coefficients of
-    prod_{k != i} (x - x_k) and den_i = prod_{k != i} (x_i - x_k)."""
-    basis = []
-    for i, xi in enumerate(abscissae):
-        num, den = [1], 1
-        for k, xk in enumerate(abscissae):
-            if k != i:
-                num = [a - xk * b for a, b in zip([0] + num, num + [0])]
-                den *= xi - xk
-        basis.append((num, den))
-    return basis
-
-
-@lru_cache(maxsize=None)
-def _lagrange_mod(abscissae: tuple[int, ...], p: int) -> np.ndarray:
-    """The (N, N) matrix of num_i[j] / den_i modulo p, indexed [j, i]: it
-    maps the values at the abscissae to the interpolant's coefficients."""
-    columns = []
-    for num, den in _lagrange(abscissae):
-        # den's prime factors are at most the spread of the abscissae, far
-        # below every modulus
-        assert den % p, f"Lagrange denominator {den} vanishes modulo {p}"
-        inverse = pow(den, -1, p)
-        columns.append([c * inverse % p for c in num])
-    return np.array(columns, dtype=np.int64).T
-
-
-def _interpolated_resultant(
-    system: PolySystem, cfg: RunConfig, *, even_in_lambda: bool = False
-) -> UniPoly:
-    """The resultant of the system as a polynomial in lambda, by interpolation.
-
-    The resultant is homogeneous of degree prod_{j != i} d_j in the
-    coefficients of f_i (Macaulay 1902; Cox, Little & O'Shea, Using
-    Algebraic Geometry, Ch. 3 Thm 3.1), and each of those coefficients
-    is affine in lambda, so its lambda-degree is at most
-    D = sum over the i with a nonzero lambda part of prod_{j != i} d_j.
-    D + 1 exact values therefore determine it.
-
-    If even_in_lambda, the resultant is known to be even in lambda; it is a
-    polynomial of degree at most D/2 in mu = lambda**2, interpolated
-    through the D/2 + 1 values at lambda = 0, 1, ..., D/2.
-
-    Modulo each prime, the node residues come from one pencil reduction
-    (_pencil_values) or, when no shift works modulo the first prime, from
-    the generalized charpoly at every node (_gcp_values).  The exact
-    Lagrange basis of the abscissae, reduced mod p, turns them into the
-    coefficients mod p.  The resultant of the row-scaled integer system
-    has integer coefficients, and one crt_values call recombines them,
-    each under its Cauchy estimate (_coefficient_bounds).  The row scales
-    divide out once at the end.
-    """
-    check_dim_cap(system.nvars, system.degrees, cfg.dim_cap)
-    bound = sum(
-        prod(system.degrees[:i] + system.degrees[i + 1 :])
-        for i, part in enumerate(system.linear)
-        if not part.is_zero()
-    )
-    if bound > cfg.degree_cap:
-        raise DegreeCapExceeded(
-            f"resultant degree bound {bound} exceeds cap {cfg.degree_cap}"
-        )
-    table = _FillTable(system)
-    if even_in_lambda:
-        nodes = list(range(bound // 2 + 1))
-        abscissae = tuple(lam * lam for lam in nodes)
-        powers = [2 * j for j in range(len(nodes))]
-    else:
-        nodes = list(itertools.islice(_abscissae(), bound + 1))
-        abscissae = tuple(nodes)
-        powers = list(range(len(nodes)))
-    bounds = _coefficient_bounds(table, powers)
-
-    def recombine(node_values) -> list[int] | None:
-        def coefficients_mod(primes: list[int]) -> list[np.ndarray | None]:
-            pv = np.array(primes, dtype=np.int64)
-            values, solved = node_values(table, nodes, pv)
-            weights = np.stack([_lagrange_mod(abscissae, p) for p in primes])
-            coeffs = _matvec_mod(weights, values, pv[:, None])
-            return [c if ok else None for c, ok in zip(coeffs, solved.tolist())]
-
-        return crt_values(coefficients_mod, bounds, cfg.prime_seed, table.layer_size)
-
-    coeffs = recombine(_pencil_values)
-    if coeffs is None:
-        coeffs = recombine(_gcp_values)
-    if even_in_lambda:
-        coeffs = [c for h in coeffs for c in (h, 0)]
-    scale = Fraction(table.scale_minor, table.scale_full)
-    return UniPoly(tuple(c * scale for c in coeffs))
 
 
 def check_degree_cap(dim: int, order: int, cap: int) -> int:

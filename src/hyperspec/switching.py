@@ -6,8 +6,10 @@ every (k-1)-subset of V2 extends to an edge with either none, half, or
 all of V1.  Switching replaces, for each half-count subset, its V1
 neighborhood by the complement within V1.  The operation is an
 involution and is realized by conjugating the adjacency tensor with an
-explicit orthogonal, symmetric matrix, which is what makes switched
-pairs share their spectra.
+explicit orthogonal, symmetric matrix Q.  An orthogonal Q preserves
+E-eigenpairs and the E-characteristic polynomial, so switched pairs are
+E-cospectral; for k = 2 they are also cospectral, but not in general for
+k >= 3, where the characteristic polynomial counts simplices.
 
 `verify_similarity` certifies a switched pair in integers.  Q has
 entries in (1/n1)Z, so it checks that n1*Q, applied along each of the k

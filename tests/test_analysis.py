@@ -186,6 +186,21 @@ def test_checkpoint_writes_are_bounded_by_their_duration(tmp_path, monkeypatch):
     assert ticking.read_bytes() == cold.read_bytes()
 
 
+@pytest.mark.parametrize("search", ["ds", "scan"])
+def test_failed_checkpoint_write_is_not_retried(tmp_path, monkeypatch, search):
+    # the first growth writes at once, into a missing directory; the error
+    # is that one write's, with no second attempt chained to it
+    writes = _counted_writes(monkeypatch)
+    path = str(tmp_path / "missing" / "state.json")
+    with pytest.raises(FileNotFoundError) as caught:
+        if search == "ds":
+            ds_verify(Hypergraph.from_edges(4, 3, [(1, 2, 3)]), checkpoint_path=path)
+        else:
+            cospectral_invariant_scan(4, 3, checkpoint_path=path)
+    assert len(writes) == 1
+    assert caught.value.__context__ is None
+
+
 @pytest.mark.parametrize("stop", [KeyboardInterrupt, CapExceeded])
 def test_interrupted_search_writes_what_it_computed(tmp_path, monkeypatch, stop):
     char_poly_, calls = analysis.char_poly, []
@@ -413,12 +428,11 @@ def test_ds_verify_weak_fingerprint_still_correct():
 
 
 @pytest.fixture(scope="module", params=[(5, 2), (5, 3)], ids=["n5k2", "n5k3"])
-def scanned_universe(request, tmp_path_factory):
+def scanned_universe(request, universe_scan):
     """(n, k, scan report, a cache holding every class's polynomial) for
     a 34-class universe; the cache is the scan's checkpoint read back."""
     n, k = request.param
-    path = str(tmp_path_factory.mktemp("universe") / "scan.json")
-    report = cospectral_invariant_scan(n, k, checkpoint_path=path)
+    report, path = universe_scan(n, k)
     cache, _ = load_checkpoint(path, n, k)
     return n, k, report, cache
 

@@ -514,6 +514,23 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv):
     assert argv[-1] in err and err.count("\n") == 1
 
 
+def test_simplices_and_ds_build_no_table_on_80_vertices(tmp_path, capsys, monkeypatch):
+    # one edge on 80 vertices: simplices answers from the edge list, and ds
+    # refuses its C(80, 3) = 82,160 edge slots before any bitmask or
+    # simplex table is built
+    def refuse(*args):
+        raise AssertionError("table built")
+
+    monkeypatch.setattr(hypergraph, "simplex_masks", refuse)
+    monkeypatch.setattr(hypergraph, "_subset_index", refuse)
+    graph = _write_graph(tmp_path, "wide.hg", Hypergraph.from_edges(80, 3, [(1, 2, 3)]))
+    code, out, err = _run(capsys, ["simplices", graph])
+    assert (code, json.loads(out), err) == (0, {"count": 0, "simplices": []}, "")
+    code, out, err = _run(capsys, ["ds", graph])
+    assert (code, out) == (3, "")
+    assert err == "CapExceeded: 82160 candidate edges exceed the enumeration cap\n"
+
+
 def test_repeated_main_calls_match_fresh_parsers(tmp_path, capsys):
     # main builds its parser once per process; reusing it must give the
     # bytes and exit codes of a parser built for each call, also after an

@@ -28,6 +28,7 @@ from hyperspec.hypergraph import (
     format_hypergraph,
     from_bitmask,
     mask_edges,
+    mask_simplex_count,
     is_isomorphic,
     mask_orbit,
     neighbors_in,
@@ -177,9 +178,13 @@ def _assert_simplices_match_oracle(h):
 
 
 def test_simplices_match_oracle_on_small_universes():
+    # count_simplices walks the edge list; mask_simplex_count, which the
+    # universe walks use, checks every (k+1)-set's face mask
     for n, k in ((5, 3), (5, 2)):
         for mask in range(1 << comb(n, k)):
-            _assert_simplices_match_oracle(from_bitmask(n, k, mask))
+            h = from_bitmask(n, k, mask)
+            _assert_simplices_match_oracle(h)
+            assert count_simplices(h) == mask_simplex_count(n, k, mask)
     rng = random.Random(64)
     for _ in range(50):
         _assert_simplices_match_oracle(from_bitmask(6, 4, rng.getrandbits(comb(6, 4))))

@@ -35,7 +35,7 @@ from hyperspec.macaulay import (
     resultant_value,
 )
 from hyperspec.polynomial import MultiPoly, UniPoly
-from hyperspec.spectra import _abscissae, e_char_poly_system
+from hyperspec.spectra import e_char_poly_system
 from hyperspec.tensor import Tensor, symmetric_from_upper
 
 DATA = Path(__file__).parent / "data"
@@ -405,11 +405,9 @@ def test_dim_cap_enforced():
 
 def _e_char_nodes(order, dim):
     # the nodes e_char_poly interpolates through: lambda = 0..D/2 for odd
-    # order, the first D + 1 of 0, 1, -1, ... for even order
-    bound = dim * (order - 1) ** (dim - 1)
-    if order % 2:
-        return list(range(bound + 1))
-    return list(itertools.islice(_abscissae(), bound + 1))
+    # order and 0..D for even order, where D/2 and D both come to
+    # dim * (order - 1)**(dim - 1)
+    return list(range(dim * (order - 1) ** (dim - 1) + 1))
 
 
 def _recombined(route, table, nodes, seed):

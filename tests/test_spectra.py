@@ -15,9 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperspec.config import DEFAULT_CONFIG
-from hyperspec.analysis import PolyCache
+from hyperspec.analysis import PolyCache, load_checkpoint
 from hyperspec.errors import CapExceeded, DegreeCapExceeded
-from hyperspec import spectra
 from hyperspec.hypergraph import Hypergraph, adjacency_tensor, count_simplices, from_bitmask
 from hyperspec import macaulay
 from hyperspec.macaulay import _eval_point, _FillTable
@@ -143,18 +142,18 @@ def test_e_char_degree_bound_holds_off_the_nodes():
 
 def _record(monkeypatch, name, extract):
     calls = []
-    inner = getattr(spectra, name)
+    inner = getattr(macaulay, name)
 
     def recording(*args):
         calls.append(extract(args))
         return inner(*args)
 
-    monkeypatch.setattr(spectra, name, recording)
+    monkeypatch.setattr(macaulay, name, recording)
     return calls
 
 
 def test_e_char_samples_the_degree_bound_plus_one(monkeypatch):
-    # even order interpolates through D + 1 nodes 0, 1, -1, ...; odd order
+    # even order interpolates through the D + 1 nodes 0..D; odd order
     # is even in lambda and interpolates in lambda**2 through lambda =
     # 0..D/2 (D = 24 for order 3, dimension 3 and D = 16 for order 5,
     # dimension 2).  The other tensors get every node residue from the
@@ -169,8 +168,7 @@ def test_e_char_samples_the_degree_bound_plus_one(monkeypatch):
         (_single_edge(), squares, [list(range(13))]),
         (order_three, squares, [list(range(13))]),
         (_random_rational_tensor(random.Random(421), 3, 3), squares, []),
-        (_order_four_integer(),
-         list(itertools.islice(spectra._abscissae(), 28)), []),
+        (_order_four_integer(), list(range(28)), []),
         (_random_rational_tensor(random.Random(423), 5, 2),
          [lam * lam for lam in range(9)], []),
     ]
@@ -188,12 +186,12 @@ def test_single_edge_e_char_takes_two_prime_loops(monkeypatch):
     # the coefficients from every node's generalized charpoly; no node
     # runs a determinant ratio or a prime loop of its own
     loops = []
-    for module in (spectra, macaulay):
-        def counting(*args, inner=module.crt_values):
-            loops.append(inner(*args))
-            return loops[-1]
 
-        monkeypatch.setattr(module, "crt_values", counting)
+    def counting(*args, inner=macaulay.crt_values):
+        loops.append(inner(*args))
+        return loops[-1]
+
+    monkeypatch.setattr(macaulay, "crt_values", counting)
     raw = e_char_poly(_single_edge(), normalize=False)
     assert raw == _load_poly(DATA / "single_edge_n3_echar.json", "e_char_poly_raw")
     assert [values is None for values in loops] == [True, False]
@@ -226,12 +224,8 @@ def test_e_char_matches_the_fraction_interpolation_oracle():
         table = _FillTable(e_char_poly_system(a))
         bound = _resultant_degree_bound(a.order, a.dim)
         odd = a.order % 2 == 1
-        if odd:
-            nodes = list(range(bound // 2 + 1))
-            abscissae = [lam * lam for lam in nodes]
-        else:
-            nodes = list(itertools.islice(spectra._abscissae(), bound + 1))
-            abscissae = nodes
+        nodes = list(range(bound // 2 + 1 if odd else bound + 1))
+        abscissae = [lam * lam for lam in nodes] if odd else nodes
         oracle = interpolate([(x, _eval_point(table, lam, 0))
                               for x, lam in zip(abscissae, nodes)])
         if odd:
@@ -463,8 +457,10 @@ def test_char_coefficient_identities_on_three_graphs(h):
     _check_three_graph_coefficients(h, char_poly(adjacency_tensor(h)))
 
 
-def test_char_coefficient_identities_on_every_small_three_graph_class():
-    cache = PolyCache()
+def test_char_coefficient_identities_on_every_small_three_graph_class(universe_scan):
+    # the 34 classes on 5 vertices come from the session's (5, 3) scan,
+    # whose checkpoint holds the char_poly of each
+    cache, _ = load_checkpoint(universe_scan(5, 3)[1], 5, 3)
     classes = {
         cache.class_key(n, 3, mask)
         for n in (3, 4, 5)
