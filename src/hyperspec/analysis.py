@@ -38,7 +38,6 @@ from typing import Callable, Iterable, Sequence
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import BadSize, CapExceeded, DimMismatch, DivisionByZero, InputError
 from .hypergraph import (
-    MAX_EDGE_SLOTS,
     Hypergraph,
     adjacency_tensor,
     edge_bitmask,
@@ -48,6 +47,7 @@ from .hypergraph import (
     popcount_masks,
     simplex_masks,
     subset_order,
+    universe_slots,
     with_simplex_count,
 )
 from .polynomial import UniPoly
@@ -219,17 +219,6 @@ def load_checkpoint(path: str, n: int, k: int) -> tuple[PolyCache, int]:
     return PolyCache.from_json(polys, n, k), watermark
 
 
-def _universe_slots(n: int, k: int) -> int:
-    """The C(n, k) edge slots of the (n, k) universe, refused above
-    MAX_EDGE_SLOTS before any mask or table is built."""
-    if k < 1 or n < k:
-        raise BadSize(f"need 1 <= k <= n, got n={n} k={k}")
-    slots = comb(n, k)
-    if slots > MAX_EDGE_SLOTS:
-        raise CapExceeded(f"{slots} candidate edges exceed the enumeration cap")
-    return slots
-
-
 def _universe_polys(
     n: int,
     k: int,
@@ -251,7 +240,7 @@ def _universe_polys(
     with the last mask reached, if classes were computed since the last
     write was attempted; so a write that fails is not attempted again.
     """
-    slots = _universe_slots(n, k)
+    slots = universe_slots(n, k)
     watermark = -1
     if checkpoint_path:
         loaded, watermark = load_checkpoint(checkpoint_path, n, k)
@@ -411,7 +400,7 @@ def ds_verify(
     unknown = set(fingerprint_fields) - {"edges", "simplices"}
     if unknown:
         raise InputError(f"unknown fingerprint fields {sorted(unknown)}")
-    _universe_slots(h.n, h.k)
+    universe_slots(h.n, h.k)
     n, k, target_mask = h.n, h.k, edge_bitmask(h)
     cache, classes = _universe_polys(
         n,

@@ -40,6 +40,17 @@ CANONICAL_MAX_N = 8
 MAX_EDGE_SLOTS = 63
 
 
+def universe_slots(n: int, k: int) -> int:
+    """The C(n, k) edge slots of the (n, k) universe, refused above
+    MAX_EDGE_SLOTS before any mask or table is built."""
+    if k < 1 or n < k:
+        raise BadSize(f"need 1 <= k <= n, got n={n} k={k}")
+    slots = comb(n, k)
+    if slots > MAX_EDGE_SLOTS:
+        raise CapExceeded(f"{slots} candidate edges exceed the enumeration cap")
+    return slots
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     n: int
@@ -332,11 +343,7 @@ def enumerate_all(
     With up_to_iso, only the least mask of each isomorphism class: in
     increasing order that is the first of its orbit to be reached.
     """
-    slots = comb(n, k)
-    if slots > MAX_EDGE_SLOTS:
-        raise CapExceeded(
-            f"{slots} candidate edges exceed the enumeration cap {MAX_EDGE_SLOTS}"
-        )
+    slots = universe_slots(n, k)
     if edge_count is None:
         masks: Iterable[int] = range(1 << slots)
     else:

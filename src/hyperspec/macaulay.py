@@ -353,7 +353,8 @@ def _det_values(
     full = table.at(primes, lam)
     det_minor = _det_mod(table.minor(full), primes)
     if det_minor[0] == 0:
-        return np.zeros((len(primes), 1), dtype=np.int64), det_minor != 0
+        refused = np.zeros(len(primes), dtype=bool)
+        return np.zeros((len(primes), 1), dtype=np.int64), refused
     ratio = _det_mod(full, primes) * _inverses(det_minor, primes) % primes
     return ratio[:, None], det_minor != 0
 
@@ -404,14 +405,16 @@ def _recombine(
     the exact Lagrange basis of the abscissae turns the node residues
     into coefficient residues, and one crt_values call recombines them.
     The first route whose first prime is not skipped gives the result;
-    the last, _gcp_values, skips no prime.
+    the last, _gcp_values, skips no prime.  One abscissa has the basis
+    L_0 = 1, so its residues pass through unchanged.
     """
     for route in routes:
         def coefficients_mod(primes: list[int], route=route) -> list[np.ndarray | None]:
             pv = np.array(primes, dtype=np.int64)
-            values, solved = route(table, nodes, pv)
-            weights = np.stack([_lagrange_mod(abscissae, p) for p in primes])
-            coeffs = _matvec_mod(weights, values, pv[:, None])
+            coeffs, solved = route(table, nodes, pv)
+            if len(abscissae) > 1:
+                weights = np.stack([_lagrange_mod(abscissae, p) for p in primes])
+                coeffs = _matvec_mod(weights, coeffs, pv[:, None])
             return [c if ok else None for c, ok in zip(coeffs, solved.tolist())]
 
         coeffs = crt_values(coefficients_mod, bounds, prime_seed, table.layer_size)

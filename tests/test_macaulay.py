@@ -26,6 +26,7 @@ from hyperspec.modular import crt_values, nth_prime
 from hyperspec.macaulay import (
     PolySystem,
     _eval_point,
+    _det_values,
     _FillTable,
     _gcp_values,
     _value_bound,
@@ -475,26 +476,48 @@ def test_pencil_matches_the_per_node_path():
     assert got[16] == _eval_point(table, 16, 0)
 
 
-def test_divisor_that_vanishes_modulo_one_prime():
+def _divisor_is(g):
     # the divisor rows are z^2 f2, z^2 f1 and y^2 f1 on the columns y^2 z^2,
     # x^2 z^2, x^2 y^2, so det M' = a (a g - b e) with a, b the x^2, y^2
-    # coefficients of f1 and e, g the x^2, y^2 coefficients of f2.  With
-    # a = 1, b = 0 and g prime, det M' = g is nonzero but vanishes modulo
-    # g: where g is the first prime the point takes the generalized
-    # charpoly branch, and where g comes later that prime is skipped
+    # coefficients of f1 and e, g the x^2, y^2 coefficients of f2; here
+    # a = 1 and b = 0, so det M' = g
+    return _system([
+        _poly(3, {(2, 0, 0): 1, (1, 1, 0): 2, (0, 0, 2): 3, (0, 1, 1): -1}),
+        _poly(3, {(0, 2, 0): g, (2, 0, 0): 5, (1, 0, 1): 1}),
+        _poly(3, {(0, 0, 2): 1, (1, 1, 0): 1, (0, 2, 0): -2}),
+    ])
+
+
+def test_divisor_that_vanishes_modulo_one_prime():
+    # with g prime, det M' = g is nonzero but vanishes modulo g: where g is
+    # the first prime the point takes the generalized charpoly branch, and
+    # where g comes later that prime is skipped
     for index in (0, 1):
         g = nth_prime(index)
-        system = _system([
-            _poly(3, {(2, 0, 0): 1, (1, 1, 0): 2, (0, 0, 2): 3, (0, 1, 1): -1}),
-            _poly(3, {(0, 2, 0): g, (2, 0, 0): 5, (1, 0, 1): 1}),
-            _poly(3, {(0, 0, 2): 1, (1, 1, 0): 1, (0, 2, 0): -2}),
-        ])
+        system = _divisor_is(g)
         full, minor = _fill(_FillTable(system), 0)
         assert _exact_det(minor) == g
         expected = Fraction(int(_exact_det(full)), g)
         assert expected != 0
         for seed in range(index + 2):
             assert resultant_value(system, prime_seed=seed) == expected, (g, seed)
+
+
+def test_det_route_refuses_the_stack_whose_first_prime_divides_the_divisor():
+    # crt_values returns None only when the first prime of its whole run is
+    # skipped, so a stack of a later call whose first prime divides det M'
+    # must mark every prime skipped, or its zero residues would be combined
+    g, other = nth_prime(2), nth_prime(3)
+    table = _FillTable(_divisor_is(g))
+    full = _fill(table, 0)[0]
+    values, solved = _det_values(table, [0], np.array([g, other], dtype=np.int64))
+    assert solved.tolist() == [False, False]
+    # with g second, only g is skipped, and the first prime's residue is
+    # det M / det M'
+    values, solved = _det_values(table, [0], np.array([other, g], dtype=np.int64))
+    assert solved.tolist() == [True, False]
+    ratio = int(_exact_det(full)) * pow(g, -1, other) % other
+    assert values[0].tolist() == [ratio]
 
 
 def test_pencil_where_the_divisor_vanishes_at_some_nodes():
