@@ -3,12 +3,13 @@
 RunConfig holds the knobs a caller sets.  The degree and Macaulay
 dimension caps keep exact arithmetic from silently starting a multi-day
 computation; callers raise them deliberately.  The other caps are
-constants: hypergraph.MAX_EDGE_SLOTS and analysis.BRUTE_FORCE_CAP.  The
-prime seed offsets the deterministic modulus list from which every exact
-value is recombined (modular.crt_values); any seed yields the same final
-rational values, so it is a reproducibility control, not a correctness
-one.  Entry points default to DEFAULT_CONFIG; derive another with
-dataclasses.replace.  Every computation runs in the calling thread.
+constants: hypergraph.MAX_EDGE_SLOTS, analysis.BRUTE_FORCE_CAP and
+modular.MAX_PRIMES.  The prime seed offsets the deterministic list of
+MAX_PRIMES moduli from which every exact value is recombined
+(modular.crt_values); any seed yields the same final rational values,
+so it is a reproducibility control, not a correctness one.  Entry
+points default to DEFAULT_CONFIG; derive another with dataclasses.replace.
+Every computation runs in the calling thread.
 """
 
 from __future__ import annotations

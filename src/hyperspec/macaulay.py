@@ -276,47 +276,8 @@ def _charpoly_quotient(table: _FillTable, prime_seed: int) -> list[int]:
 def _value_bound(table: _FillTable, lam: int) -> int:
     """A bound on the absolute resultant value at an integer lambda: R**d,
     R the largest absolute row sum of M there and d = N - N' (see
-    _eval_point), or 0 where a polynomial vanishes identically, since the
-    resultant is 0 there."""
-    if table.vanishing_poly(lam):
-        return 0
+    _eval_point)."""
     return table.radius(lam) ** table.d
-
-
-# rho = 2**e, e in this range, for the Cauchy estimates of _coefficient_bounds
-_RHO_EXPONENTS = range(-16, 33)
-
-
-def _coefficient_bounds(table: _FillTable, powers: Sequence[int]) -> list[int]:
-    """Bounds on the absolute coefficients of lambda**j, j in powers, of
-    the resultant as a polynomial in lambda.
-
-    At a complex lambda every root of the quotient charpoly(M) /
-    charpoly(M') is still an eigenvalue of M(lambda) (see _eval_point), so
-    on the circle |lambda| = rho the resultant is at most R(rho)**d, with
-    R(rho) the largest row sum of |F0| + rho |F1| (Gershgorin).  Cauchy's
-    estimate bounds the coefficient of lambda**j by R(rho)**d / rho**j for
-    every rho > 0; the least over rho = 2**e, e in _RHO_EXPONENTS, is
-    taken.  The constant coefficient is the value at lambda = 0, bounded
-    by _value_bound as the limit rho -> 0.
-    """
-    d = table.d
-    # the rows of one polynomial share their absolute sums
-    sums = {
-        (sum(abs(i0) for i0, _ in terms), sum(abs(i1) for _, i1 in terms))
-        for terms in table.poly_terms
-    }
-    best: list[int | None] = [None] * len(powers)
-    for e in _RHO_EXPONENTS:
-        # R(2**e) = top / 2**s with integers, and R**d / rho**j = top**d / 2**shift
-        s = max(-e, 0)
-        top = max(((a << s) + (b << (e + s)) for a, b in sums), default=0) ** d
-        for k, j in enumerate(powers):
-            shift = s * d + e * j
-            bound = -(-top >> shift) if shift >= 0 else top << -shift
-            if best[k] is None or bound < best[k]:
-                best[k] = bound
-    return [_value_bound(table, 0) if j == 0 else b for j, b in zip(powers, best)]
 
 
 def _eval_point(table: _FillTable, lam: int, prime_seed: int) -> Fraction:
@@ -518,9 +479,13 @@ def _interpolated_resultant(
 
     The node residues come from the pencil, else from the generalized
     charpoly at every node (_recombine).  The resultant of the row-scaled
-    integer system has integer coefficients, each recombined under its
-    Cauchy estimate (_coefficient_bounds); the row scales divide out
-    once at the end.
+    integer system has integer coefficients.  At a complex lambda every
+    root of the quotient charpoly(M) / charpoly(M') is still an
+    eigenvalue of M(lambda) (see _eval_point), so on |lambda| = 1 the
+    resultant is at most R**d, R the largest row sum of |F0| + |F1|
+    (Gershgorin), and by Cauchy's estimate so is every coefficient; all
+    are recombined under that one bound.  The row scales divide out once
+    at the end.
     """
     check_dim_cap(system.nvars, system.degrees, cfg.dim_cap)
     bound = sum(
@@ -535,10 +500,13 @@ def _interpolated_resultant(
     table = _FillTable(system)
     step = 2 if even_in_lambda else 1
     nodes = list(range(bound // step + 1))
-    powers = [step * lam for lam in nodes]
+    # the rows of one polynomial share their absolute sums
+    radius = max(
+        (sum(abs(i0) + abs(i1) for i0, i1 in terms) for terms in table.poly_terms), default=0
+    )
     coeffs = _recombine(
         table, (_pencil_values, _gcp_values), nodes, tuple(lam**step for lam in nodes),
-        _coefficient_bounds(table, powers), cfg.prime_seed,
+        [radius**table.d] * len(nodes), cfg.prime_seed,
     )
     if even_in_lambda:
         coeffs = [c for h in coeffs for c in (h, 0)]

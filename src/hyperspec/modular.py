@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BadPrime, InputError, MathError
+from .errors import BadPrime, CapExceeded, InputError, MathError
 
 PRIME_LIMIT = 2**31
 
@@ -61,6 +61,8 @@ def is_prime(n: int) -> bool:
 
 _PRIMES: list[int] = []
 
+MAX_PRIMES = 100_000  # the list's length: about 3.1 million bits of bound
+
 
 def _extend_primes(count: int) -> None:
     candidate = _PRIMES[-1] - 2 if _PRIMES else PRIME_LIMIT - 1
@@ -74,6 +76,8 @@ def nth_prime(index: int) -> int:
     """index-th modulus (0-based) of the fixed descending list."""
     if index < 0:
         raise InputError("prime index must be non-negative")
+    if index >= MAX_PRIMES:
+        raise CapExceeded(f"prime index {index} is past the last of {MAX_PRIMES} primes")
     if index >= len(_PRIMES):
         _extend_primes(index + 1)
     return _PRIMES[index]
@@ -290,10 +294,12 @@ def crt_values(
     shortest prefix whose product exceeds twice its own bound.  Each call
     asks for just enough further primes if none is skipped, and for at
     most STACK_CAP // layer_size (at least one), layer_size being the
-    int64 entries one prime takes in the caller's largest stack; so the
-    primes used do not depend on the batches.  Returns None when the
-    first prime is skipped, so that the caller can take another route;
-    the caller must skip only finitely many later primes.
+    int64 entries one prime takes in the caller's largest stack.  A
+    caller that refuses a whole stack when its first prime fails drops
+    that stack's other primes too, so the primes used then depend on
+    STACK_CAP; the values do not.  Returns None when the first prime is
+    skipped, so that the caller can take another route; the caller must
+    skip only finitely many later primes.
     """
     batch = stack_layers(layer_size)
     primes: list[int] = []

@@ -7,23 +7,28 @@ from A x = lambda x on the unit sphere: for even order the sphere
 constraint folds into the system as a power of x.x; for odd order an
 auxiliary variable beta with the quadric x.x - beta**2 is appended.
 
-This module builds those systems, refuses them by cap, and checks or
-normalizes the polynomials that come back; macaulay turns every system
-into its exact value.  In the characteristic system the lambda part of
-the Macaulay matrix is exactly the identity, so the resultant is
-charpoly(B) / charpoly(B'), where B is the integer Macaulay matrix of
-x -> L A x (L clears the denominators) and B' its principal submatrix on
-the non-reduced monomials (macaulay._charpoly_quotient).
+This module builds those systems and checks or normalizes the
+polynomials that come back; macaulay turns every system into its exact
+value.  char_poly's degree and size caps are checked here, the
+E-characteristic polynomial's in macaulay._interpolated_resultant and
+det_tensor's size cap in macaulay.resultant_value.  In the characteristic
+system the lambda part of the Macaulay matrix is exactly the identity,
+so the resultant is charpoly(B) / charpoly(B'), where B is the integer
+Macaulay matrix of x -> L A x (L clears the denominators) and B' its
+principal submatrix on the non-reduced monomials
+(macaulay._charpoly_quotient).
 
 The E-characteristic polynomial has lambda-degree at most D,
 2 n (m-1)**(n-1) for odd order and n (m-1)**(n-1) for even order; even
 order interpolates it through the nodes lambda = 0..D
-(macaulay._interpolated_resultant).  For odd order, beta -> -beta turns the system at lambda into the system at
--lambda, and a linear change of variables multiplies the resultant by
-its determinant to the power prod d_i (Jouanolou, Adv. Math. 90, 1991),
-here (-1)**(2 (m-1)**n) = 1.  So the resultant is even in lambda, and
-the D/2 + 1 nodes lambda = 0..D/2 (13 for order 3, dimension 3)
-determine it as a polynomial in lambda**2.
+(macaulay._interpolated_resultant).  For odd order, beta -> -beta turns
+the system at lambda into the system at -lambda, and a linear change of
+variables multiplies the resultant by its determinant to the power
+prod d_i (Jouanolou, Adv. Math. 90, 1991), here (-1)**(2 (m-1)**n) = 1.
+So the resultant is even in lambda, and the D/2 + 1 nodes
+lambda = 0..D/2 (13 for order 3, dimension 3) determine it as a
+polynomial in lambda**2.  An uncovered pair of coordinates certifies an
+identically zero E-characteristic polynomial first (_uncovered_pair).
 
 The tensor determinant is the resultant of the numeric system x -> A x
 itself, one value at lambda = 0 (macaulay._eval_point); wherever its
@@ -142,18 +147,28 @@ def char_poly(a: Tensor, config: RunConfig = DEFAULT_CONFIG) -> UniPoly:
     return poly
 
 
+def _uncovered_pair(a: Tensor) -> bool:
+    """Whether some coordinates u < v carry no nonzero a[w, i_2, .., i_m]
+    with every i_j in {u, v}: then x = e_u + i e_v has x.x = 0 and
+    A x**(m-1) = 0, a common root (beta = 0 for odd order) of the
+    E-characteristic system at every lambda when m >= 3, so its resultant
+    is identically 0 (Qi, J. Math. Anal. Appl. 325, 2007).  For a
+    k-graph: k >= 4, or two vertices in no common edge."""
+    supports = {frozenset(idx[1:]) for idx, _ in a.nonzero_items()}
+    # an entry on {u} alone covers every pair holding u
+    singles = set().union(*(s for s in supports if len(s) == 1))
+    free = a.dim - len(singles)
+    pairs = sum(1 for s in supports if len(s) == 2 and not s & singles)
+    return pairs < free * (free - 1) // 2
+
+
 def e_char_poly(
     a: Tensor, config: RunConfig = DEFAULT_CONFIG, *, normalize: bool = True
 ) -> UniPoly:
     """E-characteristic polynomial; normalized content-free by default."""
     if a.order < 2:
         raise DimMismatch("E-characteristic polynomial needs order at least 2")
-    if a.order >= 3 and a.dim >= 2 and all(v == 0 for v in a.entries):
-        # shortcut: the component polynomials all carry the factor
-        # beta**(m-2) (odd order) or (x.x)**((m-2)/2) (even order), whose
-        # zero set meets the sphere quadric whenever dim >= 2, so the
-        # resultant vanishes at every lambda and the general path returns
-        # this same zero polynomial after evaluating every sample point
+    if a.order >= 3 and _uncovered_pair(a):
         return UniPoly.zero()
     # odd order: beta -> -beta maps the system at lambda to that at -lambda
     poly = _interpolated_resultant(

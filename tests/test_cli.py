@@ -757,6 +757,26 @@ def test_prime_seed_env_is_honored(tmp_path, capsys, monkeypatch):
     assert moved == base
 
 
+def test_prime_seed_past_the_prime_list_exits_3(tmp_path, capsys, monkeypatch):
+    from hyperspec.modular import MAX_PRIMES
+
+    monkeypatch.setenv("HYPERSPEC_PRIME_SEED", str(MAX_PRIMES))
+    code, out, err = _run(capsys, ["charpoly", _single_edge_file(tmp_path)])
+    assert (code, out) == (3, "")
+    assert err.startswith("CapExceeded: ") and err.count("\n") == 1
+
+
+def test_certified_e_char_beyond_the_degree_cap(tmp_path, capsys):
+    # vertices 4 and 5 share no edge, so the E-char is 0, answered though
+    # its resultant degree bound, 160, exceeds the default cap 128
+    g = Hypergraph.from_edges(5, 3, [(1, 2, 3)])
+    h = Hypergraph.from_edges(5, 3, [(1, 2, 4), (3, 4, 5)])
+    for argv in (["echarpoly"], ["echarpoly", "--raw"]):
+        code, out, err = _run(capsys, argv + [_write_graph(tmp_path, "g.hg", g)])
+        assert (code, out, err) == (0, '{\n  "coefficients": [],\n  "degree": -1\n}\n', "")
+    assert analysis.are_e_cospectral(g, h)
+
+
 def test_malformed_prime_seed_env_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("HYPERSPEC_PRIME_SEED", "abc")
     code, _, err = _run(capsys, ["charpoly", _single_edge_file(tmp_path)])

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +24,7 @@ from hyperspec.macaulay import _eval_point, _FillTable
 from hyperspec.polynomial import UniPoly
 from hyperspec.spectra import (
     _interpolated_resultant,
+    _uncovered_pair,
     char_poly,
     det_tensor,
     e_char_poly,
@@ -200,15 +202,59 @@ def test_single_edge_e_char_takes_two_prime_loops(monkeypatch):
 
 def _assert_within_coefficient_bounds(a, raw):
     # every coefficient of the row-scaled resultant is an integer within
-    # the bound it is recombined under
+    # the one bound all of them are recombined under: R**d, with R the
+    # largest row sum of |F0| + |F1|, summed here over the table's entries
     table = _FillTable(e_char_poly_system(a))
-    bound = _resultant_degree_bound(a.order, a.dim)
-    powers = range(0, bound + 1, 2) if a.order % 2 else range(bound + 1)
-    limits = macaulay._coefficient_bounds(table, list(powers))
+    sums = [0] * table.size
+    for r, i0, i1 in zip(table.row.tolist(), table.i0.tolist(), table.i1.tolist()):
+        sums[r] += abs(i0) + abs(i1)
     unscale = Fraction(table.scale_full, table.scale_minor)
-    for j, limit in zip(powers, limits):
+    for j in range(raw.degree + 1):
         c = raw.coefficient(j) * unscale
-        assert c.denominator == 1 and abs(c) <= limit, (a.order, a.dim, j)
+        assert c.denominator == 1 and abs(c) <= max(sums) ** table.d, (a.order, a.dim, j)
+
+
+def _benchmark_tensor(order):
+    # the fixed tensors of the echar benchmark: upper entries
+    # randint(-2, 2) in dimension 3, from the seed strings of
+    # perfbench/workloads.fixed_tensor
+    rng = random.Random(f"perfbench-pool/echar{order}/{order - 3}")
+    upper = {idx: rng.randint(-2, 2)
+             for idx in itertools.combinations_with_replacement(range(3), order)}
+    return symmetric_from_upper(order, 3, upper)
+
+
+def test_echar_benchmark_keeps_its_primes(monkeypatch):
+    # the primes each benchmark E-char recombines from: None marks a
+    # prime loop whose route was refused at its first prime
+    kept = []
+
+    def counting(residues_mod, bounds, seed, layer_size, inner=macaulay.crt_values):
+        solved = []
+
+        def recording(primes):
+            out = residues_mod(primes)
+            solved.extend(r is not None for r in out)
+            return out
+
+        values = inner(recording, bounds, seed, layer_size)
+        kept.append(None if values is None else sum(solved))
+        return values
+
+    monkeypatch.setattr(macaulay, "crt_values", counting)
+    third = Fraction(1, 3)
+    reflection = from_rows([[2 * third - (i == j) for j in range(3)] for i in range(3)])
+    signed = from_rows([[-1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    expected = {3: [[4], [9], [4]], 4: [[5], [10], [5]]}
+    for order, primes in expected.items():
+        a = _benchmark_tensor(order)
+        for p, want in zip((None, reflection, signed), primes):
+            kept.clear()
+            e_char_poly(a if p is None else mat_sim(p, a))
+            assert kept == want, (order, p)
+    kept.clear()
+    e_char_poly(_single_edge())
+    assert kept == [None, 3]
 
 
 def test_e_char_matches_the_fraction_interpolation_oracle():
@@ -304,6 +350,62 @@ def test_zero_map_shortcut_matches_the_general_path():
     for order, dim in ((3, 2), (3, 3), (4, 2), (5, 2)):
         lsys = e_char_poly_system(Tensor.zero(order, dim))
         assert _interpolated_resultant(lsys, DEFAULT_CONFIG).is_zero()
+
+
+def _uncovered_upper(order, dim, pair, seed):
+    # nonzero upper entries everywhere but on the index sets with at least
+    # order - 1 indices in pair: no a[w, i_2, .., i_m] has every i_j there
+    rng = random.Random(seed)
+    return symmetric_from_upper(order, dim, {
+        idx: rng.choice((-2, -1, 1, 2))
+        for idx in itertools.combinations_with_replacement(range(dim), order)
+        if sum(i in pair for i in idx) < order - 1
+    })
+
+
+def test_uncovered_pair_certifies_what_the_general_path_computes():
+    # the 4-vertex 3-graph classes with 0, 1 and 2 edges, both 4-uniform
+    # classes on 4 vertices, and order-3 tensors built with an uncovered
+    # pair: the general path, which the certificate skips, interpolates
+    # the same zero polynomial
+    graphs = [from_bitmask(4, 3, mask) for mask in (0, 1, 3)]
+    graphs += [from_bitmask(4, 4, mask) for mask in (0, 1)]
+    tensors = [adjacency_tensor(h) for h in graphs]
+    tensors += [_uncovered_upper(3, 3, pair, 60 + seed)
+                for seed, pair in enumerate(((0, 1), (1, 2), (0, 2)))]
+    for a in tensors:
+        assert _uncovered_pair(a)
+        assert e_char_poly(a).is_zero()
+        system = e_char_poly_system(a)
+        assert _interpolated_resultant(
+            system, DEFAULT_CONFIG, even_in_lambda=a.order % 2 == 1
+        ).is_zero()
+
+
+def test_covered_pairs_are_not_certified():
+    # the 3-vertex edge, K4(3), a dense tensor whose slice a[0, ., .] is
+    # zero, and an order-7 tensor on one coordinate cover every pair
+    rng = random.Random(61)
+    sliced = Tensor.from_map(3, 3, {
+        idx: rng.choice((-2, -1, 1, 2))
+        for idx in itertools.product(range(3), repeat=3) if idx[0] != 0
+    })
+    single = symmetric_from_upper(7, 2, {(0,) * 7: 1})
+    assert not _uncovered_pair(adjacency_tensor(from_bitmask(4, 3, 15)))
+    for a in (_single_edge(), sliced, single):
+        assert not _uncovered_pair(a)
+        assert not e_char_poly(a).is_zero()
+
+
+def test_certified_e_chars_return_at_once():
+    # one edge on 4 vertices for k = 3 and 4, and on 5 vertices for
+    # k = 3, whose resultant degree bound 160 exceeds the default cap 128:
+    # the certificate answers before any system is built or cap checked
+    for n, k in ((4, 3), (4, 4), (5, 3)):
+        a = adjacency_tensor(Hypergraph.from_edges(n, k, [tuple(range(1, k + 1))]))
+        start = time.perf_counter()
+        assert e_char_poly(a).is_zero() and e_char_poly(a, normalize=False).is_zero()
+        assert time.perf_counter() - start < 0.1, (n, k)
 
 
 def test_caps_are_enforced():
