@@ -47,6 +47,7 @@ from .hypergraph import (
     popcount_masks,
     simplex_masks,
     subset_order,
+    uncovered_pair,
     universe_slots,
     with_simplex_count,
 )
@@ -74,9 +75,9 @@ def are_e_cospectral(
 
 def check_degree(poly: Callable, config: RunConfig, *graphs: Hypergraph) -> None:
     """Refuse poly of hypergraphs sharing (n, k) from (n, k) alone, before
-    any n**k tensor is built.  The E-char of an edgeless hypergraph is 0
-    for k >= 3 (not for k = 2: that of "3 2" is lambda**3), so it is exempt."""
-    if poly is char_poly or graphs[0].k < 3 or any(g.edges for g in graphs):
+    any n**k tensor is built.  The E-chars are exempt when every graph has
+    an uncovered pair, which certifies each of them 0 at any size."""
+    if poly is char_poly or not all(map(uncovered_pair, graphs)):
         check_degree_cap(graphs[0].n, graphs[0].k, config.degree_cap)
 
 
@@ -86,7 +87,9 @@ def _same_poly(poly: Callable, g: Hypergraph, h: Hypergraph, config: RunConfig) 
             f"cospectrality needs matching (n, k); got ({g.n},{g.k}) vs ({h.n},{h.k})"
         )
     check_degree(poly, config, g, h)
-    return g == h or poly(adjacency_tensor(g), config) == poly(adjacency_tensor(h), config)
+    if g == h or poly is e_char_poly and uncovered_pair(g) and uncovered_pair(h):
+        return True
+    return poly(adjacency_tensor(g), config) == poly(adjacency_tensor(h), config)
 
 
 class PolyCache:

@@ -35,6 +35,7 @@ from .hypergraph import (
     mask_edges,
     parse_hypergraph,
     simplices,
+    uncovered_pair,
 )
 from .polynomial import UniPoly
 from .spectra import char_poly, e_char_poly
@@ -142,9 +143,9 @@ def _cmd_charpoly(args: argparse.Namespace, cfg: RunConfig) -> dict[str, Any]:
 def _cmd_echarpoly(args: argparse.Namespace, cfg: RunConfig) -> dict[str, Any]:
     h = _read_hypergraph(args.file)
     check_degree(e_char_poly, cfg, h)
-    poly = (  # an edgeless k >= 3 E-char is zero, as check_degree assumes
-        e_char_poly(adjacency_tensor(h), cfg, normalize=not args.raw)
-        if h.edges or h.k < 3 else UniPoly.zero()
+    poly = (  # certified 0, as check_degree assumes
+        UniPoly.zero() if uncovered_pair(h)
+        else e_char_poly(adjacency_tensor(h), cfg, normalize=not args.raw)
     )
     return _poly_payload(poly)
 

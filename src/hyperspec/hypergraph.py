@@ -143,6 +143,20 @@ def simplices(h: Hypergraph) -> Iterator[tuple[int, ...]]:
                 yield group
 
 
+def uncovered_pair(h: Hypergraph) -> bool:
+    """Whether two vertices lie in no common edge's slice of the adjacency
+    tensor, read off the edge list: for k >= 4 any two vertices (no entry
+    a[w, i_2, .., i_k] has its last k - 1 indices within a pair), for k = 3
+    two vertices in no common edge.  Then the E-characteristic polynomial
+    is identically 0 (spectra._uncovered_pair)."""
+    if h.k >= 4:
+        return h.n >= 2
+    if h.k < 3:
+        return False
+    covered = {pair for edge in h.edges for pair in itertools.combinations(edge, 2)}
+    return len(covered) < comb(h.n, 2)
+
+
 def neighbors_in(
     h: Hypergraph, core: Iterable[int], pool: Iterable[int]
 ) -> frozenset[int]:

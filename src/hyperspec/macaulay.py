@@ -10,17 +10,23 @@ x_i**d_i for two or more distinct i.
 
 Every resultant goes through one integer path and one system type,
 PolySystem, whose coefficients are linear in a parameter lambda.  Its
-M is tabulated once as a sparse pencil (_FillTable); every route asks it
-for one dense stack of M(lambda) modulo its primes and reads M' off it.
+M is tabulated once as a sparse pencil (_FillTable) and split into
+diagonal blocks: the strongly connected components of its pattern put
+M(lambda) in block upper triangular form at every lambda, and M' too,
+on each block's non-reduced part, so
+det M = prod_b det M_bb and charpoly M = prod_b charpoly M_bb, and
+likewise for M'.  A block that lies inside M' cancels and is dropped.
+No route forms M or M' whole: each stacks the blocks of one size
+modulo its primes, and multiplies their determinants or charpolys.
 A route gives the residues of the resultant at integer nodes modulo a
 stack of primes: from one pencil reduction at one shift per stack
 (_pencil_values), from det(M) / det(M') at one node (_det_values), or
-from the generalized charpoly below at every node, all (prime, node)
-layers in shared stacks (_gcp_values).  One loop, _recombine, tries a
-list of routes in order: it interpolates a route's node residues mod p
-and recombines the coefficients in one crt_values call, all of whose
-primes share one stacked pass (see modular).  A polynomial in lambda
-takes the pencil, else the generalized charpoly
+from the generalized charpoly below at every node, all (prime, node,
+block) layers in shared stacks (_gcp_values).  One loop, _recombine,
+tries a list of routes in order: it interpolates a route's node
+residues mod p and recombines the coefficients in one crt_values call,
+all of whose primes share one stacked pass (see modular).  A polynomial
+in lambda takes the pencil, else the generalized charpoly
 (_interpolated_resultant); one value takes the determinant ratio, else
 the generalized charpoly (_eval_point).  A numeric system is the
 lambda-free case, evaluated at lambda = 0.
@@ -29,7 +35,9 @@ Canny's generalized characteristic polynomial (J. Symbolic Comput. 9,
 1990) instead: the quotient charpoly(M) / charpoly(M') has a monic
 divisor, and its constant term is the resultant up to sign.  Every
 exact value is recombined by modular.crt_values under a Gershgorin
-bound: each root of that quotient is an eigenvalue of M.
+bound: each root of that quotient is an eigenvalue of M.  A dropped
+block that is singular can make a route or a shift succeed where the
+whole M' would have failed; the value is the same either way.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ from .errors import (
 )
 from .modular import (
     _det_mod, _inverses, _matvec_mod, _solve_mod, charpoly_mod, crt_values,
-    poly_divexact_mod, stack_layers,
+    poly_divexact_mod, poly_product_mod, stack_layers,
 )
 from .polynomial import MultiPoly, UniPoly
 
@@ -159,15 +167,125 @@ def check_dim_cap(nvars: int, degrees: Sequence[int], dim_cap: int) -> None:
         raise CapExceeded(f"matrix dimension {size} exceeds cap {dim_cap}")
 
 
+def _strong_components(size: int, row: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """The strongly connected component of each vertex of the graph on
+    range(size) with an arc r -> c for each pair (row[e], col[e]), by an
+    iterative Tarjan, numbered so that every arc stays in its component or
+    leads to a later one: a matrix with this pattern, permuted into this
+    order, is block upper triangular (Duff & Reid, ACM TOMS 4, 1978)."""
+    order = np.argsort(row, kind="stable")
+    heads = col[order].tolist()
+    starts = np.searchsorted(row[order], np.arange(size + 1)).tolist()
+    index, low, spot = [-1] * size, [0] * size, [0] * size
+    label = [-1] * size
+    stack: list[int] = []
+    counter = closed = 0
+    for root in range(size):
+        if index[root] >= 0:
+            continue
+        work = [(root, starts[root])]
+        index[root] = low[root] = counter
+        counter += 1
+        spot[root] = len(stack)
+        stack.append(root)
+        while work:
+            v, i = work[-1]
+            while i < starts[v + 1]:
+                w = heads[i]
+                i += 1
+                if index[w] < 0:  # descend into w, resuming v at arc i
+                    work[-1] = (v, i)
+                    index[w] = low[w] = counter
+                    counter += 1
+                    spot[w] = len(stack)
+                    stack.append(w)
+                    work.append((w, starts[w]))
+                    break
+                if label[w] < 0 and index[w] < low[v]:  # w still on the stack
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    for w in stack[spot[v] :]:
+                        label[w] = closed
+                    del stack[spot[v] :]
+                    closed += 1
+    # Tarjan closes a component after every component it reaches
+    return closed - 1 - np.array(label, dtype=np.intp)
+
+
+class _Blocks:
+    """Diagonal blocks of one size: block b holds the monomials index[b],
+    and entry src[b, e] of a table's arrays lands at flat position
+    pos[b, e] of it, or, where block b has fewer entries than the
+    widest, entry 0 lands at the spare position size**2."""
+
+    def __init__(self, size: int, index: np.ndarray, src: np.ndarray, pos: np.ndarray):
+        self.size, self.index, self.src, self.pos = size, index, src, pos
+
+
+def _group_blocks(label: np.ndarray, row: np.ndarray, col: np.ndarray) -> list[_Blocks]:
+    """The diagonal blocks of the pattern (row, col) on the index sets
+    with one label each, -1 for none, grouped by size."""
+    nodes = np.flatnonzero(label >= 0)
+    if not len(nodes):
+        return []
+    # number the blocks by size, then by label, as runs of one size
+    ids, sizes = np.unique(label[nodes], return_counts=True)
+    by_size = np.argsort(sizes, kind="stable")
+    renumber = np.empty(ids[-1] + 1, dtype=np.intp)
+    renumber[ids[by_size]] = np.arange(len(ids))
+    sizes = sizes[by_size]
+    block = np.full(len(label), -1, dtype=np.intp)
+    block[nodes] = renumber[label[nodes]]
+    members = nodes[np.argsort(block[nodes], kind="stable")]
+    starts = np.cumsum(sizes) - sizes
+    local = np.zeros(len(label), dtype=np.intp)
+    local[members] = np.arange(len(members)) - np.repeat(starts, sizes)
+    # the entries inside each block, block by block, and their rank in it
+    owner = block[row]
+    inside = np.flatnonzero((owner >= 0) & (owner == block[col]))
+    inside = inside[np.argsort(owner[inside], kind="stable")]
+    owner = owner[inside]
+    counts = np.bincount(owner, minlength=len(sizes))
+    first = np.cumsum(counts) - counts
+    rank = np.arange(len(inside)) - first[owner]
+    pos = local[row[inside]] * sizes[owner] + local[col[inside]]
+    groups = []
+    runs = (np.flatnonzero(np.diff(sizes)) + 1).tolist()
+    for lo, hi in zip([0, *runs], [*runs, len(sizes)]):
+        s = int(sizes[lo])
+        span = slice(first[lo], first[hi - 1] + counts[hi - 1])
+        src = np.zeros((hi - lo, counts[lo:hi].max()), dtype=np.intp)
+        at = np.full(src.shape, s * s, dtype=np.intp)
+        src[owner[span] - lo, rank[span]] = inside[span]
+        at[owner[span] - lo, rank[span]] = pos[span]
+        index = members[starts[lo] : starts[lo] + (hi - lo) * s].reshape(hi - lo, s)
+        groups.append(_Blocks(s, index, src, at))
+    return groups
+
+
 class _FillTable:
-    """The Macaulay matrix of one system as one sparse integer pencil.
+    """The Macaulay matrix of one system as one sparse integer pencil,
+    split into diagonal blocks.
 
     Rows are scaled by the denominator lcm of their polynomial once, so
     M(lambda) = F0 + lambda F1 has integer entries, each nonzero one held
-    once in the arrays row, col, i0 and i1; at scatters M(lambda) modulo
-    each prime straight from them, and slope F1.  The divisor M' is the
-    principal submatrix on the non-reduced monomials (minor); the
-    accumulated scales divide back out of the determinant quotient.
+    once in the arrays row, col, i0 and i1.  The divisor M' is the
+    principal submatrix on the non-reduced monomials; the accumulated
+    scales divide back out of the determinant quotient.
+
+    The strongly connected components of the pattern of F0 and F1 order
+    the monomials so that M(lambda) is block upper triangular at every
+    lambda, and so is M', on each block's non-reduced part.  Hence
+    det M = prod det M_bb and charpoly M = prod charpoly M_bb, and
+    likewise for M'.  A block inside the non-reduced monomials is a block
+    of M' too and cancels, so it is dropped; blocks holds the others, and
+    minors their non-empty non-reduced parts, grouped by size.  stacks
+    builds any blocks of a group modulo a prime each, straight from the
+    entry arrays.
     """
 
     def __init__(self, system: PolySystem):
@@ -212,30 +330,36 @@ class _FillTable:
         self.scale_minor = prod(
             poly_scale[structure.assignment[r]] for r in structure.nonreduced
         )
-        # int64 entries one prime takes in the largest stacks built at once:
-        # M(c) with F1, [A | F1], or a charpoly's table of polynomials
-        self.layer_size = 2 * (self.size + 1) ** 2
+        label = _strong_components(self.size, self.row, self.col)
+        divisor = np.zeros(self.size, dtype=bool)
+        divisor[self.nonreduced] = True
+        kept = np.bincount(label, weights=~divisor)[label] > 0
+        self.blocks = _group_blocks(np.where(kept, label, -1), self.row, self.col)
+        self.minors = _group_blocks(np.where(kept & divisor, label, -1), self.row, self.col)
+        # int64 entries one prime takes in the largest stacks built at once
+        # for the largest block: M(c) with F1, [A | F1], or a charpoly's
+        # table of polynomials
+        self.layer_size = 2 * (max((g.size for g in self.blocks), default=0) + 1) ** 2
 
-    def _dense(self, entries: np.ndarray) -> np.ndarray:
-        stack = np.zeros((len(entries), self.size, self.size), dtype=np.int64)
-        stack[:, self.row, self.col] = entries
-        return stack
+    def stacks(self, primes: np.ndarray, lams: np.ndarray, slope: bool = False) -> Callable:
+        """The stacks that _blockwise takes: the (len(blocks), size, size)
+        stack of M(lams[i]) on blocks[i] of a group modulo primes[i] for
+        each layer i, and of F1 too if slope."""
 
-    def at(self, primes: np.ndarray, lam: int | np.ndarray) -> np.ndarray:
-        """The (P, size, size) stack M(lam) modulo each prime; lam is one
-        integer or one per layer."""
-        moduli = primes[:, None]
-        slope = np.asarray(lam)[..., None] % moduli * (self.i1 % moduli)
-        return self._dense((self.i0 % moduli + slope) % moduli)
+        def build(group: _Blocks, layers: np.ndarray, blocks: np.ndarray) -> list[np.ndarray]:
+            moduli = primes[layers, None]
+            src = group.src[blocks]
+            f1 = self.i1[src] % moduli
+            at = (self.i0[src] % moduli + lams[layers, None] % moduli * f1) % moduli
+            rows, pos = np.arange(len(blocks))[:, None], group.pos[blocks]
+            out = []
+            for v in (at, f1) if slope else (at,):
+                flat = np.zeros((len(blocks), group.size**2 + 1), dtype=np.int64)
+                flat[rows, pos] = v  # padding lands in the spare last column
+                out.append(flat[:, :-1].reshape(-1, group.size, group.size))
+            return out
 
-    def slope(self, primes: np.ndarray) -> np.ndarray:
-        """The (P, size, size) stack F1 modulo each prime."""
-        return self._dense(self.i1 % primes[:, None])
-
-    def minor(self, stack: np.ndarray) -> np.ndarray:
-        """The divisor M' of each matrix in a stack of M: its principal
-        submatrix on the non-reduced monomials."""
-        return stack[..., self.nonreduced[:, None], self.nonreduced]
+        return build
 
     def radius(self, lam: int) -> int:
         """Largest absolute row sum of M(lam), a bound on its eigenvalues;
@@ -249,9 +373,69 @@ class _FillTable:
         return any(all(i0 + lam * i1 == 0 for i0, i1 in t) for t in self.poly_terms)
 
 
-def _quotient_mod(full: np.ndarray, minor: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """charpoly(full) / charpoly(minor) of each layer modulo its prime."""
-    return poly_divexact_mod(charpoly_mod(full, primes), charpoly_mod(minor, primes), primes)
+def _charpolys(a: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """charpoly_mod of a stack; a 1 x 1 layer's is read off: x - a."""
+    if a.shape[1] > 1:
+        return charpoly_mod(a, primes)
+    moduli = primes[:, None]
+    return np.concatenate([(moduli - a[:, 0]) % moduli, np.ones_like(a[:, 0])], axis=1)
+
+
+def _dets(a: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """_det_mod of a stack; a 1 x 1 layer is its own determinant."""
+    return a[:, 0, 0] if a.shape[1] == 1 else _det_mod(a, primes)
+
+
+def _solves(a: np.ndarray, b: np.ndarray, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_solve_mod of a stack; a 1 x 1 layer divides by its entry."""
+    if a.shape[1] > 1:
+        return _solve_mod(a, b, primes)
+    det = a[:, 0, 0]
+    return det, b * _inverses(det, primes)[:, None, None] % primes[:, None, None]
+
+
+def _blockwise(
+    groups: Sequence[_Blocks],
+    primes: np.ndarray,
+    stacks: Callable[[_Blocks, np.ndarray, np.ndarray], Sequence[np.ndarray]],
+    kernel: Callable,
+) -> list[tuple[np.ndarray, ...]]:
+    """kernel(*stacks(group, layers, blocks), primes[layers]) on every
+    (layer, block) pair of each group, the pairs of one group in stacks of
+    at most STACK_CAP int64 entries; per group, the kernel's outputs, each
+    shaped (layers, blocks, ...)."""
+    out = []
+    for group in groups:
+        count = len(group.src)
+        pairs = len(primes) * count
+        step = stack_layers(2 * (group.size + 1) ** 2)
+        parts = []
+        for start in range(0, pairs, step):
+            layers, blocks = np.divmod(np.arange(start, min(start + step, pairs)), count)
+            got = kernel(*stacks(group, layers, blocks), primes[layers])
+            parts.append(got if isinstance(got, tuple) else (got,))
+        out.append(tuple(
+            np.concatenate(r).reshape(len(primes), count, *r[0].shape[1:]) for r in zip(*parts)
+        ))
+    return out
+
+
+def _quotients(table: _FillTable, primes: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """charpoly(M) / charpoly(M') at each layer's lambda modulo its prime:
+    the products of the block charpolys of M and of M', divided once,
+    since one block's quotient need not be exact."""
+    stacks = table.stacks(primes, lams)
+    full, minor = (
+        poly_product_mod([cp for cp, in _blockwise(groups, primes, stacks, _charpolys)], primes)
+        for groups in (table.blocks, table.minors)
+    )
+    return poly_divexact_mod(full, minor, primes)
+
+
+def _det_product(blocks: list[tuple[np.ndarray, ...]], primes: np.ndarray) -> np.ndarray:
+    """The product of the block determinants, the first output of each
+    group, at each layer modulo its prime."""
+    return poly_product_mod([d[:, :, None] for d, *_ in blocks], primes)[:, 0]
 
 
 def _charpoly_quotient(table: _FillTable, prime_seed: int) -> list[int]:
@@ -266,8 +450,7 @@ def _charpoly_quotient(table: _FillTable, prime_seed: int) -> list[int]:
 
     def residues_mod(primes: list[int]) -> np.ndarray:
         pv = np.array(primes, dtype=np.int64)
-        full = table.at(pv, 0)
-        return _quotient_mod(full, table.minor(full), pv)
+        return _quotients(table, pv, np.zeros_like(pv))
 
     bounds = [comb(d, j) * radius ** (d - j) for j in range(d + 1)]
     return crt_values(residues_mod, bounds, prime_seed, table.layer_size)
@@ -311,12 +494,13 @@ def _det_values(
     first prime divides it, the whole stack is refused before det(M) is
     taken."""
     (lam,) = nodes
-    full = table.at(primes, lam)
-    det_minor = _det_mod(table.minor(full), primes)
+    stacks = table.stacks(primes, np.full(len(primes), lam, dtype=np.int64))
+    det_minor = _det_product(_blockwise(table.minors, primes, stacks, _dets), primes)
     if det_minor[0] == 0:
         refused = np.zeros(len(primes), dtype=bool)
         return np.zeros((len(primes), 1), dtype=np.int64), refused
-    ratio = _det_mod(full, primes) * _inverses(det_minor, primes) % primes
+    det_full = _det_product(_blockwise(table.blocks, primes, stacks, _dets), primes)
+    ratio = det_full * _inverses(det_minor, primes) % primes
     return ratio[:, None], det_minor != 0
 
 
@@ -391,7 +575,8 @@ def _gcp_values(
     characteristic polynomial (see _eval_point).
 
     Every (prime, node) layer is one charpoly quotient, and the layers of
-    all nodes share stacks of at most STACK_CAP int64 entries.  Returns
+    all nodes share stacks, in which each block of one size is a layer of
+    its own, of at most STACK_CAP int64 entries.  Returns
     the (P, nodes) residues, 0 where a polynomial vanishes identically,
     and the (P,) mask of primes not skipped, as _pencil_values does; the
     monic divisor never vanishes, so no prime is skipped.
@@ -405,8 +590,7 @@ def _gcp_values(
     for start in range(0, len(rows), step):
         part = slice(start, start + step)
         pv = primes[rows[part]]
-        full = table.at(pv, lams[part])
-        constant = _quotient_mod(full, table.minor(full), pv)[:, 0]
+        constant = _quotients(table, pv, lams[part])[:, 0]
         out[rows[part], cols[part]] = (-constant if table.d % 2 else constant) % pv
     return out, np.ones(len(primes), dtype=bool)
 
@@ -428,7 +612,10 @@ def _pencil_values(
     polynomials in lambda, so with q = charpoly(-N) / charpoly(-N'),
     monic of degree d = n - n',
     Res(lambda) = det A / det A' * sum_j q_j t**(d - j) mod p.  The whole
-    stack takes the first shift that works modulo its first prime.
+    stack takes the first shift that works modulo its first prime.  A and
+    F1 are block upper triangular in the same order, so the diagonal
+    blocks of N are N_bb = A_bb**-1 F1_bb, and the determinants and
+    charpolys are products over the blocks, as for M'.
 
     Returns the (P, nodes) residues and the (P,) mask of the primes where
     that shift works; the others must be skipped.  det M(c) and det M'(c)
@@ -439,22 +626,35 @@ def _pencil_values(
     identically in lambda, _recombine takes _gcp_values instead.
     """
     solved = np.zeros(len(primes), dtype=bool)
-    slope = table.slope(primes)
     for c in _SHIFTS:
+        stacks = table.stacks(primes, np.full(len(primes), c, dtype=np.int64), slope=True)
         # the divisor is smaller and is the one that fails, so try it first
-        full = table.at(primes, c)
-        det_minor, n_minor = _solve_mod(table.minor(full), table.minor(slope), primes)
+        minor = _blockwise(table.minors, primes, stacks, _solves)
+        det_minor = _det_product(minor, primes)
         if det_minor[0]:
-            det_full, n_full = _solve_mod(full, slope, primes)
+            full = _blockwise(table.blocks, primes, stacks, _solves)
+            det_full = _det_product(full, primes)
             if det_full[0]:
                 solved = (det_minor != 0) & (det_full != 0)
                 break
     if not solved[0]:
         return np.zeros((len(primes), len(nodes)), dtype=np.int64), solved
     # a skipped layer's quotient is x**n / x**n', so the division is exact
-    n_full[~solved] = n_minor[~solved] = 0
+    solutions = {}
+    for groups, solved_blocks in ((table.blocks, full), (table.minors, minor)):
+        for group, (_, n) in zip(groups, solved_blocks):
+            n[~solved] = 0
+            solutions[id(group)] = n
     moduli, cube = primes[:, None], primes[:, None, None]
-    q = _quotient_mod(-n_full % cube, -n_minor % cube, primes)
+
+    def negated(group, layers, blocks):
+        return (-solutions[id(group)][layers, blocks] % cube[layers],)
+
+    num, den = (
+        poly_product_mod([cp for cp, in _blockwise(groups, primes, negated, _charpolys)], primes)
+        for groups in (table.blocks, table.minors)
+    )
+    q = poly_divexact_mod(num, den, primes)
     t, acc = (np.array(nodes, dtype=np.int64) - c) % moduli, 0
     for j in range(q.shape[1]):  # q_0 multiplies t**d
         acc = (acc * t + q[:, j, None]) % moduli

@@ -18,6 +18,7 @@ entries, and a rigorous bound on each value's absolute size.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 from typing import Callable, Sequence
 
@@ -57,6 +58,13 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+@lru_cache(maxsize=1024)
+def _is_modulus(p: int) -> bool:
+    """Whether p is an odd prime below PRIME_LIMIT; kernels check every
+    modulus of every call, and the same few recur."""
+    return 3 <= p < PRIME_LIMIT and is_prime(p)
 
 
 _PRIMES: list[int] = []
@@ -214,6 +222,39 @@ def poly_divexact_mod(num: np.ndarray, den: np.ndarray, primes: np.ndarray) -> n
     return quot
 
 
+def _polymul_mod(a: np.ndarray, b: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """Products of two (layers, count, width) stacks of ascending
+    coefficient rows, each layer modulo its (layers, 1, 1) modulus."""
+    if a.shape[2] < b.shape[2]:
+        a, b = b, a
+    out = np.zeros(a.shape[:2] + (a.shape[2] + b.shape[2] - 1,), dtype=np.int64)
+    for j in range(b.shape[2]):
+        window = out[:, :, j : j + a.shape[2]]
+        window += a * b[:, :, j, None]
+        np.remainder(window, moduli, out=window)
+    return out
+
+
+def poly_product_mod(factors: Sequence[np.ndarray], primes: np.ndarray) -> np.ndarray:
+    """The (layers, width) product, each layer modulo its prime, of every
+    row of (layers, count, width) stacks of ascending coefficients; no
+    stacks give 1.  Each stack multiplies its halves at once, a tree of
+    log2(count) steps, and a stack of values is one of width 1."""
+    moduli = primes[:, None, None]
+    rest = []
+    for f in factors:
+        while f.shape[1] > 1:
+            half = f.shape[1] // 2
+            if f.shape[1] % 2:
+                rest.append(f[:, -1:])
+            f = _polymul_mod(f[:, :half], f[:, half : 2 * half], moduli)
+        rest.append(f)
+    acc = np.ones((len(primes), 1, 1), dtype=np.int64)
+    for f in sorted(rest, key=lambda f: f.shape[2]):
+        acc = _polymul_mod(acc, f, moduli)
+    return acc[:, 0]
+
+
 def charpoly_mod(a: np.ndarray, primes: np.ndarray) -> np.ndarray:
     """Ascending coefficients of det(x*I - A) of each layer mod its prime.
 
@@ -223,7 +264,7 @@ def charpoly_mod(a: np.ndarray, primes: np.ndarray) -> np.ndarray:
     - sum_{i<k} h_ik * h_{i+1,i} ... h_{k,k-1} * p_{i-1}, all i at once.
     """
     for p in set(primes.tolist()):
-        if p < 3 or p >= PRIME_LIMIT or not is_prime(p):
+        if not _is_modulus(p):
             raise BadPrime(f"modulus must be an odd prime below 2**31, got {p}")
     if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[0] != len(primes):
         raise InputError("matrix must be square, one layer per prime")

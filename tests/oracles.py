@@ -4,7 +4,9 @@ Everything here avoids the library's resultant machinery on purpose:
 cofactor expansion over the polynomial ring is slow but unarguable.
 Likewise the simplex listing walks vertex sets instead of the library's
 bitmask table, and interpolation runs Newton's divided differences in
-Fractions instead of the library's Lagrange basis modulo primes.
+Fractions instead of the library's Lagrange basis modulo primes.  The
+whole-matrix routes reduce a Macaulay table's M and M' modulo primes as
+whole dense matrices, without its split into diagonal blocks.
 """
 
 from __future__ import annotations
@@ -13,7 +15,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
+import numpy as np
+
 from hyperspec.errors import MathError
+from hyperspec.modular import _det_mod, _inverses, charpoly_mod, poly_divexact_mod
 from hyperspec.polynomial import UniPoly
 
 
@@ -109,3 +114,34 @@ def interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) -> UniP
         if poly.evaluate(x) != y:
             raise MathError("interpolation failed to reproduce its nodes")
     return poly
+
+
+def dense_stack(table, primes: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """The whole Macaulay matrices M(lams[i]) modulo primes[i], a
+    (P, N, N) stack scattered from a table's entry arrays."""
+    moduli = primes[:, None]
+    values = (table.i0 % moduli + lams[:, None] % moduli * (table.i1 % moduli)) % moduli
+    stack = np.zeros((len(primes), table.size, table.size), dtype=np.int64)
+    stack[:, table.row, table.col] = values
+    return stack
+
+
+def divisor_stack(table, stack: np.ndarray) -> np.ndarray:
+    """M' of each layer: its principal submatrix on the non-reduced monomials."""
+    return stack[:, table.nonreduced[:, None], table.nonreduced]
+
+
+def whole_quotient_mod(table, primes: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """charpoly(M) / charpoly(M') at each layer's lambda modulo its prime."""
+    full = dense_stack(table, primes, lams)
+    return poly_divexact_mod(
+        charpoly_mod(full, primes), charpoly_mod(divisor_stack(table, full), primes), primes
+    )
+
+
+def whole_det_ratio_mod(table, primes: np.ndarray, lam: int) -> tuple[np.ndarray, np.ndarray]:
+    """det(M) / det(M') at one lambda modulo each prime, and the mask of
+    the primes not dividing det(M')."""
+    full = dense_stack(table, primes, np.full(len(primes), lam, dtype=np.int64))
+    det_minor = _det_mod(divisor_stack(table, full), primes)
+    return _det_mod(full, primes) * _inverses(det_minor, primes) % primes, det_minor != 0

@@ -77,21 +77,25 @@ def test_empty_vs_single_edge():
 
 
 def test_cospectrality_refused_from_n_and_k(monkeypatch):
-    # the degree cap refuses before any n**k tensor is built; an edgeless
-    # hypergraph's E-char is 0 at any size, so it is still answered
+    # the degree cap refuses before any n**k tensor is built; an E-char
+    # with an uncovered pair, such as an edgeless one, is 0 at any size,
+    # so two of them are still answered, but not one beside K6^(3), which
+    # covers every pair
     def refuse(h):
         raise AssertionError("adjacency tensor built")
 
     big = Hypergraph.from_edges(1000, 3, [(1, 2, 3)])
     with monkeypatch.context() as patch:
         patch.setattr(hypergraph, "scaled_adjacency", refuse)
-        for compare in (are_cospectral, are_e_cospectral):
-            with pytest.raises(DegreeCapExceeded, match=r"1000\*2\*\*999 exceeds cap 128"):
-                compare(big, big)
-    empty = Hypergraph.empty(6, 3)  # characteristic degree 192
-    assert are_e_cospectral(empty, empty)
-    with pytest.raises(DegreeCapExceeded, match="characteristic degree 192 exceeds cap 128"):
-        are_cospectral(empty, empty)
+        with pytest.raises(DegreeCapExceeded, match=r"1000\*2\*\*999 exceeds cap 128"):
+            are_cospectral(big, big)
+        assert are_e_cospectral(big, big)
+        empty = Hypergraph.empty(6, 3)  # characteristic degree 192
+        assert are_e_cospectral(empty, empty)
+        complete = Hypergraph.complete(6, 3)
+        for compare, other in ((are_cospectral, empty), (are_e_cospectral, complete)):
+            with pytest.raises(DegreeCapExceeded, match="degree 192 exceeds cap 128"):
+                compare(empty, other)
 
 
 def test_edgeless_e_cospectrality_answered_from_n_and_k(monkeypatch):

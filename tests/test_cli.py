@@ -40,6 +40,9 @@ def _single_edge_file(tmp_path):
     )
 
 
+_ZERO = '{\n  "coefficients": [],\n  "degree": -1\n}\n'  # the zero polynomial's payload
+
+
 def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -650,14 +653,17 @@ def test_e_char_degree_cap_exits_3(tmp_path, capsys):
 def test_adjacency_too_large_for_numpy_exits_3(tmp_path, capsys, command):
     # a well-formed file whose 10**24-entry adjacency tensor numpy would
     # refuse to allocate; its degree 10**8 * 2**(10**8 - 1) is refused
-    # first, from (n, k), without forming the power
+    # first, from (n, k), without forming the power.  Its E-char is
+    # certified 0 (vertices 4 and 5 share no edge), so echarpoly takes the
+    # 10**16-entry 2-graph, which has no certificate, and its degree 10**8
     path = tmp_path / "huge.hg"
-    path.write_text("100000000 3\n1 2 3\n")
+    path.write_text("100000000 2\n1 2\n" if command == "echarpoly" else "100000000 3\n1 2 3\n")
     argv = [command, str(path)] + ([str(path)] if command == "cospectral" else [])
     code, out, err = _run(capsys, argv)
     assert (code, out) == (3, "")
     assert err.startswith("DegreeCapExceeded") and "Traceback" not in err
-    assert "characteristic degree 100000000*2**99999999 exceeds cap 128" in err
+    degree = "100000000" if command == "echarpoly" else "100000000*2**99999999"
+    assert f"characteristic degree {degree} exceeds cap 128" in err
 
 
 def test_spectra_refused_from_n_and_k_before_the_tensor(tmp_path, capsys, monkeypatch):
@@ -669,11 +675,12 @@ def test_spectra_refused_from_n_and_k_before_the_tensor(tmp_path, capsys, monkey
     path = tmp_path / "big.hg"
     path.write_text("1000 3\n1 2 3\n")
     p = str(path)
-    for argv in (["charpoly", p], ["echarpoly", p], ["cospectral", p, p],
-                 ["cospectral", "--e-char", p, p]):
+    for argv in (["charpoly", p], ["cospectral", p, p], ["cospectral", "--e-char", p, p]):
         code, out, err = _run(capsys, argv)
         assert (code, out) == (3, ""), argv
         assert err.startswith("DegreeCapExceeded") and "Traceback" not in err, argv
+    # vertices 4 and 5 share no edge, so the E-char is certified 0
+    assert _run(capsys, ["echarpoly", p]) == (0, _ZERO, "")
 
 
 def test_edgeless_echarpoly_answered_from_n_and_k(tmp_path, capsys, monkeypatch):
@@ -775,6 +782,28 @@ def test_certified_e_char_beyond_the_degree_cap(tmp_path, capsys):
         code, out, err = _run(capsys, argv + [_write_graph(tmp_path, "g.hg", g)])
         assert (code, out, err) == (0, '{\n  "coefficients": [],\n  "degree": -1\n}\n', "")
     assert analysis.are_e_cospectral(g, h)
+
+
+def test_certified_e_char_beyond_the_characteristic_degree_cap(tmp_path, capsys, monkeypatch):
+    # "5 4" (characteristic degree 405) has every pair uncovered, and in
+    # "6 3" (degree 192) vertices 4 and 5 share no edge: echarpoly answers
+    # 0 from the edge list, without the n**k tensor, while charpoly and
+    # cospectral still refuse by the degree cap
+    def refuse(h):
+        raise AssertionError("adjacency tensor built")
+
+    monkeypatch.setattr(hypergraph, "scaled_adjacency", refuse)
+    for text, degree in (("5 4\n1 2 3 4\n", "405"), ("6 3\n1 2 3\n", "192"),
+                         ("100000000 3\n1 2 3\n", "100000000*2**99999999")):
+        path = tmp_path / "g.hg"
+        path.write_text(text)
+        p = str(path)
+        for argv in (["echarpoly", p], ["echarpoly", "--raw", p]):
+            assert _run(capsys, argv) == (0, _ZERO, ""), (text, argv)
+        for argv in (["charpoly", p], ["cospectral", p, p], ["cospectral", "--e-char", p, p]):
+            assert _run(capsys, argv) == (
+                3, "", f"DegreeCapExceeded: characteristic degree {degree} exceeds cap 128\n"
+            ), (text, argv)
 
 
 def test_malformed_prime_seed_env_exits_2(tmp_path, capsys, monkeypatch):

@@ -36,8 +36,10 @@ from hyperspec.macaulay import (
     resultant_value,
 )
 from hyperspec.polynomial import MultiPoly, UniPoly
-from hyperspec.spectra import e_char_poly_system
+from hyperspec.spectra import e_char_poly_system, tensor_polynomial_map
 from hyperspec.tensor import Tensor, symmetric_from_upper
+
+import oracles
 
 DATA = Path(__file__).parent / "data"
 
@@ -282,8 +284,10 @@ def test_divisor_is_the_principal_submatrix_on_the_nonreduced_monomials():
     # of a degree-D monomial mu holds (mu / x_i**d_i) * f_i, i the least
     # index with x_i**d_i dividing mu, scaled by the lcm of f_i's
     # denominators; M' keeps the rows and columns of the monomials divisible
-    # by x_i**d_i for at least two i.  The table's stacks must match both,
-    # in F0, in F1 and in F0 + lambda F1, modulo each prime
+    # by x_i**d_i for at least two i.  The whole matrices scattered from the
+    # table's entry arrays must match both, and so must the table's block
+    # stacks: those of M(lambda) and F1 on each block of M, and on each
+    # block's non-reduced part for M', modulo each prime
     rng = random.Random(4421)
     primes = np.array([nth_prime(i) for i in range(3)], dtype=np.int64)
     shapes = [(1, 1), (2, 2, 2), (2, 2, 2, 2), (2, 2, 2, 2, 2), (3, 3, 3), (1, 2, 3)]
@@ -311,16 +315,140 @@ def test_divisor_is_the_principal_submatrix_on_the_nonreduced_monomials():
             if sum(m[i] >= d for i, d in enumerate(degrees)) >= 2
         ]
         assert table.d == len(monos) - len(divisor), degrees
-        full = np.stack([table.at(primes, 0), table.slope(primes)])
-        minor = table.minor(full)
-        assert minor.shape == (2, len(primes), len(divisor), len(divisor)), degrees
-        lams = [-3, 5, 2**40]  # one lambda per layer
-        pencil = table.at(primes, np.array(lams, dtype=np.int64))
-        for layer, (p, lam) in enumerate(zip(primes.tolist(), lams)):
-            want = expected % p
-            assert (full[:, layer] == want).all(), (degrees, p)
-            assert (minor[:, layer] == want[:, divisor][:, :, divisor]).all(), (degrees, p)
-            assert (pencil[layer] == (expected[0] + lam * expected[1]) % p).all(), (degrees, p)
+        assert table.nonreduced.tolist() == divisor, degrees
+        for lams in ([0, 0, 0], [-3, 5, 2**40]):  # one lambda per layer
+            lv = np.array(lams, dtype=np.int64)
+            whole = oracles.dense_stack(table, primes, lv)
+            for layer, (p, lam) in enumerate(zip(primes.tolist(), lams)):
+                want = (expected[0] + lam * expected[1]) % p
+                assert (whole[layer] == want).all(), (degrees, p)
+                for groups, part in ((table.blocks, None), (table.minors, divisor)):
+                    for group in groups:
+                        blocks = np.arange(len(group.index))
+                        at, slope = table.stacks(primes, lv, slope=True)(
+                            group, np.full(len(blocks), layer), blocks
+                        )
+                        for b, block in enumerate(group.index.tolist()):
+                            assert part is None or set(block) <= set(part), degrees
+                            cells = np.ix_(block, block)
+                            assert (at[b] == want[cells]).all(), (degrees, p)
+                            assert (slope[b] == expected[1][cells] % p).all(), (degrees, p)
+
+
+def _tables():
+    # Macaulay tables of hypergraph characteristic and E-characteristic
+    # systems, of dense tensors, and of random pencils with denominators
+    k4 = list(itertools.combinations(range(1, 5), 3))
+    rng = random.Random(5167)
+    for n, edges in ((4, [(1, 2, 3)]), (4, k4), (5, [(1, 2, 3), (3, 4, 5)])):
+        a = adjacency_tensor(Hypergraph.from_edges(n, 3, edges))
+        yield PolySystem(n, tensor_polynomial_map(a), (2,) * n)
+        yield e_char_poly_system(a)
+    for order, dim in ((3, 3), (4, 2)):
+        a = _seeded_tensor(rng, order, dim, rational=True, sparse=True)
+        yield PolySystem(dim, tensor_polynomial_map(a), (order - 1,) * dim)
+        yield e_char_poly_system(a)
+    for degrees in ((2, 2, 2), (1, 2, 3)):
+        n = len(degrees)
+        parts = [tuple(_random_form(rng, n, d, 2) for d in degrees) for _ in range(2)]
+        yield PolySystem(n, parts[0], degrees, parts[1])
+
+
+def test_blocks_partition_the_monomials_in_block_triangular_order():
+    # the strongly connected components of the pattern partition the
+    # monomials, and in their order both F0 and F1 are block upper
+    # triangular; the table keeps the blocks not inside the non-reduced
+    # monomials, grouped by size, and pairs each with its non-reduced part
+    for system in _tables():
+        table = _FillTable(system)
+        label = macaulay._strong_components(table.size, table.row, table.col)
+        assert set(label.tolist()) == set(range(label.max() + 1))
+        for part in (table.i0, table.i1):
+            nonzero = np.flatnonzero(part != 0)
+            assert (label[table.row[nonzero]] <= label[table.col[nonzero]]).all()
+        components = [np.flatnonzero(label == b).tolist() for b in range(label.max() + 1)]
+        divisor = set(table.nonreduced.tolist())
+        kept = [b for b in components if not set(b) <= divisor]
+        grouped = [b for g in table.blocks for b in g.index.tolist()]
+        assert sorted(grouped) == sorted(kept)
+        assert all(len(g.index[0]) == g.size for g in table.blocks + table.minors)
+        minors = [b for g in table.minors for b in g.index.tolist()]
+        assert sorted(minors) == sorted(
+            [r for r in b if r in divisor] for b in kept if set(b) & divisor
+        )
+        largest = max(map(len, kept))
+        assert table.layer_size == 2 * (largest + 1) ** 2
+
+
+def _first_primes():
+    return np.array([nth_prime(0), nth_prime(1)], dtype=np.int64)
+
+
+def _assert_det_routes_agree(table, lam, quotient, where):
+    # the determinant route's residues are those of the resultant, the
+    # whole quotient's constant term up to sign.  A block inside the
+    # non-reduced monomials cancels, singular or not, so the block route
+    # takes every prime the whole ratio takes, and perhaps more; it refuses
+    # the whole stack when its first prime divides the kept blocks' det M'
+    primes = _first_primes()
+    got, solved = _det_values(table, [lam], primes)
+    want, nonzero = oracles.whole_det_ratio_mod(table, primes, lam)
+    sign = -1 if table.d % 2 else 1
+    value = sign * quotient[:, 0] % primes
+    if solved[0]:
+        assert (solved | ~nonzero).all(), where
+    else:
+        assert not solved.any() and not nonzero[0], where
+    assert (got[solved, 0] == value[solved]).all(), where
+    assert (want[nonzero] == value[nonzero]).all(), where
+    return solved.all(), nonzero.all()
+
+
+def test_block_routes_match_the_whole_matrix_oracles():
+    # at the first two primes, the block products give the residues of
+    # the whole-matrix charpoly quotient, determinant ratio and pencil:
+    # every 3-graph and 2-graph class on 5 vertices and K4^(3) plus two
+    # isolated vertices (char systems), three seeded order-3, dimension-4
+    # integer tensors (char and E-char systems) and the pencil of an
+    # order-3, dimension-3 tensor
+    from hyperspec.hypergraph import enumerate_all
+
+    primes, zero = _first_primes(), np.zeros(2, dtype=np.int64)
+    routes = []  # (block ratio solved, whole ratio solved) at each point
+    k4 = list(itertools.combinations(range(1, 5), 3))
+    graphs = [*enumerate_all(5, 3, up_to_iso=True), *enumerate_all(5, 2, up_to_iso=True),
+              Hypergraph.from_edges(6, 3, k4)]
+    for h in graphs:
+        table = _FillTable(PolySystem(h.n, tensor_polynomial_map(adjacency_tensor(h)),
+                                      (h.k - 1,) * h.n))
+        want = oracles.whole_quotient_mod(table, primes, zero)
+        assert (macaulay._quotients(table, primes, zero) == want).all(), h
+        routes.append(_assert_det_routes_agree(table, 0, want, h))
+    rng = random.Random(6203)
+    for _ in range(3):
+        a = _seeded_tensor(rng, 3, 4, rational=False, sparse=True)
+        char = _FillTable(PolySystem(4, tensor_polynomial_map(a), (2,) * 4))
+        want = oracles.whole_quotient_mod(char, primes, zero)
+        assert (macaulay._quotients(char, primes, zero) == want).all()
+        routes.append(_assert_det_routes_agree(char, 0, want, a))
+        e_char = _FillTable(e_char_poly_system(a))
+        for lam in (0, 7):
+            lams = np.full(2, lam, dtype=np.int64)
+            want = oracles.whole_quotient_mod(e_char, primes, lams)
+            assert (macaulay._quotients(e_char, primes, lams) == want).all()
+            routes.append(_assert_det_routes_agree(e_char, lam, want, a))
+    # both ratios solve some points, and cancelled singular blocks let the
+    # block ratio solve some that the whole ratio refuses
+    assert {(True, True), (True, False)} <= set(routes)
+    a = _seeded_tensor(rng, 3, 3, rational=True, sparse=False)
+    table = _FillTable(e_char_poly_system(a))
+    nodes = _e_char_nodes(3, 3)
+    values, solved = _pencil_values(table, nodes, primes)
+    assert solved.all()
+    sign = -1 if table.d % 2 else 1
+    for i, lam in enumerate(nodes):
+        quotient = oracles.whole_quotient_mod(table, primes, np.full(2, lam, dtype=np.int64))
+        assert (values[:, i] == sign * quotient[:, 0] % primes).all(), lam
 
 
 def _sympy_resultant(system):
@@ -588,41 +716,53 @@ def test_pencil_reports_the_fallback_for_hypergraphs():
 
 
 def test_stack_cap_runs_one_prime_per_call(monkeypatch):
-    # every kernel call gets a stack of layers no larger than the cap; with
-    # the cap below two layers of a Macaulay matrix of size 56, each call
-    # gets one layer, and no value changes.  The charpoly quotient, the
-    # determinant ratio, the pencil (E-char of order 3, dimension 3) and
-    # the batched generalized charpoly (E-char of the single edge, whose
-    # layers are pairs of a prime and a node) all work on size 56 here
+    # every kernel call gets a stack of layers no larger than the cap, a
+    # layer being one block at one prime (and node); with the cap below two
+    # layers of a table's largest block, each call on that block gets one
+    # layer, and no value changes.  The charpoly quotient, the determinant
+    # ratio, the pencil (E-char of order 3, dimension 3) and the batched
+    # generalized charpoly (E-char of the single edge, whose layers are a
+    # prime, a node and a block) all work on Macaulay matrices of size 56
     from hyperspec import modular
     from hyperspec.spectra import char_poly, det_tensor, e_char_poly
 
     rng = random.Random(8161)
     cube = _seeded_tensor(rng, 3, 4, rational=False, sparse=False)
     square = _seeded_tensor(rng, 3, 3, rational=True, sparse=False)
+    edge = adjacency_tensor(Hypergraph.from_edges(3, 3, [(1, 2, 3)]))
     assert macaulay_dim(4, (2, 2, 2, 2)) == 56
-    stacks = []  # (kernel, layers, int64 entries handed in)
+    stacks = []  # (kernel, layers, block size, int64 entries handed in)
     for name in ("_det_mod", "_solve_mod", "charpoly_mod"):
         inner = getattr(macaulay, name)
 
         def recording(*args, name=name, inner=inner):
-            stacks.append((name, len(args[-1]), sum(a.size for a in args[:-1])))
+            sizes = (args[0].shape[1], sum(a.size for a in args[:-1]))
+            stacks.append((name, len(args[-1]), *sizes))
             return inner(*args)
 
         monkeypatch.setattr(macaulay, name, recording)
 
-    edge = adjacency_tensor(Hypergraph.from_edges(3, 3, [(1, 2, 3)]))
-
-    def run():
+    runs = [  # (value, its table's largest block)
+        (lambda: char_poly(cube), PolySystem(4, tensor_polynomial_map(cube), (2,) * 4)),
+        (lambda: det_tensor(cube), PolySystem(4, tensor_polynomial_map(cube), (2,) * 4)),
+        (lambda: e_char_poly(square, normalize=False), e_char_poly_system(square)),
+        (lambda: e_char_poly(edge, normalize=False), e_char_poly_system(edge)),
+    ]
+    kernels, default = set(), modular.STACK_CAP
+    for run, system in runs:
+        largest = max(g.size for g in _FillTable(system).blocks)
         stacks.clear()
-        return (char_poly(cube), det_tensor(cube), e_char_poly(square, normalize=False),
-                e_char_poly(edge, normalize=False))
-
-    values = run()
-    assert {name for name, _, _ in stacks} == {"_det_mod", "_solve_mod", "charpoly_mod"}
-    # the single edge's batch: 13 nodes at each of several primes
-    assert max(layers for _, layers, _ in stacks) > 13
-    assert max(entries for _, _, entries in stacks) <= modular.STACK_CAP
-    monkeypatch.setattr(modular, "STACK_CAP", 2 * 56 * 56 - 1)
-    assert run() == values
-    assert {layers for _, layers, _ in stacks} == {1}
+        value = run()
+        kernels |= {name for name, *_ in stacks}
+        assert max(entries for *_, entries in stacks) <= modular.STACK_CAP
+        if run is runs[-1][0]:
+            # the single edge's batch: 13 nodes at each of several primes
+            assert max(layers for _, layers, size, _ in stacks if size == largest) > 13
+        cap = 2 * 2 * (largest + 1) ** 2 - 1
+        monkeypatch.setattr(modular, "STACK_CAP", cap)
+        stacks.clear()
+        assert run() == value
+        assert max(entries for *_, entries in stacks) <= cap
+        assert {layers for _, layers, size, _ in stacks if size == largest} == {1}
+        monkeypatch.setattr(modular, "STACK_CAP", default)
+    assert kernels == {"_det_mod", "_solve_mod", "charpoly_mod"}

@@ -21,6 +21,7 @@ from hyperspec.modular import (
     is_prime,
     nth_prime,
     poly_divexact_mod,
+    poly_product_mod,
     symmetric_residue,
 )
 from hyperspec.polynomial import UniPoly
@@ -281,6 +282,30 @@ def test_poly_divexact_mod_recovers_factor():
         poly_divexact_mod(rows(c + (i == 0) for i, c in enumerate(product)), divisor, primes)
     with pytest.raises(InputError):
         poly_divexact_mod(rows(product), rows([1, 2]), primes)
+
+
+def test_poly_product_mod_matches_exact_products():
+    # stacks of 1 to 9 random polynomials of widths 1 to 6, near-full-size
+    # residues, against the product over the integers reduced afterwards;
+    # no stacks give 1
+    rng = random.Random(2311)
+    primes = np.array([nth_prime(0), nth_prime(7)], dtype=np.int64)
+    for _ in range(20):
+        shapes = [(rng.randint(1, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, 4))]
+        factors = [
+            np.array([[[rng.randrange(p - 50, p) for _ in range(width)] for _ in range(count)]
+                      for p in primes.tolist()], dtype=np.int64)
+            for count, width in shapes
+        ]
+        for layer, p in enumerate(primes.tolist()):
+            exact = UniPoly((Fraction(1),))
+            for stack in factors:
+                for row in stack[layer].tolist():
+                    exact = exact * UniPoly(tuple(Fraction(c) for c in row))
+            got = poly_product_mod(factors, primes)[layer].tolist()
+            want = [int(c) % p for c in exact.coeffs]
+            assert got == want + [0] * (len(got) - len(want)), shapes
+    assert poly_product_mod([], primes).tolist() == [[1], [1]]
 
 
 def test_pivot_rows_differ_between_layers():

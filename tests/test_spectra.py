@@ -397,6 +397,20 @@ def test_covered_pairs_are_not_certified():
         assert not e_char_poly(a).is_zero()
 
 
+def test_edge_list_certificate_matches_the_tensor_certificate():
+    # hypergraph.uncovered_pair reads the certificate off the edge list;
+    # it must agree with the tensor's on every class up to 5 vertices
+    from hyperspec.hypergraph import enumerate_all, uncovered_pair
+
+    seen = set()
+    for n, k in ((3, 2), (5, 2), (3, 3), (4, 3), (5, 3), (4, 4), (5, 4), (5, 5)):
+        for h in enumerate_all(n, k, up_to_iso=True):
+            certified = uncovered_pair(h)
+            assert certified == (k >= 3 and _uncovered_pair(adjacency_tensor(h))), h
+            seen.add((k, certified))
+    assert seen == {(2, False), (3, False), (3, True), (4, True), (5, True)}
+
+
 def test_certified_e_chars_return_at_once():
     # one edge on 4 vertices for k = 3 and 4, and on 5 vertices for
     # k = 3, whose resultant degree bound 160 exceeds the default cap 128:
@@ -406,6 +420,23 @@ def test_certified_e_chars_return_at_once():
         start = time.perf_counter()
         assert e_char_poly(a).is_zero() and e_char_poly(a, normalize=False).is_zero()
         assert time.perf_counter() - start < 0.1, (n, k)
+
+
+def test_char_of_k4_plus_three_isolated_vertices():
+    # n = 7, degree 448, Macaulay size 3,003: the disjoint union with three
+    # isolated vertices has char poly phi(K4^(3))**8 * lambda**192 (Cooper &
+    # Dutle, Linear Algebra Appl. 436, 2012); the block split answers it in
+    # under a second, with the caps raised for this call
+    k4 = list(itertools.combinations(range(1, 5), 3))
+    phi = char_poly(adjacency_tensor(Hypergraph.from_edges(4, 3, k4)))
+    big = char_poly(
+        adjacency_tensor(Hypergraph.from_edges(7, 3, k4)),
+        replace(DEFAULT_CONFIG, degree_cap=448, dim_cap=3003),
+    )
+    expected = UniPoly.monomial(192)
+    for _ in range(8):
+        expected = expected * phi
+    assert big == expected
 
 
 def test_caps_are_enforced():
