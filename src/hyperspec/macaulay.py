@@ -489,10 +489,10 @@ def _eval_point(table: _FillTable, lam: int, prime_seed: int) -> Fraction:
 def _det_values(
     table: _FillTable, nodes: Sequence[int], primes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """det(M) / det(M') residues at one integer node, and the (P,) mask of
-    the primes not dividing det(M'), the others to be skipped.  When the
-    first prime divides it, the whole stack is refused before det(M) is
-    taken."""
+    """det(M) / det(M') residues at one integer node, both products over
+    the kept blocks, and the (P,) mask of the primes not dividing det(M'),
+    the others to be skipped.  When the first prime divides it, the whole
+    stack is refused before det(M) is taken."""
     (lam,) = nodes
     stacks = table.stacks(primes, np.full(len(primes), lam, dtype=np.int64))
     det_minor = _det_product(_blockwise(table.minors, primes, stacks, _dets), primes)
@@ -574,12 +574,12 @@ def _gcp_values(
     """Resultant residues at integer nodes from the generalized
     characteristic polynomial (see _eval_point).
 
-    Every (prime, node) layer is one charpoly quotient, and the layers of
-    all nodes share stacks, in which each block of one size is a layer of
-    its own, of at most STACK_CAP int64 entries.  Returns
-    the (P, nodes) residues, 0 where a polynomial vanishes identically,
-    and the (P,) mask of primes not skipped, as _pencil_values does; the
-    monic divisor never vanishes, so no prime is skipped.
+    Every (prime, node) layer is one charpoly quotient, and the blocks of
+    one size of all layers share stacks of at most STACK_CAP int64
+    entries.  Returns the (P, nodes) residues, 0 where a polynomial
+    vanishes identically, and the (P,) mask of primes not skipped, as
+    _pencil_values does; the monic divisor never vanishes, so no prime is
+    skipped.
     """
     live = [i for i, lam in enumerate(nodes) if not table.vanishing_poly(lam)]
     rows = np.repeat(np.arange(len(primes)), len(live))
