@@ -167,19 +167,20 @@ def check_dim_cap(nvars: int, degrees: Sequence[int], dim_cap: int) -> None:
         raise CapExceeded(f"matrix dimension {size} exceeds cap {dim_cap}")
 
 
-def _strong_components(size: int, row: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """The strongly connected component of each vertex of the graph on
-    range(size) with an arc r -> c for each pair (row[e], col[e]), by an
-    iterative Tarjan, numbered so that every arc stays in its component or
-    leads to a later one: a matrix with this pattern, permuted into this
-    order, is block upper triangular (Duff & Reid, ACM TOMS 4, 1978)."""
+def _strong_components(size: int, row: np.ndarray, col: np.ndarray) -> list[list[int]]:
+    """The strongly connected components of the graph on range(size) with
+    an arc r -> c for each pair (row[e], col[e]), by an iterative Tarjan,
+    in an order where every arc stays in its component or leads to a
+    later one: a matrix with this pattern, permuted into this order, is
+    block upper triangular (Duff & Reid, ACM TOMS 4, 1978)."""
     order = np.argsort(row, kind="stable")
     heads = col[order].tolist()
     starts = np.searchsorted(row[order], np.arange(size + 1)).tolist()
     index, low, spot = [-1] * size, [0] * size, [0] * size
-    label = [-1] * size
+    closed = [False] * size
     stack: list[int] = []
-    counter = closed = 0
+    components: list[list[int]] = []
+    counter = 0
     for root in range(size):
         if index[root] >= 0:
             continue
@@ -201,69 +202,56 @@ def _strong_components(size: int, row: np.ndarray, col: np.ndarray) -> np.ndarra
                     stack.append(w)
                     work.append((w, starts[w]))
                     break
-                if label[w] < 0 and index[w] < low[v]:  # w still on the stack
+                if not closed[w] and index[w] < low[v]:  # w is on the stack
                     low[v] = index[w]
             else:
                 work.pop()
                 if work and low[v] < low[work[-1][0]]:
                     low[work[-1][0]] = low[v]
                 if low[v] == index[v]:
-                    for w in stack[spot[v] :]:
-                        label[w] = closed
+                    components.append(stack[spot[v] :])
+                    for w in components[-1]:
+                        closed[w] = True
                     del stack[spot[v] :]
-                    closed += 1
     # Tarjan closes a component after every component it reaches
-    return closed - 1 - np.array(label, dtype=np.intp)
+    return components[::-1]
 
 
 class _Blocks:
     """Diagonal blocks of one size: block b holds the monomials index[b],
-    and entry src[b, e] of a table's arrays lands at flat position
-    pos[b, e] of it, or, where block b has fewer entries than the
-    widest, entry 0 lands at the spare position size**2."""
+    and its cell (i, j) entry slot[b, i, j] of a table's arrays, whose
+    final 0 fills the empty cells."""
 
-    def __init__(self, size: int, index: np.ndarray, src: np.ndarray, pos: np.ndarray):
-        self.size, self.index, self.src, self.pos = size, index, src, pos
+    def __init__(self, index: np.ndarray, slot: np.ndarray):
+        self.index, self.slot, self.size = index, slot, index.shape[1]
 
 
-def _group_blocks(label: np.ndarray, row: np.ndarray, col: np.ndarray) -> list[_Blocks]:
-    """The diagonal blocks of the pattern (row, col) on the index sets
-    with one label each, -1 for none, grouped by size."""
-    nodes = np.flatnonzero(label >= 0)
-    if not len(nodes):
+def _group_blocks(
+    blocks: list[list[int]], row: np.ndarray, col: np.ndarray, size: int
+) -> list[_Blocks]:
+    """The diagonal blocks, grouped by size, that disjoint index lists cut
+    from the pattern (row, col) of a size x size matrix."""
+    if not blocks:
         return []
-    # number the blocks by size, then by label, as runs of one size
-    ids, sizes = np.unique(label[nodes], return_counts=True)
-    by_size = np.argsort(sizes, kind="stable")
-    renumber = np.empty(ids[-1] + 1, dtype=np.intp)
-    renumber[ids[by_size]] = np.arange(len(ids))
-    sizes = sizes[by_size]
-    block = np.full(len(label), -1, dtype=np.intp)
-    block[nodes] = renumber[label[nodes]]
-    members = nodes[np.argsort(block[nodes], kind="stable")]
-    starts = np.cumsum(sizes) - sizes
-    local = np.zeros(len(label), dtype=np.intp)
-    local[members] = np.arange(len(members)) - np.repeat(starts, sizes)
-    # the entries inside each block, block by block, and their rank in it
-    owner = block[row]
-    inside = np.flatnonzero((owner >= 0) & (owner == block[col]))
-    inside = inside[np.argsort(owner[inside], kind="stable")]
+    blocks = sorted(blocks, key=len)
+    where, local = [-1] * size, [0] * size
+    for b, nodes in enumerate(blocks):
+        for i, v in enumerate(nodes):
+            where[v], local[v] = b, i
+    where, local = np.array(where), np.array(local)
+    sizes = np.array([len(b) for b in blocks])
+    offset = np.cumsum(sizes**2) - sizes**2
+    owner = where[row]
+    inside = np.flatnonzero((owner >= 0) & (owner == where[col]))
     owner = owner[inside]
-    counts = np.bincount(owner, minlength=len(sizes))
-    first = np.cumsum(counts) - counts
-    rank = np.arange(len(inside)) - first[owner]
-    pos = local[row[inside]] * sizes[owner] + local[col[inside]]
-    groups = []
-    runs = (np.flatnonzero(np.diff(sizes)) + 1).tolist()
-    for lo, hi in zip([0, *runs], [*runs, len(sizes)]):
-        s = int(sizes[lo])
-        span = slice(first[lo], first[hi - 1] + counts[hi - 1])
-        src = np.zeros((hi - lo, counts[lo:hi].max()), dtype=np.intp)
-        at = np.full(src.shape, s * s, dtype=np.intp)
-        src[owner[span] - lo, rank[span]] = inside[span]
-        at[owner[span] - lo, rank[span]] = pos[span]
-        index = members[starts[lo] : starts[lo] + (hi - lo) * s].reshape(hi - lo, s)
-        groups.append(_Blocks(s, index, src, at))
+    slot = np.full(offset[-1] + sizes[-1] ** 2, len(row))
+    slot[offset[owner] + local[row[inside]] * sizes[owner] + local[col[inside]]] = inside
+    groups, first = [], 0
+    for s, run in itertools.groupby(sizes.tolist()):
+        count = len(list(run))
+        cells = slot[offset[first] : offset[first] + count * s * s]
+        groups.append(_Blocks(np.array(blocks[first : first + count]), cells.reshape(-1, s, s)))
+        first += count
     return groups
 
 
@@ -273,8 +261,9 @@ class _FillTable:
 
     Rows are scaled by the denominator lcm of their polynomial once, so
     M(lambda) = F0 + lambda F1 has integer entries, each nonzero one held
-    once in the arrays row, col, i0 and i1.  The divisor M' is the
-    principal submatrix on the non-reduced monomials; the accumulated
+    once in the arrays row, col, i0 and i1; i0 and i1 end with one more
+    entry, 0, which every empty cell of a block takes.  The divisor M' is
+    the principal submatrix on the non-reduced monomials; the accumulated
     scales divide back out of the determinant quotient.
 
     The strongly connected components of the pattern of F0 and F1 order
@@ -284,7 +273,7 @@ class _FillTable:
     likewise for M'.  A block inside the non-reduced monomials is a block
     of M' too and cancels, so it is dropped; blocks holds the others, and
     minors their non-empty non-reduced parts, grouped by size.  stacks
-    builds any blocks of a group modulo a prime each, straight from the
+    gathers any blocks of a group modulo a prime each straight from the
     entry arrays.
     """
 
@@ -324,22 +313,26 @@ class _FillTable:
         self.col = np.array(cols, dtype=np.intp)
         big = any(abs(v) >= 1 << 62 for terms in poly_terms for pair in terms for v in pair)
         dtype = object if big else np.int64
-        i0, i1 = zip(*entries) if entries else ((), ())
+        i0, i1 = zip(*entries, (0, 0))
         self.i0, self.i1 = np.array(i0, dtype=dtype), np.array(i1, dtype=dtype)
         self.scale_full = prod(poly_scale[i] for i in structure.assignment)
         self.scale_minor = prod(
             poly_scale[structure.assignment[r]] for r in structure.nonreduced
         )
-        label = _strong_components(self.size, self.row, self.col)
-        divisor = np.zeros(self.size, dtype=bool)
-        divisor[self.nonreduced] = True
-        kept = np.bincount(label, weights=~divisor)[label] > 0
-        self.blocks = _group_blocks(np.where(kept, label, -1), self.row, self.col)
-        self.minors = _group_blocks(np.where(kept & divisor, label, -1), self.row, self.col)
+        divisor = [False] * self.size
+        for r in structure.nonreduced:
+            divisor[r] = True
+        kept = [
+            b for b in _strong_components(self.size, self.row, self.col)
+            if not all(divisor[r] for r in b)
+        ]
+        self.blocks = _group_blocks(kept, self.row, self.col, self.size)
+        minors = [m for b in kept if (m := [r for r in b if divisor[r]])]
+        self.minors = _group_blocks(minors, self.row, self.col, self.size)
         # int64 entries one prime takes in the largest stacks built at once
         # for the largest block: M(c) with F1, [A | F1], or a charpoly's
         # table of polynomials
-        self.layer_size = 2 * (max((g.size for g in self.blocks), default=0) + 1) ** 2
+        self.layer_size = 2 * (max(map(len, kept), default=0) + 1) ** 2
 
     def stacks(self, primes: np.ndarray, lams: np.ndarray, slope: bool = False) -> Callable:
         """The stacks that _blockwise takes: the (len(blocks), size, size)
@@ -347,17 +340,11 @@ class _FillTable:
         each layer i, and of F1 too if slope."""
 
         def build(group: _Blocks, layers: np.ndarray, blocks: np.ndarray) -> list[np.ndarray]:
-            moduli = primes[layers, None]
-            src = group.src[blocks]
-            f1 = self.i1[src] % moduli
-            at = (self.i0[src] % moduli + lams[layers, None] % moduli * f1) % moduli
-            rows, pos = np.arange(len(blocks))[:, None], group.pos[blocks]
-            out = []
-            for v in (at, f1) if slope else (at,):
-                flat = np.zeros((len(blocks), group.size**2 + 1), dtype=np.int64)
-                flat[rows, pos] = v  # padding lands in the spare last column
-                out.append(flat[:, :-1].reshape(-1, group.size, group.size))
-            return out
+            moduli = primes[layers, None, None]
+            slot = group.slot[blocks]
+            f1 = self.i1[slot] % moduli
+            at = (self.i0[slot] % moduli + lams[layers, None, None] % moduli * f1) % moduli
+            return [np.asarray(v, dtype=np.int64) for v in ((at, f1) if slope else (at,))]
 
         return build
 
@@ -406,7 +393,7 @@ def _blockwise(
     shaped (layers, blocks, ...)."""
     out = []
     for group in groups:
-        count = len(group.src)
+        count = len(group.index)
         pairs = len(primes) * count
         step = stack_layers(2 * (group.size + 1) ** 2)
         parts = []
@@ -415,7 +402,8 @@ def _blockwise(
             got = kernel(*stacks(group, layers, blocks), primes[layers])
             parts.append(got if isinstance(got, tuple) else (got,))
         out.append(tuple(
-            np.concatenate(r).reshape(len(primes), count, *r[0].shape[1:]) for r in zip(*parts)
+            (np.concatenate(r) if len(r) > 1 else r[0]).reshape(len(primes), count, *r[0].shape[1:])
+            for r in zip(*parts)
         ))
     return out
 

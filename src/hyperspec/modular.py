@@ -209,6 +209,8 @@ def poly_divexact_mod(num: np.ndarray, den: np.ndarray, primes: np.ndarray) -> n
     width = den.shape[1]
     if width == 0 or (den[:, -1] != 1).any():
         raise InputError("divisor must be monic")
+    if width == 1:  # den = 1
+        return num.copy()
     moduli = primes[:, None]
     rem = num.copy()
     quot = np.zeros((len(primes), max(num.shape[1] - width + 1, 0)), dtype=np.int64)
@@ -249,8 +251,9 @@ def poly_product_mod(factors: Sequence[np.ndarray], primes: np.ndarray) -> np.nd
                 rest.append(f[:, -1:])
             f = _polymul_mod(f[:, :half], f[:, half : 2 * half], moduli)
         rest.append(f)
-    acc = np.ones((len(primes), 1, 1), dtype=np.int64)
-    for f in sorted(rest, key=lambda f: f.shape[2]):
+    rest.sort(key=lambda f: f.shape[2])
+    acc = rest[0] if rest else np.ones((len(primes), 1, 1), dtype=np.int64)
+    for f in rest[1:]:
         acc = _polymul_mod(acc, f, moduli)
     return acc[:, 0]
 

@@ -120,7 +120,8 @@ def dense_stack(table, primes: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """The whole Macaulay matrices M(lams[i]) modulo primes[i], a
     (P, N, N) stack scattered from a table's entry arrays."""
     moduli = primes[:, None]
-    values = (table.i0 % moduli + lams[:, None] % moduli * (table.i1 % moduli)) % moduli
+    i0, i1 = table.i0[: len(table.row)], table.i1[: len(table.row)]  # without the final 0
+    values = (i0 % moduli + lams[:, None] % moduli * (i1 % moduli)) % moduli
     stack = np.zeros((len(primes), table.size, table.size), dtype=np.int64)
     stack[:, table.row, table.col] = values
     return stack

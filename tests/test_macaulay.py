@@ -361,18 +361,22 @@ def test_blocks_partition_the_monomials_in_block_triangular_order():
     # monomials, grouped by size, and pairs each with its non-reduced part
     for system in _tables():
         table = _FillTable(system)
-        label = macaulay._strong_components(table.size, table.row, table.col)
-        assert set(label.tolist()) == set(range(label.max() + 1))
+        components = macaulay._strong_components(table.size, table.row, table.col)
+        label = np.full(table.size, -1)
+        for b, block in enumerate(components):
+            assert (label[block] == -1).all()
+            label[block] = b
+        assert (label >= 0).all()
         for part in (table.i0, table.i1):
             nonzero = np.flatnonzero(part != 0)
             assert (label[table.row[nonzero]] <= label[table.col[nonzero]]).all()
-        components = [np.flatnonzero(label == b).tolist() for b in range(label.max() + 1)]
+        components = [sorted(b) for b in components]
         divisor = set(table.nonreduced.tolist())
         kept = [b for b in components if not set(b) <= divisor]
-        grouped = [b for g in table.blocks for b in g.index.tolist()]
+        grouped = [sorted(b) for g in table.blocks for b in g.index.tolist()]
         assert sorted(grouped) == sorted(kept)
         assert all(len(g.index[0]) == g.size for g in table.blocks + table.minors)
-        minors = [b for g in table.minors for b in g.index.tolist()]
+        minors = [sorted(b) for g in table.minors for b in g.index.tolist()]
         assert sorted(minors) == sorted(
             [r for r in b if r in divisor] for b in kept if set(b) & divisor
         )
