@@ -144,11 +144,11 @@ def simplices(h: Hypergraph) -> Iterator[tuple[int, ...]]:
 
 
 def uncovered_pair(h: Hypergraph) -> bool:
-    """Whether two vertices lie in no common edge's slice of the adjacency
-    tensor, read off the edge list: for k >= 4 any two vertices (no entry
-    a[w, i_2, .., i_k] has its last k - 1 indices within a pair), for k = 3
-    two vertices in no common edge.  Then the E-characteristic polynomial
-    is identically 0 (spectra._uncovered_pair)."""
+    """Whether the adjacency tensor has an uncovered pair, read off the
+    edge list, so that its E-characteristic polynomial is identically 0
+    (spectra._uncovered_pair): for k >= 4 every pair, since the last
+    k - 1 indices of a nonzero entry are k - 1 >= 3 distinct vertices, and
+    for k = 3 two vertices in no common edge."""
     if h.k >= 4:
         return h.n >= 2
     if h.k < 3:
