@@ -33,13 +33,12 @@ import os
 import time
 from dataclasses import dataclass
 from math import comb, inf
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import BadSize, CapExceeded, DimMismatch, DivisionByZero, InputError
 from .hypergraph import (
     Hypergraph,
-    adjacency_tensor,
     edge_bitmask,
     from_bitmask,
     mask_orbit,
@@ -47,12 +46,11 @@ from .hypergraph import (
     popcount_masks,
     simplex_masks,
     subset_order,
-    uncovered_pair,
     universe_slots,
     with_simplex_count,
 )
 from .polynomial import UniPoly
-from .spectra import char_poly, check_degree_cap, e_char_poly
+from .spectra import admit, char_poly, e_char_poly
 
 
 # estimated subset-times-simplex steps simplex_destruction_min will take
@@ -63,33 +61,24 @@ def are_cospectral(
     g: Hypergraph, h: Hypergraph, config: RunConfig = DEFAULT_CONFIG
 ) -> bool:
     """Exact equality of the characteristic polynomials; same (n, k) only."""
-    return _same_poly(char_poly, g, h, config)
+    return _same_poly(g, h, config, e_char=False)
 
 
 def are_e_cospectral(
     g: Hypergraph, h: Hypergraph, config: RunConfig = DEFAULT_CONFIG
 ) -> bool:
     """Equality of the normalized E-characteristic polynomials."""
-    return _same_poly(e_char_poly, g, h, config)
+    return _same_poly(g, h, config, e_char=True)
 
 
-def check_degree(poly: Callable, config: RunConfig, *graphs: Hypergraph) -> None:
-    """Refuse poly of hypergraphs sharing (n, k) from (n, k) alone, before
-    any n**k tensor is built.  The E-chars are exempt when every graph has
-    an uncovered pair, which certifies each of them 0 at any size."""
-    if poly is char_poly or not all(map(uncovered_pair, graphs)):
-        check_degree_cap(graphs[0].n, graphs[0].k, config.degree_cap)
-
-
-def _same_poly(poly: Callable, g: Hypergraph, h: Hypergraph, config: RunConfig) -> bool:
+def _same_poly(g: Hypergraph, h: Hypergraph, config: RunConfig, *, e_char: bool) -> bool:
     if g.n != h.n or g.k != h.k:
         raise DimMismatch(
             f"cospectrality needs matching (n, k); got ({g.n},{g.k}) vs ({h.n},{h.k})"
         )
-    check_degree(poly, config, g, h)
-    if g == h or poly is e_char_poly and uncovered_pair(g) and uncovered_pair(h):
-        return True
-    return poly(adjacency_tensor(g), config) == poly(adjacency_tensor(h), config)
+    admit(g, config, e_char=e_char)  # refuses past the cap even when g == h
+    poly = e_char_poly if e_char else char_poly
+    return g == h or poly(g, config) == poly(h, config)
 
 
 class PolyCache:
@@ -125,7 +114,7 @@ class PolyCache:
         hit = self._polys.get(key)
         if hit is not None:
             return hit
-        poly = char_poly(adjacency_tensor(from_bitmask(*key)), config)
+        poly = char_poly(from_bitmask(*key), config)
         self._polys[key] = poly
         self.computed += 1
         return poly

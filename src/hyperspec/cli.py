@@ -21,7 +21,6 @@ from typing import Any
 from .analysis import (
     are_cospectral,
     are_e_cospectral,
-    check_degree,
     cospectral_invariant_scan,
     ds_verify,
     simplex_destruction_min,
@@ -30,19 +29,17 @@ from .config import RunConfig, config_from_env
 from .errors import CapExceeded, HyperspecError, InputError, MathError
 from .hypergraph import (
     Hypergraph,
-    adjacency_tensor,
     format_hypergraph,
     mask_edges,
     parse_hypergraph,
     simplices,
-    uncovered_pair,
 )
 from .polynomial import UniPoly
 from .spectra import char_poly, e_char_poly
 from .switching import (
     SwitchingPartition,
+    _toggle,
     example_pair,
-    switch,
     validate,
     verify_similarity,
 )
@@ -134,20 +131,12 @@ def _parse_vertex_list(raw: str) -> tuple[int, ...]:
 
 
 def _cmd_charpoly(args: argparse.Namespace, cfg: RunConfig) -> dict[str, Any]:
-    h = _read_hypergraph(args.file)
-    check_degree(char_poly, cfg, h)
-    poly = char_poly(adjacency_tensor(h), cfg)
-    return _poly_payload(poly)
+    return _poly_payload(char_poly(_read_hypergraph(args.file), cfg))
 
 
 def _cmd_echarpoly(args: argparse.Namespace, cfg: RunConfig) -> dict[str, Any]:
     h = _read_hypergraph(args.file)
-    check_degree(e_char_poly, cfg, h)
-    poly = (  # certified 0, as check_degree assumes
-        UniPoly.zero() if uncovered_pair(h)
-        else e_char_poly(adjacency_tensor(h), cfg, normalize=not args.raw)
-    )
-    return _poly_payload(poly)
+    return _poly_payload(e_char_poly(h, cfg, normalize=not args.raw))
 
 
 def _cmd_cospectral(args: argparse.Namespace, cfg: RunConfig) -> dict[str, Any]:
@@ -169,7 +158,7 @@ def _cmd_verify_switch(args: argparse.Namespace, cfg: RunConfig) -> dict[str, An
     h = _read_hypergraph(args.file)
     p = SwitchingPartition.from_v1(h.n, _parse_vertex_list(args.v1))
     report = validate(h, p)
-    g = switch(h, p)
+    g = _toggle(h, p, report)
     similarity = verify_similarity(h, g, p)
     payload: dict[str, Any] = {
         "verdict": similarity.ok,

@@ -143,20 +143,6 @@ def simplices(h: Hypergraph) -> Iterator[tuple[int, ...]]:
                 yield group
 
 
-def uncovered_pair(h: Hypergraph) -> bool:
-    """Whether the adjacency tensor has an uncovered pair, read off the
-    edge list, so that its E-characteristic polynomial is identically 0
-    (spectra._uncovered_pair): for k >= 4 every pair, since the last
-    k - 1 indices of a nonzero entry are k - 1 >= 3 distinct vertices, and
-    for k = 3 two vertices in no common edge."""
-    if h.k >= 4:
-        return h.n >= 2
-    if h.k < 3:
-        return False
-    covered = {pair for edge in h.edges for pair in itertools.combinations(edge, 2)}
-    return len(covered) < comb(h.n, 2)
-
-
 def neighbors_in(
     h: Hypergraph, core: Iterable[int], pool: Iterable[int]
 ) -> frozenset[int]:

@@ -9,9 +9,11 @@ auxiliary variable beta with the quadric x.x - beta**2 is appended.
 
 This module builds those systems and checks or normalizes the
 polynomials that come back; macaulay turns every system into its exact
-value.  char_poly's degree and size caps are checked here, the
-E-characteristic polynomial's in macaulay._interpolated_resultant and
-det_tensor's size cap in macaulay.resultant_value.  In the characteristic
+value.  char_poly and e_char_poly also take a hypergraph, which admit
+refuses past the characteristic degree cap, or certifies its
+E-characteristic polynomial 0, before adjacency_tensor is called.  A
+tensor's caps are checked in char_poly, macaulay._interpolated_resultant
+and macaulay.resultant_value (det_tensor).  In the characteristic
 system the lambda part of the Macaulay matrix is exactly the identity,
 so the resultant is charpoly(B) / charpoly(B'), where B is the integer
 Macaulay matrix of x -> L A x (L clears the denominators) and B' its
@@ -43,6 +45,7 @@ from math import lcm
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DegreeCapExceeded, DimMismatch, MathError
+from .hypergraph import Hypergraph, adjacency_tensor
 from .macaulay import (
     PolySystem,
     _charpoly_quotient,
@@ -125,8 +128,22 @@ def check_degree_cap(dim: int, order: int, cap: int) -> int:
     raise DegreeCapExceeded(f"characteristic degree {degree} exceeds cap {cap}")
 
 
-def char_poly(a: Tensor, config: RunConfig = DEFAULT_CONFIG) -> UniPoly:
-    """Monic characteristic polynomial of degree dim * (order-1)**(dim-1)."""
+def admit(h: Hypergraph, config: RunConfig, *, e_char: bool) -> bool:
+    """Whether h's E-characteristic polynomial (e_char) is certified 0 by
+    an uncovered pair; otherwise h is refused past the characteristic
+    degree cap, from (n, k), before any n**k tensor is built."""
+    if e_char and h.k >= 3 and _uncovered_pair(h):
+        return True
+    check_degree_cap(h.n, h.k, config.degree_cap)
+    return False
+
+
+def char_poly(a: Tensor | Hypergraph, config: RunConfig = DEFAULT_CONFIG) -> UniPoly:
+    """Monic characteristic polynomial of degree dim * (order-1)**(dim-1);
+    a hypergraph's is its adjacency tensor's, once admitted."""
+    if isinstance(a, Hypergraph):
+        admit(a, config, e_char=False)
+        a = adjacency_tensor(a)
     if a.order < 2:
         raise DimMismatch("characteristic polynomial needs order at least 2")
     expected = check_degree_cap(a.dim, a.order, config.degree_cap)
@@ -147,25 +164,35 @@ def char_poly(a: Tensor, config: RunConfig = DEFAULT_CONFIG) -> UniPoly:
     return poly
 
 
-def _uncovered_pair(a: Tensor) -> bool:
+def _uncovered_pair(a: Tensor | Hypergraph) -> bool:
     """Whether some coordinates u < v carry no nonzero a[w, i_2, .., i_m]
     with every i_j in {u, v}: then x = e_u + i e_v has x.x = 0 and
     A x**(m-1) = 0, a common root (beta = 0 for odd order) of the
     E-characteristic system at every lambda when m >= 3, so its resultant
-    is identically 0 (Qi, J. Math. Anal. Appl. 325, 2007).  For a
-    k-graph: k >= 4, or two vertices in no common edge."""
-    supports = {frozenset(idx[1:]) for idx, _ in a.nonzero_items()}
+    is identically 0 (Qi, J. Math. Anal. Appl. 325, 2007).  A hypergraph's
+    adjacency tensor has the supports e - {w} of its edges e and w in e:
+    for k >= 4 every pair is uncovered, for k = 3 two vertices in no
+    common edge."""
+    if isinstance(a, Hypergraph):
+        dim, supports = a.n, {frozenset(e).difference((w,)) for e in a.edges for w in e}
+    else:
+        dim, supports = a.dim, {frozenset(idx[1:]) for idx, _ in a.nonzero_items()}
     # an entry on {u} alone covers every pair holding u
     singles = set().union(*(s for s in supports if len(s) == 1))
-    free = a.dim - len(singles)
+    free = dim - len(singles)
     pairs = sum(1 for s in supports if len(s) == 2 and not s & singles)
     return pairs < free * (free - 1) // 2
 
 
 def e_char_poly(
-    a: Tensor, config: RunConfig = DEFAULT_CONFIG, *, normalize: bool = True
+    a: Tensor | Hypergraph, config: RunConfig = DEFAULT_CONFIG, *, normalize: bool = True
 ) -> UniPoly:
-    """E-characteristic polynomial; normalized content-free by default."""
+    """E-characteristic polynomial, normalized content-free by default; a
+    hypergraph's is its adjacency tensor's, once admitted."""
+    if isinstance(a, Hypergraph):
+        if admit(a, config, e_char=True):
+            return UniPoly.zero()
+        a = adjacency_tensor(a)
     if a.order < 2:
         raise DimMismatch("E-characteristic polynomial needs order at least 2")
     if a.order >= 3 and _uncovered_pair(a):

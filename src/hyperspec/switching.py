@@ -115,7 +115,11 @@ def validate(h: Hypergraph, p: SwitchingPartition) -> SwitchReport:
 
 def switch(h: Hypergraph, p: SwitchingPartition) -> Hypergraph:
     """Apply the switching move; validates first, and is an involution."""
-    report = validate(h, p)
+    return _toggle(h, p, validate(h, p))
+
+
+def _toggle(h: Hypergraph, p: SwitchingPartition, report: SwitchReport) -> Hypergraph:
+    """The switched hypergraph, from the report of validate(h, p)."""
     # distinct (core, v) pairs give distinct edges, so none toggles twice
     toggled = {tuple(sorted(core + (v,))) for core in report.switched_sets for v in p.v1}
     return Hypergraph(h.n, h.k, h.edges ^ toggled)

@@ -172,6 +172,25 @@ def test_example_pair_and_verify_switch(tmp_path, capsys):
     assert payload["matches_expected"] is True
 
 
+def test_verify_switch_validates_once(tmp_path, capsys, monkeypatch):
+    # one validation serves both the report and the switched hypergraph
+    from hyperspec import switching
+
+    calls = []
+    validate = switching.validate
+
+    def counted(h, p):
+        calls.append(p)
+        return validate(h, p)
+
+    for module in (switching, cli):
+        monkeypatch.setattr(module, "validate", counted)
+    _run(capsys, ["example-pair", "--n", "4", "--dir", str(tmp_path)])
+    code, out, _ = _run(capsys, ["verify-switch", str(tmp_path / "H.hg"), "--v1", "1,2,3,4"])
+    assert code == 0 and json.loads(out)["verdict"] is True
+    assert len(calls) == 1
+
+
 def test_example_pair_custom_family(tmp_path, capsys):
     code, _, _ = _run(
         capsys,

@@ -398,17 +398,37 @@ def test_covered_pairs_are_not_certified():
 
 
 def test_edge_list_certificate_matches_the_tensor_certificate():
-    # hypergraph.uncovered_pair reads the certificate off the edge list;
-    # it must agree with the tensor's on every class up to 5 vertices
-    from hyperspec.hypergraph import enumerate_all, uncovered_pair
+    # _uncovered_pair reads the certificate off a hypergraph's edge list;
+    # it must agree with its tensor's on every class up to 5 vertices
+    from hyperspec.hypergraph import enumerate_all
 
     seen = set()
     for n, k in ((3, 2), (5, 2), (3, 3), (4, 3), (5, 3), (4, 4), (5, 4), (5, 5)):
         for h in enumerate_all(n, k, up_to_iso=True):
-            certified = uncovered_pair(h)
+            certified = k >= 3 and _uncovered_pair(h)
             assert certified == (k >= 3 and _uncovered_pair(adjacency_tensor(h))), h
             seen.add((k, certified))
     assert seen == {(2, False), (3, False), (3, True), (4, True), (5, True)}
+
+
+def test_front_doors_take_a_hypergraph(monkeypatch):
+    # a hypergraph's polynomial is its adjacency tensor's; past the cap it
+    # is refused, or its E-char certified 0, before the tensor is built
+    from hyperspec import hypergraph
+    from hyperspec.hypergraph import enumerate_all
+
+    for n, k in ((4, 3), (5, 2)):
+        for h in enumerate_all(n, k, up_to_iso=True):
+            assert char_poly(h) == char_poly(adjacency_tensor(h)), h
+
+    def refuse(h):
+        raise AssertionError("adjacency tensor built")
+
+    monkeypatch.setattr(hypergraph, "scaled_adjacency", refuse)
+    big = Hypergraph.from_edges(1000, 3, [(1, 2, 3)])
+    with pytest.raises(DegreeCapExceeded, match=r"1000\*2\*\*999 exceeds cap 128"):
+        char_poly(big)
+    assert e_char_poly(big).is_zero()
 
 
 def test_certified_e_chars_return_at_once():

@@ -20,10 +20,11 @@ from hyperspec.hypergraph import (
     Hypergraph,
     adjacency_tensor,
     count_simplices,
+    enumerate_all,
     is_isomorphic,
     neighbors_in,
 )
-from hyperspec.spectra import char_poly
+from hyperspec.spectra import _uncovered_pair, char_poly
 from hyperspec.switching import (
     SimilarityReport,
     SwitchingPartition,
@@ -330,3 +331,17 @@ def test_custom_inner_family_validation():
         example_pair(4, inner_family=[(5, 6, 7)])  # vertex 8 left isolated
     with pytest.raises(InputError):
         example_pair(4, inner_family=[(5, 6, 6)])  # repeated vertex
+
+
+@pytest.mark.parametrize("n, switchable, classes", [(4, 1, 5), (5, 14, 34)])
+def test_switchable_three_graphs_have_certified_zero_e_chars(n, switchable, classes):
+    # V1 holds two vertices in no common edge, in both the class and its
+    # switched mate, so both E-chars are certified 0
+    graphs = list(enumerate_all(n, 3, up_to_iso=True))
+    found = 0
+    for h in graphs:
+        partitions = list(find_partitions(h))
+        found += bool(partitions)
+        for p in partitions:
+            assert _uncovered_pair(h) and _uncovered_pair(switch(h, p)), (h, p)
+    assert (found, len(graphs)) == (switchable, classes)
