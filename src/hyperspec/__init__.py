@@ -15,7 +15,6 @@ from .analysis import (
     are_cospectral,
     are_e_cospectral,
     cospectral_invariant_scan,
-    disjoint_union_ds_check,
     ds_verify,
     simplex_destruction_min,
 )
@@ -32,7 +31,6 @@ from .hypergraph import (
     canonical_form,
     complement,
     count_simplices,
-    enumerate_all,
     format_hypergraph,
     is_isomorphic,
     neighbors_in,
@@ -46,11 +44,10 @@ from .switching import (
     example_pair,
     find_partitions,
     switch,
-    switching_matrix,
     validate,
     verify_similarity,
 )
-from .tensor import Tensor, eigen_check, mat_sim, shao_product
+from .tensor import Tensor, mat_sim
 
 __version__ = "0.1.0"
 
@@ -78,11 +75,8 @@ __all__ = [
     "cospectral_invariant_scan",
     "count_simplices",
     "det_tensor",
-    "disjoint_union_ds_check",
     "ds_verify",
     "e_char_poly",
-    "eigen_check",
-    "enumerate_all",
     "example_pair",
     "find_partitions",
     "format_hypergraph",
@@ -90,11 +84,9 @@ __all__ = [
     "mat_sim",
     "neighbors_in",
     "parse_hypergraph",
-    "shao_product",
     "simplex_destruction_min",
     "simplices",
     "switch",
-    "switching_matrix",
     "validate",
     "verify_similarity",
 ]

@@ -417,26 +417,6 @@ def ds_verify(
     )
 
 
-def disjoint_union_ds_check(
-    k: int,
-    isolated: int = 1,
-    config: RunConfig = DEFAULT_CONFIG,
-    **kwargs,
-) -> DsVerdict:
-    """Is the one-simplex hypergraph plus isolated vertices determined?
-
-    Builds the complete k-uniform hypergraph on k+1 vertices, appends
-    the requested number of isolated vertices, and runs the universe
-    search on the enlarged vertex set.
-    """
-    if isolated < 0:
-        raise InputError("isolated vertex count must be nonnegative")
-    n = k + 1 + isolated
-    core = Hypergraph.complete(k + 1, k)
-    h = Hypergraph(n, k, core.edges)
-    return ds_verify(h, config, **kwargs)
-
-
 @dataclass(frozen=True)
 class DestructionReport:
     n: int

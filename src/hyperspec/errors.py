@@ -71,10 +71,6 @@ class NotSquareSystem(MathError):
     """Polynomial system whose polynomial and variable counts differ."""
 
 
-class ZeroVector(MathError):
-    """Zero vector where an eigenvector candidate is required."""
-
-
 class BadSetSize(MathError):
     """Vertex set argument of the wrong cardinality."""
 

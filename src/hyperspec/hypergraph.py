@@ -5,8 +5,8 @@ k-tuples.  The adjacency tensor has order k and entry 1/(k-1)! at every
 arrangement of each edge, so that the tensor's polynomial map sends x to
 the edge-neighborhood sums; its one builder, scaled_adjacency, gives
 (k-1)! times it in int64.  Edge sets also travel as bitmasks over the
-lexicographic list of all k-subsets, which is what the enumeration, the
-universe walks' simplex counts and canonicalization operate on.  Every
+lexicographic list of all k-subsets, which is what the universe walks,
+their simplex counts and canonicalization operate on.  Every
 vertex relabeling of a mask is read off one cached numpy table per
 (n, k), for up to CANONICAL_MAX_N vertices.
 
@@ -329,34 +329,6 @@ def is_isomorphic(g: Hypergraph, h: Hypergraph) -> tuple[int, ...] | None:
     if place(0):
         return tuple(images[v] for v in range(1, g.n + 1))
     return None
-
-
-def enumerate_all(
-    n: int,
-    k: int,
-    *,
-    edge_count: int | None = None,
-    up_to_iso: bool = False,
-) -> Iterator[Hypergraph]:
-    """All hypergraphs on labeled vertices, streamed in bitmask order.
-
-    With up_to_iso, only the least mask of each isomorphism class: in
-    increasing order that is the first of its orbit to be reached.
-    """
-    slots = universe_slots(n, k)
-    if edge_count is None:
-        masks: Iterable[int] = range(1 << slots)
-    else:
-        masks = popcount_masks(slots, edge_count)
-    ahead: set[int] = set()  # orbit members not yet reached
-    for mask in masks:
-        if up_to_iso:
-            if mask in ahead:
-                ahead.remove(mask)
-                continue
-            ahead |= mask_orbit(n, k, mask)
-            ahead.remove(mask)
-        yield from_bitmask(n, k, mask)
 
 
 # --- text format --------------------------------------------------------------

@@ -193,10 +193,10 @@ def e_char_poly(
         if admit(a, config, e_char=True):
             return UniPoly.zero()
         a = adjacency_tensor(a)
+    elif a.order >= 3 and _uncovered_pair(a):
+        return UniPoly.zero()
     if a.order < 2:
         raise DimMismatch("E-characteristic polynomial needs order at least 2")
-    if a.order >= 3 and _uncovered_pair(a):
-        return UniPoly.zero()
     # odd order: beta -> -beta maps the system at lambda to that at -lambda
     poly = _interpolated_resultant(
         e_char_poly_system(a), config, even_in_lambda=a.order % 2 == 1

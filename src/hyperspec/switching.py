@@ -17,7 +17,7 @@ modes of (k-1)! A_H, gives n1^k (k-1)! A_G entry by entry.  The mode
 products run in the tensor module's integer kernel, the one mat_sim
 uses, and (k-1)! A comes from hypergraph.scaled_adjacency, the builder
 adjacency_tensor divides back.  Q is built once, as n1*Q in
-_scaled_switching_matrix; both Fraction forms divide it back by n1.
+_scaled_switching_matrix; the library needs no Fraction form of it.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .errors import (
     OddV1,
 )
 from .hypergraph import Hypergraph, neighbors_in, scaled_adjacency
-from .tensor import Tensor, _mode_products
+from .tensor import _mode_products
 
 
 @dataclass(frozen=True)
@@ -125,32 +125,10 @@ def _toggle(h: Hypergraph, p: SwitchingPartition, report: SwitchReport) -> Hyper
     return Hypergraph(h.n, h.k, h.edges ^ toggled)
 
 
-def switching_matrix(p: SwitchingPartition) -> Tensor:
-    """The conjugating matrix in block order (first part first).
-
-    The leading |V1| x |V1| block is (2/n1)J - I, the trailing block is
-    the identity; the matrix is symmetric, orthogonal and its own
-    inverse.  Rows list the first part, then the second, each in
-    ascending order, not the raw vertex labels: it is
-    aligned_switching_matrix of the partition with V1 = {1..n1}.
-    """
-    _check_partition(p, p.n)
-    prefix = SwitchingPartition.from_v1(p.n, range(1, len(p.v1) + 1))
-    return aligned_switching_matrix(prefix)
-
-
-def aligned_switching_matrix(p: SwitchingPartition) -> Tensor:
-    """The same matrix re-indexed by the raw 1-based vertex labels.
-
-    This is the form that conjugates adjacency tensors directly, even
-    when the two parts interleave.
-    """
-    nq = _scaled_switching_matrix(p)
-    return Tensor(2, p.n, tuple(Fraction(int(v), len(p.v1)) for v in nq.flat))
-
-
 def _scaled_switching_matrix(p: SwitchingPartition) -> np.ndarray:
-    """n1 times aligned_switching_matrix(p), as an int64 array.
+    """n1*Q as an int64 array, rows in vertex-label order, where Q is
+    (2/n1)J - I on the first part and the identity on the second:
+    symmetric, orthogonal and its own inverse.
 
     Within the first part the entries are 2 - n1 on the diagonal and 2
     off it; the second part's diagonal is n1; every other entry is 0.

@@ -7,12 +7,14 @@ are simply order-2 tensors.
 The similarity action of a matrix, along every mode of a tensor, has one
 integer kernel, _mode_products.  mat_sim scales its Fraction operands to
 integers for it, and switching.verify_similarity calls it on the scaled
-switching matrix and adjacency tensor.
+switching matrix and adjacency tensor.  The module holds only what the
+library and its command line use; the general Shao product, the
+polynomial map x -> A x**(m-1) and the dense matrix builders that the
+tests check it against live in tests/oracles.py.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -20,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimMismatch, InputError, ZeroVector
+from .errors import DimMismatch
 
 
 @dataclass(frozen=True)
@@ -84,122 +86,17 @@ def _unoffset(flat: int, order: int, dim: int) -> tuple[int, ...]:
     return tuple(reversed(idx))
 
 
-def unit_tensor(order: int, dim: int) -> Tensor:
-    """Diagonal tensor of ones: the identity of the similarity relation."""
-    return Tensor.from_map(order, dim, {(i,) * order: 1 for i in range(dim)})
-
-
-def identity(dim: int) -> Tensor:
-    return unit_tensor(2, dim)
-
-
-def from_rows(rows: Sequence[Sequence[Fraction | int]]) -> Tensor:
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise DimMismatch("rows must form a square matrix")
-    return Tensor(2, n, tuple(Fraction(v) for row in rows for v in row))
-
-
-def to_rows(matrix: Tensor) -> list[list[Fraction]]:
-    _require_matrix(matrix)
-    n = matrix.dim
-    return [list(matrix.entries[i * n : (i + 1) * n]) for i in range(n)]
-
-
-def permutation_matrix(images: Sequence[int]) -> Tensor:
-    """Matrix with row i carrying a single 1 in column images[i] (0-based)."""
-    n = len(images)
-    if sorted(images) != list(range(n)):
-        raise InputError(f"{images} is not a permutation of 0..{n - 1}")
-    return Tensor.from_map(2, n, {(i, j): 1 for i, j in enumerate(images)})
-
-
-def transpose(matrix: Tensor) -> Tensor:
-    rows = to_rows(matrix)
-    n = matrix.dim
-    return from_rows([[rows[j][i] for j in range(n)] for i in range(n)])
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _require_matrix(a)
-    _require_matrix(b)
-    if a.dim != b.dim:
-        raise DimMismatch("matrix product needs equal dimensions")
-    ra, rb = to_rows(a), to_rows(b)
-    n = a.dim
-    return from_rows(
-        [[sum(ra[i][t] * rb[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-    )
-
-
-def is_orthogonal(matrix: Tensor) -> bool:
-    return matmul(matrix, transpose(matrix)) == identity(matrix.dim)
-
-
-def _require_matrix(matrix: Tensor) -> None:
-    if matrix.order != 2:
-        raise DimMismatch(f"expected an order-2 tensor, got order {matrix.order}")
-
-
-def shao_product(a: Tensor, b: Tensor) -> Tensor:
-    """General tensor product: order m and k combine to (m-1)(k-1) + 1.
-
-    Entry at (i, alpha_1, ..., alpha_{m-1}) is the sum over index vectors
-    (j_1, ..., j_{m-1}) of a[i, j_1, ..., j_{m-1}] times the product of
-    b[j_t, alpha_t].  A column vector is the order-1 case of b.
-    """
-    if a.dim != b.dim:
-        raise DimMismatch("product operands must share the dimension")
-    if a.order < 2:
-        raise DimMismatch("left operand must have order at least 2")
-    n = a.dim
-    m, k = a.order, b.order
-    block = n ** (k - 1)  # size of one alpha slot
-    out_blocks = block ** (m - 1)
-    out = [Fraction(0)] * (n * out_blocks)
-    b_rows = [b.entries[j * block : (j + 1) * block] for j in range(n)]
-    for flat, value in enumerate(a.entries):
-        if value == 0:
-            continue
-        idx = _unoffset(flat, m, n)
-        i, tail = idx[0], idx[1:]
-        partial = [value]
-        for j in tail:
-            row = b_rows[j]
-            partial = [c * w for c in partial for w in row]
-        base = i * out_blocks
-        for off, c in enumerate(partial):
-            if c:
-                out[base + off] += c
-    return Tensor((m - 1) * (k - 1) + 1, n, tuple(out))
-
-
-def apply(a: Tensor, x: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-    """The degree-(m-1) polynomial map of the tensor at a vector."""
-    if len(x) != a.dim:
-        raise DimMismatch("vector length must equal the tensor dimension")
-    vals = [Fraction(v) for v in x]
-    out = [Fraction(0)] * a.dim
-    for flat, value in enumerate(a.entries):
-        if value == 0:
-            continue
-        idx = _unoffset(flat, a.order, a.dim)
-        term = value
-        for j in idx[1:]:
-            term *= vals[j]
-        out[idx[0]] += term
-    return tuple(out)
-
-
 def mat_sim(p: Tensor, a: Tensor) -> Tensor:
     """Similarity action of a matrix: p applied along every mode of a.
 
-    Equals shao_product(shao_product(p, a), transpose(p)).  Both operands
-    are scaled to integers by the lcm of their denominators, the integer
+    Equals the two-sided Shao product p a p^T, whose Fraction reference
+    implementation is tests/oracles.shao_product.  Both operands are
+    scaled to integers by the lcm of their denominators, the integer
     kernel _mode_products applies p along each mode, and the scales are
     divided back out.
     """
-    _require_matrix(p)
+    if p.order != 2:
+        raise DimMismatch(f"expected an order-2 tensor, got order {p.order}")
     if p.dim != a.dim:
         raise DimMismatch("similarity operands must share the dimension")
     p_scale = lcm(*(v.denominator for v in p.entries))
@@ -229,33 +126,3 @@ def _mode_products(q: np.ndarray, a: np.ndarray) -> np.ndarray:
     for mode in range(a.ndim):
         image = np.moveaxis(np.tensordot(q, image, axes=(1, mode)), 0, mode)
     return image
-
-
-def eigen_check(a: Tensor, value: Fraction | int, vector: Sequence[Fraction | int]) -> bool:
-    """Exact check of the eigenvalue equation a x = value * x^(m-1)."""
-    vals = [Fraction(v) for v in vector]
-    if all(v == 0 for v in vals):
-        raise ZeroVector("eigenvector candidate must be nonzero")
-    lhs = apply(a, vals)
-    lam = Fraction(value)
-    return all(l == lam * v ** (a.order - 1) for l, v in zip(lhs, vals))
-
-
-def is_symmetric(a: Tensor) -> bool:
-    for flat, value in enumerate(a.entries):
-        idx = _unoffset(flat, a.order, a.dim)
-        canon = tuple(sorted(idx))
-        if idx != canon and value != a.get(canon):
-            return False
-    return True
-
-
-def symmetric_from_upper(
-    order: int, dim: int, values: Mapping[tuple[int, ...], Fraction | int]
-) -> Tensor:
-    """Symmetric tensor with the given value at every rearrangement of each key."""
-    full: dict[tuple[int, ...], Fraction] = {}
-    for idx, value in values.items():
-        for perm in set(itertools.permutations(idx)):
-            full[perm] = Fraction(value)
-    return Tensor.from_map(order, dim, full)

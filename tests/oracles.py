@@ -7,19 +7,33 @@ bitmask table, and interpolation runs Newton's divided differences in
 Fractions instead of the library's Lagrange basis modulo primes.  The
 whole-matrix routes reduce a Macaulay table's M and M' modulo primes as
 whole dense matrices, without its split into diagonal blocks.
+
+The dense tensor helpers at the end are used only by tests: the general
+Shao product and the map x -> A x**(m-1) in Fractions are references
+for mat_sim and for zero-E-char witnesses, and the matrix builders,
+the symmetry and orthogonality checks and enumerate_all build and check
+fixtures.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from typing import Sequence
+from itertools import combinations, permutations
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from hyperspec.errors import MathError
+from hyperspec.errors import DimMismatch, InputError, MathError
+from hyperspec.hypergraph import (
+    Hypergraph,
+    from_bitmask,
+    mask_orbit,
+    popcount_masks,
+    universe_slots,
+)
 from hyperspec.modular import _det_mod, _inverses, charpoly_mod, poly_divexact_mod
 from hyperspec.polynomial import UniPoly
+from hyperspec.tensor import Tensor, _unoffset
 
 
 class DuplicateAbscissa(MathError):
@@ -146,3 +160,126 @@ def whole_det_ratio_mod(table, primes: np.ndarray, lam: int) -> tuple[np.ndarray
     full = dense_stack(table, primes, np.full(len(primes), lam, dtype=np.int64))
     det_minor = _det_mod(divisor_stack(table, full), primes)
     return _det_mod(full, primes) * _inverses(det_minor, primes) % primes, det_minor != 0
+
+
+def from_rows(rows: Sequence[Sequence[Fraction | int]]) -> Tensor:
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise DimMismatch("rows must form a square matrix")
+    return Tensor(2, n, tuple(Fraction(v) for row in rows for v in row))
+
+
+def permutation_matrix(images: Sequence[int]) -> Tensor:
+    """Matrix with row i carrying a single 1 in column images[i] (0-based)."""
+    n = len(images)
+    if sorted(images) != list(range(n)):
+        raise InputError(f"{images} is not a permutation of 0..{n - 1}")
+    return Tensor.from_map(2, n, {(i, j): 1 for i, j in enumerate(images)})
+
+
+def is_orthogonal(q: Tensor) -> bool:
+    """Q Q^T = I, checked on the Fraction rows of the matrix q."""
+    rows = [q.entries[i * q.dim : (i + 1) * q.dim] for i in range(q.dim)]
+    return all(
+        sum(x * y for x, y in zip(r, s)) == (i == j)
+        for i, r in enumerate(rows)
+        for j, s in enumerate(rows)
+    )
+
+
+def shao_product(a: Tensor, b: Tensor) -> Tensor:
+    """General tensor product: order m and k combine to (m-1)(k-1) + 1.
+
+    Entry at (i, alpha_1, ..., alpha_{m-1}) is the sum over index vectors
+    (j_1, ..., j_{m-1}) of a[i, j_1, ..., j_{m-1}] times the product of
+    b[j_t, alpha_t].  A column vector is the order-1 case of b.
+    """
+    if a.dim != b.dim:
+        raise DimMismatch("product operands must share the dimension")
+    if a.order < 2:
+        raise DimMismatch("left operand must have order at least 2")
+    n = a.dim
+    m, k = a.order, b.order
+    block = n ** (k - 1)  # size of one alpha slot
+    out_blocks = block ** (m - 1)
+    out = [Fraction(0)] * (n * out_blocks)
+    b_rows = [b.entries[j * block : (j + 1) * block] for j in range(n)]
+    for flat, value in enumerate(a.entries):
+        if value == 0:
+            continue
+        idx = _unoffset(flat, m, n)
+        i, tail = idx[0], idx[1:]
+        partial = [value]
+        for j in tail:
+            row = b_rows[j]
+            partial = [c * w for c in partial for w in row]
+        base = i * out_blocks
+        for off, c in enumerate(partial):
+            if c:
+                out[base + off] += c
+    return Tensor((m - 1) * (k - 1) + 1, n, tuple(out))
+
+
+def apply(a: Tensor, x: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
+    """The degree-(m-1) polynomial map of the tensor at a vector."""
+    if len(x) != a.dim:
+        raise DimMismatch("vector length must equal the tensor dimension")
+    vals = [Fraction(v) for v in x]
+    out = [Fraction(0)] * a.dim
+    for flat, value in enumerate(a.entries):
+        if value == 0:
+            continue
+        idx = _unoffset(flat, a.order, a.dim)
+        term = value
+        for j in idx[1:]:
+            term *= vals[j]
+        out[idx[0]] += term
+    return tuple(out)
+
+
+def is_symmetric(a: Tensor) -> bool:
+    for flat, value in enumerate(a.entries):
+        idx = _unoffset(flat, a.order, a.dim)
+        canon = tuple(sorted(idx))
+        if idx != canon and value != a.get(canon):
+            return False
+    return True
+
+
+def symmetric_from_upper(
+    order: int, dim: int, values: Mapping[tuple[int, ...], Fraction | int]
+) -> Tensor:
+    """Symmetric tensor with the given value at every rearrangement of each key."""
+    full: dict[tuple[int, ...], Fraction] = {}
+    for idx, value in values.items():
+        for perm in set(permutations(idx)):
+            full[perm] = Fraction(value)
+    return Tensor.from_map(order, dim, full)
+
+
+def enumerate_all(
+    n: int,
+    k: int,
+    *,
+    edge_count: int | None = None,
+    up_to_iso: bool = False,
+) -> Iterator[Hypergraph]:
+    """All hypergraphs on labeled vertices, streamed in bitmask order.
+
+    With up_to_iso, only the least mask of each isomorphism class: in
+    increasing order that is the first of its orbit to be reached.
+    """
+    slots = universe_slots(n, k)
+    if edge_count is None:
+        masks: Iterable[int] = range(1 << slots)
+    else:
+        masks = popcount_masks(slots, edge_count)
+    ahead: set[int] = set()  # orbit members not yet reached
+    for mask in masks:
+        if up_to_iso:
+            if mask in ahead:
+                ahead.remove(mask)
+                continue
+            ahead |= mask_orbit(n, k, mask)
+            ahead.remove(mask)
+        yield from_bitmask(n, k, mask)

@@ -17,7 +17,15 @@ from pathlib import Path
 
 import pytest
 
-from oracles import classical_char_poly, int_det
+from oracles import (
+    classical_char_poly,
+    enumerate_all,
+    from_rows,
+    int_det,
+    is_orthogonal,
+    permutation_matrix,
+    symmetric_from_upper,
+)
 
 from hyperspec.analysis import (
     PolyCache,
@@ -30,20 +38,13 @@ from hyperspec.hypergraph import (
     Hypergraph,
     adjacency_tensor,
     complement,
-    enumerate_all,
     is_isomorphic,
     parse_hypergraph,
 )
 from hyperspec.macaulay import PolySystem, resultant_value
 from hyperspec.polynomial import MultiPoly, UniPoly
 from hyperspec.spectra import char_poly, det_tensor, e_char_poly
-from hyperspec.tensor import (
-    from_rows,
-    is_orthogonal,
-    mat_sim,
-    permutation_matrix,
-    symmetric_from_upper,
-)
+from hyperspec.tensor import mat_sim
 
 DATA = Path(__file__).parent / "data"
 

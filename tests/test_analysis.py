@@ -10,6 +10,7 @@ from math import comb, factorial
 from types import SimpleNamespace
 
 import pytest
+from oracles import enumerate_all
 
 from hyperspec import analysis, hypergraph
 from hyperspec.analysis import (
@@ -18,7 +19,6 @@ from hyperspec.analysis import (
     cospectral_invariant_scan,
     are_cospectral,
     are_e_cospectral,
-    disjoint_union_ds_check,
     ds_verify,
     find_fingerprint_violations,
     load_checkpoint,
@@ -40,6 +40,11 @@ from hyperspec.hypergraph import (
 )
 from hyperspec.polynomial import UniPoly
 from hyperspec.spectra import char_poly
+
+
+def _k4_plus(isolated):
+    """K4^(3) plus isolated vertices, as a ds target."""
+    return Hypergraph(4 + isolated, 3, Hypergraph.complete(4, 3).edges)
 
 
 def _relabeled(h, images):
@@ -414,8 +419,6 @@ def test_ds_verify_single_edge_n4():
 def test_ds_verify_shared_cache_counts():
     cache = PolyCache()
     total = 0
-    from hyperspec.hypergraph import enumerate_all
-
     for h in enumerate_all(4, 3):
         verdict = ds_verify(h, cache=cache)
         assert verdict.all_isomorphic
@@ -523,7 +526,7 @@ def test_ds_compares_one_polynomial_per_class(monkeypatch):
 
 
 def test_disjoint_union_check_trivial_padding():
-    verdict = disjoint_union_ds_check(3, isolated=0)
+    verdict = ds_verify(_k4_plus(0))
     assert verdict.target.n == 4
     assert verdict.target.edge_count == 4
     assert verdict.all_isomorphic
@@ -563,7 +566,7 @@ def test_destruction_respects_brute_force_cap(monkeypatch):
 
 @pytest.mark.slow
 def test_disjoint_union_with_isolated_vertex():
-    verdict = disjoint_union_ds_check(3, isolated=1)
+    verdict = ds_verify(_k4_plus(1))
     assert verdict.target.n == 5
     assert verdict.all_isomorphic
 
@@ -573,7 +576,7 @@ def test_disjoint_union_with_two_isolated_vertices():
     # A pin of what the search computes, not a theorem: it prunes by simplex
     # count, which the invariant scan validates only up to n = 5.
     cfg = replace(DEFAULT_CONFIG, degree_cap=200)
-    verdict = disjoint_union_ds_check(3, isolated=2, config=cfg)
+    verdict = ds_verify(_k4_plus(2), cfg)
     assert verdict.target.n == 6
     assert verdict.all_isomorphic
     assert len(verdict.cospectral_mates) == 14

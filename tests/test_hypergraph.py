@@ -8,6 +8,7 @@ from itertools import combinations, permutations, product
 from math import comb, factorial
 
 import pytest
+from oracles import enumerate_all, is_symmetric
 from oracles import simplices as oracle_simplices
 
 from hyperspec.errors import (
@@ -24,7 +25,6 @@ from hyperspec.hypergraph import (
     complement,
     count_simplices,
     edge_bitmask,
-    enumerate_all,
     format_hypergraph,
     from_bitmask,
     mask_edges,
@@ -38,7 +38,6 @@ from hyperspec.hypergraph import (
     simplices,
     subset_order,
 )
-from hyperspec.tensor import is_symmetric
 
 
 def test_construction_and_accessors():

@@ -37,7 +37,7 @@ from hyperspec.macaulay import (
 )
 from hyperspec.polynomial import MultiPoly, UniPoly
 from hyperspec.spectra import e_char_poly_system, tensor_polynomial_map
-from hyperspec.tensor import Tensor, symmetric_from_upper
+from hyperspec.tensor import Tensor
 
 import oracles
 
@@ -415,12 +415,11 @@ def test_block_routes_match_the_whole_matrix_oracles():
     # isolated vertices (char systems), three seeded order-3, dimension-4
     # integer tensors (char and E-char systems) and the pencil of an
     # order-3, dimension-3 tensor
-    from hyperspec.hypergraph import enumerate_all
-
     primes, zero = _first_primes(), np.zeros(2, dtype=np.int64)
     routes = []  # (block ratio solved, whole ratio solved) at each point
     k4 = list(itertools.combinations(range(1, 5), 3))
-    graphs = [*enumerate_all(5, 3, up_to_iso=True), *enumerate_all(5, 2, up_to_iso=True),
+    graphs = [*oracles.enumerate_all(5, 3, up_to_iso=True),
+              *oracles.enumerate_all(5, 2, up_to_iso=True),
               Hypergraph.from_edges(6, 3, k4)]
     for h in graphs:
         table = _FillTable(PolySystem(h.n, tensor_polynomial_map(adjacency_tensor(h)),
@@ -656,7 +655,7 @@ def test_pencil_where_the_divisor_vanishes_at_some_nodes():
     # this order-4 tensor's divisor det M' vanishes at lambda = 0, 1 and 3
     # but not identically, so shifts 0 and 1 fail, and the per-node path
     # needs the generalized charpoly at those nodes
-    a = symmetric_from_upper(4, 3, {
+    a = oracles.symmetric_from_upper(4, 3, {
         (0, 0, 0, 0): 1, (0, 0, 1, 2): 2, (0, 1, 1, 1): -1,
         (1, 1, 2, 2): 1, (2, 2, 2, 2): -2, (0, 0, 2, 2): 1,
     })
@@ -675,7 +674,7 @@ def test_pencil_skips_a_prime_that_fails_the_stack_shift():
     # though another shift would serve it.  The odd primes dividing det
     # M'(0) here divide det M'(c) at every shift; the one that divides only
     # det M(0) is 39313
-    a = symmetric_from_upper(3, 3, {
+    a = oracles.symmetric_from_upper(3, 3, {
         (0, 0, 0): 1, (0, 1, 2): 2, (1, 1, 1): 1, (1, 2, 2): -2, (2, 2, 2): 2,
     })
     table = _FillTable(e_char_poly_system(a))

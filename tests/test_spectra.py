@@ -30,17 +30,15 @@ from hyperspec.spectra import (
     e_char_poly,
     e_char_poly_system,
 )
-from oracles import interpolate
-from hyperspec.tensor import (
-    Tensor,
+from oracles import (
     apply,
-    eigen_check,
+    enumerate_all,
     from_rows,
-    mat_sim,
+    interpolate,
     permutation_matrix,
     symmetric_from_upper,
-    unit_tensor,
 )
+from hyperspec.tensor import Tensor, mat_sim
 
 DATA = Path(__file__).parent / "data"
 
@@ -304,7 +302,7 @@ def test_zero_tensor_char_is_pure_power():
 
 
 def test_diagonal_unit_tensor_char():
-    got = char_poly(unit_tensor(3, 2))
+    got = char_poly(Tensor.from_map(3, 2, {(0, 0, 0): 1, (1, 1, 1): 1}))
     assert got == UniPoly.from_coeff_strings(["1", "-4", "6", "-4", "1"])
 
 
@@ -334,7 +332,7 @@ def test_matrix_case_collapses_to_classical():
 def test_even_order_diagonal_e_char():
     # roots are the two stationary values 1 and 1/2; coefficients checked
     # against a hand-built resultant of the two cubic forms
-    got = e_char_poly(unit_tensor(4, 2), normalize=False)
+    got = e_char_poly(Tensor.from_map(4, 2, {(0,) * 4: 1, (1,) * 4: 1}), normalize=False)
     assert got == UniPoly.from_coeff_strings(["1", "-6", "13", "-12", "4"])
     assert got.evaluate(Fraction(1)) == 0
     assert got.evaluate(Fraction(1, 2)) == 0
@@ -400,8 +398,6 @@ def test_covered_pairs_are_not_certified():
 def test_edge_list_certificate_matches_the_tensor_certificate():
     # _uncovered_pair reads the certificate off a hypergraph's edge list;
     # it must agree with its tensor's on every class up to 5 vertices
-    from hyperspec.hypergraph import enumerate_all
-
     seen = set()
     for n, k in ((3, 2), (5, 2), (3, 3), (4, 3), (5, 3), (4, 4), (5, 4), (5, 5)):
         for h in enumerate_all(n, k, up_to_iso=True):
@@ -415,7 +411,6 @@ def test_front_doors_take_a_hypergraph(monkeypatch):
     # a hypergraph's polynomial is its adjacency tensor's; past the cap it
     # is refused, or its E-char certified 0, before the tensor is built
     from hyperspec import hypergraph
-    from hyperspec.hypergraph import enumerate_all
 
     for n, k in ((4, 3), (5, 2)):
         for h in enumerate_all(n, k, up_to_iso=True):
@@ -429,6 +424,31 @@ def test_front_doors_take_a_hypergraph(monkeypatch):
     with pytest.raises(DegreeCapExceeded, match=r"1000\*2\*\*999 exceeds cap 128"):
         char_poly(big)
     assert e_char_poly(big).is_zero()
+
+
+def test_e_char_reads_a_hypergraphs_certificate_once(monkeypatch):
+    # the uncovered-pair check runs on the edge list, not again on the
+    # tensor; the single edge keeps its polynomial, and for K4(3) the
+    # resultant is stubbed, as only the count matters
+    from hyperspec import spectra
+
+    calls = []
+    certify = spectra._uncovered_pair
+
+    def counted(a):
+        calls.append(type(a).__name__)
+        return certify(a)
+
+    monkeypatch.setattr(spectra, "_uncovered_pair", counted)
+    edge = Hypergraph.from_edges(3, 3, [(1, 2, 3)])
+    expected = e_char_poly(adjacency_tensor(edge))
+    calls.clear()
+    assert e_char_poly(edge) == expected
+    assert calls == ["Hypergraph"]
+    monkeypatch.setattr(spectra, "_interpolated_resultant", lambda *a, **k: UniPoly.constant(1))
+    calls.clear()
+    e_char_poly(from_bitmask(4, 3, 15))
+    assert calls == ["Hypergraph"]
 
 
 def test_certified_e_chars_return_at_once():
@@ -485,7 +505,7 @@ def test_char_invariant_under_relabeling():
 def test_eigenvalue_is_a_root():
     a = _single_edge()
     ones = (Fraction(1),) * 3
-    assert eigen_check(a, Fraction(1), ones)
+    assert apply(a, ones) == ones  # A x**2 = 1 * x**2 at x = (1, 1, 1)
     assert char_poly(a).evaluate(Fraction(1)) == 0
 
 
@@ -634,7 +654,7 @@ def test_char_constant_term_is_signed_det(dim, seed):
 
 
 def test_det_tensor_values():
-    assert det_tensor(unit_tensor(3, 2)) == 1
+    assert det_tensor(Tensor.from_map(3, 2, {(0, 0, 0): 1, (1, 1, 1): 1})) == 1
     assert det_tensor(Tensor.zero(3, 2)) == 0
     m = from_rows([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]])
     assert det_tensor(m) == 5

@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from oracles import enumerate_all, from_rows, is_orthogonal, is_symmetric, shao_product
 
 from hyperspec.errors import (
     BadPartition,
@@ -20,7 +21,6 @@ from hyperspec.hypergraph import (
     Hypergraph,
     adjacency_tensor,
     count_simplices,
-    enumerate_all,
     is_isomorphic,
     neighbors_in,
 )
@@ -28,15 +28,19 @@ from hyperspec.spectra import _uncovered_pair, char_poly
 from hyperspec.switching import (
     SimilarityReport,
     SwitchingPartition,
-    aligned_switching_matrix,
+    _scaled_switching_matrix,
     example_pair,
     find_partitions,
     switch,
-    switching_matrix,
     validate,
     verify_similarity,
 )
-from hyperspec.tensor import identity, is_orthogonal, matmul, shao_product, transpose
+
+
+def _q(p):
+    """Q in Fractions, rows in label order: n1*Q divided back by n1."""
+    n1 = len(p.v1)
+    return from_rows([[Fraction(int(v), n1) for v in row] for row in _scaled_switching_matrix(p)])
 
 
 def _fraction_oracle(h, g, p):
@@ -45,8 +49,9 @@ def _fraction_oracle(h, g, p):
     The image is the two-sided Shao product, not mat_sim, which shares
     verify_similarity's integer kernel.
     """
-    q = aligned_switching_matrix(p)
-    image = shao_product(shao_product(q, adjacency_tensor(h)), transpose(q))
+    q = _q(p)
+    q_t = from_rows([[q.get((j, i)) for j in range(q.dim)] for i in range(q.dim)])
+    image = shao_product(shao_product(q, adjacency_tensor(h)), q_t)
     target = adjacency_tensor(g)
     cells = product(range(1, h.n + 1), repeat=h.k)
     for idx, got, want in zip(cells, image.entries, target.entries):
@@ -246,7 +251,7 @@ def test_validate_rejects_uneven_neighborhoods():
 
 def test_switching_matrix_block_form():
     p = SwitchingPartition.from_v1(7, (1, 2, 3, 4))
-    m = switching_matrix(p)
+    m = _q(p)
     assert m.dim == 7
     for i in range(4):
         for j in range(4):
@@ -255,23 +260,24 @@ def test_switching_matrix_block_form():
     for i in range(4, 7):
         for j in range(7):
             assert m.get((i, j)) == (1 if i == j else 0)
+    # symmetric and orthogonal, so m is its own inverse
     assert is_orthogonal(m)
-    assert m.entries == transpose(m).entries
-    assert matmul(m, m).entries == identity(7).entries
+    assert is_symmetric(m)
 
 
 def test_switching_matrix_pair_cell_swaps():
     p = SwitchingPartition.from_v1(4, (1, 2))
-    m = switching_matrix(p)
+    m = _q(p)
     assert m.get((0, 0)) == 0 and m.get((0, 1)) == 1
     assert m.get((1, 0)) == 1 and m.get((1, 1)) == 0
 
 
 def test_aligned_matrix_handles_scattered_cells():
     p = SwitchingPartition(frozenset({2, 4}), frozenset({1, 3}))
-    m = aligned_switching_matrix(p)
+    m = _q(p)
+    # symmetric and orthogonal, so m is its own inverse
     assert is_orthogonal(m)
-    assert matmul(m, m).entries == identity(4).entries
+    assert is_symmetric(m)
     # rows follow vertex labels: row 0 is vertex 1, untouched
     assert m.get((0, 0)) == 1 and m.get((0, 1)) == 0
     # vertices 2 and 4 (rows 1 and 3) swap
@@ -281,7 +287,7 @@ def test_aligned_matrix_handles_scattered_cells():
 def test_aligned_matrix_is_the_block_form_relabeled():
     # every partition with an even first part on up to 7 vertices, against
     # (2/n1)J - I on the first part and the identity on the second, in
-    # block order for switching_matrix and in label order for the aligned form
+    # label order
     def block(first, i, j):
         if i in first and j in first:
             return Fraction(2, len(first)) - (i == j)
@@ -290,16 +296,13 @@ def test_aligned_matrix_is_the_block_form_relabeled():
     for n in range(2, 8):
         cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
         for size in range(2, n + 1, 2):
-            prefix = range(1, size + 1)
-            in_block_order = [block(prefix, i, j) for i, j in cells]
             for v1 in combinations(range(1, n + 1), size):
                 p = SwitchingPartition.from_v1(n, v1)
-                assert list(switching_matrix(p).entries) == in_block_order
                 in_label_order = [block(v1, i, j) for i, j in cells]
-                assert list(aligned_switching_matrix(p).entries) == in_label_order
+                assert list(_q(p).entries) == in_label_order
     bad = SwitchingPartition(frozenset({1, 2}), frozenset({2, 3}))
     with pytest.raises(BadPartition):
-        aligned_switching_matrix(bad)
+        _scaled_switching_matrix(bad)
     with pytest.raises(BadPartition):
         verify_similarity(Hypergraph.empty(3, 2), Hypergraph.empty(3, 2), bad)
 
