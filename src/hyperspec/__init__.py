@@ -33,7 +33,6 @@ from .hypergraph import (
     count_simplices,
     format_hypergraph,
     is_isomorphic,
-    neighbors_in,
     parse_hypergraph,
     simplices,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "format_hypergraph",
     "is_isomorphic",
     "mat_sim",
-    "neighbors_in",
     "parse_hypergraph",
     "simplex_destruction_min",
     "simplices",

@@ -50,6 +50,7 @@ from .hypergraph import (
     with_simplex_count,
 )
 from .polynomial import UniPoly
+from .rational import parse_int
 from .spectra import admit, char_poly, e_char_poly
 
 
@@ -140,7 +141,7 @@ class PolyCache:
         slots = comb(n, k)
         for key, coeffs in data.items():
             try:
-                key_n, key_k, mask = (int(part) for part in key.split(","))
+                key_n, key_k, mask = (parse_int(part) for part in key.split(","))
             except ValueError:
                 raise InputError(f"malformed cache key {key!r}") from None
             if (key_n, key_k) != (n, k):
@@ -182,6 +183,12 @@ def save_checkpoint(path: str, n: int, k: int, cache: PolyCache, watermark: int)
     os.replace(tmp, path)
 
 
+def _int_field(payload: dict, field: str) -> int | None:
+    """payload[field] when it is an int, and not a bool, which subclasses int."""
+    value = payload.get(field)
+    return value if type(value) is int else None
+
+
 def load_checkpoint(path: str, n: int, k: int) -> tuple[PolyCache, int]:
     """Read a checkpoint back; (empty cache, -1) when the file is absent.
 
@@ -196,15 +203,15 @@ def load_checkpoint(path: str, n: int, k: int) -> tuple[PolyCache, int]:
         raise InputError(f"cannot read checkpoint {path}: {exc}") from None
     if not isinstance(payload, dict):
         raise InputError(f"checkpoint {path} does not hold a JSON object")
-    if payload.get("version") != CHECKPOINT_VERSION:
+    if _int_field(payload, "version") != CHECKPOINT_VERSION:
         raise InputError(f"unsupported checkpoint version in {path}")
-    if payload.get("n") != n or payload.get("k") != k:
+    if (_int_field(payload, "n"), _int_field(payload, "k")) != (n, k):
         raise InputError(
             f"checkpoint {path} is for (n={payload.get('n')}, k={payload.get('k')}), "
             f"not (n={n}, k={k})"
         )
-    polys, watermark = payload.get("polys"), payload.get("watermark")
-    if not isinstance(polys, dict) or not isinstance(watermark, int):
+    polys, watermark = payload.get("polys"), _int_field(payload, "watermark")
+    if not isinstance(polys, dict) or watermark is None:
         raise InputError(
             f"checkpoint {path} needs a 'polys' object and an integer 'watermark'"
         )

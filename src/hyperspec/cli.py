@@ -35,6 +35,7 @@ from .hypergraph import (
     simplices,
 )
 from .polynomial import UniPoly
+from .rational import parse_int
 from .spectra import char_poly, e_char_poly
 from .switching import (
     SwitchingPartition,
@@ -125,7 +126,7 @@ def _emit(payload: dict[str, Any], args: argparse.Namespace) -> None:
 
 def _parse_vertex_list(raw: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in raw.split(",") if part.strip())
+        return tuple(parse_int(part.strip()) for part in raw.split(",") if part.strip())
     except ValueError:
         raise InputError(f"expected comma-separated integers, got {raw!r}") from None
 

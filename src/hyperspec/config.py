@@ -18,6 +18,7 @@ import os
 from dataclasses import dataclass, replace
 
 from .errors import InputError
+from .rational import parse_int
 
 PRIME_SEED_ENV = "HYPERSPEC_PRIME_SEED"
 
@@ -37,6 +38,6 @@ def config_from_env(base: RunConfig = DEFAULT_CONFIG) -> RunConfig:
     if raw is None:
         return base
     try:
-        return replace(base, prime_seed=int(raw))
+        return replace(base, prime_seed=parse_int(raw.strip()))
     except ValueError as exc:
         raise InputError(f"{PRIME_SEED_ENV} must be an integer, got {raw!r}") from exc

@@ -71,10 +71,6 @@ class NotSquareSystem(MathError):
     """Polynomial system whose polynomial and variable counts differ."""
 
 
-class BadSetSize(MathError):
-    """Vertex set argument of the wrong cardinality."""
-
-
 class OddV1(MathError):
     """Switching cell of odd size; half of it is not an integer."""
 

@@ -26,7 +26,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BadEdge, BadSetSize, BadSize, CapExceeded, ParseError
+from .errors import BadEdge, BadSize, CapExceeded, ParseError
+from .rational import parse_int
 from .tensor import Tensor
 
 VertexSet = tuple[int, ...]
@@ -141,25 +142,6 @@ def simplices(h: Hypergraph) -> Iterator[tuple[int, ...]]:
             group = edge + (w,)
             if all(group[:i] + group[i + 1 :] in h.edges for i in range(h.k)):
                 yield group
-
-
-def neighbors_in(
-    h: Hypergraph, core: Iterable[int], pool: Iterable[int]
-) -> frozenset[int]:
-    """Vertices w in the pool completing the (k-1)-set core to an edge."""
-    core_set = frozenset(core)
-    if len(core_set) != h.k - 1:
-        raise BadSetSize(
-            f"core has {len(core_set)} vertices, expected {h.k - 1}"
-        )
-    base = tuple(sorted(core_set))
-    out = set()
-    for w in pool:
-        if w in core_set:
-            continue
-        if tuple(sorted(base + (w,))) in h.edges:
-            out.add(w)
-    return frozenset(out)
 
 
 # --- bitmask view ------------------------------------------------------------
@@ -350,7 +332,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
             continue
         parts = line.split()
         try:
-            values = [int(p) for p in parts]
+            values = [parse_int(p) for p in parts]
         except ValueError:
             raise ParseError(f"expected integers, got {line!r}", line_no) from None
         if header is None:

@@ -23,9 +23,10 @@ _scaled_switching_matrix; the library needs no Fraction form of it.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -39,7 +40,7 @@ from .errors import (
     InputError,
     OddV1,
 )
-from .hypergraph import Hypergraph, neighbors_in, scaled_adjacency
+from .hypergraph import Hypergraph, scaled_adjacency
 from .tensor import _mode_products
 
 
@@ -94,23 +95,27 @@ def validate(h: Hypergraph, p: SwitchingPartition) -> SwitchReport:
 
     Raises BadPartition, OddV1, ConditionAViolated or ConditionBViolated;
     on success reports the (k-1)-subsets whose neighborhoods will flip.
+    A (k-1)-subset of V2 has a V1 neighbor only through an edge meeting
+    V1 once, so one pass over the sorted edges counts every neighborhood.
     """
     _check_partition(p, h.n)
     n1 = len(p.v1)
+    seen: Counter[tuple[int, ...]] = Counter()
     for edge in sorted(h.edges):
-        inside = sum(1 for v in edge if v in p.v1)
-        if inside > 1:
+        core = tuple(v for v in edge if v not in p.v1)
+        if len(core) < h.k - 1:  # two or more vertices in V1
             raise ConditionAViolated(edge)
-    switched: list[tuple[int, ...]] = []
-    histogram: dict[int, int] = {}
-    for core in itertools.combinations(sorted(p.v2), h.k - 1):
-        count = len(neighbors_in(h, core, p.v1))
-        if count not in (0, n1 // 2, n1):
-            raise ConditionBViolated(core, count, (0, n1 // 2, n1))
-        histogram[count] = histogram.get(count, 0) + 1
-        if count == n1 // 2:
-            switched.append(core)
-    return SwitchReport(n1, tuple(switched), tuple(sorted(histogram.items())))
+        if len(core) == h.k - 1:
+            seen[core] += 1
+    allowed = (0, n1 // 2, n1)
+    cores = sorted(seen.items())
+    for core, count in cores:
+        if count not in allowed:
+            raise ConditionBViolated(core, count, allowed)
+    # every other subset counts 0; adding Counters drops a total of 0
+    histogram = Counter(seen.values()) + Counter({0: comb(len(p.v2), h.k - 1) - len(seen)})
+    switched = tuple(core for core, count in cores if count == n1 // 2)
+    return SwitchReport(n1, switched, tuple(sorted(histogram.items())))
 
 
 def switch(h: Hypergraph, p: SwitchingPartition) -> Hypergraph:

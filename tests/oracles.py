@@ -8,6 +8,10 @@ Fractions instead of the library's Lagrange basis modulo primes.  The
 whole-matrix routes reduce a Macaulay table's M and M' modulo primes as
 whole dense matrices, without its split into diagonal blocks.
 
+The switching conditions are checked by walking every (k-1)-subset
+of V2 and probing each vertex of V1 for an edge, where the library
+counts neighborhoods in one pass over the edges.
+
 The dense tensor helpers at the end are used only by tests: the general
 Shao product and the map x -> A x**(m-1) in Fractions are references
 for mat_sim and for zero-E-char witnesses, and the matrix builders,
@@ -23,7 +27,13 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from hyperspec.errors import DimMismatch, InputError, MathError
+from hyperspec.errors import (
+    ConditionAViolated,
+    ConditionBViolated,
+    DimMismatch,
+    InputError,
+    MathError,
+)
 from hyperspec.hypergraph import (
     Hypergraph,
     from_bitmask,
@@ -33,6 +43,7 @@ from hyperspec.hypergraph import (
 )
 from hyperspec.modular import _det_mod, _inverses, charpoly_mod, poly_divexact_mod
 from hyperspec.polynomial import UniPoly
+from hyperspec.switching import SwitchingPartition, SwitchReport, _check_partition
 from hyperspec.tensor import Tensor, _unoffset
 
 
@@ -95,6 +106,41 @@ def simplices(h) -> list[tuple[int, ...]]:
         for group in combinations(range(1, h.n + 1), h.k + 1)
         if all(sub in h.edges for sub in combinations(group, h.k))
     ]
+
+
+def neighbors_in(
+    h: Hypergraph, core: Iterable[int], pool: Iterable[int]
+) -> frozenset[int]:
+    """Vertices w in the pool completing the (k-1)-set core to an edge."""
+    core_set = frozenset(core)
+    base = tuple(sorted(core_set))
+    out = set()
+    for w in pool:
+        if w in core_set:
+            continue
+        if tuple(sorted(base + (w,))) in h.edges:
+            out.add(w)
+    return frozenset(out)
+
+
+def validate_by_cores(h: Hypergraph, p: SwitchingPartition) -> SwitchReport:
+    """switching.validate by walking all C(|V2|, k-1) subsets of V2 in
+    lexicographic order and probing V1 for each through neighbors_in."""
+    _check_partition(p, h.n)
+    n1 = len(p.v1)
+    for edge in sorted(h.edges):
+        if sum(1 for v in edge if v in p.v1) > 1:
+            raise ConditionAViolated(edge)
+    switched: list[tuple[int, ...]] = []
+    histogram: dict[int, int] = {}
+    for core in combinations(sorted(p.v2), h.k - 1):
+        count = len(neighbors_in(h, core, p.v1))
+        if count not in (0, n1 // 2, n1):
+            raise ConditionBViolated(core, count, (0, n1 // 2, n1))
+        histogram[count] = histogram.get(count, 0) + 1
+        if count == n1 // 2:
+            switched.append(core)
+    return SwitchReport(n1, tuple(switched), tuple(sorted(histogram.items())))
 
 
 def interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) -> UniPoly:

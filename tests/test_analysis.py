@@ -287,6 +287,23 @@ def test_checkpoint_rejects_foreign_version(tmp_path):
         load_checkpoint(str(path), 4, 3)
 
 
+@pytest.mark.parametrize("field", ["version", "n", "k", "watermark"])
+def test_checkpoint_refuses_booleans_for_integers(tmp_path, field):
+    # JSON true loads as True, which equals 1 and is an int instance
+    path = tmp_path / "scan.json"
+    blob = {"version": 1, "n": 1, "k": 1, "watermark": 0, "polys": {}, field: True}
+    path.write_text(json.dumps(blob))
+    with pytest.raises(InputError):
+        load_checkpoint(str(path), 1, 1)
+
+
+def test_cache_keys_refuse_integers_beyond_ascii_digits():
+    for key in ("4,3, 0", "4,3,٠", "4,3,0_0"):
+        with pytest.raises(InputError) as info:
+            PolyCache.from_json({key: ["1"]}, 4, 3)
+        assert str(info.value) == f"malformed cache key {key!r}"
+
+
 def test_fingerprint_violation_detection():
     groups = [
         [

@@ -651,6 +651,24 @@ def test_parse_error_reports_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_integers_beyond_ascii_digits_exit_2(tmp_path, capsys):
+    path = tmp_path / "digit.hg"
+    path.write_text("4 3\n1 2 ٣\n", encoding="utf-8")
+    code, out, err = _run(capsys, ["simplices", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "ParseError: line 2: expected integers, got '1 2 ٣'\n"
+
+
+def test_vertex_list_beyond_ascii_digits_exits_2(tmp_path, capsys):
+    h, _, _ = hyperspec.example_pair(3)
+    path = _write_graph(tmp_path, "h.hg", h)
+    code, out, err = _run(capsys, ["verify-switch", path, "--v1", "1,2,3,4_0"])
+    assert (code, out) == (2, "")
+    assert err == "InputError: expected comma-separated integers, got '1,2,3,4_0'\n"
+    code, out, _ = _run(capsys, ["verify-switch", path, "--v1", " 1, 2,3 ,4,"])
+    assert code == 0 and json.loads(out)["verdict"] is True
+
+
 def test_degree_cap_exits_3(tmp_path, capsys):
     code, _, err = _run(
         capsys, ["charpoly", "--degree-cap", "10", _single_edge_file(tmp_path)]
@@ -823,6 +841,13 @@ def test_certified_e_char_beyond_the_characteristic_degree_cap(tmp_path, capsys,
             assert _run(capsys, argv) == (
                 3, "", f"DegreeCapExceeded: characteristic degree {degree} exceeds cap 128\n"
             ), (text, argv)
+
+
+def test_prime_seed_env_beyond_ascii_digits_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("HYPERSPEC_PRIME_SEED", "1_0")
+    code, out, err = _run(capsys, ["charpoly", _single_edge_file(tmp_path)])
+    assert (code, out) == (2, "")
+    assert err == "InputError: HYPERSPEC_PRIME_SEED must be an integer, got '1_0'\n"
 
 
 def test_malformed_prime_seed_env_exits_2(tmp_path, capsys, monkeypatch):

@@ -32,6 +32,7 @@ from hyperspec.spectra import (
 )
 from oracles import (
     apply,
+    classical_char_poly,
     enumerate_all,
     from_rows,
     interpolate,
@@ -50,34 +51,6 @@ def _load_poly(path, key):
 
 def _single_edge():
     return adjacency_tensor(Hypergraph.from_edges(3, 3, [(1, 2, 3)]))
-
-
-def _char_oracle_matrix(rows):
-    """det(L*I - A) by cofactor expansion over the polynomial ring."""
-    n = len(rows)
-    lam = UniPoly.monomial(1)
-    entries = [
-        [
-            (lam if i == j else UniPoly.zero()) + UniPoly.constant(-rows[i][j])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return _poly_det(entries)
-
-
-def _poly_det(entries):
-    n = len(entries)
-    if n == 0:
-        return UniPoly.constant(1)
-    if n == 1:
-        return entries[0][0]
-    total = UniPoly.zero()
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in entries[1:]]
-        term = entries[0][j] * _poly_det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
 
 
 def test_char_matches_frozen_single_edge():
@@ -321,7 +294,7 @@ def test_matrix_case_collapses_to_classical():
             for j in range(i, n):
                 sym[i][j] = sym[j][i] = rng.randint(-4, 4)
         t = from_rows([[Fraction(v) for v in row] for row in sym])
-        expected = _char_oracle_matrix(sym)
+        expected = classical_char_poly(sym)
         assert char_poly(t) == expected
         assert e_char_poly(t) == expected.normalized()
         assert det_tensor(t) == expected.evaluate(Fraction(0)) * (

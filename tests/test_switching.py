@@ -7,7 +7,15 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from oracles import enumerate_all, from_rows, is_orthogonal, is_symmetric, shao_product
+from oracles import (
+    enumerate_all,
+    from_rows,
+    is_orthogonal,
+    is_symmetric,
+    neighbors_in,
+    shao_product,
+    validate_by_cores,
+)
 
 from hyperspec.errors import (
     BadPartition,
@@ -15,6 +23,7 @@ from hyperspec.errors import (
     ConditionBViolated,
     DimMismatch,
     InputError,
+    MathError,
     OddV1,
 )
 from hyperspec.hypergraph import (
@@ -22,12 +31,12 @@ from hyperspec.hypergraph import (
     adjacency_tensor,
     count_simplices,
     is_isomorphic,
-    neighbors_in,
 )
 from hyperspec.spectra import _uncovered_pair, char_poly
 from hyperspec.switching import (
     SimilarityReport,
     SwitchingPartition,
+    SwitchReport,
     _scaled_switching_matrix,
     example_pair,
     find_partitions,
@@ -214,6 +223,45 @@ def test_switch_complements_exactly_the_half_cores():
         inner_before = {e for e in h.edges if not set(e) & p.v1}
         inner_after = {e for e in g.edges if not set(e) & p.v1}
         assert inner_before == inner_after
+
+
+def _outcome(check, h, p):
+    """The report, or the exception's type, message and attributes."""
+    try:
+        return check(h, p)
+    except (InputError, MathError) as exc:
+        return type(exc), str(exc), vars(exc)
+
+
+def test_validate_matches_the_core_walk_on_valid_instances():
+    rng = random.Random(63)
+    for _ in range(60):
+        h, p = _random_valid_instance(rng)
+        assert validate(h, p) == validate_by_cores(h, p)
+
+
+def test_validate_matches_the_core_walk_on_random_partitions():
+    rng = random.Random(64)
+    kinds = set()
+    for _ in range(800):
+        n = rng.randint(3, 9)
+        k = rng.randint(2, min(4, n))
+        density = rng.random() / 2
+        edges = [e for e in combinations(range(1, n + 1), k) if rng.random() < density]
+        h = Hypergraph.from_edges(n, k, edges)
+        p = SwitchingPartition.from_v1(n, rng.sample(range(1, n + 1), rng.randint(0, n)))
+        got = _outcome(validate, h, p)
+        assert got == _outcome(validate_by_cores, h, p), (h, p)
+        kinds.add(type(got) if isinstance(got, SwitchReport) else got[0])
+    assert kinds == {SwitchReport, BadPartition, OddV1, ConditionAViolated, ConditionBViolated}
+
+
+def test_validate_reads_a_large_sparse_file_off_its_edges():
+    # C(2998, 2) = 4,492,503 cores of V2, one of them reached by an edge
+    h = Hypergraph.from_edges(3000, 3, [(1, 5, 6)])
+    report = validate(h, SwitchingPartition.from_v1(3000, (1, 2)))
+    assert report.switched_sets == ((5, 6),)
+    assert report.counts == ((0, 4492502), (1, 1))
 
 
 def test_validate_rejects_partition_mismatch():
