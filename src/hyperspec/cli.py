@@ -249,6 +249,15 @@ def _cmd_simplex_bound(args: argparse.Namespace, cfg: RunConfig) -> dict[str, An
     }
 
 
+def _int_option(text: str) -> int:
+    """parse_int for integer options; argparse names the type in its
+    refusal, which reads "invalid int value: ..." as for int."""
+    return parse_int(text)
+
+
+_int_option.__name__ = "int"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperspec",
@@ -257,12 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--threads",
-        type=int,
+        type=_int_option,
         default=1,
         help="accepted for compatibility and ignored; work runs in one thread",
     )
-    common.add_argument("--degree-cap", type=int, default=RunConfig.degree_cap)
-    common.add_argument("--dim-cap", type=int, default=RunConfig.dim_cap)
+    common.add_argument("--degree-cap", type=_int_option, default=RunConfig.degree_cap)
+    common.add_argument("--dim-cap", type=_int_option, default=RunConfig.dim_cap)
     common.add_argument(
         "--format", choices=("json", "table"), default="json", help="output format"
     )
@@ -312,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="write a built-in switched pair H.hg / G.hg / partition.json",
     )
-    p.add_argument("--n", type=int, required=True, help="chain length (>= 3)")
+    p.add_argument("--n", type=_int_option, required=True, help="chain length (>= 3)")
     p.add_argument("--dir", help="output directory (default: current)")
     p.add_argument(
         "--family-edge",
@@ -338,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="verify cospectral mates share edge and simplex counts",
     )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_int_option, required=True)
+    p.add_argument("--k", type=_int_option, required=True)
     p.add_argument("--checkpoint", help="JSON checkpoint path for resumable runs")
     p.set_defaults(func=_cmd_invariant_scan)
 
@@ -348,9 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="minimum simplices destroyed by deleting r edges from the complete hypergraph",
     )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--n", type=_int_option, required=True)
+    p.add_argument("--k", type=_int_option, required=True)
+    p.add_argument("--r", type=_int_option, required=True)
     p.set_defaults(func=_cmd_simplex_bound)
 
     return parser

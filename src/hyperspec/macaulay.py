@@ -19,8 +19,9 @@ likewise for M'.  A block that lies inside M' cancels and is dropped.
 No route forms M or M' whole: each stacks the blocks of one size
 modulo its primes, and multiplies their determinants or charpolys.
 A route gives the residues of the resultant at integer nodes modulo a
-stack of primes: from one pencil reduction at one shift per stack
-(_pencil_values), from det(M) / det(M') at one node (_det_values), or
+stack of primes: from one pencil reduction at one shift per stack, on
+the columns where the lambda part F1 is nonzero (_pencil_values), from
+det(M) / det(M') at one node (_det_values), or
 from the generalized charpoly below at every node, all (prime, node,
 block) layers in shared stacks (_gcp_values).  One loop, _recombine,
 tries a list of routes in order: it interpolates a route's node
@@ -34,8 +35,9 @@ det(M') vanishes for many sparse systems; there the value comes from
 Canny's generalized characteristic polynomial (J. Symbolic Comput. 9,
 1990) instead: the quotient charpoly(M) / charpoly(M') has a monic
 divisor, and its constant term is the resultant up to sign.  Every
-exact value is recombined by modular.crt_values under a Gershgorin
-bound: each root of that quotient is an eigenvalue of M.  A dropped
+exact value is recombined by modular.crt_values under the smaller of a
+Gershgorin and a Schur (Frobenius norm) bound: the roots of that
+quotient are eigenvalues of M (_elementary_bound).  A dropped
 block that is singular can make a route or a shift succeed where the
 whole M' would have failed; the value is the same either way.
 """
@@ -46,7 +48,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, prod
+from math import comb, isqrt, lcm, prod
 from typing import Callable, Sequence
 
 import numpy as np
@@ -301,6 +303,7 @@ class _FillTable:
             shifts.append([_code(e, radix) - system.degrees[i] * radix**i for e in exps])
             poly_scale.append(scale)
         self.poly_terms = poly_terms
+        self.assignment = structure.assignment  # the polynomial of each row
 
         column = structure.columns
         cols: list[int] = []
@@ -348,12 +351,27 @@ class _FillTable:
 
         return build
 
-    def radius(self, lam: int) -> int:
-        """Largest absolute row sum of M(lam), a bound on its eigenvalues;
-        the rows of one polynomial share their absolute sums."""
-        return max(
-            (sum(abs(i0 + lam * i1) for i0, i1 in terms) for terms in self.poly_terms),
-            default=0,
+    def _magnitudes(self, lam: int | None) -> list[list[int]]:
+        """The absolute entries of each polynomial's rows of M(lam); for
+        lam None, |i0| + |i1|, which bounds them on |lambda| = 1."""
+        if lam is None:
+            return [[abs(i0) + abs(i1) for i0, i1 in terms] for terms in self.poly_terms]
+        return [[abs(i0 + lam * i1) for i0, i1 in terms] for terms in self.poly_terms]
+
+    def radius(self, lam: int | None) -> int:
+        """Largest absolute row sum of M(lam), a bound on its eigenvalues
+        (Gershgorin), or for lam None its bound on |lambda| = 1; the rows
+        of one polynomial share their absolute sums."""
+        return max(map(sum, self._magnitudes(lam)), default=0)
+
+    def frobenius(self, lam: int | None) -> int:
+        """Squared Frobenius norm of M(lam), which bounds the sum of its
+        squared absolute eigenvalues (Schur), or for lam None its bound on
+        |lambda| = 1: each polynomial's squared entries, times the rows it
+        fills."""
+        return sum(
+            self.assignment.count(i) * sum(v * v for v in row)
+            for i, row in enumerate(self._magnitudes(lam))
         )
 
     def vanishing_poly(self, lam: int) -> bool:
@@ -426,44 +444,71 @@ def _det_product(blocks: list[tuple[np.ndarray, ...]], primes: np.ndarray) -> np
     return poly_product_mod([d[:, :, None] for d, *_ in blocks], primes)[:, 0]
 
 
+def _elementary_bound(d: int, k: int, radius: int, frobenius: int) -> int:
+    """A bound on |e_k|, the k-th elementary symmetric function, of any d
+    complex numbers mu with every |mu| <= radius and sum |mu|**2 <=
+    frobenius: the smaller of two.
+
+    Gershgorin's: e_k has C(d, k) terms, each a product of k of them, so
+    |e_k| <= C(d, k) radius**k.  Schur's: |e_k(mu)| <= e_k(|mu|), and by
+    Maclaurin's inequality and the power mean,
+    (e_k(|mu|) / C(d, k))**(1/k) <= sum |mu| / d <= (frobenius / d)**(1/2),
+    so |e_k| <= C(d, k) (frobenius / d)**(k/2), taken here as the exact
+    ceiling of the square root of C(d, k)**2 frobenius**k / d**k.  For
+    k = d this is the AM-GM bound (frobenius / d)**(d/2) on the product.
+    """
+    c = comb(d, k)
+    square = -(-c * c * frobenius**k // d**k)
+    root = isqrt(square)
+    return min(c * radius**k, root + (root * root < square))
+
+
 def _charpoly_quotient(table: _FillTable, prime_seed: int) -> list[int]:
     """The ascending integer coefficients of charpoly(M) / charpoly(M') at
     lambda = 0.
 
-    Every root of the quotient is an eigenvalue of M, so by Gershgorin
-    its absolute value is at most R = table.radius(0), and the
-    coefficient of x**j is at most C(d, j) * R**(d - j), d = N - N'.
+    The quotient's d = N - N' roots are eigenvalues of M, with
+    multiplicity, so each is at most R = table.radius(0) in absolute value
+    (Gershgorin) and their squared absolute values sum to at most the
+    squared Frobenius norm S = table.frobenius(0) (Schur).  The
+    coefficient of x**j is, up to sign, e_(d - j) of the roots, and is
+    recombined under _elementary_bound of both.
     """
-    d, radius = table.d, table.radius(0)
+    d, radius, frobenius = table.d, table.radius(0), table.frobenius(0)
 
     def residues_mod(primes: list[int]) -> np.ndarray:
         pv = np.array(primes, dtype=np.int64)
         return _quotients(table, pv, np.zeros_like(pv))
 
-    bounds = [comb(d, j) * radius ** (d - j) for j in range(d + 1)]
+    bounds = [_elementary_bound(d, d - j, radius, frobenius) for j in range(d + 1)]
     return crt_values(residues_mod, bounds, prime_seed, table.layer_size)
 
 
-def _value_bound(table: _FillTable, lam: int) -> int:
-    """A bound on the absolute resultant value at an integer lambda: R**d,
-    R the largest absolute row sum of M there and d = N - N' (see
-    _eval_point)."""
-    return table.radius(lam) ** table.d
+def _value_bound(table: _FillTable, lam: int | None) -> int:
+    """A bound on the absolute resultant value at an integer lambda, or at
+    every lambda on |lambda| = 1 for lam None: up to sign the value is the
+    product of the quotient's d = N - N' roots, eigenvalues of M(lambda)
+    (see _eval_point), so _elementary_bound of e_d under the row sum R and
+    the squared Frobenius norm S of M(lam) bounds it: the smaller of
+    R**d and (S / d)**(d/2).  On |lambda| = 1, every entry
+    |i0 + lambda i1| is at most |i0| + |i1|, and R and S are taken on
+    those."""
+    return _elementary_bound(table.d, table.d, table.radius(lam), table.frobenius(lam))
 
 
 def _eval_point(table: _FillTable, lam: int, prime_seed: int) -> Fraction:
     """Exact resultant value at one integer lambda.
 
     Where det(M') is nonzero, the value is det(M) / det(M'), computed
-    modulo each prime (_det_values); a prime dividing det(M') is skipped.  It is
-    bounded by R**d, R the largest absolute row sum of M and d = N - N',
-    because it is, up to sign, the constant term of the quotient below.
+    modulo each prime (_det_values); a prime dividing det(M') is skipped.
+    It is, up to sign, the constant term of the quotient below, the
+    product of d = N - N' eigenvalues of M, and _value_bound bounds it.
     When det(M') vanishes modulo the first prime, the value is the
     generalized characteristic polynomial's constant term: perturbing
     each scaled polynomial by -s * x_i**d_i subtracts s from the diagonal
     of M and M', so Res(F - s x^d) = (-1)**(N - N') * charpoly(M) /
     charpoly(M'), whose monic divisor never vanishes, and Res(F) is that
-    quotient at s = 0 (_gcp_values), recombined under the same bound R**d.
+    quotient at s = 0 (_gcp_values), recombined under the same bound.
     """
     if table.vanishing_poly(lam):
         return Fraction(0)
@@ -605,6 +650,15 @@ def _pencil_values(
     blocks of N are N_bb = A_bb**-1 F1_bb, and the determinants and
     charpolys are products over the blocks, as for M'.
 
+    N_bb is zero on every column where F1_bb is, so with J the columns
+    where F1 is nonzero on some block of a group of size s,
+    charpoly(-N_bb) = x**(s - |J|) charpoly(-N_bb[J, J]): each block is
+    solved against F1_bb[:, J] alone, its |J| x |J| charpoly taken, and
+    the s - |J| zero roots of a group's blocks prepended to the product
+    as zero coefficients.  A group with empty J contributes x**s.  For
+    odd order, where F1 is zero on most columns, this shrinks the
+    largest charpolys about twofold in size.
+
     Returns the (P, nodes) residues and the (P,) mask of the primes where
     that shift works; the others must be skipped.  det M(c) and det M'(c)
     are then nonzero integers, so only the primes dividing them are, and a
@@ -613,14 +667,24 @@ def _pencil_values(
     as for hypergraph adjacency tensors, whose divisor vanishes
     identically in lambda, _recombine takes _gcp_values instead.
     """
+    # the columns J where F1 is nonzero on some block of a group
+    support = {
+        id(g): np.flatnonzero((table.i1[g.slot] != 0).any(axis=(0, 1)))
+        for g in table.blocks + table.minors
+    }
     solved = np.zeros(len(primes), dtype=bool)
     for c in _SHIFTS:
         stacks = table.stacks(primes, np.full(len(primes), c, dtype=np.int64), slope=True)
+
+        def on_support(group, layers, blocks, stacks=stacks):
+            at, f1 = stacks(group, layers, blocks)
+            return at, f1[:, :, support[id(group)]]
+
         # the divisor is smaller and is the one that fails, so try it first
-        minor = _blockwise(table.minors, primes, stacks, _solves)
+        minor = _blockwise(table.minors, primes, on_support, _solves)
         det_minor = _det_product(minor, primes)
         if det_minor[0]:
-            full = _blockwise(table.blocks, primes, stacks, _solves)
+            full = _blockwise(table.blocks, primes, on_support, _solves)
             det_full = _det_product(full, primes)
             if det_full[0]:
                 solved = (det_minor != 0) & (det_full != 0)
@@ -632,16 +696,20 @@ def _pencil_values(
     for groups, solved_blocks in ((table.blocks, full), (table.minors, minor)):
         for group, (_, n) in zip(groups, solved_blocks):
             n[~solved] = 0
-            solutions[id(group)] = n
+            solutions[id(group)] = n[:, :, support[id(group)]]  # N[J, J]
     moduli, cube = primes[:, None], primes[:, None, None]
 
     def negated(group, layers, blocks):
         return (-solutions[id(group)][layers, blocks] % cube[layers],)
 
-    num, den = (
-        poly_product_mod([cp for cp, in _blockwise(groups, primes, negated, _charpolys)], primes)
-        for groups in (table.blocks, table.minors)
-    )
+    def charpoly_product(groups: list[_Blocks]) -> np.ndarray:
+        # charpoly(-N) = x**(s - |J|) charpoly(-N[J, J]) on each block
+        live = [g for g in groups if len(support[id(g)])]
+        factors = [cp for cp, in _blockwise(live, primes, negated, _charpolys)]
+        power = sum((g.size - len(support[id(g)])) * len(g.index) for g in groups)
+        return np.pad(poly_product_mod(factors, primes), ((0, 0), (power, 0)))
+
+    num, den = charpoly_product(table.blocks), charpoly_product(table.minors)
     q = poly_divexact_mod(num, den, primes)
     t, acc = (np.array(nodes, dtype=np.int64) - c) % moduli, 0
     for j in range(q.shape[1]):  # q_0 multiplies t**d
@@ -670,8 +738,9 @@ def _interpolated_resultant(
     integer system has integer coefficients.  At a complex lambda every
     root of the quotient charpoly(M) / charpoly(M') is still an
     eigenvalue of M(lambda) (see _eval_point), so on |lambda| = 1 the
-    resultant is at most R**d, R the largest row sum of |F0| + |F1|
-    (Gershgorin), and by Cauchy's estimate so is every coefficient; all
+    resultant is at most _value_bound(table, None), the smaller of R**d
+    and (S / d)**(d/2), R the largest row sum and S the sum of squares of
+    |F0| + |F1|, and by Cauchy's estimate so is every coefficient; all
     are recombined under that one bound.  The row scales divide out once
     at the end.
     """
@@ -688,13 +757,9 @@ def _interpolated_resultant(
     table = _FillTable(system)
     step = 2 if even_in_lambda else 1
     nodes = list(range(bound // step + 1))
-    # the rows of one polynomial share their absolute sums
-    radius = max(
-        (sum(abs(i0) + abs(i1) for i0, i1 in terms) for terms in table.poly_terms), default=0
-    )
     coeffs = _recombine(
         table, (_pencil_values, _gcp_values), nodes, tuple(lam**step for lam in nodes),
-        [radius**table.d] * len(nodes), cfg.prime_seed,
+        [_value_bound(table, None)] * len(nodes), cfg.prime_seed,
     )
     if even_in_lambda:
         coeffs = [c for h in coeffs for c in (h, 0)]

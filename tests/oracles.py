@@ -6,7 +6,10 @@ Likewise the simplex listing walks vertex sets instead of the library's
 bitmask table, and interpolation runs Newton's divided differences in
 Fractions instead of the library's Lagrange basis modulo primes.  The
 whole-matrix routes reduce a Macaulay table's M and M' modulo primes as
-whole dense matrices, without its split into diagonal blocks.
+whole dense matrices, without its split into diagonal blocks.  The
+full pencil shares the library's block kernels, but takes every column
+of each block's N = A**-1 F1, where the library keeps only the columns
+on which F1 is nonzero.
 
 The switching conditions are checked by walking every (k-1)-subset
 of V2 and probing each vertex of V1 for an edge, where the library
@@ -41,7 +44,10 @@ from hyperspec.hypergraph import (
     popcount_masks,
     universe_slots,
 )
-from hyperspec.modular import _det_mod, _inverses, charpoly_mod, poly_divexact_mod
+from hyperspec.macaulay import _SHIFTS, _blockwise, _charpolys, _det_product, _solves
+from hyperspec.modular import (
+    _det_mod, _inverses, charpoly_mod, poly_divexact_mod, poly_product_mod,
+)
 from hyperspec.polynomial import UniPoly
 from hyperspec.switching import SwitchingPartition, SwitchReport, _check_partition
 from hyperspec.tensor import Tensor, _unoffset
@@ -206,6 +212,47 @@ def whole_det_ratio_mod(table, primes: np.ndarray, lam: int) -> tuple[np.ndarray
     full = dense_stack(table, primes, np.full(len(primes), lam, dtype=np.int64))
     det_minor = _det_mod(divisor_stack(table, full), primes)
     return _det_mod(full, primes) * _inverses(det_minor, primes) % primes, det_minor != 0
+
+
+def full_pencil_values(table, nodes: Sequence[int], primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """macaulay._pencil_values on the whole N = A**-1 F1 of every block:
+    it solves against every column of F1 and takes each block's charpoly
+    of full size, where the library keeps only the columns on which F1 is
+    nonzero.  Returns the (P, nodes) residues and the (P,) mask of primes
+    where the stack's shift works."""
+    solved = np.zeros(len(primes), dtype=bool)
+    for c in _SHIFTS:
+        stacks = table.stacks(primes, np.full(len(primes), c, dtype=np.int64), slope=True)
+        minor = _blockwise(table.minors, primes, stacks, _solves)
+        det_minor = _det_product(minor, primes)
+        if det_minor[0]:
+            full = _blockwise(table.blocks, primes, stacks, _solves)
+            det_full = _det_product(full, primes)
+            if det_full[0]:
+                solved = (det_minor != 0) & (det_full != 0)
+                break
+    if not solved[0]:
+        return np.zeros((len(primes), len(nodes)), dtype=np.int64), solved
+    solutions = {}
+    for groups, solved_blocks in ((table.blocks, full), (table.minors, minor)):
+        for group, (_, n) in zip(groups, solved_blocks):
+            n[~solved] = 0
+            solutions[id(group)] = n
+    moduli, cube = primes[:, None], primes[:, None, None]
+
+    def negated(group, layers, blocks):
+        return (-solutions[id(group)][layers, blocks] % cube[layers],)
+
+    num, den = (
+        poly_product_mod([cp for cp, in _blockwise(groups, primes, negated, _charpolys)], primes)
+        for groups in (table.blocks, table.minors)
+    )
+    q = poly_divexact_mod(num, den, primes)
+    t, acc = (np.array(nodes, dtype=np.int64) - c) % moduli, 0
+    for j in range(q.shape[1]):
+        acc = (acc * t + q[:, j, None]) % moduli
+    scale = det_full * _inverses(det_minor, primes) % primes
+    return scale[:, None] * acc % moduli, solved
 
 
 def from_rows(rows: Sequence[Sequence[Fraction | int]]) -> Tensor:

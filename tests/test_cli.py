@@ -659,6 +659,33 @@ def test_integers_beyond_ascii_digits_exit_2(tmp_path, capsys):
     assert err == "ParseError: line 2: expected integers, got '1 2 ٣'\n"
 
 
+def test_integer_options_beyond_ascii_digits_exit_2(tmp_path, capsys):
+    # every integer option reads ASCII digits only, and argparse refuses
+    # the rest with its own usage error, naming the type int
+    path = _single_edge_file(tmp_path)
+    calls = [
+        ["example-pair", "--n", "{}", "--dir", str(tmp_path)],
+        ["simplex-bound", "--n", "{}", "--k", "3", "--r", "1"],
+        ["simplex-bound", "--n", "5", "--k", "{}", "--r", "1"],
+        ["simplex-bound", "--n", "5", "--k", "3", "--r", "{}"],
+        ["invariant-scan", "--n", "{}", "--k", "3"],
+        ["invariant-scan", "--n", "4", "--k", "{}"],
+        ["charpoly", "--degree-cap", "{}", path],
+        ["charpoly", "--dim-cap", "{}", path],
+        ["charpoly", "--threads", "{}", path],
+    ]
+    for argv in calls:
+        for bad in ("1_0", "٣", " 3"):
+            with pytest.raises(SystemExit) as exc:
+                main([a.format(bad) for a in argv])
+            captured = capsys.readouterr()
+            assert (exc.value.code, captured.out) == (2, ""), argv
+            assert f"invalid int value: {bad!r}" in captured.err, argv
+    assert _run(capsys, ["simplex-bound", "--n", "+5", "--k", "3", "--r", "1"])[0] == 0
+    code, out, _ = _run(capsys, ["charpoly", "--threads", "2", "--degree-cap", "12", path])
+    assert code == 0 and json.loads(out)["degree"] == 12
+
+
 def test_vertex_list_beyond_ascii_digits_exits_2(tmp_path, capsys):
     h, _, _ = hyperspec.example_pair(3)
     path = _write_graph(tmp_path, "h.hg", h)

@@ -246,6 +246,24 @@ def test_radius_is_the_largest_row_sum():
                 assert table.radius(lam) == max(sum(map(abs, row)) for row in full)
 
 
+def test_frobenius_is_the_sum_of_squared_entries():
+    # the table reads the squared entries per polynomial, times its rows;
+    # the dense matrix M(lam) must agree, and on |lambda| = 1 the dense
+    # |F0| + |F1| must give the same row sums and squares
+    rng = random.Random(2213)
+    for order, dim in ((3, 2), (3, 3), (4, 2), (5, 2)):
+        for sparse in (False, True):
+            a = _seeded_tensor(rng, order, dim, rational=True, sparse=sparse)
+            table = _FillTable(e_char_poly_system(a))
+            for lam in (0, 1, -2, 7):
+                full = _fill(table, lam)[0]
+                assert table.frobenius(lam) == sum(v * v for row in full for v in row)
+            f0, f1 = _fill(table, 0)[0], _fill(table, 1)[0]
+            unit = [[abs(u) + abs(v - u) for u, v in zip(r0, r1)] for r0, r1 in zip(f0, f1)]
+            assert table.radius(None) == max(map(sum, unit))
+            assert table.frobenius(None) == sum(v * v for row in unit for v in row)
+
+
 def _random_form(rng, nvars, degree, denominator):
     terms = {
         exp: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), denominator)
@@ -556,12 +574,13 @@ def _recombined(route, table, nodes, seed):
     return [Fraction(v * table.scale_minor, table.scale_full) for v in got]
 
 
-def _seeded_tensor(rng, order, dim, *, rational, sparse):
+def _seeded_tensor(rng, order, dim, *, rational, sparse, zeros=0.6):
     # a dense tensor has no zero entry: a single zero, say the diagonal
-    # entry of an odd-order tensor, can make the divisor vanish identically
+    # entry of an odd-order tensor, can make the divisor vanish
+    # identically; a sparse one has each entry zero with chance zeros
     entries = []
     for _ in range(dim**order):
-        if sparse and rng.random() < 0.6:
+        if sparse and rng.random() < zeros:
             entries.append(Fraction(0))
         else:
             den = rng.choice((1, 2, 3)) if rational else 1
@@ -605,6 +624,38 @@ def test_pencil_matches_the_per_node_path():
     table = _FillTable(e_char_poly_system(a))
     got = _recombined(_pencil_values, table, _e_char_nodes(3, 4), 0)
     assert got[16] == _eval_point(table, 16, 0)
+
+
+def test_pencil_on_the_support_of_f1_matches_the_full_pencil():
+    # N = A**-1 F1 is zero off the columns J where F1 is nonzero, so the
+    # pencil solves only for those and takes charpoly(-N[J, J]); its
+    # residues and mask must be the full pencil's, and its residues on the
+    # primes solved the generalized charpoly's.  Tensors with zero entries
+    # give groups whose J is empty, and groups whose blocks have different
+    # J, some of them empty
+    rng = random.Random(8212)
+    primes = _first_primes()
+    shapes = [(3, 3)] * 10 + [(3, 4)] * 4 + [(5, 3)] * 3
+    solved_tables = mixed = 0
+    for order, dim in shapes:
+        a = _seeded_tensor(rng, order, dim, rational=rng.random() < 0.5, sparse=True,
+                           zeros=0.3)
+        table = _FillTable(e_char_poly_system(a))
+        nodes = _e_char_nodes(order, dim)
+        got, solved = _pencil_values(table, nodes, primes)
+        want, want_solved = oracles.full_pencil_values(table, nodes, primes)
+        assert (solved == want_solved).all() and (got == want).all(), (order, dim)
+        if not solved.any():
+            continue
+        solved_tables += 1
+        # the generalized charpoly takes seconds at all 49 nodes of order 5
+        picked = [0, 1, len(nodes) // 2, len(nodes) - 1]
+        gcp, _ = _gcp_values(table, [nodes[i] for i in picked], primes)
+        assert (got[solved][:, picked] == gcp[solved]).all(), (order, dim)
+        supports = [(table.i1[g.slot] != 0).any(axis=1) for g in table.blocks + table.minors]
+        assert any(not s.any() for s in supports), (order, dim)
+        mixed += any(s.any() and not s.any(axis=1).all() for s in supports)
+    assert solved_tables >= 6 and mixed >= 2, (solved_tables, mixed)
 
 
 def _divisor_is(g):

@@ -11,6 +11,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,10 @@ from hyperspec.analysis import PolyCache, load_checkpoint
 from hyperspec.errors import CapExceeded, DegreeCapExceeded
 from hyperspec.hypergraph import Hypergraph, adjacency_tensor, count_simplices, from_bitmask
 from hyperspec import macaulay
-from hyperspec.macaulay import _eval_point, _FillTable
+from hyperspec.macaulay import (
+    PolySystem, _det_values, _eval_point, _FillTable, _gcp_values, _pencil_values,
+)
+from hyperspec.modular import crt_values
 from hyperspec.polynomial import UniPoly
 from hyperspec.spectra import (
     _interpolated_resultant,
@@ -29,6 +33,7 @@ from hyperspec.spectra import (
     det_tensor,
     e_char_poly,
     e_char_poly_system,
+    tensor_polynomial_map,
 )
 from oracles import (
     apply,
@@ -171,28 +176,133 @@ def test_single_edge_e_char_takes_two_prime_loops(monkeypatch):
     assert len(loops[1]) == 13
 
 
+def _entry_norms(table, lam=None):
+    # the largest absolute row sum R and the sum of squared absolute
+    # entries S of M(lam), summed here over the table's entries; lam None
+    # takes |i0| + |i1|, which bounds every entry on |lambda| = 1
+    sums, squares = [0] * table.size, 0
+    for r, i0, i1 in zip(table.row.tolist(), table.i0.tolist(), table.i1.tolist()):
+        v = abs(i0) + abs(i1) if lam is None else abs(i0 + lam * i1)
+        sums[r] += v
+        squares += v * v
+    return max(sums, default=0), squares
+
+
+def _assert_elementary_bound(bound, d, k, radius, squares):
+    # the bound on |e_k| of d numbers of absolute value at most R whose
+    # squares sum to at most S is Gershgorin's C(d, k) R**k, or else the
+    # least integer at least C(d, k) (S / d)**(k/2), and never above
+    # Gershgorin's; whether it is below Gershgorin's
+    c = math.comb(d, k)
+    assert bound <= c * radius**k
+    if bound < c * radius**k:
+        assert bound**2 * d**k >= c * c * squares**k > (bound - 1) ** 2 * d**k
+    return bound < c * radius**k
+
+
 def _assert_within_coefficient_bounds(a, raw):
     # every coefficient of the row-scaled resultant is an integer within
-    # the one bound all of them are recombined under: R**d, with R the
-    # largest row sum of |F0| + |F1|, summed here over the table's entries
+    # the one bound all of them are recombined under, the smaller of R**d
+    # and (S / d)**(d/2) on |lambda| = 1 (macaulay._value_bound)
     table = _FillTable(e_char_poly_system(a))
-    sums = [0] * table.size
-    for r, i0, i1 in zip(table.row.tolist(), table.i0.tolist(), table.i1.tolist()):
-        sums[r] += abs(i0) + abs(i1)
+    bound = macaulay._value_bound(table, None)
+    tighter = _assert_elementary_bound(bound, table.d, table.d, *_entry_norms(table))
     unscale = Fraction(table.scale_full, table.scale_minor)
     for j in range(raw.degree + 1):
         c = raw.coefficient(j) * unscale
-        assert c.denominator == 1 and abs(c) <= max(sums) ** table.d, (a.order, a.dim, j)
+        assert c.denominator == 1 and abs(c) <= bound, (a.order, a.dim, j)
+    return tighter
+
+
+def _pool_tensor(family, index, order, dim, span):
+    # a fixed tensor of the benchmark, upper entries randint(-span, span),
+    # from the seed strings of perfbench/workloads.fixed_tensor
+    rng = random.Random(f"perfbench-pool/{family}/{index}")
+    upper = {idx: rng.randint(-span, span)
+             for idx in itertools.combinations_with_replacement(range(dim), order)}
+    return symmetric_from_upper(order, dim, upper)
 
 
 def _benchmark_tensor(order):
-    # the fixed tensors of the echar benchmark: upper entries
-    # randint(-2, 2) in dimension 3, from the seed strings of
-    # perfbench/workloads.fixed_tensor
-    rng = random.Random(f"perfbench-pool/echar{order}/{order - 3}")
-    upper = {idx: rng.randint(-2, 2)
-             for idx in itertools.combinations_with_replacement(range(3), order)}
-    return symmetric_from_upper(order, 3, upper)
+    # the fixed tensor of this order of the echar benchmark
+    return _pool_tensor(f"echar{order}", order - 3, order, 3, 2)
+
+
+def _criterion_8_transforms():
+    # the orthogonal transforms of the echar benchmark: the identity (None),
+    # four signed permutations and the reflection I - 2 u u^T / 3
+    def signed(images, signs):
+        return from_rows([[s * (img == j) for j in range(3)] for img, s in zip(images, signs)])
+
+    third = Fraction(1, 3)
+    return [
+        None,
+        signed([1, 2, 0], [1, 1, 1]),
+        signed([0, 2, 1], [-1, 1, 1]),
+        signed([0, 1, 2], [1, -1, -1]),
+        signed([1, 0, 2], [1, 1, 1]),
+        from_rows([[2 * third - (i == j) for j in range(3)] for i in range(3)]),
+    ]
+
+
+def test_benchmark_values_lie_within_the_frobenius_bounds():
+    # every exact value, recombined here under the Gershgorin bounds alone,
+    # lies within the smaller bounds that the library recombines it under,
+    # and the library's values are those: the charpoly quotient's
+    # coefficients and det_tensor of the 16 3-graphs on 4 vertices and of
+    # the three fixed charpoly tensors, and the E-char coefficients of the
+    # fixed echar tensors under the criterion-8 transforms and of the
+    # single edge
+    def gershgorin_route(table, routes, nodes, abscissae, lam):
+        radius = _entry_norms(table, lam)[0]
+        bounds = [radius**table.d] * len(nodes)
+        return macaulay._recombine(table, routes, nodes, abscissae, bounds, 0)
+
+    tensors = [adjacency_tensor(from_bitmask(4, 3, mask)) for mask in range(16)]
+    tensors += [_pool_tensor("charpoly", t, 3, 4, 3) for t in range(3)]
+    tighter = {"charpoly": 0, "det": 0, "echar": 0}
+    for a in tensors:
+        component = tensor_polynomial_map(a)
+        scale = math.lcm(*(c.denominator for p in component for c in p.terms.values()))
+        degrees = (a.order - 1,) * a.dim
+        table = _FillTable(PolySystem(a.dim, tuple(p.scale(scale) for p in component), degrees))
+        d, (radius, squares) = table.d, _entry_norms(table, 0)
+
+        def residues_mod(primes, table=table):
+            pv = np.array(primes, dtype=np.int64)
+            return macaulay._quotients(table, pv, np.zeros_like(pv))
+
+        gershgorin = [math.comb(d, j) * radius ** (d - j) for j in range(d + 1)]
+        exact = crt_values(residues_mod, gershgorin, 0, table.layer_size)
+        assert macaulay._charpoly_quotient(table, 0) == exact
+        for j, c in enumerate(exact):
+            bound = macaulay._elementary_bound(d, d - j, table.radius(0), table.frobenius(0))
+            tighter["charpoly"] += _assert_elementary_bound(bound, d, d - j, radius, squares)
+            assert abs(c) <= bound, j
+        table = _FillTable(PolySystem(a.dim, component, degrees))
+        (value,) = gershgorin_route(table, (_det_values, _gcp_values), [0], (0,), 0)
+        bound = macaulay._value_bound(table, 0)
+        tighter["det"] += _assert_elementary_bound(
+            bound, table.d, table.d, *_entry_norms(table, 0)
+        )
+        assert abs(value) <= bound
+        assert det_tensor(a) == Fraction(value * table.scale_minor, table.scale_full)
+    echar = [_benchmark_tensor(order) for order in (3, 4)]
+    transformed = [a if p is None else mat_sim(p, a)
+                   for a in echar for p in _criterion_8_transforms()]
+    for a in transformed + [_single_edge()]:
+        table = _FillTable(e_char_poly_system(a))
+        odd = a.order % 2
+        nodes = list(range(_resultant_degree_bound(a.order, a.dim) // (1 + odd) + 1))
+        abscissae = tuple(lam ** (1 + odd) for lam in nodes)
+        exact = gershgorin_route(table, (_pencil_values, _gcp_values), nodes, abscissae, None)
+        raw = e_char_poly(a, normalize=False)
+        unscale = Fraction(table.scale_full, table.scale_minor)
+        assert [raw.coefficient((1 + odd) * i) * unscale for i in range(len(exact))] == exact
+        tighter["echar"] += _assert_within_coefficient_bounds(a, raw)
+    # Schur's bound is the smaller one for every E-char, and for 14 of the
+    # 19 charpoly tables, on every coefficient but the leading 1
+    assert tighter == {"charpoly": 14 * 32, "det": 14, "echar": 13}, tighter
 
 
 def test_echar_benchmark_keeps_its_primes(monkeypatch):
@@ -216,7 +326,7 @@ def test_echar_benchmark_keeps_its_primes(monkeypatch):
     third = Fraction(1, 3)
     reflection = from_rows([[2 * third - (i == j) for j in range(3)] for i in range(3)])
     signed = from_rows([[-1, 0, 0], [0, 0, 1], [0, 1, 0]])
-    expected = {3: [[4], [9], [4]], 4: [[5], [10], [5]]}
+    expected = {3: [[3], [8], [3]], 4: [[4], [9], [4]]}
     for order, primes in expected.items():
         a = _benchmark_tensor(order)
         for p, want in zip((None, reflection, signed), primes):
@@ -225,7 +335,7 @@ def test_echar_benchmark_keeps_its_primes(monkeypatch):
             assert kept == want, (order, p)
     kept.clear()
     e_char_poly(_single_edge())
-    assert kept == [None, 3]
+    assert kept == [None, 2]
 
 
 def test_e_char_matches_the_fraction_interpolation_oracle():
