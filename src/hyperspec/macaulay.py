@@ -676,7 +676,7 @@ def _pencil_values(
     for c in _SHIFTS:
         stacks = table.stacks(primes, np.full(len(primes), c, dtype=np.int64), slope=True)
 
-        def on_support(group, layers, blocks, stacks=stacks):
+        def on_support(group, layers, blocks):
             at, f1 = stacks(group, layers, blocks)
             return at, f1[:, :, support[id(group)]]
 
