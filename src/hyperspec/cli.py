@@ -365,6 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the subcommands that recombine values modulo primes, and so read
+# HYPERSPEC_PRIME_SEED, before any file
+_PRIME_COMMANDS = frozenset({"charpoly", "echarpoly", "cospectral", "ds", "invariant-scan"})
+
+
 @lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on the first main call rather than at import;
@@ -374,9 +379,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    base = RunConfig(degree_cap=args.degree_cap, dim_cap=args.dim_cap)
+    cfg = RunConfig(degree_cap=args.degree_cap, dim_cap=args.dim_cap)
     try:
-        cfg = config_from_env(base)
+        if args.command in _PRIME_COMMANDS:
+            cfg = config_from_env(cfg)
         _emit(args.func(args, cfg), args)
         return 0
     except (HyperspecError, OSError) as exc:  # OSError: an output that cannot be written

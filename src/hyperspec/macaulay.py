@@ -10,7 +10,8 @@ x_i**d_i for two or more distinct i.
 
 Every resultant goes through one integer path and one system type,
 PolySystem, whose coefficients are linear in a parameter lambda.  Its
-M is tabulated once as a sparse pencil (_FillTable) and split into
+M is tabulated once as a sparse pencil (_FillTable), built only by
+_table, which refuses one past the size cap first, and split into
 diagonal blocks: the strongly connected components of its pattern put
 M(lambda) in block upper triangular form at every lambda, and M' too,
 on each block's non-reduced part, so
@@ -26,11 +27,12 @@ from the generalized charpoly below at every node, all (prime, node,
 block) layers in shared stacks (_gcp_values).  One loop, _recombine,
 tries a list of routes in order: it interpolates a route's node
 residues mod p and recombines the coefficients in one crt_values call,
-all of whose primes share one stacked pass (see modular).  A polynomial
-in lambda takes the pencil, else the generalized charpoly
-(_interpolated_resultant); one value takes the determinant ratio, else
-the generalized charpoly (_eval_point).  A numeric system is the
-lambda-free case, evaluated at lambda = 0.
+all of whose primes share one stacked pass (see modular).  Each entry
+point takes (system, config): a polynomial in lambda takes the pencil,
+else the generalized charpoly (_interpolated_resultant); one value, at
+lambda = 0, takes the determinant ratio, else the generalized charpoly
+(resultant_value); the characteristic quotient takes charpoly(M) /
+charpoly(M') whole (_charpoly_quotient).
 det(M') vanishes for many sparse systems; there the value comes from
 Canny's generalized characteristic polynomial (J. Symbolic Comput. 9,
 1990) instead: the quotient charpoly(M) / charpoly(M') has a monic
@@ -53,7 +55,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import RunConfig
+from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (
     CapExceeded,
     DegreeCapExceeded,
@@ -161,12 +163,6 @@ def macaulay_structure(nvars: int, degrees: tuple[int, ...]) -> MacaulayStructur
 def macaulay_dim(nvars: int, degrees: Sequence[int]) -> int:
     total = sum(d - 1 for d in degrees) + 1
     return comb(total + nvars - 1, nvars - 1)
-
-
-def check_dim_cap(nvars: int, degrees: Sequence[int], dim_cap: int) -> None:
-    size = macaulay_dim(nvars, degrees)
-    if size > dim_cap:
-        raise CapExceeded(f"matrix dimension {size} exceeds cap {dim_cap}")
 
 
 def _strong_components(size: int, row: np.ndarray, col: np.ndarray) -> list[list[int]]:
@@ -378,25 +374,13 @@ class _FillTable:
         return any(all(i0 + lam * i1 == 0 for i0, i1 in t) for t in self.poly_terms)
 
 
-def _charpolys(a: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """charpoly_mod of a stack; a 1 x 1 layer's is read off: x - a."""
-    if a.shape[1] > 1:
-        return charpoly_mod(a, primes)
-    moduli = primes[:, None]
-    return np.concatenate([(moduli - a[:, 0]) % moduli, np.ones_like(a[:, 0])], axis=1)
-
-
-def _dets(a: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """_det_mod of a stack; a 1 x 1 layer is its own determinant."""
-    return a[:, 0, 0] if a.shape[1] == 1 else _det_mod(a, primes)
-
-
-def _solves(a: np.ndarray, b: np.ndarray, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_solve_mod of a stack; a 1 x 1 layer divides by its entry."""
-    if a.shape[1] > 1:
-        return _solve_mod(a, b, primes)
-    det = a[:, 0, 0]
-    return det, b * _inverses(det, primes)[:, None, None] % primes[:, None, None]
+def _table(system: PolySystem, config: RunConfig) -> _FillTable:
+    """The table of system, refused past config.dim_cap from its size
+    alone, before macaulay_structure runs."""
+    size = macaulay_dim(system.nvars, system.degrees)
+    if size > config.dim_cap:
+        raise CapExceeded(f"matrix dimension {size} exceeds cap {config.dim_cap}")
+    return _FillTable(system)
 
 
 def _blockwise(
@@ -432,8 +416,8 @@ def _quotients(table: _FillTable, primes: np.ndarray, lams: np.ndarray) -> np.nd
     since one block's quotient need not be exact."""
     stacks = table.stacks(primes, lams)
     full, minor = (
-        poly_product_mod([cp for cp, in _blockwise(groups, primes, stacks, _charpolys)], primes)
-        for groups in (table.blocks, table.minors)
+        poly_product_mod([cp for cp, in _blockwise(g, primes, stacks, charpoly_mod)], primes)
+        for g in (table.blocks, table.minors)
     )
     return poly_divexact_mod(full, minor, primes)
 
@@ -463,9 +447,9 @@ def _elementary_bound(d: int, k: int, radius: int, frobenius: int) -> int:
     return min(c * radius**k, root + (root * root < square))
 
 
-def _charpoly_quotient(table: _FillTable, prime_seed: int) -> list[int]:
+def _charpoly_quotient(system: PolySystem, config: RunConfig) -> list[int]:
     """The ascending integer coefficients of charpoly(M) / charpoly(M') at
-    lambda = 0.
+    lambda = 0, M the Macaulay matrix of an integer system.
 
     The quotient's d = N - N' roots are eigenvalues of M, with
     multiplicity, so each is at most R = table.radius(0) in absolute value
@@ -474,6 +458,7 @@ def _charpoly_quotient(table: _FillTable, prime_seed: int) -> list[int]:
     coefficient of x**j is, up to sign, e_(d - j) of the roots, and is
     recombined under _elementary_bound of both.
     """
+    table = _table(system, config)
     d, radius, frobenius = table.d, table.radius(0), table.frobenius(0)
 
     def residues_mod(primes: list[int]) -> np.ndarray:
@@ -481,42 +466,19 @@ def _charpoly_quotient(table: _FillTable, prime_seed: int) -> list[int]:
         return _quotients(table, pv, np.zeros_like(pv))
 
     bounds = [_elementary_bound(d, d - j, radius, frobenius) for j in range(d + 1)]
-    return crt_values(residues_mod, bounds, prime_seed, table.layer_size)
+    return crt_values(residues_mod, bounds, config.prime_seed, table.layer_size)
 
 
 def _value_bound(table: _FillTable, lam: int | None) -> int:
     """A bound on the absolute resultant value at an integer lambda, or at
     every lambda on |lambda| = 1 for lam None: up to sign the value is the
     product of the quotient's d = N - N' roots, eigenvalues of M(lambda)
-    (see _eval_point), so _elementary_bound of e_d under the row sum R and
+    (see resultant_value), so _elementary_bound of e_d under the row sum R and
     the squared Frobenius norm S of M(lam) bounds it: the smaller of
     R**d and (S / d)**(d/2).  On |lambda| = 1, every entry
     |i0 + lambda i1| is at most |i0| + |i1|, and R and S are taken on
     those."""
     return _elementary_bound(table.d, table.d, table.radius(lam), table.frobenius(lam))
-
-
-def _eval_point(table: _FillTable, lam: int, prime_seed: int) -> Fraction:
-    """Exact resultant value at one integer lambda.
-
-    Where det(M') is nonzero, the value is det(M) / det(M'), computed
-    modulo each prime (_det_values); a prime dividing det(M') is skipped.
-    It is, up to sign, the constant term of the quotient below, the
-    product of d = N - N' eigenvalues of M, and _value_bound bounds it.
-    When det(M') vanishes modulo the first prime, the value is the
-    generalized characteristic polynomial's constant term: perturbing
-    each scaled polynomial by -s * x_i**d_i subtracts s from the diagonal
-    of M and M', so Res(F - s x^d) = (-1)**(N - N') * charpoly(M) /
-    charpoly(M'), whose monic divisor never vanishes, and Res(F) is that
-    quotient at s = 0 (_gcp_values), recombined under the same bound.
-    """
-    if table.vanishing_poly(lam):
-        return Fraction(0)
-    (value,) = _recombine(
-        table, (_det_values, _gcp_values), [lam], (lam,), [_value_bound(table, lam)],
-        prime_seed,
-    )
-    return Fraction(value * table.scale_minor, table.scale_full)
 
 
 def _det_values(
@@ -528,11 +490,11 @@ def _det_values(
     stack is refused before det(M) is taken."""
     (lam,) = nodes
     stacks = table.stacks(primes, np.full(len(primes), lam, dtype=np.int64))
-    det_minor = _det_product(_blockwise(table.minors, primes, stacks, _dets), primes)
+    det_minor = _det_product(_blockwise(table.minors, primes, stacks, _det_mod), primes)
     if det_minor[0] == 0:
         refused = np.zeros(len(primes), dtype=bool)
         return np.zeros((len(primes), 1), dtype=np.int64), refused
-    det_full = _det_product(_blockwise(table.blocks, primes, stacks, _dets), primes)
+    det_full = _det_product(_blockwise(table.blocks, primes, stacks, _det_mod), primes)
     ratio = det_full * _inverses(det_minor, primes) % primes
     return ratio[:, None], det_minor != 0
 
@@ -605,7 +567,7 @@ def _gcp_values(
     table: _FillTable, nodes: Sequence[int], primes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Resultant residues at integer nodes from the generalized
-    characteristic polynomial (see _eval_point).
+    characteristic polynomial (see resultant_value).
 
     Every (prime, node) layer is one charpoly quotient, and the blocks of
     one size of all layers share stacks of at most STACK_CAP int64
@@ -681,10 +643,10 @@ def _pencil_values(
             return at, f1[:, :, support[id(group)]]
 
         # the divisor is smaller and is the one that fails, so try it first
-        minor = _blockwise(table.minors, primes, on_support, _solves)
+        minor = _blockwise(table.minors, primes, on_support, _solve_mod)
         det_minor = _det_product(minor, primes)
         if det_minor[0]:
-            full = _blockwise(table.blocks, primes, on_support, _solves)
+            full = _blockwise(table.blocks, primes, on_support, _solve_mod)
             det_full = _det_product(full, primes)
             if det_full[0]:
                 solved = (det_minor != 0) & (det_full != 0)
@@ -705,7 +667,7 @@ def _pencil_values(
     def charpoly_product(groups: list[_Blocks]) -> np.ndarray:
         # charpoly(-N) = x**(s - |J|) charpoly(-N[J, J]) on each block
         live = [g for g in groups if len(support[id(g)])]
-        factors = [cp for cp, in _blockwise(live, primes, negated, _charpolys)]
+        factors = [cp for cp, in _blockwise(live, primes, negated, charpoly_mod)]
         power = sum((g.size - len(support[id(g)])) * len(g.index) for g in groups)
         return np.pad(poly_product_mod(factors, primes), ((0, 0), (power, 0)))
 
@@ -737,14 +699,14 @@ def _interpolated_resultant(
     charpoly at every node (_recombine).  The resultant of the row-scaled
     integer system has integer coefficients.  At a complex lambda every
     root of the quotient charpoly(M) / charpoly(M') is still an
-    eigenvalue of M(lambda) (see _eval_point), so on |lambda| = 1 the
+    eigenvalue of M(lambda) (see resultant_value), so on |lambda| = 1 the
     resultant is at most _value_bound(table, None), the smaller of R**d
     and (S / d)**(d/2), R the largest row sum and S the sum of squares of
     |F0| + |F1|, and by Cauchy's estimate so is every coefficient; all
     are recombined under that one bound.  The row scales divide out once
     at the end.
     """
-    check_dim_cap(system.nvars, system.degrees, cfg.dim_cap)
+    table = _table(system, cfg)
     bound = sum(
         prod(system.degrees[:i] + system.degrees[i + 1 :])
         for i, part in enumerate(system.linear)
@@ -754,7 +716,6 @@ def _interpolated_resultant(
         raise DegreeCapExceeded(
             f"resultant degree bound {bound} exceeds cap {cfg.degree_cap}"
         )
-    table = _FillTable(system)
     step = 2 if even_in_lambda else 1
     nodes = list(range(bound // step + 1))
     coeffs = _recombine(
@@ -767,11 +728,26 @@ def _interpolated_resultant(
     return UniPoly(tuple(c * scale for c in coeffs))
 
 
-def resultant_value(
-    system: PolySystem, *, prime_seed: int = 0, dim_cap: int | None = None
-) -> Fraction:
+def resultant_value(system: PolySystem, config: RunConfig = DEFAULT_CONFIG) -> Fraction:
     """Exact resultant of one numeric system, or of a system's lambda-free
-    part."""
-    if dim_cap is not None:
-        check_dim_cap(system.nvars, system.degrees, dim_cap)
-    return _eval_point(_FillTable(system), 0, prime_seed)
+    part: its value at lambda = 0.
+
+    Where det(M') is nonzero, the value is det(M) / det(M'), computed
+    modulo each prime (_det_values); a prime dividing det(M') is skipped.
+    It is, up to sign, the constant term of the quotient below, the
+    product of d = N - N' eigenvalues of M, and _value_bound bounds it.
+    When det(M') vanishes modulo the first prime, the value is the
+    generalized characteristic polynomial's constant term: perturbing
+    each scaled polynomial by -s * x_i**d_i subtracts s from the diagonal
+    of M and M', so Res(F - s x^d) = (-1)**(N - N') * charpoly(M) /
+    charpoly(M'), whose monic divisor never vanishes, and Res(F) is that
+    quotient at s = 0 (_gcp_values), recombined under the same bound.
+    """
+    table = _table(system, config)
+    if table.vanishing_poly(0):
+        return Fraction(0)
+    (value,) = _recombine(
+        table, (_det_values, _gcp_values), [0], (0,), [_value_bound(table, 0)],
+        config.prime_seed,
+    )
+    return Fraction(value * table.scale_minor, table.scale_full)

@@ -9,11 +9,14 @@ auxiliary variable beta with the quadric x.x - beta**2 is appended.
 
 This module builds those systems and checks or normalizes the
 polynomials that come back; macaulay turns every system into its exact
-value.  char_poly and e_char_poly also take a hypergraph, which admit
-refuses past the characteristic degree cap, or certifies its
-E-characteristic polynomial 0, before adjacency_tensor is called.  A
-tensor's caps are checked in char_poly, macaulay._interpolated_resultant
-and macaulay.resultant_value (det_tensor).  In the characteristic
+value, through one table builder, macaulay._table, which refuses a
+Macaulay matrix past the size cap before building it.  char_poly
+refuses past the characteristic degree cap from (dim, order), or from
+a hypergraph's (n, k) before adjacency_tensor is called; for
+e_char_poly, admit does the same for a hypergraph, or certifies its
+E-characteristic polynomial 0.  A tensor is refused by its order, then
+the degree cap, then the size cap, then the E-char's lambda-degree
+bound; a hypergraph by the degree cap first.  In the characteristic
 system the lambda part of the Macaulay matrix is exactly the identity,
 so the resultant is charpoly(B) / charpoly(B'), where B is the integer
 Macaulay matrix of x -> L A x (L clears the denominators) and B' its
@@ -33,7 +36,7 @@ polynomial in lambda**2.  An uncovered pair of coordinates certifies an
 identically zero E-characteristic polynomial first (_uncovered_pair).
 
 The tensor determinant is the resultant of the numeric system x -> A x
-itself, one value at lambda = 0 (macaulay._eval_point); wherever its
+itself, one value at lambda = 0 (macaulay.resultant_value); wherever its
 divisor determinant is nonzero, this keeps phi(0) = (-1)**d * det an
 independent check.
 """
@@ -46,14 +49,7 @@ from math import lcm
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DegreeCapExceeded, DimMismatch, MathError
 from .hypergraph import Hypergraph, adjacency_tensor
-from .macaulay import (
-    PolySystem,
-    _charpoly_quotient,
-    _FillTable,
-    _interpolated_resultant,
-    check_dim_cap,
-    resultant_value,
-)
+from .macaulay import PolySystem, _charpoly_quotient, _interpolated_resultant, resultant_value
 from .polynomial import MultiPoly, UniPoly
 from .tensor import Tensor
 
@@ -140,19 +136,20 @@ def admit(h: Hypergraph, config: RunConfig, *, e_char: bool) -> bool:
 
 def char_poly(a: Tensor | Hypergraph, config: RunConfig = DEFAULT_CONFIG) -> UniPoly:
     """Monic characteristic polynomial of degree dim * (order-1)**(dim-1);
-    a hypergraph's is its adjacency tensor's, once admitted."""
+    a hypergraph's is its adjacency tensor's, built once its degree,
+    read off (n, k), passes the cap."""
     if isinstance(a, Hypergraph):
-        admit(a, config, e_char=False)
+        expected = check_degree_cap(a.n, a.k, config.degree_cap)
         a = adjacency_tensor(a)
+    elif a.order >= 2:  # a tensor's order is refused first
+        expected = check_degree_cap(a.dim, a.order, config.degree_cap)
     if a.order < 2:
         raise DimMismatch("characteristic polynomial needs order at least 2")
-    expected = check_degree_cap(a.dim, a.order, config.degree_cap)
     n, m = a.dim, a.order
-    check_dim_cap(n, (m - 1,) * n, config.dim_cap)
     component = tensor_polynomial_map(a)
     scale = lcm(*(c.denominator for p in component for c in p.terms.values()))
     system = PolySystem(n, tuple(p.scale(scale) for p in component), (m - 1,) * n)
-    coeffs = _charpoly_quotient(_FillTable(system), config.prime_seed)
+    coeffs = _charpoly_quotient(system, config)
     d = len(coeffs) - 1
     poly = UniPoly(tuple(Fraction(c, scale ** (d - j)) for j, c in enumerate(coeffs)))
     if poly.degree != expected or not poly.is_monic():
@@ -209,4 +206,4 @@ def det_tensor(a: Tensor, config: RunConfig = DEFAULT_CONFIG) -> Fraction:
     if a.order < 2:
         raise DimMismatch("tensor determinant needs order at least 2")
     system = PolySystem(a.dim, tensor_polynomial_map(a), (a.order - 1,) * a.dim)
-    return resultant_value(system, prime_seed=config.prime_seed, dim_cap=config.dim_cap)
+    return resultant_value(system, config)

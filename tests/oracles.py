@@ -44,9 +44,9 @@ from hyperspec.hypergraph import (
     popcount_masks,
     universe_slots,
 )
-from hyperspec.macaulay import _SHIFTS, _blockwise, _charpolys, _det_product, _solves
+from hyperspec.macaulay import _SHIFTS, _blockwise, _det_product
 from hyperspec.modular import (
-    _det_mod, _inverses, charpoly_mod, poly_divexact_mod, poly_product_mod,
+    _det_mod, _inverses, _solve_mod, charpoly_mod, poly_divexact_mod, poly_product_mod,
 )
 from hyperspec.polynomial import UniPoly
 from hyperspec.switching import SwitchingPartition, SwitchReport, _check_partition
@@ -223,10 +223,10 @@ def full_pencil_values(table, nodes: Sequence[int], primes: np.ndarray) -> tuple
     solved = np.zeros(len(primes), dtype=bool)
     for c in _SHIFTS:
         stacks = table.stacks(primes, np.full(len(primes), c, dtype=np.int64), slope=True)
-        minor = _blockwise(table.minors, primes, stacks, _solves)
+        minor = _blockwise(table.minors, primes, stacks, _solve_mod)
         det_minor = _det_product(minor, primes)
         if det_minor[0]:
-            full = _blockwise(table.blocks, primes, stacks, _solves)
+            full = _blockwise(table.blocks, primes, stacks, _solve_mod)
             det_full = _det_product(full, primes)
             if det_full[0]:
                 solved = (det_minor != 0) & (det_full != 0)
@@ -244,7 +244,7 @@ def full_pencil_values(table, nodes: Sequence[int], primes: np.ndarray) -> tuple
         return (-solutions[id(group)][layers, blocks] % cube[layers],)
 
     num, den = (
-        poly_product_mod([cp for cp, in _blockwise(groups, primes, negated, _charpolys)], primes)
+        poly_product_mod([cp for cp, in _blockwise(groups, primes, negated, charpoly_mod)], primes)
         for groups in (table.blocks, table.minors)
     )
     q = poly_divexact_mod(num, den, primes)

@@ -882,3 +882,29 @@ def test_malformed_prime_seed_env_exits_2(tmp_path, capsys, monkeypatch):
     code, _, err = _run(capsys, ["charpoly", _single_edge_file(tmp_path)])
     assert code == 2
     assert "HYPERSPEC_PRIME_SEED" in err
+
+
+def test_prime_seed_env_is_read_only_by_the_commands_that_use_primes(
+    tmp_path, capsys, monkeypatch
+):
+    # simplices, example-pair, verify-switch and simplex-bound recombine
+    # nothing modulo primes, so a malformed seed leaves their bytes and
+    # exit codes alone; the five commands that do refuse it before they
+    # read any file, so a missing one is not reported
+    path = _single_edge_file(tmp_path)
+    pair = tmp_path / "pair"
+    free = [
+        ["simplices", path],
+        ["example-pair", "--n", "3", "--dir", str(pair)],
+        ["verify-switch", str(pair / "H.hg"), "--v1", "1,2,3,4"],
+        ["simplex-bound", "--n", "5", "--k", "3", "--r", "1"],
+    ]
+    expected = [_run(capsys, argv) for argv in free]
+    assert [code for code, *_ in expected] == [0] * 4
+    monkeypatch.setenv("HYPERSPEC_PRIME_SEED", "x")
+    assert [_run(capsys, argv) for argv in free] == expected
+    refusal = (2, "", "InputError: HYPERSPEC_PRIME_SEED must be an integer, got 'x'\n")
+    missing = str(tmp_path / "missing.hg")
+    for argv in (["charpoly", missing], ["echarpoly", missing], ["cospectral", missing, missing],
+                 ["ds", missing], ["invariant-scan", "--n", "4", "--k", "3"]):
+        assert _run(capsys, argv) == refusal, argv

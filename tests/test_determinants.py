@@ -3,12 +3,13 @@
 The resultant of n linear forms in n variables is the determinant of
 their coefficient rows: the Macaulay matrix is that matrix and its
 divisor is empty, so these cases exercise the determinant-quotient
-route of macaulay._eval_point on its own.
+route of macaulay.resultant_value on its own.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -16,6 +17,7 @@ import pytest
 import sympy
 from oracles import int_det
 
+from hyperspec.config import DEFAULT_CONFIG
 from hyperspec.errors import DimMismatch
 from hyperspec.macaulay import PolySystem, resultant_value
 from hyperspec.polynomial import MultiPoly
@@ -36,7 +38,8 @@ def _linear_det(rows, prime_seed=0):
     n = len(rows)
     unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     polys = tuple(MultiPoly(n, dict(zip(unit, row))) for row in rows)
-    return resultant_value(PolySystem(n, polys, (1,) * n), prime_seed=prime_seed)
+    config = replace(DEFAULT_CONFIG, prime_seed=prime_seed)
+    return resultant_value(PolySystem(n, polys, (1,) * n), config)
 
 
 def test_known_values():

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import pytest
 import sympy
 from sympy.polys.multivariate_resultants import MacaulayResultant
 
+from hyperspec.config import DEFAULT_CONFIG
 from hyperspec.errors import (
     CapExceeded,
     DimMismatch,
@@ -25,7 +27,6 @@ from hyperspec import macaulay
 from hyperspec.modular import crt_values, nth_prime
 from hyperspec.macaulay import (
     PolySystem,
-    _eval_point,
     _det_values,
     _FillTable,
     _gcp_values,
@@ -192,13 +193,10 @@ def test_degenerate_plain_system_is_rescued_by_a_variant():
     # the generalized characteristic polynomial instead
     h = Hypergraph.from_edges(3, 3, [(1, 2, 3)])
     lsys = e_char_poly_system(adjacency_tensor(h))
-    table = _FillTable(lsys)
-    assert _exact_det(_fill(table, 1)[1]) == 0
-    assert _eval_point(table, 1, 0) == -16
-    plain = _FillTable(lsys.at(Fraction(1)))
-    assert _exact_det(_fill(plain, 0)[1]) == 0
-    assert _eval_point(plain, 0, 0) == -16
-    assert resultant_value(lsys.at(Fraction(1))) == -16
+    assert _exact_det(_fill(_FillTable(lsys), 1)[1]) == 0
+    plain = lsys.at(Fraction(1))
+    assert _exact_det(_fill(_FillTable(plain), 0)[1]) == 0
+    assert resultant_value(plain) == -16
 
 
 def test_degenerate_points_match_the_golden_e_char():
@@ -207,11 +205,12 @@ def test_degenerate_points_match_the_golden_e_char():
     blob = json.loads((DATA / "single_edge_n3_echar.json").read_text())
     raw = UniPoly.from_coeff_strings(blob["e_char_poly_raw"]["coefficients"])
     h = Hypergraph.from_edges(3, 3, [(1, 2, 3)])
-    table = _FillTable(e_char_poly_system(adjacency_tensor(h)))
+    system = e_char_poly_system(adjacency_tensor(h))
+    table = _FillTable(system)
     nodes = list(range(-24, 25))
     for lam in nodes:
         assert _exact_det(_fill(table, lam)[1]) == 0
-        assert _eval_point(table, lam, 0) == raw.evaluate(lam)
+        assert resultant_value(system.at(lam)) == raw.evaluate(lam)
     # the same values with every node in one batch of stacks
     for seed in (0, 3):
         assert _recombined(_gcp_values, table, nodes, seed) == [
@@ -548,9 +547,18 @@ def test_dim_cap_enforced():
             _poly(3, {(0, 0, 2): 1}),
         ]
     )
-    with pytest.raises(CapExceeded):
-        resultant_value(sys_, dim_cap=5)
-    assert resultant_value(sys_, dim_cap=macaulay_dim(3, (2, 2, 2))) == 1
+    with pytest.raises(CapExceeded, match="^matrix dimension 15 exceeds cap 14$"):
+        resultant_value(sys_, replace(DEFAULT_CONFIG, dim_cap=14))
+    assert resultant_value(sys_, replace(DEFAULT_CONFIG, dim_cap=15)) == 1
+    # x**513 and y**512 give a diagonal Macaulay matrix of size 1025, 1 x 1
+    # blocks only and no divisor, refused under the default dim_cap of
+    # 1024; with the cap raised the value is 2**512 3**513, as
+    # Res(a x**m, b y**n) = a**n b**m
+    sys_ = _system([_poly(2, {(513, 0): 2}), _poly(2, {(0, 512): 3})])
+    assert macaulay_dim(2, (513, 512)) == 1025 > DEFAULT_CONFIG.dim_cap
+    with pytest.raises(CapExceeded, match="^matrix dimension 1025 exceeds cap 1024$"):
+        resultant_value(sys_)
+    assert resultant_value(sys_, replace(DEFAULT_CONFIG, dim_cap=1025)) == 2**512 * 3**513
 
 
 def _e_char_nodes(order, dim):
@@ -589,8 +597,9 @@ def _seeded_tensor(rng, order, dim, *, rational, sparse, zeros=0.6):
 
 
 def test_pencil_matches_the_per_node_path():
-    # _eval_point evaluates each node with its own determinants, a path
-    # that shares only crt_values with the pencil; order 3 in dimension 4
+    # resultant_value evaluates each node's numeric system with its own
+    # table and determinants, a path that shares only crt_values with the
+    # pencil; order 3 in dimension 4
     # (Macaulay size 210) is checked at its largest node only, to keep the
     # per-node side short
     rng = random.Random(8117)
@@ -599,7 +608,8 @@ def test_pencil_matches_the_per_node_path():
     for order, dim in shapes:
         for rational, sparse in itertools.product((False, True), repeat=2):
             a = _seeded_tensor(rng, order, dim, rational=rational, sparse=sparse)
-            table = _FillTable(e_char_poly_system(a))
+            system = e_char_poly_system(a)
+            table = _FillTable(system)
             nodes = _e_char_nodes(order, dim)
             got = _recombined(_pencil_values, table, nodes, 0)
             if got is None:
@@ -609,7 +619,7 @@ def test_pencil_matches_the_per_node_path():
                 ), (order, dim)
                 continue
             took_pencil += 1
-            assert got == [_eval_point(table, lam, 0) for lam in nodes], (order, dim)
+            assert got == [resultant_value(system.at(lam)) for lam in nodes], (order, dim)
             if (order, dim) in ((3, 2), (4, 3)) and not sparse:
                 # sympy's exact det M / det M' is an oracle outside
                 # crt_values
@@ -621,9 +631,9 @@ def test_pencil_matches_the_per_node_path():
                     exact += 1
     assert took_pencil >= 24 and exact == 8
     a = _seeded_tensor(rng, 3, 4, rational=True, sparse=False)
-    table = _FillTable(e_char_poly_system(a))
-    got = _recombined(_pencil_values, table, _e_char_nodes(3, 4), 0)
-    assert got[16] == _eval_point(table, 16, 0)
+    system = e_char_poly_system(a)
+    got = _recombined(_pencil_values, _FillTable(system), _e_char_nodes(3, 4), 0)
+    assert got[16] == resultant_value(system.at(16))
 
 
 def test_pencil_on_the_support_of_f1_matches_the_full_pencil():
@@ -682,7 +692,8 @@ def test_divisor_that_vanishes_modulo_one_prime():
         expected = Fraction(int(_exact_det(full)), g)
         assert expected != 0
         for seed in range(index + 2):
-            assert resultant_value(system, prime_seed=seed) == expected, (g, seed)
+            config = replace(DEFAULT_CONFIG, prime_seed=seed)
+            assert resultant_value(system, config) == expected, (g, seed)
 
 
 def test_det_route_refuses_the_stack_whose_first_prime_divides_the_divisor():
@@ -710,11 +721,12 @@ def test_pencil_where_the_divisor_vanishes_at_some_nodes():
         (0, 0, 0, 0): 1, (0, 0, 1, 2): 2, (0, 1, 1, 1): -1,
         (1, 1, 2, 2): 1, (2, 2, 2, 2): -2, (0, 0, 2, 2): 1,
     })
-    table = _FillTable(e_char_poly_system(a))
+    system = e_char_poly_system(a)
+    table = _FillTable(system)
     nodes = _e_char_nodes(4, 3)
     vanishing = [lam for lam in nodes if _exact_det(_fill(table, lam)[1]) == 0]
     assert {0, 1, 3} <= set(vanishing) and len(vanishing) < len(nodes)
-    expected = [_eval_point(table, lam, 0) for lam in nodes]
+    expected = [resultant_value(system.at(lam)) for lam in nodes]
     assert _recombined(_pencil_values, table, nodes, 0) == expected
     assert _recombined(_gcp_values, table, nodes, 0) == expected
 
@@ -728,7 +740,8 @@ def test_pencil_skips_a_prime_that_fails_the_stack_shift():
     a = oracles.symmetric_from_upper(3, 3, {
         (0, 0, 0): 1, (0, 1, 2): 2, (1, 1, 1): 1, (1, 2, 2): -2, (2, 2, 2): 2,
     })
-    table = _FillTable(e_char_poly_system(a))
+    system = e_char_poly_system(a)
+    table = _FillTable(system)
     full, minor = map(_exact_det, _fill(table, 0))
     p = next(q for q in sympy.primefactors(full) if q > 2 and minor % q)
     assert any(
@@ -739,7 +752,7 @@ def test_pencil_skips_a_prime_that_fails_the_stack_shift():
     values, solved = _pencil_values(table, nodes, np.array(primes, dtype=np.int64))
     assert solved.tolist() == [True, False, True]
     scale = Fraction(table.scale_full, table.scale_minor)
-    exact = [_eval_point(table, lam, 0) * scale for lam in nodes]
+    exact = [resultant_value(system.at(lam)) * scale for lam in nodes]
     for layer in (0, 2):
         assert values[layer].tolist() == [v % primes[layer] for v in exact], layer
 
@@ -749,9 +762,10 @@ def test_pencil_shift_on_and_off_the_nodes(monkeypatch):
     # not depend on which shift the reduction used, nor on the primes
     rng = random.Random(8123)
     a = _seeded_tensor(rng, 3, 3, rational=True, sparse=False)
-    table = _FillTable(e_char_poly_system(a))
+    system = e_char_poly_system(a)
+    table = _FillTable(system)
     nodes = _e_char_nodes(3, 3)
-    expected = [_eval_point(table, lam, 0) for lam in nodes]
+    expected = [resultant_value(system.at(lam)) for lam in nodes]
     for shifts in ((5,), (-7,), (12,), (40, 5)):
         monkeypatch.setattr(macaulay, "_SHIFTS", shifts)
         for seed in (0, 3):

@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 
 from hyperspec.config import DEFAULT_CONFIG
 from hyperspec.analysis import PolyCache, load_checkpoint
-from hyperspec.errors import CapExceeded, DegreeCapExceeded
+from hyperspec.errors import CapExceeded, DegreeCapExceeded, DimMismatch, HyperspecError
 from hyperspec.hypergraph import Hypergraph, adjacency_tensor, count_simplices, from_bitmask
 from hyperspec import macaulay
 from hyperspec.macaulay import (
-    PolySystem, _det_values, _eval_point, _FillTable, _gcp_values, _pencil_values,
+    PolySystem, _det_values, _FillTable, _gcp_values, _pencil_values, resultant_value,
 )
 from hyperspec.modular import crt_values
 from hyperspec.polynomial import UniPoly
@@ -113,9 +113,9 @@ def test_e_char_degree_bound_holds_off_the_nodes():
         bound = _resultant_degree_bound(order, dim)
         raw = e_char_poly(a, normalize=False)
         assert raw.degree <= bound
-        table = _FillTable(e_char_poly_system(a))
+        system = e_char_poly_system(a)
         for lam in (bound // 2 + 2, -(bound // 2 + 2), 3 * bound):
-            assert raw.evaluate(Fraction(lam)) == _eval_point(table, lam, 0)
+            assert raw.evaluate(Fraction(lam)) == resultant_value(system.at(lam))
 
 
 def _record(monkeypatch, name, extract):
@@ -265,7 +265,8 @@ def test_benchmark_values_lie_within_the_frobenius_bounds():
         component = tensor_polynomial_map(a)
         scale = math.lcm(*(c.denominator for p in component for c in p.terms.values()))
         degrees = (a.order - 1,) * a.dim
-        table = _FillTable(PolySystem(a.dim, tuple(p.scale(scale) for p in component), degrees))
+        system = PolySystem(a.dim, tuple(p.scale(scale) for p in component), degrees)
+        table = _FillTable(system)
         d, (radius, squares) = table.d, _entry_norms(table, 0)
 
         def residues_mod(primes, table=table):
@@ -274,7 +275,7 @@ def test_benchmark_values_lie_within_the_frobenius_bounds():
 
         gershgorin = [math.comb(d, j) * radius ** (d - j) for j in range(d + 1)]
         exact = crt_values(residues_mod, gershgorin, 0, table.layer_size)
-        assert macaulay._charpoly_quotient(table, 0) == exact
+        assert macaulay._charpoly_quotient(system, DEFAULT_CONFIG) == exact
         for j, c in enumerate(exact):
             bound = macaulay._elementary_bound(d, d - j, table.radius(0), table.frobenius(0))
             tighter["charpoly"] += _assert_elementary_bound(bound, d, d - j, radius, squares)
@@ -340,7 +341,7 @@ def test_echar_benchmark_keeps_its_primes(monkeypatch):
 
 def test_e_char_matches_the_fraction_interpolation_oracle():
     # the raw E-char against Newton interpolation in Fractions through the
-    # _eval_point values at the same nodes, a path that shares neither the
+    # resultant_value values at the same nodes, a path that shares neither the
     # batched node residues, nor the Lagrange basis modulo primes, nor the
     # coefficient bounds.  Order 5 in dimension 3 (Macaulay size 364, 49
     # nodes) is left out: each node takes seconds there
@@ -348,12 +349,12 @@ def test_e_char_matches_the_fraction_interpolation_oracle():
     shapes = [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2)]
     tensors = [_random_rational_tensor(rng, order, dim) for order, dim in shapes]
     for a in tensors + [_single_edge()]:
-        table = _FillTable(e_char_poly_system(a))
+        system = e_char_poly_system(a)
         bound = _resultant_degree_bound(a.order, a.dim)
         odd = a.order % 2 == 1
         nodes = list(range(bound // 2 + 1 if odd else bound + 1))
         abscissae = [lam * lam for lam in nodes] if odd else nodes
-        oracle = interpolate([(x, _eval_point(table, lam, 0))
+        oracle = interpolate([(x, resultant_value(system.at(lam)))
                               for x, lam in zip(abscissae, nodes)])
         if odd:
             oracle = UniPoly(tuple(c for h in oracle.coeffs for c in (h, 0)))
@@ -369,11 +370,9 @@ def test_odd_order_resultant_is_even_in_lambda():
     rng = random.Random(431)
     for order, dim in ((3, 2), (3, 3), (5, 2)):
         a = _random_rational_tensor(rng, order, dim)
-        table = _FillTable(e_char_poly_system(a))
+        system = e_char_poly_system(a)
         for lam in range(1, _resultant_degree_bound(order, dim) + 1):
-            assert _eval_point(table, -lam, 0) == _eval_point(
-                table, lam, 0
-            )
+            assert resultant_value(system.at(-lam)) == resultant_value(system.at(lam))
     # even order has no such symmetry, so it keeps the full node set
     raw = e_char_poly(_order_four_integer(), normalize=False)
     assert any(raw.coefficient(p) != 0 for p in range(1, raw.degree + 1, 2))
@@ -562,13 +561,79 @@ def test_char_of_k4_plus_three_isolated_vertices():
     assert big == expected
 
 
-def test_caps_are_enforced():
-    with pytest.raises(DegreeCapExceeded):
-        char_poly(_single_edge(), replace(DEFAULT_CONFIG, degree_cap=10))
-    with pytest.raises(CapExceeded):
-        e_char_poly(_single_edge(), replace(DEFAULT_CONFIG, dim_cap=10))
-    with pytest.raises(CapExceeded):
-        char_poly(_single_edge(), replace(DEFAULT_CONFIG, dim_cap=10))
+def _refusal(entry, a, **caps):
+    # the type and message an entry refuses with under these caps, or None
+    try:
+        entry(a, replace(DEFAULT_CONFIG, **caps))
+    except HyperspecError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_caps_are_enforced(monkeypatch):
+    # the single edge on 3 vertices: characteristic degree 12 and Macaulay
+    # size 15 for char_poly and det_tensor, size 56 and lambda-degree
+    # bound 24 for e_char_poly.  Each entry refuses one past a cap and
+    # passes at it, the tensor and the hypergraph alike; past two caps the
+    # degree cap wins over the size cap, and the size cap over the
+    # lambda-degree bound.  For e_char_poly only a hypergraph is refused by
+    # its characteristic degree, before its tensor is built
+    edge = Hypergraph.from_edges(3, 3, [(1, 2, 3)])
+    char_degree = (DegreeCapExceeded, "characteristic degree 12 exceeds cap 11")
+    char_size = (CapExceeded, "matrix dimension 15 exceeds cap 14")
+    e_size = (CapExceeded, "matrix dimension 56 exceeds cap 55")
+    e_degree = (DegreeCapExceeded, "resultant degree bound 24 exceeds cap 23")
+    size_refusals = [  # (entry, input, caps), each refused by the size cap
+        (char_poly, a, {"dim_cap": 14}) for a in (edge, _single_edge())
+    ] + [(e_char_poly, a, {"dim_cap": 55}) for a in (edge, _single_edge())] + [
+        (det_tensor, _single_edge(), {"dim_cap": 14}),
+        (e_char_poly, _single_edge(), {"degree_cap": 11, "dim_cap": 55}),
+        (e_char_poly, edge, {"degree_cap": 23, "dim_cap": 55}),
+    ]
+    for a in (edge, _single_edge()):
+        assert _refusal(char_poly, a, degree_cap=11) == char_degree
+        assert _refusal(char_poly, a, degree_cap=12) is None
+        assert _refusal(char_poly, a, dim_cap=14) == char_size
+        assert _refusal(char_poly, a, dim_cap=15) is None
+        assert _refusal(char_poly, a, degree_cap=11, dim_cap=14) == char_degree
+        assert _refusal(e_char_poly, a, dim_cap=55) == e_size
+        assert _refusal(e_char_poly, a, dim_cap=56) is None
+        assert _refusal(e_char_poly, a, degree_cap=23) == e_degree
+        assert _refusal(e_char_poly, a, degree_cap=24) is None
+        assert _refusal(e_char_poly, a, degree_cap=23, dim_cap=55) == e_size
+    assert _refusal(e_char_poly, edge, degree_cap=11, dim_cap=55) == char_degree
+    assert _refusal(e_char_poly, _single_edge(), degree_cap=11, dim_cap=55) == e_size
+    assert _refusal(e_char_poly, _single_edge(), degree_cap=11) == (
+        DegreeCapExceeded, "resultant degree bound 24 exceeds cap 11"
+    )
+    # det_tensor has no degree cap
+    assert _refusal(det_tensor, _single_edge(), dim_cap=14) == char_size
+    assert _refusal(det_tensor, _single_edge(), dim_cap=15, degree_cap=0) is None
+    # the order comes first for a tensor, and after the degree cap for a
+    # hypergraph, whose order is its k
+    line = Tensor(1, 3, (Fraction(1),) * 3)
+    for entry, what in ((char_poly, "characteristic polynomial"),
+                        (e_char_poly, "E-characteristic polynomial"),
+                        (det_tensor, "tensor determinant")):
+        assert _refusal(entry, line, degree_cap=0, dim_cap=0) == (
+            DimMismatch, f"{what} needs order at least 2"
+        )
+    point = Hypergraph.empty(1, 1)
+    for entry, what in ((char_poly, "characteristic"), (e_char_poly, "E-characteristic")):
+        assert _refusal(entry, point, degree_cap=0) == (
+            DegreeCapExceeded, "characteristic degree 1 exceeds cap 0"
+        )
+        assert _refusal(entry, point, degree_cap=1, dim_cap=0) == (
+            DimMismatch, f"{what} polynomial needs order at least 2"
+        )
+    # nothing is built past the size cap
+    def unbuilt(*args):
+        raise AssertionError("Macaulay structure built past the size cap")
+
+    expected = [_refusal(entry, a, **caps) for entry, a, caps in size_refusals]
+    assert {kind for kind, _ in expected} == {CapExceeded}
+    monkeypatch.setattr(macaulay, "macaulay_structure", unbuilt)
+    assert [_refusal(entry, a, **caps) for entry, a, caps in size_refusals] == expected
 
 
 def test_char_invariant_under_relabeling():
