@@ -11,10 +11,10 @@ x_i**d_i for two or more distinct i.
 Every resultant goes through one integer path and one system type,
 PolySystem, whose coefficients are linear in a parameter lambda.  Its
 M is tabulated once as a sparse pencil (_FillTable), built only by
-_table, which refuses one past the size cap first, and split into
-diagonal blocks: the strongly connected components of its pattern put
-M(lambda) in block upper triangular form at every lambda, and M' too,
-on each block's non-reduced part, so
+_table, which refuses one past the size cap first (check_dim_cap), and
+split into diagonal blocks: the strongly connected components of its
+pattern put M(lambda) in block upper triangular form at every lambda,
+and M' too, on each block's non-reduced part, so
 det M = prod_b det M_bb and charpoly M = prod_b charpoly M_bb, and
 likewise for M'.  A block that lies inside M' cancels and is dropped.
 No route forms M or M' whole: each stacks the blocks of one size
@@ -31,8 +31,10 @@ all of whose primes share one stacked pass (see modular).  Each entry
 point takes (system, config): a polynomial in lambda takes the pencil,
 else the generalized charpoly (_interpolated_resultant); one value, at
 lambda = 0, takes the determinant ratio, else the generalized charpoly
-(resultant_value); the characteristic quotient takes charpoly(M) /
-charpoly(M') whole (_charpoly_quotient).
+(resultant_value), which has no shortcut of its own: a zero value read
+off the input comes before the system is built (spectra.det_tensor);
+the characteristic quotient takes charpoly(M) / charpoly(M') whole
+(_charpoly_quotient).
 det(M') vanishes for many sparse systems; there the value comes from
 Canny's generalized characteristic polynomial (J. Symbolic Comput. 9,
 1990) instead: the quotient charpoly(M) / charpoly(M') has a monic
@@ -374,12 +376,17 @@ class _FillTable:
         return any(all(i0 + lam * i1 == 0 for i0, i1 in t) for t in self.poly_terms)
 
 
-def _table(system: PolySystem, config: RunConfig) -> _FillTable:
-    """The table of system, refused past config.dim_cap from its size
-    alone, before macaulay_structure runs."""
-    size = macaulay_dim(system.nvars, system.degrees)
+def check_dim_cap(nvars: int, degrees: tuple[int, ...], config: RunConfig) -> None:
+    """Refuse a Macaulay matrix past config.dim_cap from its size alone,
+    before macaulay_structure runs."""
+    size = macaulay_dim(nvars, degrees)
     if size > config.dim_cap:
         raise CapExceeded(f"matrix dimension {size} exceeds cap {config.dim_cap}")
+
+
+def _table(system: PolySystem, config: RunConfig) -> _FillTable:
+    """The table of system, refused past the size cap first."""
+    check_dim_cap(system.nvars, system.degrees, config)
     return _FillTable(system)
 
 
@@ -744,8 +751,6 @@ def resultant_value(system: PolySystem, config: RunConfig = DEFAULT_CONFIG) -> F
     quotient at s = 0 (_gcp_values), recombined under the same bound.
     """
     table = _table(system, config)
-    if table.vanishing_poly(0):
-        return Fraction(0)
     (value,) = _recombine(
         table, (_det_values, _gcp_values), [0], (0,), [_value_bound(table, 0)],
         config.prime_seed,

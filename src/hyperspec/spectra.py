@@ -32,24 +32,32 @@ variables multiplies the resultant by its determinant to the power
 prod d_i (Jouanolou, Adv. Math. 90, 1991), here (-1)**(2 (m-1)**n) = 1.
 So the resultant is even in lambda, and the D/2 + 1 nodes
 lambda = 0..D/2 (13 for order 3, dimension 3) determine it as a
-polynomial in lambda**2.  An uncovered pair of coordinates certifies an
-identically zero E-characteristic polynomial first (_uncovered_pair).
+polynomial in lambda**2.  Before any system is built, an isotropic
+common root read off the entries or the edge list certifies an
+identically zero E-characteristic polynomial (_isotropic_root): an
+uncovered pair of coordinates, or for order 3 a triple witness.
 
 The tensor determinant is the resultant of the numeric system x -> A x
 itself, one value at lambda = 0 (macaulay.resultant_value); wherever its
 divisor determinant is nonzero, this keeps phi(0) = (-1)**d * det an
-independent check.
+independent check.  Past the size cap, and before the system or its
+table is built, a visible root gives 0 (_coordinate_root): a coordinate
+vector e_u when every a[i, u, .., u] is 0, as in every k-graph with
+k >= 3, or a zero slice a[i].
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import lcm
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DegreeCapExceeded, DimMismatch, MathError
 from .hypergraph import Hypergraph, adjacency_tensor
-from .macaulay import PolySystem, _charpoly_quotient, _interpolated_resultant, resultant_value
+from .macaulay import (
+    PolySystem, _charpoly_quotient, _interpolated_resultant, check_dim_cap, resultant_value,
+)
 from .polynomial import MultiPoly, UniPoly
 from .tensor import Tensor
 
@@ -126,9 +134,10 @@ def check_degree_cap(dim: int, order: int, cap: int) -> int:
 
 def admit(h: Hypergraph, config: RunConfig, *, e_char: bool) -> bool:
     """Whether h's E-characteristic polynomial (e_char) is certified 0 by
-    an uncovered pair; otherwise h is refused past the characteristic
-    degree cap, from (n, k), before any n**k tensor is built."""
-    if e_char and h.k >= 3 and _uncovered_pair(h):
+    an isotropic root read off its edge list; otherwise h is refused past
+    the characteristic degree cap, from (n, k), before any n**k tensor is
+    built."""
+    if e_char and h.k >= 3 and _isotropic_root(h):
         return True
     check_degree_cap(h.n, h.k, config.degree_cap)
     return False
@@ -161,24 +170,68 @@ def char_poly(a: Tensor | Hypergraph, config: RunConfig = DEFAULT_CONFIG) -> Uni
     return poly
 
 
-def _uncovered_pair(a: Tensor | Hypergraph) -> bool:
-    """Whether some coordinates u < v carry no nonzero a[w, i_2, .., i_m]
-    with every i_j in {u, v}: then x = e_u + i e_v has x.x = 0 and
-    A x**(m-1) = 0, a common root (beta = 0 for odd order) of the
-    E-characteristic system at every lambda when m >= 3, so its resultant
-    is identically 0 (Qi, J. Math. Anal. Appl. 325, 2007).  A hypergraph's
-    adjacency tensor has the supports e - {w} of its edges e and w in e:
-    for k >= 4 every pair is uncovered, for k = 3 two vertices in no
-    common edge."""
+def _isotropic_root(a: Tensor | Hypergraph) -> int:
+    """The size of the support of a witnessed x != 0 with x.x = 0 and
+    A x**(m-1) = 0, or 0 when neither witness below holds.  Such an x
+    (beta = 0 for odd order) is a common root of the E-characteristic
+    system at every lambda when m >= 3, so its resultant is identically 0
+    (Qi, J. Math. Anal. Appl. 325, 2007).  Both witnesses read the terms
+    of f_w = (A x**(m-1))_w: a hypergraph's are x**(e - {w}), with
+    coefficient 1, for each edge e and w in e.
+
+    2: coordinates u < v carry no term of any f_w on {u, v} alone, and
+    x = e_u + i e_v.  For k >= 4 every pair of a hypergraph qualifies,
+    for k = 3 two vertices in no common edge.
+
+    3, order 3 only: x = e_a + omega e_b + omega**2 e_c, omega a
+    primitive cube root of unity.  With S_jk the coefficients of x_j x_k
+    in every f and D_j those of x_j**2, A x**2 = (D_a + S_bc) +
+    omega (D_c + S_ab) + omega**2 (D_b + S_ac), which vanishes exactly
+    when the three rational parts are equal, that is when
+    key(a, b) = key(a, c) and key(b, a) = key(b, c) for
+    key(j, k) = S_jk - D_k.  Cyclic shifts of (a, b, c) multiply x by
+    omega, and a transposition conjugates it, so one unordered triple is
+    tried once.  For a 3-graph, key(j, k) is the set of vertices that
+    form an edge with jk: abc is not an edge, and every other vertex
+    forms an edge with none or all of ab, ac and bc.
+    """
     if isinstance(a, Hypergraph):
-        dim, supports = a.n, {frozenset(e).difference((w,)) for e in a.edges for w in e}
+        dim, order = a.n, a.k
+        items = (((w - 1,) + tuple(v - 1 for v in e if v != w), 1)
+                 for e in a.edges for w in e)
     else:
-        dim, supports = a.dim, {frozenset(idx[1:]) for idx, _ in a.nonzero_items()}
-    # an entry on {u} alone covers every pair holding u
+        dim, order = a.dim, a.order
+        items = a.nonzero_items()
+    # coefficients of each monomial, keyed by its sorted variables, in each f_w
+    terms: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    for (w, *rest), value in items:
+        column = terms.setdefault(tuple(sorted(rest)), {})
+        column[w] = column.get(w, 0) + value
+    supports = {frozenset(key) for key, column in terms.items() if any(column.values())}
+    # a term on {u} alone covers every pair holding u
     singles = set().union(*(s for s in supports if len(s) == 1))
     free = dim - len(singles)
     pairs = sum(1 for s in supports if len(s) == 2 and not s & singles)
-    return pairs < free * (free - 1) // 2
+    if pairs < free * (free - 1) // 2:
+        return 2
+    if order != 3:
+        return 0
+
+    def key(j: int, k: int) -> frozenset:
+        out = dict(terms.get((min(j, k), max(j, k)), {}))
+        for w, c in terms.get((k, k), {}).items():
+            out[w] = out.get(w, 0) - c
+        return frozenset((w, c) for w, c in out.items() if c)
+
+    for first in range(dim):
+        groups: dict[frozenset, list[int]] = {}
+        for j in range(first + 1, dim):
+            groups.setdefault(key(first, j), []).append(j)
+        for group in groups.values():
+            for j, k in itertools.combinations(group, 2):
+                if key(j, first) == key(j, k):
+                    return 3
+    return 0
 
 
 def e_char_poly(
@@ -190,7 +243,7 @@ def e_char_poly(
         if admit(a, config, e_char=True):
             return UniPoly.zero()
         a = adjacency_tensor(a)
-    elif a.order >= 3 and _uncovered_pair(a):
+    elif a.order >= 3 and _isotropic_root(a):
         return UniPoly.zero()
     if a.order < 2:
         raise DimMismatch("E-characteristic polynomial needs order at least 2")
@@ -201,9 +254,28 @@ def e_char_poly(
     return poly.normalized() if normalize else poly
 
 
+def _coordinate_root(a: Tensor) -> bool:
+    """Whether x -> A x visibly has a nontrivial root: a coordinate vector
+    e_u, when a[i, u, .., u] = 0 for every i (a zero column, for order
+    2), or any root of the other polynomials, when a slice a[i] is zero."""
+    n, m = a.dim, a.order
+    size = n ** (m - 1)  # entries per slice a[i]; (u, .., u) sits at u * step
+    step = sum(n**j for j in range(m - 1))
+    slices = [a.entries[i * size:(i + 1) * size] for i in range(n)]
+    if not all(map(any, slices)):
+        return True
+    return any(not any(s[u * step] for s in slices) for u in range(n))
+
+
 def det_tensor(a: Tensor, config: RunConfig = DEFAULT_CONFIG) -> Fraction:
-    """Resultant of the map x -> A x; zero exactly when it has a nontrivial root."""
+    """Resultant of the map x -> A x; zero exactly when it has a nontrivial
+    root.  Once the size cap passes, 0 is returned before any system is
+    built when _coordinate_root sees one, as for every k-graph with
+    k >= 3."""
     if a.order < 2:
         raise DimMismatch("tensor determinant needs order at least 2")
-    system = PolySystem(a.dim, tensor_polynomial_map(a), (a.order - 1,) * a.dim)
-    return resultant_value(system, config)
+    degrees = (a.order - 1,) * a.dim
+    check_dim_cap(a.dim, degrees, config)
+    if _coordinate_root(a):
+        return Fraction(0)
+    return resultant_value(PolySystem(a.dim, tensor_polynomial_map(a), degrees), config)

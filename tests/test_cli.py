@@ -870,6 +870,26 @@ def test_certified_e_char_beyond_the_characteristic_degree_cap(tmp_path, capsys,
             ), (text, argv)
 
 
+def test_triple_witness_e_char_beyond_the_characteristic_degree_cap(
+    tmp_path, capsys, monkeypatch
+):
+    # every pair of this "6 3" file shares an edge, but 123 is not an edge,
+    # 4 forms one with each of 12, 13 and 23, and 5 and 6 with none: the
+    # triple witness certifies the E-char 0 from the edge list, where the
+    # degree cap (192) used to refuse it with exit 3; charpoly still refuses
+    def refuse(h):
+        raise AssertionError("adjacency tensor built")
+
+    monkeypatch.setattr(hypergraph, "scaled_adjacency", refuse)
+    path = tmp_path / "g.hg"
+    path.write_text("6 3\n1 2 4\n1 3 4\n2 3 4\n4 5 6\n1 5 6\n2 5 6\n3 5 6\n")
+    for argv in (["echarpoly", str(path)], ["echarpoly", "--raw", str(path)]):
+        assert _run(capsys, argv) == (0, _ZERO, ""), argv
+    assert _run(capsys, ["charpoly", str(path)]) == (
+        3, "", "DegreeCapExceeded: characteristic degree 192 exceeds cap 128\n"
+    )
+
+
 def test_prime_seed_env_beyond_ascii_digits_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("HYPERSPEC_PRIME_SEED", "1_0")
     code, out, err = _run(capsys, ["charpoly", _single_edge_file(tmp_path)])

@@ -27,8 +27,9 @@ from hyperspec.macaulay import (
 from hyperspec.modular import crt_values
 from hyperspec.polynomial import UniPoly
 from hyperspec.spectra import (
+    _coordinate_root,
     _interpolated_resultant,
-    _uncovered_pair,
+    _isotropic_root,
     char_poly,
     det_tensor,
     e_char_poly,
@@ -454,7 +455,7 @@ def test_uncovered_pair_certifies_what_the_general_path_computes():
     tensors += [_uncovered_upper(3, 3, pair, 60 + seed)
                 for seed, pair in enumerate(((0, 1), (1, 2), (0, 2)))]
     for a in tensors:
-        assert _uncovered_pair(a)
+        assert _isotropic_root(a) == 2
         assert e_char_poly(a).is_zero()
         system = e_char_poly_system(a)
         assert _interpolated_resultant(
@@ -471,22 +472,22 @@ def test_covered_pairs_are_not_certified():
         for idx in itertools.product(range(3), repeat=3) if idx[0] != 0
     })
     single = symmetric_from_upper(7, 2, {(0,) * 7: 1})
-    assert not _uncovered_pair(adjacency_tensor(from_bitmask(4, 3, 15)))
+    assert not _isotropic_root(adjacency_tensor(from_bitmask(4, 3, 15)))
     for a in (_single_edge(), sliced, single):
-        assert not _uncovered_pair(a)
+        assert not _isotropic_root(a)
         assert not e_char_poly(a).is_zero()
 
 
 def test_edge_list_certificate_matches_the_tensor_certificate():
-    # _uncovered_pair reads the certificate off a hypergraph's edge list;
+    # _isotropic_root reads both witnesses off a hypergraph's edge list;
     # it must agree with its tensor's on every class up to 5 vertices
     seen = set()
     for n, k in ((3, 2), (5, 2), (3, 3), (4, 3), (5, 3), (4, 4), (5, 4), (5, 5)):
         for h in enumerate_all(n, k, up_to_iso=True):
-            certified = k >= 3 and _uncovered_pair(h)
-            assert certified == (k >= 3 and _uncovered_pair(adjacency_tensor(h))), h
+            certified = _isotropic_root(h) if k >= 3 else 0
+            assert certified == (_isotropic_root(adjacency_tensor(h)) if k >= 3 else 0), h
             seen.add((k, certified))
-    assert seen == {(2, False), (3, False), (3, True), (4, True), (5, True)}
+    assert seen == {(2, 0), (3, 0), (3, 2), (3, 3), (4, 2), (5, 2)}
 
 
 def test_front_doors_take_a_hypergraph(monkeypatch):
@@ -509,19 +510,19 @@ def test_front_doors_take_a_hypergraph(monkeypatch):
 
 
 def test_e_char_reads_a_hypergraphs_certificate_once(monkeypatch):
-    # the uncovered-pair check runs on the edge list, not again on the
-    # tensor; the single edge keeps its polynomial, and for K4(3) the
-    # resultant is stubbed, as only the count matters
+    # the certificate runs on the edge list, not again on the tensor; the
+    # single edge keeps its polynomial, and for K4(3) the resultant is
+    # stubbed, as only the count matters
     from hyperspec import spectra
 
     calls = []
-    certify = spectra._uncovered_pair
+    certify = spectra._isotropic_root
 
     def counted(a):
         calls.append(type(a).__name__)
         return certify(a)
 
-    monkeypatch.setattr(spectra, "_uncovered_pair", counted)
+    monkeypatch.setattr(spectra, "_isotropic_root", counted)
     edge = Hypergraph.from_edges(3, 3, [(1, 2, 3)])
     expected = e_char_poly(adjacency_tensor(edge))
     calls.clear()
@@ -544,6 +545,112 @@ def test_certified_e_chars_return_at_once():
         assert time.perf_counter() - start < 0.1, (n, k)
 
 
+def _has_pair_witness(h):
+    # two vertices in no common edge
+    return any(
+        not any(u in e and v in e for e in h.edges)
+        for u, v in itertools.combinations(range(1, h.n + 1), 2)
+    )
+
+
+def _has_triple_witness(h):
+    # abc is not an edge, and every other vertex forms an edge with none or
+    # all of ab, ac and bc
+    def edge(*vs):
+        return tuple(sorted(vs)) in h.edges
+
+    vertices = range(1, h.n + 1)
+    return any(
+        not edge(a, b, c) and all(
+            edge(v, a, b) == edge(v, a, c) == edge(v, b, c)
+            for v in vertices if v not in (a, b, c)
+        )
+        for a, b, c in itertools.combinations(vertices, 3)
+    )
+
+
+def _cube_root_witness(a, triple):
+    # whether x = e_a + w e_b + w**2 e_c, w a primitive cube root of unity,
+    # has A x**2 = 0, in exact arithmetic on p + q w with w**2 = -1 - w
+    def times(x, y):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0] - x[1] * y[1])
+
+    x = [(0, 0)] * a.dim
+    for j, power in zip(triple, ((1, 0), (0, 1), (-1, -1))):
+        x[j] = power
+    out = [(Fraction(0), Fraction(0))] * a.dim
+    for (i, j, k), value in a.nonzero_items():
+        p, q = times(x[j], x[k])
+        out[i] = (out[i][0] + value * p, out[i][1] + value * q)
+    return not any(p or q for p, q in out)
+
+
+def _triple_tensor(dim, triple, seed):
+    # a seeded integer order-3 tensor whose (A x**2)_i = alpha_i + beta_i w +
+    # gamma_i w**2 at x = e_a + w e_b + w**2 e_c has alpha_i = beta_i = gamma_i:
+    # a[i, a, a] and a[i, b, b] are solved for, every other entry drawn
+    rng = random.Random(seed)
+    entries = {idx: rng.choice((-2, -1, 1, 2)) for idx in itertools.product(range(dim), repeat=3)}
+    a, b, c = triple
+    for i in range(dim):
+        beta = entries[i, a, b] + entries[i, b, a] + entries[i, c, c]
+        entries[i, a, a] = beta - entries[i, b, c] - entries[i, c, b]
+        entries[i, b, b] = beta - entries[i, a, c] - entries[i, c, a]
+    return entries
+
+
+def test_witness_counts_on_three_graph_classes_up_to_six_vertices():
+    # every 3-graph class on 4, 5 and 6 vertices: the witness found is the
+    # pair when two vertices share no edge, else the triple when the
+    # combinatorial condition holds, and the triple's x is then a root
+    counts = {}
+    for n in (4, 5, 6):
+        for h in enumerate_all(n, 3, up_to_iso=True):
+            expected = 2 if _has_pair_witness(h) else 3 if _has_triple_witness(h) else 0
+            assert _isotropic_root(h) == expected, h
+            counts[n, expected] = counts.get((n, expected), 0) + 1
+            if expected == 3:
+                a = adjacency_tensor(h)
+                assert any(_cube_root_witness(a, t)
+                           for t in itertools.combinations(range(n), 3)), h
+    assert counts == {(4, 0): 1, (4, 2): 3, (4, 3): 1, (5, 0): 10, (5, 2): 20, (5, 3): 4,
+                      (6, 0): 821, (6, 2): 1172, (6, 3): 143}
+
+
+def test_triple_witness_certifies_what_the_general_path_computes():
+    # the 3-edge class on 4 vertices covers every pair, and 123 is the
+    # witness: the certified call returns at once, and the general path
+    # interpolates the same zero polynomial
+    h = from_bitmask(4, 3, 7)
+    a = adjacency_tensor(h)
+    assert _isotropic_root(h) == _isotropic_root(a) == 3
+    start = time.perf_counter()
+    assert e_char_poly(h).is_zero() and e_char_poly(a).is_zero()
+    assert time.perf_counter() - start < 0.1
+    system = e_char_poly_system(a)
+    assert _interpolated_resultant(system, DEFAULT_CONFIG, even_in_lambda=True).is_zero()
+
+
+def test_triple_witness_on_seeded_tensors_and_near_misses():
+    # nonsymmetric integer order-3 tensors with alpha_i = beta_i = gamma_i
+    # on one triple cover every pair; each is certified, its x is a root,
+    # and in dimension 3 the general path gives 0.  Moving one a[i, a, a]
+    # by 1 breaks alpha_i = beta_i: the near-miss is not certified, and
+    # its E-char is not 0
+    for seed, (dim, triple) in enumerate(((3, (0, 1, 2)), (3, (2, 0, 1)), (4, (0, 2, 3)))):
+        entries = _triple_tensor(dim, triple, 70 + seed)
+        a = Tensor.from_map(3, dim, entries)
+        assert _isotropic_root(a) == 3 and _cube_root_witness(a, triple)
+        assert e_char_poly(a).is_zero()
+        entries[seed % dim, triple[0], triple[0]] += 1
+        near = Tensor.from_map(3, dim, entries)
+        assert _isotropic_root(near) == 0 and not _cube_root_witness(near, triple)
+        if dim == 3:
+            system = e_char_poly_system(a)
+            assert _interpolated_resultant(system, DEFAULT_CONFIG, even_in_lambda=True).is_zero()
+            assert not e_char_poly(near).is_zero()
+
+
 def test_char_of_k4_plus_three_isolated_vertices():
     # n = 7, degree 448, Macaulay size 3,003: the disjoint union with three
     # isolated vertices has char poly phi(K4^(3))**8 * lambda**192 (Cooper &
@@ -559,6 +666,24 @@ def test_char_of_k4_plus_three_isolated_vertices():
     for _ in range(8):
         expected = expected * phi
     assert big == expected
+
+
+def test_char_is_multiplicative_over_components():
+    # Cooper & Dutle (2012): phi(H1 + H2) = phi(H1)**((k-1)**n2) *
+    # phi(H2)**((k-1)**n1), and an isolated vertex has phi = lambda.  Both
+    # unions have degree 192, past the default cap, raised for these calls;
+    # each side's table differs from the other's
+    config = replace(DEFAULT_CONFIG, degree_cap=192)
+    edge = char_poly(Hypergraph.from_edges(3, 3, [(1, 2, 3)]))
+    expected = UniPoly.constant(1)
+    for _ in range(16):
+        expected = expected * edge
+    assert char_poly(Hypergraph.from_edges(6, 3, [(1, 2, 3), (4, 5, 6)]), config) == expected
+    k5 = list(itertools.combinations(range(1, 6), 3))
+    phi = char_poly(Hypergraph.from_edges(5, 3, k5))
+    assert char_poly(Hypergraph.from_edges(6, 3, k5), config) == (
+        phi * phi * UniPoly.monomial(32)
+    )
 
 
 def _refusal(entry, a, **caps):
@@ -792,6 +917,21 @@ def test_char_coefficient_identities_on_every_small_three_graph_class(universe_s
         _check_three_graph_coefficients(from_bitmask(*key), cache.get_char_mask(*key))
 
 
+def test_char_coefficient_identities_on_four_graphs():
+    # Cooper & Dutle's identity for k = 4: codegrees 1..3 vanish and
+    # codegree 4 is -4**2 * 3**(n-4) |E|; the 5-vertex char poly has degree
+    # 405 and Macaulay size 1,365, past the default caps, raised here
+    config = replace(DEFAULT_CONFIG, degree_cap=405, dim_cap=1365)
+    cases = [(Hypergraph.from_edges(4, 4, [(1, 2, 3, 4)]), -16),
+             (Hypergraph.from_edges(5, 4, [(1, 2, 3, 4), (1, 2, 3, 5)]), -96)]
+    for h, codegree_four in cases:
+        d = h.n * 3 ** (h.n - 1)
+        phi = char_poly(h, config)
+        assert phi.degree == d and phi.is_monic()
+        assert [phi.coefficient(d - j) for j in (1, 2, 3, 4)] == [0, 0, 0, codegree_four]
+        assert codegree_four == -(4**2) * 3 ** (h.n - 4) * len(h.edges)
+
+
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(st.integers(min_value=2, max_value=4), st.integers(min_value=0, max_value=10**6))
 def test_char_constant_term_is_signed_det(dim, seed):
@@ -811,7 +951,9 @@ def test_det_tensor_values():
 # det_tensor of every 3-graph on 4 vertices, by edge mask, and of seeded
 # integer order-3 tensors in dimension 4.  The tensor values were recorded
 # from the earlier Fraction-based determinant path; every 3-graph on 4
-# vertices has determinant zero, certified below by a nontrivial root.
+# vertices has determinant zero.  det_tensor answers it from the coordinate
+# root e_u (spectra._coordinate_root); the brute-force search below finds a
+# nontrivial root independently.
 _DET_BY_MASK = {mask: 0 for mask in range(16)}
 _DET_BY_SEED = {
     0: 3085346265797345373,
@@ -842,3 +984,78 @@ def test_det_tensor_pinned_on_order_three():
         assert det_tensor(a) == expected
         phi = char_poly(a)
         assert phi.coefficient(0) == (-1) ** phi.degree * expected
+
+
+def _general_det(a, config=DEFAULT_CONFIG):
+    # the resultant of x -> A x on the general path, which det_tensor's
+    # coordinate-root check skips
+    system = PolySystem(a.dim, tensor_polynomial_map(a), (a.order - 1,) * a.dim)
+    return resultant_value(system, config)
+
+
+def _zero_column_tensor(order, dim, u, seed):
+    # seeded nonzero entries everywhere but on a[i, u, .., u] for every i
+    rng = random.Random(seed)
+    return {
+        idx: rng.choice((-2, -1, 1, 2))
+        for idx in itertools.product(range(dim), repeat=order)
+        if set(idx[1:]) != {u}
+    }
+
+
+def test_coordinate_root_agrees_with_the_general_path(universe_scan):
+    # every k-graph with k >= 3 has a[i, u, .., u] = 0: det_tensor answers 0
+    # from e_u, as the general path does on every 3-graph on 4 vertices,
+    # the 4-graph classes on 4 vertices and those with at most two edges on
+    # 5 (the larger take seconds), and as the char polys of the session's
+    # (5, 3) scan do through phi(0) = (-1)**d det; seeded tensors of order
+    # 2, 3 and 4 with a zero pure-power column, and one with a zero slice,
+    # likewise.  A near-miss, one a[u, u, .., u] set to 1, is not certified
+    general = [adjacency_tensor(from_bitmask(4, 3, mask)) for mask in range(16)]
+    general += [adjacency_tensor(h) for h in enumerate_all(4, 4, up_to_iso=True)]
+    raised = replace(DEFAULT_CONFIG, dim_cap=1365)
+    for h in enumerate_all(5, 4, up_to_iso=True):
+        a = adjacency_tensor(h)
+        assert _coordinate_root(a) and det_tensor(a, raised) == 0
+        if len(h.edges) <= 2:
+            assert _general_det(a, raised) == 0
+    cache, _ = load_checkpoint(universe_scan(5, 3)[1], 5, 3)
+    keys = {cache.class_key(5, 3, mask) for mask in range(2**10)}
+    assert len(keys) == 34
+    for key in keys:
+        a = adjacency_tensor(from_bitmask(*key))
+        assert cache.get_char_mask(*key).coefficient(0) == 0 == det_tensor(a)
+        assert _coordinate_root(a)
+    rng = random.Random(79)
+    general.append(Tensor.from_map(3, 3, {  # a zero slice a[1], no zero column
+        idx: rng.choice((-2, -1, 1, 2))
+        for idx in itertools.product(range(3), repeat=3) if idx[0] != 1
+    }))
+    for order, dim in ((2, 4), (3, 3), (4, 3)):
+        for u in range(dim):
+            entries = _zero_column_tensor(order, dim, u, 80 + 10 * order + u)
+            general.append(Tensor.from_map(order, dim, entries))
+            entries[(u,) * order] = 1
+            near = Tensor.from_map(order, dim, entries)
+            assert not _coordinate_root(near)
+            assert det_tensor(near) == _general_det(near) != 0
+    for a in general:
+        assert _coordinate_root(a)
+        assert det_tensor(a) == _general_det(a) == 0
+
+
+def test_certified_calls_build_no_table(monkeypatch):
+    # a determinant certified by a coordinate root, and an E-char certified
+    # by a triple witness, return before any Macaulay table is built
+    def unbuilt(system):
+        raise AssertionError("Macaulay table built")
+
+    monkeypatch.setattr(macaulay, "_FillTable", unbuilt)
+    for mask in range(16):
+        assert det_tensor(adjacency_tensor(from_bitmask(4, 3, mask))) == 0
+    assert det_tensor(Tensor.from_map(3, 3, _zero_column_tensor(3, 3, 1, 7))) == 0
+    assert det_tensor(from_rows([[Fraction(1), Fraction(2)], [Fraction(0), Fraction(0)]])) == 0
+    assert e_char_poly(from_bitmask(4, 3, 7)).is_zero()
+    assert e_char_poly(Tensor.from_map(3, 3, _triple_tensor(3, (0, 1, 2), 70))).is_zero()
+    with pytest.raises(AssertionError, match="Macaulay table built"):
+        det_tensor(_seeded_tensor(0))

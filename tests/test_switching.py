@@ -32,7 +32,7 @@ from hyperspec.hypergraph import (
     count_simplices,
     is_isomorphic,
 )
-from hyperspec.spectra import _uncovered_pair, char_poly
+from hyperspec.spectra import _isotropic_root, char_poly
 from hyperspec.switching import (
     SimilarityReport,
     SwitchingPartition,
@@ -394,5 +394,5 @@ def test_switchable_three_graphs_have_certified_zero_e_chars(n, switchable, clas
         partitions = list(find_partitions(h))
         found += bool(partitions)
         for p in partitions:
-            assert _uncovered_pair(h) and _uncovered_pair(switch(h, p)), (h, p)
+            assert _isotropic_root(h) == _isotropic_root(switch(h, p)) == 2, (h, p)
     assert (found, len(graphs)) == (switchable, classes)
