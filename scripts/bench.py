@@ -12,14 +12,16 @@ metrics that run.py prints on its last line and takes their medians.
 
 The file records the commit, whether ``src/`` differs from it, the
 Python and numpy versions and ``nproc``, all taken from run.py's
-``perfbench env`` line, so two BENCH files say whether they are
-comparable.  A run that exits non-zero stops the script.
+``perfbench env`` line, and numpy's BLAS library with the
+``OPENBLAS_NUM_THREADS`` the runs inherit, so two BENCH files say
+whether they are comparable.  A run that exits non-zero stops the script.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -45,6 +47,16 @@ def run_once(workload: str, seed: int) -> tuple[dict, dict]:
     env = next(json.loads(line.split(" ", 2)[2]) for line in lines
                if line.startswith("perfbench env "))
     return env, json.loads(lines[-1])
+
+
+def blas() -> dict:
+    """numpy's BLAS library, as the numpy of this interpreter, which runs
+    the benchmark, reports it, and OPENBLAS_NUM_THREADS (None if unset)."""
+    import numpy
+
+    config = numpy.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"name": config.get("name"), "version": config.get("version"),
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
 
 
 def src_modified() -> bool:
@@ -93,6 +105,7 @@ def main(argv: list[str] | None = None) -> int:
         "python": env.get("python"),
         "numpy": env.get("numpy"),
         "nproc": env.get("nproc"),
+        "blas": blas(),
         "seconds": SECONDS,
         "workloads": {
             w: {

@@ -77,8 +77,9 @@ def _same_poly(g: Hypergraph, h: Hypergraph, config: RunConfig, *, e_char: bool)
         raise DimMismatch(
             f"cospectrality needs matching (n, k); got ({g.n},{g.k}) vs ({h.n},{h.k})"
         )
-    admit(g, config, e_char=e_char)  # refuses past the cap even when g == h
-    poly = e_char_poly if e_char else char_poly
+    poly = e_char_poly if e_char else char_poly  # each admits its graph first
+    if g == h:
+        admit(g, config, e_char=e_char)  # refuses past the cap even when g == h
     return g == h or poly(g, config) == poly(h, config)
 
 

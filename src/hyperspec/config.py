@@ -9,7 +9,7 @@ MAX_PRIMES moduli from which every exact value is recombined
 (modular.crt_values); any seed yields the same final rational values,
 so it is a reproducibility control, not a correctness one.  Entry
 points default to DEFAULT_CONFIG; derive another with dataclasses.replace.
-Every computation runs in the calling thread.
+No thread is started but numpy's BLAS's, for large float64 products.
 """
 
 from __future__ import annotations

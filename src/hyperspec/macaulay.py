@@ -1,49 +1,36 @@
 """Dense resultants of square homogeneous polynomial systems.
 
-For n homogeneous polynomials in n variables of degrees d_1..d_n, build
-Macaulay's matrix M on the monomials of total degree
-D = sum(d_i - 1) + 1: each monomial mu owns one row, filled with the
-coefficients of (mu / x_i**d_i) * f_i for the least variable index i
-with x_i**d_i dividing mu.  The resultant is det(M) / det(M') where M'
-is the principal submatrix of M on the monomials divisible by
-x_i**d_i for two or more distinct i.
+For n homogeneous polynomials in n variables of degrees d_1..d_n,
+Macaulay's matrix M has one row per monomial mu of total degree
+D = sum(d_i - 1) + 1, holding (mu / x_i**d_i) * f_i for the least i with
+x_i**d_i dividing mu.  The resultant is det(M) / det(M'), M' the
+principal submatrix on the monomials divisible by x_i**d_i for two or
+more i.
 
-Every resultant goes through one integer path and one system type,
-PolySystem, whose coefficients are linear in a parameter lambda.  Its
-M is tabulated once as a sparse pencil (_FillTable), built only by
-_table, which refuses one past the size cap first (check_dim_cap), and
-split into diagonal blocks: the strongly connected components of its
-pattern put M(lambda) in block upper triangular form at every lambda,
-and M' too, on each block's non-reduced part, so
-det M = prod_b det M_bb and charpoly M = prod_b charpoly M_bb, and
-likewise for M'.  A block that lies inside M' cancels and is dropped.
-No route forms M or M' whole: each stacks the blocks of one size
-modulo its primes, and multiplies their determinants or charpolys.
-A route gives the residues of the resultant at integer nodes modulo a
-stack of primes: from one pencil reduction at one shift per stack, on
-the columns where the lambda part F1 is nonzero (_pencil_values), from
-det(M) / det(M') at one node (_det_values), or
-from the generalized charpoly below at every node, all (prime, node,
-block) layers in shared stacks (_gcp_values).  One loop, _recombine,
-tries a list of routes in order: it interpolates a route's node
-residues mod p and recombines the coefficients in one crt_values call,
-all of whose primes share one stacked pass (see modular).  Each entry
-point takes (system, config): a polynomial in lambda takes the pencil,
-else the generalized charpoly (_interpolated_resultant); one value, at
-lambda = 0, takes the determinant ratio, else the generalized charpoly
-(resultant_value), which has no shortcut of its own: a zero value read
-off the input comes before the system is built (spectra.det_tensor);
-the characteristic quotient takes charpoly(M) / charpoly(M') whole
-(_charpoly_quotient).
-det(M') vanishes for many sparse systems; there the value comes from
-Canny's generalized characteristic polynomial (J. Symbolic Comput. 9,
-1990) instead: the quotient charpoly(M) / charpoly(M') has a monic
-divisor, and its constant term is the resultant up to sign.  Every
-exact value is recombined by modular.crt_values under the smaller of a
-Gershgorin and a Schur (Frobenius norm) bound: the roots of that
-quotient are eigenvalues of M (_elementary_bound).  A dropped
-block that is singular can make a route or a shift succeed where the
-whole M' would have failed; the value is the same either way.
+Every resultant goes through one system type, PolySystem, linear in a
+parameter lambda, whose M is tabulated once as a sparse integer pencil
+split into diagonal blocks (_FillTable, built only by _table, which
+refuses one past the size cap first).  No route forms M or M' whole:
+each stacks the blocks of one size modulo its primes, and multiplies
+their determinants or adds their power sums, which Newton's identities
+turn into a charpoly quotient.  A route gives the resultant's residues
+at integer nodes modulo a stack of primes: by one pencil reduction per
+stack (_pencil_values), by det(M) / det(M') at one node (_det_values),
+or by the generalized charpoly at every node (_gcp_values).  _recombine
+tries routes in order, interpolates node residues mod p, and recombines
+the coefficients in one crt_values call.  Each entry point takes
+(system, config): a polynomial in lambda takes the pencil, else the
+generalized charpoly (_interpolated_resultant); a value takes the
+determinant ratio, else the generalized charpoly (resultant_value); the
+characteristic quotient takes charpoly(M) / charpoly(M') whole
+(_charpoly_quotient).  A zero value read off the input comes before any
+system is built (spectra.det_tensor).
+Where det(M') vanishes, Canny's generalized characteristic polynomial
+(J. Symbolic Comput. 9, 1990) gives the value: charpoly(M) / charpoly(M')
+has a monic divisor, and its constant term is the resultant up to sign.
+Every exact value is recombined under the smaller of a Gershgorin and a
+Schur bound, since the roots of that quotient are eigenvalues of M
+(_elementary_bound).
 """
 
 from __future__ import annotations
@@ -59,6 +46,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (
+    BadPrime,
     CapExceeded,
     DegreeCapExceeded,
     DimMismatch,
@@ -67,8 +55,8 @@ from .errors import (
     NotSquareSystem,
 )
 from .modular import (
-    _det_mod, _inverses, _matvec_mod, _solve_mod, charpoly_mod, crt_values,
-    poly_divexact_mod, poly_product_mod, stack_layers,
+    _det_mod, _inverses, _matvec_mod, _solve_mod, crt_values, newton_mod, stack_layers,
+    summed_power_sums_mod, trace_layer_size, trace_powers_mod,
 )
 from .polynomial import MultiPoly, UniPoly
 
@@ -259,22 +247,17 @@ class _FillTable:
     """The Macaulay matrix of one system as one sparse integer pencil,
     split into diagonal blocks.
 
-    Rows are scaled by the denominator lcm of their polynomial once, so
-    M(lambda) = F0 + lambda F1 has integer entries, each nonzero one held
-    once in the arrays row, col, i0 and i1; i0 and i1 end with one more
-    entry, 0, which every empty cell of a block takes.  The divisor M' is
-    the principal submatrix on the non-reduced monomials; the accumulated
-    scales divide back out of the determinant quotient.
-
-    The strongly connected components of the pattern of F0 and F1 order
-    the monomials so that M(lambda) is block upper triangular at every
-    lambda, and so is M', on each block's non-reduced part.  Hence
-    det M = prod det M_bb and charpoly M = prod charpoly M_bb, and
-    likewise for M'.  A block inside the non-reduced monomials is a block
-    of M' too and cancels, so it is dropped; blocks holds the others, and
-    minors their non-empty non-reduced parts, grouped by size.  stacks
-    gathers any blocks of a group modulo a prime each straight from the
-    entry arrays.
+    Rows are scaled once by their polynomial's denominator lcm, so each
+    nonzero entry of M(lambda) = F0 + lambda F1 is an integer, held once
+    in row, col, i0 and i1; i0 and i1 end with a 0 that every empty cell
+    of a block takes.  The scales divide back out of the quotient.  The
+    strongly connected components of the pattern order the monomials so
+    that M(lambda) is block upper triangular at every lambda, and so is
+    M' on each block's non-reduced part: det M = prod det M_bb and
+    tr(M**j) = sum tr(M_bb**j), and likewise for M'.  A block inside M'
+    cancels and is dropped, singular or not; blocks holds the others,
+    and minors their non-empty non-reduced parts, grouped by size.
+    stacks gathers a group's blocks modulo a prime each.
     """
 
     def __init__(self, system: PolySystem):
@@ -331,8 +314,7 @@ class _FillTable:
         minors = [m for b in kept if (m := [r for r in b if divisor[r]])]
         self.minors = _group_blocks(minors, self.row, self.col, self.size)
         # int64 entries one prime takes in the largest stacks built at once
-        # for the largest block: M(c) with F1, [A | F1], or a charpoly's
-        # table of polynomials
+        # for the largest block: M(c) with F1, or [A | F1]
         self.layer_size = 2 * (max(map(len, kept), default=0) + 1) ** 2
 
     def stacks(self, primes: np.ndarray, lams: np.ndarray, slope: bool = False) -> Callable:
@@ -395,16 +377,17 @@ def _blockwise(
     primes: np.ndarray,
     stacks: Callable[[_Blocks, np.ndarray, np.ndarray], Sequence[np.ndarray]],
     kernel: Callable,
+    layer_size: Callable[[int], int] = lambda s: 2 * (s + 1) ** 2,
 ) -> list[tuple[np.ndarray, ...]]:
     """kernel(*stacks(group, layers, blocks), primes[layers]) on every
-    (layer, block) pair of each group, the pairs of one group in stacks of
-    at most STACK_CAP int64 entries; per group, the kernel's outputs, each
-    shaped (layers, blocks, ...)."""
+    (layer, block) pair of each group, in stacks of at most STACK_CAP
+    entries, a pair of size s taking layer_size(s); per group, the
+    kernel's outputs, each shaped (layers, blocks, ...)."""
     out = []
     for group in groups:
         count = len(group.index)
         pairs = len(primes) * count
-        step = stack_layers(2 * (group.size + 1) ** 2)
+        step = stack_layers(layer_size(group.size))
         parts = []
         for start in range(0, pairs, step):
             layers, blocks = np.divmod(np.arange(start, min(start + step, pairs)), count)
@@ -417,22 +400,34 @@ def _blockwise(
     return out
 
 
+def _quotient(d: int, groups: Sequence, primes: np.ndarray, stacks: Callable) -> np.ndarray:
+    """Ascending (P, d + 1) coefficients, modulo each layer's prime, of
+    the monic quotient of degree d of the charpolys of the blocks
+    groups[0] over those of groups[1], all as stacks gives them: its
+    power sums are theirs less the divisor's (newton_mod).  A block
+    takes min(size, d) traces, extended past its size by its charpoly."""
+    def traces(a: np.ndarray, pv: np.ndarray) -> np.ndarray:
+        return trace_powers_mod(a, pv, min(a.shape[1], d))
+
+    sums = np.zeros((len(primes), d), dtype=np.int64)
+    for sign, part in zip((1, -1), groups):
+        for (t,) in _blockwise(part, primes, stacks, traces, lambda s: trace_layer_size(s, d)[1]):
+            sums += sign * summed_power_sums_mod(t, primes, d)
+    return newton_mod(sums % primes[:, None], primes)
+
+
 def _quotients(table: _FillTable, primes: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """charpoly(M) / charpoly(M') at each layer's lambda modulo its prime:
-    the products of the block charpolys of M and of M', divided once,
-    since one block's quotient need not be exact."""
-    stacks = table.stacks(primes, lams)
-    full, minor = (
-        poly_product_mod([cp for cp, in _blockwise(g, primes, stacks, charpoly_mod)], primes)
-        for g in (table.blocks, table.minors)
-    )
-    return poly_divexact_mod(full, minor, primes)
+    """charpoly(M) / charpoly(M') at each layer's lambda modulo its prime."""
+    return _quotient(table.d, (table.blocks, table.minors), primes, table.stacks(primes, lams))
 
 
 def _det_product(blocks: list[tuple[np.ndarray, ...]], primes: np.ndarray) -> np.ndarray:
     """The product of the block determinants, the first output of each
     group, at each layer modulo its prime."""
-    return poly_product_mod([d[:, :, None] for d, *_ in blocks], primes)[:, 0]
+    out = np.ones_like(primes)
+    for value in np.concatenate([d for d, *_ in blocks] + [out[:, None]], axis=1).T:
+        out = out * value % primes
+    return out
 
 
 def _elementary_bound(d: int, k: int, radius: int, frobenius: int) -> int:
@@ -456,14 +451,10 @@ def _elementary_bound(d: int, k: int, radius: int, frobenius: int) -> int:
 
 def _charpoly_quotient(system: PolySystem, config: RunConfig) -> list[int]:
     """The ascending integer coefficients of charpoly(M) / charpoly(M') at
-    lambda = 0, M the Macaulay matrix of an integer system.
-
-    The quotient's d = N - N' roots are eigenvalues of M, with
-    multiplicity, so each is at most R = table.radius(0) in absolute value
-    (Gershgorin) and their squared absolute values sum to at most the
-    squared Frobenius norm S = table.frobenius(0) (Schur).  The
-    coefficient of x**j is, up to sign, e_(d - j) of the roots, and is
-    recombined under _elementary_bound of both.
+    lambda = 0, M the Macaulay matrix of an integer system: that of x**j
+    is, up to sign, e_(d - j) of d = N - N' eigenvalues of M, recombined
+    under _elementary_bound of the row sum R = table.radius(0)
+    (Gershgorin) and the sum of squares S = table.frobenius(0) (Schur).
     """
     table = _table(system, config)
     d, radius, frobenius = table.d, table.radius(0), table.frobenius(0)
@@ -477,24 +468,19 @@ def _charpoly_quotient(system: PolySystem, config: RunConfig) -> list[int]:
 
 
 def _value_bound(table: _FillTable, lam: int | None) -> int:
-    """A bound on the absolute resultant value at an integer lambda, or at
-    every lambda on |lambda| = 1 for lam None: up to sign the value is the
-    product of the quotient's d = N - N' roots, eigenvalues of M(lambda)
-    (see resultant_value), so _elementary_bound of e_d under the row sum R and
-    the squared Frobenius norm S of M(lam) bounds it: the smaller of
-    R**d and (S / d)**(d/2).  On |lambda| = 1, every entry
-    |i0 + lambda i1| is at most |i0| + |i1|, and R and S are taken on
-    those."""
+    """A bound on the absolute resultant value at an integer lambda, or on
+    |lambda| = 1 for lam None, where |i0 + lambda i1| <= |i0| + |i1|: up
+    to sign the product of the quotient's d roots, eigenvalues of
+    M(lambda), so at most R**d and (S / d)**(d/2) (_elementary_bound)."""
     return _elementary_bound(table.d, table.d, table.radius(lam), table.frobenius(lam))
 
 
 def _det_values(
     table: _FillTable, nodes: Sequence[int], primes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """det(M) / det(M') residues at one integer node, both products over
-    the kept blocks, and the (P,) mask of the primes not dividing det(M'),
-    the others to be skipped.  When the first prime divides it, the whole
-    stack is refused before det(M) is taken."""
+    """det(M) / det(M') residues at one integer node, and the (P,) mask of
+    the primes not dividing det(M'), the others to be skipped; the whole
+    stack is refused, before det(M), when the first prime divides it."""
     (lam,) = nodes
     stacks = table.stacks(primes, np.full(len(primes), lam, dtype=np.int64))
     det_minor = _det_product(_blockwise(table.minors, primes, stacks, _det_mod), primes)
@@ -528,9 +514,9 @@ def _lagrange_mod(abscissae: tuple[int, ...], p: int) -> np.ndarray:
     maps the values at the abscissae to the interpolant's coefficients."""
     columns = []
     for num, den in _lagrange(abscissae):
-        # den's prime factors are at most the spread of the nodes, far
-        # below every modulus
-        assert den % p, f"Lagrange denominator {den} vanishes modulo {p}"
+        # den's prime factors are at most the spread of the nodes
+        if den % p == 0:
+            raise BadPrime(f"Lagrange denominator {den} vanishes modulo {p}")
         inverse = pow(den, -1, p)
         columns.append([c * inverse % p for c in num])
     return np.array(columns, dtype=np.int64).T
@@ -548,12 +534,11 @@ def _recombine(
     whose value at each abscissa is the resultant at its node.
 
     A route maps (table, nodes, primes) to the (P, nodes) residues and
-    the (P,) mask of the primes it does not skip.  Modulo each prime,
-    the exact Lagrange basis of the abscissae turns the node residues
-    into coefficient residues, and one crt_values call recombines them.
-    The first route whose first prime is not skipped gives the result;
-    the last, _gcp_values, skips no prime.  One abscissa has the basis
-    L_0 = 1, so its residues pass through unchanged.
+    the (P,) mask of the primes it does not skip; the exact Lagrange
+    basis of the abscissae (L_0 = 1 for one) turns them into coefficient
+    residues mod p, which one crt_values call recombines.  The first
+    route whose first prime is not skipped gives the result; the last,
+    _gcp_values, skips no prime.
     """
     for route in routes:
         def coefficients_mod(primes: list[int], route=route) -> list[np.ndarray | None]:
@@ -574,15 +559,11 @@ def _gcp_values(
     table: _FillTable, nodes: Sequence[int], primes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Resultant residues at integer nodes from the generalized
-    characteristic polynomial (see resultant_value).
-
-    Every (prime, node) layer is one charpoly quotient, and the blocks of
-    one size of all layers share stacks of at most STACK_CAP int64
-    entries.  Returns the (P, nodes) residues, 0 where a polynomial
-    vanishes identically, and the (P,) mask of primes not skipped, as
-    _pencil_values does; the monic divisor never vanishes, so no prime is
-    skipped.
-    """
+    characteristic polynomial (see resultant_value): every (prime, node)
+    layer is one charpoly quotient, and the blocks of one size of all
+    layers share stacks.  Returns the (P, nodes) residues, 0 where a
+    polynomial vanishes identically, and the (P,) mask of primes not
+    skipped, all of them: the monic divisor never vanishes."""
     live = [i for i, lam in enumerate(nodes) if not table.vanishing_poly(lam)]
     rows = np.repeat(np.arange(len(primes)), len(live))
     cols = np.tile(np.array(live, dtype=np.intp), len(primes))
@@ -606,35 +587,25 @@ def _pencil_values(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Resultant residues at integer nodes, one pencil reduction per prime.
 
-    The Macaulay matrix is a pencil M(lambda) = F0 + lambda F1, and so is
-    its divisor M'.  At a shift c where A = M(c) and A' = M'(c) are
-    invertible mod p, M(lambda) = A (I + t N) with t = lambda - c and
-    N = A**-1 F1, so det M(lambda) = det A * t**n * charpoly(-N)(1/t), and
-    likewise for M'.  Macaulay's identity det M = Res * det M' holds as
-    polynomials in lambda, so with q = charpoly(-N) / charpoly(-N'),
-    monic of degree d = n - n',
+    At a shift c where A = M(c) and A' = M'(c) are invertible mod p,
+    M(lambda) = A (I + t N) with t = lambda - c and N = A**-1 F1, so
+    det M(lambda) = det A * t**n * charpoly(-N)(1/t), and likewise for M'.
+    Macaulay's identity det M = Res * det M' holds as polynomials in
+    lambda, so with q = charpoly(-N) / charpoly(-N'), monic of degree d,
     Res(lambda) = det A / det A' * sum_j q_j t**(d - j) mod p.  The whole
-    stack takes the first shift that works modulo its first prime.  A and
-    F1 are block upper triangular in the same order, so the diagonal
-    blocks of N are N_bb = A_bb**-1 F1_bb, and the determinants and
-    charpolys are products over the blocks, as for M'.
-
-    N_bb is zero on every column where F1_bb is, so with J the columns
-    where F1 is nonzero on some block of a group of size s,
-    charpoly(-N_bb) = x**(s - |J|) charpoly(-N_bb[J, J]): each block is
-    solved against F1_bb[:, J] alone, its |J| x |J| charpoly taken, and
-    the s - |J| zero roots of a group's blocks prepended to the product
-    as zero coefficients.  A group with empty J contributes x**s.  For
-    odd order, where F1 is zero on most columns, this shrinks the
-    largest charpolys about twofold in size.
+    stack takes the first shift that works modulo its first prime.  The
+    diagonal blocks of N are N_bb = A_bb**-1 F1_bb, and N_bb is zero on
+    each column where F1_bb is: with J the columns where F1 is nonzero on
+    some block of a group, -N_bb has the eigenvalues of -N_bb[J, J] and
+    zeros, which add 0 to every power sum.  So each block is solved
+    against F1_bb[:, J] alone, and q has the power sums of the -N_bb[J, J]
+    less the divisor's: for odd order, about half the size of the blocks.
 
     Returns the (P, nodes) residues and the (P,) mask of the primes where
-    that shift works; the others must be skipped.  det M(c) and det M'(c)
-    are then nonzero integers, so only the primes dividing them are, and a
-    later stack fails every shift only if its first prime divides them at
-    the first stack's shift.  When no shift works modulo the first prime,
-    as for hypergraph adjacency tensors, whose divisor vanishes
-    identically in lambda, _recombine takes _gcp_values instead.
+    that shift works, the others to be skipped: only the primes dividing
+    the nonzero integers det M(c) and det M'(c).  When no shift works
+    modulo the first prime, as for hypergraph adjacency tensors, whose
+    divisor vanishes identically in lambda, _recombine takes _gcp_values.
     """
     # the columns J where F1 is nonzero on some block of a group
     support = {
@@ -660,7 +631,6 @@ def _pencil_values(
                 break
     if not solved[0]:
         return np.zeros((len(primes), len(nodes)), dtype=np.int64), solved
-    # a skipped layer's quotient is x**n / x**n', so the division is exact
     solutions = {}
     for groups, solved_blocks in ((table.blocks, full), (table.minors, minor)):
         for group, (_, n) in zip(groups, solved_blocks):
@@ -671,15 +641,8 @@ def _pencil_values(
     def negated(group, layers, blocks):
         return (-solutions[id(group)][layers, blocks] % cube[layers],)
 
-    def charpoly_product(groups: list[_Blocks]) -> np.ndarray:
-        # charpoly(-N) = x**(s - |J|) charpoly(-N[J, J]) on each block
-        live = [g for g in groups if len(support[id(g)])]
-        factors = [cp for cp, in _blockwise(live, primes, negated, charpoly_mod)]
-        power = sum((g.size - len(support[id(g)])) * len(g.index) for g in groups)
-        return np.pad(poly_product_mod(factors, primes), ((0, 0), (power, 0)))
-
-    num, den = charpoly_product(table.blocks), charpoly_product(table.minors)
-    q = poly_divexact_mod(num, den, primes)
+    live = [[g for g in groups if len(support[id(g)])] for groups in (table.blocks, table.minors)]
+    q = _quotient(table.d, live, primes, negated)
     t, acc = (np.array(nodes, dtype=np.int64) - c) % moduli, 0
     for j in range(q.shape[1]):  # q_0 multiplies t**d
         acc = (acc * t + q[:, j, None]) % moduli
@@ -694,24 +657,17 @@ def _interpolated_resultant(
 
     The resultant is homogeneous of degree prod_{j != i} d_j in the
     coefficients of f_i (Macaulay 1902; Cox, Little & O'Shea, Using
-    Algebraic Geometry, Ch. 3 Thm 3.1), and each of those coefficients
-    is affine in lambda, so its lambda-degree is at most
-    D = sum over the i with a nonzero lambda part of prod_{j != i} d_j.
-    The D + 1 nodes lambda = 0..D therefore determine it.  If
-    even_in_lambda, the resultant is known to be even in lambda: a
-    polynomial of degree at most D/2 in lambda**2, which the nodes
-    lambda = 0..D/2 determine.
+    Algebraic Geometry, Ch. 3 Thm 3.1), each affine in lambda, so the
+    nodes lambda = 0..D fix it, D the sum over the i with a nonzero
+    lambda part of prod_{j != i} d_j; if even_in_lambda, as a polynomial
+    in lambda**2, the nodes 0..D/2 do.
 
     The node residues come from the pencil, else from the generalized
-    charpoly at every node (_recombine).  The resultant of the row-scaled
-    integer system has integer coefficients.  At a complex lambda every
-    root of the quotient charpoly(M) / charpoly(M') is still an
-    eigenvalue of M(lambda) (see resultant_value), so on |lambda| = 1 the
-    resultant is at most _value_bound(table, None), the smaller of R**d
-    and (S / d)**(d/2), R the largest row sum and S the sum of squares of
-    |F0| + |F1|, and by Cauchy's estimate so is every coefficient; all
-    are recombined under that one bound.  The row scales divide out once
-    at the end.
+    charpoly at every node (_recombine).  The row-scaled system's
+    resultant has integer coefficients.  On |lambda| = 1 it is at most
+    _value_bound(table, None), since every root of the quotient is an
+    eigenvalue of M(lambda), and by Cauchy's estimate so is every
+    coefficient.  The row scales divide out once at the end.
     """
     table = _table(system, cfg)
     bound = sum(
@@ -737,18 +693,15 @@ def _interpolated_resultant(
 
 def resultant_value(system: PolySystem, config: RunConfig = DEFAULT_CONFIG) -> Fraction:
     """Exact resultant of one numeric system, or of a system's lambda-free
-    part: its value at lambda = 0.
+    part: its value at lambda = 0, bounded by _value_bound.
 
-    Where det(M') is nonzero, the value is det(M) / det(M'), computed
-    modulo each prime (_det_values); a prime dividing det(M') is skipped.
-    It is, up to sign, the constant term of the quotient below, the
-    product of d = N - N' eigenvalues of M, and _value_bound bounds it.
-    When det(M') vanishes modulo the first prime, the value is the
-    generalized characteristic polynomial's constant term: perturbing
-    each scaled polynomial by -s * x_i**d_i subtracts s from the diagonal
-    of M and M', so Res(F - s x^d) = (-1)**(N - N') * charpoly(M) /
-    charpoly(M'), whose monic divisor never vanishes, and Res(F) is that
-    quotient at s = 0 (_gcp_values), recombined under the same bound.
+    Where det(M') is nonzero, the value is det(M) / det(M') modulo each
+    prime (_det_values); a prime dividing det(M') is skipped.  When it
+    vanishes modulo the first prime: perturbing each scaled polynomial by
+    -s * x_i**d_i subtracts s from the diagonal of M and M', so
+    Res(F - s x^d) = (-1)**(N - N') * charpoly(M) / charpoly(M'), whose
+    monic divisor never vanishes, and Res(F) is its value at s = 0
+    (_gcp_values).
     """
     table = _table(system, config)
     (value,) = _recombine(

@@ -1,63 +1,46 @@
 """Modular determinants, characteristic polynomials and Chinese remaindering.
 
-Moduli come from a fixed, deterministic list of primes counting down
-from 2**31 - 1.  Keeping every modulus below 2**31 lets Gaussian
-elimination and Hessenberg reduction run vectorized in int64: products
-of two reduced values stay under 2**62, safely inside the int64 range.
-Every kernel works on a stack, a (P, n, n) int64 array whose layer i is
-reduced modulo primes[i], so one pass of Python-level steps serves all P
-primes; a single prime is a stack of one.  Updates add p - x where they
-would subtract x: numpy's integer remainder is several times slower on
-operands of mixed sign.  A seed offset picks a different window of the
-same list; the recombined value is the same for every seed, which makes
-cross-seed agreement a cheap consistency check.  Every exact value goes
-through one prime loop, crt_values: the caller supplies the residues
-modulo a list of primes, computed as one stack of at most STACK_CAP
-entries, and a rigorous bound on each value's absolute size.
+Moduli come from a fixed, deterministic list: the primes in
+(2**19, 2**20), counting down.  Below 2**20, eliminations run in int64,
+where a product of two residues stays under 2**40, and matrix products
+in float64 BLAS, exactly (_reduce).  Every kernel works on a stack, a
+(P, n, n) array whose layer i is reduced modulo primes[i], so one pass
+of Python-level steps serves all P primes.  The int64 eliminations add
+p - x where they would subtract x: numpy's remainder is several times
+slower on operands of mixed sign.  A charpoly comes from power sums
+(trace_powers_mod, summed_power_sums_mod) by Newton's identities
+(newton_mod).  A seed offset picks another window of the list, and
+recombines the same values.  Every exact value goes through one prime
+loop, crt_values, from residues the caller computes modulo a list of
+primes, as one stack of at most STACK_CAP entries, and a rigorous
+bound on each value's absolute size.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BadPrime, CapExceeded, InputError, MathError
+from .errors import BadPrime, CapExceeded, InputError
 
-PRIME_LIMIT = 2**31
+PRIME_LIMIT = 2**20
 
-# The most int64 entries a kernel's stack holds, 1 MB: crt_values hands
-# a callback fewer primes at once for larger matrices, down to one.  A
-# stack that outgrows the cache runs no faster per prime than one layer.
+# The most entries a kernel's stack holds, 1 MB of int64, down to one
+# layer: a stack that outgrows the cache runs no faster per prime.
 STACK_CAP = 1 << 17
-_HALVES = np.array([16, 0], dtype=np.int64)  # shifts that split int64 values in two
-
-_MR_BASES = (2, 3, 5, 7)  # deterministic below 3,215,031,751
+# The most terms of one float64 dot product (see _reduce), and of one
+# layer's baby steps (256 MB) and giant steps held in trace_powers_mod.
+FLOAT_TERMS = 1 << 13
+BABY_CAP = 1 << 25
+GIANTS = 4
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Whether n is prime, by trial division: moduli stay below 2**20."""
+    return n == 2 or n > 2 and n % 2 == 1 and all(n % q for q in range(3, isqrt(n) + 1, 2))
 
 
 @lru_cache(maxsize=1024)
@@ -69,15 +52,7 @@ def _is_modulus(p: int) -> bool:
 
 _PRIMES: list[int] = []
 
-MAX_PRIMES = 100_000  # the list's length: about 3.1 million bits of bound
-
-
-def _extend_primes(count: int) -> None:
-    candidate = _PRIMES[-1] - 2 if _PRIMES else PRIME_LIMIT - 1
-    while len(_PRIMES) < count:
-        if is_prime(candidate):
-            _PRIMES.append(candidate)
-        candidate -= 2
+MAX_PRIMES = 38_635  # every prime in (2**19, 2**20): about 755,000 bits of bound
 
 
 def nth_prime(index: int) -> int:
@@ -86,8 +61,11 @@ def nth_prime(index: int) -> int:
         raise InputError("prime index must be non-negative")
     if index >= MAX_PRIMES:
         raise CapExceeded(f"prime index {index} is past the last of {MAX_PRIMES} primes")
-    if index >= len(_PRIMES):
-        _extend_primes(index + 1)
+    candidate = _PRIMES[-1] - 2 if _PRIMES else PRIME_LIMIT - 1
+    while len(_PRIMES) <= index:
+        if is_prime(candidate):
+            _PRIMES.append(candidate)
+        candidate -= 2
     return _PRIMES[index]
 
 
@@ -174,130 +152,122 @@ def _solve_mod(
 
 
 def _matvec_mod(a: np.ndarray, v: np.ndarray, moduli: np.ndarray) -> np.ndarray:
-    """a @ v per layer modulo (P, 1) moduli, for operands in [0, p) and
-    fewer than 2**16 terms: v is split into 16-bit halves so no int64
-    partial sum can overflow."""
-    halves = a @ (v[:, :, None] >> _HALVES & 0xFFFF) % moduli[:, :, None]
-    return ((halves[:, :, 0] << 16) + halves[:, :, 1]) % moduli
+    """a @ v mod (P, 1) moduli, operands in [0, p): under 2**23 terms below 2**40 fit int64."""
+    return (a @ v[:, :, None])[:, :, 0] % moduli
 
 
-def _hessenberg_mod(h: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """Upper Hessenberg matrices similar to each layer mod its prime
-    (Cohen, Alg. 2.2.9); a layer with no pivot in a column is left alone."""
-    h = h.copy()
-    moduli = primes[:, None]
-    for c in range(h.shape[1] - 2):
-        if not all(h[:, c + 1, c].tolist()):
-            moved, rows = _pivot_up(h, c + 1, c)
-            if moved.size:
-                h[moved, :, c + 1], h[moved, :, rows] = h[moved, :, rows], h[moved, :, c + 1]
-        below = c + 2 + h[:, c + 2 :, c].any(axis=0).nonzero()[0]
-        if below.size == 0:
-            continue
-        # row_i -= u_i * row_{c+1}, then column_{c+1} += sum_i u_i * column_i
-        u = h[:, below, c] * _inverses(h[:, c + 1, c], primes)[:, None] % moduli
-        acc = (moduli - u)[:, :, None] * h[:, c + 1, None, c:]
-        acc += h[:, below, c:]
-        h[:, below, c:] = acc % moduli[:, :, None]
-        h[:, :, c + 1] = (h[:, :, c + 1] + _matvec_mod(h[:, :, below], u, moduli)) % moduli
-    return h
+def _reduce(x: np.ndarray, moduli: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
+    """x - p * rint(x * (1/p)), written over x, with q as scratch: the
+    balanced residue r of each integer-valued float64 |x| < 2**52 mod p.
 
-
-def poly_divexact_mod(num: np.ndarray, den: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """Quotients num / den of ascending coefficient rows modulo each
-    layer's prime, den monic; raises MathError if one leaves a remainder."""
-    width = den.shape[1]
-    if width == 0 or (den[:, -1] != 1).any():
-        raise InputError("divisor must be monic")
-    if width == 1:  # den = 1
-        return num.copy()
-    moduli = primes[:, None]
-    rem = num.copy()
-    quot = np.zeros((len(primes), max(num.shape[1] - width + 1, 0)), dtype=np.int64)
-    for s in range(quot.shape[1] - 1, -1, -1):
-        quot[:, s] = rem[:, s + width - 1]
-        window = rem[:, s : s + width]
-        np.remainder(window + (moduli - quot[:, s, None]) * den, moduli, out=window)
-    if rem.any():
-        p = primes[rem.any(axis=1)][0]
-        raise MathError(f"division by a monic polynomial left a remainder mod {p}")
-    return quot
-
-
-def _polymul_mod(a: np.ndarray, b: np.ndarray, moduli: np.ndarray) -> np.ndarray:
-    """Products of two (layers, count, width) stacks of ascending
-    coefficient rows, each layer modulo its (layers, 1, 1) modulus."""
-    if a.shape[2] < b.shape[2]:
-        a, b = b, a
-    out = np.zeros(a.shape[:2] + (a.shape[2] + b.shape[2] - 1,), dtype=np.int64)
-    for j in range(b.shape[2]):
-        window = out[:, :, j : j + a.shape[2]]
-        window += a * b[:, :, j, None]
-        np.remainder(window, moduli, out=window)
-    return out
-
-
-def poly_product_mod(factors: Sequence[np.ndarray], primes: np.ndarray) -> np.ndarray:
-    """The (layers, width) product, each layer modulo its prime, of every
-    row of (layers, count, width) stacks of ascending coefficients; no
-    stacks give 1.  Each stack multiplies its halves at once, a tree of
-    log2(count) steps, and a stack of values is one of width 1."""
-    moduli = primes[:, None, None]
-    rest = []
-    for f in factors:
-        while f.shape[1] > 1:
-            half = f.shape[1] // 2
-            if f.shape[1] % 2:
-                rest.append(f[:, -1:])
-            f = _polymul_mod(f[:, :half], f[:, half : 2 * half], moduli)
-        rest.append(f)
-    rest.sort(key=lambda f: f.shape[2])
-    acc = rest[0] if rest else np.ones((len(primes), 1, 1), dtype=np.int64)
-    for f in rest[1:]:
-        acc = _polymul_mod(acc, f, moduli)
-    return acc[:, 0]
-
-
-def charpoly_mod(a: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """Ascending coefficients of det(x*I - A) of each layer mod its prime.
-
-    a is a (P, n, n) int64 stack with entries in [0, p), primes a (P,)
-    int64 array.  Reduces each layer to Hessenberg form, then runs the
-    recurrence on its leading principal blocks: p_k = (x - h_kk) p_{k-1}
-    - sum_{i<k} h_ik * h_{i+1,i} ... h_{k,k-1} * p_{i-1}, all i at once.
+    Rounding 1/p and x * (1/p) moves x / p by under |x / p| 2**-51 < 2/p,
+    so |r| < p/2 + 2, and p * rint(..) and r are exact integers below
+    2**53.  Two such r multiply to under (2**19 + 2)**2 < 2**38.01, so a
+    sum of at most FLOAT_TERMS products stays below 2**51.01 at every
+    partial sum, in any order: each float64 dot product here is exact,
+    however BLAS splits or threads it.
     """
-    for p in set(primes.tolist()):
-        if not _is_modulus(p):
-            raise BadPrime(f"modulus must be an odd prime below 2**31, got {p}")
-    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[0] != len(primes):
-        raise InputError("matrix must be square, one layer per prime")
-    n = a.shape[1]
-    if n >= 1 << 16:
-        raise InputError(f"matrix dimension {n} is beyond the int64 kernel")
-    h = _hessenberg_mod(a, primes)
+    q = np.multiply(x, 1 / moduli, out=q)
+    np.rint(q, out=q)
+    q *= moduli
+    x -= q
+    return x
+
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray, moduli: np.ndarray, q=None) -> np.ndarray:
+    """a @ b of balanced residues, reduced, FLOAT_TERMS inner terms at once."""
+    out = _reduce(a[..., :FLOAT_TERMS] @ b[..., :FLOAT_TERMS, :], moduli, q)
+    for s in range(FLOAT_TERMS, a.shape[-1], FLOAT_TERMS):
+        out += _reduce(a[..., s : s + FLOAT_TERMS] @ b[..., s : s + FLOAT_TERMS, :], moduli, q)
+    return out if a.shape[-1] <= FLOAT_TERMS else _reduce(out, moduli, q)
+
+
+def trace_layer_size(n: int, count: int) -> tuple[int, int]:
+    """(r, entries): ceil(sqrt(min(n, count))) baby steps, at most BABY_CAP / n**2,
+    and the float64 entries of a layer in trace_powers_mod, r + 2 GIANTS + 3 n x n."""
+    r = max(1, min(isqrt(min(n, count) - 1) + 1, BABY_CAP // (n * n)))
+    return r, (r + 2 * GIANTS + 3) * n * n
+
+
+def trace_powers_mod(a: np.ndarray, primes: np.ndarray, count: int) -> np.ndarray:
+    """tr(A**j), j = 1..count, of each layer of an (L, n, n) stack with
+    entries in [0, p), modulo its prime, as an (L, count) int64 array.
+
+    Baby steps A, .., A**r and giant steps G = A**r, G**2, .. (Paterson &
+    Stockmeyer, SIAM J. Comput. 2, 1973) take about 2 sqrt(count) float64
+    products (_reduce): tr(G**k A**i) = sum_xy (G**k)_xy (A**i)_yx, for
+    GIANTS giant powers at once as they are made.  A baby step A @ X sums
+    the w rows of X that a row of A picks if all have w <= n/16 nonzeros.
+    """
+    layers, n = a.shape[:2]
+    moduli = primes.astype(np.float64)[:, None, None]
+    base = _reduce(a.astype(np.float64), moduli)
+    r, q = trace_layer_size(n, count)[0], np.empty_like(base)  # q: _reduce's scratch
+    w = int((a != 0).sum(axis=2).max(initial=0))
+    if 16 * w <= n:
+        cols = np.argsort(a == 0, axis=2, kind="stable")[:, :, :w]  # each row's nonzeros
+        vals, rows = np.take_along_axis(base, cols, axis=2)[:, :, None], np.arange(layers)
+    baby = np.empty((layers, r, n, n))  # baby[:, i] = (A**(i+1)).T
+    baby[:, 0] = (power := base).transpose(0, 2, 1)
+    for i in range(1, r):
+        power = (_reduce((vals @ power[rows[:, None, None], cols])[:, :, 0], moduli, q)
+                 if 16 * w <= n else _matmul_mod(base, power, moduli, q))
+        baby[:, i] = power.transpose(0, 2, 1)
+    traces, held = [np.einsum("lixx->li", baby)], []
+    baby, last = baby.reshape(layers, r, n * n), -(-count // r) - 1
+    for k in range(1, last + 1):
+        giant = _matmul_mod(giant, power, moduli, q) if k > 1 else power
+        held.append(giant.reshape(layers, n * n))
+        if len(held) == GIANTS or k == last:
+            got = _matmul_mod(baby, np.stack(held, axis=1).transpose(0, 2, 1), moduli)
+            traces.append(got.transpose(0, 2, 1).reshape(layers, -1))  # by k, then i
+            held = []
+    out = _reduce(np.concatenate(traces, axis=1)[:, :count], moduli[:, 0])
+    return out.astype(np.int64) % primes[:, None]
+
+
+def newton_mod(sums: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """Ascending (L, d + 1) coefficients, modulo each layer's prime, of the
+    monic polynomial x**d + c_1 x**(d-1) + .. whose roots have the power
+    sums s_j = sums[:, j - 1], by Newton's identities
+    k c_k = -(c_(k-1) s_1 + .. + c_0 s_k): each prime must exceed d."""
+    layers, d = sums.shape
+    if bad := [p for p in set(primes.tolist()) if not _is_modulus(p) or p <= d]:
+        raise BadPrime(f"degree {d} needs odd prime moduli in ({d}, 2**20), got {bad[0]}")
+    inverse = np.array([_reciprocals(p, d) for p in primes.tolist()]).reshape(layers, d + 1)
+    c = np.eye(1, d + 1, dtype=np.int64).repeat(layers, axis=0)  # c[:, k] = c_k
+    for k in range(1, d + 1):
+        acc = (c[:, k - 1 :: -1] * sums[:, :k]).sum(axis=1) % primes
+        c[:, k] = (primes - acc) * inverse[:, k] % primes
+    return c[:, ::-1]
+
+
+@lru_cache(maxsize=1024)
+def _reciprocals(p: int, d: int) -> np.ndarray:
+    inverse = [0, 1]  # 1/k = -(p // k) / (p % k), and p % k < k
+    for k in range(2, d + 1):
+        inverse.append(-(p // k) * inverse[p % k] % p)
+    return np.array(inverse[: d + 1], dtype=np.int64)
+
+
+def summed_power_sums_mod(sums: np.ndarray, primes: np.ndarray, count: int) -> np.ndarray:
+    """sum_B tr(B**j), j = 1..count, over the n x n matrices B of each layer
+    mod its prime, from their first min(n, count) power sums sums[l, b]:
+    past n, s_j = -(c_1 s_(j-1) + .. + c_n s_(j-n)) by B's charpoly
+    (newton_mod), skipped for a B whose first n sums vanish in every layer."""
+    layers, _, n = sums.shape
     moduli = primes[:, None]
-    negated = moduli - np.diagonal(h, 0, 1, 2)
-    subdiagonal = np.diagonal(h, -1, 1, 2)
-    polys = np.zeros((len(primes), n + 1, n + 1), dtype=np.int64)
-    polys[:, 0, 0] = 1
-    # run[:, i] = h[i, i-1] * ... * h[k-1, k-2] is 0 past a zero subdiagonal
-    # entry, and a zero in every layer moves the first term, lo, past it
-    run = np.zeros((len(primes), n), dtype=np.int64)
-    splits = [True] + (~subdiagonal.any(axis=0)).tolist()
-    for k in range(1, n + 1):
-        prev = polys[:, k - 1, :k]
-        row = polys[:, k]
-        row[:, 1 : k + 1] = prev
-        update = row[:, :k] + negated[:, k - 1, None] * prev
-        lo = k if splits[k - 1] else lo
-        if lo < k:
-            run[:, k - 1] = 1
-            run[:, lo:k] = run[:, lo:k] * subdiagonal[:, k - 2, None] % moduli
-            weights = h[:, lo - 1 : k - 1, k - 1] * run[:, lo:k] % moduli
-            earlier = polys[:, lo - 1 : k - 1, :k].transpose(0, 2, 1)
-            update += moduli - _matvec_mod(earlier, weights, moduli)
-        row[:, :k] = update % moduli
-    return polys[:, n]
+    out = np.zeros((layers, count), dtype=np.int64)
+    out[:, :n] = sums.sum(axis=1)
+    window = sums[:, sums.any(axis=(0, 2))]  # s_(j-n) .. s_(j-1) of the others
+    if count > n and window.size:
+        coeffs = newton_mod(window.reshape(-1, n), np.repeat(primes, window.shape[1]))
+        negated = -coeffs.reshape(layers, -1, n + 1)[:, :, :n] % moduli[:, :, None]
+        for j in range(n, count):
+            s = (negated * window).sum(axis=2) % moduli
+            window = np.concatenate([window[:, :, 1:], s[:, :, None]], axis=2)
+            out[:, j] = s.sum(axis=1)
+    return out % moduli
 
 
 def crt_combine(residues: Sequence[int], moduli: Sequence[int]) -> tuple[int, int]:
@@ -337,13 +307,12 @@ def crt_values(
     exceeds twice the largest bound; each v_j is recombined from the
     shortest prefix whose product exceeds twice its own bound.  Each call
     asks for just enough further primes if none is skipped, and for at
-    most STACK_CAP // layer_size (at least one), layer_size being the
-    int64 entries one prime takes in the caller's largest stack.  A
-    caller that refuses a whole stack when its first prime fails drops
-    that stack's other primes too, so the primes used then depend on
-    STACK_CAP; the values do not.  Returns None when the first prime is
-    skipped, so that the caller can take another route; the caller must
-    skip only finitely many later primes.
+    most stack_layers(layer_size), the entries one prime takes in the
+    caller's largest stack.  A caller that refuses a whole stack when its
+    first prime fails drops its other primes too, so the primes used
+    depend on STACK_CAP; the values do not.  Returns None when the first
+    prime is skipped, for the caller to take another route; it must skip
+    only finitely many later primes.
     """
     batch = stack_layers(layer_size)
     primes: list[int] = []

@@ -6,10 +6,13 @@ Likewise the simplex listing walks vertex sets instead of the library's
 bitmask table, and interpolation runs Newton's divided differences in
 Fractions instead of the library's Lagrange basis modulo primes.  The
 whole-matrix routes reduce a Macaulay table's M and M' modulo primes as
-whole dense matrices, without its split into diagonal blocks.  The
-full pencil shares the library's block kernels, but takes every column
-of each block's N = A**-1 F1, where the library keeps only the columns
-on which F1 is nonzero.
+whole dense matrices, without its split into diagonal blocks.  Their
+charpolys come by Hessenberg reduction in int64 (charpoly_mod), and
+their quotients by exact polynomial division (poly_divexact_mod), where
+the library sums power sums and runs Newton's identities.  The full
+pencil shares the library's solve kernel, but takes every column of
+each block's N = A**-1 F1, where the library keeps only the columns on
+which F1 is nonzero, and multiplies and divides Hessenberg charpolys.
 
 The switching conditions are checked by walking every (k-1)-subset
 of V2 and probing each vertex of V1 for an edge, where the library
@@ -31,6 +34,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from hyperspec.errors import (
+    BadPrime,
     ConditionAViolated,
     ConditionBViolated,
     DimMismatch,
@@ -46,7 +50,7 @@ from hyperspec.hypergraph import (
 )
 from hyperspec.macaulay import _SHIFTS, _blockwise, _det_product
 from hyperspec.modular import (
-    _det_mod, _inverses, _solve_mod, charpoly_mod, poly_divexact_mod, poly_product_mod,
+    _det_mod, _inverses, _is_modulus, _matvec_mod, _pivot_up, _solve_mod,
 )
 from hyperspec.polynomial import UniPoly
 from hyperspec.switching import SwitchingPartition, SwitchReport, _check_partition
@@ -180,6 +184,126 @@ def interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) -> UniP
         if poly.evaluate(x) != y:
             raise MathError("interpolation failed to reproduce its nodes")
     return poly
+
+
+# --- the Hessenberg charpoly route, the reference for the power sums ---
+
+
+def _hessenberg_mod(h: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """Upper Hessenberg matrices similar to each layer mod its prime
+    (Cohen, Alg. 2.2.9); a layer with no pivot in a column is left alone."""
+    h = h.copy()
+    moduli = primes[:, None]
+    for c in range(h.shape[1] - 2):
+        if not all(h[:, c + 1, c].tolist()):
+            moved, rows = _pivot_up(h, c + 1, c)
+            if moved.size:
+                h[moved, :, c + 1], h[moved, :, rows] = h[moved, :, rows], h[moved, :, c + 1]
+        below = c + 2 + h[:, c + 2 :, c].any(axis=0).nonzero()[0]
+        if below.size == 0:
+            continue
+        # row_i -= u_i * row_{c+1}, then column_{c+1} += sum_i u_i * column_i
+        u = h[:, below, c] * _inverses(h[:, c + 1, c], primes)[:, None] % moduli
+        acc = (moduli - u)[:, :, None] * h[:, c + 1, None, c:]
+        acc += h[:, below, c:]
+        h[:, below, c:] = acc % moduli[:, :, None]
+        h[:, :, c + 1] = (h[:, :, c + 1] + _matvec_mod(h[:, :, below], u, moduli)) % moduli
+    return h
+
+
+def poly_divexact_mod(num: np.ndarray, den: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """Quotients num / den of ascending coefficient rows modulo each
+    layer's prime, den monic; raises MathError if one leaves a remainder."""
+    width = den.shape[1]
+    if width == 0 or (den[:, -1] != 1).any():
+        raise InputError("divisor must be monic")
+    if width == 1:  # den = 1
+        return num.copy()
+    moduli = primes[:, None]
+    rem = num.copy()
+    quot = np.zeros((len(primes), max(num.shape[1] - width + 1, 0)), dtype=np.int64)
+    for s in range(quot.shape[1] - 1, -1, -1):
+        quot[:, s] = rem[:, s + width - 1]
+        window = rem[:, s : s + width]
+        np.remainder(window + (moduli - quot[:, s, None]) * den, moduli, out=window)
+    if rem.any():
+        p = primes[rem.any(axis=1)][0]
+        raise MathError(f"division by a monic polynomial left a remainder mod {p}")
+    return quot
+
+
+def _polymul_mod(a: np.ndarray, b: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """Products of two (layers, count, width) stacks of ascending
+    coefficient rows, each layer modulo its (layers, 1, 1) modulus."""
+    if a.shape[2] < b.shape[2]:
+        a, b = b, a
+    out = np.zeros(a.shape[:2] + (a.shape[2] + b.shape[2] - 1,), dtype=np.int64)
+    for j in range(b.shape[2]):
+        window = out[:, :, j : j + a.shape[2]]
+        window += a * b[:, :, j, None]
+        np.remainder(window, moduli, out=window)
+    return out
+
+
+def poly_product_mod(factors: Sequence[np.ndarray], primes: np.ndarray) -> np.ndarray:
+    """The (layers, width) product, each layer modulo its prime, of every
+    row of (layers, count, width) stacks of ascending coefficients; no
+    stacks give 1.  Each stack multiplies its halves at once, a tree of
+    log2(count) steps, and a stack of values is one of width 1."""
+    moduli = primes[:, None, None]
+    rest = []
+    for f in factors:
+        while f.shape[1] > 1:
+            half = f.shape[1] // 2
+            if f.shape[1] % 2:
+                rest.append(f[:, -1:])
+            f = _polymul_mod(f[:, :half], f[:, half : 2 * half], moduli)
+        rest.append(f)
+    rest.sort(key=lambda f: f.shape[2])
+    acc = rest[0] if rest else np.ones((len(primes), 1, 1), dtype=np.int64)
+    for f in rest[1:]:
+        acc = _polymul_mod(acc, f, moduli)
+    return acc[:, 0]
+
+
+def charpoly_mod(a: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of det(x*I - A) of each layer mod its prime.
+
+    a is a (P, n, n) int64 stack with entries in [0, p), primes a (P,)
+    int64 array.  Reduces each layer to Hessenberg form, then runs the
+    recurrence on its leading principal blocks: p_k = (x - h_kk) p_{k-1}
+    - sum_{i<k} h_ik * h_{i+1,i} ... h_{k,k-1} * p_{i-1}, all i at once.
+    """
+    for p in set(primes.tolist()):
+        if not _is_modulus(p):
+            raise BadPrime(f"modulus must be an odd prime below 2**20, got {p}")
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[0] != len(primes):
+        raise InputError("matrix must be square, one layer per prime")
+    n = a.shape[1]
+    h = _hessenberg_mod(a, primes)
+    moduli = primes[:, None]
+    negated = moduli - np.diagonal(h, 0, 1, 2)
+    subdiagonal = np.diagonal(h, -1, 1, 2)
+    polys = np.zeros((len(primes), n + 1, n + 1), dtype=np.int64)
+    polys[:, 0, 0] = 1
+    # run[:, i] = h[i, i-1] * ... * h[k-1, k-2] is 0 past a zero subdiagonal
+    # entry, and a zero in every layer moves the first term, lo, past it
+    run = np.zeros((len(primes), n), dtype=np.int64)
+    splits = [True] + (~subdiagonal.any(axis=0)).tolist()
+    for k in range(1, n + 1):
+        prev = polys[:, k - 1, :k]
+        row = polys[:, k]
+        row[:, 1 : k + 1] = prev
+        update = row[:, :k] + negated[:, k - 1, None] * prev
+        lo = k if splits[k - 1] else lo
+        if lo < k:
+            run[:, k - 1] = 1
+            run[:, lo:k] = run[:, lo:k] * subdiagonal[:, k - 2, None] % moduli
+            weights = h[:, lo - 1 : k - 1, k - 1] * run[:, lo:k] % moduli
+            earlier = polys[:, lo - 1 : k - 1, :k].transpose(0, 2, 1)
+            update += moduli - _matvec_mod(earlier, weights, moduli)
+        row[:, :k] = update % moduli
+    return polys[:, n]
 
 
 def dense_stack(table, primes: np.ndarray, lams: np.ndarray) -> np.ndarray:

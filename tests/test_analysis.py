@@ -103,6 +103,26 @@ def test_cospectrality_refused_from_n_and_k(monkeypatch):
                 compare(empty, other)
 
 
+def test_e_cospectrality_certifies_each_graph_once(monkeypatch):
+    # triple 123 is a witness in g, and 456 in its relabeling h by
+    # v -> 7 - v: each E-char is certified 0 once, g's not again
+    from hyperspec import spectra
+
+    calls = []
+    certify = spectra._isotropic_root
+
+    def counted(a):
+        calls.append(a)
+        return certify(a)
+
+    monkeypatch.setattr(spectra, "_isotropic_root", counted)
+    edges = [(1, 2, 4), (1, 3, 4), (2, 3, 4), (4, 5, 6), (1, 5, 6), (2, 5, 6), (3, 5, 6)]
+    g = Hypergraph.from_edges(6, 3, edges)
+    h = Hypergraph.from_edges(6, 3, [tuple(sorted(7 - v for v in e)) for e in edges])
+    assert g != h and are_e_cospectral(g, h)
+    assert calls == [g, h]
+
+
 def test_edgeless_e_cospectrality_answered_from_n_and_k(monkeypatch):
     # an edgeless E-char is 0 only for k >= 3: "3 2" has lambda**3, so an
     # edgeless 2-graph is capped by its degree; identical hypergraphs are

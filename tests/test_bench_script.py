@@ -38,3 +38,11 @@ def test_bad_arguments_exit_2_before_any_run(bench, argv, capsys):
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
     assert not (bench.ROOT / f"BENCH_{label}.json").exists()
+
+
+def test_blas_records_the_library_and_thread_count(bench, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    got = bench.blas()
+    assert got["openblas_num_threads"] == "1" and isinstance(got["name"], str)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert bench.blas()["openblas_num_threads"] is None

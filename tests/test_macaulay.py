@@ -800,12 +800,13 @@ def test_stack_cap_runs_one_prime_per_call(monkeypatch):
     edge = adjacency_tensor(Hypergraph.from_edges(3, 3, [(1, 2, 3)]))
     assert macaulay_dim(4, (2, 2, 2, 2)) == 56
     stacks = []  # (kernel, layers, block size, int64 entries handed in)
-    for name in ("_det_mod", "_solve_mod", "charpoly_mod"):
+    for name in ("_det_mod", "_solve_mod", "trace_powers_mod"):
         inner = getattr(macaulay, name)
 
         def recording(*args, name=name, inner=inner):
-            sizes = (args[0].shape[1], sum(a.size for a in args[:-1]))
-            stacks.append((name, len(args[-1]), *sizes))
+            # the last array handed in holds the primes, one per layer
+            *stack, primes = [a for a in args if isinstance(a, np.ndarray)]
+            stacks.append((name, len(primes), args[0].shape[1], sum(a.size for a in stack)))
             return inner(*args)
 
         monkeypatch.setattr(macaulay, name, recording)
@@ -818,14 +819,19 @@ def test_stack_cap_runs_one_prime_per_call(monkeypatch):
     ]
     kernels, default = set(), modular.STACK_CAP
     for run, system in runs:
-        largest = max(g.size for g in _FillTable(system).blocks)
+        table = _FillTable(system)
+        largest = max(g.size for g in table.blocks)
         stacks.clear()
         value = run()
         kernels |= {name for name, *_ in stacks}
         assert max(entries for *_, entries in stacks) <= modular.STACK_CAP
         if run is runs[-1][0]:
-            # the single edge's batch: 13 nodes at each of several primes
-            assert max(layers for _, layers, size, _ in stacks if size == largest) > 13
+            # the single edge's batch: its 13 nodes at each prime fill the
+            # largest block's stacks up to their power-sum footprint
+            footprint = modular.trace_layer_size(largest, table.d)[1]
+            assert max(layers for _, layers, size, _ in stacks if size == largest) == (
+                modular.stack_layers(footprint)
+            ) > 1
         cap = 2 * 2 * (largest + 1) ** 2 - 1
         monkeypatch.setattr(modular, "STACK_CAP", cap)
         stacks.clear()
@@ -833,4 +839,4 @@ def test_stack_cap_runs_one_prime_per_call(monkeypatch):
         assert max(entries for *_, entries in stacks) <= cap
         assert {layers for _, layers, size, _ in stacks if size == largest} == {1}
         monkeypatch.setattr(modular, "STACK_CAP", default)
-    assert kernels == {"_det_mod", "_solve_mod", "charpoly_mod"}
+    assert kernels == {"_det_mod", "_solve_mod", "trace_powers_mod"}

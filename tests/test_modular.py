@@ -7,22 +7,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import classical_char_poly, int_det
+from oracles import (
+    charpoly_mod, classical_char_poly, int_det, poly_divexact_mod, poly_product_mod,
+)
 
 from hyperspec.errors import BadPrime, InputError, MathError
+from hyperspec.macaulay import _Blocks, _lagrange_mod, _quotient
 from hyperspec.modular import (
     PRIME_LIMIT,
     STACK_CAP,
     _det_mod,
     _solve_mod,
-    charpoly_mod,
     crt_combine,
     crt_values,
     is_prime,
+    newton_mod,
     nth_prime,
-    poly_divexact_mod,
-    poly_product_mod,
     symmetric_residue,
+    trace_powers_mod,
 )
 from hyperspec.polynomial import UniPoly
 
@@ -85,7 +87,7 @@ def test_crt_values_covers_each_bound_with_the_shortest_prefix():
 
 
 def test_crt_values_skips_primes_and_offsets_by_seed():
-    value = 3 * 10**40 + 1  # five primes from either seed
+    value = 3 * 10**28 + 1  # five primes from either seed
     divisor = nth_prime(4)  # the residue callback refuses this prime
 
     def residues_mod(primes):
@@ -142,7 +144,7 @@ def test_crt_values_skips_the_one_prime_where_a_matrix_is_singular():
         calls.append(primes)
         return [[d] if d else None for d in _det(rows, primes)]
 
-    assert crt_values(residues_mod, [2**70]) == [g]
+    assert crt_values(residues_mod, [2**50]) == [g]
     assert calls == [stack_primes[:3], stack_primes[3:]]
 
 
@@ -356,3 +358,132 @@ def test_stacked_layers_match_stacks_of_one():
             assert poly_divexact_mod(polys[one], polys[one, n:], pv[one]).tolist() == (
                 quot[one].tolist()
             )
+
+
+def _conjugated(rows, rng):
+    """L rows L**-1 for a random unit lower triangular integer L, whose
+    inverse is integral too: a matrix with the same charpoly."""
+    n = len(rows)
+    low = [[int(i == j) or (rng.randint(-2, 2) if j < i else 0) for j in range(n)]
+           for i in range(n)]
+    inverse = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n):  # forward substitution, one row of L at a time
+        for j in range(i):
+            inverse[i] = [a - low[i][j] * b for a, b in zip(inverse[i], inverse[j])]
+
+    def mul(x, y):
+        return [[sum(a * b for a, b in zip(r, c)) for c in zip(*y)] for r in x]
+
+    assert mul(low, inverse) == [[int(i == j) for j in range(n)] for i in range(n)]
+    return mul(mul(low, rows), inverse)
+
+
+def _quotient_routes(blocks, minors, primes):
+    """(power sums, Hessenberg) quotients of the product of the blocks'
+    charpolys over the minors', modulo each prime: each argument a list
+    of groups, each a list of equal-sized integer matrices.  The first
+    route is the library's, macaulay._quotient on stacks of the groups;
+    the second takes charpoly_mod of every block, then poly_product_mod
+    and poly_divexact_mod."""
+    pv = np.array(primes, dtype=np.int64)
+    stacks = [[np.stack([np.array(g, dtype=np.int64) % p for p in primes]) for g in groups]
+              for groups in (blocks, minors)]
+    d = sum(s.shape[1] * s.shape[2] for s in stacks[0]) - sum(
+        s.shape[1] * s.shape[2] for s in stacks[1])
+
+    groups = [[_Blocks(np.zeros(s.shape[1:3], dtype=np.intp), None) for s in part]
+              for part in stacks]
+    by_group = {id(g): s for part in zip(groups, stacks) for g, s in zip(*part)}
+
+    def product(groups):
+        return poly_product_mod([
+            np.stack([charpoly_mod(s[:, b], pv) for b in range(s.shape[1])], axis=1)
+            for s in groups
+        ], pv)
+
+    got = _quotient(d, groups, pv, lambda g, layers, b: (by_group[id(g)][layers, b],))
+    want = poly_divexact_mod(*map(product, stacks), pv)
+    return got.tolist(), want.tolist()
+
+
+def _random_rows(rng, n, span=9, density=1.0):
+    return [[rng.randint(-span, span) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(n)]
+
+
+def test_power_sum_quotient_matches_the_hessenberg_oracle():
+    # blocks and minors as the Macaulay routes meet them: zero and
+    # nilpotent blocks, derogatory ones with repeated eigenvalues, groups
+    # of 1x1 blocks, blocks smaller than the quotient's degree d (whose
+    # power sums past their size follow their own charpoly) and larger
+    # than d (whose minor cancels all but two eigenvalues), one that
+    # vanishes modulo the first prime only, entries at +-(p - 1)/2 of the
+    # largest prime, a block of 64 rows with 3 nonzeros each, whose baby
+    # steps gather rows, and a block of 301 rows
+    rng = random.Random(3203)
+    big = nth_prime(0)
+    primes = [big, nth_prime(9), 1_000_003]
+    nilpotent = [[0, 3, -1, 2], [0, 0, 5, 1], [0, 0, 0, 4], [0, 0, 0, 0]]
+    repeated = [[2 * (i == j) for j in range(5)] for i in range(5)]
+    repeated[3][3] = repeated[4][4] = -3
+    scalar = [[5 * (i == j) for j in range(3)] for i in range(3)]
+    y, z = _random_rows(rng, 8), _random_rows(rng, 2)
+    wide = [row + _random_rows(rng, 8)[0][:2] for row in y] + [[0] * 8 + row for row in z]
+    half = (big - 1) // 2
+    sparse = [[0] * 64 for _ in range(64)]
+    for row in sparse:
+        for c in rng.sample(range(64), 3):
+            row[c] = rng.choice((-half, -7, 1, 5, half))
+    cases = {
+        "zero": ([[[[0] * 4] * 4] * 3], []),
+        "nilpotent": ([[_conjugated(nilpotent, rng), nilpotent, _random_rows(rng, 4)],
+                       [_random_rows(rng, 2)]], []),
+        "derogatory": ([[_conjugated(repeated, rng)], [_conjugated(scalar, rng)]], []),
+        "1x1": ([[[[v]] for v in (0, 3, -1, 0, 7, 3, -(10**5))]], []),
+        "n < d": ([[_random_rows(rng, 3, density=0.6) for _ in range(3)]
+                   + [[[big * v for v in row] for row in _random_rows(rng, 3)]],
+                   [_random_rows(rng, 2)], [[[4]], [[-2]]]], []),
+        "n > d": ([[wide]], [[_conjugated(y, rng)]]),
+        "half": ([[[[rng.choice((half, -half)) for _ in range(6)] for _ in range(6)]]], []),
+        "sparse": ([[sparse, [row[::-1] for row in sparse]]], []),
+    }
+    for name, (blocks, minors) in cases.items():
+        got, want = _quotient_routes(blocks, minors, primes)
+        assert got == want, name
+    assert _quotient_routes(*cases["n > d"], primes)[0][0][2:] == [1]  # d = 2
+    y = _random_rows(rng, 299, span=2, density=0.3)
+    z = _random_rows(rng, 2)
+    large = [row + [rng.randint(-2, 2), 0] for row in y] + [[0] * 299 + row for row in z]
+    y_t = [list(col) for col in zip(*y)]  # M' with the same charpoly as y
+    got, want = _quotient_routes([[large]], [[y_t]], [big, 1_000_003])
+    assert got == want
+
+
+def test_power_sums_chunk_long_dot_products(monkeypatch):
+    # with FLOAT_TERMS at 4, every product and contraction of a 9 x 9
+    # block splits into chunks of 4 terms, with the same power sums
+    from hyperspec import modular
+
+    rng = random.Random(3211)
+    primes = np.array([nth_prime(0), nth_prime(3)], dtype=np.int64)
+    a = np.stack([np.array(_random_rows(rng, 9, span=10**6), dtype=np.int64) % p
+                  for p in primes.tolist()])
+    want = trace_powers_mod(a, primes, 9)
+    monkeypatch.setattr(modular, "FLOAT_TERMS", 4)
+    assert (trace_powers_mod(a, primes, 9) == want).all()
+    assert (newton_mod(want, primes) == charpoly_mod(a, primes)).all()
+
+
+def test_power_sums_refuse_primes_they_cannot_divide_by():
+    # Newton's identities divide by 1..d, and the Lagrange basis by the
+    # differences of its nodes: a prime among them is refused, not used
+    sums = np.zeros((2, 7), dtype=np.int64)
+    assert newton_mod(sums, np.array([11, 13])).tolist() == [[0] * 7 + [1]] * 2
+    for primes in ([7, 11], [11, 5], [11, 9]):
+        with pytest.raises(BadPrime):
+            newton_mod(sums, np.array(primes))
+    with pytest.raises(BadPrime):
+        _lagrange_mod(tuple(range(12)), 11)
+    assert _lagrange_mod(tuple(range(11)), 11).shape == (11, 11)
+    with pytest.raises(BadPrime):
+        _lagrange_mod(tuple(range(0, 80, 2)), 37)  # 74 - 0 = 2 * 37

@@ -24,7 +24,7 @@ from hyperspec import macaulay
 from hyperspec.macaulay import (
     PolySystem, _det_values, _FillTable, _gcp_values, _pencil_values, resultant_value,
 )
-from hyperspec.modular import crt_values
+from hyperspec.modular import crt_values, nth_prime
 from hyperspec.polynomial import UniPoly
 from hyperspec.spectra import (
     _coordinate_root,
@@ -41,9 +41,11 @@ from oracles import (
     classical_char_poly,
     enumerate_all,
     from_rows,
+    full_pencil_values,
     interpolate,
     permutation_matrix,
     symmetric_from_upper,
+    whole_quotient_mod,
 )
 from hyperspec.tensor import Tensor, mat_sim
 
@@ -307,6 +309,40 @@ def test_benchmark_values_lie_within_the_frobenius_bounds():
     assert tighter == {"charpoly": 14 * 32, "det": 14, "echar": 13}, tighter
 
 
+def test_power_sum_quotients_match_hessenberg_on_the_benchmark_tables():
+    # every table the perfbench workloads build: the charpoly quotients
+    # against Hessenberg reduction of the whole M and M' with exact division
+    # (whole_quotient_mod), and the pencil against full_pencil_values,
+    # which divides products of Hessenberg charpolys.  charpoly: the
+    # 3-graphs on 4 vertices and the fixed integer tensors; echar: the two
+    # fixed tensors under the criterion-8 transforms, and the single edge;
+    # search: the 6-vertex graph classes of ds
+    primes = np.array([nth_prime(0), nth_prime(1)], dtype=np.int64)
+    zero = np.zeros(2, dtype=np.int64)
+
+    def char_table(a):
+        return _FillTable(PolySystem(a.dim, tensor_polynomial_map(a), (a.order - 1,) * a.dim))
+
+    tensors = [adjacency_tensor(from_bitmask(4, 3, mask)) for mask in range(1, 16)]
+    tensors += [_pool_tensor("charpoly", t, 3, 4, 3) for t in range(3)]
+    tensors += [adjacency_tensor(from_bitmask(6, 2, mask)) for mask in (106, 1919, 759)]
+    for a in tensors:
+        table = char_table(a)
+        assert (macaulay._quotients(table, primes, zero)
+                == whole_quotient_mod(table, primes, zero)).all(), a
+    transformed = [a if p is None else mat_sim(p, a)
+                   for a in map(_benchmark_tensor, (3, 4)) for p in _criterion_8_transforms()]
+    for a in transformed + [_single_edge()]:
+        table = _FillTable(e_char_poly_system(a))
+        lams = np.array([3, -5], dtype=np.int64)
+        assert (macaulay._quotients(table, primes, lams)
+                == whole_quotient_mod(table, primes, lams)).all(), a
+        nodes = list(range(8))
+        got, solved = _pencil_values(table, nodes, primes)
+        want, want_solved = full_pencil_values(table, nodes, primes)
+        assert (solved == want_solved).all() and (got == want).all(), a
+
+
 def test_echar_benchmark_keeps_its_primes(monkeypatch):
     # the primes each benchmark E-char recombines from: None marks a
     # prime loop whose route was refused at its first prime
@@ -328,7 +364,7 @@ def test_echar_benchmark_keeps_its_primes(monkeypatch):
     third = Fraction(1, 3)
     reflection = from_rows([[2 * third - (i == j) for j in range(3)] for i in range(3)])
     signed = from_rows([[-1, 0, 0], [0, 0, 1], [0, 1, 0]])
-    expected = {3: [[3], [8], [3]], 4: [[4], [9], [4]]}
+    expected = {3: [[5], [12], [5]], 4: [[6], [14], [6]]}
     for order, primes in expected.items():
         a = _benchmark_tensor(order)
         for p, want in zip((None, reflection, signed), primes):
