@@ -14,6 +14,7 @@ from oracles import (
 from hyperspec.errors import BadPrime, InputError, MathError
 from hyperspec.macaulay import _Blocks, _lagrange_mod, _quotient
 from hyperspec.modular import (
+    MAX_PRIMES,
     PRIME_LIMIT,
     STACK_CAP,
     _det_mod,
@@ -57,6 +58,9 @@ def test_prime_list_descends_below_limit():
     assert first < PRIME_LIMIT and is_prime(first)
     assert nth_prime(1) < first
     assert all(is_prime(nth_prime(i)) for i in range(5))
+    # the list is every prime in (2**19, 2**20), and no other
+    last = nth_prime(MAX_PRIMES - 1)
+    assert PRIME_LIMIT // 2 < last and not any(is_prime(n) for n in range(PRIME_LIMIT // 2, last))
 
 
 def _det(rows, primes):
