@@ -10,6 +10,12 @@ seed run back to back before the next seed starts.  This script adds no
 workloads and no metrics of its own: it only collects the end-to-end
 metrics that run.py prints on its last line and takes their medians.
 
+Then the named cases of CASES, larger than any perfbench op, run once
+each in this process, on the same source tree, with their caps raised
+per case.  The ``cases`` section records each one's wall time and the
+SHA-1 of its result's coefficient strings, one a line, so two files
+show whether a change moved a case's time and kept its result.
+
 The file records the commit, whether ``src/`` differs from it, the
 Python and numpy versions and ``nproc``, all taken from run.py's
 ``perfbench env`` line, and numpy's BLAS library with the
@@ -20,12 +26,17 @@ whether they are comparable.  A run that exits non-zero stops the script.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import itertools
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNNER = ROOT / "perfbench" / "run.py"
@@ -33,6 +44,56 @@ WORKLOADS = ("charpoly", "echar", "search")
 # run.py turns this into a fixed number of rounds per workload; one value
 # for every BENCH file keeps them comparable
 SECONDS = 20.0
+
+
+def _char_poly(n: int, k: int, edges, degree_cap: int, dim_cap: int) -> list[str]:
+    from hyperspec import Hypergraph, RunConfig, char_poly
+
+    config = RunConfig(degree_cap=degree_cap, dim_cap=dim_cap)
+    return list(char_poly(Hypergraph.from_edges(n, k, list(edges)), config).to_coeff_strings())
+
+
+def _dense_det() -> list[str]:
+    """det_tensor of a dense symmetric order-4 tensor in dimension 4:
+    entries randint(-2, 2) from random.Random(1), drawn in
+    combinations_with_replacement order."""
+    from hyperspec import Tensor, det_tensor
+
+    rng, entries = random.Random(1), {}
+    for index in itertools.combinations_with_replacement(range(4), 4):
+        value = rng.randint(-2, 2)
+        entries.update(dict.fromkeys(itertools.permutations(index), value))
+    return [str(det_tensor(Tensor.from_map(4, 4, entries)))]
+
+
+def _complete(n: int, k: int):
+    return itertools.combinations(range(1, n + 1), k)
+
+
+# the north-star cases, each with the caps it needs: degree n (k - 1)**(n - 1)
+# and Macaulay size C(n (k - 2) + n, n - 1)
+CASES: dict[str, Callable[[], list[str]]] = {
+    "K6_3 char_poly": lambda: _char_poly(6, 3, _complete(6, 3), 192, 792),
+    "K5_3+1 char_poly": lambda: _char_poly(6, 3, _complete(5, 3), 192, 792),
+    "K4_3+3 char_poly": lambda: _char_poly(7, 3, _complete(4, 3), 448, 3003),
+    "K5_4 char_poly": lambda: _char_poly(5, 4, _complete(5, 4), 405, 1365),
+    "dense order-4 dim-4 det_tensor": _dense_det,
+}
+
+
+def time_cases(cases: dict[str, Callable[[], list[str]]]) -> dict[str, dict]:
+    """{name: {"seconds", "sha1"}} of each case, run once in this process
+    on the source tree of this checkout."""
+    sys.path.insert(0, str(ROOT / "src"))
+    out = {}
+    for name, case in cases.items():
+        start = time.perf_counter()
+        strings = case()
+        seconds = time.perf_counter() - start
+        digest = hashlib.sha1("\n".join(strings).encode()).hexdigest()
+        out[name] = {"seconds": round(seconds, 4), "sha1": digest}
+        print(f"bench: case {name}: {seconds:.3f} s", file=sys.stderr)
+    return out
 
 
 def run_once(workload: str, seed: int) -> tuple[dict, dict]:
@@ -117,6 +178,7 @@ def main(argv: list[str] | None = None) -> int:
             }
             for w, entries in runs.items()
         },
+        "cases": time_cases(CASES),
     }
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -29,13 +29,14 @@ Where det(M') vanishes, Canny's generalized characteristic polynomial
 (J. Symbolic Comput. 9, 1990) gives the value: charpoly(M) / charpoly(M')
 has a monic divisor, and its constant term is the resultant up to sign.
 Every exact value is recombined under the smaller of a Gershgorin and a
-Schur bound, since the roots of that quotient are eigenvalues of M
-(_elementary_bound).
+Schur bound, since the roots of that quotient are eigenvalues of M's
+kept diagonal blocks (_FillTable, _elementary_bound).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -55,7 +56,7 @@ from .errors import (
     NotSquareSystem,
 )
 from .modular import (
-    _det_mod, _inverses, _matvec_mod, _solve_mod, crt_values, newton_mod, stack_layers,
+    _inverses, _matvec_mod, _solve_mod, crt_values, newton_mod, stack_layers,
     summed_power_sums_mod, trace_layer_size, trace_powers_mod,
 )
 from .polynomial import MultiPoly, UniPoly
@@ -258,6 +259,17 @@ class _FillTable:
     cancels and is dropped, singular or not; blocks holds the others,
     and minors their non-empty non-reduced parts, grouped by size.
     stacks gathers a group's blocks modulo a prime each.
+
+    The bounds read only the entries inside kept blocks.  The quotient
+    q = charpoly(M) / charpoly(M') is a polynomial (see resultant_value),
+    and once the dropped blocks cancel, q * prod charpoly(M'_b) =
+    prod charpoly(M_bb) over the kept blocks b, M'_b the non-reduced
+    part of M_bb.  So the roots of q are a sub-multiset of the kept
+    blocks' eigenvalues: each at most the largest absolute row sum of
+    its block (Gershgorin), and their squares summing to at most the
+    blocks' squared Frobenius norms (Schur).  patterns holds each row's
+    in-block entries as a mask over its polynomial's terms, with the
+    number of rows sharing it.
     """
 
     def __init__(self, system: PolySystem):
@@ -284,7 +296,6 @@ class _FillTable:
             shifts.append([_code(e, radix) - system.degrees[i] * radix**i for e in exps])
             poly_scale.append(scale)
         self.poly_terms = poly_terms
-        self.assignment = structure.assignment  # the polynomial of each row
 
         column = structure.columns
         cols: list[int] = []
@@ -313,21 +324,31 @@ class _FillTable:
         self.blocks = _group_blocks(kept, self.row, self.col, self.size)
         minors = [m for b in kept if (m := [r for r in b if divisor[r]])]
         self.minors = _group_blocks(minors, self.row, self.col, self.size)
+        inside = np.zeros(len(self.row) + 1, dtype=bool)  # the last takes empty cells
+        inside[np.concatenate([g.slot.ravel() for g in self.blocks] + [self.col[:0]])] = True
+        inside = inside.tolist()
+        self.patterns = Counter(
+            (i, tuple(inside[end - len(poly_terms[i]) : end]))
+            for i, end in zip(structure.assignment, itertools.accumulate(counts))
+        )
         # int64 entries one prime takes in the largest stacks built at once
         # for the largest block: M(c) with F1, or [A | F1]
         self.layer_size = 2 * (max(map(len, kept), default=0) + 1) ** 2
 
-    def stacks(self, primes: np.ndarray, lams: np.ndarray, slope: bool = False) -> Callable:
+    def stacks(
+        self, primes: np.ndarray, lams: np.ndarray, columns: Callable | None = None
+    ) -> Callable:
         """The stacks that _blockwise takes: the (len(blocks), size, size)
         stack of M(lams[i]) on blocks[i] of a group modulo primes[i] for
-        each layer i, and of F1 too if slope."""
+        each layer i, and with columns, F1 on the columns(group) too."""
 
         def build(group: _Blocks, layers: np.ndarray, blocks: np.ndarray) -> list[np.ndarray]:
             moduli = primes[layers, None, None]
             slot = group.slot[blocks]
             f1 = self.i1[slot] % moduli
             at = (self.i0[slot] % moduli + lams[layers, None, None] % moduli * f1) % moduli
-            return [np.asarray(v, dtype=np.int64) for v in ((at, f1) if slope else (at,))]
+            out = (at,) if columns is None else (at, f1[:, :, columns(group)])
+            return [np.asarray(v, dtype=np.int64) for v in out]
 
         return build
 
@@ -338,21 +359,23 @@ class _FillTable:
             return [[abs(i0) + abs(i1) for i0, i1 in terms] for terms in self.poly_terms]
         return [[abs(i0 + lam * i1) for i0, i1 in terms] for terms in self.poly_terms]
 
+    def _kept(self, lam: int | None) -> list[tuple[int, list[int]]]:
+        """(rows, absolute in-block entries of each) for every pattern."""
+        mags = self._magnitudes(lam)
+        return [(count, [m for m, keep in zip(mags[i], mask) if keep])
+                for (i, mask), count in self.patterns.items()]
+
     def radius(self, lam: int | None) -> int:
-        """Largest absolute row sum of M(lam), a bound on its eigenvalues
-        (Gershgorin), or for lam None its bound on |lambda| = 1; the rows
-        of one polynomial share their absolute sums."""
-        return max(map(sum, self._magnitudes(lam)), default=0)
+        """Largest absolute row sum of a kept block of M(lam), a bound on
+        the quotient's roots (Gershgorin), or for lam None its bound on
+        |lambda| = 1."""
+        return max((sum(row) for _, row in self._kept(lam)), default=0)
 
     def frobenius(self, lam: int | None) -> int:
-        """Squared Frobenius norm of M(lam), which bounds the sum of its
-        squared absolute eigenvalues (Schur), or for lam None its bound on
-        |lambda| = 1: each polynomial's squared entries, times the rows it
-        fills."""
-        return sum(
-            self.assignment.count(i) * sum(v * v for v in row)
-            for i, row in enumerate(self._magnitudes(lam))
-        )
+        """Sum of the squared Frobenius norms of the kept blocks of M(lam),
+        which bounds the sum of the quotient's squared absolute roots
+        (Schur), or for lam None its bound on |lambda| = 1."""
+        return sum(count * sum(v * v for v in row) for count, row in self._kept(lam))
 
     def vanishing_poly(self, lam: int) -> bool:
         return any(all(i0 + lam * i1 == 0 for i0, i1 in t) for t in self.poly_terms)
@@ -452,9 +475,9 @@ def _elementary_bound(d: int, k: int, radius: int, frobenius: int) -> int:
 def _charpoly_quotient(system: PolySystem, config: RunConfig) -> list[int]:
     """The ascending integer coefficients of charpoly(M) / charpoly(M') at
     lambda = 0, M the Macaulay matrix of an integer system: that of x**j
-    is, up to sign, e_(d - j) of d = N - N' eigenvalues of M, recombined
-    under _elementary_bound of the row sum R = table.radius(0)
-    (Gershgorin) and the sum of squares S = table.frobenius(0) (Schur).
+    is, up to sign, e_(d - j) of d eigenvalues of M's kept blocks, under
+    _elementary_bound of their row sum R = table.radius(0) (Gershgorin)
+    and sum of squares S = table.frobenius(0) (Schur).
     """
     table = _table(system, config)
     d, radius, frobenius = table.d, table.radius(0), table.frobenius(0)
@@ -470,9 +493,29 @@ def _charpoly_quotient(system: PolySystem, config: RunConfig) -> list[int]:
 def _value_bound(table: _FillTable, lam: int | None) -> int:
     """A bound on the absolute resultant value at an integer lambda, or on
     |lambda| = 1 for lam None, where |i0 + lambda i1| <= |i0| + |i1|: up
-    to sign the product of the quotient's d roots, eigenvalues of
-    M(lambda), so at most R**d and (S / d)**(d/2) (_elementary_bound)."""
+    to sign the product of the quotient's d roots, eigenvalues of kept
+    blocks of M(lambda): at most R**d and (S / d)**(d/2) (_elementary_bound)."""
     return _elementary_bound(table.d, table.d, table.radius(lam), table.frobenius(lam))
+
+
+def _det_ratio(table: _FillTable, primes: np.ndarray, lam: int, columns: Callable) -> tuple | None:
+    """det(M) / det(M') at lam, modulo each layer's prime, from one
+    _solve_mod of each block against F1 on its columns(group): det(M') on
+    the divisor blocks first, and None, before det(M), when the first
+    prime divides it.  Returns the ratio, the (P,) masks of the primes
+    where det(M') and det(M) do not vanish, and each group's solutions
+    by id."""
+    stacks = table.stacks(primes, np.full(len(primes), lam, dtype=np.int64), columns)
+    minor = _blockwise(table.minors, primes, stacks, _solve_mod)
+    det_minor = _det_product(minor, primes)
+    if not det_minor[0]:
+        return None
+    full = _blockwise(table.blocks, primes, stacks, _solve_mod)
+    det_full = _det_product(full, primes)
+    solutions = {id(g): x for groups, got in ((table.blocks, full), (table.minors, minor))
+                 for g, (_, x) in zip(groups, got)}
+    ratio = det_full * _inverses(det_minor, primes) % primes
+    return ratio, det_minor != 0, det_full != 0, solutions
 
 
 def _det_values(
@@ -480,16 +523,12 @@ def _det_values(
 ) -> tuple[np.ndarray, np.ndarray]:
     """det(M) / det(M') residues at one integer node, and the (P,) mask of
     the primes not dividing det(M'), the others to be skipped; the whole
-    stack is refused, before det(M), when the first prime divides it."""
+    stack is refused when the first prime divides it (_det_ratio)."""
     (lam,) = nodes
-    stacks = table.stacks(primes, np.full(len(primes), lam, dtype=np.int64))
-    det_minor = _det_product(_blockwise(table.minors, primes, stacks, _det_mod), primes)
-    if det_minor[0] == 0:
-        refused = np.zeros(len(primes), dtype=bool)
-        return np.zeros((len(primes), 1), dtype=np.int64), refused
-    det_full = _det_product(_blockwise(table.blocks, primes, stacks, _det_mod), primes)
-    ratio = det_full * _inverses(det_minor, primes) % primes
-    return ratio[:, None], det_minor != 0
+    got = _det_ratio(table, primes, lam, lambda g: slice(0))
+    if got is None:
+        return np.zeros((len(primes), 1), dtype=np.int64), np.zeros(len(primes), dtype=bool)
+    return got[0][:, None], got[1]
 
 
 @lru_cache(maxsize=None)
@@ -614,28 +653,16 @@ def _pencil_values(
     }
     solved = np.zeros(len(primes), dtype=bool)
     for c in _SHIFTS:
-        stacks = table.stacks(primes, np.full(len(primes), c, dtype=np.int64), slope=True)
-
-        def on_support(group, layers, blocks):
-            at, f1 = stacks(group, layers, blocks)
-            return at, f1[:, :, support[id(group)]]
-
-        # the divisor is smaller and is the one that fails, so try it first
-        minor = _blockwise(table.minors, primes, on_support, _solve_mod)
-        det_minor = _det_product(minor, primes)
-        if det_minor[0]:
-            full = _blockwise(table.blocks, primes, on_support, _solve_mod)
-            det_full = _det_product(full, primes)
-            if det_full[0]:
-                solved = (det_minor != 0) & (det_full != 0)
-                break
+        got = _det_ratio(table, primes, c, lambda g: support[id(g)])
+        if got is not None and got[2][0]:
+            scale, minor_ok, full_ok, solutions = got
+            solved = minor_ok & full_ok
+            break
     if not solved[0]:
         return np.zeros((len(primes), len(nodes)), dtype=np.int64), solved
-    solutions = {}
-    for groups, solved_blocks in ((table.blocks, full), (table.minors, minor)):
-        for group, (_, n) in zip(groups, solved_blocks):
-            n[~solved] = 0
-            solutions[id(group)] = n[:, :, support[id(group)]]  # N[J, J]
+    for key, n in solutions.items():
+        n[~solved] = 0
+        solutions[key] = n[:, :, support[key]]  # N[J, J]
     moduli, cube = primes[:, None], primes[:, None, None]
 
     def negated(group, layers, blocks):
@@ -646,7 +673,6 @@ def _pencil_values(
     t, acc = (np.array(nodes, dtype=np.int64) - c) % moduli, 0
     for j in range(q.shape[1]):  # q_0 multiplies t**d
         acc = (acc * t + q[:, j, None]) % moduli
-    scale = det_full * _inverses(det_minor, primes) % primes
     return scale[:, None] * acc % moduli, solved
 
 
@@ -666,8 +692,8 @@ def _interpolated_resultant(
     charpoly at every node (_recombine).  The row-scaled system's
     resultant has integer coefficients.  On |lambda| = 1 it is at most
     _value_bound(table, None), since every root of the quotient is an
-    eigenvalue of M(lambda), and by Cauchy's estimate so is every
-    coefficient.  The row scales divide out once at the end.
+    eigenvalue of a kept block of M(lambda), and by Cauchy's estimate so
+    is every coefficient.  The row scales divide out once at the end.
     """
     table = _table(system, cfg)
     bound = sum(

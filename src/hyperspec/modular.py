@@ -92,63 +92,36 @@ def _pivot_up(a: np.ndarray, top: int, col: int) -> tuple[np.ndarray, np.ndarray
     return moved, rows
 
 
-def _det_mod(a: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """Determinant of each layer of a (P, n, n) stack modulo its prime.
-
-    Each layer pivots on the first nonzero entry of its column.  Step c
-    scales rows c + 1 onward by the pivot d_c instead of dividing by it,
-    so det = prod_c d_c / prod_c d_c**(n - 1 - c): one inversion a layer.
-    """
-    a = a.copy()
-    moduli = primes[:, None, None]
-    flips = np.zeros(len(primes), dtype=bool)
-    for c in range(a.shape[1]):
-        if not all(a[:, c, c].tolist()):
-            moved, _ = _pivot_up(a, c, c)
-            if not any(a[:, c, c].tolist()):
-                return np.zeros(len(primes), dtype=np.int64)
-            flips[moved] ^= True
-        rest = a[:, c + 1 :, c + 1 :]
-        acc = rest * a[:, c, c, None, None]
-        acc += (moduli[:, 0] - a[:, c + 1 :, c])[:, :, None] * a[:, c, None, c + 1 :]
-        np.remainder(acc, moduli, out=rest)
-    dets = []
-    for pivots, p, flip in zip(np.diagonal(a, 0, 1, 2).tolist(), primes.tolist(), flips):
-        prefix, scale = 1, 1
-        for d in pivots[:-1]:
-            prefix = prefix * d % p
-            scale = scale * prefix % p
-        det = prefix * (pivots[-1] if pivots else 1) * pow(scale, -1, p) % p if scale else 0
-        dets.append(-det % p if flip else det)
-    return np.array(dets, dtype=np.int64)
-
-
 def _solve_mod(
     a: np.ndarray, b: np.ndarray, primes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(det a, a**-1 @ b) of each layer modulo its prime, by Gauss-Jordan
-    elimination on [a | b]; a singular layer gets det 0 and any solution."""
-    n = a.shape[1]
+    elimination on [a | b]; a singular layer gets det 0 and any solution.
+    With b of width 0, only the rows below each pivot are eliminated, and
+    a pivot row with none below is not scaled: the determinants alone."""
+    n, below = a.shape[1], b.shape[2] == 0
     aug = np.concatenate([a, b], axis=2)
     moduli = primes[:, None, None]
-    dets = [1] * len(primes)
+    dets = np.ones_like(primes)
     for c in range(n):
         if not all(aug[:, c, c].tolist()):
-            for i in _pivot_up(aug, c, c)[0].tolist():
-                dets[i] = -dets[i]
+            moved = _pivot_up(aug, c, c)[0]
+            dets[moved] = primes[moved] - dets[moved]
         pivots = aug[:, c, c]
-        dets = [d * v % p for d, v, p in zip(dets, pivots.tolist(), primes.tolist())]
-        if not any(dets):
+        dets = dets * pivots % primes
+        if not dets.any():
             break
+        rows = aug[:, :, c].any(axis=0).nonzero()[0]
+        rows = rows[rows > c] if below else rows[rows != c]
+        if below and not rows.size:
+            continue
         top = aug[:, c, c:]
         np.remainder(top * _inverses(pivots, primes)[:, None], moduli[:, 0], out=top)
-        rows = aug[:, :, c].any(axis=0).nonzero()[0]
-        rows = rows[rows != c]
         if rows.size:
             acc = (moduli - aug[:, rows, c, None]) * aug[:, c, None, c:]
             acc += aug[:, rows, c:]
             aug[:, rows, c:] = acc % moduli
-    return np.array(dets, dtype=np.int64), aug[:, :, n:]
+    return dets, aug[:, :, n:]
 
 
 def _matvec_mod(a: np.ndarray, v: np.ndarray, moduli: np.ndarray) -> np.ndarray:

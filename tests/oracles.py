@@ -49,9 +49,7 @@ from hyperspec.hypergraph import (
     universe_slots,
 )
 from hyperspec.macaulay import _SHIFTS, _blockwise, _det_product
-from hyperspec.modular import (
-    _det_mod, _inverses, _is_modulus, _matvec_mod, _pivot_up, _solve_mod,
-)
+from hyperspec.modular import _inverses, _is_modulus, _matvec_mod, _pivot_up, _solve_mod
 from hyperspec.polynomial import UniPoly
 from hyperspec.switching import SwitchingPartition, SwitchReport, _check_partition
 from hyperspec.tensor import Tensor, _unoffset
@@ -184,6 +182,40 @@ def interpolate(points: Sequence[tuple[Fraction | int, Fraction | int]]) -> UniP
         if poly.evaluate(x) != y:
             raise MathError("interpolation failed to reproduce its nodes")
     return poly
+
+
+# --- the fraction-free determinant, the reference for _solve_mod's ---
+
+
+def _det_mod(a: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """Determinant of each layer of a (P, n, n) stack modulo its prime.
+
+    Each layer pivots on the first nonzero entry of its column.  Step c
+    scales rows c + 1 onward by the pivot d_c instead of dividing by it,
+    so det = prod_c d_c / prod_c d_c**(n - 1 - c): one inversion a layer.
+    """
+    a = a.copy()
+    moduli = primes[:, None, None]
+    flips = np.zeros(len(primes), dtype=bool)
+    for c in range(a.shape[1]):
+        if not all(a[:, c, c].tolist()):
+            moved, _ = _pivot_up(a, c, c)
+            if not any(a[:, c, c].tolist()):
+                return np.zeros(len(primes), dtype=np.int64)
+            flips[moved] ^= True
+        rest = a[:, c + 1 :, c + 1 :]
+        acc = rest * a[:, c, c, None, None]
+        acc += (moduli[:, 0] - a[:, c + 1 :, c])[:, :, None] * a[:, c, None, c + 1 :]
+        np.remainder(acc, moduli, out=rest)
+    dets = []
+    for pivots, p, flip in zip(np.diagonal(a, 0, 1, 2).tolist(), primes.tolist(), flips):
+        prefix, scale = 1, 1
+        for d in pivots[:-1]:
+            prefix = prefix * d % p
+            scale = scale * prefix % p
+        det = prefix * (pivots[-1] if pivots else 1) * pow(scale, -1, p) % p if scale else 0
+        dets.append(-det % p if flip else det)
+    return np.array(dets, dtype=np.int64)
 
 
 # --- the Hessenberg charpoly route, the reference for the power sums ---
@@ -330,6 +362,15 @@ def whole_quotient_mod(table, primes: np.ndarray, lams: np.ndarray) -> np.ndarra
     )
 
 
+def kept_block_norms(table, rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """(R, S) of a dense integer matrix on a table's kept diagonal blocks:
+    the largest absolute row sum inside one block, and the sum of the
+    squared entries inside the blocks."""
+    blocks = [block for group in table.blocks for block in group.index.tolist()]
+    radius = max((sum(abs(rows[r][c]) for c in b) for b in blocks for r in b), default=0)
+    return radius, sum(rows[r][c] ** 2 for b in blocks for r in b for c in b)
+
+
 def whole_det_ratio_mod(table, primes: np.ndarray, lam: int) -> tuple[np.ndarray, np.ndarray]:
     """det(M) / det(M') at one lambda modulo each prime, and the mask of
     the primes not dividing det(M')."""
@@ -346,7 +387,8 @@ def full_pencil_values(table, nodes: Sequence[int], primes: np.ndarray) -> tuple
     where the stack's shift works."""
     solved = np.zeros(len(primes), dtype=bool)
     for c in _SHIFTS:
-        stacks = table.stacks(primes, np.full(len(primes), c, dtype=np.int64), slope=True)
+        lams = np.full(len(primes), c, dtype=np.int64)
+        stacks = table.stacks(primes, lams, lambda g: slice(None))
         minor = _blockwise(table.minors, primes, stacks, _solve_mod)
         det_minor = _det_product(minor, primes)
         if det_minor[0]:

@@ -1,8 +1,10 @@
-"""Argument checks of scripts/bench.py; no perfbench run is started."""
+"""Argument checks and the cases section of scripts/bench.py; no perfbench
+run is started."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -46,3 +48,31 @@ def test_blas_records_the_library_and_thread_count(bench, monkeypatch):
     assert got["openblas_num_threads"] == "1" and isinstance(got["name"], str)
     monkeypatch.delenv("OPENBLAS_NUM_THREADS")
     assert bench.blas()["openblas_num_threads"] is None
+
+
+def test_cases_record_wall_time_and_digest(bench, monkeypatch, tmp_path):
+    # a stubbed case list and stubbed perfbench runs: the BENCH file gets a
+    # cases section with each case's seconds and the SHA-1 of its
+    # coefficient strings, one a line, and no process is started
+    import hashlib
+
+    calls = []
+
+    def case():
+        calls.append(1)
+        return ["1", "-3", "0"]
+
+    monkeypatch.setattr(bench, "CASES", {"stub": case})
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench.sys, "path", list(bench.sys.path))  # time_cases prepends src
+    monkeypatch.setattr(bench, "src_modified", lambda: False)
+    result = {"correct": True, "attempted": 1, "failed": 0,
+              "metrics": {"ops_per_s": {"value": 2.0}}}
+    monkeypatch.setattr(bench, "run_once", lambda workload, seed: ({"commit": "abc"}, result))
+    assert bench.main(["--label", "stub", "--workloads", "echar", "--seeds", "1"]) == 0
+    report = json.loads((tmp_path / "BENCH_stub.json").read_text())
+    [(name, got)] = report["cases"].items()
+    assert name == "stub" and calls == [1]
+    assert got["sha1"] == hashlib.sha1(b"1\n-3\n0").hexdigest() and got["seconds"] >= 0
+    assert report["workloads"]["echar"]["median"] == {"ops_per_s": 2.0}
+

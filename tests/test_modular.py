@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from oracles import (
-    charpoly_mod, classical_char_poly, int_det, poly_divexact_mod, poly_product_mod,
+    _det_mod, charpoly_mod, classical_char_poly, int_det, poly_divexact_mod, poly_product_mod,
 )
 
 from hyperspec.errors import BadPrime, InputError, MathError
@@ -17,7 +17,6 @@ from hyperspec.modular import (
     MAX_PRIMES,
     PRIME_LIMIT,
     STACK_CAP,
-    _det_mod,
     _solve_mod,
     crt_combine,
     crt_values,
@@ -63,8 +62,17 @@ def test_prime_list_descends_below_limit():
     assert PRIME_LIMIT // 2 < last and not any(is_prime(n) for n in range(PRIME_LIMIT // 2, last))
 
 
+def _dets(a, primes):
+    """_solve_mod's determinants, with a right side of width 0."""
+    return _solve_mod(a, a[:, :, :0], primes)[0]
+
+
 def _det(rows, primes):
-    return _det_mod(*_stack(rows, primes)).tolist()
+    # the library's kernel, checked against the fraction-free reference
+    a, pv = _stack(rows, primes)
+    got = _dets(a, pv).tolist()
+    assert got == _det_mod(a, pv).tolist()
+    return got
 
 
 def test_crt_values_covers_each_bound_with_the_shortest_prefix():
@@ -157,6 +165,7 @@ def test_det_mod_known():
     assert _det([[1, 2], [3, 4]], [5, 7]) == [3, 5]  # -2 mod 5 and 7
     assert _det([[1, 2], [2, 4]], [11]) == [0]
     empty = np.zeros((2, 0, 0), dtype=np.int64)
+    assert _dets(empty, np.array([7, 11])).tolist() == [1, 1]
     assert _det_mod(empty, np.array([7, 11])).tolist() == [1, 1]
 
 
@@ -194,6 +203,75 @@ def test_solve_mod_matches_det_and_inverts():
                         for j in range(k)] for i in range(n)]
             assert product == b[layer].tolist()
     assert singular >= 8
+
+
+def _cofactor_dets(a, primes):
+    return [int_det(layer.tolist()) % p for layer, p in zip(a, primes.tolist())]
+
+
+def test_solve_mod_without_right_side_matches_cofactor_oracle():
+    # _solve_mod with a right side of width 0 eliminates only below each
+    # pivot and returns the determinants alone; each case is a seeded
+    # stack checked layer by layer against cofactor expansion
+    rng = random.Random(3301)
+    primes = [nth_prime(i) for i in range(3)] + [7, 11]
+
+    def stack(matrices):
+        return (np.array([np.array(m, dtype=np.int64) % p for m, p in matrices]),
+                np.array([p for _, p in matrices], dtype=np.int64))
+
+    cases = []
+    # all-zero stacks, of every size up to 4
+    cases += [stack([([[0] * n] * n, p) for p in primes]) for n in range(1, 5)]
+    # singular in some layers only: an entry equal to one layer's prime,
+    # and a row that is a multiple of another modulo 7 alone
+    q = nth_prime(1)
+    cases.append(stack([([[q, 2], [q, 2 + q]], p) for p in primes]))
+    cases.append(stack([([[1, 2, 3], [2, 4, 13], [0, 5, 1]], p) for p in primes]))
+    # 1x1 stacks of 40 layers and more, many of them zero
+    for layers in (40, 57):
+        cases.append(stack([([[rng.choice((0, 0, 1, -3, rng.randint(-99, 99)))]],
+                              primes[i % len(primes)]) for i in range(layers)]))
+    # row swaps: scaled permutation matrices, whose determinants carry
+    # their signs, and pivots low in the column in the layer mod 7 only
+    signs = set()
+    for n in (2, 3, 5, 6):
+        for _ in range(3):
+            images = rng.sample(range(n), n)
+            rows = [[int(images[i] == j) * (1 + i) for j in range(n)] for i in range(n)]
+            cases.append(stack([(rows, p) for p in primes]))
+            signs.add(int_det(rows) > 0)
+    assert signs == {True, False}
+    cases.append(stack([([[7, 1, 0], [0, 2, 1], [3, 0, 5]], p) for p in primes]))
+    # random dense and sparse stacks, one matrix a layer
+    for _ in range(20):
+        n = rng.randrange(1, 8)
+        density = rng.choice((0.3, 1.0))
+        cases.append(stack([(_random_rows(rng, n, span=20, density=density), p)
+                            for p in primes]))
+    for a, pv in cases:
+        assert _dets(a, pv).tolist() == _cofactor_dets(a, pv), a.shape
+
+
+def test_solve_mod_without_right_side_on_a_48_row_stack():
+    # 48 rows: sparse, with zero columns forcing row swaps deep in the
+    # elimination, and a layer made singular by a repeated row; checked
+    # against the fraction-free reference and by det(A B) = det A det B
+    rng = random.Random(3307)
+    primes = np.array([nth_prime(0), nth_prime(5), 1_000_003, 13], dtype=np.int64)
+    rows = _random_rows(rng, 48, span=5, density=0.15)
+    singular = [row[:] for row in rows]
+    singular[40] = singular[3][:]
+    a = np.stack([np.array(m, dtype=np.int64) % p
+                  for m, p in zip((rows, rows, singular, rows), primes.tolist())])
+    dets = _dets(a, primes)
+    assert dets.tolist() == _det_mod(a, primes).tolist()
+    assert dets[2] == 0
+    b = np.stack([np.array(_random_rows(rng, 48, span=3, density=0.2), dtype=np.int64) % p
+                  for p in primes.tolist()])
+    ab = np.stack([np.array(x.tolist(), dtype=object).dot(np.array(y.tolist(), dtype=object))
+                   % p for x, y, p in zip(a, b, primes.tolist())]).astype(np.int64)
+    assert (_dets(ab, primes) == dets * _dets(b, primes) % primes).all()
 
 
 def test_crt_combine_pair():
@@ -350,10 +428,11 @@ def test_stacked_layers_match_stacks_of_one():
         dets, solved = _solve_mod(a, b, pv)
         polys = charpoly_mod(a, pv)
         quot = poly_divexact_mod(polys, polys[:, n:], pv)
-        assert _det_mod(a, pv).tolist() == dets.tolist()
+        assert _det_mod(a, pv).tolist() == dets.tolist() == _dets(a, pv).tolist()
         for layer in range(len(primes)):
             one = slice(layer, layer + 1)
             assert _det_mod(a[one], pv[one]).tolist() == [dets[layer]]
+            assert _dets(a[one], pv[one]).tolist() == [dets[layer]]
             det_one, solved_one = _solve_mod(a[one], b[one], pv[one])
             assert det_one.tolist() == [dets[layer]]
             if dets[layer]:

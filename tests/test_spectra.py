@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperspec.config import DEFAULT_CONFIG
-from hyperspec.analysis import PolyCache, load_checkpoint
+from hyperspec.analysis import PolyCache, ds_verify, load_checkpoint
 from hyperspec.errors import CapExceeded, DegreeCapExceeded, DimMismatch, HyperspecError
 from hyperspec.hypergraph import Hypergraph, adjacency_tensor, count_simplices, from_bitmask
 from hyperspec import macaulay
@@ -43,6 +43,7 @@ from oracles import (
     from_rows,
     full_pencil_values,
     interpolate,
+    kept_block_norms,
     permutation_matrix,
     symmetric_from_upper,
     whole_quotient_mod,
@@ -180,15 +181,14 @@ def test_single_edge_e_char_takes_two_prime_loops(monkeypatch):
 
 
 def _entry_norms(table, lam=None):
-    # the largest absolute row sum R and the sum of squared absolute
-    # entries S of M(lam), summed here over the table's entries; lam None
-    # takes |i0| + |i1|, which bounds every entry on |lambda| = 1
-    sums, squares = [0] * table.size, 0
-    for r, i0, i1 in zip(table.row.tolist(), table.i0.tolist(), table.i1.tolist()):
-        v = abs(i0) + abs(i1) if lam is None else abs(i0 + lam * i1)
-        sums[r] += v
-        squares += v * v
-    return max(sums, default=0), squares
+    # the largest absolute row sum R inside one kept diagonal block of
+    # M(lam), and the sum of squared entries S inside those blocks, read
+    # off the dense matrix; lam None takes |i0| + |i1|, which bounds every
+    # entry on |lambda| = 1
+    dense = [[0] * table.size for _ in range(table.size)]
+    for r, c, i0, i1 in zip(*(a.tolist() for a in (table.row, table.col, table.i0, table.i1))):
+        dense[r][c] = abs(i0) + abs(i1) if lam is None else i0 + lam * i1
+    return kept_block_norms(table, dense)
 
 
 def _assert_elementary_bound(bound, d, k, radius, squares):
@@ -304,9 +304,10 @@ def test_benchmark_values_lie_within_the_frobenius_bounds():
         unscale = Fraction(table.scale_full, table.scale_minor)
         assert [raw.coefficient((1 + odd) * i) * unscale for i in range(len(exact))] == exact
         tighter["echar"] += _assert_within_coefficient_bounds(a, raw)
-    # Schur's bound is the smaller one for every E-char, and for 14 of the
-    # 19 charpoly tables, on every coefficient but the leading 1
-    assert tighter == {"charpoly": 14 * 32, "det": 14, "echar": 13}, tighter
+    # Schur's bound is the smaller one for every E-char; over the kept
+    # blocks, for 14 of the 19 charpoly tables on every coefficient but
+    # the leading 1, and for 4 more on all but one of those
+    assert tighter == {"charpoly": 14 * 32 + 4 * 31, "det": 14, "echar": 13}, tighter
 
 
 def test_power_sum_quotients_match_hessenberg_on_the_benchmark_tables():
@@ -364,7 +365,7 @@ def test_echar_benchmark_keeps_its_primes(monkeypatch):
     third = Fraction(1, 3)
     reflection = from_rows([[2 * third - (i == j) for j in range(3)] for i in range(3)])
     signed = from_rows([[-1, 0, 0], [0, 0, 1], [0, 1, 0]])
-    expected = {3: [[5], [12], [5]], 4: [[6], [14], [6]]}
+    expected = {3: [[4], [12], [4]], 4: [[6], [14], [6]]}
     for order, primes in expected.items():
         a = _benchmark_tensor(order)
         for p, want in zip((None, reflection, signed), primes):
@@ -374,6 +375,63 @@ def test_echar_benchmark_keeps_its_primes(monkeypatch):
     kept.clear()
     e_char_poly(_single_edge())
     assert kept == [None, 2]
+
+
+def test_every_recombined_value_matches_a_fresh_prime(monkeypatch):
+    # each value a prime loop recombines, reduced modulo the first prime
+    # of the list that the loop did not use, equals the residue its route
+    # gives at that prime (the next one if the route skips it): a bound
+    # too small to cover a value would show here, whatever its proof.
+    # Every table of the three perfbench workloads (charpoly: char_poly
+    # and det_tensor of the 3-graphs on 4 vertices, the fixed integer
+    # tensors and the single edge; echar: the fixed tensors under the
+    # criterion-8 transforms and the single edge; search: ds on its three
+    # 6-vertex graph classes), and K4^(3) plus three isolated vertices
+    loops = []
+
+    def recording(residues_mod, bounds, seed, layer_size, inner=macaulay.crt_values):
+        asked = []
+
+        def logged(primes):
+            asked.extend(primes)
+            return residues_mod(primes)
+
+        values = inner(logged, bounds, seed, layer_size)
+        if values is not None:
+            loops.append((residues_mod, values, seed + len(asked)))
+        return values
+
+    monkeypatch.setattr(macaulay, "crt_values", recording)
+    tensors = [adjacency_tensor(from_bitmask(4, 3, mask)) for mask in range(16)]
+    tensors += [_pool_tensor("charpoly", t, 3, 4, 3) for t in range(3)] + [_single_edge()]
+    for a in tensors:
+        char_poly(a)
+        try:
+            det_tensor(a)
+        except HyperspecError:
+            pass
+    counts = [len(loops)]
+    for a in map(_benchmark_tensor, (3, 4)):
+        for p in _criterion_8_transforms():
+            e_char_poly(a if p is None else mat_sim(p, a))
+    e_char_poly(_single_edge(), normalize=False)
+    counts.append(len(loops) - sum(counts))
+    cache = PolyCache()
+    for mask in (106, 1919, 759):
+        ds_verify(from_bitmask(6, 2, mask), cache=cache)
+    counts.append(len(loops) - sum(counts))
+    k4 = list(itertools.combinations(range(1, 5), 3))
+    raised = replace(DEFAULT_CONFIG, degree_cap=448, dim_cap=3003)
+    char_poly(Hypergraph.from_edges(7, 3, k4), raised)
+    counts.append(len(loops) - sum(counts))
+    # loops per part: most det_tensor values are 0 off a visible root,
+    # with no loop
+    assert counts == [23, 13, 15, 1], counts
+    for residues_mod, values, index in loops:
+        while (residues := residues_mod([nth_prime(index)])[0]) is None:
+            index += 1
+        p = nth_prime(index)
+        assert [v % p for v in values] == [int(r) for r in residues]
 
 
 def test_e_char_matches_the_fraction_interpolation_oracle():
