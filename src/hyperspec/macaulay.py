@@ -359,23 +359,17 @@ class _FillTable:
             return [[abs(i0) + abs(i1) for i0, i1 in terms] for terms in self.poly_terms]
         return [[abs(i0 + lam * i1) for i0, i1 in terms] for terms in self.poly_terms]
 
-    def _kept(self, lam: int | None) -> list[tuple[int, list[int]]]:
-        """(rows, absolute in-block entries of each) for every pattern."""
+    def norms(self, lam: int | None) -> tuple[int, int]:
+        """(R, S) over the kept blocks of M(lam), or for lam None their
+        bounds on |lambda| = 1: the largest absolute row sum inside a
+        block, a bound on the quotient's roots (Gershgorin), and the sum
+        of the blocks' squared Frobenius norms, a bound on the sum of
+        their squared absolute values (Schur)."""
         mags = self._magnitudes(lam)
-        return [(count, [m for m, keep in zip(mags[i], mask) if keep])
+        rows = [(count, [m for m, keep in zip(mags[i], mask) if keep])
                 for (i, mask), count in self.patterns.items()]
-
-    def radius(self, lam: int | None) -> int:
-        """Largest absolute row sum of a kept block of M(lam), a bound on
-        the quotient's roots (Gershgorin), or for lam None its bound on
-        |lambda| = 1."""
-        return max((sum(row) for _, row in self._kept(lam)), default=0)
-
-    def frobenius(self, lam: int | None) -> int:
-        """Sum of the squared Frobenius norms of the kept blocks of M(lam),
-        which bounds the sum of the quotient's squared absolute roots
-        (Schur), or for lam None its bound on |lambda| = 1."""
-        return sum(count * sum(v * v for v in row) for count, row in self._kept(lam))
+        return max((sum(row) for _, row in rows), default=0), sum(
+            count * sum(v * v for v in row) for count, row in rows)
 
     def vanishing_poly(self, lam: int) -> bool:
         return any(all(i0 + lam * i1 == 0 for i0, i1 in t) for t in self.poly_terms)
@@ -476,11 +470,11 @@ def _charpoly_quotient(system: PolySystem, config: RunConfig) -> list[int]:
     """The ascending integer coefficients of charpoly(M) / charpoly(M') at
     lambda = 0, M the Macaulay matrix of an integer system: that of x**j
     is, up to sign, e_(d - j) of d eigenvalues of M's kept blocks, under
-    _elementary_bound of their row sum R = table.radius(0) (Gershgorin)
-    and sum of squares S = table.frobenius(0) (Schur).
+    _elementary_bound of their row sum R and sum of squares S
+    (table.norms(0)).
     """
     table = _table(system, config)
-    d, radius, frobenius = table.d, table.radius(0), table.frobenius(0)
+    d, (radius, frobenius) = table.d, table.norms(0)
 
     def residues_mod(primes: list[int]) -> np.ndarray:
         pv = np.array(primes, dtype=np.int64)
@@ -495,7 +489,7 @@ def _value_bound(table: _FillTable, lam: int | None) -> int:
     |lambda| = 1 for lam None, where |i0 + lambda i1| <= |i0| + |i1|: up
     to sign the product of the quotient's d roots, eigenvalues of kept
     blocks of M(lambda): at most R**d and (S / d)**(d/2) (_elementary_bound)."""
-    return _elementary_bound(table.d, table.d, table.radius(lam), table.frobenius(lam))
+    return _elementary_bound(table.d, table.d, *table.norms(lam))
 
 
 def _det_ratio(table: _FillTable, primes: np.ndarray, lam: int, columns: Callable) -> tuple | None:

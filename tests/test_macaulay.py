@@ -242,7 +242,11 @@ def test_radius_is_the_largest_row_sum():
             table = _FillTable(e_char_poly_system(a))
             for lam in (0, 1, -2, 7):
                 full = _fill(table, lam)[0]
-                assert table.radius(lam) == oracles.kept_block_norms(table, full)[0]
+                assert table.norms(lam)[0] == oracles.kept_block_norms(table, full)[0]
+    # x + 100 y, y: M = [[1, 100], [0, 1]] is two 1x1 blocks, and the 100
+    # off them counts in neither bound
+    table = _FillTable(_system([_poly(2, {(1, 0): 1, (0, 1): 100}), _poly(2, {(0, 1): 1})]))
+    assert table.norms(0) == (1, 2)
 
 
 def test_frobenius_is_the_sum_of_squared_entries():
@@ -259,16 +263,14 @@ def test_frobenius_is_the_sum_of_squared_entries():
             table = _FillTable(e_char_poly_system(a))
             for lam in (0, 1, -2, 7):
                 full = _fill(table, lam)[0]
-                assert table.frobenius(lam) == oracles.kept_block_norms(table, full)[1]
+                assert table.norms(lam)[1] == oracles.kept_block_norms(table, full)[1]
             f0, f1 = _fill(table, 0)[0], _fill(table, 1)[0]
             unit = [[abs(u) + abs(v - u) for u, v in zip(r0, r1)] for r0, r1 in zip(f0, f1)]
-            assert (table.radius(None), table.frobenius(None)) == (
-                oracles.kept_block_norms(table, unit)
-            )
+            radius, squares = table.norms(None)
+            assert (radius, squares) == oracles.kept_block_norms(table, unit)
             whole = sum(v * v for row in unit for v in row)
-            assert table.frobenius(None) <= whole
-            assert table.radius(None) <= max(map(sum, unit))
-            below += table.frobenius(None) < whole
+            assert squares <= whole and radius <= max(map(sum, unit))
+            below += squares < whole
     assert below > 0
 
 

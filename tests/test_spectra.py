@@ -280,7 +280,7 @@ def test_benchmark_values_lie_within_the_frobenius_bounds():
         exact = crt_values(residues_mod, gershgorin, 0, table.layer_size)
         assert macaulay._charpoly_quotient(system, DEFAULT_CONFIG) == exact
         for j, c in enumerate(exact):
-            bound = macaulay._elementary_bound(d, d - j, table.radius(0), table.frobenius(0))
+            bound = macaulay._elementary_bound(d, d - j, *table.norms(0))
             tighter["charpoly"] += _assert_elementary_bound(bound, d, d - j, radius, squares)
             assert abs(c) <= bound, j
         table = _FillTable(PolySystem(a.dim, component, degrees))
