@@ -14,6 +14,13 @@ pencil shares the library's solve kernel, but takes every column of
 each block's N = A**-1 F1, where the library keeps only the columns on
 which F1 is nonzero, and multiplies and divides Hessenberg charpolys.
 
+The fraction-free _det_mod, which scales rows instead of dividing and
+inverts once per layer at the end, is the reference for the
+determinants of the library's one elimination kernel, _solve_mod, and
+gives the whole-matrix determinant ratio.  kept_block_norms reads the
+coefficient bounds' R and S off a dense matrix cut into the table's
+kept diagonal blocks, where the library counts patterns of rows.
+
 The switching conditions are checked by walking every (k-1)-subset
 of V2 and probing each vertex of V1 for an edge, where the library
 counts neighborhoods in one pass over the edges.
