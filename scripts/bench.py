@@ -10,11 +10,13 @@ seed run back to back before the next seed starts.  This script adds no
 workloads and no metrics of its own: it only collects the end-to-end
 metrics that run.py prints on its last line and takes their medians.
 
-Then the named cases of CASES, larger than any perfbench op, run once
-each in this process, on the same source tree, with their caps raised
-per case.  The ``cases`` section records each one's wall time and the
-SHA-1 of its result's coefficient strings, one a line, so two files
-show whether a change moved a case's time and kept its result.
+Then the named cases of CASES, larger than any perfbench op, run
+RUNS times each in this process, on the same source tree, with their
+caps raised per case.  The ``cases`` section records each one's wall
+times, their median and the SHA-1 of its result's coefficient strings,
+one a line, so two files show whether a change moved a case's time and
+kept its result.  A case whose runs give different digests stops the
+script.
 
 The file records the commit, whether ``src/`` differs from it, the
 Python and numpy versions and ``nproc``, all taken from run.py's
@@ -44,6 +46,8 @@ WORKLOADS = ("charpoly", "echar", "search")
 # run.py turns this into a fixed number of rounds per workload; one value
 # for every BENCH file keeps them comparable
 SECONDS = 20.0
+# calls of each case; the first in a process pays for imports and caches
+RUNS = 3
 
 
 def _char_poly(n: int, k: int, edges, degree_cap: int, dim_cap: int) -> list[str]:
@@ -82,17 +86,22 @@ CASES: dict[str, Callable[[], list[str]]] = {
 
 
 def time_cases(cases: dict[str, Callable[[], list[str]]]) -> dict[str, dict]:
-    """{name: {"seconds", "sha1"}} of each case, run once in this process
-    on the source tree of this checkout."""
+    """{name: {"runs", "seconds", "sha1"}} of each case, run RUNS times in
+    this process on the source tree of this checkout: the wall times, their
+    median and the digest, which every run must repeat."""
     sys.path.insert(0, str(ROOT / "src"))
     out = {}
     for name, case in cases.items():
-        start = time.perf_counter()
-        strings = case()
-        seconds = time.perf_counter() - start
-        digest = hashlib.sha1("\n".join(strings).encode()).hexdigest()
-        out[name] = {"seconds": round(seconds, 4), "sha1": digest}
-        print(f"bench: case {name}: {seconds:.3f} s", file=sys.stderr)
+        runs, digests = [], set()
+        for _ in range(RUNS):
+            start = time.perf_counter()
+            strings = case()
+            runs.append(round(time.perf_counter() - start, 4))
+            digests.add(hashlib.sha1("\n".join(strings).encode()).hexdigest())
+        if len(digests) > 1:
+            raise SystemExit(f"bench: case {name} gave {len(digests)} different results")
+        out[name] = {"runs": runs, "seconds": statistics.median(runs), "sha1": digests.pop()}
+        print(f"bench: case {name}: {runs} s", file=sys.stderr)
     return out
 
 

@@ -264,12 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact spectra of uniform hypergraph adjacency tensors.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--threads",
-        type=_int_option,
-        default=1,
-        help="accepted for compatibility and ignored; work runs in one thread",
-    )
     common.add_argument("--degree-cap", type=_int_option, default=RunConfig.degree_cap)
     common.add_argument("--dim-cap", type=_int_option, default=RunConfig.dim_cap)
     common.add_argument(

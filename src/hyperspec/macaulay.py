@@ -92,11 +92,6 @@ class PolySystem:
                 if not poly.is_homogeneous(degree):
                     raise NotHomogeneous(f"{what} {i} is not homogeneous of degree {degree}")
 
-    def at(self, lam: Fraction | int) -> "PolySystem":
-        """The numeric system at one value of lambda."""
-        polys = tuple(c + l.scale(lam) for c, l in zip(self.polys, self.linear))
-        return PolySystem(self.nvars, polys, self.degrees)
-
 
 def monomial_basis(nvars: int, total: int) -> tuple[tuple[int, ...], ...]:
     out = []
@@ -209,10 +204,12 @@ def _strong_components(size: int, row: np.ndarray, col: np.ndarray) -> list[list
 class _Blocks:
     """Diagonal blocks of one size: block b holds the monomials index[b],
     and its cell (i, j) entry slot[b, i, j] of a table's arrays, whose
-    final 0 fills the empty cells."""
+    final 0 fills the empty cells.  support holds the columns where F1 is
+    nonzero on some block, found only in a table with a lambda part."""
 
     def __init__(self, index: np.ndarray, slot: np.ndarray):
         self.index, self.slot, self.size = index, slot, index.shape[1]
+        self.support = np.arange(0)
 
 
 def _group_blocks(
@@ -324,6 +321,8 @@ class _FillTable:
         self.blocks = _group_blocks(kept, self.row, self.col, self.size)
         minors = [m for b in kept if (m := [r for r in b if divisor[r]])]
         self.minors = _group_blocks(minors, self.row, self.col, self.size)
+        for g in self.blocks + self.minors if system.linear else ():
+            g.support = np.flatnonzero((self.i1[g.slot] != 0).any(axis=(0, 1)))
         inside = np.zeros(len(self.row) + 1, dtype=bool)  # the last takes empty cells
         inside[np.concatenate([g.slot.ravel() for g in self.blocks] + [self.col[:0]])] = True
         inside = inside.tolist()
@@ -370,9 +369,6 @@ class _FillTable:
                 for (i, mask), count in self.patterns.items()]
         return max((sum(row) for _, row in rows), default=0), sum(
             count * sum(v * v for v in row) for count, row in rows)
-
-    def vanishing_poly(self, lam: int) -> bool:
-        return any(all(i0 + lam * i1 == 0 for i0, i1 in t) for t in self.poly_terms)
 
 
 def check_dim_cap(nvars: int, degrees: tuple[int, ...], config: RunConfig) -> None:
@@ -497,8 +493,7 @@ def _det_ratio(table: _FillTable, primes: np.ndarray, lam: int, columns: Callabl
     _solve_mod of each block against F1 on its columns(group): det(M') on
     the divisor blocks first, and None, before det(M), when the first
     prime divides it.  Returns the ratio, the (P,) masks of the primes
-    where det(M') and det(M) do not vanish, and each group's solutions
-    by id."""
+    where det(M') and det(M) do not vanish, and each group's solutions."""
     stacks = table.stacks(primes, np.full(len(primes), lam, dtype=np.int64), columns)
     minor = _blockwise(table.minors, primes, stacks, _solve_mod)
     det_minor = _det_product(minor, primes)
@@ -506,7 +501,7 @@ def _det_ratio(table: _FillTable, primes: np.ndarray, lam: int, columns: Callabl
         return None
     full = _blockwise(table.blocks, primes, stacks, _solve_mod)
     det_full = _det_product(full, primes)
-    solutions = {id(g): x for groups, got in ((table.blocks, full), (table.minors, minor))
+    solutions = {g: x for groups, got in ((table.blocks, full), (table.minors, minor))
                  for g, (_, x) in zip(groups, got)}
     ratio = det_full * _inverses(det_minor, primes) % primes
     return ratio, det_minor != 0, det_full != 0, solutions
@@ -593,22 +588,15 @@ def _gcp_values(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Resultant residues at integer nodes from the generalized
     characteristic polynomial (see resultant_value): every (prime, node)
-    layer is one charpoly quotient, and the blocks of one size of all
-    layers share stacks.  Returns the (P, nodes) residues, 0 where a
-    polynomial vanishes identically, and the (P,) mask of primes not
-    skipped, all of them: the monic divisor never vanishes."""
-    live = [i for i, lam in enumerate(nodes) if not table.vanishing_poly(lam)]
-    rows = np.repeat(np.arange(len(primes)), len(live))
-    cols = np.tile(np.array(live, dtype=np.intp), len(primes))
-    lams = np.array(nodes, dtype=np.int64)[cols]
-    out = np.zeros((len(primes), len(nodes)), dtype=np.int64)
-    step = stack_layers(table.layer_size)
-    for start in range(0, len(rows), step):
-        part = slice(start, start + step)
-        pv = primes[rows[part]]
-        constant = _quotients(table, pv, lams[part])[:, 0]
-        out[rows[part], cols[part]] = (-constant if table.d % 2 else constant) % pv
-    return out, np.ones(len(primes), dtype=bool)
+    layer is one charpoly quotient, all in one _quotients call, whose
+    _blockwise sizes every stack.  Returns the (P, nodes) residues, 0 as
+    the resultant where a polynomial vanishes identically, and the (P,)
+    mask of primes not skipped, all of them: the monic divisor never
+    vanishes."""
+    pv = np.repeat(primes, len(nodes))
+    constant = _quotients(table, pv, np.tile(np.array(nodes, dtype=np.int64), len(primes)))[:, 0]
+    out = (-1) ** table.d * constant % pv
+    return out.reshape(len(primes), len(nodes)), np.ones(len(primes), dtype=bool)
 
 
 # base points c tried, in order, for the pencil reduction modulo one prime
@@ -640,29 +628,24 @@ def _pencil_values(
     modulo the first prime, as for hypergraph adjacency tensors, whose
     divisor vanishes identically in lambda, _recombine takes _gcp_values.
     """
-    # the columns J where F1 is nonzero on some block of a group
-    support = {
-        id(g): np.flatnonzero((table.i1[g.slot] != 0).any(axis=(0, 1)))
-        for g in table.blocks + table.minors
-    }
     solved = np.zeros(len(primes), dtype=bool)
     for c in _SHIFTS:
-        got = _det_ratio(table, primes, c, lambda g: support[id(g)])
+        got = _det_ratio(table, primes, c, lambda g: g.support)
         if got is not None and got[2][0]:
             scale, minor_ok, full_ok, solutions = got
             solved = minor_ok & full_ok
             break
     if not solved[0]:
         return np.zeros((len(primes), len(nodes)), dtype=np.int64), solved
-    for key, n in solutions.items():
+    for g, n in solutions.items():
         n[~solved] = 0
-        solutions[key] = n[:, :, support[key]]  # N[J, J]
+        solutions[g] = n[:, :, g.support]  # N[J, J]
     moduli, cube = primes[:, None], primes[:, None, None]
 
     def negated(group, layers, blocks):
-        return (-solutions[id(group)][layers, blocks] % cube[layers],)
+        return (-solutions[group][layers, blocks] % cube[layers],)
 
-    live = [[g for g in groups if len(support[id(g)])] for groups in (table.blocks, table.minors)]
+    live = [[g for g in groups if len(g.support)] for groups in (table.blocks, table.minors)]
     q = _quotient(table.d, live, primes, negated)
     t, acc = (np.array(nodes, dtype=np.int64) - c) % moduli, 0
     for j in range(q.shape[1]):  # q_0 multiplies t**d

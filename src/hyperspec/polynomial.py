@@ -164,33 +164,8 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(exp) for exp in self.terms)
-
     def is_homogeneous(self, degree: int) -> bool:
         return all(sum(exp) == degree for exp in self.terms)
-
-    def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
-        if len(point) != self.nvars:
-            raise DimMismatch("evaluation point has wrong arity")
-        vals = [Fraction(v) for v in point]
-        acc = Fraction(0)
-        for exp, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(vals, exp):
-                term *= v**e
-            acc += term
-        return acc
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        if self.nvars != other.nvars:
-            raise DimMismatch("cannot add polynomials in different variable counts")
-        merged = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            merged[exp] = merged.get(exp, Fraction(0)) + coeff
-        return MultiPoly(self.nvars, merged)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         if self.nvars != other.nvars:

@@ -10,9 +10,10 @@ auxiliary variable beta with the quadric x.x - beta**2 is appended.
 This module builds those systems and checks or normalizes the
 polynomials that come back; macaulay turns every system into its exact
 value, through one table builder, macaulay._table, which refuses a
-Macaulay matrix past the size cap before building it.  char_poly
-refuses past the characteristic degree cap from (dim, order), or from
-a hypergraph's (n, k) before adjacency_tensor is called; for
+Macaulay matrix past the size cap before building it.  Every system
+reads A x**(m-1) through _terms, off a tensor's entries or a
+hypergraph's edge list: no n**k tensor is built.  char_poly refuses
+past the characteristic degree cap from (dim, order) or (n, k); for
 e_char_poly, admit does the same for a hypergraph, or certifies its
 E-characteristic polynomial 0.  A tensor is refused by its order, then
 the degree cap, then the size cap, then the E-char's lambda-degree
@@ -54,7 +55,7 @@ from math import lcm
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DegreeCapExceeded, DimMismatch, MathError
-from .hypergraph import Hypergraph, adjacency_tensor
+from .hypergraph import Hypergraph
 from .macaulay import (
     PolySystem, _charpoly_quotient, _interpolated_resultant, check_dim_cap, resultant_value,
 )
@@ -62,11 +63,23 @@ from .polynomial import MultiPoly, UniPoly
 from .tensor import Tensor
 
 
-def tensor_polynomial_map(a: Tensor) -> tuple[MultiPoly, ...]:
+def _terms(a: Tensor | Hypergraph) -> tuple:
+    """(dim, order, terms) of A x**(m-1), a term ((w, j_1, .., j_(m-1)), c)
+    adding c x_j1 .. x_j(m-1) to f_w: a tensor's nonzero entries, or off a
+    hypergraph's edge list, x**(e - {w}) with c = 1 for each edge e and w
+    in e, what the (k-1)! arrangements of 1/(k-1)! in its adjacency tensor
+    sum to."""
+    if isinstance(a, Tensor):
+        return a.dim, a.order, a.nonzero_items()
+    return a.n, a.k, (((w - 1,) + tuple(v - 1 for v in e if v != w), 1)
+                      for e in sorted(a.edges) for w in e)
+
+
+def tensor_polynomial_map(a: Tensor | Hypergraph) -> tuple[MultiPoly, ...]:
     """Component polynomials of x -> A x, each homogeneous of degree m - 1."""
-    n = a.dim
+    n, _, terms = _terms(a)
     acc: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(n)]
-    for idx, value in a.nonzero_items():
+    for idx, value in terms:
         exp = [0] * n
         for j in idx[1:]:
             exp[j] += 1
@@ -77,42 +90,27 @@ def tensor_polynomial_map(a: Tensor) -> tuple[MultiPoly, ...]:
 
 
 def _sphere_power(nvars: int, power: int) -> MultiPoly:
-    unit = MultiPoly(nvars, {tuple([0] * nvars): Fraction(1)})
-    square = MultiPoly(
-        nvars,
-        {tuple(2 if j == i else 0 for j in range(nvars)): Fraction(1) for i in range(nvars)},
-    )
-    out = unit
+    square = MultiPoly(nvars, {tuple(2 * (j == i) for j in range(nvars)): 1 for i in range(nvars)})
+    out = MultiPoly(nvars, {(0,) * nvars: 1})
     for _ in range(power):
         out = out * square
     return out
 
 
-def e_char_poly_system(a: Tensor) -> PolySystem:
-    n, m = a.dim, a.order
+def e_char_poly_system(a: Tensor | Hypergraph) -> PolySystem:
+    n, m, _ = _terms(a)
     component = tensor_polynomial_map(a)
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]  # x_i's exponents
     if m % 2 == 0:
         sphere = _sphere_power(n, (m - 2) // 2)
-        linear = []
-        for i in range(n):
-            x_i = MultiPoly(n, {tuple(1 if j == i else 0 for j in range(n)): Fraction(-1)})
-            linear.append(sphere * x_i)
-        return PolySystem(n, component, (m - 1,) * n, tuple(linear))
+        linear = tuple(sphere * MultiPoly(n, {e: -1}) for e in units)
+        return PolySystem(n, component, (m - 1,) * n, linear)
     # odd order: variables (x_1..x_n, beta) with the quadric x.x - beta**2
     nv = n + 1
-    const = [
-        MultiPoly(nv, {exp + (0,): c for exp, c in component[i].terms.items()})
-        for i in range(n)
-    ]
-    linear = [
-        MultiPoly(
-            nv,
-            {tuple((1 if j == i else 0) for j in range(n)) + (m - 2,): Fraction(-1)},
-        )
-        for i in range(n)
-    ]
-    quadric = {tuple(2 if j == i else 0 for j in range(nv)): Fraction(1) for i in range(n)}
-    quadric[tuple([0] * n) + (2,)] = Fraction(-1)
+    const = [MultiPoly(nv, {e + (0,): c for e, c in p.terms.items()}) for p in component]
+    linear = [MultiPoly(nv, {e + (m - 2,): -1}) for e in units]
+    quadric = {tuple(2 * v for v in e) + (0,): Fraction(1) for e in units}
+    quadric[(0,) * n + (2,)] = Fraction(-1)
     const.append(MultiPoly(nv, quadric))
     linear.append(MultiPoly(nv, {}))
     return PolySystem(nv, tuple(const), (m - 1,) * n + (2,), tuple(linear))
@@ -135,8 +133,8 @@ def check_degree_cap(dim: int, order: int, cap: int) -> int:
 def admit(h: Hypergraph, config: RunConfig, *, e_char: bool) -> bool:
     """Whether h's E-characteristic polynomial (e_char) is certified 0 by
     an isotropic root read off its edge list; otherwise h is refused past
-    the characteristic degree cap, from (n, k), before any n**k tensor is
-    built."""
+    the characteristic degree cap, from (n, k), before its system is read
+    off the edge list (_terms); no n**k tensor is built."""
     if e_char and h.k >= 3 and _isotropic_root(h):
         return True
     check_degree_cap(h.n, h.k, config.degree_cap)
@@ -145,16 +143,14 @@ def admit(h: Hypergraph, config: RunConfig, *, e_char: bool) -> bool:
 
 def char_poly(a: Tensor | Hypergraph, config: RunConfig = DEFAULT_CONFIG) -> UniPoly:
     """Monic characteristic polynomial of degree dim * (order-1)**(dim-1);
-    a hypergraph's is its adjacency tensor's, built once its degree,
-    read off (n, k), passes the cap."""
-    if isinstance(a, Hypergraph):
-        expected = check_degree_cap(a.n, a.k, config.degree_cap)
-        a = adjacency_tensor(a)
-    elif a.order >= 2:  # a tensor's order is refused first
-        expected = check_degree_cap(a.dim, a.order, config.degree_cap)
-    if a.order < 2:
+    a hypergraph's is its adjacency tensor's, from a system read off its
+    edge list (_terms) once its degree, read off (n, k), passes the cap:
+    no n**k tensor is built."""
+    n, m, _ = _terms(a)
+    if m >= 2 or isinstance(a, Hypergraph):  # a tensor's order is refused first
+        expected = check_degree_cap(n, m, config.degree_cap)
+    if m < 2:
         raise DimMismatch("characteristic polynomial needs order at least 2")
-    n, m = a.dim, a.order
     component = tensor_polynomial_map(a)
     scale = lcm(*(c.denominator for p in component for c in p.terms.values()))
     system = PolySystem(n, tuple(p.scale(scale) for p in component), (m - 1,) * n)
@@ -176,8 +172,7 @@ def _isotropic_root(a: Tensor | Hypergraph) -> int:
     (beta = 0 for odd order) is a common root of the E-characteristic
     system at every lambda when m >= 3, so its resultant is identically 0
     (Qi, J. Math. Anal. Appl. 325, 2007).  Both witnesses read the terms
-    of f_w = (A x**(m-1))_w: a hypergraph's are x**(e - {w}), with
-    coefficient 1, for each edge e and w in e.
+    of f_w = (A x**(m-1))_w off _terms.
 
     2: coordinates u < v carry no term of any f_w on {u, v} alone, and
     x = e_u + i e_v.  For k >= 4 every pair of a hypergraph qualifies,
@@ -195,13 +190,7 @@ def _isotropic_root(a: Tensor | Hypergraph) -> int:
     form an edge with jk: abc is not an edge, and every other vertex
     forms an edge with none or all of ab, ac and bc.
     """
-    if isinstance(a, Hypergraph):
-        dim, order = a.n, a.k
-        items = (((w - 1,) + tuple(v - 1 for v in e if v != w), 1)
-                 for e in a.edges for w in e)
-    else:
-        dim, order = a.dim, a.order
-        items = a.nonzero_items()
+    dim, order, items = _terms(a)
     # coefficients of each monomial, keyed by its sorted variables, in each f_w
     terms: dict[tuple[int, ...], dict[int, Fraction]] = {}
     for (w, *rest), value in items:
@@ -238,19 +227,18 @@ def e_char_poly(
     a: Tensor | Hypergraph, config: RunConfig = DEFAULT_CONFIG, *, normalize: bool = True
 ) -> UniPoly:
     """E-characteristic polynomial, normalized content-free by default; a
-    hypergraph's is its adjacency tensor's, once admitted."""
+    hypergraph's is its adjacency tensor's, once admitted, from a system
+    read off its edge list."""
+    _, m, _ = _terms(a)
     if isinstance(a, Hypergraph):
         if admit(a, config, e_char=True):
             return UniPoly.zero()
-        a = adjacency_tensor(a)
-    elif a.order >= 3 and _isotropic_root(a):
+    elif m >= 3 and _isotropic_root(a):
         return UniPoly.zero()
-    if a.order < 2:
+    if m < 2:
         raise DimMismatch("E-characteristic polynomial needs order at least 2")
     # odd order: beta -> -beta maps the system at lambda to that at -lambda
-    poly = _interpolated_resultant(
-        e_char_poly_system(a), config, even_in_lambda=a.order % 2 == 1
-    )
+    poly = _interpolated_resultant(e_char_poly_system(a), config, even_in_lambda=m % 2 == 1)
     return poly.normalized() if normalize else poly
 
 

@@ -46,10 +46,6 @@ class Tensor:
         object.__setattr__(self, "entries", cleaned)
 
     @classmethod
-    def zero(cls, order: int, dim: int) -> "Tensor":
-        return cls(order, dim, (Fraction(0),) * dim**order)
-
-    @classmethod
     def from_map(
         cls, order: int, dim: int, values: Mapping[tuple[int, ...], Fraction | int]
     ) -> "Tensor":
@@ -57,9 +53,6 @@ class Tensor:
         for idx, value in values.items():
             entries[_offset(idx, order, dim)] = Fraction(value)
         return cls(order, dim, tuple(entries))
-
-    def get(self, idx: tuple[int, ...]) -> Fraction:
-        return self.entries[_offset(idx, self.order, self.dim)]
 
     def nonzero_items(self) -> Iterable[tuple[tuple[int, ...], Fraction]]:
         for flat, value in enumerate(self.entries):

@@ -29,7 +29,9 @@ The dense tensor helpers at the end are used only by tests: the general
 Shao product and the map x -> A x**(m-1) in Fractions are references
 for mat_sim and for zero-E-char witnesses, and the matrix builders,
 the symmetry and orthogonality checks and enumerate_all build and check
-fixtures.
+fixtures.  So are the last functions, once methods of the library's
+types: a tensor's entry and the zero tensor, the sum, value and total
+degree of a multivariate polynomial, and a lambda system at one lambda.
 """
 
 from __future__ import annotations
@@ -55,11 +57,11 @@ from hyperspec.hypergraph import (
     popcount_masks,
     universe_slots,
 )
-from hyperspec.macaulay import _SHIFTS, _blockwise, _det_product
+from hyperspec.macaulay import _SHIFTS, PolySystem, _blockwise, _det_product
 from hyperspec.modular import _inverses, _is_modulus, _matvec_mod, _pivot_up, _solve_mod
-from hyperspec.polynomial import UniPoly
+from hyperspec.polynomial import MultiPoly, UniPoly
 from hyperspec.switching import SwitchingPartition, SwitchReport, _check_partition
-from hyperspec.tensor import Tensor, _unoffset
+from hyperspec.tensor import Tensor, _offset, _unoffset
 
 
 class DuplicateAbscissa(MathError):
@@ -507,7 +509,7 @@ def is_symmetric(a: Tensor) -> bool:
     for flat, value in enumerate(a.entries):
         idx = _unoffset(flat, a.order, a.dim)
         canon = tuple(sorted(idx))
-        if idx != canon and value != a.get(canon):
+        if idx != canon and value != entry(a, canon):
             return False
     return True
 
@@ -549,3 +551,45 @@ def enumerate_all(
             ahead |= mask_orbit(n, k, mask)
             ahead.remove(mask)
         yield from_bitmask(n, k, mask)
+
+
+def entry(a: Tensor, idx: tuple[int, ...]) -> Fraction:
+    """The entry of a at a 0-based index."""
+    return a.entries[_offset(idx, a.order, a.dim)]
+
+
+def zero_tensor(order: int, dim: int) -> Tensor:
+    return Tensor(order, dim, (Fraction(0),) * dim**order)
+
+
+def poly_add(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    if p.nvars != q.nvars:
+        raise DimMismatch("cannot add polynomials in different variable counts")
+    merged = dict(p.terms)
+    for exp, coeff in q.terms.items():
+        merged[exp] = merged.get(exp, Fraction(0)) + coeff
+    return MultiPoly(p.nvars, merged)
+
+
+def poly_value(p: MultiPoly, point: Sequence[Fraction | int]) -> Fraction:
+    """p at a point, in Fractions."""
+    if len(point) != p.nvars:
+        raise DimMismatch("evaluation point has wrong arity")
+    acc = Fraction(0)
+    for exp, coeff in p.terms.items():
+        term = coeff
+        for v, e in zip(point, exp):
+            term *= Fraction(v) ** e
+        acc += term
+    return acc
+
+
+def total_degree(p: MultiPoly) -> int:
+    """The largest degree of a term of p; -1 for the zero polynomial."""
+    return max((sum(exp) for exp in p.terms), default=-1)
+
+
+def system_at(system: PolySystem, lam: Fraction | int) -> PolySystem:
+    """The numeric system polys[i] + lam * linear[i] at one value of lambda."""
+    polys = tuple(poly_add(c, l.scale(lam)) for c, l in zip(system.polys, system.linear))
+    return PolySystem(system.nvars, polys, system.degrees)

@@ -9,7 +9,10 @@ code under test for its own expected output.
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -17,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+import hyperspec
 from oracles import (
     classical_char_poly,
     enumerate_all,
@@ -245,7 +249,18 @@ def test_criterion_09_golden_polynomials():
         assert phi.evaluate(Fraction(0)) == 0
 
 
-def test_criterion_10_determinism_and_exactness(tmp_path, capsys):
+def _cli_stdout(argv: list[str], cwd: Path, blas_threads: str) -> str:
+    """stdout of python -m hyperspec.cli in a fresh process on this source
+    tree, with numpy's BLAS held to blas_threads threads."""
+    src = str(Path(hyperspec.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": blas_threads}
+    proc = subprocess.run([sys.executable, "-m", "hyperspec.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout
+
+
+def test_criterion_10_determinism_and_exactness(tmp_path):
     with criterion(10):
         path = tmp_path / "single.hg"
         from hyperspec.hypergraph import format_hypergraph
@@ -253,16 +268,12 @@ def test_criterion_10_determinism_and_exactness(tmp_path, capsys):
         path.write_text(
             format_hypergraph(Hypergraph.from_edges(3, 3, [(1, 2, 3)]))
         )
+        # the same bytes under one and two BLAS threads, each in a fresh process
         outputs = []
-        for threads in ("1", "4"):
-            assert main(["echarpoly", "--threads", threads, str(path)]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-        for threads in ("1", "4"):
-            assert main(["invariant-scan", "--n", "4", "--k", "3",
-                         "--threads", threads]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[2] == outputs[3]
+        for argv in (["echarpoly", str(path)], ["invariant-scan", "--n", "4", "--k", "3"]):
+            one, two = (_cli_stdout(argv, tmp_path, threads) for threads in ("1", "2"))
+            assert one == two and one, argv
+            outputs.append(one)
         # every number on the result path is an int or a Fraction
         a = adjacency_tensor(Hypergraph.from_edges(3, 3, [(1, 2, 3)]))
         for coeff in char_poly(a).coeffs:

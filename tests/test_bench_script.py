@@ -52,8 +52,8 @@ def test_blas_records_the_library_and_thread_count(bench, monkeypatch):
 
 def test_cases_record_wall_time_and_digest(bench, monkeypatch, tmp_path):
     # a stubbed case list and stubbed perfbench runs: the BENCH file gets a
-    # cases section with each case's seconds and the SHA-1 of its
-    # coefficient strings, one a line, and no process is started
+    # cases section with each case's RUNS wall times, their median and the
+    # SHA-1 of its coefficient strings, one a line, and no process is started
     import hashlib
 
     calls = []
@@ -72,7 +72,15 @@ def test_cases_record_wall_time_and_digest(bench, monkeypatch, tmp_path):
     assert bench.main(["--label", "stub", "--workloads", "echar", "--seeds", "1"]) == 0
     report = json.loads((tmp_path / "BENCH_stub.json").read_text())
     [(name, got)] = report["cases"].items()
-    assert name == "stub" and calls == [1]
-    assert got["sha1"] == hashlib.sha1(b"1\n-3\n0").hexdigest() and got["seconds"] >= 0
+    assert name == "stub" and len(calls) == bench.RUNS == 3
+    assert got["sha1"] == hashlib.sha1(b"1\n-3\n0").hexdigest()
+    assert len(got["runs"]) == 3 and min(got["runs"]) >= 0
+    assert got["seconds"] == sorted(got["runs"])[1]
     assert report["workloads"]["echar"]["median"] == {"ops_per_s": 2.0}
 
+
+def test_a_case_whose_runs_disagree_stops_the_script(bench, monkeypatch):
+    results = iter([["1"], ["1"], ["2"]])
+    monkeypatch.setattr(bench.sys, "path", list(bench.sys.path))
+    with pytest.raises(SystemExit, match="case flaky gave 2 different results"):
+        bench.time_cases({"flaky": lambda: next(results)})

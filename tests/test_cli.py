@@ -672,7 +672,6 @@ def test_integer_options_beyond_ascii_digits_exit_2(tmp_path, capsys):
         ["invariant-scan", "--n", "4", "--k", "{}"],
         ["charpoly", "--degree-cap", "{}", path],
         ["charpoly", "--dim-cap", "{}", path],
-        ["charpoly", "--threads", "{}", path],
     ]
     for argv in calls:
         for bad in ("1_0", "٣", " 3"):
@@ -682,7 +681,7 @@ def test_integer_options_beyond_ascii_digits_exit_2(tmp_path, capsys):
             assert (exc.value.code, captured.out) == (2, ""), argv
             assert f"invalid int value: {bad!r}" in captured.err, argv
     assert _run(capsys, ["simplex-bound", "--n", "+5", "--k", "3", "--r", "1"])[0] == 0
-    code, out, _ = _run(capsys, ["charpoly", "--threads", "2", "--degree-cap", "12", path])
+    code, out, _ = _run(capsys, ["charpoly", "--degree-cap", "12", path])
     assert code == 0 and json.loads(out)["degree"] == 12
 
 
@@ -813,10 +812,13 @@ def test_condition_violation_exits_4(tmp_path, capsys):
 
 
 def test_thread_count_keeps_bytes_identical(tmp_path, capsys):
+    # --threads selected nothing and is gone: argparse refuses it
     path = _single_edge_file(tmp_path)
-    _, out1, _ = _run(capsys, ["charpoly", "--threads", "1", path])
-    _, out4, _ = _run(capsys, ["charpoly", "--threads", "4", path])
-    assert out1 == out4
+    with pytest.raises(SystemExit) as exc:
+        main(["charpoly", "--threads", "2", path])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert "unrecognized arguments: --threads" in captured.err
 
 
 def test_prime_seed_env_is_honored(tmp_path, capsys, monkeypatch):

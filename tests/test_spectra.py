@@ -20,7 +20,7 @@ from hyperspec.config import DEFAULT_CONFIG
 from hyperspec.analysis import PolyCache, ds_verify, load_checkpoint
 from hyperspec.errors import CapExceeded, DegreeCapExceeded, DimMismatch, HyperspecError
 from hyperspec.hypergraph import Hypergraph, adjacency_tensor, count_simplices, from_bitmask
-from hyperspec import macaulay
+from hyperspec import hypergraph, macaulay
 from hyperspec.macaulay import (
     PolySystem, _det_values, _FillTable, _gcp_values, _pencil_values, resultant_value,
 )
@@ -39,6 +39,7 @@ from hyperspec.spectra import (
 from oracles import (
     apply,
     classical_char_poly,
+    dense_stack,
     enumerate_all,
     from_rows,
     full_pencil_values,
@@ -46,7 +47,9 @@ from oracles import (
     kept_block_norms,
     permutation_matrix,
     symmetric_from_upper,
+    system_at,
     whole_quotient_mod,
+    zero_tensor,
 )
 from hyperspec.tensor import Tensor, mat_sim
 
@@ -119,7 +122,7 @@ def test_e_char_degree_bound_holds_off_the_nodes():
         assert raw.degree <= bound
         system = e_char_poly_system(a)
         for lam in (bound // 2 + 2, -(bound // 2 + 2), 3 * bound):
-            assert raw.evaluate(Fraction(lam)) == resultant_value(system.at(lam))
+            assert raw.evaluate(Fraction(lam)) == resultant_value(system_at(system, lam))
 
 
 def _record(monkeypatch, name, extract):
@@ -344,6 +347,46 @@ def test_power_sum_quotients_match_hessenberg_on_the_benchmark_tables():
         assert (solved == want_solved).all() and (got == want).all(), a
 
 
+def test_each_group_holds_the_columns_where_f1_is_nonzero():
+    # a table with a lambda part finds, once when it is built, the columns
+    # where F1 = M(1) - M(0) is nonzero on some block of each group, on
+    # the echar benchmark tables: the two fixed tensors under the
+    # criterion-8 transforms, and the single edge.  A table with no lambda
+    # part scans for none.
+    primes = np.array([nth_prime(0)], dtype=np.int64)
+    transformed = [a if p is None else mat_sim(p, a)
+                   for a in map(_benchmark_tensor, (3, 4)) for p in _criterion_8_transforms()]
+    for a in transformed + [_single_edge()]:
+        table = _FillTable(e_char_poly_system(a))
+        at = [dense_stack(table, primes, np.full(1, lam, dtype=np.int64))[0] for lam in (1, 0)]
+        f1 = (at[0] - at[1]) % primes[0]
+        for group in table.blocks + table.minors:
+            cells = f1[group.index[:, :, None], group.index[:, None, :]]
+            want = np.flatnonzero(cells.any(axis=(0, 1)))
+            assert group.support.tolist() == want.tolist(), a
+        char = _FillTable(PolySystem(a.dim, tensor_polynomial_map(a), (a.order - 1,) * a.dim))
+        assert not any(g.support.size for g in char.blocks + char.minors)
+
+
+def test_hypergraph_spectra_build_no_adjacency_tensor(monkeypatch):
+    # char_poly(h) and e_char_poly(h) read h's system off its edge list: with
+    # the n**k builder refusing every call, they still give the polynomials
+    # of h's adjacency tensor, computed before.  The cases: the single
+    # 3-edge, K4^(3), whose E-char no certificate answers, and a graph
+    cases = [Hypergraph.from_edges(3, 3, [(1, 2, 3)]), from_bitmask(4, 3, 15),
+             Hypergraph.from_edges(4, 2, [(1, 2), (2, 3), (3, 4), (1, 3)])]
+    want = [(char_poly(a), e_char_poly(a, normalize=False))
+            for a in map(adjacency_tensor, cases)]
+
+    def refuse(h):
+        raise AssertionError(f"built the adjacency tensor of {h}")
+
+    monkeypatch.setattr(hypergraph, "scaled_adjacency", refuse)
+    for h, (char, e_char) in zip(cases, want):
+        assert h.k == 2 or not _isotropic_root(h)
+        assert char_poly(h) == char and e_char_poly(h, normalize=False) == e_char, h
+
+
 def test_echar_benchmark_keeps_its_primes(monkeypatch):
     # the primes each benchmark E-char recombines from: None marks a
     # prime loop whose route was refused at its first prime
@@ -449,7 +492,7 @@ def test_e_char_matches_the_fraction_interpolation_oracle():
         odd = a.order % 2 == 1
         nodes = list(range(bound // 2 + 1 if odd else bound + 1))
         abscissae = [lam * lam for lam in nodes] if odd else nodes
-        oracle = interpolate([(x, resultant_value(system.at(lam)))
+        oracle = interpolate([(x, resultant_value(system_at(system, lam)))
                               for x, lam in zip(abscissae, nodes)])
         if odd:
             oracle = UniPoly(tuple(c for h in oracle.coeffs for c in (h, 0)))
@@ -467,14 +510,15 @@ def test_odd_order_resultant_is_even_in_lambda():
         a = _random_rational_tensor(rng, order, dim)
         system = e_char_poly_system(a)
         for lam in range(1, _resultant_degree_bound(order, dim) + 1):
-            assert resultant_value(system.at(-lam)) == resultant_value(system.at(lam))
+            value = resultant_value(system_at(system, lam))
+            assert resultant_value(system_at(system, -lam)) == value
     # even order has no such symmetry, so it keeps the full node set
     raw = e_char_poly(_order_four_integer(), normalize=False)
     assert any(raw.coefficient(p) != 0 for p in range(1, raw.degree + 1, 2))
 
 
 def test_zero_tensor_char_is_pure_power():
-    got = char_poly(Tensor.zero(3, 3))
+    got = char_poly(zero_tensor(3, 3))
     assert got == UniPoly.monomial(12)
 
 
@@ -485,8 +529,8 @@ def test_diagonal_unit_tensor_char():
 
 def test_degree_law_small():
     # degree is n * (k-1)^(n-1) for order-k maps on n vertices
-    assert char_poly(Tensor.zero(3, 3)).degree == 12
-    assert char_poly(Tensor.zero(3, 4)).degree == 32
+    assert char_poly(zero_tensor(3, 3)).degree == 12
+    assert char_poly(zero_tensor(3, 4)).degree == 32
 
 
 def test_matrix_case_collapses_to_classical():
@@ -518,12 +562,12 @@ def test_even_order_diagonal_e_char():
 
 def test_zero_map_e_char_vanishes_identically():
     for order, dim in ((3, 2), (3, 3), (4, 2)):
-        assert e_char_poly(Tensor.zero(order, dim)).is_zero()
+        assert e_char_poly(zero_tensor(order, dim)).is_zero()
 
 
 def test_zero_map_shortcut_matches_the_general_path():
     for order, dim in ((3, 2), (3, 3), (4, 2), (5, 2)):
-        lsys = e_char_poly_system(Tensor.zero(order, dim))
+        lsys = e_char_poly_system(zero_tensor(order, dim))
         assert _interpolated_resultant(lsys, DEFAULT_CONFIG).is_zero()
 
 
@@ -1037,7 +1081,7 @@ def test_char_constant_term_is_signed_det(dim, seed):
 
 def test_det_tensor_values():
     assert det_tensor(Tensor.from_map(3, 2, {(0, 0, 0): 1, (1, 1, 1): 1})) == 1
-    assert det_tensor(Tensor.zero(3, 2)) == 0
+    assert det_tensor(zero_tensor(3, 2)) == 0
     m = from_rows([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]])
     assert det_tensor(m) == 5
 

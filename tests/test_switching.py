@@ -8,6 +8,7 @@ from itertools import combinations, product
 
 import pytest
 from oracles import (
+    entry,
     enumerate_all,
     from_rows,
     is_orthogonal,
@@ -59,7 +60,7 @@ def _fraction_oracle(h, g, p):
     verify_similarity's integer kernel.
     """
     q = _q(p)
-    q_t = from_rows([[q.get((j, i)) for j in range(q.dim)] for i in range(q.dim)])
+    q_t = from_rows([[entry(q, (j, i)) for j in range(q.dim)] for i in range(q.dim)])
     image = shao_product(shao_product(q, adjacency_tensor(h)), q_t)
     target = adjacency_tensor(g)
     cells = product(range(1, h.n + 1), repeat=h.k)
@@ -304,10 +305,10 @@ def test_switching_matrix_block_form():
     for i in range(4):
         for j in range(4):
             expected = Fraction(1, 2) - (1 if i == j else 0)
-            assert m.get((i, j)) == expected
+            assert entry(m, (i, j)) == expected
     for i in range(4, 7):
         for j in range(7):
-            assert m.get((i, j)) == (1 if i == j else 0)
+            assert entry(m, (i, j)) == (1 if i == j else 0)
     # symmetric and orthogonal, so m is its own inverse
     assert is_orthogonal(m)
     assert is_symmetric(m)
@@ -316,8 +317,8 @@ def test_switching_matrix_block_form():
 def test_switching_matrix_pair_cell_swaps():
     p = SwitchingPartition.from_v1(4, (1, 2))
     m = _q(p)
-    assert m.get((0, 0)) == 0 and m.get((0, 1)) == 1
-    assert m.get((1, 0)) == 1 and m.get((1, 1)) == 0
+    assert entry(m, (0, 0)) == 0 and entry(m, (0, 1)) == 1
+    assert entry(m, (1, 0)) == 1 and entry(m, (1, 1)) == 0
 
 
 def test_aligned_matrix_handles_scattered_cells():
@@ -327,9 +328,9 @@ def test_aligned_matrix_handles_scattered_cells():
     assert is_orthogonal(m)
     assert is_symmetric(m)
     # rows follow vertex labels: row 0 is vertex 1, untouched
-    assert m.get((0, 0)) == 1 and m.get((0, 1)) == 0
+    assert entry(m, (0, 0)) == 1 and entry(m, (0, 1)) == 0
     # vertices 2 and 4 (rows 1 and 3) swap
-    assert m.get((1, 3)) == 1 and m.get((1, 1)) == 0
+    assert entry(m, (1, 3)) == 1 and entry(m, (1, 1)) == 0
 
 
 def test_aligned_matrix_is_the_block_form_relabeled():
