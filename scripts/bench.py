@@ -3,16 +3,24 @@
 Usage, from the root of a checkout:
 
     python3 scripts/bench.py --label base --workloads charpoly,echar,search --seeds 1,2,3,4,5
+    python3 scripts/bench.py --label change --against ../parent --against-label parent
 
 Each (seed, workload) pair runs ``perfbench/run.py --seconds 20 --trace 0``
 once, in a fresh process, on the source tree of this checkout; the workloads of one
-seed run back to back before the next seed starts.  This script adds no
-workloads and no metrics of its own: it only collects the end-to-end
-metrics that run.py prints on its last line and takes their medians.
+seed run back to back before the next seed starts.  With ``--against DIR``,
+another checkout, each seed's workloads run on both trees, the tree that
+goes first alternating from seed to seed, so that drift of a shared machine
+over the minutes of a run reaches both alike, and the script writes
+``BENCH_<against-label>.json`` for DIR beside ``BENCH_<label>.json``, both in
+this checkout.  This script adds no workloads and no metrics of its own: it
+only collects the end-to-end metrics that run.py prints on its last line
+and takes their medians.
 
 Then the named cases of CASES, larger than any perfbench op, run
 RUNS times each in this process, on the same source tree, with their
-caps raised per case.  The ``cases`` section records each one's wall
+caps raised per case.  With DIR, each case runs on both trees instead,
+each time in a fresh process of this script, the tree that goes first
+alternating from case to case.  The ``cases`` section records each one's wall
 times, their median and the SHA-1 of its result's coefficient strings,
 one a line, so two files show whether a change moved a case's time and
 kept its result.  A case whose runs give different digests stops the
@@ -41,7 +49,7 @@ from pathlib import Path
 from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
-RUNNER = ROOT / "perfbench" / "run.py"
+RUNNER = Path("perfbench") / "run.py"  # in a checkout
 WORKLOADS = ("charpoly", "echar", "search")
 # run.py turns this into a fixed number of rounds per workload; one value
 # for every BENCH file keeps them comparable
@@ -85,11 +93,11 @@ CASES: dict[str, Callable[[], list[str]]] = {
 }
 
 
-def time_cases(cases: dict[str, Callable[[], list[str]]]) -> dict[str, dict]:
+def time_cases(cases: dict[str, Callable[[], list[str]]], root: Path = ROOT) -> dict[str, dict]:
     """{name: {"runs", "seconds", "sha1"}} of each case, run RUNS times in
-    this process on the source tree of this checkout: the wall times, their
-    median and the digest, which every run must repeat."""
-    sys.path.insert(0, str(ROOT / "src"))
+    this process on the source tree of the checkout at root: the wall
+    times, their median and the digest, which every run must repeat."""
+    sys.path.insert(0, str(root / "src"))
     out = {}
     for name, case in cases.items():
         runs, digests = [], set()
@@ -105,11 +113,23 @@ def time_cases(cases: dict[str, Callable[[], list[str]]]) -> dict[str, dict]:
     return out
 
 
-def run_once(workload: str, seed: int) -> tuple[dict, dict]:
-    """(environment, result) of one perfbench run."""
-    argv = [sys.executable, str(RUNNER), "--workload", workload, "--seed", str(seed),
-            "--seconds", str(SECONDS), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+def cases_of(root: Path, name: str) -> dict[str, dict]:
+    """time_cases of the case name on the checkout at root, in a fresh
+    process of this script."""
+    argv = [sys.executable, str(Path(__file__).resolve()), "--cases-of", str(root),
+            "--case", name]
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"bench: the cases of {root} exited {proc.returncode}:\n{proc.stderr}")
+    sys.stderr.write(proc.stderr)
+    return json.loads(proc.stdout)
+
+
+def run_once(workload: str, seed: int, root: Path = ROOT) -> tuple[dict, dict]:
+    """(environment, result) of one perfbench run on the checkout at root."""
+    argv = [sys.executable, str(root / RUNNER), "--workload", workload,
+            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"bench: {workload} seed {seed} exited {proc.returncode}:\n"
                          f"{proc.stderr}")
@@ -129,49 +149,18 @@ def blas() -> dict:
             "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
 
 
-def src_modified() -> bool:
-    status = subprocess.run(["git", "-C", str(ROOT), "status", "--porcelain", "--", "src"],
+def src_modified(root: Path = ROOT) -> bool:
+    status = subprocess.run(["git", "-C", str(root), "status", "--porcelain", "--", "src"],
                             capture_output=True, text=True)
     return status.returncode != 0 or bool(status.stdout.strip())
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS),
-                        help="comma list of perfbench workloads")
-    parser.add_argument("--seeds", default="1,2,3,4,5", help="comma list of integer seeds")
-    args = parser.parse_args(argv)
-    workloads = [w for w in args.workloads.split(",") if w]
-    unknown = sorted(set(workloads) - set(WORKLOADS))
-    if unknown:
-        parser.error(f"unknown workloads {unknown}")
-    try:
-        seeds = [int(s) for s in args.seeds.split(",") if s]
-    except ValueError:
-        parser.error(f"--seeds must be a comma list of integers, got {args.seeds!r}")
-    if not workloads or not seeds:
-        parser.error("--workloads and --seeds each need at least one entry")
-
-    runs: dict[str, list[dict]] = {w: [] for w in workloads}
-    env: dict = {}
-    for seed in seeds:
-        for workload in workloads:
-            env, result = run_once(workload, seed)
-            runs[workload].append({
-                "seed": seed,
-                "correct": result["correct"],
-                "attempted": result["attempted"],
-                "failed": result["failed"],
-                "metrics": {k: v["value"] for k, v in result["metrics"].items()},
-            })
-            print(f"bench: {workload} seed {seed}: {runs[workload][-1]['metrics']}",
-                  file=sys.stderr)
-
-    report = {
-        "label": args.label,
+def report(label: str, root: Path, runs: dict[str, list[dict]], env: dict, cases: dict) -> dict:
+    """The BENCH file of one tree: its runs, their medians and its cases."""
+    return {
+        "label": label,
         "commit": env.get("commit"),
-        "src_modified": src_modified(),
+        "src_modified": src_modified(root),
         "python": env.get("python"),
         "numpy": env.get("numpy"),
         "nproc": env.get("nproc"),
@@ -187,11 +176,79 @@ def main(argv: list[str] | None = None) -> int:
             }
             for w, entries in runs.items()
         },
-        "cases": time_cases(CASES),
+        "cases": cases,
     }
-    out = ROOT / f"BENCH_{args.label}.json"
-    out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"bench: wrote {out}", file=sys.stderr)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", help="names the output BENCH_<label>.json")
+    parser.add_argument("--workloads", default=",".join(WORKLOADS),
+                        help="comma list of perfbench workloads")
+    parser.add_argument("--seeds", default="1,2,3,4,5", help="comma list of integer seeds")
+    parser.add_argument("--against", type=Path, metavar="DIR",
+                        help="another checkout, run seed by seed in alternation with this one")
+    parser.add_argument("--against-label", help="names DIR's BENCH_<against-label>.json")
+    parser.add_argument("--cases-of", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--case", choices=CASES, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.cases_of is not None:
+        names = [args.case] if args.case else list(CASES)
+        print(json.dumps(time_cases({n: CASES[n] for n in names}, args.cases_of.resolve())))
+        return 0
+    if not args.label:
+        parser.error("--label is required")
+    workloads = [w for w in args.workloads.split(",") if w]
+    unknown = sorted(set(workloads) - set(WORKLOADS))
+    if unknown:
+        parser.error(f"unknown workloads {unknown}")
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s]
+    except ValueError:
+        parser.error(f"--seeds must be a comma list of integers, got {args.seeds!r}")
+    if not workloads or not seeds:
+        parser.error("--workloads and --seeds each need at least one entry")
+    labels, trees = {ROOT: args.label}, [ROOT]
+    if (args.against is None) != (args.against_label is None):
+        parser.error("--against and --against-label go together")
+    if args.against is not None:
+        other = args.against.resolve()
+        if not (other / RUNNER).is_file() or not (other / "src").is_dir():
+            parser.error(f"--against {args.against} is not a checkout with perfbench/run.py")
+        if other == ROOT or args.against_label == args.label:
+            parser.error("--against needs another checkout and another label")
+        labels[other] = args.against_label
+        trees.append(other)
+
+    runs: dict[Path, dict[str, list[dict]]] = {t: {w: [] for w in workloads} for t in trees}
+    envs: dict[Path, dict] = {t: {} for t in trees}
+    for index, seed in enumerate(seeds):
+        for tree in trees[index % 2 :] + trees[: index % 2]:
+            for workload in workloads:
+                envs[tree], result = run_once(workload, seed, tree)
+                runs[tree][workload].append({
+                    "seed": seed,
+                    "correct": result["correct"],
+                    "attempted": result["attempted"],
+                    "failed": result["failed"],
+                    "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+                })
+                print(f"bench: {labels[tree]} {workload} seed {seed}: "
+                      f"{runs[tree][workload][-1]['metrics']}", file=sys.stderr)
+
+    if len(trees) == 1:
+        cases = {ROOT: time_cases(CASES)}
+    else:  # each case on both trees in fresh processes, alternating which goes first
+        cases = {tree: {} for tree in trees}
+        for index, name in enumerate(CASES):
+            for tree in trees[index % 2 :] + trees[: index % 2]:
+                cases[tree].update(cases_of(tree, name))
+    for tree in trees:
+        out = ROOT / f"BENCH_{labels[tree]}.json"
+        text = json.dumps(report(labels[tree], tree, runs[tree], envs[tree], cases[tree]),
+                          indent=1, sort_keys=True)
+        out.write_text(text + "\n", encoding="utf-8")
+        print(f"bench: wrote {out}", file=sys.stderr)
     return 0
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt, lcm, prod
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -204,12 +204,16 @@ def _strong_components(size: int, row: np.ndarray, col: np.ndarray) -> list[list
 class _Blocks:
     """Diagonal blocks of one size: block b holds the monomials index[b],
     and its cell (i, j) entry slot[b, i, j] of a table's arrays, whose
-    final 0 fills the empty cells.  support holds the columns where F1 is
-    nonzero on some block, found only in a table with a lambda part."""
+    final 0 fills the empty cells.  A kept block's first divisor[b]
+    monomials are its non-reduced ones, the block of M' inside it.  In a
+    table with a lambda part, support holds the columns where F1 is
+    nonzero on some block, and divisor_support those where it is nonzero
+    on some block's divisor part."""
 
     def __init__(self, index: np.ndarray, slot: np.ndarray):
         self.index, self.slot, self.size = index, slot, index.shape[1]
-        self.support = np.arange(0)
+        self.divisor = np.zeros(len(index), dtype=np.intp)
+        self.support = self.divisor_support = np.arange(0)
 
 
 def _group_blocks(
@@ -254,8 +258,10 @@ class _FillTable:
     M' on each block's non-reduced part: det M = prod det M_bb and
     tr(M**j) = sum tr(M_bb**j), and likewise for M'.  A block inside M'
     cancels and is dropped, singular or not; blocks holds the others,
-    and minors their non-empty non-reduced parts, grouped by size.
-    stacks gathers a group's blocks modulo a prime each.
+    each with its non-reduced monomials first, so that M'_b is its
+    leading divisor[b] x divisor[b] block, and minors those non-empty
+    parts, grouped by size, for the power-sum routes.  stacks gathers a
+    group's blocks modulo a prime each.
 
     The bounds read only the entries inside kept blocks.  The quotient
     q = charpoly(M) / charpoly(M') is a polynomial (see resultant_value),
@@ -315,14 +321,22 @@ class _FillTable:
         for r in structure.nonreduced:
             divisor[r] = True
         kept = [
-            b for b in _strong_components(self.size, self.row, self.col)
+            sorted(b, key=lambda r: not divisor[r])  # the non-reduced monomials first
+            for b in _strong_components(self.size, self.row, self.col)
             if not all(divisor[r] for r in b)
         ]
         self.blocks = _group_blocks(kept, self.row, self.col, self.size)
         minors = [m for b in kept if (m := [r for r in b if divisor[r]])]
         self.minors = _group_blocks(minors, self.row, self.col, self.size)
+        in_divisor = np.array(divisor)
+        for g in self.blocks:
+            g.divisor = in_divisor[g.index].sum(axis=1)
         for g in self.blocks + self.minors if system.linear else ():
-            g.support = np.flatnonzero((self.i1[g.slot] != 0).any(axis=(0, 1)))
+            f1 = self.i1[g.slot] != 0
+            g.support = np.flatnonzero(f1.any(axis=(0, 1)))
+            inner = np.arange(g.size) < g.divisor[:, None]
+            f1 &= inner[:, :, None] & inner[:, None, :]
+            g.divisor_support = np.flatnonzero(f1.any(axis=(0, 1)))
         inside = np.zeros(len(self.row) + 1, dtype=bool)  # the last takes empty cells
         inside[np.concatenate([g.slot.ravel() for g in self.blocks] + [self.col[:0]])] = True
         inside = inside.tolist()
@@ -330,9 +344,8 @@ class _FillTable:
             (i, tuple(inside[end - len(poly_terms[i]) : end]))
             for i, end in zip(structure.assignment, itertools.accumulate(counts))
         )
-        # int64 entries one prime takes in the largest stacks built at once
-        # for the largest block: M(c) with F1, or [A | F1]
-        self.layer_size = 2 * (max(map(len, kept), default=0) + 1) ** 2
+        # int64 entries one prime takes in the largest block's stacks
+        self.layer_size = _stack_entries(max(map(len, kept), default=0), bool(system.linear))
 
     def stacks(
         self, primes: np.ndarray, lams: np.ndarray, columns: Callable | None = None
@@ -385,18 +398,24 @@ def _table(system: PolySystem, config: RunConfig) -> _FillTable:
     return _FillTable(system)
 
 
+def _stack_entries(size: int, pencil: bool) -> int:
+    """The int64 entries one prime takes in a stack of size x size blocks:
+    M(c) with F1, or [A | F1], for the pencil, and M(c) alone for a
+    determinant."""
+    return 2 * (size + 1) ** 2 if pencil else max(size, 1) ** 2
+
+
 def _blockwise(
     groups: Sequence[_Blocks],
     primes: np.ndarray,
     stacks: Callable[[_Blocks, np.ndarray, np.ndarray], Sequence[np.ndarray]],
     kernel: Callable,
-    layer_size: Callable[[int], int] = lambda s: 2 * (s + 1) ** 2,
-) -> list[tuple[np.ndarray, ...]]:
+    layer_size: Callable[[int], int],
+) -> Iterator[tuple[np.ndarray, ...]]:
     """kernel(*stacks(group, layers, blocks), primes[layers]) on every
     (layer, block) pair of each group, in stacks of at most STACK_CAP
-    entries, a pair of size s taking layer_size(s); per group, the
-    kernel's outputs, each shaped (layers, blocks, ...)."""
-    out = []
+    entries, a pair of size s taking layer_size(s); per group, in turn,
+    the kernel's outputs, each shaped (layers, blocks, ...)."""
     for group in groups:
         count = len(group.index)
         pairs = len(primes) * count
@@ -406,11 +425,10 @@ def _blockwise(
             layers, blocks = np.divmod(np.arange(start, min(start + step, pairs)), count)
             got = kernel(*stacks(group, layers, blocks), primes[layers])
             parts.append(got if isinstance(got, tuple) else (got,))
-        out.append(tuple(
+        yield tuple(
             (np.concatenate(r) if len(r) > 1 else r[0]).reshape(len(primes), count, *r[0].shape[1:])
             for r in zip(*parts)
-        ))
-    return out
+        )
 
 
 def _quotient(d: int, groups: Sequence, primes: np.ndarray, stacks: Callable) -> np.ndarray:
@@ -434,11 +452,11 @@ def _quotients(table: _FillTable, primes: np.ndarray, lams: np.ndarray) -> np.nd
     return _quotient(table.d, (table.blocks, table.minors), primes, table.stacks(primes, lams))
 
 
-def _det_product(blocks: list[tuple[np.ndarray, ...]], primes: np.ndarray) -> np.ndarray:
-    """The product of the block determinants, the first output of each
-    group, at each layer modulo its prime."""
+def _det_product(dets: Sequence[np.ndarray], primes: np.ndarray) -> np.ndarray:
+    """The product of (P, blocks) block determinants at each layer modulo
+    its prime."""
     out = np.ones_like(primes)
-    for value in np.concatenate([d for d, *_ in blocks] + [out[:, None]], axis=1).T:
+    for value in np.concatenate([*dets, out[:, None]], axis=1).T:
         out = out * value % primes
     return out
 
@@ -488,21 +506,34 @@ def _value_bound(table: _FillTable, lam: int | None) -> int:
     return _elementary_bound(table.d, table.d, *table.norms(lam))
 
 
-def _det_ratio(table: _FillTable, primes: np.ndarray, lam: int, columns: Callable) -> tuple | None:
+def _det_ratio(table: _FillTable, primes: np.ndarray, lam: int, pencil: bool) -> tuple | None:
     """det(M) / det(M') at lam, modulo each layer's prime, from one
-    _solve_mod of each block against F1 on its columns(group): det(M') on
-    the divisor blocks first, and None, before det(M), when the first
-    prime divides it.  Returns the ratio, the (P,) masks of the primes
-    where det(M') and det(M) do not vanish, and each group's solutions."""
-    stacks = table.stacks(primes, np.full(len(primes), lam, dtype=np.int64), columns)
-    minor = _blockwise(table.minors, primes, stacks, _solve_mod)
-    det_minor = _det_product(minor, primes)
-    if not det_minor[0]:
-        return None
-    full = _blockwise(table.blocks, primes, stacks, _solve_mod)
-    det_full = _det_product(full, primes)
-    solutions = {g: x for groups, got in ((table.blocks, full), (table.minors, minor))
-                 for g, (_, x) in zip(groups, got)}
+    _solve_mod of each kept block, for the pencil against F1 on the
+    group's support: det M'_b is the product of the block's first
+    divisor[b] pivots, taken from its first divisor[b] rows.  None as
+    soon as the first prime divides det(M'), which stops the kernel's
+    stack and the groups after it.  Returns the ratio, the (P,) masks of
+    the primes where det(M') and det(M) do not vanish, and each group's
+    solutions and right sides after its divisor's steps."""
+    stacks = table.stacks(primes, np.full(len(primes), lam, dtype=np.int64),
+                          (lambda g: g.support) if pencil else (lambda g: slice(0)))
+
+    def with_divisor(group: _Blocks, layers: np.ndarray, blocks: np.ndarray) -> tuple:
+        return (*stacks(group, layers, blocks), group.divisor[blocks])
+
+    def solve(a: np.ndarray, b: np.ndarray, divisor: np.ndarray, pv: np.ndarray) -> tuple:
+        return _solve_mod(a, b, pv, divisor, primes[0])
+
+    dets, minors, solutions = [], [], {}
+    groups = _blockwise(table.blocks, primes, with_divisor, solve,
+                        lambda s: _stack_entries(s, pencil))
+    for group, (det, x, minor, y) in zip(table.blocks, groups):
+        if not minor[0].all():
+            return None
+        dets.append(det)
+        minors.append(minor)
+        solutions[group] = x, y
+    det_full, det_minor = _det_product(dets, primes), _det_product(minors, primes)
     ratio = det_full * _inverses(det_minor, primes) % primes
     return ratio, det_minor != 0, det_full != 0, solutions
 
@@ -514,7 +545,7 @@ def _det_values(
     the primes not dividing det(M'), the others to be skipped; the whole
     stack is refused when the first prime divides it (_det_ratio)."""
     (lam,) = nodes
-    got = _det_ratio(table, primes, lam, lambda g: slice(0))
+    got = _det_ratio(table, primes, lam, False)
     if got is None:
         return np.zeros((len(primes), 1), dtype=np.int64), np.zeros(len(primes), dtype=bool)
     return got[0][:, None], got[1]
@@ -621,6 +652,13 @@ def _pencil_values(
     zeros, which add 0 to every power sum.  So each block is solved
     against F1_bb[:, J] alone, and q has the power sums of the -N_bb[J, J]
     less the divisor's: for odd order, about half the size of the blocks.
+    The same elimination gives the divisor's: after its first r = divisor[b]
+    steps, a block's right side holds A'_b**-1 F1_bb[:r, J], whose rows and
+    columns below r in J' (the group's divisor_support, within J) are
+    N'_b[J', J'], and the rows and columns of J' from r on are zeroed.  So
+    -N has at most m = sum count |J| nonzero eigenvalues over the groups,
+    q = x**(d - m) g when m < d, and sum_j q_j t**(d - j) =
+    sum_i g_i t**(m - i): q takes min(d, m) power sums.
 
     Returns the (P, nodes) residues and the (P,) mask of the primes where
     that shift works, the others to be skipped: only the primes dividing
@@ -630,25 +668,32 @@ def _pencil_values(
     """
     solved = np.zeros(len(primes), dtype=bool)
     for c in _SHIFTS:
-        got = _det_ratio(table, primes, c, lambda g: g.support)
+        got = _det_ratio(table, primes, c, True)
         if got is not None and got[2][0]:
             scale, minor_ok, full_ok, solutions = got
             solved = minor_ok & full_ok
             break
     if not solved[0]:
         return np.zeros((len(primes), len(nodes)), dtype=np.int64), solved
-    for g, n in solutions.items():
-        n[~solved] = 0
-        solutions[g] = n[:, :, g.support]  # N[J, J]
-    moduli, cube = primes[:, None], primes[:, None, None]
-
-    def negated(group, layers, blocks):
-        return (-solutions[group][layers, blocks] % cube[layers],)
-
-    live = [[g for g in groups if len(g.support)] for groups in (table.blocks, table.minors)]
-    q = _quotient(table.d, live, primes, negated)
+    # -N_bb[J, J] and -N'_b[J', J'] of each group's blocks, each stack
+    # under a group of its own size
+    parts: tuple[list, list] = ([], [])
+    negated = {}
+    for g, (x, y) in solutions.items():
+        inside = g.divisor_support < g.divisor[:, None]
+        y = y[:, :, g.divisor_support][..., np.searchsorted(g.support, g.divisor_support)]
+        y *= inside[:, :, None] & inside[:, None, :]
+        for part, n in zip(parts, (x[:, :, g.support], y)):
+            if n.shape[2]:
+                n[~solved] = 0
+                part.append(_Blocks(np.zeros(n.shape[1:3], dtype=np.intp), None))
+                negated[part[-1]] = -n % primes[:, None, None, None]
+    m = sum(len(g.index) * g.size for g in parts[0])
+    q = _quotient(min(table.d, m), parts, primes,
+                  lambda group, layers, blocks: (negated[group][layers, blocks],))
+    moduli = primes[:, None]
     t, acc = (np.array(nodes, dtype=np.int64) - c) % moduli, 0
-    for j in range(q.shape[1]):  # q_0 multiplies t**d
+    for j in range(q.shape[1]):  # q_0 multiplies t**min(d, m)
         acc = (acc * t + q[:, j, None]) % moduli
     return scale[:, None] * acc % moduli, solved
 

@@ -5,9 +5,11 @@ Moduli come from a fixed, deterministic list: the primes in
 where a product of two residues stays under 2**40, and matrix products
 in float64 BLAS, exactly (_reduce).  Every kernel works on a stack, a
 (P, n, n) array whose layer i is reduced modulo primes[i], so one pass
-of Python-level steps serves all P primes.  The int64 eliminations add
-p - x where they would subtract x: numpy's remainder is several times
-slower on operands of mixed sign.  A charpoly comes from power sums
+of Python-level steps serves all P primes.  The int64 elimination,
+_solve_mod, adds p - x times a row where it would subtract x times it,
+so its entries stay non-negative (numpy's remainder is several times
+slower on operands of mixed sign), and reduces only the entries its
+next step reads.  A charpoly comes from power sums
 (trace_powers_mod, summed_power_sums_mod) by Newton's identities
 (newton_mod).  A seed offset picks another window of the list, and
 recombines the same values.  Every exact value goes through one prime
@@ -81,10 +83,16 @@ def _inverses(values: np.ndarray, primes: np.ndarray) -> np.ndarray:
     return np.array([pow(v, -1, p) if v else 0 for v, p in pairs], dtype=np.int64)
 
 
-def _pivot_up(a: np.ndarray, top: int, col: int) -> tuple[np.ndarray, np.ndarray]:
-    """In each layer, swap the first row at or below top that is nonzero in
-    column col up to row top; returns the layers swapped and their rows."""
-    off = (a[:, top:, col] != 0).argmax(axis=1)
+def _pivot_up(
+    a: np.ndarray, top: int, col: int, limit: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """In each layer, swap the first row at or below top, and above
+    limit[layer] if given, that is nonzero in column col up to row top;
+    returns the layers swapped and their rows."""
+    nonzero = a[:, top:, col] != 0
+    if limit is not None:
+        nonzero &= np.arange(top, a.shape[1]) < limit[:, None]
+    off = nonzero.argmax(axis=1)
     moved = off.nonzero()[0]
     rows = top + off[moved]
     if moved.size:
@@ -92,36 +100,88 @@ def _pivot_up(a: np.ndarray, top: int, col: int) -> tuple[np.ndarray, np.ndarray
     return moved, rows
 
 
+# the most rows _solve_mod eliminates: n steps keep its entries below 2**63
+SOLVE_ROWS = 1 << 23
+
+
 def _solve_mod(
-    a: np.ndarray, b: np.ndarray, primes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(det a, a**-1 @ b) of each layer modulo its prime, by Gauss-Jordan
-    elimination on [a | b]; a singular layer gets det 0 and any solution.
+    a: np.ndarray,
+    b: np.ndarray,
+    primes: np.ndarray,
+    divisor: np.ndarray | None = None,
+    first: int = 0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(det a, a**-1 @ b, det a', y) of each layer modulo its prime, by
+    Gauss-Jordan elimination on [a | b], entries in [0, p).
+
+    a' is the leading r x r block of a layer, r = divisor[layer] (0, so
+    det a' = 1, by default): for its first r columns the layer takes
+    pivots from its first r rows only, which multiply to det a', and y is
+    its right side after those r steps, whose first r rows are
+    a'**-1 @ b[:r].  A layer where a' is singular gets det 0 for a and a',
+    one where a alone is gets det a = 0, and either gets any solution.
+    With first, a prime, the stack stops after the r steps of a layer
+    modulo first whose a' is singular, and every determinant reads 0.
     With b of width 0, only the rows below each pivot are eliminated, and
-    a pivot row with none below is not scaled: the determinants alone."""
+    a pivot row with none below is not scaled: the determinants alone.
+
+    Entries are reduced only where a step reads them, the delayed
+    reduction of FFLAS-FFPACK (Dumas, Giorgi & Pernet, ACM TOMS 35, 2008).
+    Step c reduces column c and the pivot row, scales that row by the
+    pivot's inverse, and adds (p - x) times it, x < p a row's entry in
+    column c, in place to each row nonzero there in some layer: over the
+    slice from the first such row to the last, or gathered where they
+    fill under half of it.  A step adds at most p (p - 1) to an entry, so
+    after n steps every entry is below p + n p**2, under 2**63 for
+    p < 2**20 and n < SOLVE_ROWS = 2**23; a larger block is refused, and
+    the right side is reduced once, at the end.
+    """
     n, below = a.shape[1], b.shape[2] == 0
+    if n >= SOLVE_ROWS:
+        raise CapExceeded(f"{n} rows exceed the {SOLVE_ROWS} one int64 elimination takes")
+    sizes = np.zeros(len(primes), dtype=np.intp) if divisor is None else divisor
+    ends = {r: sizes == r for r in set(sizes.tolist()) if r}  # the layers whose a' ends at r
+    lead, watch = max(ends, default=0), primes == first
     aug = np.concatenate([a, b], axis=2)
-    moduli = primes[:, None, None]
-    dets = np.ones_like(primes)
+    moduli = primes[:, None]
+    dets, minors, y = np.ones_like(primes), np.ones_like(primes), b.copy()
     for c in range(n):
-        if not all(aug[:, c, c].tolist()):
-            moved = _pivot_up(aug, c, c)[0]
+        column = aug[:, :, c]
+        np.remainder(column, moduli, out=column)
+        if not all(column[:, c].tolist()):
+            limit = np.where(c < sizes, sizes, n) if c < lead else None
+            moved = _pivot_up(aug, c, c, limit)[0]
             dets[moved] = primes[moved] - dets[moved]
-        pivots = aug[:, c, c]
+        pivots = column[:, c]
         dets = dets * pivots % primes
+        if (done := ends.get(c + 1)) is not None:
+            minors[done] = dets[done]
+            if not minors[watch].all():
+                break
         if not dets.any():
+            minors[sizes > c] = 0
             break
-        rows = aug[:, :, c].any(axis=0).nonzero()[0]
-        rows = rows[rows > c] if below else rows[rows != c]
+        live = column.any(axis=0)
+        live[: c + 1 if below else 0] = False
+        live[c] = False
+        rows = live.nonzero()[0]
         if below and not rows.size:
             continue
         top = aug[:, c, c:]
-        np.remainder(top * _inverses(pivots, primes)[:, None], moduli[:, 0], out=top)
-        if rows.size:
-            acc = (moduli - aug[:, rows, c, None]) * aug[:, c, None, c:]
-            acc += aug[:, rows, c:]
-            aug[:, rows, c:] = acc % moduli
-    return dets, aug[:, :, n:]
+        np.remainder(top % moduli * _inverses(pivots, primes)[:, None], moduli, out=top)
+        if rows.size and 2 * rows.size < rows[-1] - rows[0]:
+            aug[:, rows, c + 1 :] += (moduli - column[:, rows])[:, :, None] * top[:, None, 1:]
+        elif rows.size:
+            lo, hi = rows[0], rows[-1] + 1
+            scale = moduli - column[:, lo:hi]
+            if lo <= c < hi:
+                scale[:, c - lo] = 0
+            aug[:, lo:hi, c + 1 :] += scale[:, :, None] * top[:, None, 1:]
+        if done is not None and not below:
+            y[done] = aug[done, :, n:] % moduli[done, :, None]
+    if not minors[watch].all():
+        dets = minors = np.zeros_like(primes)
+    return dets, aug[:, :, n:] % moduli[:, :, None], minors, y
 
 
 def _matvec_mod(a: np.ndarray, v: np.ndarray, moduli: np.ndarray) -> np.ndarray:

@@ -389,20 +389,25 @@ def whole_det_ratio_mod(table, primes: np.ndarray, lam: int) -> tuple[np.ndarray
 
 
 def full_pencil_values(table, nodes: Sequence[int], primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """macaulay._pencil_values on the whole N = A**-1 F1 of every block:
-    it solves against every column of F1 and takes each block's charpoly
-    of full size, where the library keeps only the columns on which F1 is
-    nonzero.  Returns the (P, nodes) residues and the (P,) mask of primes
-    where the stack's shift works."""
+    """macaulay._pencil_values on the whole N = A**-1 F1 of every block
+    and N' = A'**-1 F1' of every divisor block, each from its own
+    elimination: it solves against every column of F1 and takes each
+    block's charpoly of full size, where the library keeps only the
+    columns on which F1 is nonzero and reads N' off the elimination of M.
+    Returns the (P, nodes) residues and the (P,) mask of primes where the
+    stack's shift works."""
     solved = np.zeros(len(primes), dtype=bool)
+
+    def eliminated(groups, stacks):
+        got = list(_blockwise(groups, primes, stacks, _solve_mod, lambda s: 2 * (s + 1) ** 2))
+        return got, _det_product([det for det, *_ in got], primes)
+
     for c in _SHIFTS:
         lams = np.full(len(primes), c, dtype=np.int64)
         stacks = table.stacks(primes, lams, lambda g: slice(None))
-        minor = _blockwise(table.minors, primes, stacks, _solve_mod)
-        det_minor = _det_product(minor, primes)
+        minor, det_minor = eliminated(table.minors, stacks)
         if det_minor[0]:
-            full = _blockwise(table.blocks, primes, stacks, _solve_mod)
-            det_full = _det_product(full, primes)
+            full, det_full = eliminated(table.blocks, stacks)
             if det_full[0]:
                 solved = (det_minor != 0) & (det_full != 0)
                 break
@@ -410,7 +415,7 @@ def full_pencil_values(table, nodes: Sequence[int], primes: np.ndarray) -> tuple
         return np.zeros((len(primes), len(nodes)), dtype=np.int64), solved
     solutions = {}
     for groups, solved_blocks in ((table.blocks, full), (table.minors, minor)):
-        for group, (_, n) in zip(groups, solved_blocks):
+        for group, (_, n, *_) in zip(groups, solved_blocks):
             n[~solved] = 0
             solutions[id(group)] = n
     moduli, cube = primes[:, None], primes[:, None, None]
@@ -419,7 +424,8 @@ def full_pencil_values(table, nodes: Sequence[int], primes: np.ndarray) -> tuple
         return (-solutions[id(group)][layers, blocks] % cube[layers],)
 
     num, den = (
-        poly_product_mod([cp for cp, in _blockwise(groups, primes, negated, charpoly_mod)], primes)
+        poly_product_mod([cp for cp, in _blockwise(groups, primes, negated, charpoly_mod,
+                                                    lambda s: s * s)], primes)
         for groups in (table.blocks, table.minors)
     )
     q = poly_divexact_mod(num, den, primes)

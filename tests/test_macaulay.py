@@ -409,8 +409,13 @@ def test_blocks_partition_the_monomials_in_block_triangular_order():
         assert sorted(minors) == sorted(
             [r for r in b if r in divisor] for b in kept if set(b) & divisor
         )
+        # each kept block holds its non-reduced monomials first
+        for g in table.blocks:
+            for block, r in zip(g.index.tolist(), g.divisor.tolist()):
+                assert [m in divisor for m in block] == [True] * r + [False] * (g.size - r)
+        # a pencil's stacks hold [A | F1], a determinant's M(c) alone
         largest = max(map(len, kept))
-        assert table.layer_size == 2 * (largest + 1) ** 2
+        assert table.layer_size == (2 * (largest + 1) ** 2 if system.linear else largest**2)
 
 
 def _first_primes():
@@ -680,6 +685,25 @@ def test_pencil_on_the_support_of_f1_matches_the_full_pencil():
     assert solved_tables >= 6 and mixed >= 2, (solved_tables, mixed)
 
 
+def test_pencil_keeps_each_divisor_to_its_own_rows():
+    # a group of two 12-row blocks whose divisor parts have 4 and 2 rows,
+    # and columns J' = 0..3 where F1 is nonzero on some divisor part: the
+    # right side of the 2-row one is not N' on rows and columns 2 and 3,
+    # which must be zeroed.  Against the full pencil, which solves each
+    # divisor block apart
+    rng = random.Random(186)
+    order, dim = rng.choice([(3, 3), (3, 4), (4, 3), (4, 2), (5, 2), (6, 2)])
+    a = _seeded_tensor(rng, order, dim, rational=False, sparse=True,
+                       zeros=rng.choice((0.5, 0.7, 0.85, 0.95)))
+    table = _FillTable(e_char_poly_system(a))
+    assert any(len(g.divisor_support) and g.divisor_support.max() >= g.divisor.min()
+               for g in table.blocks)
+    nodes, primes = _e_char_nodes(order, dim), _first_primes()
+    got, solved = _pencil_values(table, nodes, primes)
+    want, want_solved = oracles.full_pencil_values(table, nodes, primes)
+    assert solved.all() and want_solved.all() and (got == want).all()
+
+
 def _divisor_is(g):
     # the divisor rows are z^2 f2, z^2 f1 and y^2 f1 on the columns y^2 z^2,
     # x^2 z^2, x^2 y^2, so det M' = a (a g - b e) with a, b the x^2, y^2
@@ -706,6 +730,73 @@ def test_divisor_that_vanishes_modulo_one_prime():
         for seed in range(index + 2):
             config = replace(DEFAULT_CONFIG, prime_seed=seed)
             assert resultant_value(system, config) == expected, (g, seed)
+
+
+def _inverted(values, primes):
+    return np.array([pow(v, -1, p) if v else 0 for v, p in zip(values.tolist(), primes.tolist())])
+
+
+def test_det_ratio_reads_each_divisor_off_its_block_elimination():
+    # _det_ratio takes det M'_b from the first divisor[b] pivots of block
+    # b's own elimination.  Against the fraction-free reference on every
+    # kept block and every divisor block apart, and on the whole matrices,
+    # at primes small enough that some blocks or divisors vanish modulo
+    # some of them: the tables hold blocks with no divisor rows and with
+    # all but one, a divisor singular at the first prime refuses the
+    # stack, and one singular at a later prime skips that prime
+    primes = np.array([nth_prime(0), 13, 7, nth_prime(1)], dtype=np.int64)
+    seen = set()
+    systems = [*_tables(), _divisor_is(nth_prime(0)), _divisor_is(13)]
+    for system in systems:
+        table = _FillTable(system)
+        for g in table.blocks:
+            seen |= {"none" if r == 0 else "all but one" if r == g.size - 1 else "some"
+                     for r in g.divisor.tolist()}
+        for lam in (0, 3):
+            dense = oracles.dense_stack(table, primes, np.full(4, lam, dtype=np.int64))
+
+            def product(groups):
+                out = np.ones_like(primes)
+                for block in (b for g in groups for b in g.index):
+                    out = out * oracles._det_mod(dense[:, block[:, None], block], primes) % primes
+                return out
+
+            det_full, det_minor = product(table.blocks), product(table.minors)
+            whole, nonzero = oracles.whole_det_ratio_mod(table, primes, lam)
+            for pencil in (False, True):
+                got = macaulay._det_ratio(table, primes, lam, pencil)
+                if not det_minor[0]:
+                    seen.add("refused")
+                    assert got is None
+                    continue
+                ratio, minor_ok, full_ok, _ = got
+                assert minor_ok.tolist() == (det_minor != 0).tolist()
+                seen |= {"skipped"} if not minor_ok.all() else set()
+                assert (full_ok == (det_full != 0))[minor_ok].all()
+                want = det_full * _inverted(det_minor, primes) % primes
+                assert (ratio == want)[minor_ok].all()
+                assert (ratio == whole)[nonzero].all()
+    assert seen >= {"none", "all but one", "some", "refused", "skipped"}, seen
+
+
+def test_det_ratio_makes_one_pass_over_the_kept_blocks(monkeypatch):
+    # the determinant ratio and the pencil stack only the kept blocks: no
+    # elimination runs on the divisor blocks apart
+    passes = []
+    inner = macaulay._blockwise
+
+    def recording(groups, *args):
+        passes.append(groups)
+        return inner(groups, *args)
+
+    monkeypatch.setattr(macaulay, "_blockwise", recording)
+    rng = random.Random(8123)
+    table = _FillTable(e_char_poly_system(_seeded_tensor(rng, 3, 3, rational=True, sparse=False)))
+    primes = _first_primes()
+    assert _pencil_values(table, _e_char_nodes(3, 3), primes)[1].all()
+    assert _det_values(table, [0], primes)[1].all()
+    assert table.minors and not any(groups is table.minors for groups in passes)
+    assert sum(groups is table.blocks for groups in passes) == 2
 
 
 def test_det_route_refuses_the_stack_whose_first_prime_divides_the_divisor():
@@ -798,8 +889,9 @@ def test_pencil_reports_the_fallback_for_hypergraphs():
 def test_stack_cap_runs_one_prime_per_call(monkeypatch):
     # every kernel call gets a stack of layers no larger than the cap, a
     # layer being one block at one prime (and node); with the cap below two
-    # layers of a table's largest block, each call on that block gets one
-    # layer, and no value changes.  The charpoly quotient, the determinant
+    # of the table's layers of its largest block ([A | F1] with a lambda
+    # part, M(c) alone without), each call on that block gets one layer,
+    # and no value changes.  The charpoly quotient, the determinant
     # ratio, the pencil (E-char of order 3, dimension 3) and the batched
     # generalized charpoly (E-char of the single edge, whose layers are a
     # prime, a node and a block) all work on Macaulay matrices of size 56
@@ -816,8 +908,9 @@ def test_stack_cap_runs_one_prime_per_call(monkeypatch):
         inner = getattr(macaulay, name)
 
         def recording(*args, name=name, inner=inner):
-            # the last array handed in holds the primes, one per layer
-            *stack, primes = [a for a in args if isinstance(a, np.ndarray)]
+            # the stacks handed in come first, then the primes, one per layer
+            split = 2 if name == "_solve_mod" else 1
+            stack, primes = args[:split], args[split]
             stacks.append((name, len(primes), args[0].shape[1], sum(a.size for a in stack)))
             return inner(*args)
 
@@ -844,7 +937,7 @@ def test_stack_cap_runs_one_prime_per_call(monkeypatch):
             assert max(layers for _, layers, size, _ in stacks if size == largest) == (
                 modular.stack_layers(footprint)
             ) > 1
-        cap = 2 * 2 * (largest + 1) ** 2 - 1
+        cap = 2 * table.layer_size - 1
         monkeypatch.setattr(modular, "STACK_CAP", cap)
         stacks.clear()
         assert run() == value

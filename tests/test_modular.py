@@ -11,7 +11,7 @@ from oracles import (
     _det_mod, charpoly_mod, classical_char_poly, int_det, poly_divexact_mod, poly_product_mod,
 )
 
-from hyperspec.errors import BadPrime, InputError, MathError
+from hyperspec.errors import BadPrime, CapExceeded, InputError, MathError
 from hyperspec.macaulay import _Blocks, _lagrange_mod, _quotient
 from hyperspec.modular import (
     MAX_PRIMES,
@@ -193,7 +193,7 @@ def test_solve_mod_matches_det_and_inverts():
         a, pv = _stack(rows, primes)
         b = np.array([[[rng.randrange(p) for _ in range(k)] for _ in range(n)]
                       for p in primes], dtype=np.int64)
-        dets, x = _solve_mod(a, b, pv)
+        dets, x, *_ = _solve_mod(a, b, pv)
         for layer, p in enumerate(primes):
             assert dets[layer] == int_det(rows) % p
             if dets[layer] == 0:
@@ -272,6 +272,111 @@ def test_solve_mod_without_right_side_on_a_48_row_stack():
     ab = np.stack([np.array(x.tolist(), dtype=object).dot(np.array(y.tolist(), dtype=object))
                    % p for x, y, p in zip(a, b, primes.tolist())]).astype(np.int64)
     assert (_dets(ab, primes) == dets * _dets(b, primes) % primes).all()
+
+
+def _products_mod(a, x, p):
+    """a @ x modulo p, exactly, for int64 arrays of residues."""
+    return (np.array(a.tolist(), dtype=object).dot(np.array(x.tolist(), dtype=object)) % p)
+
+
+def test_solve_mod_takes_each_divisor_from_its_own_leading_rows():
+    # each layer names the size r of its leading divisor block a': r = 0,
+    # r = n - 1 and sizes between, a' with a zero in its first pivot that a
+    # row swap inside a' mends, and a' singular where a is not.  det a' is
+    # checked against the fraction-free reference on a' alone, det a on the
+    # whole, the right side after r steps against a' y = b[:r], and with a
+    # right side of width 0 the determinants come out the same
+    rng = random.Random(3511)
+    primes = [nth_prime(0), nth_prime(3), 1_000_003, 13, 7]
+    seen = set()
+    for trial in range(60):
+        n = rng.randrange(2, 9)
+        pv = np.array(primes, dtype=np.int64)
+        sizes = np.array([0, n - 1] + [rng.randrange(n) for _ in primes[2:]], dtype=np.intp)
+        layers = []
+        for p, r in zip(primes, sizes.tolist()):
+            rows = _random_rows(rng, n, span=6, density=rng.choice((0.4, 1.0)))
+            if r > 1 and trial % 3 == 0:  # a'[0, 0] = 0, mended from inside a'
+                rows[0][0], rows[r - 1][0] = 0, 1
+            if r > 1 and trial % 7 == 1:  # a' singular: a row of a' repeated
+                rows[r - 1][:r] = rows[0][:r]
+            layers.append(np.array(rows, dtype=np.int64) % p)
+        a = np.stack(layers)
+        b = np.stack([np.array(_random_rows(rng, n, span=6)[:n], dtype=np.int64)[:, :3] % p
+                      for p in primes])
+        det, x, minor, y = _solve_mod(a.copy(), b.copy(), pv, sizes)
+        alone, _, alone_minor, _ = _solve_mod(a.copy(), b[:, :, :0].copy(), pv, sizes)
+        assert (alone == det).all() and (alone_minor == minor).all()
+        whole = _det_mod(a, pv).tolist()
+        for layer, (p, r) in enumerate(zip(primes, sizes.tolist())):
+            want = int(_det_mod(a[layer : layer + 1, :r, :r], pv[layer : layer + 1])[0]) if r else 1
+            assert minor[layer] == want, (trial, layer)
+            if not want:
+                seen.add("singular")
+                assert det[layer] == 0
+                continue
+            seen.add(("r", "0" if r == 0 else "n-1" if r == n - 1 else "inner"))
+            seen.add("swapped" if r > 1 and a[layer, 0, 0] == 0 else "plain")
+            assert det[layer] == whole[layer], (trial, layer)
+            if r:
+                got = _products_mod(a[layer, :r, :r], y[layer, :r], p)
+                assert got.tolist() == b[layer, :r].tolist(), (trial, layer)
+            if det[layer]:
+                assert _products_mod(a[layer], x[layer], p).tolist() == b[layer].tolist()
+    assert seen >= {"singular", "swapped", ("r", "0"), ("r", "n-1"), ("r", "inner")}, seen
+
+
+def test_solve_mod_stops_the_stack_whose_first_prime_divides_a_divisor():
+    # with first, a divisor singular modulo that prime stops the stack and
+    # every determinant reads 0; singular modulo a later prime only, that
+    # layer reads 0 and the others keep their values
+    q = nth_prime(1)
+    rows = [[q + 1, 2, 1, 0], [3, 6, 4, 1], [1, 5, 9, 2], [6, 5, 3, 5]]  # det a' = 6 q
+    sizes = np.array([2, 2, 2], dtype=np.intp)
+    for order, stopped in (((q, nth_prime(0), 13), True), ((nth_prime(0), q, 13), False)):
+        a, pv = _stack(rows, list(order))
+        b = a[:, :, :1].copy()
+        det, _, minor, _ = _solve_mod(a, b, pv, sizes, order[0])
+        plain, _, plain_minor, _ = _solve_mod(a, b, pv, sizes)
+        singular = pv == q
+        assert not plain_minor[singular].any() and plain_minor[~singular].all()
+        if stopped:
+            assert not det.any() and not minor.any()
+        else:
+            assert (det == plain).all() and (minor == plain_minor).all()
+            assert det[~singular].tolist() == [int_det(rows) % p for p in pv[~singular].tolist()]
+
+
+def test_solve_mod_keeps_entries_near_the_prime_exact_on_a_300_row_stack():
+    # residues at p - 1 in every cell, or every cell off the diagonal, the
+    # largest the kernel takes, and a dense random layer, modulo the
+    # largest prime: every determinant and solution agrees with the
+    # fraction-free reference, so no entry outgrew int64 unreduced
+    n, p = 300, nth_prime(0)
+    rng = random.Random(3517)
+    full = np.full((n, n), p - 1, dtype=np.int64)
+    near = full.copy()
+    np.fill_diagonal(near, 1)  # 2 I - J modulo p, det 2**(n-1) (2 - n)
+    dense = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)], dtype=np.int64)
+    a, pv = np.stack([full, near, dense]), np.full(3, p, dtype=np.int64)
+    b = np.full((3, n, 2), p - 1, dtype=np.int64)
+    det, x, _, y = _solve_mod(a.copy(), b.copy(), pv, np.array([0, n - 1, n // 2]))
+    assert det.tolist() == _det_mod(a, pv).tolist()
+    assert det[0] == 0 and det[1] == pow(2, n - 1, p) * (2 - n) % p
+    for layer in (1, 2):
+        assert _products_mod(a[layer], x[layer], p).tolist() == b[layer].tolist()
+    r = n // 2
+    assert _products_mod(a[2, :r, :r], y[2, :r], p).tolist() == b[2, :r].tolist()
+
+
+def test_solve_mod_refuses_a_block_past_its_int64_bound(monkeypatch):
+    from hyperspec import modular
+
+    monkeypatch.setattr(modular, "SOLVE_ROWS", 4)
+    a, pv = _stack([[1, 0, 0, 0]] * 4, [13])
+    with pytest.raises(CapExceeded, match="4 rows"):
+        _solve_mod(a, a[:, :, :0], pv)
+    assert _solve_mod(a[:, :3, :3], a[:, :3, :0], pv)[0].tolist() == [0]
 
 
 def test_crt_combine_pair():
@@ -407,7 +512,7 @@ def test_pivot_rows_differ_between_layers():
         assert len({int(np.flatnonzero(layer[top:, 0])[0]) for layer in a}) == 2
         det = int_det(rows)
         assert _det(rows, primes) == [det % p for p in primes]
-        dets, _ = _solve_mod(a, a, pv)
+        dets = _solve_mod(a, a, pv)[0]
         assert dets.tolist() == [det % p for p in primes]
         assert _charpoly(rows, primes) == [_oracle_charpoly_mod(rows, p) for p in primes]
 
@@ -425,7 +530,7 @@ def test_stacked_layers_match_stacks_of_one():
                 for _ in range(n)]
         a, _ = _stack(rows, primes)
         b = np.stack([np.array(rows, dtype=np.int64).T % p for p in primes])
-        dets, solved = _solve_mod(a, b, pv)
+        dets, solved, *_ = _solve_mod(a, b, pv)
         polys = charpoly_mod(a, pv)
         quot = poly_divexact_mod(polys, polys[:, n:], pv)
         assert _det_mod(a, pv).tolist() == dets.tolist() == _dets(a, pv).tolist()
@@ -433,7 +538,7 @@ def test_stacked_layers_match_stacks_of_one():
             one = slice(layer, layer + 1)
             assert _det_mod(a[one], pv[one]).tolist() == [dets[layer]]
             assert _dets(a[one], pv[one]).tolist() == [dets[layer]]
-            det_one, solved_one = _solve_mod(a[one], b[one], pv[one])
+            det_one, solved_one, *_ = _solve_mod(a[one], b[one], pv[one])
             assert det_one.tolist() == [dets[layer]]
             if dets[layer]:
                 assert solved_one.tolist() == solved[one].tolist()
