@@ -87,26 +87,31 @@ class PolyCache:
     """Characteristic polynomials keyed by isomorphism class.
 
     The key of a class is (n, k, least edge bitmask over all vertex
-    relabelings).  The first lookup of any member maps the class's
-    whole orbit to that key, so every later member costs one dict
-    lookup, and the polynomial is computed once, on the least mask.
-    `computed` counts the classes this cache computed, not those loaded
-    from a checkpoint.
+    relabelings).  The first lookup of any member maps every mask of
+    the class's orbit to that least mask, in one int-keyed dict per
+    (n, k), so every later member costs one dict lookup, and the
+    polynomial is computed once, on the least mask.  `computed` counts
+    the classes this cache computed, not those loaded from a checkpoint.
     """
 
     def __init__(self) -> None:
         self._polys: dict[tuple[int, int, int], UniPoly] = {}
-        self._class_keys: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+        self._least: dict[tuple[int, int], dict[int, int]] = {}
         self.computed = 0
+
+    def _least_masks(self, n: int, k: int) -> dict[int, int]:
+        """{mask: least mask of its orbit} over the (n, k) orbits looked up."""
+        return self._least.setdefault((n, k), {})
 
     def class_key(self, n: int, k: int, mask: int) -> tuple[int, int, int]:
         """(n, k, least mask of the orbit) of this labeled edge bitmask."""
-        key = self._class_keys.get((n, k, mask))
-        if key is None:
+        least = self._least_masks(n, k)
+        rep = least.get(mask)
+        if rep is None:
             orbit = mask_orbit(n, k, mask)
-            key = (n, k, min(orbit))
-            self._class_keys.update(((n, k, m), key) for m in orbit)
-        return key
+            rep = min(orbit)
+            least.update(dict.fromkeys(orbit, rep))
+        return (n, k, rep)
 
     def get_char_mask(
         self, n: int, k: int, mask: int, config: RunConfig = DEFAULT_CONFIG
@@ -232,13 +237,16 @@ def _universe_polys(
     (n, k) universe; every class's polynomial is in the cache.
 
     Covers the given masks, which must come in increasing order; with
-    none, every mask.  A checkpoint seeds the cache (a given cache takes
-    precedence) and the watermark.  It is rewritten when the cache has
-    grown and ten times the last write's duration has passed since that
-    write began (the first growth writes at once), and once at the end
-    with the full watermark.  An exception in the loop writes once more,
-    with the last mask reached, if classes were computed since the last
-    write was attempted; so a write that fails is not attempted again.
+    none, every mask.  A walked mask costs one lookup in the cache's
+    least-mask map; a class's polynomial is fetched, and its key built,
+    when its first mask is walked.  A checkpoint seeds the cache (a
+    given cache takes precedence) and the watermark.  It is rewritten
+    when the cache has grown and ten times the last write's duration
+    has passed since that write began (the first growth writes at
+    once), and once at the end with the full watermark.  An exception in
+    the loop writes once more, with the last mask reached, if classes
+    were computed since the last write was attempted; so a write that
+    fails is not attempted again.
     """
     slots = universe_slots(n, k)
     watermark = -1
@@ -249,12 +257,19 @@ def _universe_polys(
         cache = PolyCache()
     if masks is None:
         masks = range(1 << slots)
-    classes: dict[tuple[int, int, int], list[int]] = {}
+    least = cache._least_masks(n, k)
+    walked: dict[int, list[int]] = {}  # least mask -> the class's walked masks
     persisted, due, finished = cache.computed, -inf, False
     try:
         for mask in masks:
-            cache.get_char_mask(n, k, mask, cfg)
-            classes.setdefault(cache.class_key(n, k, mask), []).append(mask)
+            rep = least.get(mask)
+            if rep is None:
+                rep = cache.class_key(n, k, mask)[2]
+            group = walked.get(rep)
+            if group is None:
+                cache.get_char_mask(n, k, rep, cfg)
+                group = walked[rep] = []
+            group.append(mask)
             watermark = max(watermark, mask)
             if checkpoint_path and cache.computed != persisted and time.monotonic() >= due:
                 # persisted before the write, so a write that fails is not retried
@@ -265,7 +280,7 @@ def _universe_polys(
     finally:
         if checkpoint_path and (finished or cache.computed != persisted):
             save_checkpoint(checkpoint_path, n, k, cache, watermark)
-    return cache, classes
+    return cache, {(n, k, rep): group for rep, group in walked.items()}
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .hypergraph import (
     mask_edges,
     parse_hypergraph,
     simplices,
+    subset_order,
 )
 from .polynomial import UniPoly
 from .rational import parse_int
@@ -64,11 +65,25 @@ def _poly_payload(poly: UniPoly) -> dict[str, Any]:
     }
 
 
+class _EdgeLists:
+    """A payload value: the edge lists of (n, k) edge bitmasks, one list
+    per mask, each in lexicographic order.  `_json` writes them from the
+    masks' set bits and `_as_table` from `mask_edges`, so a JSON payload
+    builds no edge tuples."""
+
+    __slots__ = ("n", "k", "masks")
+
+    def __init__(self, n: int, k: int, masks: tuple[int, ...]) -> None:
+        self.n, self.k, self.masks = n, k, masks
+
+
 def _as_table(payload: dict[str, Any], indent: int = 0) -> str:
     lines: list[str] = []
     pad = "  " * indent
     for key in sorted(payload):
         value = payload[key]
+        if type(value) is _EdgeLists:
+            value = [mask_edges(value.n, value.k, m) for m in value.masks]
         if isinstance(value, dict):
             lines.append(f"{pad}{key}:")
             lines.append(_as_table(value, indent + 1).rstrip("\n"))
@@ -85,8 +100,9 @@ def _as_table(payload: dict[str, Any], indent: int = 0) -> str:
 
 def _json(value: Any, pad: str = "\n") -> str:
     """json.dumps(value, indent=2, sort_keys=True) byte for byte, for
-    str-keyed dicts, lists, tuples and scalars; pad is "\n" and the indent
-    of value's closing line.
+    str-keyed dicts, lists, tuples and scalars, and for an _EdgeLists as
+    its lists of edge lists; pad is "\n" and the indent of value's
+    closing line.
     With an indent the stdlib encoder runs in pure Python, which took most
     of a warm ds call.  Here ints go through int.__repr__, keys and other
     scalars through json.dumps on its C path, and an all-int tuple (an
@@ -96,6 +112,8 @@ def _json(value: Any, pad: str = "\n") -> str:
         return int.__repr__(value)
     if type(value) is tuple and all(type(v) is int for v in value):
         return _int_tuple(value, pad)
+    if type(value) is _EdgeLists:
+        return _edge_lists(value, pad)
     inner = pad + "  "
     if isinstance(value, dict):
         items = [json.dumps(k) + ": " + _json(v, inner) for k, v in sorted(value.items())]
@@ -110,6 +128,28 @@ def _json(value: Any, pad: str = "\n") -> str:
 @lru_cache(maxsize=4096)
 def _int_tuple(value: tuple[int, ...], pad: str) -> str:
     return _json(list(value), pad)
+
+
+@lru_cache(maxsize=None)
+def _edge_strings(n: int, k: int, pad: str) -> tuple[str, ...]:
+    """The JSON of each (n, k) edge slot, in subset order, closing at pad."""
+    return tuple(_int_tuple(edge, pad) for edge in subset_order(n, k))
+
+
+def _edge_lists(value: _EdgeLists, pad: str) -> str:
+    """_json of value's edge lists: each mask's pre-rendered edge
+    strings joined over its set bits, lowest first."""
+    inner, edge_pad = pad + "  ", pad + "    "
+    table, comma = _edge_strings(value.n, value.k, edge_pad), "," + edge_pad
+    items = []
+    for mask in value.masks:
+        edges = []
+        while mask:
+            low = mask & -mask
+            edges.append(table[low.bit_length() - 1])
+            mask ^= low
+        items.append("[" + edge_pad + comma.join(edges) + inner + "]" if edges else "[]")
+    return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
 
 
 def _emit(payload: dict[str, Any], args: argparse.Namespace) -> None:
@@ -214,7 +254,7 @@ def _cmd_ds(args: argparse.Namespace, cfg: RunConfig) -> dict[str, Any]:
     )
     return {
         "all_isomorphic": verdict.all_isomorphic,
-        "mates": [mask_edges(h.n, h.k, mask) for mask in verdict.mate_masks],
+        "mates": _EdgeLists(h.n, h.k, verdict.mate_masks),
         "candidates": verdict.candidates,
         "pruned": verdict.pruned,
         "polynomials_computed": verdict.polynomials_computed,

@@ -31,6 +31,7 @@ from hyperspec.errors import CapExceeded, DegreeCapExceeded, DimMismatch, InputE
 from hyperspec.hypergraph import (
     Hypergraph,
     adjacency_tensor,
+    edge_bitmask,
     from_bitmask,
     mask_orbit,
     mask_simplex_count,
@@ -274,17 +275,43 @@ def _automorphism_count(n, k, mask):
 
 
 @pytest.mark.parametrize("n, k, classes", [(4, 3, 5), (5, 2, 34), (5, 3, 34)])
-def test_class_keys_match_brute_force(n, k, classes):
+def test_class_keys_match_brute_force(monkeypatch, n, k, classes):
+    orbit_calls = []
+
+    def counted(*args):
+        orbit_calls.append(args)
+        return mask_orbit(*args)
+
+    monkeypatch.setattr(analysis, "mask_orbit", counted)
     cache = PolyCache()
     universe = range(1 << comb(n, k))
     for mask in universe:
         assert cache.class_key(n, k, mask) == (n, k, _least_image(n, k, mask))
+    # the first lookup of each orbit mapped every member to its least mask
+    assert len(orbit_calls) == classes
     orbits = {frozenset(mask_orbit(n, k, mask)) for mask in universe}
     assert len(orbits) == classes
     assert sorted(m for orbit in orbits for m in orbit) == list(universe)
     for orbit in orbits:
         rep = min(orbit)
         assert len(orbit) == factorial(n) // _automorphism_count(n, k, rep)
+    not_least = max(max(orbit) for orbit in orbits if len(orbit) > 1)
+    with pytest.raises(InputError, match="not the least of its isomorphism class"):
+        PolyCache.from_json({f"{n},{k},{not_least}": ["1"]}, n, k)
+
+
+def test_universe_walk_computes_each_class_once(monkeypatch):
+    char_poly_, computed = analysis.char_poly, []
+
+    def counted(h, config):
+        computed.append(edge_bitmask(h))
+        return char_poly_(h, config)
+
+    monkeypatch.setattr(analysis, "char_poly", counted)
+    cache, classes = analysis._universe_polys(5, 2, DEFAULT_CONFIG)
+    assert len(computed) == len(classes) == cache.computed == 34
+    assert sorted(computed) == sorted(key[2] for key in classes)
+    assert sum(map(len, classes.values())) == 1 << 10
 
 
 def test_resumed_cache_serves_a_whole_orbit(tmp_path):

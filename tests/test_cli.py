@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import hyperspec
 from hyperspec import analysis, cli, hypergraph
+from hyperspec.analysis import ds_verify
 from hyperspec.cli import main
 from hyperspec.errors import MathError
 from hyperspec.hypergraph import (
@@ -22,6 +24,8 @@ from hyperspec.hypergraph import (
     edge_bitmask,
     format_hypergraph,
     from_bitmask,
+    mask_edges,
+    mask_orbit,
     parse_hypergraph,
 )
 
@@ -373,6 +377,37 @@ def test_ds_relabeled_target_keeps_summary(tmp_path, capsys, mask):
         payload["pruned"],
         payload["polynomials_computed"],
     ) == _DS_PINS[mask][2]
+
+
+@pytest.mark.parametrize("n, k, classes", [(4, 3, 5), (5, 2, 34)])
+def test_ds_output_matches_the_stdlib_encoder(tmp_path, capsys, n, k, classes):
+    # each class as the target, by the greatest mask of its orbit; the
+    # reference lists the mates' edges with mask_edges and encodes them
+    # with json.dumps, or as the table's "key: value" lines
+    targets = sorted({max(mask_orbit(n, k, m)) for m in range(1 << comb(n, k))})
+    assert len(targets) == classes
+    mateless = 0
+    for target in targets:
+        h = from_bitmask(n, k, target)
+        path = _write_graph(tmp_path, "g.hg", h)
+        for spec in ("edges,simplices", "edges"):
+            verdict = ds_verify(h, fingerprint_fields=tuple(spec.split(",")))
+            mates = [mask_edges(n, k, m) for m in verdict.mate_masks]
+            payload = {
+                "all_isomorphic": verdict.all_isomorphic,
+                "mates": mates,
+                "candidates": verdict.candidates,
+                "pruned": verdict.pruned,
+                "polynomials_computed": verdict.polynomials_computed,
+            }
+            argv = ["ds", path, "--fingerprint", spec]
+            expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            assert _run(capsys, argv) == (0, expected, "")
+            payload["mates"] = "[" + " ".join(json.dumps(m) for m in mates) + "]"
+            table = "".join(f"{key}: {payload[key]}\n" for key in sorted(payload))
+            assert _run(capsys, argv + ["--format", "table"]) == (0, table, "")
+            mateless += not mates
+    assert mateless > 0
 
 
 def test_invariant_scan_output_pinned(tmp_path, capsys):
