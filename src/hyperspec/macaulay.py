@@ -8,7 +8,8 @@ principal submatrix on the monomials divisible by x_i**d_i for two or
 more i.
 
 Every resultant goes through one system type, PolySystem, linear in a
-parameter lambda, whose M is tabulated once as a sparse integer pencil
+parameter lambda, whose parts are plain dicts from exponent tuples to
+coefficients, and whose M is tabulated once as a sparse integer pencil
 split into diagonal blocks (_FillTable, built only by _table, which
 refuses one past the size cap first).  No route forms M or M' whole:
 each stacks the blocks of one size modulo its primes, and multiplies
@@ -59,19 +60,21 @@ from .modular import (
     _inverses, _matvec_mod, _solve_mod, crt_values, newton_mod, stack_layers,
     summed_power_sums_mod, trace_layer_size, trace_powers_mod,
 )
-from .polynomial import MultiPoly, UniPoly
+from .polynomial import UniPoly
 
 
 @dataclass(frozen=True)
 class PolySystem:
     """Square homogeneous system polys[i] + lambda * linear[i], each part
-    homogeneous of degrees[i].  A numeric system is the lambda-free case,
+    a dict from exponent tuples to coefficients (ints for a hypergraph,
+    Fractions for a tensor), homogeneous of degrees[i] once its zero
+    coefficients are ignored.  A numeric system is the lambda-free case,
     linear = ()."""
 
     nvars: int
-    polys: tuple[MultiPoly, ...]
+    polys: tuple[dict[tuple[int, ...], Fraction | int], ...]
     degrees: tuple[int, ...]
-    linear: tuple[MultiPoly, ...] = ()
+    linear: tuple[dict[tuple[int, ...], Fraction | int], ...] = ()
 
     def __post_init__(self):
         sizes = {len(self.polys), len(self.degrees), len(self.linear) or self.nvars}
@@ -84,13 +87,11 @@ class PolySystem:
             for i, (poly, degree) in enumerate(zip(part, self.degrees)):
                 if degree < 1:
                     raise InputError(f"degree of polynomial {i} must be positive")
-                if poly.nvars != self.nvars:
-                    raise DimMismatch(
-                        f"{what} {i} lives in {poly.nvars} variables, "
-                        f"system has {self.nvars}"
-                    )
-                if not poly.is_homogeneous(degree):
-                    raise NotHomogeneous(f"{what} {i} is not homogeneous of degree {degree}")
+                for exp, coeff in poly.items():
+                    if len(exp) != self.nvars:
+                        raise DimMismatch(f"{what} {i}: exponent {exp} in {self.nvars} variables")
+                    if coeff and sum(exp) != degree:
+                        raise NotHomogeneous(f"{what} {i} is not homogeneous of degree {degree}")
 
 
 def monomial_basis(nvars: int, total: int) -> tuple[tuple[int, ...], ...]:
@@ -288,12 +289,12 @@ class _FillTable:
         poly_terms: list[list[tuple[int, int]]] = []
         shifts: list[list[int]] = []
         poly_scale: list[int] = []
-        linear = system.linear or (MultiPoly(system.nvars),) * system.nvars
+        linear = system.linear or ({},) * system.nvars
         for i, (c_poly, l_poly) in enumerate(zip(system.polys, linear)):
-            exps = set(c_poly.terms) | set(l_poly.terms)
-            scale = lcm(*(c.denominator for p in (c_poly, l_poly) for c in p.terms.values()))
+            exps = {e: None for p in (c_poly, l_poly) for e, c in p.items() if c}
+            scale = lcm(*(c.denominator for p in (c_poly, l_poly) for c in p.values()))
             poly_terms.append([
-                (int(c_poly.terms.get(e, 0) * scale), int(l_poly.terms.get(e, 0) * scale))
+                (int(c_poly.get(e, 0) * scale), int(l_poly.get(e, 0) * scale))
                 for e in exps
             ])
             shifts.append([_code(e, radix) - system.degrees[i] * radix**i for e in exps])
@@ -721,7 +722,7 @@ def _interpolated_resultant(
     bound = sum(
         prod(system.degrees[:i] + system.degrees[i + 1 :])
         for i, part in enumerate(system.linear)
-        if not part.is_zero()
+        if any(part.values())
     )
     if bound > cfg.degree_cap:
         raise DegreeCapExceeded(

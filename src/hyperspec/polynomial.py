@@ -1,20 +1,19 @@
-"""Exact polynomials in one and several variables.
+"""Exact polynomials in one variable.
 
 UniPoly stores ascending coefficients with the trailing one nonzero, so
 equal polynomials compare equal structurally; the zero polynomial is the
-empty tuple and reports degree -1.  MultiPoly stores a mapping from
-exponent tuples to nonzero coefficients and is the carrier for the
-homogeneous systems fed to the resultant machinery.
+empty tuple and reports degree -1.  The homogeneous systems fed to the
+resultant machinery hold plain dicts from exponent tuples to
+coefficients (macaulay.PolySystem).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .errors import DimMismatch
 from .rational import format_rational, parse_rational
 
 
@@ -140,43 +139,3 @@ class UniPoly:
         for sign, body in parts[1:]:
             text += f" {sign} {body}"
         return text
-
-
-@dataclass(frozen=True)
-class MultiPoly:
-    """Multivariate polynomial as exponent-tuple -> coefficient."""
-
-    nvars: int
-    terms: Mapping[tuple[int, ...], Fraction] = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {}
-        for exp, coeff in self.terms.items():
-            if len(exp) != self.nvars:
-                raise DimMismatch(
-                    f"exponent {exp} has {len(exp)} entries, expected {self.nvars}"
-                )
-            c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-            if c != 0:
-                clean[tuple(int(e) for e in exp)] = c
-        object.__setattr__(self, "terms", clean)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_homogeneous(self, degree: int) -> bool:
-        return all(sum(exp) == degree for exp in self.terms)
-
-    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        if self.nvars != other.nvars:
-            raise DimMismatch("cannot multiply polynomials in different variable counts")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return MultiPoly(self.nvars, out)
-
-    def scale(self, factor: Fraction | int) -> "MultiPoly":
-        f = Fraction(factor)
-        return MultiPoly(self.nvars, {e: c * f for e, c in self.terms.items()})

@@ -12,7 +12,9 @@ polynomials that come back; macaulay turns every system into its exact
 value, through one table builder, macaulay._table, which refuses a
 Macaulay matrix past the size cap before building it.  Every system
 reads A x**(m-1) through _terms, off a tensor's entries or a
-hypergraph's edge list: no n**k tensor is built.  char_poly refuses
+hypergraph's edge list: no n**k tensor is built.  A system holds plain
+dicts from exponent tuples to nonzero coefficients, ints for a
+hypergraph and Fractions for a tensor.  char_poly refuses
 past the characteristic degree cap from (dim, order) or (n, k); for
 e_char_poly, admit does the same for a hypergraph, or certifies its
 E-characteristic polynomial 0.  A tensor is refused by its order, then
@@ -51,15 +53,17 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm, prod
+from operator import add
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DegreeCapExceeded, DimMismatch, MathError
 from .hypergraph import Hypergraph
 from .macaulay import (
-    PolySystem, _charpoly_quotient, _interpolated_resultant, check_dim_cap, resultant_value,
+    PolySystem, _charpoly_quotient, _interpolated_resultant, check_dim_cap, monomial_basis,
+    resultant_value,
 )
-from .polynomial import MultiPoly, UniPoly
+from .polynomial import UniPoly
 from .tensor import Tensor
 
 
@@ -75,44 +79,45 @@ def _terms(a: Tensor | Hypergraph) -> tuple:
                       for e in sorted(a.edges) for w in e)
 
 
-def tensor_polynomial_map(a: Tensor | Hypergraph) -> tuple[MultiPoly, ...]:
-    """Component polynomials of x -> A x, each homogeneous of degree m - 1."""
+def tensor_polynomial_map(a: Tensor | Hypergraph) -> tuple[dict, ...]:
+    """Component polynomials of x -> A x, each homogeneous of degree m - 1:
+    dicts from exponent tuples to their nonzero coefficients, ints for a
+    hypergraph and Fractions for a tensor."""
     n, _, terms = _terms(a)
-    acc: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(n)]
+    acc: list[dict[tuple[int, ...], Fraction | int]] = [{} for _ in range(n)]
     for idx, value in terms:
         exp = [0] * n
         for j in idx[1:]:
             exp[j] += 1
         key = tuple(exp)
         bucket = acc[idx[0]]
-        bucket[key] = bucket.get(key, Fraction(0)) + value
-    return tuple(MultiPoly(n, bucket) for bucket in acc)
+        bucket[key] = bucket.get(key, 0) + value
+    return tuple({e: c for e, c in bucket.items() if c} for bucket in acc)
 
 
-def _sphere_power(nvars: int, power: int) -> MultiPoly:
-    square = MultiPoly(nvars, {tuple(2 * (j == i) for j in range(nvars)): 1 for i in range(nvars)})
-    out = MultiPoly(nvars, {(0,) * nvars: 1})
-    for _ in range(power):
-        out = out * square
-    return out
+def _sphere_power(nvars: int, power: int) -> dict[tuple[int, ...], int]:
+    """(x.x)**power: x**(2 e) for each exponent e of total degree power,
+    times the multinomial coefficient power! / prod_j e_j!."""
+    return {tuple(2 * v for v in e): factorial(power) // prod(map(factorial, e))
+            for e in monomial_basis(nvars, power)}
 
 
 def e_char_poly_system(a: Tensor | Hypergraph) -> PolySystem:
     n, m, _ = _terms(a)
     component = tensor_polynomial_map(a)
     units = [tuple(int(j == i) for j in range(n)) for i in range(n)]  # x_i's exponents
-    if m % 2 == 0:
+    if m % 2 == 0:  # lambda parts -x_i (x.x)**((m-2)/2)
         sphere = _sphere_power(n, (m - 2) // 2)
-        linear = tuple(sphere * MultiPoly(n, {e: -1}) for e in units)
+        linear = tuple({tuple(map(add, s, e)): -c for s, c in sphere.items()} for e in units)
         return PolySystem(n, component, (m - 1,) * n, linear)
     # odd order: variables (x_1..x_n, beta) with the quadric x.x - beta**2
     nv = n + 1
-    const = [MultiPoly(nv, {e + (0,): c for e, c in p.terms.items()}) for p in component]
-    linear = [MultiPoly(nv, {e + (m - 2,): -1}) for e in units]
-    quadric = {tuple(2 * v for v in e) + (0,): Fraction(1) for e in units}
-    quadric[(0,) * n + (2,)] = Fraction(-1)
-    const.append(MultiPoly(nv, quadric))
-    linear.append(MultiPoly(nv, {}))
+    const = [{e + (0,): c for e, c in p.items()} for p in component]
+    linear = [{e + (m - 2,): -1} for e in units]
+    quadric = {tuple(2 * v for v in e) + (0,): 1 for e in units}
+    quadric[(0,) * n + (2,)] = -1
+    const.append(quadric)
+    linear.append({})
     return PolySystem(nv, tuple(const), (m - 1,) * n + (2,), tuple(linear))
 
 
@@ -152,8 +157,9 @@ def char_poly(a: Tensor | Hypergraph, config: RunConfig = DEFAULT_CONFIG) -> Uni
     if m < 2:
         raise DimMismatch("characteristic polynomial needs order at least 2")
     component = tensor_polynomial_map(a)
-    scale = lcm(*(c.denominator for p in component for c in p.terms.values()))
-    system = PolySystem(n, tuple(p.scale(scale) for p in component), (m - 1,) * n)
+    scale = lcm(*(c.denominator for p in component for c in p.values()))
+    system = PolySystem(n, tuple({e: c * scale for e, c in p.items()} for p in component),
+                        (m - 1,) * n)
     coeffs = _charpoly_quotient(system, config)
     d = len(coeffs) - 1
     poly = UniPoly(tuple(Fraction(c, scale ** (d - j)) for j, c in enumerate(coeffs)))

@@ -30,8 +30,9 @@ Shao product and the map x -> A x**(m-1) in Fractions are references
 for mat_sim and for zero-E-char witnesses, and the matrix builders,
 the symmetry and orthogonality checks and enumerate_all build and check
 fixtures.  So are the last functions, once methods of the library's
-types: a tensor's entry and the zero tensor, the sum, value and total
-degree of a multivariate polynomial, and a lambda system at one lambda.
+types: a tensor's entry and the zero tensor, the sum, product, value and
+total degree of a polynomial held, as in PolySystem, as a dict from
+exponent tuples to coefficients, and a lambda system at one lambda.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from hyperspec.hypergraph import (
 )
 from hyperspec.macaulay import _SHIFTS, PolySystem, _blockwise, _det_product
 from hyperspec.modular import _inverses, _is_modulus, _matvec_mod, _pivot_up, _solve_mod
-from hyperspec.polynomial import MultiPoly, UniPoly
+from hyperspec.polynomial import UniPoly
 from hyperspec.switching import SwitchingPartition, SwitchReport, _check_partition
 from hyperspec.tensor import Tensor, _offset, _unoffset
 
@@ -568,34 +569,49 @@ def zero_tensor(order: int, dim: int) -> Tensor:
     return Tensor(order, dim, (Fraction(0),) * dim**order)
 
 
-def poly_add(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    if p.nvars != q.nvars:
-        raise DimMismatch("cannot add polynomials in different variable counts")
-    merged = dict(p.terms)
-    for exp, coeff in q.terms.items():
-        merged[exp] = merged.get(exp, Fraction(0)) + coeff
-    return MultiPoly(p.nvars, merged)
+def _nonzero(terms: Mapping) -> dict:
+    return {exp: c for exp, c in terms.items() if c}
 
 
-def poly_value(p: MultiPoly, point: Sequence[Fraction | int]) -> Fraction:
+def poly_add(p: Mapping, q: Mapping) -> dict:
+    """p + q for polynomials held as dicts from exponent tuples to
+    coefficients, zero sums dropped."""
+    merged = dict(p)
+    for exp, coeff in q.items():
+        merged[exp] = merged.get(exp, 0) + coeff
+    return _nonzero(merged)
+
+
+def poly_mul(p: Mapping, q: Mapping) -> dict:
+    """p * q, zero sums dropped."""
+    out: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return _nonzero(out)
+
+
+def poly_value(p: Mapping, point: Sequence[Fraction | int]) -> Fraction:
     """p at a point, in Fractions."""
-    if len(point) != p.nvars:
-        raise DimMismatch("evaluation point has wrong arity")
     acc = Fraction(0)
-    for exp, coeff in p.terms.items():
-        term = coeff
+    for exp, coeff in p.items():
+        if len(exp) != len(point):
+            raise DimMismatch("evaluation point has wrong arity")
+        term = Fraction(coeff)
         for v, e in zip(point, exp):
             term *= Fraction(v) ** e
         acc += term
     return acc
 
 
-def total_degree(p: MultiPoly) -> int:
-    """The largest degree of a term of p; -1 for the zero polynomial."""
-    return max((sum(exp) for exp in p.terms), default=-1)
+def total_degree(p: Mapping) -> int:
+    """The largest degree of a nonzero term of p; -1 for the zero polynomial."""
+    return max((sum(exp) for exp, c in p.items() if c), default=-1)
 
 
 def system_at(system: PolySystem, lam: Fraction | int) -> PolySystem:
     """The numeric system polys[i] + lam * linear[i] at one value of lambda."""
-    polys = tuple(poly_add(c, l.scale(lam)) for c, l in zip(system.polys, system.linear))
+    polys = tuple(poly_add(c, {e: v * lam for e, v in l.items()})
+                  for c, l in zip(system.polys, system.linear))
     return PolySystem(system.nvars, polys, system.degrees)

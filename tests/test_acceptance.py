@@ -46,7 +46,7 @@ from hyperspec.hypergraph import (
     parse_hypergraph,
 )
 from hyperspec.macaulay import PolySystem, resultant_value
-from hyperspec.polynomial import MultiPoly, UniPoly
+from hyperspec.polynomial import UniPoly
 from hyperspec.spectra import char_poly, det_tensor, e_char_poly
 from hyperspec.tensor import mat_sim
 
@@ -133,7 +133,7 @@ def test_criterion_04_resultant_sanity():
             polys = []
             for i in range(nvars):
                 exponent = tuple(deg if j == i else 0 for j in range(nvars))
-                polys.append(MultiPoly(nvars, {exponent: Fraction(1)}))
+                polys.append({exponent: Fraction(1)})
             system = PolySystem(nvars, tuple(polys), (deg,) * nvars)
             assert resultant_value(system) == 1
         rng = random.Random(1204)

@@ -20,7 +20,6 @@ from oracles import int_det
 from hyperspec.config import DEFAULT_CONFIG
 from hyperspec.errors import DimMismatch
 from hyperspec.macaulay import PolySystem, resultant_value
-from hyperspec.polynomial import MultiPoly
 
 
 def _sign(perm):
@@ -37,7 +36,7 @@ def _linear_det(rows, prime_seed=0):
     # coefficient rows; the Macaulay table clears each row's denominators
     n = len(rows)
     unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    polys = tuple(MultiPoly(n, dict(zip(unit, row))) for row in rows)
+    polys = tuple(dict(zip(unit, row)) for row in rows)
     config = replace(DEFAULT_CONFIG, prime_seed=prime_seed)
     return resultant_value(PolySystem(n, polys, (1,) * n), config)
 
@@ -73,7 +72,7 @@ def test_repeated_row_is_singular():
 
 def test_rejects_ragged():
     # a row with fewer entries is a form in fewer variables
-    forms = (MultiPoly(2, {(1, 0): Fraction(1)}), MultiPoly(1, {(1,): Fraction(1)}))
+    forms = ({(1, 0): Fraction(1)}, {(1,): Fraction(1)})
     with pytest.raises(DimMismatch):
         PolySystem(2, forms, (1, 1))
 

@@ -1,5 +1,6 @@
 """The package as a whole: README's examples run, every module uses what
-it imports, and every exported name resolves."""
+it imports (so do the test oracles and the scripts), and every exported
+name resolves."""
 
 from __future__ import annotations
 
@@ -13,7 +14,9 @@ import hyperspec
 
 ROOT = Path(__file__).resolve().parent.parent
 README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
-MODULES = sorted((ROOT / "src" / "hyperspec").glob("*.py"))
+# the package, the test oracles that perfbench imports too, and the scripts
+MODULES = (sorted((ROOT / "src" / "hyperspec").glob("*.py")) + [ROOT / "tests" / "oracles.py"]
+           + sorted((ROOT / "scripts").glob("*.py")))
 
 
 @pytest.mark.parametrize("index", range(len(README_BLOCKS)))

@@ -1,4 +1,4 @@
-"""Univariate and multivariate polynomial behavior."""
+"""Univariate polynomial behavior."""
 
 from __future__ import annotations
 
@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from hyperspec.errors import DimMismatch, MathError
-from hyperspec.polynomial import MultiPoly, UniPoly
-from oracles import DuplicateAbscissa, interpolate, poly_add, poly_value, total_degree
+from hyperspec.errors import MathError
+from hyperspec.polynomial import UniPoly
+from oracles import DuplicateAbscissa, interpolate
 
 
 def test_canonical_trailing_strip():
@@ -89,32 +89,3 @@ def test_interpolate_random_round_trip():
         xs = rng.sample(range(-30, 30), p.degree + 1 if not p.is_zero() else 1)
         rebuilt = interpolate([(x, p.evaluate(x)) for x in xs])
         assert rebuilt == p
-
-
-def test_multipoly_validation():
-    p = MultiPoly(2, {(1, 0): Fraction(1), (0, 1): Fraction(0)})
-    assert (0, 1) not in p.terms  # zero terms dropped
-    with pytest.raises(DimMismatch):
-        MultiPoly(2, {(1, 0, 0): Fraction(1)})
-
-
-def test_multipoly_homogeneous_and_eval():
-    # x^2 + 2xy
-    p = MultiPoly(2, {(2, 0): Fraction(1), (1, 1): Fraction(2)})
-    assert p.is_homogeneous(2)
-    assert not p.is_homogeneous(3)
-    assert total_degree(p) == 2
-    assert poly_value(p, (3, 4)) == 9 + 24
-
-
-def test_multipoly_ring_ops():
-    x = MultiPoly(2, {(1, 0): Fraction(1)})
-    y = MultiPoly(2, {(0, 1): Fraction(1)})
-    s = poly_add(x, y)
-    sq = s * s
-    assert sq.terms == {
-        (2, 0): Fraction(1),
-        (1, 1): Fraction(2),
-        (0, 2): Fraction(1),
-    }
-    assert poly_value(sq.scale(2), (1, 1)) == 8

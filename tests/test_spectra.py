@@ -269,9 +269,10 @@ def test_benchmark_values_lie_within_the_frobenius_bounds():
     tighter = {"charpoly": 0, "det": 0, "echar": 0}
     for a in tensors:
         component = tensor_polynomial_map(a)
-        scale = math.lcm(*(c.denominator for p in component for c in p.terms.values()))
+        scale = math.lcm(*(c.denominator for p in component for c in p.values()))
         degrees = (a.order - 1,) * a.dim
-        system = PolySystem(a.dim, tuple(p.scale(scale) for p in component), degrees)
+        system = PolySystem(a.dim, tuple({e: c * scale for e, c in p.items()} for p in component),
+                            degrees)
         table = _FillTable(system)
         d, (radius, squares) = table.d, _entry_norms(table, 0)
 
@@ -1122,6 +1123,40 @@ def test_det_tensor_pinned_on_order_three():
         assert det_tensor(a) == expected
         phi = char_poly(a)
         assert phi.coefficient(0) == (-1) ** phi.degree * expected
+
+
+def _block_sizes(system):
+    table = _FillTable(system)
+    return [(g.size, len(g.index)) for g in table.blocks + table.minors]
+
+
+def test_cancelling_entries_leave_no_zero_coefficient():
+    # a[0, 1, 2] = 1 and a[0, 2, 1] = -1 cancel in x -> A x**2: the map
+    # holds no zero coefficient, and its table's blocks, char_poly and
+    # det_tensor are those of the tensor with both entries 0.  A zero
+    # coefficient put back by hand is ignored too: by validation, which
+    # takes it at a monomial of the wrong degree, by the table, and by the
+    # E-char's degree bound
+    base = {(0, 0, 0): 1, (1, 1, 1): 2, (2, 2, 2): -1, (1, 0, 2): 1, (2, 1, 1): 3,
+            (0, 1, 1): -2}
+    cancelled = Tensor.from_map(3, 3, {**base, (0, 1, 2): 1, (0, 2, 1): -1})
+    plain = Tensor.from_map(3, 3, base)
+    component = tensor_polynomial_map(cancelled)
+    assert all(c for p in component for c in p.values())
+    assert component == tensor_polynomial_map(plain)
+    want = _block_sizes(PolySystem(3, tensor_polynomial_map(plain), (2,) * 3))
+    assert _block_sizes(PolySystem(3, component, (2,) * 3)) == want
+    assert char_poly(cancelled) == char_poly(plain)
+    assert det_tensor(cancelled) == det_tensor(plain) != 0
+    padded = tuple({**p, (0, 1, 1): 0, (1, 0, 0): 0} for p in component)
+    assert _block_sizes(PolySystem(3, padded, (2,) * 3)) == want
+    # the quadric, the last polynomial, has no lambda part: a zero one
+    # would raise the bound from 24 to 32, past this cap
+    system = e_char_poly_system(plain)
+    system = replace(system, linear=system.linear[:-1] + ({(0, 0, 0, 2): 0},))
+    at_bound = replace(DEFAULT_CONFIG, degree_cap=24)
+    assert _interpolated_resultant(system, at_bound, even_in_lambda=True) == e_char_poly(
+        plain, normalize=False)
 
 
 def _general_det(a, config=DEFAULT_CONFIG):
