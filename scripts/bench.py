@@ -21,9 +21,9 @@ RUNS times each in this process, on the same source tree, with their
 caps raised per case.  With DIR, each case runs on both trees instead,
 each time in a fresh process of this script, the tree that goes first
 alternating from case to case.  The ``cases`` section records each one's wall
-times, their median and the SHA-1 of its result's coefficient strings,
-one a line, so two files show whether a change moved a case's time and
-kept its result.  A case whose runs give different digests stops the
+times, their median and the SHA-1 of its result's lines (a polynomial's
+coefficient strings, or a scan's report as one JSON line), so two files
+show whether a change moved a case's time and kept its result.  A case whose runs give different digests stops the
 script.
 
 The file records the commit, whether ``src/`` differs from it, the
@@ -78,18 +78,31 @@ def _dense_det() -> list[str]:
     return [str(det_tensor(Tensor.from_map(4, 4, entries)))]
 
 
+def _scan(n: int, k: int) -> list[str]:
+    """The invariant scan's report on the (n, k) universe, as one JSON line:
+    a cold cache, so it computes every class polynomial."""
+    from dataclasses import asdict
+
+    from hyperspec import cospectral_invariant_scan
+
+    return [json.dumps(asdict(cospectral_invariant_scan(n, k)), sort_keys=True)]
+
+
 def _complete(n: int, k: int):
     return itertools.combinations(range(1, n + 1), k)
 
 
 # the north-star cases, each with the caps it needs: degree n (k - 1)**(n - 1)
-# and Macaulay size C(n (k - 2) + n, n - 1)
+# and Macaulay size C(n (k - 2) + n, n - 1); the two scans, of 156 small
+# tables and of 34 tables of size 210, need none
 CASES: dict[str, Callable[[], list[str]]] = {
     "K6_3 char_poly": lambda: _char_poly(6, 3, _complete(6, 3), 192, 792),
     "K5_3+1 char_poly": lambda: _char_poly(6, 3, _complete(5, 3), 192, 792),
     "K4_3+3 char_poly": lambda: _char_poly(7, 3, _complete(4, 3), 448, 3003),
     "K5_4 char_poly": lambda: _char_poly(5, 4, _complete(5, 4), 405, 1365),
     "dense order-4 dim-4 det_tensor": _dense_det,
+    "n6k2 invariant-scan": lambda: _scan(6, 2),
+    "n5k3 invariant-scan": lambda: _scan(5, 3),
 }
 
 

@@ -5,12 +5,15 @@ polynomial, so this module is organized around a cache keyed by
 canonical form: isomorphic hypergraphs share one computation.  Both
 universe questions run one loop over edge bitmasks of labeled
 hypergraphs on n vertices, in increasing order; it can persist the cache
-to a JSON checkpoint and resume after interruption.  The checkpoint is
-rewritten when the cache has grown, at most once per ten durations of
-the last write, and once more at the end or when an exception stops the
-loop.  The scan walks every mask.  The search walks only the masks with
-the target's edge count, as a popcount walk, and filters them by simplex
-count in numpy chunks.
+to a JSON checkpoint and resume after interruption.  The loop queues
+the classes whose polynomials are not cached and computes the queue in
+one batch (spectra.char_polys): when it holds as many classes as one
+kernel stack holds tables, before a checkpoint write, and at the end.
+The checkpoint is rewritten when the cache has grown, at most once per
+ten durations of the last write, and once more at the end or when an
+exception stops the loop.  The scan walks every mask.  The search walks
+only the masks with the target's edge count, as a popcount walk, and
+filters them by simplex count in numpy chunks.
 
 The loop hands back the walked masks grouped by isomorphism class, so
 each question looks up and compares one polynomial per class.
@@ -49,9 +52,11 @@ from .hypergraph import (
     universe_slots,
     with_simplex_count,
 )
+from .macaulay import macaulay_dim
+from .modular import stack_layers
 from .polynomial import UniPoly
 from .rational import parse_int
-from .spectra import admit, char_poly, e_char_poly
+from .spectra import admit, char_poly, char_polys, check_char_caps, e_char_poly
 
 
 # estimated subset-times-simplex steps simplex_destruction_min will take
@@ -113,18 +118,23 @@ class PolyCache:
             least.update(dict.fromkeys(orbit, rep))
         return (n, k, rep)
 
+    def compute(
+        self, n: int, k: int, least: Sequence[int], config: RunConfig = DEFAULT_CONFIG
+    ) -> None:
+        """Compute and keep the polynomials of the (n, k) classes with these
+        least masks, in one char_polys call."""
+        polys = char_polys([from_bitmask(n, k, mask) for mask in least], config)
+        self._polys.update(zip(((n, k, mask) for mask in least), polys))
+        self.computed += len(polys)
+
     def get_char_mask(
         self, n: int, k: int, mask: int, config: RunConfig = DEFAULT_CONFIG
     ) -> UniPoly:
         """The characteristic polynomial of the (n, k) edge bitmask."""
         key = self.class_key(n, k, mask)
-        hit = self._polys.get(key)
-        if hit is not None:
-            return hit
-        poly = char_poly(from_bitmask(*key), config)
-        self._polys[key] = poly
-        self.computed += 1
-        return poly
+        if key not in self._polys:
+            self.compute(n, k, [key[2]], config)
+        return self._polys[key]
 
     def get_char(self, h: Hypergraph, config: RunConfig = DEFAULT_CONFIG) -> UniPoly:
         return self.get_char_mask(h.n, h.k, edge_bitmask(h), config)
@@ -224,6 +234,15 @@ def load_checkpoint(path: str, n: int, k: int) -> tuple[PolyCache, int]:
     return PolyCache.from_json(polys, n, k), watermark
 
 
+def _batch_size(n: int, k: int) -> int:
+    """The most classes a universe walk computes in one PolyCache.compute
+    call: as many N x N layers as one kernel stack holds, N the (n, k)
+    Macaulay size, so that a table which fills a stack alone, as at
+    (6, 3), is computed alone.  3,640 at (6, 2), 41 at (4, 3), 2 at
+    (5, 3)."""
+    return stack_layers(max(1, macaulay_dim(n, (k - 1,) * n)) ** 2)
+
+
 def _universe_polys(
     n: int,
     k: int,
@@ -238,15 +257,21 @@ def _universe_polys(
 
     Covers the given masks, which must come in increasing order; with
     none, every mask.  A walked mask costs one lookup in the cache's
-    least-mask map; a class's polynomial is fetched, and its key built,
-    when its first mask is walked.  A checkpoint seeds the cache (a
-    given cache takes precedence) and the watermark.  It is rewritten
-    when the cache has grown and ten times the last write's duration
-    has passed since that write began (the first growth writes at
-    once), and once at the end with the full watermark.  An exception in
-    the loop writes once more, with the last mask reached, if classes
-    were computed since the last write was attempted; so a write that
-    fails is not attempted again.
+    least-mask map.  A class whose polynomial is not cached joins a queue
+    on its first walked mask, the first such class only once
+    check_char_caps passes, so a refused universe is refused at once.
+    The queue is computed in one PolyCache.compute call when it holds
+    _batch_size classes, when a checkpoint write is due, and at the end.
+    A checkpoint seeds the cache (a given cache takes precedence) and the
+    watermark, which advances only to a mask walked with the queue empty:
+    every class walked up to it is in the cache.  The checkpoint is
+    rewritten, once the queue is computed, when the cache has grown or
+    the queue is not empty and ten times the last write's duration has
+    passed since that write began (the first class writes at once), and
+    once at the end with the full watermark.  An exception in the loop
+    writes once more if classes were computed since the last write was
+    attempted; so a write that fails is not attempted again, and a batch
+    that fails leaves none of its classes.
     """
     slots = universe_slots(n, k)
     watermark = -1
@@ -257,9 +282,10 @@ def _universe_polys(
         cache = PolyCache()
     if masks is None:
         masks = range(1 << slots)
-    least = cache._least_masks(n, k)
+    least, batch = cache._least_masks(n, k), _batch_size(n, k)
     walked: dict[int, list[int]] = {}  # least mask -> the class's walked masks
-    persisted, due, finished = cache.computed, -inf, False
+    queue: list[int] = []  # least masks of the walked classes not yet computed
+    persisted, due, finished, degree = cache.computed, -inf, False, None
     try:
         for mask in masks:
             rep = least.get(mask)
@@ -267,15 +293,26 @@ def _universe_polys(
                 rep = cache.class_key(n, k, mask)[2]
             group = walked.get(rep)
             if group is None:
-                cache.get_char_mask(n, k, rep, cfg)
                 group = walked[rep] = []
+                if (n, k, rep) not in cache._polys:
+                    if degree is None:  # a refused universe is refused at once
+                        degree = check_char_caps(n, k, cfg)
+                    queue.append(rep)
             group.append(mask)
-            watermark = max(watermark, mask)
-            if checkpoint_path and cache.computed != persisted and time.monotonic() >= due:
+            write = bool(checkpoint_path and (queue or cache.computed != persisted)
+                         and time.monotonic() >= due)
+            if queue and (write or len(queue) >= batch):
+                cache.compute(n, k, queue, cfg)
+                queue = []
+            if not queue:
+                watermark = max(watermark, mask)
+            if write:
                 # persisted before the write, so a write that fails is not retried
                 began, persisted = time.monotonic(), cache.computed
                 save_checkpoint(checkpoint_path, n, k, cache, watermark)
                 due = began + 10 * (time.monotonic() - began)
+        if queue:
+            cache.compute(n, k, queue, cfg)
         finished, watermark = True, (1 << slots) - 1
     finally:
         if checkpoint_path and (finished or cache.computed != persisted):

@@ -23,9 +23,10 @@ the coefficients in one crt_values call.  Each entry point takes
 (system, config): a polynomial in lambda takes the pencil, else the
 generalized charpoly (_interpolated_resultant); a value takes the
 determinant ratio, else the generalized charpoly (resultant_value); the
-characteristic quotient takes charpoly(M) / charpoly(M') whole
-(_charpoly_quotient).  A zero value read off the input comes before any
-system is built (spectra.det_tensor).
+characteristic quotient takes charpoly(M) / charpoly(M') whole, for a
+batch of systems of one structure at once, the blocks of each size of
+every table in one stack (_charpoly_quotient).  A zero value read off
+the input comes before any system is built (spectra.det_tensor).
 Where det(M') vanishes, Canny's generalized characteristic polynomial
 (J. Symbolic Comput. 9, 1990) gives the value: charpoly(M) / charpoly(M')
 has a monic divisor, and its constant term is the resultant up to sign.
@@ -209,11 +210,13 @@ class _Blocks:
     monomials are its non-reduced ones, the block of M' inside it.  In a
     table with a lambda part, support holds the columns where F1 is
     nonzero on some block, and divisor_support those where it is nonzero
-    on some block's divisor part."""
+    on some block's divisor part.  owner holds each block's table, 0
+    but in a group that stacks the blocks of several tables (_merged)."""
 
     def __init__(self, index: np.ndarray, slot: np.ndarray):
         self.index, self.slot, self.size = index, slot, index.shape[1]
         self.divisor = np.zeros(len(index), dtype=np.intp)
+        self.owner = np.zeros(len(index), dtype=np.intp)
         self.support = self.divisor_support = np.arange(0)
 
 
@@ -432,20 +435,26 @@ def _blockwise(
         )
 
 
-def _quotient(d: int, groups: Sequence, primes: np.ndarray, stacks: Callable) -> np.ndarray:
-    """Ascending (P, d + 1) coefficients, modulo each layer's prime, of
-    the monic quotient of degree d of the charpolys of the blocks
-    groups[0] over those of groups[1], all as stacks gives them: its
-    power sums are theirs less the divisor's (newton_mod).  A block
-    takes min(size, d) traces, extended past its size by its charpoly."""
+def _quotient(
+    d: int, groups: Sequence, primes: np.ndarray, stacks: Callable, tables: int = 1
+) -> np.ndarray:
+    """Ascending (P, tables * (d + 1)) coefficients, modulo each layer's
+    prime, of the monic quotient of degree d of the charpolys of the
+    blocks groups[0] over those of groups[1], all as stacks gives them,
+    one quotient per table of the blocks' owners, table after table: its
+    power sums are theirs less the divisor's, and one newton_mod takes
+    every (prime, table) row.  A block takes min(size, d) traces,
+    extended past its size by its charpoly."""
     def traces(a: np.ndarray, pv: np.ndarray) -> np.ndarray:
         return trace_powers_mod(a, pv, min(a.shape[1], d))
 
-    sums = np.zeros((len(primes), d), dtype=np.int64)
+    sums = np.zeros((len(primes), tables, d), dtype=np.int64)
     for sign, part in zip((1, -1), groups):
-        for (t,) in _blockwise(part, primes, stacks, traces, lambda s: trace_layer_size(s, d)[1]):
-            sums += sign * summed_power_sums_mod(t, primes, d)
-    return newton_mod(sums % primes[:, None], primes)
+        got = _blockwise(part, primes, stacks, traces, lambda s: trace_layer_size(s, d)[1])
+        for group, (t,) in zip(part, got):
+            sums += sign * summed_power_sums_mod(t, primes, d, group.owner, tables)
+    rows = newton_mod((sums % primes[:, None, None]).reshape(-1, d), np.repeat(primes, tables))
+    return rows.reshape(len(primes), -1)
 
 
 def _quotients(table: _FillTable, primes: np.ndarray, lams: np.ndarray) -> np.ndarray:
@@ -481,22 +490,65 @@ def _elementary_bound(d: int, k: int, radius: int, frobenius: int) -> int:
     return min(c * radius**k, root + (root * root < square))
 
 
-def _charpoly_quotient(system: PolySystem, config: RunConfig) -> list[int]:
+def _merged(tables: Sequence[_FillTable]) -> tuple[list[_Blocks], list[_Blocks], np.ndarray]:
+    """The kept blocks and the divisor blocks of every table, one group
+    per size holding each table's blocks of that size in table order, with
+    owner set; and the i0 entries of every table in one array, which the
+    merged slots index, each table's shifted past those before it."""
+    offsets = list(itertools.accumulate((len(t.i0) for t in tables), initial=0))
+
+    def merge(part: str) -> list[_Blocks]:
+        by_size: dict[int, list[tuple[int, _Blocks]]] = {}
+        for owner, table in enumerate(tables):
+            for g in getattr(table, part):
+                by_size.setdefault(g.size, []).append((owner, g))
+        groups = []
+        for size in sorted(by_size):
+            parts = by_size[size]
+            group = _Blocks(np.concatenate([g.index for _, g in parts]),
+                            np.concatenate([g.slot + offsets[o] for o, g in parts]))
+            group.owner = np.concatenate([np.full(len(g.index), o) for o, g in parts])
+            groups.append(group)
+        return groups
+
+    return merge("blocks"), merge("minors"), np.concatenate([t.i0 for t in tables])
+
+
+def _charpoly_quotient(systems: Sequence[PolySystem], config: RunConfig) -> list[list[int]]:
     """The ascending integer coefficients of charpoly(M) / charpoly(M') at
-    lambda = 0, M the Macaulay matrix of an integer system: that of x**j
-    is, up to sign, e_(d - j) of d eigenvalues of M's kept blocks, under
-    _elementary_bound of their row sum R and sum of squares S
-    (table.norms(0)).
+    lambda = 0, M the Macaulay matrix, of each integer system of a batch
+    of one Macaulay structure: that of x**j is, up to sign, e_(d - j) of
+    d eigenvalues of M's kept blocks, under _elementary_bound of their
+    row sum R and sum of squares S (table.norms(0)).
+
+    The batch takes one crt_values call, and each of its residue calls
+    one kernel stack per block size (as _blockwise splits it): the group
+    of a size holds the kept blocks, or the divisor blocks, of every
+    table (_merged), each table's power sums are summed apart, and one
+    newton_mod takes every (prime, table) row.  Each value is still
+    recombined from the shortest prime prefix that covers its own bound,
+    so a system gives the same values in any batch.
     """
-    table = _table(system, config)
-    d, (radius, frobenius) = table.d, table.norms(0)
+    if len({(s.nvars, s.degrees) for s in systems}) != 1:
+        raise DimMismatch("a batch of charpoly quotients takes systems of one Macaulay structure")
+    tables = [_table(system, config) for system in systems]
+    d = tables[0].d
+    blocks, minors, entries = _merged(tables)
 
     def residues_mod(primes: list[int]) -> np.ndarray:
         pv = np.array(primes, dtype=np.int64)
-        return _quotients(table, pv, np.zeros_like(pv))
 
-    bounds = [_elementary_bound(d, d - j, radius, frobenius) for j in range(d + 1)]
-    return crt_values(residues_mod, bounds, config.prime_seed, table.layer_size)
+        def stacks(group: _Blocks, layers: np.ndarray, rows: np.ndarray) -> tuple:
+            return (np.asarray(entries[group.slot[rows]] % pv[layers, None, None],
+                               dtype=np.int64),)
+
+        return _quotient(d, (blocks, minors), pv, stacks, len(tables))
+
+    bounds = [_elementary_bound(d, d - j, *norms)
+              for norms in (table.norms(0) for table in tables) for j in range(d + 1)]
+    values = crt_values(residues_mod, bounds, config.prime_seed,
+                        max(t.layer_size for t in tables))
+    return [values[i : i + d + 1] for i in range(0, len(values), d + 1)]
 
 
 def _value_bound(table: _FillTable, lam: int | None) -> int:

@@ -283,24 +283,34 @@ def _reciprocals(p: int, d: int) -> np.ndarray:
     return np.array(inverse[: d + 1], dtype=np.int64)
 
 
-def summed_power_sums_mod(sums: np.ndarray, primes: np.ndarray, count: int) -> np.ndarray:
+def summed_power_sums_mod(
+    sums: np.ndarray, primes: np.ndarray, count: int, owner: np.ndarray, tables: int
+) -> np.ndarray:
     """sum_B tr(B**j), j = 1..count, over the n x n matrices B of each layer
-    mod its prime, from their first min(n, count) power sums sums[l, b]:
-    past n, s_j = -(c_1 s_(j-1) + .. + c_n s_(j-n)) by B's charpoly
-    (newton_mod), skipped for a B whose first n sums vanish in every layer."""
+    mod its prime, per table, as (layers, tables, count): B adds to table
+    owner[b], ascending in b.  From their first min(n, count) power sums
+    sums[l, b]: past n, s_j = -(c_1 s_(j-1) + .. + c_n s_(j-n)) by B's
+    charpoly (newton_mod), skipped for a B whose first n sums vanish in
+    every layer.  The sequences run along the first axis of a
+    (count, layers, B) array, so each step reads and writes whole slabs."""
     layers, _, n = sums.shape
     moduli = primes[:, None]
-    out = np.zeros((layers, count), dtype=np.int64)
-    out[:, :n] = sums.sum(axis=1)
-    window = sums[:, sums.any(axis=(0, 2))]  # s_(j-n) .. s_(j-1) of the others
-    if count > n and window.size:
-        coeffs = newton_mod(window.reshape(-1, n), np.repeat(primes, window.shape[1]))
+    out = np.zeros((layers, tables, count), dtype=np.int64)
+    live = sums.any(axis=(0, 2))
+    owner, window = owner[live], sums[:, live]
+    if not owner.size:
+        return out
+    seq = np.empty((count, layers, len(owner)), dtype=np.int64)  # s_j of each B
+    seq[:n] = window.transpose(2, 0, 1)
+    if count > n:
+        coeffs = newton_mod(window.reshape(-1, n), np.repeat(primes, len(owner)))
         negated = -coeffs.reshape(layers, -1, n + 1)[:, :, :n] % moduli[:, :, None]
+        negated = np.ascontiguousarray(negated.transpose(2, 0, 1))
         for j in range(n, count):
-            s = (negated * window).sum(axis=2) % moduli
-            window = np.concatenate([window[:, :, 1:], s[:, :, None]], axis=2)
-            out[:, j] = s.sum(axis=1)
-    return out % moduli
+            seq[j] = (negated * seq[j - n : j]).sum(axis=0) % moduli
+    starts = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))  # runs
+    out[:, owner[starts]] = (np.add.reduceat(seq, starts, axis=2) % moduli).transpose(1, 2, 0)
+    return out
 
 
 def crt_combine(residues: Sequence[int], moduli: Sequence[int]) -> tuple[int, int]:

@@ -14,10 +14,12 @@ Macaulay matrix past the size cap before building it.  Every system
 reads A x**(m-1) through _terms, off a tensor's entries or a
 hypergraph's edge list: no n**k tensor is built.  A system holds plain
 dicts from exponent tuples to nonzero coefficients, ints for a
-hypergraph and Fractions for a tensor.  char_poly refuses
-past the characteristic degree cap from (dim, order) or (n, k); for
-e_char_poly, admit does the same for a hypergraph, or certifies its
-E-characteristic polynomial 0.  A tensor is refused by its order, then
+hypergraph and Fractions for a tensor.  char_polys computes a batch of
+one (dim, order) in one charpoly quotient call, and char_poly a batch
+of one; both refuse past the characteristic degree cap from (dim,
+order) or (n, k) before any system is built; for e_char_poly, admit
+does the same for a hypergraph, or certifies its E-characteristic
+polynomial 0.  A tensor is refused by its order, then
 the degree cap, then the size cap, then the E-char's lambda-degree
 bound; a hypergraph by the degree cap first.  In the characteristic
 system the lambda part of the Macaulay matrix is exactly the identity,
@@ -55,6 +57,7 @@ import itertools
 from fractions import Fraction
 from math import factorial, lcm, prod
 from operator import add
+from typing import Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DegreeCapExceeded, DimMismatch, MathError
@@ -146,29 +149,54 @@ def admit(h: Hypergraph, config: RunConfig, *, e_char: bool) -> bool:
     return False
 
 
-def char_poly(a: Tensor | Hypergraph, config: RunConfig = DEFAULT_CONFIG) -> UniPoly:
-    """Monic characteristic polynomial of degree dim * (order-1)**(dim-1);
-    a hypergraph's is its adjacency tensor's, from a system read off its
-    edge list (_terms) once its degree, read off (n, k), passes the cap:
-    no n**k tensor is built."""
-    n, m, _ = _terms(a)
-    if m >= 2 or isinstance(a, Hypergraph):  # a tensor's order is refused first
-        expected = check_degree_cap(n, m, config.degree_cap)
-    if m < 2:
+def check_char_caps(n: int, k: int, config: RunConfig) -> int:
+    """The characteristic degree of order k in dimension n, refused past
+    the degree cap, then below order 2, then past the size cap: what
+    char_polys refuses before any system is built."""
+    expected = check_degree_cap(n, k, config.degree_cap)
+    if k < 2:
         raise DimMismatch("characteristic polynomial needs order at least 2")
-    component = tensor_polynomial_map(a)
-    scale = lcm(*(c.denominator for p in component for c in p.values()))
-    system = PolySystem(n, tuple({e: c * scale for e, c in p.items()} for p in component),
-                        (m - 1,) * n)
-    coeffs = _charpoly_quotient(system, config)
-    d = len(coeffs) - 1
-    poly = UniPoly(tuple(Fraction(c, scale ** (d - j)) for j, c in enumerate(coeffs)))
-    if poly.degree != expected or not poly.is_monic():
-        raise MathError(
-            f"characteristic polynomial came out degree {poly.degree}, "
-            f"leading {poly.coefficient(max(poly.degree, 0))}; expected monic "
-            f"of degree {expected}"
-        )
+    check_dim_cap(n, (k - 1,) * n, config)
+    return expected
+
+
+def char_polys(
+    items: Sequence[Tensor | Hypergraph], config: RunConfig = DEFAULT_CONFIG
+) -> list[UniPoly]:
+    """The monic characteristic polynomial, of degree dim * (order-1)**(dim-1),
+    of each tensor or hypergraph of a batch of one (dim, order), from one
+    charpoly quotient call (macaulay._charpoly_quotient).  A hypergraph's
+    is its adjacency tensor's, from a system read off its edge list
+    (_terms) once check_char_caps passes: no n**k tensor is built."""
+    systems, scales, degrees = [], [], []
+    for a in items:
+        n, m, _ = _terms(a)
+        if isinstance(a, Tensor) and m < 2:  # a tensor's order is refused first
+            raise DimMismatch("characteristic polynomial needs order at least 2")
+        degrees.append(check_char_caps(n, m, config))
+        component = tensor_polynomial_map(a)
+        scales.append(lcm(*(c.denominator for p in component for c in p.values())))
+        systems.append(PolySystem(
+            n, tuple({e: c * scales[-1] for e, c in p.items()} for p in component),
+            (m - 1,) * n))
+    polys = []
+    for coeffs, scale, expected in zip(_charpoly_quotient(systems, config), scales, degrees):
+        d = len(coeffs) - 1
+        poly = UniPoly(tuple(Fraction(c, scale ** (d - j)) for j, c in enumerate(coeffs)))
+        if poly.degree != expected or not poly.is_monic():
+            raise MathError(
+                f"characteristic polynomial came out degree {poly.degree}, "
+                f"leading {poly.coefficient(max(poly.degree, 0))}; expected monic "
+                f"of degree {expected}"
+            )
+        polys.append(poly)
+    return polys
+
+
+def char_poly(a: Tensor | Hypergraph, config: RunConfig = DEFAULT_CONFIG) -> UniPoly:
+    """Monic characteristic polynomial of degree dim * (order-1)**(dim-1):
+    char_polys of a itself."""
+    (poly,) = char_polys([a], config)
     return poly
 
 

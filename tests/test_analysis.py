@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 from oracles import enumerate_all
 
-from hyperspec import analysis, hypergraph
+from hyperspec import analysis, hypergraph, spectra
 from hyperspec.analysis import (
     PolyCache,
     _candidate_masks,
@@ -27,7 +27,9 @@ from hyperspec.analysis import (
     Violation,
 )
 from hyperspec.config import DEFAULT_CONFIG
-from hyperspec.errors import CapExceeded, DegreeCapExceeded, DimMismatch, InputError
+from hyperspec.errors import (
+    CapExceeded, DegreeCapExceeded, DimMismatch, InputError, MathError,
+)
 from hyperspec.hypergraph import (
     Hypergraph,
     adjacency_tensor,
@@ -233,27 +235,85 @@ def test_failed_checkpoint_write_is_not_retried(tmp_path, monkeypatch, search):
 
 @pytest.mark.parametrize("stop", [KeyboardInterrupt, CapExceeded])
 def test_interrupted_search_writes_what_it_computed(tmp_path, monkeypatch, stop):
-    char_poly_, calls = analysis.char_poly, []
+    # batches of at most two classes, the third failing
+    char_polys_, batches = analysis.char_polys, []
 
-    def failing(a, config):
-        if len(calls) == 2:
+    def failing(items, config):
+        if len(batches) == 2:
             raise stop("stopped")
-        calls.append(a)
-        return char_poly_(a, config)
+        batches.append([edge_bitmask(h) for h in items])
+        return char_polys_(items, config)
 
-    monkeypatch.setattr(analysis, "char_poly", failing)
+    monkeypatch.setattr(analysis, "char_polys", failing)
+    monkeypatch.setattr(analysis, "_batch_size", lambda n, k: 2)
     # the first write takes one unit of a fake clock that then stands
-    # still, so the loop writes no more and the exception writes the
-    # second class
+    # still, so the loop writes no more: the first class is a batch of its
+    # own, written at once, the next two fill the second batch, and the
+    # exception writes them
     clock = itertools.chain([0.0, 0.0, 1.0], itertools.repeat(1.0))
     monkeypatch.setattr(analysis, "time", SimpleNamespace(monotonic=lambda: next(clock)))
     writes = _counted_writes(monkeypatch)
     path = tmp_path / "state.json"
     h = Hypergraph.from_edges(5, 2, [(1, 2), (2, 3), (3, 4)])
-    with pytest.raises(stop):
-        ds_verify(h, checkpoint_path=str(path))
+    with pytest.raises(stop):  # the four 3-edge classes
+        ds_verify(h, checkpoint_path=str(path), fingerprint_fields=("edges",))
+    assert [len(b) for b in batches] == [1, 2]
     assert len(writes) == 2
-    assert len(json.loads(path.read_text())["polys"]) == 2
+    assert sorted(json.loads(path.read_text())["polys"]) == sorted(
+        f"5,2,{mask}" for b in batches for mask in b)
+
+
+def test_failing_batch_keeps_the_batches_before_it(tmp_path, monkeypatch):
+    # batches of at most five (5, 2) classes, the fourth failing: the
+    # checkpoint holds the 11 classes of the first three, its watermark lies
+    # at or past the mask that completed the third and below the first mask
+    # of the fourth, every mask up to it is in a class it holds, and the
+    # resumed run ends with the bytes of a run that was never interrupted
+    cold, state = tmp_path / "cold.json", tmp_path / "state.json"
+    cospectral_invariant_scan(5, 2, checkpoint_path=str(cold))
+    compute, batches = PolyCache.compute, []
+
+    def failing(self, n, k, least, config=DEFAULT_CONFIG):
+        batches.append(list(least))
+        if len(batches) == 4:
+            raise MathError("stopped")
+        compute(self, n, k, least, config)
+
+    monkeypatch.setattr(PolyCache, "compute", failing)
+    monkeypatch.setattr(analysis, "_batch_size", lambda n, k: 5)
+    # as above: the first class writes at once, and no other write is due
+    clock = itertools.chain([0.0, 0.0, 1.0], itertools.repeat(1.0))
+    monkeypatch.setattr(analysis, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+    with pytest.raises(MathError):
+        cospectral_invariant_scan(5, 2, checkpoint_path=str(state))
+    assert [len(b) for b in batches] == [1, 5, 5, 5]
+    kept, watermark = load_checkpoint(str(state), 5, 2)
+    assert sorted(kept._polys) == sorted((5, 2, m) for b in batches[:3] for m in b)
+    # the walk meets each class first at its least mask
+    assert max(batches[2]) <= watermark < min(batches[3])
+    assert all(kept.class_key(5, 2, m) in kept._polys for m in range(watermark + 1))
+    monkeypatch.setattr(PolyCache, "compute", compute)
+    report = cospectral_invariant_scan(5, 2, checkpoint_path=str(state))
+    assert report.polynomials_computed == 34 - 11
+    assert state.read_bytes() == cold.read_bytes()
+
+
+def test_universe_walks_batch_at_most_a_stack_of_tables(monkeypatch):
+    # one charpoly quotient call takes at most _batch_size tables, as many
+    # N x N layers as one kernel stack holds, N the Macaulay size: 3,640 at
+    # (6, 2) (N = 6), 41 at (4, 3) (N = 56) and 2 at (5, 3) (N = 210)
+    quotient, sizes = spectra._charpoly_quotient, []
+
+    def counted(systems, config):
+        sizes.append(len(systems))
+        return quotient(systems, config)
+
+    monkeypatch.setattr(spectra, "_charpoly_quotient", counted)
+    for n, k, most, calls in [(6, 2, 3640, [156]), (4, 3, 41, [5]), (5, 3, 2, [2] * 17)]:
+        del sizes[:]
+        assert analysis._batch_size(n, k) == most
+        assert cospectral_invariant_scan(n, k).polynomials_computed == sum(calls)
+        assert sizes == calls
 
 
 def _least_image(n, k, mask):
@@ -301,16 +361,18 @@ def test_class_keys_match_brute_force(monkeypatch, n, k, classes):
 
 
 def test_universe_walk_computes_each_class_once(monkeypatch):
-    char_poly_, computed = analysis.char_poly, []
+    char_polys_, computed = analysis.char_polys, []
 
-    def counted(h, config):
-        computed.append(edge_bitmask(h))
-        return char_poly_(h, config)
+    def counted(items, config):
+        computed.append([edge_bitmask(h) for h in items])
+        return char_polys_(items, config)
 
-    monkeypatch.setattr(analysis, "char_poly", counted)
+    monkeypatch.setattr(analysis, "char_polys", counted)
     cache, classes = analysis._universe_polys(5, 2, DEFAULT_CONFIG)
-    assert len(computed) == len(classes) == cache.computed == 34
-    assert sorted(computed) == sorted(key[2] for key in classes)
+    # the 34 least masks, each computed once, in one batch
+    [batch] = computed
+    assert len(batch) == len(classes) == cache.computed == 34
+    assert sorted(batch) == sorted(key[2] for key in classes)
     assert sum(map(len, classes.values())) == 1 << 10
 
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -469,29 +470,33 @@ def test_invariant_scan_violation_payload(capsys, monkeypatch):
 
 @pytest.mark.parametrize("computed", [0, 2, 4])
 def test_interrupted_scan_keeps_its_classes(tmp_path, capsys, monkeypatch, computed):
-    # char_poly fails after `computed` classes; the checkpoint must hold
-    # exactly those, and the resumed run computes the rest and ends with
-    # the bytes of a run that was never interrupted
+    # the char_polys batch after `computed` batches fails; under a clock
+    # that stands still every class is a batch of its own, written at once,
+    # so the checkpoint must hold exactly `computed` classes, and the
+    # resumed run computes the rest and ends with the bytes of a run that
+    # was never interrupted
     cold, state = tmp_path / "cold.json", tmp_path / "state.json"
     scan = ["invariant-scan", "--n", "4", "--k", "3", "--checkpoint"]
     code, cold_out, _ = _run(capsys, scan + [str(cold)])
     assert code == 0 and json.loads(cold_out)["polynomials_computed"] == 5
-    char_poly, calls = analysis.char_poly, []
+    monkeypatch.setattr(analysis, "time", SimpleNamespace(monotonic=lambda: 0.0))
+    char_polys, batches = analysis.char_polys, []
 
-    def failing(a, config):
-        if len(calls) == computed:
+    def failing(items, config):
+        if len(batches) == computed:
             raise MathError("interrupted")
-        calls.append(a)
-        return char_poly(a, config)
+        batches.append(items)
+        return char_polys(items, config)
 
-    monkeypatch.setattr(analysis, "char_poly", failing)
+    monkeypatch.setattr(analysis, "char_polys", failing)
     code, out, err = _run(capsys, scan + [str(state)])
     assert (code, out, err) == (4, "", "MathError: interrupted\n")
+    assert [len(items) for items in batches] == [1] * computed
     if computed:
         assert len(json.loads(state.read_text())["polys"]) == computed
     else:
         assert not state.exists()
-    monkeypatch.setattr(analysis, "char_poly", char_poly)
+    monkeypatch.setattr(analysis, "char_polys", char_polys)
     code, out, err = _run(capsys, scan + [str(state)])
     assert code == 0 and err == ""
     assert json.loads(out)["polynomials_computed"] == 5 - computed

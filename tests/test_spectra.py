@@ -31,6 +31,7 @@ from hyperspec.spectra import (
     _interpolated_resultant,
     _isotropic_root,
     char_poly,
+    char_polys,
     det_tensor,
     e_char_poly,
     e_char_poly_system,
@@ -282,7 +283,7 @@ def test_benchmark_values_lie_within_the_frobenius_bounds():
 
         gershgorin = [math.comb(d, j) * radius ** (d - j) for j in range(d + 1)]
         exact = crt_values(residues_mod, gershgorin, 0, table.layer_size)
-        assert macaulay._charpoly_quotient(system, DEFAULT_CONFIG) == exact
+        assert macaulay._charpoly_quotient([system], DEFAULT_CONFIG) == [exact]
         for j, c in enumerate(exact):
             bound = macaulay._elementary_bound(d, d - j, *table.norms(0))
             tighter["charpoly"] += _assert_elementary_bound(bound, d, d - j, radius, squares)
@@ -430,7 +431,8 @@ def test_every_recombined_value_matches_a_fresh_prime(monkeypatch):
     # and det_tensor of the 3-graphs on 4 vertices, the fixed integer
     # tensors and the single edge; echar: the fixed tensors under the
     # criterion-8 transforms and the single edge; search: ds on its three
-    # 6-vertex graph classes), and K4^(3) plus three isolated vertices
+    # 6-vertex graph classes, one loop per ds call for the batch of its new
+    # classes), and K4^(3) plus three isolated vertices
     loops = []
 
     def recording(residues_mod, bounds, seed, layer_size, inner=macaulay.crt_values):
@@ -464,18 +466,66 @@ def test_every_recombined_value_matches_a_fresh_prime(monkeypatch):
     for mask in (106, 1919, 759):
         ds_verify(from_bitmask(6, 2, mask), cache=cache)
     counts.append(len(loops) - sum(counts))
+    # the 15 classes' 7 coefficients each, in one loop per call
+    assert cache.computed == 15
+    assert sum(len(values) for _, values, _ in loops[-counts[-1]:]) == 15 * 7
     k4 = list(itertools.combinations(range(1, 5), 3))
     raised = replace(DEFAULT_CONFIG, degree_cap=448, dim_cap=3003)
     char_poly(Hypergraph.from_edges(7, 3, k4), raised)
     counts.append(len(loops) - sum(counts))
     # loops per part: most det_tensor values are 0 off a visible root,
     # with no loop
-    assert counts == [23, 13, 15, 1], counts
+    assert counts == [23, 13, 3, 1], counts
     for residues_mod, values, index in loops:
         while (residues := residues_mod([nth_prime(index)])[0]) is None:
             index += 1
         p = nth_prime(index)
         assert [v % p for v in values] == [int(r) for r in residues]
+
+
+def _class_graphs(n, k):
+    # one hypergraph per (n, k) isomorphism class, on its least mask
+    cache = PolyCache()
+    least = {cache.class_key(n, k, mask)[2] for mask in range(1 << math.comb(n, k))}
+    return [from_bitmask(n, k, mask) for mask in sorted(least)]
+
+
+@pytest.mark.parametrize("n, k", [(5, 2), (6, 2), (4, 3)])
+def test_batched_quotients_match_one_system_at_a_time(n, k):
+    # every class of the universe in one char_polys batch, whose blocks of
+    # each size share the stacks of every table, against char_poly one
+    # class at a time; for graphs, against det(x I - A) too
+    graphs = _class_graphs(n, k)
+    batch = char_polys(graphs)
+    assert batch == [char_poly(h) for h in graphs]
+    for h, poly in zip(graphs if k == 2 else (), batch):
+        rows = [[Fraction(int((min(i, j), max(i, j)) in h.edges)) for j in range(1, n + 1)]
+                for i in range(1, n + 1)]
+        assert poly == classical_char_poly(rows)
+
+
+def test_mixed_batch_matches_one_system_at_a_time():
+    # order-3 dimension-4 tensors whose denominator lcms L are 1, 2 and 15,
+    # and the edgeless 3-graph on 4 vertices, in one batch, at prime seeds
+    # 0 and 3: the polynomials of one call each at seed 0.  A / 2 has the
+    # char poly 2**-D phi_A(2 x), D = 32
+    integer = _pool_tensor("charpoly", 0, 3, 4, 3)
+    halved = Tensor(3, 4, tuple(v / 2 for v in integer.entries))
+    rng = random.Random(1531)
+    fifteenths = symmetric_from_upper(3, 4, {
+        idx: Fraction(rng.randint(-3, 3), rng.choice((1, 3, 5)))
+        for idx in itertools.combinations_with_replacement(range(4), 3)})
+    items = [integer, halved, fifteenths, Hypergraph.empty(4, 3),
+             _pool_tensor("charpoly", 1, 3, 4, 3)]
+    assert [math.lcm(*(v.denominator for v in a.entries)) for a in items[:3]] == [1, 2, 15]
+    alone = [char_poly(a) for a in items]
+    for seed in (0, 3):
+        assert char_polys(items, replace(DEFAULT_CONFIG, prime_seed=seed)) == alone
+    assert alone[1].coeffs == tuple(c * Fraction(2) ** (j - 32)
+                                    for j, c in enumerate(alone[0].coeffs))
+    assert alone[3] == UniPoly.monomial(32)
+    with pytest.raises(DimMismatch, match="one Macaulay structure"):
+        char_polys([integer, _single_edge()])
 
 
 def test_e_char_matches_the_fraction_interpolation_oracle():
