@@ -11,9 +11,11 @@ one batch (spectra.char_polys): when it holds as many classes as one
 kernel stack holds tables, before a checkpoint write, and at the end.
 The checkpoint is rewritten when the cache has grown, at most once per
 ten durations of the last write, and once more at the end or when an
-exception stops the loop.  The scan walks every mask.  The search walks
-only the masks with the target's edge count, as a popcount walk, and
-filters them by simplex count in numpy chunks.
+exception stops the loop.  The scan walks every mask, and counts the
+simplices of every walked mask in numpy chunks for its check.  The
+search walks only the masks with the target's edge count, decoded in
+increasing order chunk by chunk from their colex ranks, and filters each
+chunk by simplex count, so only the masks it keeps become Python ints.
 
 The loop hands back the walked masks grouped by isomorphism class, so
 each question looks up and compares one polynomial per class.
@@ -44,13 +46,12 @@ from .hypergraph import (
     Hypergraph,
     edge_bitmask,
     from_bitmask,
+    mask_chunks,
     mask_orbit,
-    mask_simplex_count,
-    popcount_masks,
+    simplex_counts,
     simplex_masks,
     subset_order,
     universe_slots,
-    with_simplex_count,
 )
 from .macaulay import macaulay_dim
 from .modular import stack_layers
@@ -387,15 +388,16 @@ def cospectral_invariant_scan(
     for key, masks in classes.items():
         by_poly.setdefault(cache.get_char_mask(*key, config).coeffs, []).extend(masks)
     groups = tuple(tuple(sorted(masks)) for _, masks in sorted(by_poly.items()))
+    walked = sorted(groups)  # by least mask, as walked
+    counts = map(int, simplex_counts(n, k, [m for group in walked for m in group]))
     return ScanReport(
         n=n,
         k=k,
         total=sum(map(len, classes.values())),
         class_count=len(groups),
         groups=groups,
-        violations=find_fingerprint_violations(  # groups by least mask, as walked
-            [(m, m.bit_count(), mask_simplex_count(n, k, m)) for m in group]
-            for group in sorted(groups)
+        violations=find_fingerprint_violations(
+            [(m, m.bit_count(), next(counts)) for m in group] for group in walked
         ),
         polynomials_computed=cache.computed,
     )
@@ -404,17 +406,16 @@ def cospectral_invariant_scan(
 def _candidate_masks(
     n: int, k: int, target_mask: int, fingerprint_fields: Sequence[str]
 ) -> Iterable[int]:
-    """The (n, k) masks, increasing, whose fingerprint fields match the target's."""
-    slots = comb(n, k)
-    if "edges" in fingerprint_fields:
-        masks: Iterable[int] = popcount_masks(slots, target_mask.bit_count())
-    else:
-        masks = range(1 << slots)
+    """The (n, k) masks, increasing, whose fingerprint fields match the
+    target's: walked in int64 chunks, only the target's popcount with
+    "edges", and filtered by simplex count chunk by chunk, so that only
+    the masks kept become Python ints."""
+    edges = target_mask.bit_count() if "edges" in fingerprint_fields else None
+    chunks = mask_chunks(comb(n, k), edges)
     if "simplices" in fingerprint_fields:
-        masks = with_simplex_count(
-            n, k, masks, mask_simplex_count(n, k, target_mask)
-        )
-    return masks
+        (count,) = simplex_counts(n, k, [target_mask])
+        chunks = (chunk[simplex_counts(n, k, chunk) == count] for chunk in chunks)
+    return (mask for chunk in chunks for mask in chunk.tolist())
 
 
 @dataclass(frozen=True)

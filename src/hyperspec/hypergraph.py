@@ -173,7 +173,20 @@ def mask_simplex_count(n: int, k: int, mask: int) -> int:
     return sum(mask & faces == faces for _, faces in simplex_masks(n, k))
 
 
-_FILTER_CHUNK = 4096  # masks counted per numpy pass
+_FILTER_CHUNK = 4096  # masks counted or decoded per numpy pass
+
+
+def simplex_counts(n: int, k: int, masks: Sequence[int] | np.ndarray) -> np.ndarray:
+    """mask_simplex_count of each mask, counted _FILTER_CHUNK masks at a
+    time in one numpy pass against the simplex_masks table."""
+    dtype = np.int64 if comb(n, k) < 64 else object
+    faces = np.array([f for _, f in simplex_masks(n, k)], dtype=dtype)
+    masks = np.asarray(masks, dtype=dtype)
+    out = np.empty(len(masks), dtype=np.intp)
+    for start in range(0, len(masks), _FILTER_CHUNK):
+        chunk = masks[start : start + _FILTER_CHUNK]
+        out[start : start + len(chunk)] = (chunk[:, None] & faces == faces).sum(axis=1)
+    return out
 
 
 def with_simplex_count(
@@ -181,19 +194,12 @@ def with_simplex_count(
 ) -> Iterator[int]:
     """The masks, in their order, whose mask_simplex_count is count.
 
-    Lazy: each chunk of masks is counted in one numpy pass against the
-    simplex_masks table, so a walk over 2^C(n, k) masks never builds an
-    array of them.
+    Lazy: each chunk of masks is counted in one simplex_counts pass, so a
+    walk over 2^C(n, k) masks never builds an array of them.
     """
-    dtype = np.int64 if comb(n, k) < 64 else object
-    faces = np.array([f for _, f in simplex_masks(n, k)], dtype=dtype)
-    walk = iter(masks)
-    while True:
-        chunk = np.fromiter(itertools.islice(walk, _FILTER_CHUNK), dtype=dtype)
-        if not chunk.size:
-            return
-        counts = (chunk[:, None] & faces == faces).sum(axis=1)
-        yield from chunk[counts == count].tolist()
+    dtype, walk = np.int64 if comb(n, k) < 64 else object, iter(masks)
+    while (chunk := np.fromiter(itertools.islice(walk, _FILTER_CHUNK), dtype=dtype)).size:
+        yield from chunk[simplex_counts(n, k, chunk) == count].tolist()
 
 
 def popcount_masks(slots: int, count: int) -> Iterator[int]:
@@ -213,6 +219,41 @@ def popcount_masks(slots: int, count: int) -> Iterator[int]:
         low = mask & -mask
         ripple = mask + low
         mask = ripple | ((mask ^ ripple) >> 2) // low
+
+
+def mask_chunks(slots: int, count: int | None = None) -> Iterator[np.ndarray]:
+    """Every mask below 1 << slots, or with count, every one of count bits
+    (popcount_masks), in increasing order, as int64 arrays of at most
+    _FILTER_CHUNK masks; slots below 64.
+
+    The count-bit masks in increasing order are the count-subsets of
+    range(slots) in colexicographic order, so a chunk is decoded from its
+    ranks in the combinatorial number system: the rank of c_1 < .. <
+    c_count is sum_i C(c_i, i), and c_i is the largest c with C(c, i) at
+    most what the bits above it leave of the rank; C(63, 31) < 2**63.
+    Past half the slots, the complements, which have fewer bits, are
+    decoded from the reversed ranks instead: one pass per decoded bit.
+    """
+    if count is not None and not 0 <= count <= slots:
+        return
+    total = 1 << slots if count is None else comb(slots, count)
+    flip = count is not None and 2 * count > slots
+    bits = slots - count if flip else count or 0
+    binomials = np.array([[comb(c, i) for c in range(slots + 1)] for i in range(bits + 1)],
+                         dtype=np.int64)
+    for start in range(0, total, _FILTER_CHUNK):
+        rank = np.arange(start, min(start + _FILTER_CHUNK, total), dtype=np.int64)
+        if count is None:
+            yield rank
+            continue
+        if flip:
+            rank = total - 1 - rank
+        mask = np.zeros_like(rank)
+        for row in binomials[bits:0:-1]:
+            bit = row.searchsorted(rank, side="right") - 1
+            rank -= row[bit]
+            mask |= np.int64(1) << bit
+        yield mask ^ ((1 << slots) - 1) if flip else mask
 
 
 def edge_bitmask(h: Hypergraph) -> int:

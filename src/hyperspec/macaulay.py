@@ -11,7 +11,9 @@ Every resultant goes through one system type, PolySystem, linear in a
 parameter lambda, whose parts are plain dicts from exponent tuples to
 coefficients, and whose M is tabulated once as a sparse integer pencil
 split into diagonal blocks (_FillTable, built only by _table, which
-refuses one past the size cap first).  No route forms M or M' whole:
+refuses one past the size cap first); a batch of systems of one
+structure takes one table, the direct sum of their matrices, whose
+column shifts the structure holds.  No route forms M or M' whole:
 each stacks the blocks of one size modulo its primes, and multiplies
 their determinants or adds their power sums, which Newton's identities
 turn into a charpoly quotient.  A route gives the resultant's residues
@@ -25,7 +27,7 @@ generalized charpoly (_interpolated_resultant); a value takes the
 determinant ratio, else the generalized charpoly (resultant_value); the
 characteristic quotient takes charpoly(M) / charpoly(M') whole, for a
 batch of systems of one structure at once, the blocks of each size of
-every table in one stack (_charpoly_quotient).  A zero value read off
+every system in one stack (_charpoly_quotient).  A zero value read off
 the input comes before any system is built (spectra.det_tensor).
 Where det(M') vanishes, Canny's generalized characteristic polynomial
 (J. Symbolic Comput. 9, 1990) gives the value: charpoly(M) / charpoly(M')
@@ -107,7 +109,12 @@ def monomial_basis(nvars: int, total: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class MacaulayStructure:
-    """Combinatorial skeleton shared by every system with these degrees."""
+    """Combinatorial skeleton shared by every system with these degrees.
+
+    terms[i] maps each exponent of degree degrees[i] to its slot in
+    polynomial i, in basis order; targets[r, j] is the column that the
+    term in slot j of row r's polynomial takes in row r, -1 past that
+    polynomial's slots: the row of mu holds (mu / x_i**d_i) * f_i."""
 
     nvars: int
     degrees: tuple[int, ...]
@@ -115,16 +122,12 @@ class MacaulayStructure:
     monomials: tuple[tuple[int, ...], ...]
     assignment: tuple[int, ...]
     nonreduced: tuple[int, ...]
-    columns: dict[int, int]  # column of each monomial's code, in basis order
+    terms: tuple[dict[tuple[int, ...], int], ...]
+    targets: np.ndarray
 
     @property
     def size(self) -> int:
         return len(self.monomials)
-
-
-def _code(mono: tuple[int, ...], radix: int) -> int:
-    """sum_j mono[j] * radix**j: codes add as monomials multiply."""
-    return sum(e * radix**j for j, e in enumerate(mono))
 
 
 def _assign(mono: tuple[int, ...], degrees: tuple[int, ...]) -> int:
@@ -144,8 +147,22 @@ def macaulay_structure(nvars: int, degrees: tuple[int, ...]) -> MacaulayStructur
         for j, m in enumerate(monos)
         if sum(1 for i, d in enumerate(degrees) if m[i] >= d) >= 2
     )
-    columns = {_code(m, total + 1): j for j, m in enumerate(monos)}
-    return MacaulayStructure(nvars, degrees, total, monos, assignment, nonreduced, columns)
+    # codes sum_j e[j] * radix**j add as monomials multiply
+    radix = total + 1
+    kind = np.int64 if radix**nvars < 1 << 62 else object
+    weights = np.array([radix**j for j in range(nvars)], dtype=kind)
+    codes = np.array(monos, dtype=kind).reshape(len(monos), nvars) @ weights
+    order = np.argsort(codes, kind="stable")
+    bases = [monomial_basis(nvars, d) for d in degrees]
+    targets = np.full((len(monos), max(map(len, bases))), -1, dtype=np.intp)
+    rows = np.array(assignment)
+    for i, (basis, d) in enumerate(zip(bases, degrees)):
+        mine = np.flatnonzero(rows == i)
+        shifts = np.array(basis, dtype=kind).reshape(len(basis), nvars) @ weights - d * radix**i
+        wanted = codes[mine][:, None] + shifts[None, :]
+        targets[mine, : len(basis)] = order[np.searchsorted(codes[order], wanted)]
+    terms = tuple({e: j for j, e in enumerate(basis)} for basis in bases)
+    return MacaulayStructure(nvars, degrees, total, monos, assignment, nonreduced, terms, targets)
 
 
 def macaulay_dim(nvars: int, degrees: Sequence[int]) -> int:
@@ -210,8 +227,8 @@ class _Blocks:
     monomials are its non-reduced ones, the block of M' inside it.  In a
     table with a lambda part, support holds the columns where F1 is
     nonzero on some block, and divisor_support those where it is nonzero
-    on some block's divisor part.  owner holds each block's table, 0
-    but in a group that stacks the blocks of several tables (_merged)."""
+    on some block's divisor part.  owner holds each block's system in a
+    table of several (_FillTable)."""
 
     def __init__(self, index: np.ndarray, slot: np.ndarray):
         self.index, self.slot, self.size = index, slot, index.shape[1]
@@ -250,22 +267,27 @@ def _group_blocks(
 
 
 class _FillTable:
-    """The Macaulay matrix of one system as one sparse integer pencil,
-    split into diagonal blocks.
+    """The Macaulay matrices of a batch of systems of one structure, as the
+    one sparse integer pencil of their direct sum, split into diagonal
+    blocks.
 
-    Rows are scaled once by their polynomial's denominator lcm, so each
-    nonzero entry of M(lambda) = F0 + lambda F1 is an integer, held once
-    in row, col, i0 and i1; i0 and i1 end with a 0 that every empty cell
-    of a block takes.  The scales divide back out of the quotient.  The
-    strongly connected components of the pattern order the monomials so
-    that M(lambda) is block upper triangular at every lambda, and so is
-    M' on each block's non-reduced part: det M = prod det M_bb and
-    tr(M**j) = sum tr(M_bb**j), and likewise for M'.  A block inside M'
-    cancels and is dropped, singular or not; blocks holds the others,
-    each with its non-reduced monomials first, so that M'_b is its
-    leading divisor[b] x divisor[b] block, and minors those non-empty
-    parts, grouped by size, for the power-sum routes.  stacks gathers a
-    group's blocks modulo a prime each.
+    System t's monomials are the rows and columns t N .. t N + N - 1, N
+    the structure's size, so each system's matrix is a diagonal block of
+    the direct sum, and so is each of its own diagonal blocks; owner =
+    row // N.  Rows are scaled once by their polynomial's denominator
+    lcm, so each nonzero entry of M(lambda) = F0 + lambda F1 is an
+    integer, held once in row, col, i0 and i1; i0 and i1 end with a 0
+    that every empty cell of a block takes.  The scales divide back out
+    of each system's quotient.  The strongly connected components of the
+    pattern order the monomials so that M(lambda) is block upper
+    triangular at every lambda, and so is M' on each block's non-reduced
+    part: det M = prod det M_bb and tr(M**j) = sum tr(M_bb**j), and
+    likewise for M'.  A block inside M' cancels and is dropped, singular
+    or not; blocks holds the others, each with its non-reduced monomials
+    first, so that M'_b is its leading divisor[b] x divisor[b] block, and
+    minors those non-empty parts, grouped by size over the whole batch,
+    for the power-sum routes.  stacks gathers a group's blocks modulo a
+    prime each.
 
     The bounds read only the entries inside kept blocks.  The quotient
     q = charpoly(M) / charpoly(M') is a polynomial (see resultant_value),
@@ -274,56 +296,69 @@ class _FillTable:
     part of M_bb.  So the roots of q are a sub-multiset of the kept
     blocks' eigenvalues: each at most the largest absolute row sum of
     its block (Gershgorin), and their squares summing to at most the
-    blocks' squared Frobenius norms (Schur).  patterns holds each row's
-    in-block entries as a mask over its polynomial's terms, with the
-    number of rows sharing it.
+    blocks' squared Frobenius norms (Schur).  patterns[t] holds each of
+    system t's rows' in-block entries as (polynomial, term slots), with
+    the number of rows sharing it, and coeffs each system's scaled
+    coefficients at every term slot of each polynomial.
     """
 
-    def __init__(self, system: PolySystem):
-        structure = macaulay_structure(system.nvars, system.degrees)
-        self.size = structure.size
-        self.nonreduced = np.array(structure.nonreduced, dtype=np.intp)
-        self.d = self.size - len(structure.nonreduced)  # N - N', the quotient's degree
+    def __init__(self, *systems: PolySystem):
+        if len({(s.nvars, s.degrees) for s in systems}) != 1:
+            raise DimMismatch("a table takes systems of one Macaulay structure")
+        structure = macaulay_structure(systems[0].nvars, systems[0].degrees)
+        count, n = len(systems), structure.size
+        self.size = count * n
+        nonreduced = np.array(structure.nonreduced, dtype=np.intp)
+        self.nonreduced = (np.arange(count)[:, None] * n + nonreduced).ravel()
+        self.d = n - len(structure.nonreduced)  # N - N', each quotient's degree
+        pencil = any(system.linear for system in systems)
 
-        # each polynomial's (i0, i1) terms, scaled to integers, and the
-        # code shift of each: the row of mu holds (mu / x_i**d_i) * f_i, so
-        # a term's column is that of code(mu) plus its shift
-        radix = structure.total_degree + 1
-        poly_terms: list[list[tuple[int, int]]] = []
-        shifts: list[list[int]] = []
-        poly_scale: list[int] = []
-        linear = system.linear or ({},) * system.nvars
-        for i, (c_poly, l_poly) in enumerate(zip(system.polys, linear)):
-            exps = {e: None for p in (c_poly, l_poly) for e, c in p.items() if c}
-            scale = lcm(*(c.denominator for p in (c_poly, l_poly) for c in p.values()))
-            poly_terms.append([
-                (int(c_poly.get(e, 0) * scale), int(l_poly.get(e, 0) * scale))
-                for e in exps
-            ])
-            shifts.append([_code(e, radix) - system.degrees[i] * radix**i for e in exps])
-            poly_scale.append(scale)
-        self.poly_terms = poly_terms
+        # each system's (i0, i1) coefficients, scaled to integers, at each
+        # polynomial's term slots, the place of each term in the order the
+        # system lists it, and its row scales
+        width, npolys = structure.targets.shape[1], len(structure.degrees)
+        parts = [[0] * (count * npolys * width) for _ in (0, 1)]
+        places = [-1] * (count * npolys * width)
+        assigned = structure.assignment, [structure.assignment[r] for r in structure.nonreduced]
+        uses = [[rows.count(i) for i in range(npolys)] for rows in assigned]
+        self.scale_full, self.scale_minor, start, big = [], [], 0, False
+        for system in systems:
+            poly_scale = []
+            for i, polys in enumerate(zip(system.polys, system.linear or ({},) * npolys)):
+                scale = lcm(*(c.denominator for p in polys for c in p.values()))
+                poly_scale.append(scale)
+                slot, place = structure.terms[i], 0
+                for part, poly in zip(parts, polys):
+                    for e, c in poly.items():
+                        if c:
+                            j = start + slot[e]
+                            part[j] = v = int(c * scale)
+                            big = big or abs(v) >= 1 << 62
+                            if places[j] < 0:
+                                places[j], place = place, place + 1
+                start += width
+            self.scale_full.append(prod(map(pow, poly_scale, uses[0])))
+            self.scale_minor.append(prod(map(pow, poly_scale, uses[1])))
+        self.coeffs = [np.array(part, dtype=object if big else np.int64).reshape(count, npolys, width)
+                       for part in parts]
 
-        column = structure.columns
-        cols: list[int] = []
-        entries: list[tuple[int, int]] = []
-        for code, i in zip(column, structure.assignment):
-            cols += [column[code + shift] for shift in shifts[i]]
-            entries += poly_terms[i]
-        counts = [len(poly_terms[i]) for i in structure.assignment]
-        self.row = np.repeat(np.arange(self.size, dtype=np.intp), counts)
-        self.col = np.array(cols, dtype=np.intp)
-        big = any(abs(v) >= 1 << 62 for terms in poly_terms for pair in terms for v in pair)
-        dtype = object if big else np.int64
-        i0, i1 = zip(*entries, (0, 0))
-        self.i0, self.i1 = np.array(i0, dtype=dtype), np.array(i1, dtype=dtype)
-        self.scale_full = prod(poly_scale[i] for i in structure.assignment)
-        self.scale_minor = prod(
-            poly_scale[structure.assignment[r]] for r in structure.nonreduced
-        )
-        divisor = [False] * self.size
-        for r in structure.nonreduced:
-            divisor[r] = True
+        # the entries of the direct sum, system by system, row by row and,
+        # within a row, in its polynomial's term order, which fixes the
+        # order in which each block lists its monomials (_strong_components)
+        # and so the elimination's pivots, as in a table of one system alone
+        assignment = np.array(structure.assignment, dtype=np.intp)
+        full = [c[:, assignment] for c in self.coeffs]  # (count, N, width)
+        owner, rows, slots = np.nonzero((full[0] != 0) | (full[1] != 0))
+        place = np.array(places).reshape(count, npolys, width)[owner, assignment[rows], slots]
+        order = np.argsort((owner * n + rows) * width + place)
+        owner, rows, slots = owner[order], rows[order], slots[order]
+        self.row = owner * n + rows
+        self.col = owner * n + structure.targets[rows, slots]
+        self.i0, self.i1 = (np.append(c[owner, rows, slots], 0) for c in full)
+
+        divisor = np.zeros(n, dtype=bool)
+        divisor[nonreduced] = True
+        divisor = np.tile(divisor, count).tolist()
         kept = [
             sorted(b, key=lambda r: not divisor[r])  # the non-reduced monomials first
             for b in _strong_components(self.size, self.row, self.col)
@@ -333,23 +368,32 @@ class _FillTable:
         minors = [m for b in kept if (m := [r for r in b if divisor[r]])]
         self.minors = _group_blocks(minors, self.row, self.col, self.size)
         in_divisor = np.array(divisor)
+        for g in self.blocks + self.minors:
+            g.owner = g.index[:, 0] // n
         for g in self.blocks:
             g.divisor = in_divisor[g.index].sum(axis=1)
-        for g in self.blocks + self.minors if system.linear else ():
+        for g in self.blocks + self.minors if pencil else ():
             f1 = self.i1[g.slot] != 0
             g.support = np.flatnonzero(f1.any(axis=(0, 1)))
             inner = np.arange(g.size) < g.divisor[:, None]
             f1 &= inner[:, :, None] & inner[:, None, :]
             g.divisor_support = np.flatnonzero(f1.any(axis=(0, 1)))
+
+        # each row's in-block term slots as a bit code, counted per system
         inside = np.zeros(len(self.row) + 1, dtype=bool)  # the last takes empty cells
         inside[np.concatenate([g.slot.ravel() for g in self.blocks] + [self.col[:0]])] = True
-        inside = inside.tolist()
-        self.patterns = Counter(
-            (i, tuple(inside[end - len(poly_terms[i]) : end]))
-            for i, end in zip(structure.assignment, itertools.accumulate(counts))
-        )
+        grid = np.zeros((count, n, width), dtype=bool)
+        grid[owner, rows, slots] = inside[:-1]
+        bits = np.array([1 << j for j in range(width)], dtype=np.int64 if width < 63 else object)
+        codes = Counter(zip(np.repeat(np.arange(count), n).tolist(),
+                            np.tile(assignment, count).tolist(), (grid @ bits).ravel().tolist()))
+        members = {code: [j for j in range(width) if code >> j & 1]
+                   for code in {key[2] for key in codes}}
+        self.patterns: list[list[tuple[int, list[int], int]]] = [[] for _ in systems]
+        for (t, i, code), k in codes.items():
+            self.patterns[t].append((i, members[code], k))
         # int64 entries one prime takes in the largest block's stacks
-        self.layer_size = _stack_entries(max(map(len, kept), default=0), bool(system.linear))
+        self.layer_size = _stack_entries(max(map(len, kept), default=0), pencil)
 
     def stacks(
         self, primes: np.ndarray, lams: np.ndarray, columns: Callable | None = None
@@ -368,24 +412,21 @@ class _FillTable:
 
         return build
 
-    def _magnitudes(self, lam: int | None) -> list[list[int]]:
-        """The absolute entries of each polynomial's rows of M(lam); for
-        lam None, |i0| + |i1|, which bounds them on |lambda| = 1."""
+    def norms(self, lam: int | None, owner: int = 0) -> tuple[int, int]:
+        """(R, S) over the kept blocks of system owner's M(lam), or for lam
+        None their bounds on |lambda| = 1, where |i0 + lambda i1| <=
+        |i0| + |i1|: the largest absolute row sum inside a block, a bound
+        on the quotient's roots (Gershgorin), and the sum of the blocks'
+        squared Frobenius norms, a bound on the sum of their squared
+        absolute values (Schur)."""
+        pairs = zip(self.coeffs[0][owner].tolist(), self.coeffs[1][owner].tolist())
         if lam is None:
-            return [[abs(i0) + abs(i1) for i0, i1 in terms] for terms in self.poly_terms]
-        return [[abs(i0 + lam * i1) for i0, i1 in terms] for terms in self.poly_terms]
-
-    def norms(self, lam: int | None) -> tuple[int, int]:
-        """(R, S) over the kept blocks of M(lam), or for lam None their
-        bounds on |lambda| = 1: the largest absolute row sum inside a
-        block, a bound on the quotient's roots (Gershgorin), and the sum
-        of the blocks' squared Frobenius norms, a bound on the sum of
-        their squared absolute values (Schur)."""
-        mags = self._magnitudes(lam)
-        rows = [(count, [m for m, keep in zip(mags[i], mask) if keep])
-                for (i, mask), count in self.patterns.items()]
+            mags = [[abs(a) + abs(b) for a, b in zip(*p)] for p in pairs]
+        else:
+            mags = [[abs(a + lam * b) for a, b in zip(*p)] for p in pairs]
+        rows = [(k, [mags[i][j] for j in slots]) for i, slots, k in self.patterns[owner]]
         return max((sum(row) for _, row in rows), default=0), sum(
-            count * sum(v * v for v in row) for count, row in rows)
+            k * sum(v * v for v in row) for k, row in rows)
 
 
 def check_dim_cap(nvars: int, degrees: tuple[int, ...], config: RunConfig) -> None:
@@ -396,10 +437,10 @@ def check_dim_cap(nvars: int, degrees: tuple[int, ...], config: RunConfig) -> No
         raise CapExceeded(f"matrix dimension {size} exceeds cap {config.dim_cap}")
 
 
-def _table(system: PolySystem, config: RunConfig) -> _FillTable:
-    """The table of system, refused past the size cap first."""
-    check_dim_cap(system.nvars, system.degrees, config)
-    return _FillTable(system)
+def _table(systems: Sequence[PolySystem], config: RunConfig) -> _FillTable:
+    """The one table of a batch of systems, refused past the size cap first."""
+    check_dim_cap(systems[0].nvars, systems[0].degrees, config)
+    return _FillTable(*systems)
 
 
 def _stack_entries(size: int, pencil: bool) -> int:
@@ -441,10 +482,10 @@ def _quotient(
     """Ascending (P, tables * (d + 1)) coefficients, modulo each layer's
     prime, of the monic quotient of degree d of the charpolys of the
     blocks groups[0] over those of groups[1], all as stacks gives them,
-    one quotient per table of the blocks' owners, table after table: its
-    power sums are theirs less the divisor's, and one newton_mod takes
-    every (prime, table) row.  A block takes min(size, d) traces,
-    extended past its size by its charpoly."""
+    one quotient per owner of the blocks, owner after owner: its power
+    sums are theirs less the divisor's, and one newton_mod takes every
+    (prime, owner) row.  A block takes min(size, d) traces, extended past
+    its size by its charpoly."""
     def traces(a: np.ndarray, pv: np.ndarray) -> np.ndarray:
         return trace_powers_mod(a, pv, min(a.shape[1], d))
 
@@ -490,64 +531,40 @@ def _elementary_bound(d: int, k: int, radius: int, frobenius: int) -> int:
     return min(c * radius**k, root + (root * root < square))
 
 
-def _merged(tables: Sequence[_FillTable]) -> tuple[list[_Blocks], list[_Blocks], np.ndarray]:
-    """The kept blocks and the divisor blocks of every table, one group
-    per size holding each table's blocks of that size in table order, with
-    owner set; and the i0 entries of every table in one array, which the
-    merged slots index, each table's shifted past those before it."""
-    offsets = list(itertools.accumulate((len(t.i0) for t in tables), initial=0))
-
-    def merge(part: str) -> list[_Blocks]:
-        by_size: dict[int, list[tuple[int, _Blocks]]] = {}
-        for owner, table in enumerate(tables):
-            for g in getattr(table, part):
-                by_size.setdefault(g.size, []).append((owner, g))
-        groups = []
-        for size in sorted(by_size):
-            parts = by_size[size]
-            group = _Blocks(np.concatenate([g.index for _, g in parts]),
-                            np.concatenate([g.slot + offsets[o] for o, g in parts]))
-            group.owner = np.concatenate([np.full(len(g.index), o) for o, g in parts])
-            groups.append(group)
-        return groups
-
-    return merge("blocks"), merge("minors"), np.concatenate([t.i0 for t in tables])
-
-
 def _charpoly_quotient(systems: Sequence[PolySystem], config: RunConfig) -> list[list[int]]:
     """The ascending integer coefficients of charpoly(M) / charpoly(M') at
     lambda = 0, M the Macaulay matrix, of each integer system of a batch
     of one Macaulay structure: that of x**j is, up to sign, e_(d - j) of
     d eigenvalues of M's kept blocks, under _elementary_bound of their
-    row sum R and sum of squares S (table.norms(0)).
+    row sum R and sum of squares S (table.norms(0, owner)).
 
-    The batch takes one crt_values call, and each of its residue calls
-    one kernel stack per block size (as _blockwise splits it): the group
-    of a size holds the kept blocks, or the divisor blocks, of every
-    table (_merged), each table's power sums are summed apart, and one
-    newton_mod takes every (prime, table) row.  Each value is still
-    recombined from the shortest prime prefix that covers its own bound,
-    so a system gives the same values in any batch.
+    The batch takes one table, the direct sum of its systems' matrices,
+    and one crt_values call, and each of its residue calls one kernel
+    stack per block size (as _blockwise splits it): the group of a size
+    holds the kept blocks, or the divisor blocks, of every system, each
+    system's power sums are summed apart by owner, and one newton_mod
+    takes every (prime, system) row.  Each value is still recombined from
+    the shortest prime prefix that covers its own bound, so a system
+    gives the same values in any batch.  An empty batch gives none.
     """
-    if len({(s.nvars, s.degrees) for s in systems}) != 1:
-        raise DimMismatch("a batch of charpoly quotients takes systems of one Macaulay structure")
-    tables = [_table(system, config) for system in systems]
-    d = tables[0].d
-    blocks, minors, entries = _merged(tables)
+    if not systems:
+        return []
+    table = _table(systems, config)
+    d = table.d
 
     def residues_mod(primes: list[int]) -> np.ndarray:
         pv = np.array(primes, dtype=np.int64)
 
         def stacks(group: _Blocks, layers: np.ndarray, rows: np.ndarray) -> tuple:
-            return (np.asarray(entries[group.slot[rows]] % pv[layers, None, None],
+            return (np.asarray(table.i0[group.slot[rows]] % pv[layers, None, None],
                                dtype=np.int64),)
 
-        return _quotient(d, (blocks, minors), pv, stacks, len(tables))
+        return _quotient(d, (table.blocks, table.minors), pv, stacks, len(systems))
 
     bounds = [_elementary_bound(d, d - j, *norms)
-              for norms in (table.norms(0) for table in tables) for j in range(d + 1)]
-    values = crt_values(residues_mod, bounds, config.prime_seed,
-                        max(t.layer_size for t in tables))
+              for norms in map(table.norms, [0] * len(systems), range(len(systems)))
+              for j in range(d + 1)]
+    values = crt_values(residues_mod, bounds, config.prime_seed, table.layer_size)
     return [values[i : i + d + 1] for i in range(0, len(values), d + 1)]
 
 
@@ -770,7 +787,7 @@ def _interpolated_resultant(
     eigenvalue of a kept block of M(lambda), and by Cauchy's estimate so
     is every coefficient.  The row scales divide out once at the end.
     """
-    table = _table(system, cfg)
+    table = _table([system], cfg)
     bound = sum(
         prod(system.degrees[:i] + system.degrees[i + 1 :])
         for i, part in enumerate(system.linear)
@@ -788,7 +805,7 @@ def _interpolated_resultant(
     )
     if even_in_lambda:
         coeffs = [c for h in coeffs for c in (h, 0)]
-    scale = Fraction(table.scale_minor, table.scale_full)
+    scale = Fraction(table.scale_minor[0], table.scale_full[0])
     return UniPoly(tuple(c * scale for c in coeffs))
 
 
@@ -804,9 +821,9 @@ def resultant_value(system: PolySystem, config: RunConfig = DEFAULT_CONFIG) -> F
     monic divisor never vanishes, and Res(F) is its value at s = 0
     (_gcp_values).
     """
-    table = _table(system, config)
+    table = _table([system], config)
     (value,) = _recombine(
         table, (_det_values, _gcp_values), [0], (0,), [_value_bound(table, 0)],
         config.prime_seed,
     )
-    return Fraction(value * table.scale_minor, table.scale_full)
+    return Fraction(value * table.scale_minor[0], table.scale_full[0])

@@ -15,8 +15,9 @@ reads A x**(m-1) through _terms, off a tensor's entries or a
 hypergraph's edge list: no n**k tensor is built.  A system holds plain
 dicts from exponent tuples to nonzero coefficients, ints for a
 hypergraph and Fractions for a tensor.  char_polys computes a batch of
-one (dim, order) in one charpoly quotient call, and char_poly a batch
-of one; both refuse past the characteristic degree cap from (dim,
+one (dim, order) in one charpoly quotient call, on one Macaulay table
+of the whole batch, and char_poly a batch of one; an empty batch has no
+polynomials.  Both refuse past the characteristic degree cap from (dim,
 order) or (n, k) before any system is built; for e_char_poly, admit
 does the same for a hypergraph, or certifies its E-characteristic
 polynomial 0.  A tensor is refused by its order, then
@@ -165,7 +166,8 @@ def char_polys(
 ) -> list[UniPoly]:
     """The monic characteristic polynomial, of degree dim * (order-1)**(dim-1),
     of each tensor or hypergraph of a batch of one (dim, order), from one
-    charpoly quotient call (macaulay._charpoly_quotient).  A hypergraph's
+    charpoly quotient call on one table of the batch
+    (macaulay._charpoly_quotient), none for no items.  A hypergraph's
     is its adjacency tensor's, from a system read off its edge list
     (_terms) once check_char_caps passes: no n**k tensor is built."""
     systems, scales, degrees = [], [], []

@@ -625,7 +625,7 @@ def test_scan_reports_violations_by_least_mask(monkeypatch):
     # no real count disagrees, so a fake simplex count makes some; the
     # violations must come in the order of a per-mask grouping, each group
     # at its least mask and each row against that mask
-    monkeypatch.setattr(analysis, "mask_simplex_count", lambda n, k, mask: mask % 3)
+    monkeypatch.setattr(analysis, "simplex_counts", lambda n, k, masks: [m % 3 for m in masks])
     report = cospectral_invariant_scan(5, 2)
     groups = _groups_per_mask(5, 2, PolyCache(), range(1 << 10))
     expected = find_fingerprint_violations(

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 from math import comb, factorial
 
 import pytest
 from oracles import enumerate_all, is_symmetric, neighbors_in
 from oracles import simplices as oracle_simplices
 
+from hyperspec import hypergraph
 from hyperspec.errors import (
     BadEdge,
     BadSize,
@@ -26,12 +27,14 @@ from hyperspec.hypergraph import (
     edge_bitmask,
     format_hypergraph,
     from_bitmask,
+    mask_chunks,
     mask_edges,
     mask_simplex_count,
     is_isomorphic,
     mask_orbit,
     parse_hypergraph,
     popcount_masks,
+    simplex_counts,
     simplex_masks,
     simplices,
     subset_order,
@@ -175,13 +178,15 @@ def _assert_simplices_match_oracle(h):
 
 
 def test_simplices_match_oracle_on_small_universes():
-    # count_simplices walks the edge list; mask_simplex_count, which the
-    # universe walks use, checks every (k+1)-set's face mask
+    # count_simplices walks the edge list; mask_simplex_count checks every
+    # (k+1)-set's face mask, and simplex_counts, which the universe walks
+    # use, every mask of an array against every face mask at once
     for n, k in ((5, 3), (5, 2)):
+        counts = simplex_counts(n, k, range(1 << comb(n, k))).tolist()
         for mask in range(1 << comb(n, k)):
             h = from_bitmask(n, k, mask)
             _assert_simplices_match_oracle(h)
-            assert count_simplices(h) == mask_simplex_count(n, k, mask)
+            assert count_simplices(h) == mask_simplex_count(n, k, mask) == counts[mask]
     rng = random.Random(64)
     for _ in range(50):
         _assert_simplices_match_oracle(from_bitmask(6, 4, rng.getrandbits(comb(6, 4))))
@@ -315,6 +320,27 @@ def test_popcount_masks_walk_in_increasing_order():
             assert list(popcount_masks(slots, count)) == [
                 m for m in range(1 << slots) if m.bit_count() == count
             ]
+
+
+def test_mask_chunks_decode_the_popcount_walk():
+    # colex ranks decoded chunk by chunk give popcount_masks' walk, and
+    # with no count every mask; every chunk but the last is full, also
+    # past one chunk, with complements decoded past half the slots, and
+    # at the top of int64, where the first chunk of the C(63, 31) masks
+    # is decoded without the ones before it
+    chunk = hypergraph._FILTER_CHUNK
+    for slots in range(9):
+        for count in [None, *range(-1, slots + 2)]:
+            got = [m for c in mask_chunks(slots, count) for m in c.tolist()]
+            want = range(1 << slots) if count is None else popcount_masks(slots, count)
+            assert got == list(want), (slots, count)
+    for slots, count in ((15, 7), (15, 8), (16, 8), (14, None), (63, 1), (63, 62), (63, 63)):
+        chunks = list(mask_chunks(slots, count))
+        assert [len(c) for c in chunks[:-1]] == [chunk] * (len(chunks) - 1)
+        want = range(1 << slots) if count is None else popcount_masks(slots, count)
+        assert [m for c in chunks for m in c.tolist()] == list(want), (slots, count)
+    first = next(mask_chunks(63, 31)).tolist()
+    assert first == list(islice(popcount_masks(63, 31), chunk))
 
 
 @pytest.mark.parametrize("n, k", [(6, 2), (6, 3), (7, 2), (7, 3), (8, 4)])

@@ -22,7 +22,8 @@ from hyperspec.errors import (
     NotHomogeneous,
     NotSquareSystem,
 )
-from hyperspec.hypergraph import Hypergraph, adjacency_tensor
+from hyperspec.analysis import PolyCache
+from hyperspec.hypergraph import Hypergraph, adjacency_tensor, from_bitmask
 from hyperspec import macaulay
 from hyperspec.modular import crt_values, nth_prime
 from hyperspec.macaulay import (
@@ -334,6 +335,7 @@ def test_divisor_is_the_principal_submatrix_on_the_nonreduced_monomials():
         monos = monomial_basis(n, sum(degrees) - n + 1)
         column = {m: j for j, m in enumerate(monos)}
         expected = np.zeros((2, len(monos), len(monos)), dtype=object)
+        cells = {}  # row by row, each in its polynomial's term order, F0's first
         for r, mono in enumerate(monos):
             i = next(i for i, d in enumerate(degrees) if mono[i] >= d)
             terms = [part[i] for part in parts]
@@ -343,6 +345,10 @@ def test_divisor_is_the_principal_submatrix_on_the_nonreduced_monomials():
                     shifted = [m + e for m, e in zip(mono, exp)]
                     shifted[i] -= degrees[i]
                     expected[k, r, column[tuple(shifted)]] = int(c * scale)
+                    cells.setdefault((r, column[tuple(shifted)]))
+        # the table's entries come in that order, which fixes the order of
+        # each block's monomials and so the pivots of its eliminations
+        assert list(zip(table.row.tolist(), table.col.tolist())) == list(cells), degrees
         divisor = [
             j for j, m in enumerate(monos)
             if sum(m[i] >= d for i, d in enumerate(degrees)) >= 2
@@ -420,6 +426,78 @@ def test_blocks_partition_the_monomials_in_block_triangular_order():
         # a pencil's stacks hold [A | F1], a determinant's M(c) alone
         largest = max(map(len, kept))
         assert table.layer_size == (2 * (largest + 1) ** 2 if system.linear else largest**2)
+
+
+def _class_systems(n, k):
+    # the characteristic system of each (n, k) class, on its least mask
+    cache = PolyCache()
+    least = sorted({cache.class_key(n, k, mask)[2] for mask in range(1 << math.comb(n, k))})
+    return [PolySystem(n, tensor_polynomial_map(from_bitmask(n, k, mask)), (k - 1,) * n)
+            for mask in least]
+
+
+def _form_systems():
+    # ternary quadratic systems whose rows scale by 1 to 6, and one with a
+    # coefficient past 2**62, so that their table holds object entries
+    rng = random.Random(9203)
+    systems = [_system([_random_form(rng, 3, 2, rng.choice((1, 2, 3))) for _ in range(3)])
+               for _ in range(4)]
+    polys = [_random_form(rng, 3, 2, 1) for _ in range(3)]
+    polys[1] = {e: c * (2**62 + 1) for e, c in polys[1].items()}
+    return systems + [_system(polys)]
+
+
+def _owned_blocks(table, groups, owner):
+    # {monomials of a block of system owner, in the block's order: (divisor,
+    # {(row, col): (i0, i1)})}, the monomials numbered within the system
+    n = table.size // len(table.scale_full)
+    i0, i1, empty = table.i0.tolist(), table.i1.tolist(), len(table.row)
+    out = {}
+    for g in groups:
+        assert (g.index // n == g.owner[:, None]).all()
+        for index, slot, divisor, who in zip(g.index.tolist(), g.slot.tolist(),
+                                             g.divisor.tolist(), g.owner.tolist()):
+            if who == owner:
+                block = [r - owner * n for r in index]
+                out[tuple(block)] = (divisor, {
+                    (block[a], block[b]): (i0[cell], i1[cell])
+                    for a, row in enumerate(slot) for b, cell in enumerate(row) if cell < empty
+                })
+    return out
+
+
+@pytest.mark.parametrize("batch", ["5-2", "6-2", "4-3", "5-3", "forms"])
+def test_batch_table_holds_the_tables_of_one(batch):
+    # one table of a batch is the direct sum of each system's table: per
+    # owner, the same kept and divisor blocks, each listing its monomials
+    # in the same order, so that every elimination takes the same pivots;
+    # the same divisor counts and entries at their slots, the same norms
+    # and row scales, and the largest stack layer of theirs
+    if batch == "forms":
+        systems = _form_systems()
+    else:
+        n, k = map(int, batch.split("-"))
+        systems = _class_systems(n, k)
+        systems = systems[10:12] if batch == "5-3" else systems
+    table = _FillTable(*systems)
+    alone = [_FillTable(system) for system in systems]
+    n = alone[0].size
+    assert table.size == n * len(systems) and table.d == alone[0].d
+    assert table.nonreduced.tolist() == [
+        t * n + r for t in range(len(systems)) for r in alone[0].nonreduced.tolist()]
+    assert (table.i0.dtype == object) == (batch == "forms")
+    for t, one in enumerate(alone):
+        for part in ("blocks", "minors"):
+            assert _owned_blocks(table, getattr(table, part), t) == _owned_blocks(
+                one, getattr(one, part), 0), (batch, t, part)
+        for lam in (0, None, 3):
+            assert table.norms(lam, t) == one.norms(lam), (batch, t, lam)
+        assert (table.scale_full[t], table.scale_minor[t]) == (one.scale_full[0],
+                                                               one.scale_minor[0])
+    assert table.layer_size == max(one.layer_size for one in alone)
+    if batch == "forms":
+        assert {one.scale_full[0] for one in alone} != {1}
+        assert [one.i0.dtype == object for one in alone] == [False] * 4 + [True]
 
 
 def _first_primes():
@@ -600,7 +678,7 @@ def _recombined(route, table, nodes, seed):
     got = crt_values(residues_mod, bounds, seed, table.layer_size)
     if got is None:
         return None
-    return [Fraction(v * table.scale_minor, table.scale_full) for v in got]
+    return [Fraction(v * table.scale_minor[0], table.scale_full[0]) for v in got]
 
 
 def _seeded_tensor(rng, order, dim, *, rational, sparse, zeros=0.6):
@@ -647,7 +725,7 @@ def test_pencil_matches_the_per_node_path():
                 for lam in (nodes[1], nodes[-1]):
                     full, minor = _fill(table, lam)
                     quotient = Fraction(int(_exact_det(full)), int(_exact_det(minor)))
-                    scale = Fraction(table.scale_minor, table.scale_full)
+                    scale = Fraction(table.scale_minor[0], table.scale_full[0])
                     assert got[nodes.index(lam)] == quotient * scale, (order, dim, lam)
                     exact += 1
     assert took_pencil >= 24 and exact == 8
@@ -858,7 +936,7 @@ def test_pencil_skips_a_prime_that_fails_the_stack_shift():
     nodes = _e_char_nodes(3, 3)
     values, solved = _pencil_values(table, nodes, np.array(primes, dtype=np.int64))
     assert solved.tolist() == [True, False, True]
-    scale = Fraction(table.scale_full, table.scale_minor)
+    scale = Fraction(table.scale_full[0], table.scale_minor[0])
     exact = [resultant_value(oracles.system_at(system, lam)) * scale for lam in nodes]
     for layer in (0, 2):
         assert values[layer].tolist() == [v % primes[layer] for v in exact], layer

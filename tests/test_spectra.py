@@ -214,7 +214,7 @@ def _assert_within_coefficient_bounds(a, raw):
     table = _FillTable(e_char_poly_system(a))
     bound = macaulay._value_bound(table, None)
     tighter = _assert_elementary_bound(bound, table.d, table.d, *_entry_norms(table))
-    unscale = Fraction(table.scale_full, table.scale_minor)
+    unscale = Fraction(table.scale_full[0], table.scale_minor[0])
     for j in range(raw.degree + 1):
         c = raw.coefficient(j) * unscale
         assert c.denominator == 1 and abs(c) <= bound, (a.order, a.dim, j)
@@ -295,7 +295,7 @@ def test_benchmark_values_lie_within_the_frobenius_bounds():
             bound, table.d, table.d, *_entry_norms(table, 0)
         )
         assert abs(value) <= bound
-        assert det_tensor(a) == Fraction(value * table.scale_minor, table.scale_full)
+        assert det_tensor(a) == Fraction(value * table.scale_minor[0], table.scale_full[0])
     echar = [_benchmark_tensor(order) for order in (3, 4)]
     transformed = [a if p is None else mat_sim(p, a)
                    for a in echar for p in _criterion_8_transforms()]
@@ -306,7 +306,7 @@ def test_benchmark_values_lie_within_the_frobenius_bounds():
         abscissae = tuple(lam ** (1 + odd) for lam in nodes)
         exact = gershgorin_route(table, (_pencil_values, _gcp_values), nodes, abscissae, None)
         raw = e_char_poly(a, normalize=False)
-        unscale = Fraction(table.scale_full, table.scale_minor)
+        unscale = Fraction(table.scale_full[0], table.scale_minor[0])
         assert [raw.coefficient((1 + odd) * i) * unscale for i in range(len(exact))] == exact
         tighter["echar"] += _assert_within_coefficient_bounds(a, raw)
     # Schur's bound is the smaller one for every E-char; over the kept
@@ -526,6 +526,28 @@ def test_mixed_batch_matches_one_system_at_a_time():
     assert alone[3] == UniPoly.monomial(32)
     with pytest.raises(DimMismatch, match="one Macaulay structure"):
         char_polys([integer, _single_edge()])
+
+
+def test_a_batch_with_object_entries_matches_one_tensor_at_a_time():
+    # order-3 dimension-3 tensors with denominators up to 3 in one batch
+    # with a tensor whose entries pass 2**62, so that the batch's one
+    # table holds object entries and the others' tables alone do not
+    rng = random.Random(4127)
+    items = [Tensor(3, 3, tuple(Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3)))
+                                for _ in range(27))) for _ in range(3)]
+    items.insert(1, Tensor(3, 3, tuple(Fraction(rng.randint(-2, 2) * (2**62 + 1))
+                                       for _ in range(27))))
+    systems = [PolySystem(3, tensor_polynomial_map(a), (2,) * 3) for a in items]
+    assert _FillTable(*systems).i0.dtype == object
+    assert [_FillTable(s).i0.dtype == object for s in systems] == [False, True, False, False]
+    alone = [char_poly(a) for a in items]
+    for seed in (0, 3):
+        assert char_polys(items, replace(DEFAULT_CONFIG, prime_seed=seed)) == alone
+    assert max(abs(c) for c in alone[1].coeffs) > 2**62
+
+
+def test_an_empty_batch_has_no_polynomials():
+    assert char_polys([]) == []
 
 
 def test_e_char_matches_the_fraction_interpolation_oracle():
