@@ -500,6 +500,23 @@ def test_batch_table_holds_the_tables_of_one(batch):
         assert [one.i0.dtype == object for one in alone] == [False] * 4 + [True]
 
 
+def test_wide_systems_take_object_codes_and_slot_masks():
+    # 39 linear forms x_i + 2 x_(i+1) and 3 x_39**2 + x_0**2 in 40
+    # variables: the codes pass 2**62 (radix 3, 3**40), and the quadric's
+    # 820 term slots pass a 63-bit row mask, so the structure and the
+    # norms take Python ints.  The linear forms vanish only on
+    # x = ((-2)**39, .., -2, 1), leading minor 1, so the resultant is
+    # the quadric there, 3 + 4**39
+    n = 40
+    unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    polys = [{unit[i]: 1, unit[i + 1]: 2} for i in range(n - 1)]
+    polys.append({tuple(2 * v for v in unit[n - 1]): 3, tuple(2 * v for v in unit[0]): 1})
+    system = PolySystem(n, tuple(polys), (1,) * (n - 1) + (2,))
+    structure = macaulay.macaulay_structure(n, system.degrees)
+    assert 3**n >= 2**62 and structure.targets.shape == (820, 820)
+    assert resultant_value(system, replace(DEFAULT_CONFIG, dim_cap=820)) == 3 + 4**39
+
+
 def _first_primes():
     return np.array([nth_prime(0), nth_prime(1)], dtype=np.int64)
 
