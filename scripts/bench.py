@@ -65,6 +65,15 @@ def _char_poly(n: int, k: int, edges, degree_cap: int, dim_cap: int) -> list[str
     return list(char_poly(Hypergraph.from_edges(n, k, list(edges)), config).to_coeff_strings())
 
 
+def _e_char_poly(n: int, k: int, edges) -> list[str]:
+    """The raw E-characteristic polynomial of a hypergraph, under the
+    default caps."""
+    from hyperspec import Hypergraph, e_char_poly
+
+    return list(e_char_poly(Hypergraph.from_edges(n, k, list(edges)),
+                            normalize=False).to_coeff_strings())
+
+
 def _dense_det() -> list[str]:
     """det_tensor of a dense symmetric order-4 tensor in dimension 4:
     entries randint(-2, 2) from random.Random(1), drawn in
@@ -94,13 +103,15 @@ def _complete(n: int, k: int):
 
 # the north-star cases, each with the caps it needs: degree n (k - 1)**(n - 1)
 # and Macaulay size C(n (k - 2) + n, n - 1); the two scans, of 156 small
-# tables and of 34 tables of size 210, need none
+# tables and of 34 tables of size 210, and the K4^(3) E-char, of degree 30
+# on a Macaulay table of size 210, need none
 CASES: dict[str, Callable[[], list[str]]] = {
     "K6_3 char_poly": lambda: _char_poly(6, 3, _complete(6, 3), 192, 792),
     "K5_3+1 char_poly": lambda: _char_poly(6, 3, _complete(5, 3), 192, 792),
     "K4_3+3 char_poly": lambda: _char_poly(7, 3, _complete(4, 3), 448, 3003),
     "K5_4 char_poly": lambda: _char_poly(5, 4, _complete(5, 4), 405, 1365),
     "dense order-4 dim-4 det_tensor": _dense_det,
+    "K4_3 E-char": lambda: _e_char_poly(4, 3, _complete(4, 3)),
     "n6k2 invariant-scan": lambda: _scan(6, 2),
     "n5k3 invariant-scan": lambda: _scan(5, 3),
 }

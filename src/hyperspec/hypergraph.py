@@ -168,17 +168,12 @@ def simplex_masks(n: int, k: int) -> tuple[tuple[VertexSet, int], ...]:
     )
 
 
-def mask_simplex_count(n: int, k: int, mask: int) -> int:
-    """count_simplices of the (n, k) hypergraph with this edge bitmask."""
-    return sum(mask & faces == faces for _, faces in simplex_masks(n, k))
-
-
 _FILTER_CHUNK = 4096  # masks counted or decoded per numpy pass
 
 
 def simplex_counts(n: int, k: int, masks: Sequence[int] | np.ndarray) -> np.ndarray:
-    """mask_simplex_count of each mask, counted _FILTER_CHUNK masks at a
-    time in one numpy pass against the simplex_masks table."""
+    """The simplices each edge bitmask holds, counted _FILTER_CHUNK masks
+    at a time in one numpy pass against the simplex_masks table."""
     dtype = np.int64 if comb(n, k) < 64 else object
     faces = np.array([f for _, f in simplex_masks(n, k)], dtype=dtype)
     masks = np.asarray(masks, dtype=dtype)
@@ -189,42 +184,10 @@ def simplex_counts(n: int, k: int, masks: Sequence[int] | np.ndarray) -> np.ndar
     return out
 
 
-def with_simplex_count(
-    n: int, k: int, masks: Iterable[int], count: int
-) -> Iterator[int]:
-    """The masks, in their order, whose mask_simplex_count is count.
-
-    Lazy: each chunk of masks is counted in one simplex_counts pass, so a
-    walk over 2^C(n, k) masks never builds an array of them.
-    """
-    dtype, walk = np.int64 if comb(n, k) < 64 else object, iter(masks)
-    while (chunk := np.fromiter(itertools.islice(walk, _FILTER_CHUNK), dtype=dtype)).size:
-        yield from chunk[simplex_counts(n, k, chunk) == count].tolist()
-
-
-def popcount_masks(slots: int, count: int) -> Iterator[int]:
-    """Every mask of count bits below 1 << slots, in increasing order.
-
-    Gosper's next-bit-permutation (HAKMEM item 175) steps from each mask
-    to the next, so only the C(slots, count) masks are visited.
-    """
-    if not 0 <= count <= slots:
-        return
-    if count == 0:
-        yield 0
-        return
-    mask, limit = (1 << count) - 1, 1 << slots
-    while mask < limit:
-        yield mask
-        low = mask & -mask
-        ripple = mask + low
-        mask = ripple | ((mask ^ ripple) >> 2) // low
-
-
 def mask_chunks(slots: int, count: int | None = None) -> Iterator[np.ndarray]:
-    """Every mask below 1 << slots, or with count, every one of count bits
-    (popcount_masks), in increasing order, as int64 arrays of at most
-    _FILTER_CHUNK masks; slots below 64.
+    """Every mask below 1 << slots, or with count, every one of count bits,
+    in increasing order, as int64 arrays of at most _FILTER_CHUNK masks;
+    slots below 64.
 
     The count-bit masks in increasing order are the count-subsets of
     range(slots) in colexicographic order, so a chunk is decoded from its

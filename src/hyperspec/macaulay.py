@@ -53,7 +53,6 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (
     BadPrime,
     CapExceeded,
-    DegreeCapExceeded,
     DimMismatch,
     InputError,
     NotHomogeneous,
@@ -287,13 +286,18 @@ class _FillTable:
     first, so that M'_b is its leading divisor[b] x divisor[b] block, and
     minors those non-empty parts, grouped by size over the whole batch,
     for the power-sum routes.  stacks gathers a group's blocks modulo a
-    prime each.
+    prime each.  Where F1 has fewer nonzero rows than columns, as in the
+    odd-order E-char, whose parameter lives on the quadric's reduced rows
+    alone, the table holds M**T instead (transposed; row and col swap):
+    determinants, charpolys and the principal M' do not change, and the
+    pencil solves against the fewer columns of F1**T.
 
-    The bounds read only the entries inside kept blocks.  The quotient
-    q = charpoly(M) / charpoly(M') is a polynomial (see resultant_value),
-    and once the dropped blocks cancel, q * prod charpoly(M'_b) =
-    prod charpoly(M_bb) over the kept blocks b, M'_b the non-reduced
-    part of M_bb.  So the roots of q are a sub-multiset of the kept
+    The bounds read only the entries inside kept blocks, of M also where
+    the table holds M**T, whose blocks have the same eigenvalues.  The
+    quotient q = charpoly(M) / charpoly(M') is a polynomial (see
+    resultant_value), and once the dropped blocks cancel,
+    q * prod charpoly(M'_b) = prod charpoly(M_bb) over the kept blocks b,
+    M'_b the non-reduced part of M_bb.  So the roots of q are a sub-multiset of the kept
     blocks' eigenvalues: each at most the largest absolute row sum of
     its block (Gershgorin), and their squares summing to at most the
     blocks' squared Frobenius norms (Schur).  patterns[t] holds each of
@@ -355,6 +359,11 @@ class _FillTable:
         self.row = owner * n + rows
         self.col = owner * n + structure.targets[rows, slots]
         self.i0, self.i1 = (np.append(c[owner, rows, slots], 0) for c in full)
+        f1 = self.i1[:-1] != 0
+        f1_rows, f1_cols = (np.count_nonzero(np.bincount(a[f1])) for a in (self.row, self.col))
+        self.transposed = pencil and f1_rows < f1_cols
+        if self.transposed:
+            self.row, self.col = self.col, self.row
 
         divisor = np.zeros(n, dtype=bool)
         divisor[nonreduced] = True
@@ -721,7 +730,8 @@ def _pencil_values(
     some block of a group, -N_bb has the eigenvalues of -N_bb[J, J] and
     zeros, which add 0 to every power sum.  So each block is solved
     against F1_bb[:, J] alone, and q has the power sums of the -N_bb[J, J]
-    less the divisor's: for odd order, about half the size of the blocks.
+    less the divisor's: for odd order at most (m-1)**n columns, those of
+    the quadric's rows of M (see _FillTable).
     The same elimination gives the divisor's: after its first r = divisor[b]
     steps, a block's right side holds A'_b**-1 F1_bb[:r, J], whose rows and
     columns below r in J' (the group's divisor_support, within J) are
@@ -733,15 +743,21 @@ def _pencil_values(
     Returns the (P, nodes) residues and the (P,) mask of the primes where
     that shift works, the others to be skipped: only the primes dividing
     the nonzero integers det M(c) and det M'(c).  When no shift works
-    modulo the first prime, as for hypergraph adjacency tensors, whose
-    divisor vanishes identically in lambda, _recombine takes _gcp_values.
+    modulo the first prime, _recombine takes _gcp_values.  Where F1 is
+    zero on every divisor part, as on the odd-order E-char's reduced
+    quadric rows, det M'(c) is the same at every c, so a singular divisor
+    stops the shifts at once, as for hypergraph adjacency tensors; a
+    shift where only det M(c) vanishes still passes to the next.
     """
     solved = np.zeros(len(primes), dtype=bool)
+    fixed = not any(len(g.divisor_support) for g in table.blocks)
     for c in _SHIFTS:
         got = _det_ratio(table, primes, c, True)
         if got is not None and got[2][0]:
             scale, minor_ok, full_ok, solutions = got
             solved = minor_ok & full_ok
+            break
+        if got is None and fixed:
             break
     if not solved[0]:
         return np.zeros((len(primes), len(nodes)), dtype=np.int64), solved
@@ -768,24 +784,26 @@ def _pencil_values(
     return scale[:, None] * acc % moduli, solved
 
 
-def _interpolated_resultant(
-    system: PolySystem, cfg: RunConfig, *, even_in_lambda: bool = False
-) -> UniPoly:
-    """The resultant of the system as a polynomial in lambda, by interpolation.
+def _interpolated_resultant(system: PolySystem, cfg: RunConfig, exponent: int = 1) -> UniPoly:
+    """The resultant R(c) of the system as a polynomial in its parameter c,
+    by interpolation, given as R~ with R(c) = R~(c**exponent): the caller
+    knows R to be invariant under c -> w c for every w with
+    w**exponent = 1.
 
     The resultant is homogeneous of degree prod_{j != i} d_j in the
     coefficients of f_i (Macaulay 1902; Cox, Little & O'Shea, Using
-    Algebraic Geometry, Ch. 3 Thm 3.1), each affine in lambda, so the
-    nodes lambda = 0..D fix it, D the sum over the i with a nonzero
-    lambda part of prod_{j != i} d_j; if even_in_lambda, as a polynomial
-    in lambda**2, the nodes 0..D/2 do.
+    Algebraic Geometry, Ch. 3 Thm 3.1), each affine in c, so R has degree
+    at most D, the sum over the i with a nonzero c part of
+    prod_{j != i} d_j, and R~ at most D // exponent: the nodes
+    c = 0..D // exponent fix it, through the abscissae c**exponent.
 
     The node residues come from the pencil, else from the generalized
     charpoly at every node (_recombine).  The row-scaled system's
-    resultant has integer coefficients.  On |lambda| = 1 it is at most
+    resultant has integer coefficients.  On |c| = 1 it is at most
     _value_bound(table, None), since every root of the quotient is an
-    eigenvalue of a kept block of M(lambda), and by Cauchy's estimate so
-    is every coefficient.  The row scales divide out once at the end.
+    eigenvalue of a kept block of M(c), and by Cauchy's estimate so is
+    every coefficient of R, and so of R~.  The row scales divide out once
+    at the end.
     """
     table = _table([system], cfg)
     bound = sum(
@@ -793,18 +811,11 @@ def _interpolated_resultant(
         for i, part in enumerate(system.linear)
         if any(part.values())
     )
-    if bound > cfg.degree_cap:
-        raise DegreeCapExceeded(
-            f"resultant degree bound {bound} exceeds cap {cfg.degree_cap}"
-        )
-    step = 2 if even_in_lambda else 1
-    nodes = list(range(bound // step + 1))
+    nodes = list(range(bound // exponent + 1))
     coeffs = _recombine(
-        table, (_pencil_values, _gcp_values), nodes, tuple(lam**step for lam in nodes),
+        table, (_pencil_values, _gcp_values), nodes, tuple(c**exponent for c in nodes),
         [_value_bound(table, None)] * len(nodes), cfg.prime_seed,
     )
-    if even_in_lambda:
-        coeffs = [c for h in coeffs for c in (h, 0)]
     scale = Fraction(table.scale_minor[0], table.scale_full[0])
     return UniPoly(tuple(c * scale for c in coeffs))
 

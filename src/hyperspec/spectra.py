@@ -29,16 +29,27 @@ Macaulay matrix of x -> L A x (L clears the denominators) and B' its
 principal submatrix on the non-reduced monomials
 (macaulay._charpoly_quotient).
 
-The E-characteristic polynomial has lambda-degree at most D,
-2 n (m-1)**(n-1) for odd order and n (m-1)**(n-1) for even order; even
-order interpolates it through the nodes lambda = 0..D
-(macaulay._interpolated_resultant).  For odd order, beta -> -beta turns
-the system at lambda into the system at -lambda, and a linear change of
-variables multiplies the resultant by its determinant to the power
-prod d_i (Jouanolou, Adv. Math. 90, 1991), here (-1)**(2 (m-1)**n) = 1.
-So the resultant is even in lambda, and the D/2 + 1 nodes
-lambda = 0..D/2 (13 for order 3, dimension 3) determine it as a
-polynomial in lambda**2.  Before any system is built, an isotropic
+The E-characteristic polynomial E has lambda-degree at most D,
+2 n (m-1)**(n-1) for odd order and n (m-1)**(n-1) for even order, and
+e_char_poly refuses it by D past the degree cap, after the size cap.  Even
+order interpolates E through the nodes lambda = 0..D
+(macaulay._interpolated_resultant).  For odd order, E(lambda) is the
+resultant of F: (A x**(m-1))_i - lambda x_i beta**(m-2) and
+x.x - beta**2, and e_char_poly_system moves lambda into the quadric: with
+g_i = (A x**(m-1))_i - x_i beta**(m-2) and R(c) = Res(g, c x.x - beta**2),
+E(lambda) = R(c) wherever c**(m-2) = lambda**2.  Proof: for lambda != 0,
+t**(m-2) = 1/lambda and L: beta -> t beta, F o L is g with the quadric
+x.x - t**2 beta**2 = t**2 (c x.x - beta**2), c = t**-2.  A linear change
+of variables multiplies the resultant by det(L)**(prod d_i) =
+t**(2 (m-1)**n) (Jouanolou, Adv. Math. 90, 1991), and so does scaling
+the quadric by t**2, as the resultant has degree (m-1)**n in its
+coefficients.  As t runs over the m - 2 roots, c runs over every
+c w, w**(m-2) = 1 (m - 2 is odd), so R(c) = R~(c**(m-2)) and
+E(lambda) = R~(lambda**2).  R has degree at most (m-1)**n in c, so the
+nodes c = 0..(m-1)**n // (m-2) (9 for order 3, dimension 3) fix R~, and
+E has degree at most 2 ((m-1)**n - 1) / (m-2), Cartwright and
+Sturmfels' count of E-eigenvalues (Linear Algebra Appl. 438, 2013).
+Before any system is built, an isotropic
 common root read off the entries or the edge list certifies an
 identically zero E-characteristic polynomial (_isotropic_root): an
 uncovered pair of coordinates, or for order 3 a triple witness.
@@ -114,15 +125,14 @@ def e_char_poly_system(a: Tensor | Hypergraph) -> PolySystem:
         sphere = _sphere_power(n, (m - 2) // 2)
         linear = tuple({tuple(map(add, s, e)): -c for s, c in sphere.items()} for e in units)
         return PolySystem(n, component, (m - 1,) * n, linear)
-    # odd order: variables (x_1..x_n, beta) with the quadric x.x - beta**2
-    nv = n + 1
-    const = [{e + (0,): c for e, c in p.items()} for p in component]
-    linear = [{e + (m - 2,): -1} for e in units]
-    quadric = {tuple(2 * v for v in e) + (0,): 1 for e in units}
-    quadric[(0,) * n + (2,)] = -1
-    const.append(quadric)
-    linear.append({})
-    return PolySystem(nv, tuple(const), (m - 1,) * n + (2,), tuple(linear))
+    # odd order: variables (x_1..x_n, beta), the lambda-free
+    # g_i = (A x**(m-1))_i - x_i beta**(m-2) and the quadric c x.x - beta**2,
+    # c the pencil's parameter
+    polys = [{**{e + (0,): c for e, c in p.items()}, u + (m - 2,): -1}
+             for p, u in zip(component, units)]
+    polys.append({(0,) * n + (2,): -1})
+    quadric = {tuple(2 * v for v in u) + (0,): 1 for u in units}
+    return PolySystem(n + 1, tuple(polys), (m - 1,) * n + (2,), ({},) * n + (quadric,))
 
 
 def check_degree_cap(dim: int, order: int, cap: int) -> int:
@@ -265,7 +275,7 @@ def e_char_poly(
     """E-characteristic polynomial, normalized content-free by default; a
     hypergraph's is its adjacency tensor's, once admitted, from a system
     read off its edge list."""
-    _, m, _ = _terms(a)
+    n, m, _ = _terms(a)
     if isinstance(a, Hypergraph):
         if admit(a, config, e_char=True):
             return UniPoly.zero()
@@ -273,8 +283,14 @@ def e_char_poly(
         return UniPoly.zero()
     if m < 2:
         raise DimMismatch("E-characteristic polynomial needs order at least 2")
-    # odd order: beta -> -beta maps the system at lambda to that at -lambda
-    poly = _interpolated_resultant(e_char_poly_system(a), config, even_in_lambda=m % 2 == 1)
+    system = e_char_poly_system(a)
+    check_dim_cap(system.nvars, system.degrees, config)
+    bound = (1 + m % 2) * n * (m - 1) ** (n - 1)  # D, the lambda-degree bound
+    if bound > config.degree_cap:
+        raise DegreeCapExceeded(f"resultant degree bound {bound} exceeds cap {config.degree_cap}")
+    poly = _interpolated_resultant(system, config, m - 2 if m % 2 else 1)
+    if m % 2:  # R~'s coefficient of y**j is E's of lambda**(2 j)
+        poly = UniPoly(tuple(c for h in poly.coeffs for c in (h, Fraction(0))))
     return poly.normalized() if normalize else poly
 
 

@@ -33,12 +33,18 @@ fixtures.  So are the last functions, once methods of the library's
 types: a tensor's entry and the zero tensor, the sum, product, value and
 total degree of a polynomial held, as in PolySystem, as a dict from
 exponent tuples to coefficients, and a lambda system at one lambda.
+Gosper's walk over the masks of a given popcount and the per-mask
+simplex count are the references for the library's chunked mask walks.
+At the end, the odd-order E-characteristic system with lambda in every
+f_i, which the library replaced by a lambda-free one on the sphere's
+quadric, and sympy's Macaulay resultant of a numeric system.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, count, permutations
+from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -51,16 +57,11 @@ from hyperspec.errors import (
     InputError,
     MathError,
 )
-from hyperspec.hypergraph import (
-    Hypergraph,
-    from_bitmask,
-    mask_orbit,
-    popcount_masks,
-    universe_slots,
-)
+from hyperspec.hypergraph import Hypergraph, from_bitmask, mask_orbit, simplex_masks, universe_slots
 from hyperspec.macaulay import _SHIFTS, PolySystem, _blockwise, _det_product
 from hyperspec.modular import _inverses, _is_modulus, _matvec_mod, _pivot_up, _solve_mod
 from hyperspec.polynomial import UniPoly
+from hyperspec.spectra import e_char_poly_system, tensor_polynomial_map
 from hyperspec.switching import SwitchingPartition, SwitchReport, _check_partition
 from hyperspec.tensor import Tensor, _offset, _unoffset
 
@@ -532,6 +533,33 @@ def symmetric_from_upper(
     return Tensor.from_map(order, dim, full)
 
 
+def popcount_masks(slots: int, count: int) -> Iterator[int]:
+    """Every mask of count bits below 1 << slots, in increasing order.
+
+    Gosper's next-bit-permutation (HAKMEM item 175) steps from each mask
+    to the next, so only the C(slots, count) masks are visited: the
+    reference walk for hypergraph.mask_chunks, which decodes colex ranks,
+    at any number of slots.
+    """
+    if not 0 <= count <= slots:
+        return
+    if count == 0:
+        yield 0
+        return
+    mask, limit = (1 << count) - 1, 1 << slots
+    while mask < limit:
+        yield mask
+        low = mask & -mask
+        ripple = mask + low
+        mask = ripple | ((mask ^ ripple) >> 2) // low
+
+
+def mask_simplex_count(n: int, k: int, mask: int) -> int:
+    """The simplices of the (n, k) hypergraph with this edge bitmask, one
+    face mask at a time, where hypergraph.simplex_counts takes arrays."""
+    return sum(mask & faces == faces for _, faces in simplex_masks(n, k))
+
+
 def enumerate_all(
     n: int,
     k: int,
@@ -615,3 +643,68 @@ def system_at(system: PolySystem, lam: Fraction | int) -> PolySystem:
     polys = tuple(poly_add(c, {e: v * lam for e, v in l.items()})
                   for c, l in zip(system.polys, system.linear))
     return PolySystem(system.nvars, polys, system.degrees)
+
+
+def lambda_e_char_system(a: Tensor | Hypergraph) -> PolySystem:
+    """The E-characteristic system linear in lambda, whose resultant is the
+    E-characteristic polynomial itself.  For odd order m, in the variables
+    (x_1..x_n, beta): (A x**(m-1))_i - lambda x_i beta**(m-2) and the
+    quadric x.x - beta**2, the reference for spectra.e_char_poly_system,
+    which moves lambda into the quadric; F1 is nonzero inside M' here.
+    For even order, the library's own system."""
+    order = a.order if isinstance(a, Tensor) else a.k
+    if order % 2 == 0:
+        return e_char_poly_system(a)
+    component = tensor_polynomial_map(a)
+    n = len(component)
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    quadric = {tuple(2 * v for v in e) + (0,): 1 for e in units}
+    quadric[(0,) * n + (2,)] = -1
+    return PolySystem(
+        n + 1,
+        (*({e + (0,): c for e, c in p.items()} for p in component), quadric),
+        (order - 1,) * n + (2,),
+        (*({e + (order - 2,): -1} for e in units), {}),
+    )
+
+
+def sympy_resultant(system: PolySystem) -> Fraction:
+    """The resultant of a numeric system from sympy's MacaulayResultant.
+
+    sympy picks its divisor rows by looking for the coefficient a_i of
+    x_i**d_i, so each a_i enters as a symbol and is substituted afterwards.
+    Where sympy's divisor vanishes, the value is Res(F - s x**d) at s = 0,
+    interpolated from det M / det M' at D + 1 integers s with a nonzero
+    divisor: Res(F - s x**d) has degree at most D = sum_i prod_{j != i} d_j
+    in s."""
+    # imported here: perfbench imports this module, and sympy would add
+    # about 30 MB to every search run's peak RSS
+    import sympy
+    from sympy.polys.multivariate_resultants import MacaulayResultant
+
+    n = system.nvars
+    xs, a = sympy.symbols(f"x0:{n}"), sympy.symbols(f"a0:{n}")
+    polys, pure = [], []
+    for i, (poly, d) in enumerate(zip(system.polys, system.degrees)):
+        power = tuple(d if j == i else 0 for j in range(n))
+        polys.append(a[i] * xs[i] ** d + sum(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.prod(x**e for x, e in zip(xs, exp))
+            for exp, c in poly.items() if exp != power
+        ))
+        c = Fraction(poly.get(power, 0))
+        pure.append(sympy.Rational(c.numerator, c.denominator))
+    resultant = MacaulayResultant(polys, list(xs))
+    full = resultant.get_matrix()
+    minor = resultant.get_submatrix(full)
+    degree = sum(prod(system.degrees[:i] + system.degrees[i + 1 :]) for i in range(n))
+    points = []
+    for s in count(0):
+        at = {ai: v - s for ai, v in zip(a, pure)}
+        den = minor.subs(at).det()
+        if den != 0:
+            points.append((s, full.subs(at).det() / den))
+        if points and points[0][0] == 0 or len(points) == degree + 1:
+            break
+    value = points[0][1] if points[0][0] == 0 else sympy.interpolate(points, 0)
+    return Fraction(int(value.p), int(value.q))

@@ -10,7 +10,7 @@ from math import comb, factorial
 from types import SimpleNamespace
 
 import pytest
-from oracles import enumerate_all
+from oracles import enumerate_all, mask_simplex_count, popcount_masks
 
 from hyperspec import analysis, hypergraph, spectra
 from hyperspec.analysis import (
@@ -36,10 +36,8 @@ from hyperspec.hypergraph import (
     edge_bitmask,
     from_bitmask,
     mask_orbit,
-    mask_simplex_count,
-    popcount_masks,
+    simplex_counts,
     simplex_masks,
-    with_simplex_count,
 )
 from hyperspec.polynomial import UniPoly
 from hyperspec.spectra import char_poly
@@ -518,16 +516,16 @@ def test_candidate_walk_finds_the_simplices_on_seven_vertices():
 
 
 def test_simplex_filter_beyond_int64_masks():
-    # 66 edge slots: masks above 2^63 are counted as Python integers
-    masks = list(itertools.islice(popcount_masks(66, 3), 3000)) + [
+    # 66 edge slots: masks above 2^63 are counted as Python integers, in
+    # chunks, against the count one face mask at a time; the three-edge
+    # masks hold 0 or 1 triangle, and all 66 edges hold C(12, 3) = 220
+    masks = list(itertools.islice(popcount_masks(66, 3), 5000)) + [
         (1 << 66) - 1,
         (1 << 65) | (1 << 64) | (1 << 63),
     ]
-    counts = [mask_simplex_count(12, 2, m) for m in masks]
-    for count in (0, 1, 220):
-        assert list(with_simplex_count(12, 2, masks, count)) == [
-            m for m, c in zip(masks, counts) if c == count
-        ]
+    counts = simplex_counts(12, 2, masks)
+    assert counts.tolist() == [mask_simplex_count(12, 2, m) for m in masks]
+    assert set(counts.tolist()) == {0, 1, 220}
 
 
 def test_ds_verify_single_edge_n4():

@@ -8,7 +8,7 @@ from itertools import combinations, islice, permutations, product
 from math import comb, factorial
 
 import pytest
-from oracles import enumerate_all, is_symmetric, neighbors_in
+from oracles import enumerate_all, is_symmetric, mask_simplex_count, neighbors_in, popcount_masks
 from oracles import simplices as oracle_simplices
 
 from hyperspec import hypergraph
@@ -29,11 +29,9 @@ from hyperspec.hypergraph import (
     from_bitmask,
     mask_chunks,
     mask_edges,
-    mask_simplex_count,
     is_isomorphic,
     mask_orbit,
     parse_hypergraph,
-    popcount_masks,
     simplex_counts,
     simplex_masks,
     simplices,
@@ -178,9 +176,10 @@ def _assert_simplices_match_oracle(h):
 
 
 def test_simplices_match_oracle_on_small_universes():
-    # count_simplices walks the edge list; mask_simplex_count checks every
-    # (k+1)-set's face mask, and simplex_counts, which the universe walks
-    # use, every mask of an array against every face mask at once
+    # count_simplices walks the edge list; the oracle's mask_simplex_count
+    # checks every (k+1)-set's face mask, and simplex_counts, which the
+    # universe walks use, every mask of an array against every face mask
+    # at once
     for n, k in ((5, 3), (5, 2)):
         counts = simplex_counts(n, k, range(1 << comb(n, k))).tolist()
         for mask in range(1 << comb(n, k)):

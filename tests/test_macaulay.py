@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy
-from sympy.polys.multivariate_resultants import MacaulayResultant
 
 from hyperspec.config import DEFAULT_CONFIG
 from hyperspec.errors import (
@@ -38,7 +37,7 @@ from hyperspec.macaulay import (
     resultant_value,
 )
 from hyperspec.polynomial import UniPoly
-from hyperspec.spectra import e_char_poly_system, tensor_polynomial_map
+from hyperspec.spectra import e_char_poly, e_char_poly_system, tensor_polynomial_map
 from hyperspec.tensor import Tensor
 
 import oracles
@@ -61,9 +60,11 @@ def _exact_det(rows):
 
 def _fill(table, lam):
     # the dense integer matrices M(lam), from the table's entry arrays, and
-    # its principal submatrix M'(lam) on the table's divisor index
+    # its principal submatrix M'(lam) on the table's divisor index; M
+    # itself also from a table that holds its transpose
     full = [[0] * table.size for _ in range(table.size)]
-    entries = (table.row, table.col, table.i0, table.i1)
+    rows, cols = (table.col, table.row) if table.transposed else (table.row, table.col)
+    entries = (rows, cols, table.i0, table.i1)
     for r, col, i0, i1 in zip(*(a.tolist() for a in entries)):
         full[r][col] = i0 + lam * i1
     divisor = table.nonreduced.tolist()
@@ -203,10 +204,11 @@ def test_degenerate_plain_system_is_rescued_by_a_variant():
 def test_degenerate_points_match_the_golden_e_char():
     # every sample point of the single edge has a vanishing divisor, so each
     # value below comes from the generalized characteristic polynomial
+    # of its system with lambda in every f_i
     blob = json.loads((DATA / "single_edge_n3_echar.json").read_text())
     raw = UniPoly.from_coeff_strings(blob["e_char_poly_raw"]["coefficients"])
     h = Hypergraph.from_edges(3, 3, [(1, 2, 3)])
-    system = e_char_poly_system(adjacency_tensor(h))
+    system = oracles.lambda_e_char_system(adjacency_tensor(h))
     table = _FillTable(system)
     nodes = list(range(-24, 25))
     for lam in nodes:
@@ -587,41 +589,6 @@ def test_block_routes_match_the_whole_matrix_oracles():
         assert (values[:, i] == sign * quotient[:, 0] % primes).all(), lam
 
 
-def _sympy_resultant(system):
-    # sympy's MacaulayResultant picks its divisor rows by looking for the
-    # coefficient a_i of x_i**d_i, so each a_i enters as a symbol and is
-    # substituted afterwards.  Where sympy's divisor vanishes, the value is
-    # Res(F - s x**d) at s = 0, interpolated from det M / det M' at D + 1
-    # integers s with a nonzero divisor: Res(F - s x**d) has degree at most
-    # D = sum_i prod_{j != i} d_j in s
-    n = system.nvars
-    xs, a = sympy.symbols(f"x0:{n}"), sympy.symbols(f"a0:{n}")
-    polys, pure = [], []
-    for i, (poly, d) in enumerate(zip(system.polys, system.degrees)):
-        power = tuple(d if j == i else 0 for j in range(n))
-        polys.append(a[i] * xs[i] ** d + sum(
-            sympy.Rational(c.numerator, c.denominator)
-            * sympy.prod(x**e for x, e in zip(xs, exp))
-            for exp, c in poly.items() if exp != power
-        ))
-        c = Fraction(poly.get(power, 0))
-        pure.append(sympy.Rational(c.numerator, c.denominator))
-    resultant = MacaulayResultant(polys, list(xs))
-    full = resultant.get_matrix()
-    minor = resultant.get_submatrix(full)
-    degree = sum(math.prod(system.degrees[:i] + system.degrees[i + 1 :]) for i in range(n))
-    points = []
-    for s in itertools.count(0):
-        at = {ai: v - s for ai, v in zip(a, pure)}
-        den = minor.subs(at).det()
-        if den != 0:
-            points.append((s, full.subs(at).det() / den))
-        if points and points[0][0] == 0 or len(points) == degree + 1:
-            break
-    value = points[0][1] if points[0][0] == 0 else sympy.interpolate(points, 0)
-    return Fraction(int(value.p), int(value.q))
-
-
 def test_resultant_matches_sympy_macaulay_resultant():
     # seeded sparse systems in 2 and 3 variables of degrees up to 2, some
     # without an x_i**d_i term, so that det M' vanishes and the value
@@ -633,7 +600,7 @@ def test_resultant_matches_sympy_macaulay_resultant():
         _poly({(0, 2, 0): 3, (1, 1, 0): big - 11}),
         _poly({(0, 0, 2): -2, (1, 0, 1): 9, (0, 2, 0): 1}),
     ])
-    assert resultant_value(huge) == _sympy_resultant(huge) != 0
+    assert resultant_value(huge) == oracles.sympy_resultant(huge) != 0
     rng = random.Random(9011)
     shapes = [(1, 2), (2, 1), (2, 2), (1, 1, 2), (1, 2, 2), (2, 2, 1), (2, 2, 2)]
     degenerate = 0
@@ -648,7 +615,7 @@ def test_resultant_matches_sympy_macaulay_resultant():
             }
             polys.append(terms or {monomial_basis(n, d)[-1]: Fraction(1)})
         system = PolySystem(n, tuple(polys), degrees)
-        expected = _sympy_resultant(system)
+        expected = oracles.sympy_resultant(system)
         assert resultant_value(system) == expected, degrees
         minor = _fill(_FillTable(system), 0)[1]
         degenerate += expected != 0 and _exact_det(minor) == 0
@@ -678,9 +645,11 @@ def test_dim_cap_enforced():
 
 
 def _e_char_nodes(order, dim):
-    # the nodes e_char_poly interpolates through: lambda = 0..D/2 for odd
-    # order and 0..D for even order, where D/2 and D both come to
-    # dim * (order - 1)**(dim - 1)
+    # the nodes e_char_poly interpolates through: lambda = 0..D for even
+    # order, D = dim * (order - 1)**(dim - 1), and for odd order
+    # c = 0..(order - 1)**dim // (order - 2), c the quadric's parameter
+    if order % 2:
+        return list(range((order - 1) ** dim // (order - 2) + 1))
     return list(range(dim * (order - 1) ** (dim - 1) + 1))
 
 
@@ -758,7 +727,8 @@ def test_pencil_on_the_support_of_f1_matches_the_full_pencil():
     # residues and mask must be the full pencil's, and its residues on the
     # primes solved the generalized charpoly's.  Tensors with zero entries
     # give groups whose J is empty, and groups whose blocks have different
-    # J, some of them empty
+    # J, some of them empty.  The systems have lambda in every f_i, so
+    # that F1 meets the divisor blocks too
     rng = random.Random(8212)
     primes = _first_primes()
     shapes = [(3, 3)] * 10 + [(3, 4)] * 4 + [(5, 3)] * 3
@@ -766,7 +736,7 @@ def test_pencil_on_the_support_of_f1_matches_the_full_pencil():
     for order, dim in shapes:
         a = _seeded_tensor(rng, order, dim, rational=rng.random() < 0.5, sparse=True,
                            zeros=0.3)
-        table = _FillTable(e_char_poly_system(a))
+        table = _FillTable(oracles.lambda_e_char_system(a))
         nodes = _e_char_nodes(order, dim)
         got, solved = _pencil_values(table, nodes, primes)
         want, want_solved = oracles.full_pencil_values(table, nodes, primes)
@@ -976,13 +946,99 @@ def test_pencil_shift_on_and_off_the_nodes(monkeypatch):
 
 def test_pencil_reports_the_fallback_for_hypergraphs():
     # adjacency tensors of the single edge and of K4^(3): the divisor
-    # vanishes identically in lambda, so no shift works
+    # vanishes at every c, so no shift works
     k4 = list(itertools.combinations(range(1, 5), 3))
     for n, edges in ((3, [(1, 2, 3)]), (4, k4)):
         lsys = e_char_poly_system(adjacency_tensor(Hypergraph.from_edges(n, 3, edges)))
         table = _FillTable(lsys)
         assert _recombined(_pencil_values, table, _e_char_nodes(3, n), 0) is None
         assert all(_exact_det(_fill(table, lam)[1]) == 0 for lam in range(-3, 4))
+
+
+def _shifts_tried(monkeypatch):
+    # the shifts of the _det_ratio calls made, in order
+    shifts = []
+    inner = macaulay._det_ratio
+
+    def recording(table, primes, lam, pencil):
+        shifts.append(lam)
+        return inner(table, primes, lam, pencil)
+
+    monkeypatch.setattr(macaulay, "_det_ratio", recording)
+    return shifts
+
+
+def test_pencil_stops_at_a_divisor_that_cannot_depend_on_the_shift(monkeypatch):
+    # the odd-order system's F1 lives on the quadric's reduced rows, so it
+    # never meets M' and det M'(c) is the same at every shift: the single
+    # edge's singular divisor takes one _det_ratio call, not five, and its
+    # E-char is the golden one.  With lambda in every f_i, F1 meets M', and
+    # every shift is tried
+    shifts = _shifts_tried(monkeypatch)
+    edge = adjacency_tensor(Hypergraph.from_edges(3, 3, [(1, 2, 3)]))
+    blob = json.loads((DATA / "single_edge_n3_echar.json").read_text())
+    raw = UniPoly.from_coeff_strings(blob["e_char_poly_raw"]["coefficients"])
+    assert e_char_poly(edge, normalize=False) == raw
+    assert shifts == [0]
+    table = _FillTable(oracles.lambda_e_char_system(edge))
+    assert any(len(g.divisor_support) for g in table.blocks)
+    shifts.clear()
+    assert not _pencil_values(table, _e_char_nodes(3, 3), _first_primes())[1].any()
+    assert shifts == list(macaulay._SHIFTS)
+
+
+def test_pencil_passes_a_shift_where_only_det_m_vanishes(monkeypatch):
+    # with a first prime p dividing det M(0) but not det M'(0), shift 0
+    # fails on det M alone, and the stack goes on to the first shift where
+    # p does not divide det M(c), though its divisor cannot depend on the
+    # shift; every residue is the exact resultant's
+    a = oracles.symmetric_from_upper(3, 3, {
+        (0, 0, 0): 1, (0, 1, 2): 2, (1, 1, 1): 1, (1, 2, 2): -2, (2, 2, 2): 2,
+    })
+    system = e_char_poly_system(a)
+    table = _FillTable(system)
+    assert not any(len(g.divisor_support) for g in table.blocks)
+    full, minor = map(_exact_det, _fill(table, 0))
+    p = next(q for q in sympy.primefactors(full) if 2 < q < 2**20 and minor % q)
+    shifts = _shifts_tried(monkeypatch)
+    primes = np.array([p, nth_prime(0)], dtype=np.int64)
+    nodes = _e_char_nodes(3, 3)
+    values, solved = _pencil_values(table, nodes, primes)
+    works = [_exact_det(_fill(table, c)[0]) % p != 0 for c in macaulay._SHIFTS]
+    assert shifts == list(macaulay._SHIFTS[: works.index(True) + 1]) and solved.all()
+    assert len(shifts) > 1
+    scale = Fraction(table.scale_full[0], table.scale_minor[0])
+    exact = [resultant_value(oracles.system_at(system, c)) * scale for c in nodes]
+    for layer, q in enumerate(primes.tolist()):
+        assert values[layer].tolist() == [v % q for v in exact], q
+
+
+@pytest.mark.parametrize("order, dim", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)])
+def test_odd_order_f1_lives_on_the_quadric_rows(monkeypatch, order, dim):
+    # F1's nonzero rows of M are the quadric's rows, the (order - 1)**dim
+    # reduced monomials beta**(2 + ..) x**e with every e_i < order - 1; the
+    # table holds M's transpose, so the pencil solves against at most that
+    # many columns, and its quotient has at most that degree
+    rng = random.Random(9000 + 10 * order + dim)
+    a = _seeded_tensor(rng, order, dim, rational=True, sparse=False)
+    table = _FillTable(e_char_poly_system(a))
+    f1 = np.array(_fill(table, 1)[0], dtype=object) - np.array(_fill(table, 0)[0], dtype=object)
+    rows = np.flatnonzero(f1.any(axis=1)).tolist()
+    monos = monomial_basis(dim + 1, dim * (order - 2) + 2)
+    assert [monos[r] for r in rows] == [
+        m for m in monos if all(e < order - 1 for e in m[:dim])]
+    assert len(rows) == (order - 1) ** dim and table.transposed
+    assert sum(len(g.index) * len(g.support) for g in table.blocks) <= (order - 1) ** dim
+    degrees = []
+    inner = macaulay._quotient
+
+    def recording(d, *args, **kwargs):
+        degrees.append(d)
+        return inner(d, *args, **kwargs)
+
+    monkeypatch.setattr(macaulay, "_quotient", recording)
+    assert _pencil_values(table, _e_char_nodes(order, dim), _first_primes())[1].all()
+    assert degrees and max(degrees) <= (order - 1) ** dim
 
 
 def test_stack_cap_runs_one_prime_per_call(monkeypatch):
@@ -1030,7 +1086,7 @@ def test_stack_cap_runs_one_prime_per_call(monkeypatch):
         kernels |= {name for name, *_ in stacks}
         assert max(entries for *_, entries in stacks) <= modular.STACK_CAP
         if run is runs[-1][0]:
-            # the single edge's batch: its 13 nodes at each prime fill the
+            # the single edge's batch: its 9 nodes at each prime fill the
             # largest block's stacks up to their power-sum footprint
             footprint = modular.trace_layer_size(largest, table.d)[1]
             assert max(layers for _, layers, size, _ in stacks if size == largest) == (

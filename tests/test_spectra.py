@@ -46,8 +46,10 @@ from oracles import (
     full_pencil_values,
     interpolate,
     kept_block_norms,
+    lambda_e_char_system,
     permutation_matrix,
     symmetric_from_upper,
+    sympy_resultant,
     system_at,
     whole_quotient_mod,
     zero_tensor,
@@ -89,8 +91,9 @@ def test_e_char_matches_frozen_single_edge():
 
 
 def test_e_char_degree_cap_measures_the_resultant_bound():
-    # the single edge's system has degrees (2, 2, 2, 2) with a lambda part
-    # in the first three polynomials, so D = 3 * 2**3 = 24
+    # the single edge's lambda-degree bound is D = 2 * 3 * 2**2 = 24, that
+    # of the system with lambda in the first three of its polynomials of
+    # degrees (2, 2, 2, 2)
     with pytest.raises(DegreeCapExceeded, match="resultant degree bound 24"):
         e_char_poly(_single_edge(), replace(DEFAULT_CONFIG, degree_cap=23))
     at_bound = replace(DEFAULT_CONFIG, degree_cap=24)
@@ -112,8 +115,13 @@ def _random_rational_tensor(rng, order, dim):
 
 
 def test_e_char_degree_bound_holds_off_the_nodes():
-    # if D undercounted the lambda-degree, the interpolant through D + 1
-    # nodes would miss the resultant at points outside the node set
+    # if D undercounted the degree, the interpolant through its nodes would
+    # miss the resultant at points outside the node set.  Odd order
+    # interpolates R(c) = R~(c**(m-2)), the resultant of the system on the
+    # quadric c (x.x) - beta**2, and E(lambda) = R~(lambda**2): so
+    # R(s**2) = E(s**(m-2)), which the system with lambda in every f_i
+    # gives at lambda = s**(m-2) too, and sympy's Macaulay resultant at
+    # one point in dimension 2
     rng = random.Random(419)
     shapes = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)]
     for order, dim in shapes * 2:
@@ -121,9 +129,17 @@ def test_e_char_degree_bound_holds_off_the_nodes():
         bound = _resultant_degree_bound(order, dim)
         raw = e_char_poly(a, normalize=False)
         assert raw.degree <= bound
-        system = e_char_poly_system(a)
-        for lam in (bound // 2 + 2, -(bound // 2 + 2), 3 * bound):
-            assert raw.evaluate(Fraction(lam)) == resultant_value(system_at(system, lam))
+        system, reference = e_char_poly_system(a), lambda_e_char_system(a)
+        for s in (bound // 2 + 2, -(bound // 2 + 2), 3 * bound):
+            c, lam = (s * s, s ** (order - 2)) if order % 2 else (s, s)
+            value = resultant_value(system_at(system, c))
+            assert raw.evaluate(Fraction(lam)) == value
+            assert resultant_value(system_at(reference, lam)) == value
+    a = _random_rational_tensor(rng, 3, 2)
+    s = 3
+    value = resultant_value(system_at(e_char_poly_system(a), s * s))
+    assert sympy_resultant(system_at(e_char_poly_system(a), s * s)) == value
+    assert e_char_poly(a, normalize=False).evaluate(Fraction(s)) == value
 
 
 def _record(monkeypatch, name, extract):
@@ -139,24 +155,24 @@ def _record(monkeypatch, name, extract):
 
 
 def test_e_char_samples_the_degree_bound_plus_one(monkeypatch):
-    # even order interpolates through the D + 1 nodes 0..D; odd order
-    # is even in lambda and interpolates in lambda**2 through lambda =
-    # 0..D/2 (D = 24 for order 3, dimension 3 and D = 16 for order 5,
-    # dimension 2).  The other tensors get every node residue from the
-    # pencil; the divisors of the single edge and of the sparse order-3
-    # tensor vanish identically, so those take the generalized charpoly at
-    # every node, all nodes in one batch
+    # even order interpolates through the D + 1 nodes 0..D; odd order m
+    # interpolates R(c) = R~(c**(m-2)), R of degree at most (m-1)**n in
+    # the quadric's c, through c = 0..(m-1)**n // (m-2) (0..8 for order 3,
+    # dimension 3 and 0..5 for order 5, dimension 2, at the abscissae
+    # c**3).  The other tensors get every node residue from the pencil;
+    # the divisors of the single edge and of the sparse order-3 tensor
+    # vanish, so those take the generalized charpoly at every node, all
+    # nodes in one batch
     order_three = symmetric_from_upper(3, 3, {
         (0, 0, 0): 1, (0, 1, 2): -1, (1, 1, 2): 2, (2, 2, 2): -1,
     })
-    squares = [lam * lam for lam in range(13)]
+    nine = list(range(9))
     cases = [
-        (_single_edge(), squares, [list(range(13))]),
-        (order_three, squares, [list(range(13))]),
-        (_random_rational_tensor(random.Random(421), 3, 3), squares, []),
+        (_single_edge(), nine, [nine]),
+        (order_three, nine, [nine]),
+        (_random_rational_tensor(random.Random(421), 3, 3), nine, []),
         (_order_four_integer(), list(range(28)), []),
-        (_random_rational_tensor(random.Random(423), 5, 2),
-         [lam * lam for lam in range(9)], []),
+        (_random_rational_tensor(random.Random(423), 5, 2), [c**3 for c in range(6)], []),
     ]
     for a, abscissae, per_node in cases:
         handed = _record(monkeypatch, "_lagrange_mod", lambda args: list(args[0]))
@@ -181,16 +197,17 @@ def test_single_edge_e_char_takes_two_prime_loops(monkeypatch):
     raw = e_char_poly(_single_edge(), normalize=False)
     assert raw == _load_poly(DATA / "single_edge_n3_echar.json", "e_char_poly_raw")
     assert [values is None for values in loops] == [True, False]
-    assert len(loops[1]) == 13
+    assert len(loops[1]) == 9
 
 
 def _entry_norms(table, lam=None):
     # the largest absolute row sum R inside one kept diagonal block of
     # M(lam), and the sum of squared entries S inside those blocks, read
-    # off the dense matrix; lam None takes |i0| + |i1|, which bounds every
-    # entry on |lambda| = 1
+    # off the dense matrix M, also of a table that holds its transpose;
+    # lam None takes |i0| + |i1|, which bounds every entry on |lambda| = 1
     dense = [[0] * table.size for _ in range(table.size)]
-    for r, c, i0, i1 in zip(*(a.tolist() for a in (table.row, table.col, table.i0, table.i1))):
+    rows, cols = (table.col, table.row) if table.transposed else (table.row, table.col)
+    for r, c, i0, i1 in zip(*(a.tolist() for a in (rows, cols, table.i0, table.i1))):
         dense[r][c] = abs(i0) + abs(i1) if lam is None else i0 + lam * i1
     return kept_block_norms(table, dense)
 
@@ -302,8 +319,8 @@ def test_benchmark_values_lie_within_the_frobenius_bounds():
     for a in transformed + [_single_edge()]:
         table = _FillTable(e_char_poly_system(a))
         odd = a.order % 2
-        nodes = list(range(_resultant_degree_bound(a.order, a.dim) // (1 + odd) + 1))
-        abscissae = tuple(lam ** (1 + odd) for lam in nodes)
+        nodes = list(range(2 ** a.dim + 1 if odd else _resultant_degree_bound(a.order, a.dim) + 1))
+        abscissae = tuple(nodes)
         exact = gershgorin_route(table, (_pencil_values, _gcp_values), nodes, abscissae, None)
         raw = e_char_poly(a, normalize=False)
         unscale = Fraction(table.scale_full[0], table.scale_minor[0])
@@ -552,15 +569,16 @@ def test_an_empty_batch_has_no_polynomials():
 
 def test_e_char_matches_the_fraction_interpolation_oracle():
     # the raw E-char against Newton interpolation in Fractions through the
-    # resultant_value values at the same nodes, a path that shares neither the
-    # batched node residues, nor the Lagrange basis modulo primes, nor the
-    # coefficient bounds.  Order 5 in dimension 3 (Macaulay size 364, 49
-    # nodes) is left out: each node takes seconds there
+    # resultant_value values of the system with lambda in every f_i, a path
+    # that shares neither the system on the quadric, nor the batched node
+    # residues, nor the Lagrange basis modulo primes, nor the coefficient
+    # bounds.  Order 5 in dimension 3 (Macaulay size 364, 49 nodes) is left
+    # out: each node takes seconds there
     rng = random.Random(4337)
     shapes = [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2)]
     tensors = [_random_rational_tensor(rng, order, dim) for order, dim in shapes]
     for a in tensors + [_single_edge()]:
-        system = e_char_poly_system(a)
+        system = lambda_e_char_system(a)
         bound = _resultant_degree_bound(a.order, a.dim)
         odd = a.order % 2 == 1
         nodes = list(range(bound // 2 + 1 if odd else bound + 1))
@@ -576,12 +594,13 @@ def test_e_char_matches_the_fraction_interpolation_oracle():
 
 
 def test_odd_order_resultant_is_even_in_lambda():
-    # beta -> -beta maps the odd-order system at lambda to the system at
-    # -lambda; checked point by point, without interpolating
+    # beta -> -beta maps the odd-order system with lambda in every f_i at
+    # lambda to the system at -lambda; checked point by point, without
+    # interpolating
     rng = random.Random(431)
     for order, dim in ((3, 2), (3, 3), (5, 2)):
         a = _random_rational_tensor(rng, order, dim)
-        system = e_char_poly_system(a)
+        system = lambda_e_char_system(a)
         for lam in range(1, _resultant_degree_bound(order, dim) + 1):
             value = resultant_value(system_at(system, lam))
             assert resultant_value(system_at(system, -lam)) == value
@@ -668,10 +687,7 @@ def test_uncovered_pair_certifies_what_the_general_path_computes():
     for a in tensors:
         assert _isotropic_root(a) == 2
         assert e_char_poly(a).is_zero()
-        system = e_char_poly_system(a)
-        assert _interpolated_resultant(
-            system, DEFAULT_CONFIG, even_in_lambda=a.order % 2 == 1
-        ).is_zero()
+        assert _interpolated_resultant(e_char_poly_system(a), DEFAULT_CONFIG).is_zero()
 
 
 def test_covered_pairs_are_not_certified():
@@ -838,8 +854,7 @@ def test_triple_witness_certifies_what_the_general_path_computes():
     start = time.perf_counter()
     assert e_char_poly(h).is_zero() and e_char_poly(a).is_zero()
     assert time.perf_counter() - start < 0.1
-    system = e_char_poly_system(a)
-    assert _interpolated_resultant(system, DEFAULT_CONFIG, even_in_lambda=True).is_zero()
+    assert _interpolated_resultant(e_char_poly_system(a), DEFAULT_CONFIG).is_zero()
 
 
 def test_triple_witness_on_seeded_tensors_and_near_misses():
@@ -857,8 +872,7 @@ def test_triple_witness_on_seeded_tensors_and_near_misses():
         near = Tensor.from_map(3, dim, entries)
         assert _isotropic_root(near) == 0 and not _cube_root_witness(near, triple)
         if dim == 3:
-            system = e_char_poly_system(a)
-            assert _interpolated_resultant(system, DEFAULT_CONFIG, even_in_lambda=True).is_zero()
+            assert _interpolated_resultant(e_char_poly_system(a), DEFAULT_CONFIG).is_zero()
             assert not e_char_poly(near).is_zero()
 
 
@@ -1202,13 +1216,13 @@ def _block_sizes(system):
     return [(g.size, len(g.index)) for g in table.blocks + table.minors]
 
 
-def test_cancelling_entries_leave_no_zero_coefficient():
+def test_cancelling_entries_leave_no_zero_coefficient(monkeypatch):
     # a[0, 1, 2] = 1 and a[0, 2, 1] = -1 cancel in x -> A x**2: the map
     # holds no zero coefficient, and its table's blocks, char_poly and
     # det_tensor are those of the tensor with both entries 0.  A zero
     # coefficient put back by hand is ignored too: by validation, which
     # takes it at a monomial of the wrong degree, by the table, and by the
-    # E-char's degree bound
+    # E-char's node count
     base = {(0, 0, 0): 1, (1, 1, 1): 2, (2, 2, 2): -1, (1, 0, 2): 1, (2, 1, 1): 3,
             (0, 1, 1): -2}
     cancelled = Tensor.from_map(3, 3, {**base, (0, 1, 2): 1, (0, 2, 1): -1})
@@ -1222,13 +1236,16 @@ def test_cancelling_entries_leave_no_zero_coefficient():
     assert det_tensor(cancelled) == det_tensor(plain) != 0
     padded = tuple({**p, (0, 1, 1): 0, (1, 0, 0): 0} for p in component)
     assert _block_sizes(PolySystem(3, padded, (2,) * 3)) == want
-    # the quadric, the last polynomial, has no lambda part: a zero one
-    # would raise the bound from 24 to 32, past this cap
+    # only the quadric, the last polynomial, has a part in its parameter
+    # c: a zero one in the first would raise the degree in c from 8 to 16
+    # and the nodes from 9 to 17
     system = e_char_poly_system(plain)
-    system = replace(system, linear=system.linear[:-1] + ({(0, 0, 0, 2): 0},))
-    at_bound = replace(DEFAULT_CONFIG, degree_cap=24)
-    assert _interpolated_resultant(system, at_bound, even_in_lambda=True) == e_char_poly(
-        plain, normalize=False)
+    system = replace(system, linear=({(0, 1, 0, 1): 0},) + system.linear[1:])
+    nodes = _record(monkeypatch, "_lagrange_mod", lambda args: len(args[0]))
+    half = _interpolated_resultant(system, DEFAULT_CONFIG)
+    assert set(nodes) == {9}
+    raw = e_char_poly(plain, normalize=False)
+    assert UniPoly(tuple(c for h in half.coeffs for c in (h, 0))) == raw
 
 
 def _general_det(a, config=DEFAULT_CONFIG):
