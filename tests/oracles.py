@@ -43,7 +43,7 @@ quadric, and sympy's Macaulay resultant of a numeric system.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, count, permutations
+from itertools import combinations, permutations
 from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -698,13 +698,12 @@ def sympy_resultant(system: PolySystem) -> Fraction:
     full = resultant.get_matrix()
     minor = resultant.get_submatrix(full)
     degree = sum(prod(system.degrees[:i] + system.degrees[i + 1 :]) for i in range(n))
-    points = []
-    for s in count(0):
+    points, s = [], 0
+    while not (points and points[0][0] == 0) and len(points) <= degree:
         at = {ai: v - s for ai, v in zip(a, pure)}
         den = minor.subs(at).det()
         if den != 0:
             points.append((s, full.subs(at).det() / den))
-        if points and points[0][0] == 0 or len(points) == degree + 1:
-            break
+        s += 1
     value = points[0][1] if points[0][0] == 0 else sympy.interpolate(points, 0)
     return Fraction(int(value.p), int(value.q))

@@ -202,9 +202,9 @@ def test_degenerate_plain_system_is_rescued_by_a_variant():
 
 
 def test_degenerate_points_match_the_golden_e_char():
-    # every sample point of the single edge has a vanishing divisor, so each
-    # value below comes from the generalized characteristic polynomial
-    # of its system with lambda in every f_i
+    # every point lambda of the single edge's system with lambda in every
+    # f_i has a vanishing divisor, so each value below comes from the
+    # generalized characteristic polynomial
     blob = json.loads((DATA / "single_edge_n3_echar.json").read_text())
     raw = UniPoly.from_coeff_strings(blob["e_char_poly_raw"]["coefficients"])
     h = Hypergraph.from_edges(3, 3, [(1, 2, 3)])
